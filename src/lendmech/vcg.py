@@ -9,14 +9,14 @@ recommender of weight 1 who values reserves at c and real borrowers at 0;
 the reserve recommender is counted in welfare but never paid or charged.
 On top sit standard pivot payments, and optionally a report-independent
 rebate equal to each recommender's worst-case pivot, which makes realized
-utility nonnegative for every outcome. All payments scale linearly in
-alpha; the allocation does not depend on it.
+utility nonnegative for every outcome. The rebate is computed exactly for
+every m and K by a sweep over the best unfunded item, in O(m log m + K*m)
+per recommender. All payments scale linearly in alpha; the allocation does
+not depend on it.
 """
 
 from __future__ import annotations
 
-import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -29,10 +29,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .priors import PriorSpec, sample_others
-
-# Above this many borrowers-plus-reserves the worst-case pivot search stops
-# enumerating every boost set and falls back to a documented one-sided family.
-TCOMP_EXACT_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -103,34 +99,47 @@ class Settlement:
         return paid + rebate - self.immediate[i]
 
 
-def _as_report_matrix(inst: VcgInstance, reports) -> np.ndarray:
+def _check_reports(reports, shape: tuple[int, int], field: str) -> np.ndarray:
     arr = np.asarray(reports, dtype=float)
-    if arr.shape != (inst.n, inst.m):
-        raise ShapeMismatch(f"reports shape {arr.shape} != ({inst.n}, {inst.m})")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("reports must lie in [0, 1]")
+    if arr.shape != shape:
+        raise ShapeMismatch(f"{field} shape {arr.shape} != {shape}")
+    # NaN fails both comparisons, so this also rejects non-finite entries.
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError(f"{field} must be finite and lie in [0, 1]")
     return arr
 
 
-def _select(scores: Sequence[float], c: float, n_reserves: int, K: int) -> Allocation:
-    """Welfare-maximizing feasible allocation with a deterministic tie-break.
+def _as_report_matrix(inst: VcgInstance, reports) -> np.ndarray:
+    return _check_reports(reports, (inst.n, inst.m), "reports")
 
-    Sorts by score descending, then real borrowers before reserves, then
-    lower index, and funds the first min(K, available) items. All scores
-    are nonnegative, so funding up to the cap is always weakly optimal.
-    """
+
+def _ranked(scores: Sequence[float], c: float, n_reserves: int) -> list[tuple[float, int, int]]:
+    """Real borrowers and reserve slots as (-score, is_reserve, index) keys,
+    sorted: score descending, then real before reserve, then lower index."""
     items = [(-float(s), 0, q) for q, s in enumerate(scores)]
     items += [(-c, 1, r) for r in range(n_reserves)]
     items.sort()
-    k = min(K, len(items))
-    real = [0] * len(scores)
+    return items
+
+
+def _allocation(m: int, funded: Sequence[tuple[float, int, int]]) -> Allocation:
+    real = [0] * m
     reserves = 0
-    for _, is_reserve, idx in items[:k]:
+    for _, is_reserve, idx in funded:
         if is_reserve:
             reserves += 1
         else:
             real[idx] = 1
     return Allocation(real=tuple(real), reserves_funded=reserves)
+
+
+def _select(scores: Sequence[float], c: float, n_reserves: int, K: int) -> Allocation:
+    """Welfare-maximizing feasible allocation with a deterministic tie-break.
+
+    Funds the first min(K, available) items in `_ranked` order. All scores
+    are nonnegative, so funding up to the cap is always weakly optimal.
+    """
+    return _allocation(len(scores), _ranked(scores, c, n_reserves)[:K])
 
 
 def _welfare(scores: np.ndarray, c: float, alloc: Allocation) -> float:
@@ -175,56 +184,45 @@ def pivot_payment(inst: VcgInstance, reports, i: int) -> float:
     return inst.alpha * (_welfare(others, c, without_i) - _welfare(others, c, chosen))
 
 
-def _tcomp_boost_sets(m: int, K: int, base: np.ndarray, exact: bool):
-    if exact:
-        for size in range(min(K, m) + 1):
-            yield from itertools.combinations(range(m), size)
-        return
-    # Reduced family: no boost, single-borrower swings, and prefixes of the
-    # lowest-scoring borrowers (the cheapest borrowers for others are the
-    # most damaging ones to force in).
-    yield ()
-    for q in range(m):
-        yield (q,)
-    order = np.argsort(base, kind="stable")
-    for size in range(2, min(K, m) + 1):
-        yield tuple(int(q) for q in order[:size])
-
-
 def tcomp(inst: VcgInstance, others_reports, i: int) -> float:
     """Worst-case pivot payment of i over all reports, given others' reports.
 
-    Welfare is linear in i's report and the allocation set is finite, so
-    the minimum of others' welfare over achievable allocations is attained
-    by boosting some set of at most K borrowers to a report of 1 and the
-    rest to 0. Exact for m + reserves <= TCOMP_EXACT_LIMIT; beyond that a
-    reduced boost family is searched and the result is a lower bound.
+    Exact for every m, K. Others' welfare is what i's report can damage, and
+    i's report moves only which set S of k = min(K, m + reserves) items gets
+    funded. S is reachable iff boosting S's real borrowers by w_i (a report
+    of 1 on S, 0 elsewhere) makes S the top k: if any report funds S, this
+    one only widens S's lead over every outsider. A reachable S that leaves something unfunded
+    has exactly one best outsider o, an item ranked at some position p < k
+    of the unboosted order. S then holds every item ranked above o, and its
+    other k - p members are real borrowers ranked below o whose boosted key
+    beats o's. For each p the cheapest such S takes the lowest-scoring
+    qualifying borrowers; S with no outsider is the unboosted top k. The
+    minimum over p costs O(m log m + K*m).
     """
     _check_real_recommender(inst, i)
+    arr = _check_reports(others_reports, (inst.n - 1, inst.m), "others_reports")
     w_i = float(inst.weights[i])
     if w_i == 0.0:
         return 0.0
-    arr = np.asarray(others_reports, dtype=float)
-    if arr.shape != (inst.n - 1, inst.m):
-        raise ShapeMismatch(f"others' reports shape {arr.shape} != ({inst.n - 1}, {inst.m})")
     w_others = np.delete(np.asarray(inst.weights), i)
     base = w_others @ arr
-    c, n_res, K = inst.reserve_threshold, inst.n_reserves, inst.K
-    exact = inst.m + n_res <= TCOMP_EXACT_LIMIT
-    if not exact:
-        warnings.warn(
-            f"tcomp boost search is approximate for m + reserves > {TCOMP_EXACT_LIMIT}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    without_i = _welfare(base, c, _select(base, c, n_res, K))
+    c = inst.reserve_threshold
+    order = _ranked(base, c, inst.n_reserves)
+    k = min(inst.K, len(order))
+    without_i = _welfare(base, c, _allocation(inst.m, order[:k]))
     worst = without_i
-    for boost in _tcomp_boost_sets(inst.m, K, base, exact):
-        boosted = base.copy()
-        for q in boost:
-            boosted[q] += w_i
-        alloc = _select(boosted, c, n_res, K)
-        worst = min(worst, _welfare(base, c, alloc))
+    for p, outsider in enumerate(order[:k]):
+        # Same float and key comparison `_select` makes on boosted scores.
+        lifted = [
+            (score, is_reserve, q)
+            for score, is_reserve, q in order[p + 1 :]
+            if not is_reserve and (-(float(base[q]) + w_i), 0, q) < outsider
+        ]
+        if len(lifted) < k - p:
+            continue
+        # `lifted` keeps ranked order, so its tail has the lowest scores.
+        funded = order[:p] + lifted[len(lifted) - (k - p) :]
+        worst = min(worst, _welfare(base, c, _allocation(inst.m, funded)))
     return inst.alpha * (without_i - worst)
 
 

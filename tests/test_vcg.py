@@ -1,10 +1,11 @@
 """VCG scoring mechanism tests."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lendmech import vcg
@@ -36,6 +37,43 @@ def brute_force_best(inst, reports):
     return best
 
 
+def _tcomp_by_enumeration(inst, others_reports, i):
+    """Exhaustive oracle for tcomp: boost every set of at most K borrowers
+    by w_i and take the allocation worst for others' welfare."""
+    w_i = float(inst.weights[i])
+    if w_i == 0.0:
+        return 0.0
+    base = np.delete(np.asarray(inst.weights), i) @ np.asarray(others_reports, dtype=float)
+    c, n_res, K = inst.reserve_threshold, inst.n_reserves, inst.K
+    without_i = vcg._welfare(base, c, vcg._select(base, c, n_res, K))
+    worst = without_i
+    for size in range(min(K, inst.m) + 1):
+        for boost in itertools.combinations(range(inst.m), size):
+            boosted = base.copy()
+            boosted[list(boost)] += w_i
+            worst = min(worst, vcg._welfare(base, c, vcg._select(boosted, c, n_res, K)))
+    return inst.alpha * (without_i - worst)
+
+
+QUARTERS = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def tcomp_cases(draw):
+    """Instances with m + reserves <= 12. Quantized draws make borrowers tie
+    with each other and exactly with c; weights may be zero."""
+    quantized = draw(st.booleans())
+    unit = st.sampled_from(QUARTERS) if quantized else st.floats(0.0, 1.0)
+    c = draw(st.sampled_from(QUARTERS[:-1]) if quantized else st.floats(0.0, 0.95))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 12 if c == 0.0 else 11))
+    K = draw(st.integers(1, m if c == 0.0 else min(m, 12 - m)))
+    weights = tuple(draw(st.lists(unit, min_size=n, max_size=n)))
+    rows = st.lists(unit, min_size=m, max_size=m)
+    reports = np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=float)
+    return VcgInstance(n=n, m=m, K=K, reserve_threshold=c, weights=weights), reports
+
+
 class TestAllocate:
     def test_best_real_borrower_beats_reserve(self):
         alloc = vcg.allocate(table_instance(), BELIEFS)
@@ -55,6 +93,12 @@ class TestAllocate:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             vcg.allocate(table_instance(), [[0.5], [0.5], [0.5]])
+
+    def test_rejects_nan_report(self):
+        reports = np.array(BELIEFS)
+        reports[1, 0] = np.nan
+        with pytest.raises(ValueError, match="reports must be finite"):
+            vcg.allocate(table_instance(), reports)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 100_000))
@@ -145,6 +189,55 @@ class TestTcomp:
                 trial = reports.copy()
                 trial[0] = (r0, r1)
                 assert vcg.pivot_payment(inst, trial, 0) <= bound + 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(tcomp_cases())
+    @example(  # ties with c = 0.5 and a zero-weight recommender
+        (
+            VcgInstance(n=3, m=4, K=2, reserve_threshold=0.5, weights=(0.5, 0.5, 0.0)),
+            np.array([[1.0, 1.0, 0.5, 0.0], [1.0, 1.0, 0.5, 0.0], [0.25, 1.0, 0.0, 0.5]]),
+        )
+    )
+    @example(  # c = 0 and K = m
+        (
+            VcgInstance(n=2, m=3, K=3, reserve_threshold=0.0, weights=(0.25, 0.75)),
+            np.array([[0.5, 0.5, 0.0], [0.25, 1.0, 0.75]]),
+        )
+    )
+    def test_matches_enumeration(self, case):
+        inst, reports = case
+        for i in range(inst.n):
+            others = np.delete(reports, i, axis=0)
+            assert vcg.tcomp(inst, others, i) == pytest.approx(
+                _tcomp_by_enumeration(inst, others, i), abs=1e-12
+            )
+
+    def test_exact_past_former_enumeration_limit(self):
+        # m + reserves = 21: the reduced boost family once used at this size
+        # returned 0.437 here, below the exact worst-case pivot of 0.468.
+        inst = VcgInstance(n=3, m=14, K=7, reserve_threshold=0.4, weights=(0.5, 0.3, 0.2))
+        reports = np.array(
+            [
+                [0.64, 0.27, 0.04, 0.02, 0.81, 0.91, 0.61, 0.73, 0.54, 0.94, 0.82, 0.0, 0.86, 0.03],
+                [0.73, 0.18, 0.86, 0.54, 0.3, 0.42, 0.03, 0.12, 0.67, 0.65, 0.62, 0.38, 1.0, 0.98],
+                [0.69, 0.65, 0.69, 0.39, 0.14, 0.72, 0.53, 0.31, 0.49, 0.89, 0.93, 0.36, 0.57, 0.32],
+            ]
+        )
+        others = np.delete(reports, 1, axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = vcg.tcomp(inst, others, 1)
+        assert got == pytest.approx(_tcomp_by_enumeration(inst, others, 1), abs=1e-12)
+        assert got == pytest.approx(0.468, abs=1e-12)
+
+    def test_rejects_nan_co_report(self):
+        others = [[np.nan, 0.4], [0.6, 0.4]]
+        with pytest.raises(ValueError, match="others_reports must be finite"):
+            vcg.tcomp(table_instance(), others, 1)
+
+    def test_rejects_out_of_range_co_report(self):
+        with pytest.raises(ValueError, match="others_reports .* lie in \\[0, 1\\]"):
+            vcg.tcomp(table_instance(), [[5, -3], [0.6, 0.4]], 1)
 
 
 class TestSettle:
