@@ -12,6 +12,7 @@ floored at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -34,8 +35,8 @@ class WeightVector:
     def __post_init__(self) -> None:
         if not self.weights:
             raise ValueError("weight vector must be non-empty")
-        if any(w < 0.0 for w in self.weights):
-            raise ValueError(f"weights must be nonnegative, got {self.weights}")
+        if not all(math.isfinite(w) and w >= 0.0 for w in self.weights):
+            raise ValueError(f"weights must be finite and nonnegative, got {self.weights}")
         total = sum(self.weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total}")

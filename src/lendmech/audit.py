@@ -13,6 +13,7 @@ a replayable witness, and statistical ties are surfaced as inconclusive.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -265,6 +266,11 @@ class _SlowEngine:
             ]
         )
 
+    def column(self, true_row, q: int):
+        """Scorer for reports equal to `true_row` except in coordinate q."""
+        truth = tuple(float(v) for v in true_row)
+        return lambda report: self.utilities(truth, truth[:q] + (report,) + truth[q + 1 :])
+
 
 def _make_engine(inst: AuditableInstance, i: int, others: np.ndarray):
     if isinstance(inst, WinklerInstance) and isinstance(inst.aggregator, WeightedLinear):
@@ -436,27 +442,6 @@ def _degenerate_others(prior: DegenerateAt, i: int) -> tuple[np.ndarray, np.ndar
     return np.delete(profile, i, axis=0), profile[i]
 
 
-def _candidate_values(
-    engine,
-    inst: AuditableInstance,
-    true_row: Sequence[float],
-    truth_values: np.ndarray,
-    truth_columns: Optional[list[np.ndarray]],
-    candidate: Candidate,
-) -> np.ndarray:
-    # Single-coordinate deviations against the column-decomposed truncated
-    # Winkler engine only need the changed column recomputed.
-    if (
-        truth_columns is not None
-        and candidate.coordinate is not None
-        and isinstance(engine, winkler_mod.ColumnEngine)
-    ):
-        q = candidate.coordinate
-        new_col = engine.column_contribution(q, float(true_row[q]), candidate.row[q])
-        return truth_values - truth_columns[q] + new_col
-    return engine.utilities(true_row, candidate.row)
-
-
 def best_response_search(
     inst: AuditableInstance,
     i: int,
@@ -491,15 +476,8 @@ def best_response_search(
         effective_samples = samples
 
     engine = _make_engine(inst, i, others)
-    truth_columns = None
-    if isinstance(engine, winkler_mod.ColumnEngine):
-        truth_columns = [
-            engine.column_contribution(q, float(true_row[q]), float(true_row[q]))
-            for q in range(m)
-        ]
-        truth_values = np.sum(truth_columns, axis=0)
-    else:
-        truth_values = engine.utilities(true_row, true_row)
+    del others  # the engine keeps what it needs from the samples
+    truth_values = engine.utilities(true_row, true_row)
     truth_mean = float(truth_values.mean())
     truth_se = (
         float(truth_values.std(ddof=1) / math.sqrt(effective_samples))
@@ -507,35 +485,35 @@ def best_response_search(
         else 0.0
     )
 
-    def evaluate(candidate: Candidate) -> MisreportOutcome:
-        values = _candidate_values(engine, inst, true_row, truth_values, truth_columns, candidate)
-        mean_diff, se = _paired_stats(truth_values - values)
-        return MisreportOutcome(
-            candidate=candidate,
-            mean_gain=-mean_diff,
-            std_error=se,
-            classification=_classify(mean_diff, se, exact),
-        )
+    def judge_group(q: Optional[int], group: list[Candidate], pool) -> list[MisreportOutcome]:
+        # Coordinate q's column is built before its candidates are dispatched,
+        # so workers only read it, and it is freed when the group is done.
+        column = None if q is None else engine.column(true_row, q)
 
-    if exact and isinstance(engine, vcg_mod.InterimEngine) and candidates:
-        # single co-report sample: evaluate the whole candidate batch at once
-        rows = np.asarray([c.row for c in candidates], dtype=float)
-        values_all = engine.utilities_grid(true_row, rows)
-        truth_value = float(truth_values[0])
-        outcomes = [
-            MisreportOutcome(
-                candidate=c,
-                mean_gain=float(v) - truth_value,
-                std_error=0.0,
-                classification=_classify(truth_value - float(v), 0.0, True),
+        def evaluate(candidate: Candidate) -> MisreportOutcome:
+            if column is None:
+                values = engine.utilities(true_row, candidate.row)
+            else:
+                values = column(candidate.row[q])
+            mean_diff, se = _paired_stats(truth_values - values)
+            return MisreportOutcome(
+                candidate=candidate,
+                mean_gain=-mean_diff,
+                std_error=se,
+                classification=_classify(mean_diff, se, exact),
             )
-            for c, v in zip(candidates, values_all)
-        ]
-    elif workers > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(evaluate, candidates))
-    else:
-        outcomes = [evaluate(c) for c in candidates]
+
+        return list(pool.map(evaluate, group) if pool else map(evaluate, group))
+
+    groups: dict[Optional[int], list[int]] = {}
+    for k, candidate in enumerate(candidates):
+        groups.setdefault(candidate.coordinate, []).append(k)
+    by_index: dict[int, MisreportOutcome] = {}
+    pool_cm = ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with pool_cm as pool:
+        for q, members in groups.items():
+            by_index.update(zip(members, judge_group(q, [candidates[k] for k in members], pool)))
+    outcomes = [by_index[k] for k in range(len(candidates))]
 
     notes = ()
     if exact:

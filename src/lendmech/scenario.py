@@ -9,6 +9,7 @@ values; kind "curve" describes a utility-curve emission.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Optional, Union
@@ -166,8 +167,8 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         weights = tuple(float(w) for w in weights_cfg)
         if len(weights) != n:
             raise _fail(source, "weights", f"expected {n} entries, got {len(weights)}")
-        if any(w < 0 for w in weights):
-            raise _fail(source, "weights", "entries must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise _fail(source, "weights", "entries must be finite and nonnegative")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise _fail(source, "weights", f"must sum to 1, got {sum(weights)}")
     else:

@@ -17,8 +17,9 @@ not depend on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +30,10 @@ from .errors import (
     ShapeMismatch,
 )
 from .priors import PriorSpec, sample_others
+
+# Samples per block while InterimEngine.column builds its per-sample arrays;
+# bounds the block's temporaries whatever the sample count.
+COLUMN_CHUNK = 16_384
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,8 @@ class VcgInstance:
             )
         if len(self.weights) != self.n:
             raise ValueError(f"need {self.n} weights, got {len(self.weights)}")
-        if any(w < 0.0 for w in self.weights):
-            raise ValueError(f"weights must be nonnegative, got {self.weights}")
+        if not all(math.isfinite(w) and w >= 0.0 for w in self.weights):
+            raise ValueError(f"weights must be finite and nonnegative, got {self.weights}")
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
@@ -290,9 +295,9 @@ def expost_utility(inst: VcgInstance, reports, i: int, belief_row: Sequence[floa
 def select_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.ndarray:
     """Row-wise top-K over real scores plus constant reserve slots.
 
-    Returns a boolean mask of shape (rows, m + n_reserves). Ties are broken
-    arbitrarily but deterministically; exact ties have measure zero under
-    the continuous priors the Monte Carlo paths feed this.
+    Returns a boolean mask of shape (rows, m + n_reserves). Ties follow
+    `_select`: score descending, then real before reserve, then lower
+    index, so each row funds exactly the items `_select` funds on it.
     """
     rows, m = scores.shape
     total = m + n_reserves
@@ -305,13 +310,29 @@ def select_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.nd
     if k == total:
         mask[:] = True
         return mask
-    idx = np.argpartition(-full, k - 1, axis=1)[:, :k]
+    # A stable sort keeps column order among equal scores, and the columns
+    # are the real borrowers by index followed by the reserve slots.
+    idx = np.argsort(-full, axis=1, kind="stable")[:, :k]
     np.put_along_axis(mask, idx, True, axis=1)
     return mask
 
 
 class InterimEngine:
-    """Vectorized interim utility for one recommender over sampled others."""
+    """Vectorized interim utility for one recommender over sampled others.
+
+    `utilities` scores any report row with one row-wise top-K and is the
+    reference. `column` serves reports that differ from the true row in a
+    single coordinate q, which is most of what a grid audit tries. With the
+    other coordinates held at the true row, the other items (real borrowers
+    and reserve slots) keep one order whatever i reports on q. So q is
+    funded iff its key beats the K-th best of theirs, and the funded set is
+    then q plus their top K-1, and otherwise their top K. `column` computes
+    both top-Ks once, in blocks of COLUMN_CHUNK samples, and keeps per
+    sample that K-th key, whether q wins a tie against it, and the utility
+    with q funded and without; a report on q then costs one comparison per
+    sample and no sort. Both utilities come from the expressions
+    `utilities` uses, so the two paths agree bit for bit.
+    """
 
     def __init__(self, inst: VcgInstance, i: int, others: np.ndarray) -> None:
         _check_real_recommender(inst, i)
@@ -330,28 +351,69 @@ class InterimEngine:
         real = (mask[:, :m] * scores_others).sum(axis=1)
         return real + mask[:, m:].sum(axis=1) * self.inst.reserve_threshold
 
+    def _utility(self, mask: np.ndarray, rows: slice, values: np.ndarray) -> np.ndarray:
+        """Utility of funding `mask` on samples `rows`; `values` is w_i * beliefs.
+
+        Every term is summed within its own row, so a sample's utility does
+        not depend on which other samples share the call.
+        """
+        m = self.inst.m
+        scores_others = self.scores_others[rows]
+        value = (mask[:, :m] * values).sum(axis=1)
+        welfare_others = self._others_welfare(mask, scores_others)
+        return self.inst.alpha * (value + welfare_others - self.best_without_i[rows])
+
     def utilities(self, belief_row: Sequence[float], report_row: Sequence[float]) -> np.ndarray:
         """Per-sample utility of reporting `report_row` with beliefs
         `belief_row` (rebate excluded; it cancels in comparisons)."""
         inst = self.inst
         full = self.scores_others + self.w_i * np.asarray(report_row, dtype=float)
         mask = select_batch(full, inst.reserve_threshold, inst.n_reserves, inst.K)
-        welfare_others = self._others_welfare(mask, self.scores_others)
-        value = mask[:, : inst.m] @ (self.w_i * np.asarray(belief_row, dtype=float))
-        return inst.alpha * (value + welfare_others - self.best_without_i)
+        values = self.w_i * np.asarray(belief_row, dtype=float)
+        return self._utility(mask, slice(None), values)
 
-    def utilities_grid(self, belief_row: Sequence[float], report_rows: np.ndarray) -> np.ndarray:
-        """Exact utilities for a batch of candidate reports against a single
-        fixed co-report sample (used by the noise-free ex post checks)."""
-        if self.samples != 1:
-            raise ValueError("grid evaluation requires exactly one co-report sample")
+    def column(self, true_row: Sequence[float], q: int) -> Callable[[float], np.ndarray]:
+        """Scorer for reports equal to `true_row` except in coordinate q.
+
+        Beliefs are `true_row`. The returned function maps a report on q to
+        the per-sample utilities `utilities(true_row, row)` gives for that
+        row, bit for bit.
+        """
         inst = self.inst
-        full = self.scores_others[0] + self.w_i * np.asarray(report_rows, dtype=float)
-        mask = select_batch(full, inst.reserve_threshold, inst.n_reserves, inst.K)
-        scores = np.broadcast_to(self.scores_others[0], (full.shape[0], inst.m))
-        welfare_others = self._others_welfare(mask, scores)
-        value = mask[:, : inst.m] @ (self.w_i * np.asarray(belief_row, dtype=float))
-        return inst.alpha * (value + welfare_others - self.best_without_i[0])
+        m, c, n_res = inst.m, inst.reserve_threshold, inst.n_reserves
+        k = min(inst.K, m + n_res)
+        # w_i times the true row: the held reports' score shift and the
+        # value weights alike, since beliefs are the true row.
+        w_true = self.w_i * np.asarray(true_row, dtype=float)
+        rest = [p for p in range(m) if p != q]
+        fits_all = k == m + n_res  # then q is funded whatever it reports
+        kth_key = np.full(self.samples, -np.inf)
+        tie_ok = np.zeros(self.samples, dtype=bool)
+        u_in = np.empty(self.samples)
+        u_out = np.zeros(self.samples)
+        for start in range(0, self.samples, COLUMN_CHUNK):
+            rows = slice(start, start + COLUMN_CHUNK)
+            others = (self.scores_others[rows] + w_true)[:, rest]
+            top_less = select_batch(others, c, n_res, k - 1)
+            u_in[rows] = self._utility(np.insert(top_less, q, True, axis=1), rows, w_true)
+            if fits_all:
+                continue
+            top = select_batch(others, c, n_res, k)
+            # The one item in the others' top K but not in their top K-1.
+            pos = (top & ~top_less).argmax(axis=1)
+            keys = np.concatenate([others, np.full((len(pos), n_res), c)], axis=1)
+            kth_key[rows] = np.take_along_axis(keys, pos[:, np.newaxis], axis=1)[:, 0]
+            # pos >= q: a real borrower with a higher index than q, or a reserve.
+            tie_ok[rows] = pos >= q
+            u_out[rows] = self._utility(np.insert(top, q, False, axis=1), rows, w_true)
+        scores_q = self.scores_others[:, q]
+        w_i = self.w_i
+
+        def score(report: float) -> np.ndarray:
+            s = scores_q + w_i * report
+            return np.where((s > kth_key) | ((s == kth_key) & tie_ok), u_in, u_out)
+
+        return score
 
 
 def interim_utility(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,8 +68,9 @@ def _as_report_matrix(inst: WinklerInstance, reports) -> np.ndarray:
     arr = np.asarray(reports, dtype=float)
     if arr.shape != (inst.n, inst.m):
         raise ShapeMismatch(f"reports shape {arr.shape} != ({inst.n}, {inst.m})")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("reports must lie in [0, 1]")
+    # NaN fails both comparisons, so this also rejects non-finite entries.
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError("reports must be finite and lie in [0, 1]")
     return arr
 
 
@@ -280,11 +281,25 @@ class ColumnEngine:
         value = np.where(self.anchor_zero[:, q], belief if report > 0.0 else 0.0, value)
         return np.where(funded, value, 0.0)
 
+    def _contributions(self, belief_row, report_row) -> list[np.ndarray]:
+        return [
+            self.column_contribution(q, float(belief_row[q]), float(report_row[q]))
+            for q in range(self.m)
+        ]
+
     def utilities(self, belief_row: Sequence[float], report_row: Sequence[float]) -> np.ndarray:
-        total = np.zeros(self.samples)
-        for q in range(self.m):
-            total += self.column_contribution(q, float(belief_row[q]), float(report_row[q]))
-        return total
+        return np.sum(self._contributions(belief_row, report_row), axis=0)
+
+    def column(self, true_row: Sequence[float], q: int) -> Callable[[float], np.ndarray]:
+        """Scorer for reports equal to `true_row` except in coordinate q.
+
+        Beliefs are `true_row`. Only column q depends on the report, so each
+        call recomputes that column alone on top of the others' truth.
+        """
+        truth = self._contributions(true_row, true_row)
+        rest = np.sum(truth, axis=0) - truth[q]
+        belief = float(true_row[q])
+        return lambda report: rest + self.column_contribution(q, belief, report)
 
 
 def interim_utility(

@@ -36,6 +36,11 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector((1.2, -0.2))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            WeightVector((bad, 0.5, 0.5))
+
 
 class TestAggregate:
     def test_worked_columns(self):

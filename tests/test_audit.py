@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lendmech import audit, winkler
+from lendmech import audit, vcg, winkler
 from lendmech.aggregation import WeightVector, WeightedLinear
 from lendmech.errors import ReproductionMismatch
 from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, enumerate_others
@@ -194,14 +194,27 @@ class TestBestResponseSearch:
         assert audit.best_response_search(*args) == audit.best_response_search(*args)
 
     def test_workers_do_not_change_results(self):
-        inst = winkler_instance(n=4)
-        a = audit.best_response_search(
-            inst, 0, (0.6, 0.3), UniformIID(), audit.SingleCoordinateGrid(21), 5000, 9, workers=1
-        )
-        b = audit.best_response_search(
-            inst, 0, (0.6, 0.3), UniformIID(), audit.SingleCoordinateGrid(21), 5000, 9, workers=4
-        )
-        assert a == b
+        strategies = (audit.SingleCoordinateGrid(21), audit.EqualShift((-0.1, 0.1)))
+        vcg_inst = VcgInstance(n=4, m=2, K=1, reserve_threshold=0.5, weights=(0.25,) * 4)
+        for inst in (winkler_instance(n=4), vcg_inst):
+            a = audit.best_response_search(
+                inst, 0, (0.6, 0.3), UniformIID(), strategies, 5000, 9, workers=1
+            )
+            b = audit.best_response_search(
+                inst, 0, (0.6, 0.3), UniformIID(), strategies, 5000, 9, workers=4
+            )
+            assert a == b
+
+    def test_vcg_column_path_matches_full_row_oracle(self, monkeypatch):
+        inst = VcgInstance(n=4, m=3, K=2, reserve_threshold=0.3, weights=(0.25,) * 4)
+        args = (inst, 1, (0.6, 0.3, 0.45), UniformIID(), audit.SingleCoordinateGrid(21), 3000, 4)
+        fast = audit.best_response_search(*args)
+
+        def full_row_column(engine, true_row, q):
+            return lambda v: engine.utilities(true_row, true_row[:q] + (v,) + true_row[q + 1 :])
+
+        monkeypatch.setattr(vcg.InterimEngine, "column", full_row_column)
+        assert audit.best_response_search(*args) == fast
 
 
 class TestGrainOfNoVeto:

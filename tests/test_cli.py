@@ -234,6 +234,16 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="field 'c'"):
             loads(text)
 
+    def test_nan_weights_rejected(self):
+        from lendmech.errors import ScenarioError
+        from lendmech.scenario import loads
+
+        text = bundled_path("campaign-budescu").read_text()
+        data = json.loads(text)
+        data["weights"] = [float("nan")] + [1.0 / (data["n"] - 1)] * (data["n"] - 1)
+        with pytest.raises(ScenarioError, match="field 'weights'"):
+            loads(json.dumps(data))
+
     def test_all_bundled_scenarios_parse(self):
         for name in (
             "table1",

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lendmech import vcg
+from lendmech import audit, vcg
 from lendmech.errors import (
     MissingOutcome,
     OutcomeForUnfundedBorrower,
     ReserveRecommenderHasNoPayment,
     ShapeMismatch,
 )
-from lendmech.priors import UniformIID
+from lendmech.priors import ProductGrid, UniformIID, sample_others
 from lendmech.vcg import VcgInstance
 
 BELIEFS = [[0.7, 0.4], [0.4, 0.85], [0.6, 0.4]]
@@ -93,6 +93,11 @@ class TestAllocate:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             vcg.allocate(table_instance(), [[0.5], [0.5], [0.5]])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            table_instance(weights=(bad, 0.5, 0.5))
 
     def test_rejects_nan_report(self):
         reports = np.array(BELIEFS)
@@ -320,10 +325,42 @@ class TestExpostUtility:
             assert vcg.expost_utility(inst, profile, i, profile[i]) >= -1e-12
 
 
-class TestInterimEngine:
-    def test_matches_scalar_path(self):
-        from lendmech.priors import sample_others
+@st.composite
+def dyadic_interim_cases(draw):
+    """Instances whose scores are exact binary fractions, so the engine's
+    einsum and the mechanism's `weights @ reports` agree and every tie
+    among borrowers and with c is a real tie that the tie-break decides."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 4))
+    K = draw(st.integers(1, m))
+    c = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    weights = tuple(draw(st.lists(st.sampled_from([0.125, 0.25, 0.5]), min_size=n, max_size=n)))
+    i = draw(st.integers(0, n - 1))
+    true_row = tuple(draw(st.lists(st.sampled_from(QUARTERS), min_size=m, max_size=m)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    inst = VcgInstance(n=n, m=m, K=K, reserve_threshold=c, weights=weights)
+    return inst, i, true_row, seed
 
+
+class TestInterimEngine:
+    @settings(max_examples=80, deadline=None)
+    @given(dyadic_interim_cases())
+    def test_column_path_matches_utilities_and_exact_mechanism_on_ties(self, case):
+        inst, i, true_row, seed = case
+        n, m = inst.n, inst.m
+        prior = ProductGrid(tuple(tuple(tuple(QUARTERS) for _ in range(m)) for _ in range(n)))
+        others = sample_others(prior, n, m, i, 24, np.random.default_rng(seed))
+        engine = vcg.InterimEngine(inst, i, others)
+        slow = audit._SlowEngine(inst, i, others)
+        for q in range(m):
+            column = engine.column(true_row, q)
+            for value in QUARTERS:
+                row = true_row[:q] + (value,) + true_row[q + 1 :]
+                fast = column(value)
+                assert np.array_equal(fast, engine.utilities(true_row, row))
+                assert np.max(np.abs(fast - slow.utilities(true_row, row))) <= 1e-12
+
+    def test_matches_scalar_path(self):
         inst = table_instance(K=2, reserve_threshold=0.3)
         rng = np.random.default_rng(21)
         others = sample_others(UniformIID(), 3, 2, 2, 32, rng)

@@ -43,6 +43,12 @@ class TestAllocate:
         with pytest.raises(ShapeMismatch):
             winkler.allocate(make_instance(), [[0.5, 0.5]])
 
+    def test_rejects_nan_report(self):
+        reports = np.array(BELIEFS)
+        reports[2, 1] = np.nan
+        with pytest.raises(ValueError, match="reports must be finite"):
+            winkler.allocate(make_instance(), reports)
+
 
 class TestMarginalThresholds:
     def test_worked_matrix(self):
