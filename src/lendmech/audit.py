@@ -28,6 +28,7 @@ from . import vcg as vcg_mod
 from . import winkler as winkler_mod
 from .aggregation import WeightedLinear
 from .errors import ReproductionMismatch
+from .mechanism import Instance
 from .priors import DegenerateAt, PriorSpec, is_degenerate, sample_others, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
@@ -156,103 +157,22 @@ def strategies_from_config(cfg: dict) -> tuple[MisreportStrategy, ...]:
     return tuple(out)
 
 
-# ── instances the audits understand ───────────────────────────────────
-
-
-@dataclass(frozen=True)
-class CappedWinklerInstance:
-    """Truncated Winkler with a liquidity cap bolted on.
-
-    This is not a recommended mechanism: the cap breaks the marginal
-    thresholds' meaning and with them truthfulness. It exists so the audits
-    can demonstrate that failure. Allocation funds the top-`cap` borrowers
-    by aggregate among those above the profit threshold; settlement reuses
-    the uncapped thresholds, which is exactly the broken part.
-    """
-
-    base: WinklerInstance
-    cap: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.cap <= self.base.m:
-            raise ValueError(f"need 1 <= cap <= m, got cap={self.cap}, m={self.base.m}")
-
-
-AuditableInstance = Union[WinklerInstance, CappedWinklerInstance, VcgInstance]
-
-
-def capped_allocate(inst: CappedWinklerInstance, reports) -> tuple[int, ...]:
-    from .aggregation import aggregate
-
-    arr = np.asarray(reports, dtype=float)
-    scores = [aggregate(inst.base.aggregator, tuple(arr[:, q])) for q in range(inst.base.m)]
-    eligible = sorted(
-        (q for q in range(inst.base.m) if scores[q] > inst.base.threshold),
-        key=lambda q: (-scores[q], q),
-    )
-    funded = [0] * inst.base.m
-    for q in eligible[: inst.cap]:
-        funded[q] = 1
-    return tuple(funded)
-
-
-def capped_settle(inst: CappedWinklerInstance, reports, outcomes) -> winkler_mod.Settlement:
-    """Settle the capped demo variant: capped allocation, uncapped anchors."""
-    from .errors import MissingOutcome, OutcomeForUnfundedBorrower
-
-    arr = np.asarray(reports, dtype=float)
-    funded = capped_allocate(inst, arr)
-    funded_set = {q for q, f in enumerate(funded) if f}
-    for q in outcomes:
-        if q not in funded_set:
-            raise OutcomeForUnfundedBorrower(f"borrower {q} received no loan")
-    for q in funded_set:
-        if q not in outcomes:
-            raise MissingOutcome(f"no outcome supplied for funded borrower {q}")
-    thresholds = winkler_mod.marginal_thresholds(inst.base, arr)
-    contingent: dict[tuple[int, int], float] = {}
-    for q in sorted(funded_set):
-        for i in range(inst.base.n):
-            t = thresholds[i, q]
-            if math.isinf(t):
-                contingent[(i, q)] = 0.0
-            else:
-                contingent[(i, q)] = winkler_mod.winkler_log_score(
-                    float(arr[i, q]), float(t), outcomes[q]
-                )
-    return winkler_mod.Settlement(
-        allocation=funded,
-        immediate=tuple(0.0 for _ in range(inst.base.n)),
-        contingent=contingent,
-    )
+# ── per-sample evaluation ─────────────────────────────────────────────
 
 
 def _exact_value(
-    inst: AuditableInstance, i: int, belief_row: Sequence[float], report_row, others: np.ndarray
+    inst: Instance, i: int, belief_row: Sequence[float], report_row, others: np.ndarray
 ) -> float:
     """Utility of one report against fixed co-reports, exact over own beliefs."""
     full = np.insert(others, i, np.asarray(report_row, dtype=float), axis=0)
-    if isinstance(inst, WinklerInstance):
-        return winkler_mod.expost_utility(inst, full, i, belief_row)
-    if isinstance(inst, VcgInstance):
-        return vcg_mod.expost_utility(inst, full, i, belief_row)
-    funded = capped_allocate(inst, full)
-    thresholds = winkler_mod.marginal_thresholds(inst.base, full)
-    total = 0.0
-    for q in range(inst.base.m):
-        if not funded[q]:
-            continue
-        t = thresholds[i, q]
-        if math.isinf(t):
-            continue
-        total += winkler_mod.expected_winkler_log(float(belief_row[q]), float(full[i, q]), float(t))
-    return total
+    return inst.expost_utility(full, i, belief_row)
 
 
 class _SlowEngine:
-    """Per-sample python fallback for instances without a vectorized engine."""
+    """Per-sample python fallback for instances without a vectorized engine,
+    and the oracle the vectorized engines are tested against."""
 
-    def __init__(self, inst: AuditableInstance, i: int, others: np.ndarray) -> None:
+    def __init__(self, inst: Instance, i: int, others: np.ndarray) -> None:
         self.inst = inst
         self.i = i
         self.others = others
@@ -272,18 +192,9 @@ class _SlowEngine:
         return lambda report: self.utilities(truth, truth[:q] + (report,) + truth[q + 1 :])
 
 
-def _make_engine(inst: AuditableInstance, i: int, others: np.ndarray):
-    if isinstance(inst, WinklerInstance) and isinstance(inst.aggregator, WeightedLinear):
-        return winkler_mod.ColumnEngine(inst, i, others)
-    if isinstance(inst, VcgInstance):
-        return vcg_mod.InterimEngine(inst, i, others)
-    return _SlowEngine(inst, i, others)
-
-
-def _instance_shape(inst: AuditableInstance) -> tuple[int, int]:
-    if isinstance(inst, CappedWinklerInstance):
-        return inst.base.n, inst.base.m
-    return inst.n, inst.m
+def _make_engine(inst: Instance, i: int, others: np.ndarray):
+    engine = inst.engine(i, others)
+    return engine if engine is not None else _SlowEngine(inst, i, others)
 
 
 # ── verdicts ──────────────────────────────────────────────────────────
@@ -414,7 +325,7 @@ def _assemble_verdict(
 
 
 def interim_utility(
-    inst: AuditableInstance,
+    inst: Instance,
     i: int,
     true_row: Sequence[float],
     report_row: Sequence[float],
@@ -422,15 +333,19 @@ def interim_utility(
     samples: int,
     seed: int,
 ) -> tuple[float, float]:
-    """(mean, standard error) of interim utility; exact for point priors."""
-    n, m = _instance_shape(inst)
+    """(mean, standard error) of interim utility; exact for point priors.
+
+    Co-recommenders report truthfully with beliefs drawn from the prior;
+    the expectation over repayment outcomes uses recommender i's own
+    beliefs. Deterministic per seed.
+    """
     if is_degenerate(prior):
         others, _ = _degenerate_others(prior, i)
         return _exact_value(inst, i, true_row, report_row, others), 0.0
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    others = sample_others(prior, n, m, i, samples, rng)
+    others = sample_others(prior, inst.n, inst.m, i, samples, rng)
     values = _make_engine(inst, i, others).utilities(true_row, report_row)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -443,7 +358,7 @@ def _degenerate_others(prior: DegenerateAt, i: int) -> tuple[np.ndarray, np.ndar
 
 
 def best_response_search(
-    inst: AuditableInstance,
+    inst: Instance,
     i: int,
     true_row: Sequence[float],
     prior: PriorSpec,
@@ -460,7 +375,6 @@ def best_response_search(
     same seeded co-report samples and each comparison uses the paired
     difference and its standard error.
     """
-    n, m = _instance_shape(inst)
     seq = np.random.SeedSequence(seed)
     rng_samples, rng_candidates = (np.random.default_rng(s) for s in seq.spawn(2))
     candidates = generate_misreports(true_row, strategy, rng_candidates)
@@ -472,7 +386,7 @@ def best_response_search(
     else:
         if samples < 100:
             raise ValueError(f"need samples >= 100 for a Monte Carlo verdict, got {samples}")
-        others = sample_others(prior, n, m, i, samples, rng_samples)
+        others = sample_others(prior, inst.n, inst.m, i, samples, rng_samples)
         effective_samples = samples
 
     engine = _make_engine(inst, i, others)
@@ -603,16 +517,15 @@ def allocative_efficiency_check(inst: VcgInstance, reports, tol: float = 1e-12) 
 
 
 def ex_post_ir_check(
-    inst: AuditableInstance, profile, tol: float = EXACT_TOL
+    inst: Instance, profile, tol: float = EXACT_TOL
 ) -> tuple[bool, float, Optional[int]]:
     """Truthful expected utility is nonnegative for every recommender.
 
     Returns (ok, worst utility, worst recommender).
     """
-    n, _ = _instance_shape(inst)
     arr = np.asarray(profile, dtype=float)
     worst, worst_i = math.inf, None
-    for i in range(n):
+    for i in range(inst.n):
         others = np.delete(arr, i, axis=0)
         value = _exact_value(inst, i, arr[i], arr[i], others)
         if value < worst:
@@ -759,24 +672,23 @@ def reproduce_reference(fixture: dict) -> Table1Report:
         weights = WeightVector.equal(n)
     else:
         weights = WeightVector(tuple(float(w) for w in weights_cfg))
-    base = WinklerInstance(
+    inst = WinklerInstance(
         n=n,
         m=m,
         threshold=float(fixture["c"]),
         aggregator=WeightedLinear(weights),
+        cap=int(fixture["K"]),
     )
-    inst = CappedWinklerInstance(base=base, cap=int(fixture["K"]))
     audit_cfg = fixture["audit"]["weak-epic"]
     misreporter = int(audit_cfg["recommender"])
     misreport_row = tuple(float(v) for v in audit_cfg["targeted"][0])
 
-    w = np.asarray(base.aggregator.weights.weights)
+    w = np.asarray(weights.weights)
     aggregates = tuple(float(v) for v in w @ beliefs)
-    thresholds_arr = winkler_mod.marginal_thresholds(base, beliefs)
+    thresholds_arr = winkler_mod.marginal_thresholds(inst, beliefs)
     thresholds = tuple(tuple(float(v) for v in row) for row in thresholds_arr)
 
-    honest_alloc = capped_allocate(inst, beliefs)
-    honest_funded = honest_alloc.index(1)
+    honest_funded = winkler_mod.allocate(inst, beliefs).index(1)
     honest_utilities = tuple(
         _exact_value(inst, i, beliefs[i], beliefs[i], np.delete(beliefs, i, axis=0))
         for i in range(n)
@@ -784,8 +696,7 @@ def reproduce_reference(fixture: dict) -> Table1Report:
 
     deviated = beliefs.copy()
     deviated[misreporter] = misreport_row
-    misreport_alloc = capped_allocate(inst, deviated)
-    misreport_funded = misreport_alloc.index(1)
+    misreport_funded = winkler_mod.allocate(inst, deviated).index(1)
     misreport_utilities = []
     for i in range(n):
         report_row = deviated[i]

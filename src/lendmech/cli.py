@@ -25,12 +25,9 @@ from . import audit as audit_mod
 from . import rounds as rounds_mod
 from . import scenario as scenario_mod
 from . import scoring
-from . import vcg as vcg_mod
-from . import winkler as winkler_mod
 from .errors import MechanismError, ScenarioError
-from .priors import DegenerateAt
-from .vcg import VcgInstance
-from .winkler import WinklerInstance
+from .mechanism import deficit
+from .priors import DegenerateAt, sample_profiles
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -130,8 +127,8 @@ def cmd_curves(args) -> int:
 def _reports_for_run(sc, rng) -> np.ndarray:
     if sc.beliefs is not None:
         return np.asarray(sc.beliefs, dtype=float)
-    from .priors import sample_profiles
-
+    if sc.prior is None:
+        raise ScenarioError(f"{sc.source}: field 'beliefs': run needs beliefs or a prior")
     return sample_profiles(sc.prior, sc.n, sc.m, 1, rng)[0]
 
 
@@ -143,64 +140,37 @@ def cmd_run(args) -> int:
     rng = np.random.default_rng(seed)
     reports = _reports_for_run(sc, rng)
     inst = scenario_mod.build_instance(sc)
-
-    if isinstance(inst, WinklerInstance):
-        if sc.cap is not None:
-            capped = audit_mod.CappedWinklerInstance(base=inst, cap=sc.cap)
-            funded = audit_mod.capped_allocate(capped, reports)
-        else:
-            funded = winkler_mod.allocate(inst, reports)
-        funded_real = tuple(q for q, f in enumerate(funded) if f)
-        reserves = 0
-    else:
-        alloc = vcg_mod.allocate(inst, reports)
-        funded_real = alloc.funded_real
-        reserves = alloc.reserves_funded
+    alloc = inst.allocate(reports)
+    funded_real = alloc.funded_real
 
     outcomes = sc.outcomes
     if outcomes is None:
         # sample repayments from the lender's aggregated beliefs
-        if isinstance(inst, WinklerInstance):
-            from .aggregation import aggregate
-
-            probs = {q: aggregate(inst.aggregator, tuple(reports[:, q])) for q in funded_real}
-        else:
-            scores = vcg_mod.aggregate_scores(inst, reports)
-            probs = {q: min(1.0, float(scores[q])) for q in funded_real}
+        probs = np.minimum(1.0, np.asarray(inst.weights_in_force) @ reports)
         draws = rng.random(len(funded_real))
         outcomes = {q: int(draws[k] < probs[q]) for k, q in enumerate(funded_real)}
     else:
         outcomes = {q: o for q, o in outcomes.items() if q in funded_real}
         for q in funded_real:
             outcomes.setdefault(q, 0)
+    settlement = inst.settle(reports, outcomes)
 
-    if isinstance(inst, WinklerInstance):
-        if sc.cap is not None:
-            settlement = audit_mod.capped_settle(capped, reports, outcomes)
-        else:
-            settlement = winkler_mod.settle(inst, reports, outcomes)
-        deficit = float(sum(settlement.contingent.values()))
-        n = inst.n
-    else:
-        settlement = vcg_mod.settle(inst, reports, outcomes)
-        deficit = vcg_mod.deficit(settlement)
-        n = inst.n
-
+    reserves = alloc.reserves_funded
     print(f"scenario: {sc.source}")
     print(f"mechanism: {sc.mechanism}")
     print(f"funded borrowers: {list(funded_real)}" + (f" (+{reserves} reserve)" if reserves else ""))
     print(f"outcomes: {json.dumps({str(q): o for q, o in sorted(outcomes.items())}, sort_keys=True)}")
-    for i in range(n):
+    for i in range(inst.n):
         paid = sum(v for (j, _), v in settlement.contingent.items() if j == i)
         parts = [
             f"immediate={_fmt(settlement.immediate[i])}",
             f"contingent={_fmt(paid)}",
         ]
-        if getattr(settlement, "tcomp", None) is not None:
+        if settlement.tcomp is not None:
             parts.append(f"rebate={_fmt(settlement.tcomp[i])}")
         parts.append(f"utility={_fmt(settlement.realized_utility(i))}")
         print(f"recommender {i}: " + " ".join(parts))
-    print(f"deficit: {_fmt(deficit)}")
+    print(f"deficit: {_fmt(deficit(settlement))}")
     return EXIT_OK
 
 
@@ -213,13 +183,6 @@ def _audit_cfg(sc, desideratum: str) -> dict:
     else:
         cfg = {}
     return cfg
-
-
-def _auditable_instance(sc):
-    inst = scenario_mod.build_instance(sc)
-    if isinstance(inst, WinklerInstance) and sc.cap is not None:
-        return audit_mod.CappedWinklerInstance(base=inst, cap=sc.cap)
-    return inst
 
 
 def _finish(verdict_str: str, expected: str, payload: dict, as_json: bool) -> int:
@@ -258,11 +221,11 @@ def cmd_audit(args) -> int:
     expected = cfg.get("expect", "pass")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", sc.seed))
     samples = args.samples if args.samples is not None else int(cfg.get("samples", 20000))
-    inst = _auditable_instance(sc)
+    inst = scenario_mod.build_instance(sc)
     payload: dict = {"scenario": sc.source, "desideratum": desideratum, "seed": seed}
 
     if desideratum == "grain-of-no-veto":
-        if not isinstance(inst, WinklerInstance):
+        if sc.mechanism != "winkler":
             raise ScenarioError(f"{sc.source}: grain-of-no-veto applies to the winkler mechanism")
         prior = sc.prior
         if prior is None:
@@ -280,7 +243,7 @@ def cmd_audit(args) -> int:
         return EXIT_OK if verdict_str == expected else EXIT_VIOLATION
 
     if desideratum == "alloc-eff":
-        if not isinstance(inst, VcgInstance):
+        if sc.mechanism != "vcg":
             raise ScenarioError(f"{sc.source}: alloc-eff audit is for the vcg mechanism")
         trials = int(cfg.get("trials", 50))
         rng = np.random.default_rng(seed)
@@ -301,7 +264,7 @@ def cmd_audit(args) -> int:
         return _finish("pass" if ok else "violation", expected, payload, args.json)
 
     if desideratum == "strong-ex-post-ir":
-        if not isinstance(inst, VcgInstance):
+        if sc.mechanism != "vcg":
             raise ScenarioError(f"{sc.source}: strong-ex-post-ir audit is for the vcg mechanism")
         trials = int(cfg.get("trials", 20))
         rng = np.random.default_rng(seed)
@@ -313,7 +276,7 @@ def cmd_audit(args) -> int:
         return _finish("pass" if ok else "violation", expected, payload, args.json)
 
     if desideratum == "weight-monotonicity":
-        if not isinstance(inst, VcgInstance):
+        if sc.mechanism != "vcg":
             raise ScenarioError(f"{sc.source}: weight-monotonicity audit is for the vcg mechanism")
         i = int(cfg.get("recommender", 0))
         w_low = float(cfg.get("w_low", inst.weights[i]))

@@ -10,15 +10,14 @@ accumulated funded-loan history each round.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import vcg as vcg_mod
-from . import winkler as winkler_mod
 from .aggregation import (
     ObservedLoan,
     RoundHistory,
@@ -27,6 +26,7 @@ from .aggregation import (
     budescu_weights,
 )
 from .errors import AllNonPositiveContribution, EmptyHistory
+from .mechanism import Instance, deficit
 from .priors import PriorSpec, UniformIID, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
@@ -175,11 +175,21 @@ class RoundLedger:
         return ledger
 
 
-def config_hash(payload: dict) -> str:
+def _describe(value):
+    """JSON-able form of a config value; dataclasses carry their class name."""
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: _describe(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {"type": type(value).__name__, **fields}
+    if isinstance(value, (tuple, list)):
+        return [_describe(v) for v in value]
+    return value
+
+
+def config_hash(config: "CampaignConfig", seed: int, round_id: int) -> str:
+    """Digest of every config field (world model and priors included), the
+    campaign seed and the round."""
+    payload = {"config": _describe(config), "seed": seed, "round_id": round_id}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
-Instance = Union[WinklerInstance, VcgInstance]
 
 
 def run_round(
@@ -202,48 +212,26 @@ def run_round(
     reports = deviation(beliefs) if deviation is not None else beliefs
     reports = np.clip(np.asarray(reports, dtype=float), 0.0, 1.0)
 
-    if isinstance(inst, WinklerInstance):
-        funded = winkler_mod.allocate(inst, reports)
-        funded_real = tuple(q for q, f in enumerate(funded) if f)
-        reserves_funded = 0
-        weights_in_force = (
-            inst.aggregator.weights.weights
-            if isinstance(inst.aggregator, WeightedLinear)
-            else tuple([float("nan")] * n)
-        )
-    else:
-        alloc = vcg_mod.allocate(inst, reports)
-        funded_real = alloc.funded_real
-        reserves_funded = alloc.reserves_funded
-        weights_in_force = inst.weights
-
+    funded_real = inst.allocate(reports).funded_real
     draws = rng.random(len(funded_real))
     outcomes = {q: int(draws[k] < truths[q]) for k, q in enumerate(funded_real)}
-
-    if isinstance(inst, WinklerInstance):
-        settlement = winkler_mod.settle(inst, reports, outcomes)
-        tcomp_paid = None
-        deficit = float(sum(settlement.contingent.values()))
-    else:
-        settlement = vcg_mod.settle(inst, reports, outcomes)
-        tcomp_paid = settlement.tcomp
-        deficit = vcg_mod.deficit(settlement)
+    settlement = inst.settle(reports, outcomes)
 
     return RoundRecord(
         round_id=round_id,
         scenario_hash=scenario_hash,
-        weights=tuple(float(w) for w in weights_in_force),
+        weights=tuple(float(w) for w in inst.weights_in_force),
         truths=tuple(float(t) for t in truths),
         reports=tuple(tuple(float(v) for v in row) for row in reports),
         funded_real=funded_real,
-        reserves_funded=reserves_funded,
+        reserves_funded=settlement.allocation.reserves_funded,
         outcomes=tuple(sorted(outcomes.items())),
         immediate=settlement.immediate,
         contingent=tuple(
             (i, q, float(v)) for (i, q), v in sorted(settlement.contingent.items())
         ),
-        tcomp=tcomp_paid,
-        deficit=deficit,
+        tcomp=settlement.tcomp,
+        deficit=deficit(settlement),
         realized_utilities=tuple(settlement.realized_utility(i) for i in range(n)),
     )
 
@@ -290,6 +278,7 @@ def _build_instance(config: CampaignConfig, weights: WeightVector) -> Instance:
             m=config.m,
             threshold=config.threshold,
             aggregator=WeightedLinear(weights),
+            cap=config.K,
         )
     return VcgInstance(
         n=config.n,
@@ -321,17 +310,6 @@ def campaign(
     """Run sequential rounds with (optionally) evolving weights."""
     if rounds < 1:
         raise ValueError(f"need rounds >= 1, got {rounds}")
-    base_payload = {
-        "mechanism": config.mechanism,
-        "n": config.n,
-        "m": config.m,
-        "threshold": config.threshold,
-        "K": config.K,
-        "alpha": config.alpha,
-        "tcomp_enabled": config.tcomp_enabled,
-        "weight_mode": config.weight_mode,
-        "seed": seed,
-    }
     round_seeds = np.random.SeedSequence(seed).generate_state(rounds)
     weights = (
         WeightVector(config.initial_weights)
@@ -353,7 +331,7 @@ def campaign(
             config.world,
             seed=int(round_seeds[r]),
             round_id=r,
-            scenario_hash=config_hash({**base_payload, "round_id": r}),
+            scenario_hash=config_hash(config, seed, r),
         )
         ledger.append(record)
         truth_total += sum(record.truths)

@@ -12,10 +12,11 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from .aggregation import WeightVector, WeightedLinear
 from .errors import ScenarioError
+from .mechanism import Instance
 from .priors import BetaIID, DegenerateAt, PriorSpec, ProductGrid, UniformIID
 from .rounds import CampaignConfig, WorldModel
 from .vcg import VcgInstance
@@ -41,7 +42,7 @@ class Scenario:
     n: Optional[int] = None
     m: Optional[int] = None
     threshold: Optional[float] = None
-    cap: Optional[int] = None  # K; for winkler this selects the capped demo variant
+    cap: Optional[int] = None  # K: vcg's liquidity cap; optional for winkler (the capped demo)
     alpha: float = 1.0
     tcomp: bool = False
     weights: Optional[tuple[float, ...]] = None
@@ -248,8 +249,8 @@ def bundled_path(name: str):
     return resources.files("lendmech").joinpath(f"scenarios/{name}.scenario")
 
 
-def build_instance(sc: Scenario) -> Union[WinklerInstance, VcgInstance]:
-    """The base mechanism instance (the capped Winkler demo wraps this)."""
+def build_instance(sc: Scenario) -> Instance:
+    """The scenario's mechanism instance; a winkler `K` caps it."""
     if sc.kind != "mechanism":
         raise ScenarioError(f"{sc.source}: not a mechanism scenario")
     if sc.mechanism == "winkler":
@@ -258,6 +259,7 @@ def build_instance(sc: Scenario) -> Union[WinklerInstance, VcgInstance]:
             m=sc.m,
             threshold=sc.threshold,
             aggregator=WeightedLinear(WeightVector(sc.weights)),
+            cap=sc.cap,
         )
     return VcgInstance(
         n=sc.n,

@@ -23,13 +23,9 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    MissingOutcome,
-    OutcomeForUnfundedBorrower,
-    ReserveRecommenderHasNoPayment,
-    ShapeMismatch,
-)
-from .priors import PriorSpec, sample_others
+from .errors import ReserveRecommenderHasNoPayment
+# `deficit` is re-exported: callers use vcg.deficit.
+from .mechanism import Allocation, Settlement, check_outcomes, check_reports, deficit
 
 # Samples per block while InterimEngine.column builds its per-sample arrays;
 # bounds the block's temporaries whatever the sample count.
@@ -75,47 +71,24 @@ class VcgInstance:
     def n_reserves(self) -> int:
         return self.K if self.reserve_threshold > 0.0 else 0
 
+    # The mechanism interface (see lendmech.mechanism); each method calls
+    # the module-level function of the same name.
 
-@dataclass(frozen=True)
-class Allocation:
-    """Funding decision over real borrowers plus reserve slots."""
+    def allocate(self, reports) -> Allocation:
+        return allocate(self, reports)
 
-    real: tuple[int, ...]
-    reserves_funded: int
+    def settle(self, reports, outcomes: Mapping[int, int]) -> Settlement:
+        return settle(self, reports, outcomes)
+
+    def expost_utility(self, reports, i: int, belief_row: Sequence[float]) -> float:
+        return expost_utility(self, reports, i, belief_row)
+
+    def engine(self, i: int, others: np.ndarray) -> "InterimEngine":
+        return InterimEngine(self, i, others)
 
     @property
-    def funded_real(self) -> tuple[int, ...]:
-        return tuple(q for q, f in enumerate(self.real) if f)
-
-
-@dataclass(frozen=True)
-class Settlement:
-    """Pivot charges, realized constant-rule payments, optional rebates."""
-
-    allocation: Allocation
-    immediate: tuple[float, ...]
-    contingent: dict[tuple[int, int], float]
-    tcomp: Optional[tuple[float, ...]]
-    alpha: float
-
-    def realized_utility(self, i: int) -> float:
-        paid = sum(v for (j, _), v in self.contingent.items() if j == i)
-        rebate = self.tcomp[i] if self.tcomp is not None else 0.0
-        return paid + rebate - self.immediate[i]
-
-
-def _check_reports(reports, shape: tuple[int, int], field: str) -> np.ndarray:
-    arr = np.asarray(reports, dtype=float)
-    if arr.shape != shape:
-        raise ShapeMismatch(f"{field} shape {arr.shape} != {shape}")
-    # NaN fails both comparisons, so this also rejects non-finite entries.
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError(f"{field} must be finite and lie in [0, 1]")
-    return arr
-
-
-def _as_report_matrix(inst: VcgInstance, reports) -> np.ndarray:
-    return _check_reports(reports, (inst.n, inst.m), "reports")
+    def weights_in_force(self) -> tuple[float, ...]:
+        return self.weights
 
 
 def _ranked(scores: Sequence[float], c: float, n_reserves: int) -> list[tuple[float, int, int]]:
@@ -154,7 +127,7 @@ def _welfare(scores: np.ndarray, c: float, alloc: Allocation) -> float:
 
 def aggregate_scores(inst: VcgInstance, reports) -> np.ndarray:
     """Per-borrower total weighted reports (the welfare coefficient)."""
-    arr = _as_report_matrix(inst, reports)
+    arr = check_reports(reports, (inst.n, inst.m))
     return np.asarray(inst.weights) @ arr
 
 
@@ -181,7 +154,7 @@ def pivot_payment(inst: VcgInstance, reports, i: int) -> float:
     """Charge to i: others' best welfare without i minus their welfare at
     the chosen allocation. Nonnegative; alpha-scaled like every payment."""
     _check_real_recommender(inst, i)
-    arr = _as_report_matrix(inst, reports)
+    arr = check_reports(reports, (inst.n, inst.m))
     c, n_res, K = inst.reserve_threshold, inst.n_reserves, inst.K
     others = _others_scores(inst, arr, i)
     chosen = _select(np.asarray(inst.weights) @ arr, c, n_res, K)
@@ -205,7 +178,7 @@ def tcomp(inst: VcgInstance, others_reports, i: int) -> float:
     minimum over p costs O(m log m + K*m).
     """
     _check_real_recommender(inst, i)
-    arr = _check_reports(others_reports, (inst.n - 1, inst.m), "others_reports")
+    arr = check_reports(others_reports, (inst.n - 1, inst.m), "others_reports")
     w_i = float(inst.weights[i])
     if w_i == 0.0:
         return 0.0
@@ -237,24 +210,15 @@ def settle(inst: VcgInstance, reports, outcomes: Mapping[int, int]) -> Settlemen
     `outcomes` must cover exactly the funded real borrowers; reserve slots
     are bookkeeping rows with no outcomes.
     """
-    arr = _as_report_matrix(inst, reports)
+    arr = check_reports(reports, (inst.n, inst.m))
     alloc = allocate(inst, arr)
-    funded = set(alloc.funded_real)
-    for q in outcomes:
-        if q not in funded:
-            raise OutcomeForUnfundedBorrower(f"borrower {q} received no loan")
-    for q in funded:
-        if q not in outcomes:
-            raise MissingOutcome(f"no outcome supplied for funded borrower {q}")
-    for q, o in outcomes.items():
-        if o not in (0, 1):
-            raise ValueError(f"outcome for borrower {q} must be 0 or 1, got {o}")
+    check_outcomes(alloc.funded_real, outcomes)
 
     immediate = tuple(pivot_payment(inst, arr, i) for i in range(inst.n))
     contingent = {
         (i, q): inst.alpha * inst.weights[i] * outcomes[q]
         for i in range(inst.n)
-        for q in sorted(funded)
+        for q in alloc.funded_real
     }
     rebates: Optional[tuple[float, ...]] = None
     if inst.tcomp_enabled:
@@ -266,16 +230,7 @@ def settle(inst: VcgInstance, reports, outcomes: Mapping[int, int]) -> Settlemen
         immediate=immediate,
         contingent=contingent,
         tcomp=rebates,
-        alpha=inst.alpha,
     )
-
-
-def deficit(settlement: Settlement) -> float:
-    """Net payment out of the mechanism this round (negative = surplus)."""
-    out = sum(settlement.contingent.values())
-    if settlement.tcomp is not None:
-        out += sum(settlement.tcomp)
-    return float(out - sum(settlement.immediate))
 
 
 def expost_utility(inst: VcgInstance, reports, i: int, belief_row: Sequence[float]) -> float:
@@ -284,7 +239,7 @@ def expost_utility(inst: VcgInstance, reports, i: int, belief_row: Sequence[floa
     Excludes the tcomp rebate: the rebate is report-independent, so it
     shifts utilities without affecting any incentive comparison.
     """
-    arr = _as_report_matrix(inst, reports)
+    arr = check_reports(reports, (inst.n, inst.m))
     alloc = allocate(inst, arr)
     value = inst.alpha * sum(
         inst.weights[i] * float(belief_row[q]) for q in alloc.funded_real
@@ -415,23 +370,3 @@ class InterimEngine:
 
         return score
 
-
-def interim_utility(
-    inst: VcgInstance,
-    i: int,
-    true_row: Sequence[float],
-    report_row: Sequence[float],
-    prior: PriorSpec,
-    samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo (mean, standard error) of interim utility under truthful
-    co-reports drawn from the prior. Deterministic per seed."""
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    others = sample_others(prior, inst.n, inst.m, i, samples, rng)
-    values = InterimEngine(inst, i, others).utilities(true_row, report_row)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return mean, se

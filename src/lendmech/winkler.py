@@ -5,38 +5,40 @@ threshold (strictly). There is no immediate payment; for every funded
 borrower, each recommender is paid a log-based Winkler score whose zero
 point sits at their marginal funding threshold, i.e. the report at which
 they would have swung that borrower's decision given everyone else's
-reports. All evaluation here is pure; Monte Carlo helpers draw everything
-from a caller-provided seed.
+reports. All evaluation here is pure.
+
+An optional liquidity cap funds only the top-`cap` eligible borrowers but
+keeps the uncapped thresholds. That variant is not a recommended mechanism:
+the cap breaks the thresholds' meaning and with them truthfulness, and it
+exists so the audits can demonstrate that failure (the bundled Table 1
+counterexample).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .aggregation import Aggregator, WeightedLinear, aggregate
-from .errors import (
-    MissingOutcome,
-    OutcomeForUnfundedBorrower,
-    ShapeMismatch,
-    ZeroWeightRecommender,
-)
-from .priors import PriorSpec, sample_others
+from .errors import ZeroWeightRecommender
+from .mechanism import Allocation, Settlement, check_outcomes, check_reports
 
 BISECTION_STEPS = 60
 
 
 @dataclass(frozen=True)
 class WinklerInstance:
-    """n recommenders, m borrowers, profit threshold, aggregator; no cap."""
+    """n recommenders, m borrowers, profit threshold, aggregator, and an
+    optional liquidity cap (the capped demo variant; None for none)."""
 
     n: int
     m: int
     threshold: float
     aggregator: Aggregator
+    cap: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
@@ -49,38 +51,48 @@ class WinklerInstance:
             raise ValueError(
                 f"aggregator arity {self.aggregator.arity} does not match n={self.n}"
             )
+        if self.cap is not None and not 1 <= self.cap <= self.m:
+            raise ValueError(f"need 1 <= cap <= m, got cap={self.cap}, m={self.m}")
 
+    # The mechanism interface (see lendmech.mechanism); each method calls
+    # the module-level function of the same name.
 
-@dataclass(frozen=True)
-class Settlement:
-    """Zero immediate payments plus per-(recommender, funded borrower) scores."""
+    def allocate(self, reports) -> Allocation:
+        return Allocation(allocate(self, reports))
 
-    allocation: tuple[int, ...]
-    immediate: tuple[float, ...]
-    contingent: dict[tuple[int, int], float]
+    def settle(self, reports, outcomes: Mapping[int, int]) -> Settlement:
+        return settle(self, reports, outcomes)
 
-    def realized_utility(self, i: int) -> float:
-        paid = sum(v for (j, _), v in self.contingent.items() if j == i)
-        return paid - self.immediate[i]
+    def expost_utility(self, reports, i: int, belief_row: Sequence[float]) -> float:
+        return expost_utility(self, reports, i, belief_row)
 
+    def engine(self, i: int, others: np.ndarray) -> Optional["ColumnEngine"]:
+        """The vectorized engine; None under a cap or a nonlinear aggregator."""
+        if self.cap is None and isinstance(self.aggregator, WeightedLinear):
+            return ColumnEngine(self, i, others)
+        return None
 
-def _as_report_matrix(inst: WinklerInstance, reports) -> np.ndarray:
-    arr = np.asarray(reports, dtype=float)
-    if arr.shape != (inst.n, inst.m):
-        raise ShapeMismatch(f"reports shape {arr.shape} != ({inst.n}, {inst.m})")
-    # NaN fails both comparisons, so this also rejects non-finite entries.
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError("reports must be finite and lie in [0, 1]")
-    return arr
+    @property
+    def weights_in_force(self) -> tuple[float, ...]:
+        if isinstance(self.aggregator, WeightedLinear):
+            return self.aggregator.weights.weights
+        return (math.nan,) * self.n
 
 
 def allocate(inst: WinklerInstance, reports) -> tuple[int, ...]:
-    """Funding vector: borrower q gets a loan iff aggregate(column q) > c."""
-    arr = _as_report_matrix(inst, reports)
-    return tuple(
-        1 if aggregate(inst.aggregator, tuple(arr[:, q])) > inst.threshold else 0
-        for q in range(inst.m)
+    """Funding vector: borrower q gets a loan iff aggregate(column q) > c.
+
+    Under a cap only the top-`cap` such borrowers by aggregate are funded,
+    ties going to the lower index.
+    """
+    arr = check_reports(reports, (inst.n, inst.m))
+    scores = [aggregate(inst.aggregator, tuple(arr[:, q])) for q in range(inst.m)]
+    eligible = sorted(
+        (q for q in range(inst.m) if scores[q] > inst.threshold),
+        key=lambda q: (-scores[q], q),
     )
+    funded = set(eligible[: inst.cap])
+    return tuple(1 if q in funded else 0 for q in range(inst.m))
 
 
 def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> float:
@@ -112,7 +124,7 @@ def marginal_thresholds(inst: WinklerInstance, reports) -> np.ndarray:
     monotone aggregators are bisected. Zero-weight recommenders can never
     swing a decision and get the sentinel +inf (their payment is zero).
     """
-    arr = _as_report_matrix(inst, reports)
+    arr = check_reports(reports, (inst.n, inst.m))
     if isinstance(inst.aggregator, WeightedLinear):
         w = np.asarray(inst.aggregator.weights.weights)
         totals = w @ arr
@@ -180,24 +192,16 @@ def settle(
 
     `outcomes` must cover exactly the funded borrowers. Recommenders who
     reported at or below their marginal threshold on a borrower that was
-    funded anyway are paid through the Winkler rule's lower branch.
+    funded anyway are paid through the Winkler rule's lower branch. Under a
+    cap the thresholds stay the uncapped ones.
     """
-    arr = _as_report_matrix(inst, reports)
-    funded = allocate(inst, arr)
-    funded_set = {q for q, f in enumerate(funded) if f}
-    for q in outcomes:
-        if q not in funded_set:
-            raise OutcomeForUnfundedBorrower(f"borrower {q} received no loan")
-    for q in funded_set:
-        if q not in outcomes:
-            raise MissingOutcome(f"no outcome supplied for funded borrower {q}")
-    for q, o in outcomes.items():
-        if o not in (0, 1):
-            raise ValueError(f"outcome for borrower {q} must be 0 or 1, got {o}")
+    arr = check_reports(reports, (inst.n, inst.m))
+    alloc = Allocation(allocate(inst, arr))
+    check_outcomes(alloc.funded_real, outcomes)
 
     thresholds = marginal_thresholds(inst, arr)
     contingent: dict[tuple[int, int], float] = {}
-    for q in sorted(funded_set):
+    for q in alloc.funded_real:
         for i in range(inst.n):
             t = thresholds[i, q]
             if math.isinf(t):
@@ -205,7 +209,7 @@ def settle(
             else:
                 contingent[(i, q)] = winkler_log_score(float(arr[i, q]), float(t), outcomes[q])
     return Settlement(
-        allocation=funded,
+        allocation=alloc,
         immediate=tuple(0.0 for _ in range(inst.n)),
         contingent=contingent,
     )
@@ -214,7 +218,7 @@ def settle(
 def expost_utility(inst: WinklerInstance, reports, i: int, belief_row: Sequence[float]) -> float:
     """Recommender i's utility given everyone's reports, in expectation over
     their own beliefs about funded borrowers (outcomes not yet observed)."""
-    arr = _as_report_matrix(inst, reports)
+    arr = check_reports(reports, (inst.n, inst.m))
     funded = allocate(inst, arr)
     thresholds = marginal_thresholds(inst, arr)
     total = 0.0
@@ -236,7 +240,7 @@ class ColumnEngine:
     anchor. A candidate report's per-sample payoff contribution on one
     borrower is then a handful of vector operations, which is what makes
     grid-misreport searches at 1e5 samples tractable. Linear aggregators
-    only.
+    and uncapped instances only.
     """
 
     def __init__(self, inst: WinklerInstance, i: int, others: np.ndarray) -> None:
@@ -244,14 +248,15 @@ class ColumnEngine:
             raise ValueError("vectorized interim evaluation requires a linear aggregator")
         w = np.asarray(inst.aggregator.weights.weights)
         self.w_i = float(w[i])
-        if self.w_i == 0.0:
-            raise ZeroWeightRecommender(
-                f"recommender {i} has zero weight; interim utility is identically 0"
-            )
         w_others = np.delete(w, i)
         # others: (samples, n-1, m) -> per-column aggregate of co-reports
         others_sum = np.einsum("j,sjm->sm", w_others, others)
-        self.swing = (inst.threshold - others_sum) / self.w_i
+        if self.w_i == 0.0:
+            # i never swings a decision and is never paid (the +inf sentinel
+            # of marginal_thresholds), so every contribution is 0.
+            self.swing = np.full_like(others_sum, np.inf)
+        else:
+            self.swing = (inst.threshold - others_sum) / self.w_i
         self.anchor = np.clip(self.swing, 0.0, 1.0)
         self.anchor_zero = self.anchor == 0.0
         safe = np.where(self.anchor_zero | (self.anchor == 1.0), 0.5, self.anchor)
@@ -301,50 +306,3 @@ class ColumnEngine:
         belief = float(true_row[q])
         return lambda report: rest + self.column_contribution(q, belief, report)
 
-
-def interim_utility(
-    inst: WinklerInstance,
-    i: int,
-    true_row: Sequence[float],
-    report_row: Sequence[float],
-    prior: PriorSpec,
-    samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo (mean, standard error) of interim utility.
-
-    Co-recommenders report truthfully with beliefs drawn from the prior;
-    the expectation over repayment outcomes uses recommender i's own
-    beliefs. Deterministic per seed.
-    """
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    others = sample_others(prior, inst.n, inst.m, i, samples, rng)
-    if isinstance(inst.aggregator, WeightedLinear):
-        w_i = inst.aggregator.weights.weights[i]
-        if w_i == 0.0:
-            return 0.0, 0.0
-        engine = ColumnEngine(inst, i, others)
-        values = engine.utilities(true_row, report_row)
-    else:
-        values = np.array(
-            [
-                _slow_sample_utility(inst, i, true_row, report_row, others[s])
-                for s in range(samples)
-            ]
-        )
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return mean, se
-
-
-def _slow_sample_utility(
-    inst: WinklerInstance,
-    i: int,
-    belief_row: Sequence[float],
-    report_row: Sequence[float],
-    others: np.ndarray,
-) -> float:
-    full = np.insert(others, i, np.asarray(report_row, dtype=float), axis=0)
-    return expost_utility(inst, full, i, belief_row)

@@ -15,14 +15,14 @@ from lendmech.winkler import WinklerInstance
 BELIEFS = ((0.7, 0.4), (0.4, 0.85), (0.6, 0.4))
 
 
-def winkler_instance(n=3, m=2, c=0.5):
+def winkler_instance(n=3, m=2, c=0.5, cap=None):
     return WinklerInstance(
-        n=n, m=m, threshold=c, aggregator=WeightedLinear(WeightVector.equal(n))
+        n=n, m=m, threshold=c, aggregator=WeightedLinear(WeightVector.equal(n)), cap=cap
     )
 
 
 def capped_instance():
-    return audit.CappedWinklerInstance(base=winkler_instance(), cap=1)
+    return winkler_instance(cap=1)
 
 
 class TestStrategies:

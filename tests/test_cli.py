@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, output determinism, validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,11 @@ def run_cli(capsys, *argv):
 
 def table1_path():
     return str(bundled_path("table1"))
+
+
+# `lendmech run` stdout per "<scenario> --seed <seed>", run from the bundled
+# scenarios directory.
+RUN_GOLDEN = json.loads((Path(__file__).parent / "data" / "run_golden.json").read_text())
 
 
 class TestCurves:
@@ -93,6 +99,22 @@ class TestRun:
         _, c, _ = run_cli(capsys, "run", path, "--seed", "2")
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("key", sorted(RUN_GOLDEN))
+    def test_stdout_matches_golden(self, key, capsys, monkeypatch):
+        # Capped Winkler (table1), VCG and uncapped Winkler settlements.
+        monkeypatch.chdir(Path(str(bundled_path("table1"))).parent)
+        code, out, _ = run_cli(capsys, "run", *key.split())
+        assert code == 0
+        assert out == RUN_GOLDEN[key]
+
+    @pytest.mark.parametrize("name", ["campaign-budescu", "campaign-vcg"])
+    def test_needs_beliefs_or_prior(self, name, capsys):
+        code, out, err = run_cli(capsys, "run", str(bundled_path(name)))
+        assert code == 1
+        assert out == ""
+        assert "scenario error:" in err
+        assert "field 'beliefs': run needs beliefs or a prior" in err
 
 
 class TestAudit:

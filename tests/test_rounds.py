@@ -7,7 +7,7 @@ import pytest
 
 from lendmech import rounds
 from lendmech.aggregation import WeightVector, WeightedLinear
-from lendmech.priors import DegenerateAt
+from lendmech.priors import BetaIID, DegenerateAt, UniformIID
 from lendmech.rounds import CampaignConfig, RoundLedger, RoundRecord, WorldModel
 from lendmech.vcg import VcgInstance
 from lendmech.winkler import WinklerInstance
@@ -133,6 +133,41 @@ class TestEvolveWeights:
         assert rounds.evolve_weights(RoundLedger(), 3).weights == (1 / 3,) * 3
 
 
+class TestConfigHash:
+    BASE = CampaignConfig(
+        mechanism="winkler", n=3, m=4, threshold=0.5, world=WORLD, weight_mode="budescu"
+    )
+
+    def test_same_config_same_hash(self):
+        again = dataclasses.replace(self.BASE, world=WorldModel(mixing=(0.9, 0.5, 0.1)))
+        assert rounds.config_hash(again, 1, 0) == rounds.config_hash(self.BASE, 1, 0)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"world": WorldModel(mixing=(0.9, 0.5, 0.2))},
+            {"world": WorldModel(mixing=(0.9, 0.5, 0.1), truth_prior=BetaIID(2.0, 2.0))},
+            {"world": WorldModel(belief_prior=UniformIID())},
+            {"initial_weights": (0.5, 0.25, 0.25)},
+            {"history_window": 10},
+        ],
+    )
+    def test_each_field_changes_hash(self, change):
+        changed = dataclasses.replace(self.BASE, **change)
+        assert rounds.config_hash(changed, 1, 0) != rounds.config_hash(self.BASE, 1, 0)
+
+    def test_seed_and_round_change_hash(self):
+        h = rounds.config_hash(self.BASE, 1, 0)
+        assert rounds.config_hash(self.BASE, 2, 0) != h
+        assert rounds.config_hash(self.BASE, 1, 1) != h
+
+    def test_ledger_carries_the_hash(self):
+        _, ledger = rounds.campaign(2, self.BASE, seed=4)
+        assert [r.scenario_hash for r in ledger.records] == [
+            rounds.config_hash(self.BASE, 4, r) for r in range(2)
+        ]
+
+
 class TestCampaign:
     def test_deterministic(self):
         config = CampaignConfig(
@@ -198,6 +233,14 @@ class TestCampaign:
         _, ledger = rounds.campaign(12, config, seed=13)
         for record in ledger.records:
             assert all(u >= -1e-9 for u in record.realized_utilities)
+
+    def test_winkler_cap_limits_funding_per_round(self):
+        config = CampaignConfig(
+            mechanism="winkler", n=3, m=4, threshold=0.5, world=WORLD, K=1
+        )
+        _, ledger = rounds.campaign(20, config, seed=5)
+        funded = [len(record.funded_real) for record in ledger.records]
+        assert max(funded) == 1
 
     def test_budescu_campaign_rewards_informed_recommender(self):
         config = CampaignConfig(

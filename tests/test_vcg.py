@@ -377,6 +377,6 @@ class TestInterimEngine:
 
     def test_interim_utility_deterministic(self):
         inst = table_instance()
-        a = vcg.interim_utility(inst, 0, (0.6, 0.4), (0.6, 0.4), UniformIID(), 4000, 5)
-        b = vcg.interim_utility(inst, 0, (0.6, 0.4), (0.6, 0.4), UniformIID(), 4000, 5)
+        a = audit.interim_utility(inst, 0, (0.6, 0.4), (0.6, 0.4), UniformIID(), 4000, 5)
+        b = audit.interim_utility(inst, 0, (0.6, 0.4), (0.6, 0.4), UniformIID(), 4000, 5)
         assert a == b

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lendmech import winkler
+from lendmech import audit, winkler
 from lendmech.aggregation import MonotoneCustom, WeightVector, WeightedLinear
 from lendmech.errors import (
     MissingOutcome,
@@ -21,9 +21,9 @@ from lendmech.winkler import WinklerInstance
 BELIEFS = [[0.7, 0.4], [0.4, 0.85], [0.6, 0.4]]
 
 
-def make_instance(n=3, m=2, c=0.5, weights=None):
+def make_instance(n=3, m=2, c=0.5, weights=None, cap=None):
     wv = WeightVector(weights) if weights is not None else WeightVector.equal(n)
-    return WinklerInstance(n=n, m=m, threshold=c, aggregator=WeightedLinear(wv))
+    return WinklerInstance(n=n, m=m, threshold=c, aggregator=WeightedLinear(wv), cap=cap)
 
 
 class TestAllocate:
@@ -48,6 +48,35 @@ class TestAllocate:
         reports[2, 1] = np.nan
         with pytest.raises(ValueError, match="reports must be finite"):
             winkler.allocate(make_instance(), reports)
+
+
+class TestCap:
+    def test_funds_top_cap_by_aggregate(self):
+        # aggregates 0.5667 and 0.55 both clear c = 0.5; the cap keeps one
+        inst = make_instance(cap=1)
+        assert winkler.allocate(inst, BELIEFS) == (1, 0)
+        assert inst.allocate(BELIEFS).funded_real == (0,)
+
+    def test_settle_rejects_outcome_outside_zero_one(self):
+        inst = make_instance(cap=1)
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            inst.settle(BELIEFS, {0: 2})
+
+    def test_extra_report_columns_rejected(self):
+        inst = make_instance(cap=1)
+        with pytest.raises(ShapeMismatch):
+            inst.allocate(np.full((3, 3), 0.6))
+
+    def test_cap_out_of_range(self):
+        for cap in (0, 3):
+            with pytest.raises(ValueError, match="cap"):
+                make_instance(cap=cap)
+
+    def test_capped_instance_has_no_vectorized_engine(self):
+        # ColumnEngine knows no cap; audits fall back to the exact slow path
+        inst = make_instance(cap=1)
+        assert inst.engine(0, np.full((4, 2, 2), 0.5)) is None
+        assert make_instance().engine(0, np.full((4, 2, 2), 0.5)) is not None
 
 
 class TestMarginalThresholds:
@@ -186,7 +215,7 @@ class TestInterimUtility:
         from lendmech.scoring import truthful_mechanism_utility
 
         inst = make_instance(n=1, m=1, c=0.3)
-        mean, se = winkler.interim_utility(
+        mean, se = audit.interim_utility(
             inst, 0, (0.5,), (0.5,), DegenerateAt(((0.5,),)), samples=1, seed=0
         )
         assert se == 0.0
@@ -196,16 +225,22 @@ class TestInterimUtility:
 
     def test_deterministic_per_seed(self):
         inst = make_instance(n=3, m=2)
-        a = winkler.interim_utility(inst, 0, (0.6, 0.4), (0.6, 0.4), UniformIID(), 5000, 42)
-        b = winkler.interim_utility(inst, 0, (0.6, 0.4), (0.6, 0.4), UniformIID(), 5000, 42)
-        c = winkler.interim_utility(inst, 0, (0.6, 0.4), (0.6, 0.4), UniformIID(), 5000, 43)
+        a = audit.interim_utility(inst, 0, (0.6, 0.4), (0.6, 0.4), UniformIID(), 5000, 42)
+        b = audit.interim_utility(inst, 0, (0.6, 0.4), (0.6, 0.4), UniformIID(), 5000, 42)
+        c = audit.interim_utility(inst, 0, (0.6, 0.4), (0.6, 0.4), UniformIID(), 5000, 43)
         assert a == b
         assert a != c
+
+    def test_zero_weight_recommender_is_zero(self):
+        inst = make_instance(n=2, m=2, weights=(1.0, 0.0))
+        assert audit.interim_utility(
+            inst, 1, (0.6, 0.4), (0.9, 0.1), UniformIID(), 2000, 3
+        ) == (0.0, 0.0)
 
     def test_sample_count_validated(self):
         inst = make_instance(n=2, m=1)
         with pytest.raises(ValueError):
-            winkler.interim_utility(inst, 0, (0.5,), (0.5,), UniformIID(), 0, 1)
+            audit.interim_utility(inst, 0, (0.5,), (0.5,), UniformIID(), 0, 1)
 
     def test_engine_matches_slow_path(self):
         inst = make_instance(n=3, m=2)
@@ -216,18 +251,13 @@ class TestInterimUtility:
         engine = winkler.ColumnEngine(inst, 1, others)
         belief, report = (0.55, 0.25), (0.7, 0.1)
         fast = engine.utilities(belief, report)
-        slow = np.array(
-            [
-                winkler._slow_sample_utility(inst, 1, belief, report, others[s])
-                for s in range(64)
-            ]
-        )
+        slow = audit._SlowEngine(inst, 1, others).utilities(belief, report)
         assert np.allclose(fast, slow, atol=1e-12)
 
     def test_full_confidence_report_with_default_mass_is_neg_inf(self):
         inst = make_instance(n=3, m=1)
         prior = DegenerateAt(((0.5,), (0.5,), (0.5,)))
-        mean, _ = winkler.interim_utility(inst, 0, (0.5,), (1.0,), prior, 1, 0)
+        mean, _ = audit.interim_utility(inst, 0, (0.5,), (1.0,), prior, 1, 0)
         assert mean == -math.inf
 
     def test_zero_report_on_forced_loan_pays_limit_rule(self):
@@ -235,8 +265,8 @@ class TestInterimUtility:
         # a zero report sits exactly at the anchor, paying nothing either way
         inst = make_instance(n=3, m=1)
         prior = DegenerateAt(((0.9,), (0.9,), (0.9,)))
-        mean, _ = winkler.interim_utility(inst, 0, (0.5,), (0.0,), prior, 1, 0)
+        mean, _ = audit.interim_utility(inst, 0, (0.5,), (0.0,), prior, 1, 0)
         assert mean == 0.0
         # any positive report on a forced loan pays the constant limit rule
-        mean, _ = winkler.interim_utility(inst, 0, (0.5,), (0.4,), prior, 1, 0)
+        mean, _ = audit.interim_utility(inst, 0, (0.5,), (0.4,), prior, 1, 0)
         assert mean == pytest.approx(0.5, abs=1e-12)
