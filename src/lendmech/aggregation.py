@@ -21,7 +21,7 @@ from .errors import AllNonPositiveContribution, ArityMismatch, EmptyHistory
 WEIGHT_SUM_TOL = 1e-9
 
 # Calibration score anchors: per-loan squared error of 2 maps to 0 and a
-# perfect crowd maps to 100. Overridable for sensitivity runs.
+# perfect crowd maps to 100.
 QUALITY_OFFSET = 100.0
 QUALITY_SCALE = -50.0
 
@@ -128,6 +128,8 @@ class RoundHistory:
 
     def window(self, size: Optional[int]) -> "RoundHistory":
         """Last `size` loans (None keeps the full history)."""
+        if size is not None and size < 1:
+            raise ValueError(f"window size must be >= 1, got {size}")
         if size is None or size >= len(self.loans):
             return self
         return RoundHistory(self.n, self.loans[-size:])
@@ -146,12 +148,7 @@ def _loan_squared_error(loan: ObservedLoan, exclude: Optional[int]) -> Optional[
     return err
 
 
-def budescu_quality(
-    history: RoundHistory,
-    exclude: Optional[int] = None,
-    offset: float = QUALITY_OFFSET,
-    scale: float = QUALITY_SCALE,
-) -> float:
+def budescu_quality(history: RoundHistory, exclude: Optional[int] = None) -> float:
     """Crowd calibration score in [0, 100]; 100 iff the mean report always
     matched the outcome.
 
@@ -169,34 +166,23 @@ def budescu_quality(
         raise EmptyHistory(
             f"excluding recommender {exclude} leaves no reports on any funded loan"
         )
-    return offset + scale * (sum(errors) / len(errors))
+    return QUALITY_OFFSET + QUALITY_SCALE * (sum(errors) / len(errors))
 
 
-def accuracy_contributions(
-    history: RoundHistory,
-    offset: float = QUALITY_OFFSET,
-    scale: float = QUALITY_SCALE,
-) -> tuple[float, ...]:
+def accuracy_contributions(history: RoundHistory) -> tuple[float, ...]:
     """Per-recommender contribution (Q - Q_without_them) / number of loans."""
-    q_all = budescu_quality(history, None, offset, scale)
+    q_all = budescu_quality(history)
     count = len(history.loans)
-    return tuple(
-        (q_all - budescu_quality(history, i, offset, scale)) / count
-        for i in range(history.n)
-    )
+    return tuple((q_all - budescu_quality(history, i)) / count for i in range(history.n))
 
 
-def budescu_weights(
-    history: RoundHistory,
-    offset: float = QUALITY_OFFSET,
-    scale: float = QUALITY_SCALE,
-) -> WeightVector:
+def budescu_weights(history: RoundHistory) -> WeightVector:
     """Weights proportional to positive accuracy contributions, zero otherwise.
 
     Raises AllNonPositiveContribution when nobody contributed positively;
     callers usually fall back to equal weights.
     """
-    contributions = accuracy_contributions(history, offset, scale)
+    contributions = accuracy_contributions(history)
     positive_total = sum(c for c in contributions if c > 0.0)
     if positive_total <= 0.0:
         raise AllNonPositiveContribution(

@@ -15,23 +15,24 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
 from . import vcg as vcg_mod
 from . import winkler as winkler_mod
 from .aggregation import WeightedLinear
-from .errors import ReproductionMismatch
+from .errors import ReproductionMismatch, ScenarioError
 from .mechanism import Instance
 from .priors import DegenerateAt, PriorSpec, is_degenerate, sample_others, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
+
+if TYPE_CHECKING:
+    from .scenario import Reference, Scenario
 
 EXACT_TOL = 1e-9
 EQUAL_SHIFT_TOL = 1e-9
@@ -139,22 +140,6 @@ def generate_misreports(
         else:
             raise TypeError(f"unknown misreport strategy {strategy!r}")
     return out
-
-
-def strategies_from_config(cfg: dict) -> tuple[MisreportStrategy, ...]:
-    """Build strategies from a scenario's audit parameter block."""
-    out: list[MisreportStrategy] = []
-    if "single_coordinate_grid" in cfg:
-        out.append(SingleCoordinateGrid(int(cfg["single_coordinate_grid"])))
-    if "full_row_random" in cfg:
-        out.append(FullRowRandom(int(cfg["full_row_random"])))
-    if "equal_shift" in cfg:
-        out.append(EqualShift(tuple(float(d) for d in cfg["equal_shift"])))
-    if "targeted" in cfg:
-        out.append(Targeted(tuple(tuple(float(v) for v in row) for row in cfg["targeted"])))
-    if not out:
-        out = [SingleCoordinateGrid(), FullRowRandom()]
-    return tuple(out)
 
 
 # ── per-sample evaluation ─────────────────────────────────────────────
@@ -493,6 +478,14 @@ def grain_of_no_veto(
 # ── efficiency and participation checks ───────────────────────────────
 
 
+def check_profiles(n: int, m: int, reports, trials: int, seed: int) -> list[np.ndarray]:
+    """The profiles a per-profile check runs on: `reports`, when given, then
+    `trials` uniform random n x m profiles drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    profiles = [np.asarray(reports, dtype=float)] if reports is not None else []
+    return profiles + [rng.random((n, m)) for _ in range(trials)]
+
+
 def brute_force_welfare(inst: VcgInstance, reports) -> float:
     """Best feasible welfare by enumerating every funding set (small m only)."""
     import itertools as it
@@ -554,12 +547,6 @@ def strong_ex_post_ir_check(
             value = settlement.realized_utility(i)
             if value < worst:
                 worst, witness = value, (i, bits)
-    if not funded:
-        settlement = vcg_mod.settle(inst, arr, {})
-        for i in range(inst.n):
-            value = settlement.realized_utility(i)
-            if value < worst:
-                worst, witness = value, (i, ())
     return worst >= -tol, worst, witness
 
 
@@ -585,22 +572,12 @@ def weight_monotonicity_check(
     """
     if not 0.0 < w_low < w_high:
         raise ValueError(f"need 0 < w_low < w_high, got {w_low}, {w_high}")
-    rng = np.random.default_rng(seed)
-    profiles = []
-    if reports is not None:
-        profiles.append(np.asarray(reports, dtype=float))
-    for _ in range(trials):
-        profiles.append(rng.random((inst.n, inst.m)))
-
-    increases, skipped = 0, 0
+    profiles = check_profiles(inst.n, inst.m, reports, trials, seed)
+    low = dataclasses.replace(inst, weights=inst.weights[:i] + (w_low,) + inst.weights[i + 1 :])
+    high = dataclasses.replace(inst, weights=inst.weights[:i] + (w_high,) + inst.weights[i + 1 :])
+    skipped = 0
     outcomes: list[MisreportOutcome] = []
     for profile in profiles:
-        low = dataclasses.replace(
-            inst, weights=inst.weights[:i] + (w_low,) + inst.weights[i + 1 :]
-        )
-        high = dataclasses.replace(
-            inst, weights=inst.weights[:i] + (w_high,) + inst.weights[i + 1 :]
-        )
         alloc_low = vcg_mod.allocate(low, profile)
         value_low = sum(float(profile[i, q]) for q in alloc_low.funded_real)
         if value_low <= 0.0:
@@ -610,8 +587,6 @@ def weight_monotonicity_check(
         u_high = vcg_mod.expost_utility(high, profile, i, profile[i])
         gain = u_high - u_low
         classification = "loses" if gain > tol else ("wins" if gain < -tol else "ties")
-        if classification == "loses":
-            increases += 1
         outcomes.append(
             MisreportOutcome(
                 candidate=Candidate(row=tuple(profile[i]), kind="weight-raise"),
@@ -641,13 +616,8 @@ class Table1Report:
     honest_funded: int
     misreport_funded: int
     misreporter: int
-    expected: dict
+    expected: Reference
     max_abs_error: float
-
-
-def _load_bundled_fixture(name: str) -> dict:
-    path = resources.files("lendmech").joinpath(f"scenarios/{name}.scenario")
-    return json.loads(path.read_text())
 
 
 def reproduce_table1() -> Table1Report:
@@ -656,101 +626,71 @@ def reproduce_table1() -> Table1Report:
 
     Raises ReproductionMismatch naming the first offending cell.
     """
-    return reproduce_reference(_load_bundled_fixture("table1"))
+    from .scenario import load_bundled  # scenario imports this module
+
+    return reproduce_reference(load_bundled("table1"))
 
 
-def reproduce_reference(fixture: dict) -> Table1Report:
+def reproduce_reference(sc: Scenario) -> Table1Report:
     """Verify a scenario's reference block against freshly computed values."""
-    expected = fixture["reference"]
-    tol = float(expected["tolerance"])
-    beliefs = np.asarray(fixture["beliefs"], dtype=float)
-    n, m = beliefs.shape
-    from .aggregation import WeightVector
+    from .scenario import build_instance  # scenario imports this module
 
-    weights_cfg = fixture.get("weights", "equal")
-    if weights_cfg == "equal":
-        weights = WeightVector.equal(n)
-    else:
-        weights = WeightVector(tuple(float(w) for w in weights_cfg))
-    inst = WinklerInstance(
-        n=n,
-        m=m,
-        threshold=float(fixture["c"]),
-        aggregator=WeightedLinear(weights),
-        cap=int(fixture["K"]),
-    )
-    audit_cfg = fixture["audit"]["weak-epic"]
-    misreporter = int(audit_cfg["recommender"])
-    misreport_row = tuple(float(v) for v in audit_cfg["targeted"][0])
-
-    w = np.asarray(weights.weights)
-    aggregates = tuple(float(v) for v in w @ beliefs)
-    thresholds_arr = winkler_mod.marginal_thresholds(inst, beliefs)
-    thresholds = tuple(tuple(float(v) for v in row) for row in thresholds_arr)
-
-    honest_funded = winkler_mod.allocate(inst, beliefs).index(1)
-    honest_utilities = tuple(
-        _exact_value(inst, i, beliefs[i], beliefs[i], np.delete(beliefs, i, axis=0))
-        for i in range(n)
-    )
-
+    expected = sc.reference
+    if expected is None:
+        raise ScenarioError(f"{sc.source}: scenario has no reference block")
+    inst = build_instance(sc)
+    beliefs = np.asarray(sc.beliefs, dtype=float)
+    misreporter = sc.audit["weak-epic"].recommender
     deviated = beliefs.copy()
-    deviated[misreporter] = misreport_row
-    misreport_funded = winkler_mod.allocate(inst, deviated).index(1)
-    misreport_utilities = []
-    for i in range(n):
-        report_row = deviated[i]
-        misreport_utilities.append(
-            _exact_value(inst, i, beliefs[i], report_row, np.delete(deviated, i, axis=0))
+    deviated[misreporter] = sc.audit["weak-epic"].targeted[0]
+
+    def utilities(reports: np.ndarray) -> tuple[float, ...]:
+        """Each recommender's utility for `reports`, under their own beliefs."""
+        return tuple(
+            _exact_value(inst, i, beliefs[i], reports[i], np.delete(reports, i, axis=0))
+            for i in range(inst.n)
         )
 
     report = Table1Report(
-        aggregates=aggregates,
-        thresholds=thresholds,
-        honest_utilities=honest_utilities,
-        misreport_utilities=tuple(misreport_utilities),
-        honest_funded=honest_funded,
-        misreport_funded=misreport_funded,
+        aggregates=tuple(float(v) for v in np.asarray(inst.weights_in_force) @ beliefs),
+        thresholds=tuple(
+            tuple(float(v) for v in row) for row in winkler_mod.marginal_thresholds(inst, beliefs)
+        ),
+        honest_utilities=utilities(beliefs),
+        misreport_utilities=utilities(deviated),
+        honest_funded=winkler_mod.allocate(inst, beliefs).index(1),
+        misreport_funded=winkler_mod.allocate(inst, deviated).index(1),
         misreporter=misreporter,
         expected=expected,
         max_abs_error=0.0,
     )
 
+    cells = [("aggregate", report.aggregates, expected.aggregates)]
+    cells += [
+        (f"threshold row {i}", report.thresholds[i], expected.thresholds[i])
+        for i in range(inst.n)
+    ]
+    cells += [
+        ("honest utility", report.honest_utilities, expected.honest_utilities),
+        ("misreport utility", report.misreport_utilities, expected.misreport_utilities),
+    ]
     max_err = 0.0
-
-    def compare(label: str, computed: Sequence[float], reference: Sequence[float]) -> float:
-        worst = 0.0
+    for label, computed, reference in cells:
         for idx, (a, b) in enumerate(zip(computed, reference)):
-            err = abs(a - b)
-            worst = max(worst, err)
-            if err > tol:
+            max_err = max(max_err, abs(a - b))
+            if abs(a - b) > expected.tolerance:
                 raise ReproductionMismatch(
-                    f"{label}[{idx}]: computed {a:.6f}, reference {b}, tolerance {tol}"
+                    f"{label}[{idx}]: computed {a:.6f}, reference {b}, "
+                    f"tolerance {expected.tolerance}"
                 )
-        return worst
-
-    max_err = max(max_err, compare("aggregate", report.aggregates, expected["aggregates"]))
-    for i in range(n):
-        max_err = max(
-            max_err, compare(f"threshold row {i}", report.thresholds[i], expected["thresholds"][i])
-        )
-    max_err = max(
-        max_err, compare("honest utility", report.honest_utilities, expected["honest_utilities"])
-    )
-    max_err = max(
-        max_err,
-        compare(
-            "misreport utility", report.misreport_utilities, expected["misreport_utilities"]
-        ),
-    )
-    if honest_funded != int(expected["honest_funded"]):
+    if report.honest_funded != expected.honest_funded:
         raise ReproductionMismatch(
-            f"honest allocation funds borrower {honest_funded}, reference "
-            f"{expected['honest_funded']}"
+            f"honest allocation funds borrower {report.honest_funded}, reference "
+            f"{expected.honest_funded}"
         )
-    if misreport_funded != int(expected["misreport_funded"]):
+    if report.misreport_funded != expected.misreport_funded:
         raise ReproductionMismatch(
-            f"misreport allocation funds borrower {misreport_funded}, reference "
-            f"{expected['misreport_funded']}"
+            f"misreport allocation funds borrower {report.misreport_funded}, reference "
+            f"{expected.misreport_funded}"
         )
     return dataclasses.replace(report, max_abs_error=max_err)

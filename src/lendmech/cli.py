@@ -34,16 +34,7 @@ EXIT_INVALID = 1
 EXIT_VIOLATION = 2
 EXIT_INCONCLUSIVE = 3
 
-DESIDERATA = (
-    "alloc-eff",
-    "weak-epic",
-    "strict-epic",
-    "strict-iic",
-    "ex-post-ir",
-    "strong-ex-post-ir",
-    "grain-of-no-veto",
-    "weight-monotonicity",
-)
+DESIDERATA = scenario_mod.DESIDERATA
 
 
 class _UsageError(Exception):
@@ -177,14 +168,6 @@ def cmd_run(args) -> int:
 # ── audit ─────────────────────────────────────────────────────────────
 
 
-def _audit_cfg(sc, desideratum: str) -> dict:
-    if sc.audit and desideratum in sc.audit:
-        cfg = dict(sc.audit[desideratum])
-    else:
-        cfg = {}
-    return cfg
-
-
 def _finish(verdict_str: str, expected: str, payload: dict, as_json: bool) -> int:
     expected_note = " (expected)" if verdict_str == expected else ""
     if as_json:
@@ -214,121 +197,81 @@ def _print_reproduction(report) -> None:
 
 def cmd_audit(args) -> int:
     sc = scenario_mod.load(args.scenario)
-    if sc.kind != "mechanism":
-        raise ScenarioError(f"{sc.source}: not a mechanism scenario")
     desideratum = args.desideratum
-    cfg = _audit_cfg(sc, desideratum)
-    expected = cfg.get("expect", "pass")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", sc.seed))
-    samples = args.samples if args.samples is not None else int(cfg.get("samples", 20000))
+    block = scenario_mod.audit_block(sc, desideratum)
+    seed = args.seed if args.seed is not None else block.seed
+    samples = args.samples if args.samples is not None else block.samples
     inst = scenario_mod.build_instance(sc)
     payload: dict = {"scenario": sc.source, "desideratum": desideratum, "seed": seed}
 
     if desideratum == "grain-of-no-veto":
-        if sc.mechanism != "winkler":
-            raise ScenarioError(f"{sc.source}: grain-of-no-veto applies to the winkler mechanism")
-        prior = sc.prior
-        if prior is None:
+        if sc.prior is None:
             raise ScenarioError(f"{sc.source}: grain-of-no-veto needs a prior")
-        report = audit_mod.grain_of_no_veto(inst, prior, samples, seed)
+        report = audit_mod.grain_of_no_veto(inst, sc.prior, samples, seed)
         for i, row in enumerate(report.estimates):
             print(f"recommender {i}: " + " ".join(f"{v:.4f}" for v in row))
         verdict_str = "present" if report.all_positive else "absent"
         payload["estimates"] = [list(r) for r in report.estimates]
-        expected = cfg.get("expect", "present")
         print(f"no-veto probability is {verdict_str} "
               f"({len(report.zero_pairs)} zero pairs of {inst.n * inst.m})")
         if args.json:
-            print(json.dumps({**payload, "verdict": verdict_str, "expected": expected}, sort_keys=True))
-        return EXIT_OK if verdict_str == expected else EXIT_VIOLATION
+            record = {**payload, "verdict": verdict_str, "expected": block.expect}
+            print(json.dumps(record, sort_keys=True))
+        return EXIT_OK if verdict_str == block.expect else EXIT_VIOLATION
 
-    if desideratum == "alloc-eff":
-        if sc.mechanism != "vcg":
-            raise ScenarioError(f"{sc.source}: alloc-eff audit is for the vcg mechanism")
-        trials = int(cfg.get("trials", 50))
-        rng = np.random.default_rng(seed)
-        profiles = [np.asarray(sc.beliefs)] if sc.beliefs is not None else []
-        profiles += [rng.random((sc.n, sc.m)) for _ in range(trials)]
-        ok = all(audit_mod.allocative_efficiency_check(inst, p) for p in profiles)
-        print(f"checked {len(profiles)} profiles against brute-force welfare")
-        return _finish("pass" if ok else "violation", expected, payload, args.json)
-
-    if desideratum == "ex-post-ir":
-        trials = int(cfg.get("trials", 50))
-        rng = np.random.default_rng(seed)
-        profiles = [np.asarray(sc.beliefs)] if sc.beliefs is not None else []
-        profiles += [rng.random((sc.n, sc.m)) for _ in range(trials)]
-        worst = min(audit_mod.ex_post_ir_check(inst, p)[1] for p in profiles)
-        print(f"worst truthful expected utility over {len(profiles)} profiles: {worst!r}")
-        ok = worst >= -audit_mod.EXACT_TOL
-        return _finish("pass" if ok else "violation", expected, payload, args.json)
-
-    if desideratum == "strong-ex-post-ir":
-        if sc.mechanism != "vcg":
-            raise ScenarioError(f"{sc.source}: strong-ex-post-ir audit is for the vcg mechanism")
-        trials = int(cfg.get("trials", 20))
-        rng = np.random.default_rng(seed)
-        profiles = [np.asarray(sc.beliefs)] if sc.beliefs is not None else []
-        profiles += [rng.random((sc.n, sc.m)) for _ in range(trials)]
-        worst = min(audit_mod.strong_ex_post_ir_check(inst, p)[1] for p in profiles)
-        print(f"worst realized utility over all outcome vectors: {worst!r}")
-        ok = worst >= -audit_mod.EXACT_TOL
-        return _finish("pass" if ok else "violation", expected, payload, args.json)
+    if desideratum in ("alloc-eff", "ex-post-ir", "strong-ex-post-ir"):
+        profiles = audit_mod.check_profiles(sc.n, sc.m, sc.beliefs, block.trials, seed)
+        if desideratum == "alloc-eff":
+            ok = all(audit_mod.allocative_efficiency_check(inst, p) for p in profiles)
+            print(f"checked {len(profiles)} profiles against brute-force welfare")
+        elif desideratum == "ex-post-ir":
+            worst = min(audit_mod.ex_post_ir_check(inst, p)[1] for p in profiles)
+            print(f"worst truthful expected utility over {len(profiles)} profiles: {worst!r}")
+            ok = worst >= -audit_mod.EXACT_TOL
+        else:
+            worst = min(audit_mod.strong_ex_post_ir_check(inst, p)[1] for p in profiles)
+            print(f"worst realized utility over all outcome vectors: {worst!r}")
+            ok = worst >= -audit_mod.EXACT_TOL
+        return _finish("pass" if ok else "violation", block.expect, payload, args.json)
 
     if desideratum == "weight-monotonicity":
-        if sc.mechanism != "vcg":
-            raise ScenarioError(f"{sc.source}: weight-monotonicity audit is for the vcg mechanism")
-        i = int(cfg.get("recommender", 0))
-        w_low = float(cfg.get("w_low", inst.weights[i]))
-        w_high = float(cfg.get("w_high", min(1.0, w_low + 0.1)))
-        trials = int(cfg.get("trials", 100))
+        i = block.recommender or 0
         verdict = audit_mod.weight_monotonicity_check(
-            inst, i, w_low, w_high, reports=sc.beliefs, trials=trials, seed=seed
+            inst, i, block.w_low, block.w_high, reports=sc.beliefs, trials=block.trials, seed=seed
         )
         print(
-            f"raised weight of recommender {i} from {w_low} to {w_high}: "
+            f"raised weight of recommender {i} from {block.w_low} to {block.w_high}: "
             f"{verdict.counts.losses}/{verdict.counts.candidates} profiles strictly improved"
         )
-        return _finish(verdict.verdict, expected, payload, args.json)
+        return _finish(verdict.verdict, block.expect, payload, args.json)
 
     # best-response searches (weak-epic / strict-epic / strict-iic)
     if sc.beliefs is None and sc.prior is None:
         raise ScenarioError(f"{sc.source}: audit needs beliefs or a prior")
-
-    if desideratum in ("weak-epic", "strict-epic"):
-        if sc.beliefs is None:
-            raise ScenarioError(f"{sc.source}: ex post audits need explicit beliefs")
-        prior = DegenerateAt(sc.beliefs)
-        true_rows = {int(cfg["recommender"]): tuple(sc.beliefs[int(cfg["recommender"])])} if "recommender" in cfg else {
-            i: tuple(sc.beliefs[i]) for i in range(sc.n)
-        }
+    ex_post = desideratum in ("weak-epic", "strict-epic")
+    if ex_post and sc.beliefs is None:
+        raise ScenarioError(f"{sc.source}: ex post audits need explicit beliefs")
+    prior = sc.prior if sc.prior is not None and not ex_post else DegenerateAt(sc.beliefs)
+    # Keyed by recommender, or by (recommender, draw) for random true rows.
+    if block.true_row is not None and not ex_post:
+        true_rows = {block.recommender or 0: block.true_row}
+    elif sc.beliefs is not None:
+        who = range(sc.n) if block.recommender is None else (block.recommender,)
+        true_rows = {i: tuple(sc.beliefs[i]) for i in who}
     else:
-        prior = sc.prior if sc.prior is not None else DegenerateAt(sc.beliefs)
-        if "true_row" in cfg:
-            true_rows = {int(cfg.get("recommender", 0)): tuple(float(v) for v in cfg["true_row"])}
-        elif sc.beliefs is not None:
-            true_rows = {int(cfg["recommender"]): tuple(sc.beliefs[int(cfg["recommender"])])} if "recommender" in cfg else {
-                i: tuple(sc.beliefs[i]) for i in range(sc.n)
-            }
-        else:
-            count = int(cfg.get("random_true_rows", 5))
-            rng = np.random.default_rng(seed + 1)
-            target = int(cfg.get("recommender", 0))
-            true_rows = {}
-            for k in range(count):
-                true_rows[(target, k)] = tuple(rng.random(sc.m))
+        rng = np.random.default_rng(seed + 1)
+        target = block.recommender or 0
+        true_rows = {(target, k): tuple(rng.random(sc.m)) for k in range(block.random_true_rows)}
 
-    strategies = audit_mod.strategies_from_config(cfg)
     if sc.reference is not None:
-        report = audit_mod.reproduce_reference(sc.raw)
-        _print_reproduction(report)
+        _print_reproduction(audit_mod.reproduce_reference(sc))
 
     worst_verdict = "pass"
     order = {"pass": 0, "inconclusive": 1, "violation": 2}
     for key, row in sorted(true_rows.items(), key=lambda kv: str(kv[0])):
         i = key[0] if isinstance(key, tuple) else key
         verdict = audit_mod.best_response_search(
-            inst, i, row, prior, strategies, samples, seed,
+            inst, i, row, prior, block.strategies, samples, seed,
             desideratum=desideratum, workers=args.workers,
         )
         gain = verdict.witness.mean_gain if verdict.witness else 0.0
@@ -345,7 +288,7 @@ def cmd_audit(args) -> int:
             )
         if order[verdict.verdict] > order[worst_verdict]:
             worst_verdict = verdict.verdict
-    return _finish(worst_verdict, expected, payload, args.json)
+    return _finish(worst_verdict, block.expect, payload, args.json)
 
 
 # ── campaign ──────────────────────────────────────────────────────────
@@ -354,7 +297,7 @@ def cmd_audit(args) -> int:
 def cmd_campaign(args) -> int:
     sc = scenario_mod.load(args.scenario)
     config = scenario_mod.build_campaign_config(sc)
-    rounds = args.rounds if args.rounds is not None else int(sc.campaign.get("rounds", 50))
+    rounds = args.rounds if args.rounds is not None else sc.campaign.rounds
     seed = args.seed if args.seed is not None else sc.seed
     out_dir = Path(args.out) if args.out else None
     if out_dir:
@@ -437,6 +380,8 @@ def cmd_weights(args) -> int:
     n = args.n if args.n is not None else (len(ledger.records[0].weights) if len(ledger) else None)
     if n is None:
         raise _UsageError("cannot infer recommender count from an empty ledger; pass --n")
+    if args.window is not None and args.window < 1:
+        raise _UsageError(f"--window must be >= 1, got {args.window}")
     weights = rounds_mod.evolve_weights(ledger, n, args.window)
     print("weights: " + " ".join(_fmt(w) for w in weights.weights))
     return EXIT_OK

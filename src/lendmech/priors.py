@@ -67,7 +67,7 @@ class ProductGrid:
 PriorSpec = Union[UniformIID, BetaIID, DegenerateAt, ProductGrid]
 
 
-def _check_shape(prior: PriorSpec, n: int, m: int) -> None:
+def check_shape(prior: PriorSpec, n: int, m: int) -> None:
     if isinstance(prior, DegenerateAt):
         if len(prior.profile) != n or any(len(row) != m for row in prior.profile):
             raise ValueError(f"degenerate profile shape does not match ({n}, {m})")
@@ -84,7 +84,7 @@ def sample_profiles(
     prior: PriorSpec, n: int, m: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw `count` full belief profiles, shape (count, n, m)."""
-    _check_shape(prior, n, m)
+    check_shape(prior, n, m)
     if isinstance(prior, UniformIID):
         return rng.random((count, n, m))
     if isinstance(prior, BetaIID):
@@ -118,7 +118,7 @@ def enumerate_others(
     is the oracle path used to validate the Monte Carlo estimators.
     Returns (profiles, probs) with profiles of shape (count, n-1, m).
     """
-    _check_shape(prior, n, m)
+    check_shape(prior, n, m)
     if isinstance(prior, DegenerateAt):
         profile = np.delete(np.asarray(prior.profile, dtype=float), i, axis=0)
         return profile[np.newaxis, :, :], np.ones(1)

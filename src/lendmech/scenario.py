@@ -4,10 +4,16 @@ A scenario is a small versioned JSON document, diff-able and bundled as a
 test fixture. kind "mechanism" describes an instance plus optional beliefs,
 prior, outcomes, audit parameters, campaign parameters and reference
 values; kind "curve" describes a utility-curve emission.
+
+`loads` is the only reader of the JSON. It checks every field, those of
+the `audit`, `reference` and `campaign` blocks included, and names a field
+it rejects by its path, e.g. 'audit.strict-iic.samples'. A field set to
+null is the same as a field left out.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -15,9 +21,10 @@ from importlib import resources
 from typing import Any, Optional
 
 from .aggregation import WeightVector, WeightedLinear
+from .audit import EqualShift, FullRowRandom, MisreportStrategy, SingleCoordinateGrid, Targeted
 from .errors import ScenarioError
 from .mechanism import Instance
-from .priors import BetaIID, DegenerateAt, PriorSpec, ProductGrid, UniformIID
+from .priors import BetaIID, DegenerateAt, PriorSpec, ProductGrid, UniformIID, check_shape
 from .rounds import CampaignConfig, WorldModel
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
@@ -29,12 +36,89 @@ CURVE_VARIANTS = (
     "trunc-winkler-log",
     "winkler-log-score",
 )
+DESIDERATA = (
+    "alloc-eff",
+    "weak-epic",
+    "strict-epic",
+    "strict-iic",
+    "ex-post-ir",
+    "strong-ex-post-ir",
+    "grain-of-no-veto",
+    "weight-monotonicity",
+)
+
+# desideratum -> (the only mechanism it applies to, the error otherwise)
+_MECHANISM_ONLY = {
+    "alloc-eff": ("vcg", "alloc-eff audit is for the vcg mechanism"),
+    "strong-ex-post-ir": ("vcg", "strong-ex-post-ir audit is for the vcg mechanism"),
+    "weight-monotonicity": ("vcg", "weight-monotonicity audit is for the vcg mechanism"),
+    "grain-of-no-veto": ("winkler", "grain-of-no-veto applies to the winkler mechanism"),
+}
+# desideratum -> default number of uniform random profiles it checks
+_TRIALS = {"alloc-eff": 50, "ex-post-ir": 50, "strong-ex-post-ir": 20, "weight-monotonicity": 100}
+
+
+@dataclass(frozen=True)
+class AuditBlock:
+    """Parameters of one audit: an `audit.<desideratum>` block with the
+    desideratum's defaults filled in."""
+
+    expect: str
+    samples: int
+    seed: int
+    trials: int
+    recommender: Optional[int]  # None: every recommender
+    true_row: Optional[tuple[float, ...]]
+    random_true_rows: int
+    w_low: Optional[float]  # set for weight-monotonicity only
+    w_high: Optional[float]
+    single_coordinate_grid: Optional[int]
+    full_row_random: Optional[int]
+    equal_shift: Optional[tuple[float, ...]]
+    targeted: Optional[tuple[tuple[float, ...], ...]]
+
+    @property
+    def strategies(self) -> tuple[MisreportStrategy, ...]:
+        """The misreport strategies the block names; a grid plus random rows
+        when it names none."""
+        named = (
+            (SingleCoordinateGrid, self.single_coordinate_grid),
+            (FullRowRandom, self.full_row_random),
+            (EqualShift, self.equal_shift),
+            (Targeted, self.targeted),
+        )
+        out = tuple(strategy(value) for strategy, value in named if value is not None)
+        return out or (SingleCoordinateGrid(), FullRowRandom())
+
+
+@dataclass(frozen=True)
+class Reference:
+    """Reference values of the capped-Winkler counterexample; the misreport
+    is the first `targeted` row of the `audit.weak-epic` block."""
+
+    tolerance: float
+    aggregates: tuple[float, ...]
+    thresholds: tuple[tuple[float, ...], ...]
+    honest_utilities: tuple[float, ...]
+    misreport_utilities: tuple[float, ...]
+    honest_funded: int
+    misreport_funded: int
+
+
+@dataclass(frozen=True)
+class CampaignBlock:
+    """The `campaign` block: a multi-round simulation of the scenario."""
+
+    rounds: int
+    mixing: Optional[tuple[float, ...]]  # None: beliefs come from the scenario's prior
+    weight_mode: str
+    truth_prior: PriorSpec
+    history_window: Optional[int]  # None: the whole history
 
 
 @dataclass(frozen=True)
 class Scenario:
     source: str
-    raw: dict
     kind: str  # "mechanism" | "curve"
 
     # mechanism fields (None for curves)
@@ -50,9 +134,9 @@ class Scenario:
     prior: Optional[PriorSpec] = None
     outcomes: Optional[dict[int, int]] = None
     seed: int = 0
-    audit: Optional[dict[str, dict]] = None
-    reference: Optional[dict] = None
-    campaign: Optional[dict] = None
+    audit: dict[str, AuditBlock] = dataclasses.field(default_factory=dict)  # declared blocks
+    reference: Optional[Reference] = None
+    campaign: Optional[CampaignBlock] = None
     note: Optional[str] = None
 
     # curve fields
@@ -64,56 +148,205 @@ def _fail(source: str, field: str, message: str) -> ScenarioError:
     return ScenarioError(f"{source}: field '{field}': {message}")
 
 
-def _number(data: dict, field: str, source: str, lo=None, hi=None, required=True, default=None):
-    if field not in data:
-        if required:
-            raise _fail(source, field, "required")
+_REQUIRED = object()
+
+
+def _names(block_type) -> tuple[str, ...]:
+    """The JSON fields of a block: the fields of the type it parses into."""
+    return tuple(f.name for f in dataclasses.fields(block_type))
+
+
+class _Fields:
+    """One JSON object of a scenario file. Each reader returns a field's
+    typed value, or `default` when it is absent or null, and raises a
+    ScenarioError naming the field by its path."""
+
+    def __init__(self, data: Any, source: str, path: str = "", known=()) -> None:
+        if not isinstance(data, dict):
+            raise _fail(source, path, "expected an object")
+        self.data, self.source, self.path = data, source, path
+        for key in data:
+            if known and key not in known:
+                raise self.fail(key, f"unknown field; expected one of {', '.join(known)}")
+
+    def _path(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def fail(self, key: str, message: str) -> ScenarioError:
+        return _fail(self.source, self._path(key), message)
+
+    def _read(self, key: str, default, check):
+        value = self.data.get(key)
+        if value is not None:
+            return check(value)
+        if default is _REQUIRED:
+            raise self.fail(key, "required")
         return default
-    value = data[field]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise _fail(source, field, f"expected a number, got {value!r}")
-    value = float(value)
-    if lo is not None and value < lo:
-        raise _fail(source, field, f"must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise _fail(source, field, f"must be <= {hi}, got {value}")
-    return value
+
+    def _bounded(self, key: str, value, lo, hi):
+        if lo is not None and value < lo:
+            raise self.fail(key, f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise self.fail(key, f"must be <= {hi}, got {value}")
+        return value
+
+    def _number(self, key: str, value, lo, hi) -> float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise self.fail(key, f"expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise self.fail(key, f"must be finite, got {value}")
+        return self._bounded(key, float(value), lo, hi)
+
+    def number(self, key: str, lo=None, hi=None, default=_REQUIRED):
+        return self._read(key, default, lambda value: self._number(key, value, lo, hi))
+
+    def integer(self, key: str, lo=None, hi=None, default=_REQUIRED):
+        def check(value):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise self.fail(key, f"expected an integer, got {value!r}")
+            return self._bounded(key, value, lo, hi)
+
+        return self._read(key, default, check)
+
+    def boolean(self, key: str, default=_REQUIRED):
+        def check(value):
+            if not isinstance(value, bool):
+                raise self.fail(key, f"expected true or false, got {value!r}")
+            return value
+
+        return self._read(key, default, check)
+
+    def choice(self, key: str, options: tuple[str, ...], default=_REQUIRED):
+        def check(value):
+            if value not in options:
+                raise self.fail(key, f"expected one of {', '.join(options)}, got {value!r}")
+            return value
+
+        return self._read(key, default, check)
+
+    def numbers(self, key: str, length=None, lo=None, hi=None, default=_REQUIRED):
+        """A non-empty list of numbers, `length` of them when given."""
+
+        def check(value):
+            if not isinstance(value, list) or not value or length not in (None, len(value)):
+                count = length or "one or more"
+                raise self.fail(key, f"expected a list of {count} numbers, got {value!r}")
+            return tuple(self._number(key, v, lo, hi) for v in value)
+
+        return self._read(key, default, check)
+
+    def matrix(self, key: str, rows, cols: int, lo=None, hi=None, default=_REQUIRED):
+        """A non-empty list of rows of `cols` numbers, `rows` of them when given."""
+
+        def check(value):
+            if (
+                not isinstance(value, list)
+                or not value
+                or rows not in (None, len(value))
+                or not all(isinstance(row, list) and len(row) == cols for row in value)
+            ):
+                count = "a list of" if rows is None else rows
+                raise self.fail(key, f"expected {count} rows of {cols} numbers, got {value!r}")
+            return tuple(tuple(self._number(key, v, lo, hi) for v in row) for row in value)
+
+        return self._read(key, default, check)
+
+    def prior(self, key: str, n: int, m: int, default=_REQUIRED):
+        """A prior over n x m belief profiles."""
+
+        def check(value):
+            params = _Fields(value, self.source, self._path(key))
+            kind = params.choice("kind", ("uniform", "beta", "degenerate", "product-grid"))
+            try:
+                if kind == "uniform":
+                    prior = UniformIID()
+                elif kind == "beta":
+                    prior = BetaIID(a=params.number("a"), b=params.number("b"))
+                elif kind == "degenerate":
+                    profile = value["profile"]
+                    prior = DegenerateAt(tuple(tuple(float(v) for v in row) for row in profile))
+                else:
+                    prior = ProductGrid(
+                        tuple(
+                            tuple(tuple(float(v) for v in cell) for cell in row)
+                            for row in value["support"]
+                        )
+                    )
+                check_shape(prior, n, m)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise self.fail(key, str(exc)) from exc
+            return prior
+
+        return self._read(key, default, check)
 
 
-def _integer(data: dict, field: str, source: str, lo=None, required=True, default=None):
-    if field not in data:
-        if required:
-            raise _fail(source, field, "required")
-        return default
-    value = data[field]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise _fail(source, field, f"expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise _fail(source, field, f"must be >= {lo}, got {value}")
-    return value
+def _parse_audit_block(sc: Scenario, desideratum: str, data: Any) -> AuditBlock:
+    block = _Fields(data, sc.source, f"audit.{desideratum}", _names(AuditBlock))
+    if desideratum == "grain-of-no-veto":
+        expect = block.choice("expect", ("present", "absent"), default="present")
+    else:
+        expect = block.choice("expect", ("pass", "violation", "inconclusive"), default="pass")
+    recommender = block.integer("recommender", lo=0, hi=sc.n - 1, default=None)
+    trials = block.integer("trials", lo=0, default=_TRIALS.get(desideratum, 0))
+    if desideratum in _TRIALS and trials == 0 and sc.beliefs is None:
+        raise block.fail("trials", "must be >= 1 when the scenario has no beliefs")
+    w_low = w_high = None
+    if desideratum == "weight-monotonicity":
+        w_low = block.number("w_low", default=sc.weights[recommender or 0])
+        w_high = block.number("w_high", default=min(1.0, w_low + 0.1))
+        if not w_low > 0.0:
+            raise block.fail("w_low", f"must be > 0, got {w_low}")
+        if not w_high > w_low:
+            raise block.fail("w_high", f"must exceed w_low = {w_low}, got {w_high}")
+    return AuditBlock(
+        expect=expect,
+        samples=block.integer("samples", lo=1, default=20000),
+        seed=block.integer("seed", lo=0, default=sc.seed),
+        trials=trials,
+        recommender=recommender,
+        true_row=block.numbers("true_row", length=sc.m, lo=0.0, hi=1.0, default=None),
+        random_true_rows=block.integer("random_true_rows", lo=1, default=5),
+        w_low=w_low,
+        w_high=w_high,
+        single_coordinate_grid=block.integer("single_coordinate_grid", lo=1, default=None),
+        full_row_random=block.integer("full_row_random", lo=1, default=None),
+        equal_shift=block.numbers("equal_shift", default=None),
+        targeted=block.matrix("targeted", None, sc.m, lo=0.0, hi=1.0, default=None),
+    )
 
 
-def _parse_prior(cfg: Any, n: int, m: int, source: str) -> PriorSpec:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise _fail(source, "prior", "expected an object with a 'kind'")
-    kind = cfg["kind"]
-    try:
-        if kind == "uniform":
-            return UniformIID()
-        if kind == "beta":
-            return BetaIID(a=float(cfg["a"]), b=float(cfg["b"]))
-        if kind == "degenerate":
-            return DegenerateAt(tuple(tuple(float(v) for v in row) for row in cfg["profile"]))
-        if kind == "product-grid":
-            return ProductGrid(
-                tuple(
-                    tuple(tuple(float(v) for v in cell) for cell in row)
-                    for row in cfg["support"]
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(source, "prior", str(exc)) from exc
-    raise _fail(source, "prior", f"unknown kind {kind!r}")
+def _parse_reference(sc: Scenario, data: Any) -> Reference:
+    block = _Fields(data, sc.source, "reference", _names(Reference))
+    if sc.mechanism != "winkler" or sc.cap is None or sc.beliefs is None:
+        raise _fail(sc.source, "reference", "needs a winkler scenario with K and beliefs")
+    weak = sc.audit.get("weak-epic")
+    if weak is None or weak.recommender is None or weak.targeted is None:
+        raise _fail(
+            sc.source, "reference", "needs an audit.weak-epic block with recommender and targeted"
+        )
+    return Reference(
+        tolerance=block.number("tolerance", lo=0.0),
+        aggregates=block.numbers("aggregates", length=sc.m),
+        thresholds=block.matrix("thresholds", sc.n, sc.m),
+        honest_utilities=block.numbers("honest_utilities", length=sc.n),
+        misreport_utilities=block.numbers("misreport_utilities", length=sc.n),
+        honest_funded=block.integer("honest_funded", lo=0, hi=sc.m - 1),
+        misreport_funded=block.integer("misreport_funded", lo=0, hi=sc.m - 1),
+    )
+
+
+def _parse_campaign(sc: Scenario, data: Any) -> CampaignBlock:
+    block = _Fields(data, sc.source, "campaign", _names(CampaignBlock))
+    mixing = block.numbers("mixing", length=sc.n, lo=0.0, hi=1.0, default=None)
+    if mixing is None and sc.prior is None:
+        raise block.fail("mixing", "required when the scenario has no prior")
+    return CampaignBlock(
+        rounds=block.integer("rounds", lo=1, default=50),
+        mixing=mixing,
+        weight_mode=block.choice("weight_mode", ("fixed", "budescu"), default="fixed"),
+        truth_prior=block.prior("truth_prior", 1, sc.m, default=UniformIID()),
+        history_window=block.integer("history_window", lo=1, default=None),
+    )
 
 
 def loads(text: str, source: str = "<scenario>") -> Scenario:
@@ -123,94 +356,72 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(f"{source}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{source}: top level must be an object")
-    schema = _integer(data, "schema", source)
+    top = _Fields(data, source)
+    schema = top.integer("schema")
     if schema != SCHEMA_VERSION:
-        raise _fail(source, "schema", f"unsupported version {schema}")
+        raise top.fail("schema", f"unsupported version {schema}")
     kind = data.get("kind")
     if kind == "curve":
         variant = data.get("variant")
         if variant not in CURVE_VARIANTS:
-            raise _fail(source, "variant", f"expected one of {CURVE_VARIANTS}, got {variant!r}")
-        c = _number(data, "c", source)
+            raise top.fail("variant", f"expected one of {CURVE_VARIANTS}, got {variant!r}")
+        c = top.number("c")
         if not 0.0 < c < 1.0:
-            raise _fail(source, "c", f"must lie strictly inside (0, 1), got {c}")
-        grid = _integer(data, "grid", source, lo=2, required=False, default=101)
-        return Scenario(source=source, raw=data, kind="curve", variant=variant, threshold=c, grid=grid)
+            raise top.fail("c", f"must lie strictly inside (0, 1), got {c}")
+        grid = top.integer("grid", lo=2, default=101)
+        return Scenario(source=source, kind="curve", variant=variant, threshold=c, grid=grid)
     if kind != "mechanism":
-        raise _fail(source, "kind", f"expected 'mechanism' or 'curve', got {kind!r}")
+        raise top.fail("kind", f"expected 'mechanism' or 'curve', got {kind!r}")
 
     mechanism = data.get("mechanism")
     if mechanism not in ("winkler", "vcg"):
-        raise _fail(source, "mechanism", f"expected 'winkler' or 'vcg', got {mechanism!r}")
-    n = _integer(data, "n", source, lo=1)
-    m = _integer(data, "m", source, lo=1)
-    c = _number(data, "c", source)
+        raise top.fail("mechanism", f"expected 'winkler' or 'vcg', got {mechanism!r}")
+    n = top.integer("n", lo=1)
+    m = top.integer("m", lo=1)
+    c = top.number("c")
     if mechanism == "vcg":
         if not 0.0 <= c < 1.0:
-            raise _fail(source, "c", f"must lie in [0, 1), got {c}")
+            raise top.fail("c", f"must lie in [0, 1), got {c}")
     else:
         if not 0.0 < c < 1.0:
-            raise _fail(source, "c", f"must lie strictly inside (0, 1), got {c}")
+            raise top.fail("c", f"must lie strictly inside (0, 1), got {c}")
 
-    cap = _integer(data, "K", source, lo=1, required=(mechanism == "vcg"))
+    cap = top.integer("K", lo=1, default=_REQUIRED if mechanism == "vcg" else None)
     if cap is not None and cap > m:
-        raise _fail(source, "K", f"liquidity cap {cap} exceeds borrower count {m}")
+        raise top.fail("K", f"liquidity cap {cap} exceeds borrower count {m}")
 
-    alpha = _number(data, "alpha", source, required=False, default=1.0)
-    if alpha is not None and alpha <= 0:
-        raise _fail(source, "alpha", f"must be positive, got {alpha}")
-    tcomp = bool(data.get("tcomp", False))
+    alpha = top.number("alpha", default=1.0)
+    if alpha <= 0:
+        raise top.fail("alpha", f"must be positive, got {alpha}")
 
-    weights_cfg = data.get("weights", "equal")
-    if weights_cfg == "equal":
+    if data.get("weights") in (None, "equal"):
         weights = tuple(1.0 / n for _ in range(n))
-    elif isinstance(weights_cfg, list):
-        weights = tuple(float(w) for w in weights_cfg)
-        if len(weights) != n:
-            raise _fail(source, "weights", f"expected {n} entries, got {len(weights)}")
-        if not all(math.isfinite(w) and w >= 0 for w in weights):
-            raise _fail(source, "weights", "entries must be finite and nonnegative")
+    elif isinstance(data["weights"], list):
+        weights = top.numbers("weights", length=n, lo=0.0)
         if abs(sum(weights) - 1.0) > 1e-9:
-            raise _fail(source, "weights", f"must sum to 1, got {sum(weights)}")
+            raise top.fail("weights", f"must sum to 1, got {sum(weights)}")
     else:
-        raise _fail(source, "weights", f"expected 'equal' or a list, got {weights_cfg!r}")
+        raise top.fail("weights", f"expected 'equal' or a list, got {data['weights']!r}")
 
-    beliefs = None
-    if data.get("beliefs") is not None:
-        rows = data["beliefs"]
-        if len(rows) != n or any(len(row) != m for row in rows):
-            raise _fail(source, "beliefs", f"expected an {n}x{m} matrix")
-        beliefs = tuple(tuple(float(v) for v in row) for row in rows)
-        for row in beliefs:
-            for v in row:
-                if not 0.0 <= v <= 1.0:
-                    raise _fail(source, "beliefs", f"entries must lie in [0, 1], got {v}")
-
-    prior = None
-    if data.get("prior") is not None:
-        prior = _parse_prior(data["prior"], n, m, source)
-    if beliefs is None and prior is None and "campaign" not in data:
-        raise _fail(source, "beliefs", "need explicit beliefs, a prior, or a campaign block")
+    beliefs = top.matrix("beliefs", n, m, lo=0.0, hi=1.0, default=None)
+    prior = top.prior("prior", n, m, default=None)
+    if beliefs is None and prior is None and data.get("campaign") is None:
+        raise top.fail("beliefs", "need explicit beliefs, a prior, or a campaign block")
 
     outcomes = None
     if data.get("outcomes") is not None:
         try:
             outcomes = {int(k): int(v) for k, v in data["outcomes"].items()}
         except (TypeError, ValueError, AttributeError) as exc:
-            raise _fail(source, "outcomes", f"expected {{borrower: 0/1}}, got {data['outcomes']!r}") from exc
+            raise top.fail("outcomes", f"expected {{borrower: 0/1}}, got {data['outcomes']!r}") from exc
         for q, o in outcomes.items():
             if not 0 <= q < m:
-                raise _fail(source, "outcomes", f"borrower {q} out of range")
+                raise top.fail("outcomes", f"borrower {q} out of range")
             if o not in (0, 1):
-                raise _fail(source, "outcomes", f"outcome must be 0 or 1, got {o}")
+                raise top.fail("outcomes", f"outcome must be 0 or 1, got {o}")
 
-    audit = data.get("audit")
-    if audit is not None and not isinstance(audit, dict):
-        raise _fail(source, "audit", "expected an object keyed by check name")
-
-    return Scenario(
+    sc = Scenario(
         source=source,
-        raw=data,
         kind="mechanism",
         mechanism=mechanism,
         n=n,
@@ -218,17 +429,25 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         threshold=c,
         cap=cap,
         alpha=alpha,
-        tcomp=tcomp,
+        tcomp=top.boolean("tcomp", default=False),
         weights=weights,
         beliefs=beliefs,
         prior=prior,
         outcomes=outcomes,
-        seed=_integer(data, "seed", source, required=False, default=0),
-        audit=audit,
-        reference=data.get("reference"),
-        campaign=data.get("campaign"),
+        seed=top.integer("seed", lo=0, default=0),
         note=data.get("note"),
     )
+    # The blocks' defaults and bounds depend on the fields above.
+    if data.get("audit") is not None:
+        blocks = _Fields(data["audit"], source, "audit", DESIDERATA).data
+        sc = dataclasses.replace(
+            sc, audit={d: _parse_audit_block(sc, d, cfg) for d, cfg in blocks.items()}
+        )
+    if data.get("reference") is not None:
+        sc = dataclasses.replace(sc, reference=_parse_reference(sc, data["reference"]))
+    if data.get("campaign") is not None:
+        sc = dataclasses.replace(sc, campaign=_parse_campaign(sc, data["campaign"]))
+    return sc
 
 
 def load(path) -> Scenario:
@@ -241,12 +460,25 @@ def load(path) -> Scenario:
 
 
 def load_bundled(name: str) -> Scenario:
-    path = resources.files("lendmech").joinpath(f"scenarios/{name}.scenario")
-    return loads(path.read_text(), source=f"bundled:{name}")
+    return loads(bundled_path(name).read_text(), source=f"bundled:{name}")
 
 
 def bundled_path(name: str):
     return resources.files("lendmech").joinpath(f"scenarios/{name}.scenario")
+
+
+def audit_block(sc: Scenario, desideratum: str) -> AuditBlock:
+    """The parameters of one audit of `sc`: its declared block, or else the
+    desideratum's defaults. Raises ScenarioError when the desideratum does
+    not apply to the scenario's mechanism."""
+    if sc.kind != "mechanism":
+        raise ScenarioError(f"{sc.source}: not a mechanism scenario")
+    only = _MECHANISM_ONLY.get(desideratum)
+    if only is not None and sc.mechanism != only[0]:
+        raise ScenarioError(f"{sc.source}: {only[1]}")
+    if desideratum in sc.audit:
+        return sc.audit[desideratum]
+    return _parse_audit_block(sc, desideratum, {})
 
 
 def build_instance(sc: Scenario) -> Instance:
@@ -273,17 +505,15 @@ def build_instance(sc: Scenario) -> Instance:
 
 
 def build_campaign_config(sc: Scenario) -> CampaignConfig:
+    """The campaign the scenario's `campaign` block describes."""
     if sc.campaign is None:
         raise ScenarioError(f"{sc.source}: scenario has no campaign block")
-    cfg = sc.campaign
-    mixing = tuple(float(x) for x in cfg["mixing"]) if cfg.get("mixing") else None
-    truth_cfg = cfg.get("truth_prior", {"kind": "uniform"})
-    if truth_cfg.get("kind") == "beta":
-        truth_prior = BetaIID(a=float(truth_cfg["a"]), b=float(truth_cfg["b"]))
-    else:
-        truth_prior = UniformIID()
-    belief_prior = sc.prior if mixing is None else None
-    world = WorldModel(mixing=mixing, truth_prior=truth_prior, belief_prior=belief_prior)
+    camp = sc.campaign
+    world = WorldModel(
+        mixing=camp.mixing,
+        truth_prior=camp.truth_prior,
+        belief_prior=sc.prior if camp.mixing is None else None,
+    )
     return CampaignConfig(
         mechanism=sc.mechanism,
         n=sc.n,
@@ -293,7 +523,7 @@ def build_campaign_config(sc: Scenario) -> CampaignConfig:
         K=sc.cap,
         alpha=sc.alpha,
         tcomp_enabled=sc.tcomp,
-        weight_mode=cfg.get("weight_mode", "fixed"),
+        weight_mode=camp.weight_mode,
         initial_weights=sc.weights,
-        history_window=cfg.get("history_window"),
+        history_window=camp.history_window,
     )

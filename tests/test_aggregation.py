@@ -200,6 +200,13 @@ class TestHistory:
         assert len(history.window(None).loans) == 5
         assert len(history.window(10).loans) == 5
 
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_window_rejects_non_positive_size(self, size):
+        # loans[-size:] would be the whole history for 0 and loans[5:] for -5
+        loans = tuple(ObservedLoan(reports=(0.5, 0.6), outcome=1) for _ in range(10))
+        with pytest.raises(ValueError, match="window size must be >= 1"):
+            RoundHistory(n=2, loans=loans).window(size)
+
     def test_shape_validated(self):
         with pytest.raises(ArityMismatch):
             RoundHistory(n=3, loans=(ObservedLoan(reports=(0.5, 0.6), outcome=1),))

@@ -1,14 +1,16 @@
 """Audit engine tests: strategies, verdict logic, oracle agreement."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from lendmech import audit, vcg, winkler
+from lendmech import audit, scenario, vcg, winkler
 from lendmech.aggregation import WeightVector, WeightedLinear
 from lendmech.errors import ReproductionMismatch
 from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, enumerate_others
+from lendmech.scenario import bundled_path
 from lendmech.vcg import VcgInstance
 from lendmech.winkler import WinklerInstance
 
@@ -55,9 +57,11 @@ class TestStrategies:
         assert [c.row for c in a] == [c.row for c in b]
 
     def test_strategy_config_parsing(self):
-        strategies = audit.strategies_from_config(
-            {"single_coordinate_grid": 11, "equal_shift": [0.1], "targeted": [[0.0, 1.0]]}
-        )
+        data = json.loads(bundled_path("table1").read_text())
+        data["audit"]["strict-iic"] = {
+            "single_coordinate_grid": 11, "equal_shift": [0.1], "targeted": [[0.0, 1.0]]
+        }
+        strategies = scenario.loads(json.dumps(data)).audit["strict-iic"].strategies
         kinds = {type(s) for s in strategies}
         assert kinds == {audit.SingleCoordinateGrid, audit.EqualShift, audit.Targeted}
 
@@ -271,6 +275,14 @@ class TestChecks:
         # the all-default outcome charges the pivot with no contingent income
         assert without[1] <= with_rebate[1]
 
+    def test_strong_ir_when_only_reserves_are_funded(self):
+        # No real borrower funded: the single empty outcome vector is checked.
+        inst = VcgInstance(n=2, m=2, K=1, reserve_threshold=0.9, weights=(0.5, 0.5))
+        profile = np.asarray(((0.1, 0.2), (0.3, 0.5)))
+        assert vcg.allocate(inst, profile).reserves_funded == 1
+        assert vcg.allocate(inst, profile).funded_real == ()
+        assert audit.strong_ex_post_ir_check(inst, profile) == (True, 0.0, (0, ()))
+
 
 class TestWeightMonotonicity:
     def test_worked_example(self):
@@ -306,7 +318,7 @@ class TestReproduction:
         assert report.max_abs_error < 0.005
 
     def test_mismatch_raises_with_cell_context(self):
-        fixture = audit._load_bundled_fixture("table1")
+        fixture = json.loads(bundled_path("table1").read_text())
         fixture["reference"]["honest_utilities"] = [0.12, 0.2, 0.09]
         with pytest.raises(ReproductionMismatch, match="honest utility"):
-            audit.reproduce_reference(fixture)
+            audit.reproduce_reference(scenario.loads(json.dumps(fixture)))

@@ -23,6 +23,31 @@ def table1_path():
 # scenarios directory.
 RUN_GOLDEN = json.loads((Path(__file__).parent / "data" / "run_golden.json").read_text())
 
+# Every (bundled scenario, declared audit block) pair.
+AUDIT_PAIRS = [
+    (path.stem, desideratum)
+    for path in sorted(Path(str(bundled_path("table1"))).parent.glob("*.scenario"))
+    for desideratum in load(path).audit
+]
+
+DELETE = object()
+
+
+def mutated_scenario(tmp_path, name, field_path, value):
+    """A copy of bundled scenario `name` with one field set (or deleted)."""
+    data = json.loads(bundled_path(name).read_text())
+    *parents, key = field_path
+    target = data
+    for part in parents:
+        target = target.setdefault(part, {})
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    path = tmp_path / f"{name}.scenario"
+    path.write_text(json.dumps(data))
+    return str(path)
+
 
 class TestCurves:
     def test_trunc_quadratic_values(self, capsys):
@@ -160,6 +185,11 @@ class TestAudit:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("name, desideratum", AUDIT_PAIRS)
+    def test_bundled_audit_block_meets_its_expectation(self, name, desideratum, capsys):
+        code, out, err = run_cli(capsys, "audit", str(bundled_path(name)), desideratum)
+        assert code == 0, out + err
+
     def test_json_record(self, capsys):
         code, out, _ = run_cli(capsys, "audit", table1_path(), "weak-epic", "--json")
         assert code == 0
@@ -208,8 +238,69 @@ class TestCampaign:
         parts = [float(v) for v in out.split()[1:]]
         assert sum(parts) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_weights_rejects_non_positive_window(self, window, tmp_path, capsys):
+        out_dir = tmp_path / "camp"
+        run_cli(
+            capsys,
+            "campaign", str(bundled_path("campaign-budescu")),
+            "--rounds", "20", "--seed", "3", "--out", str(out_dir),
+        )
+        code, out, err = run_cli(
+            capsys, "weights", str(out_dir / "ledger.jsonl"), "--window", window
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: --window must be >= 1, got {window}\n"
+
+
+CAMPAIGN = ("campaign",)
+
+# (scenario, field path, bad value, subcommand and its arguments after the path)
+BAD_FIELDS = [
+    ("vcg-n4", ("audit", "strict-iic", "recommender"), 9, ("audit", "strict-iic")),
+    ("table1", ("audit", "weak-epic", "recommender"), 5, ("audit", "weak-epic")),
+    ("no-veto-n2-c06", ("audit", "strict-iic", "samples"), "many", ("audit", "strict-iic")),
+    ("table1", ("audit", "weak-epic", "expect"), "violaton", ("audit", "weak-epic")),
+    ("table1", ("audit", "weak-epic", "targeted"), [[0.5, 0.5, 0.5]], ("audit", "weak-epic")),
+    ("table1", ("audit", "weak-epic", "targeted"), [[0.5]], ("audit", "weak-epic")),
+    ("no-veto-n2-c06", ("audit", "strict-iic", "sample"), 100, ("audit", "strict-iic")),
+    ("no-veto-n2-c06", ("audit", "strict-icc"), {}, ("audit", "strict-iic")),
+    ("campaign-vcg", ("audit", "ex-post-ir", "trials"), 0, ("audit", "ex-post-ir")),
+    ("campaign-vcg", ("audit", "weight-monotonicity", "w_high"), 0.2,
+     ("audit", "weight-monotonicity")),
+    ("table1", ("reference", "tolerance"), DELETE, ("audit", "weak-epic")),
+    ("campaign-budescu", ("campaign", "weight_mode"), "budescoo", CAMPAIGN),
+    ("campaign-budescu", ("campaign", "mixing"), [0.9, 0.5], CAMPAIGN),
+    ("campaign-budescu", ("campaign", "mixing"), [0.9, 0.5, 1.5], CAMPAIGN),
+    ("campaign-budescu", ("campaign", "mixing"), DELETE, CAMPAIGN),
+    ("campaign-budescu", ("campaign", "truth_prior", "kind"), "betaa", CAMPAIGN),
+    ("campaign-budescu", ("campaign", "truth_prior"), {"kind": "degenerate", "profile": [[0.5]]},
+     CAMPAIGN),
+    ("campaign-budescu", ("campaign", "history_window"), "ten", CAMPAIGN),
+    ("campaign-budescu", ("campaign", "history_window"), -3, CAMPAIGN),
+    ("campaign-budescu", ("campaign", "rounds"), "ten", CAMPAIGN),
+    ("campaign-vcg", ("alpha",), float("nan"), CAMPAIGN),
+    ("campaign-vcg", ("tcomp",), "no", CAMPAIGN),
+]
+
+
+def _field_id(case):
+    name, field_path, value = case[:3]
+    return f"{name}:{'.'.join(field_path)}=" + ("deleted" if value is DELETE else repr(value))
+
 
 class TestValidation:
+    @pytest.mark.parametrize("case", BAD_FIELDS, ids=[_field_id(c) for c in BAD_FIELDS])
+    def test_bad_field_is_a_field_level_scenario_error(self, case, tmp_path, capsys):
+        name, field_path, value, command = case
+        path = mutated_scenario(tmp_path, name, field_path, value)
+        code, out, err = run_cli(capsys, command[0], path, *command[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"scenario error: {path}: field '{'.'.join(field_path)}': ")
+        assert "Traceback" not in err
+
     def test_cap_exceeding_borrowers(self, tmp_path, capsys):
         path = tmp_path / "bad.scenario"
         path.write_text(
@@ -264,6 +355,15 @@ class TestValidation:
         data = json.loads(text)
         data["weights"] = [float("nan")] + [1.0 / (data["n"] - 1)] * (data["n"] - 1)
         with pytest.raises(ScenarioError, match="field 'weights'"):
+            loads(json.dumps(data))
+
+    def test_nan_beta_parameter_rejected(self):
+        from lendmech.errors import ScenarioError
+        from lendmech.scenario import loads
+
+        data = json.loads(bundled_path("no-veto-n3-c05").read_text())
+        data["prior"] = {"kind": "beta", "a": float("nan"), "b": 1.0}
+        with pytest.raises(ScenarioError, match="field 'prior.a'"):
             loads(json.dumps(data))
 
     def test_all_bundled_scenarios_parse(self):
