@@ -16,7 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import AllNonPositiveContribution, ArityMismatch, EmptyHistory
+from .mechanism import linear_scores
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -87,7 +90,7 @@ def aggregate(agg: Aggregator, report_column: Sequence[float]) -> float:
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"reports must lie in [0, 1], got {value}")
     if isinstance(agg, WeightedLinear):
-        return float(sum(w * p for w, p in zip(agg.weights.weights, report_column)))
+        return float(linear_scores(agg.weights.weights, np.reshape(report_column, (-1, 1)))[0])
     return float(agg.fn(report_column))
 
 

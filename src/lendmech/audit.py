@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools as it
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from . import vcg as vcg_mod
 from . import winkler as winkler_mod
 from .aggregation import WeightedLinear
 from .errors import ReproductionMismatch, ScenarioError
-from .mechanism import Instance
+from .mechanism import Instance, linear_scores
 from .priors import DegenerateAt, PriorSpec, is_degenerate, sample_others, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
@@ -37,6 +38,11 @@ if TYPE_CHECKING:
 EXACT_TOL = 1e-9
 EQUAL_SHIFT_TOL = 1e-9
 SE_MULTIPLIER = 2.0
+# The fewest Monte Carlo samples a verdict rests on: a best-response search,
+# and a grain-of-no-veto estimate. Scenario blocks and CLI flags are held to
+# these too.
+MIN_SEARCH_SAMPLES = 100
+MIN_GRAIN_SAMPLES = 1000
 
 
 # ── misreport strategies ──────────────────────────────────────────────
@@ -219,18 +225,19 @@ class AuditVerdict:
     notes: tuple[str, ...] = ()
 
 
-def _paired_stats(diff: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of truth-minus-misreport samples.
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of per-sample values.
 
-    Infinite differences (a misreport hitting a log score of -inf) are
-    decisively in truth's favor and reported as (inf, 0).
+    An infinite sample (a log score of -inf, or a difference against one)
+    decides the mean outright, which is reported with SE 0: -inf if any
+    sample is -inf, else +inf.
     """
-    if np.isinf(diff).any():
-        if np.isneginf(diff).any():
+    if np.isinf(values).any():
+        if np.isneginf(values).any():
             return -math.inf, 0.0
         return math.inf, 0.0
-    mean = float(diff.mean())
-    se = float(diff.std(ddof=1) / math.sqrt(len(diff))) if len(diff) > 1 else 0.0
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
     return mean, se
 
 
@@ -325,21 +332,17 @@ def interim_utility(
     beliefs. Deterministic per seed.
     """
     if is_degenerate(prior):
-        others, _ = _degenerate_others(prior, i)
+        others = _degenerate_others(prior, i)
         return _exact_value(inst, i, true_row, report_row, others), 0.0
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     others = sample_others(prior, inst.n, inst.m, i, samples, rng)
-    values = _make_engine(inst, i, others).utilities(true_row, report_row)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return mean, se
+    return _mean_se(_make_engine(inst, i, others).utilities(true_row, report_row))
 
 
-def _degenerate_others(prior: DegenerateAt, i: int) -> tuple[np.ndarray, np.ndarray]:
-    profile = np.asarray(prior.profile, dtype=float)
-    return np.delete(profile, i, axis=0), profile[i]
+def _degenerate_others(prior: DegenerateAt, i: int) -> np.ndarray:
+    return np.delete(np.asarray(prior.profile, dtype=float), i, axis=0)
 
 
 def best_response_search(
@@ -366,23 +369,18 @@ def best_response_search(
 
     exact = is_degenerate(prior)
     if exact:
-        others = _degenerate_others(prior, i)[0][np.newaxis, :, :]
-        effective_samples = 1
+        others = _degenerate_others(prior, i)[np.newaxis, :, :]
     else:
-        if samples < 100:
-            raise ValueError(f"need samples >= 100 for a Monte Carlo verdict, got {samples}")
+        if samples < MIN_SEARCH_SAMPLES:
+            raise ValueError(
+                f"need samples >= {MIN_SEARCH_SAMPLES} for a Monte Carlo verdict, got {samples}"
+            )
         others = sample_others(prior, inst.n, inst.m, i, samples, rng_samples)
-        effective_samples = samples
 
     engine = _make_engine(inst, i, others)
     del others  # the engine keeps what it needs from the samples
     truth_values = engine.utilities(true_row, true_row)
-    truth_mean = float(truth_values.mean())
-    truth_se = (
-        float(truth_values.std(ddof=1) / math.sqrt(effective_samples))
-        if effective_samples > 1
-        else 0.0
-    )
+    truth_mean, truth_se = _mean_se(truth_values)
 
     def judge_group(q: Optional[int], group: list[Candidate], pool) -> list[MisreportOutcome]:
         # Coordinate q's column is built before its candidates are dispatched,
@@ -394,7 +392,7 @@ def best_response_search(
                 values = engine.utilities(true_row, candidate.row)
             else:
                 values = column(candidate.row[q])
-            mean_diff, se = _paired_stats(truth_values - values)
+            mean_diff, se = _mean_se(truth_values - values)
             return MisreportOutcome(
                 candidate=candidate,
                 mean_gain=-mean_diff,
@@ -418,7 +416,7 @@ def best_response_search(
     if exact:
         notes = ("point prior: exact ex post evaluation, no sampling noise",)
     return _assemble_verdict(
-        desideratum, outcomes, truth_mean, truth_se, effective_samples, seed, notes
+        desideratum, outcomes, truth_mean, truth_se, len(truth_values), seed, notes
     )
 
 
@@ -443,16 +441,17 @@ def grain_of_no_veto(
     inst: WinklerInstance, prior: PriorSpec, samples: int, seed: int
 ) -> GrainReport:
     """Per (recommender, borrower): P[aggregate with their report at 0 > c]."""
-    if samples < 1000 and not is_degenerate(prior):
-        raise ValueError(f"need samples >= 1000 for a stable estimate, got {samples}")
+    if samples < MIN_GRAIN_SAMPLES and not is_degenerate(prior):
+        raise ValueError(
+            f"need samples >= {MIN_GRAIN_SAMPLES} for a stable estimate, got {samples}"
+        )
     rng = np.random.default_rng(seed)
     profiles = sample_profiles(prior, inst.n, inst.m, samples, rng)
     estimates = np.zeros((inst.n, inst.m))
     if isinstance(inst.aggregator, WeightedLinear):
-        w = np.asarray(inst.aggregator.weights.weights)
-        totals = np.einsum("j,sjm->sm", w, profiles)
+        w = inst.aggregator.weights.weights
         for i in range(inst.n):
-            others = totals - w[i] * profiles[:, i, :]
+            others = linear_scores(w[:i] + w[i + 1 :], np.delete(profiles, i, axis=1))
             estimates[i, :] = (others > inst.threshold).mean(axis=0)
     else:
         from .aggregation import aggregate
@@ -488,8 +487,6 @@ def check_profiles(n: int, m: int, reports, trials: int, seed: int) -> list[np.n
 
 def brute_force_welfare(inst: VcgInstance, reports) -> float:
     """Best feasible welfare by enumerating every funding set (small m only)."""
-    import itertools as it
-
     scores = vcg_mod.aggregate_scores(inst, reports)
     c, n_res = inst.reserve_threshold, inst.n_reserves
     items = [float(s) for s in scores] + [c] * n_res
@@ -502,10 +499,8 @@ def brute_force_welfare(inst: VcgInstance, reports) -> float:
 
 def allocative_efficiency_check(inst: VcgInstance, reports, tol: float = 1e-12) -> bool:
     """Chosen allocation achieves the brute-force maximum welfare."""
-    alloc = vcg_mod.allocate(inst, reports)
     scores = vcg_mod.aggregate_scores(inst, reports)
-    achieved = sum(float(scores[q]) for q in alloc.funded_real)
-    achieved += alloc.reserves_funded * inst.reserve_threshold
+    achieved = vcg_mod._welfare(scores, inst.reserve_threshold, vcg_mod.allocate(inst, reports))
     return abs(achieved - brute_force_welfare(inst, reports)) <= tol
 
 
@@ -534,8 +529,6 @@ def strong_ex_post_ir_check(
     Enumerates all 2^(funded) outcome vectors, so keep K small. Requires
     the rebate to be enabled on the instance to have any chance of passing.
     """
-    import itertools as it
-
     arr = np.asarray(reports, dtype=float)
     alloc = vcg_mod.allocate(inst, arr)
     funded = alloc.funded_real
@@ -652,7 +645,7 @@ def reproduce_reference(sc: Scenario) -> Table1Report:
         )
 
     report = Table1Report(
-        aggregates=tuple(float(v) for v in np.asarray(inst.weights_in_force) @ beliefs),
+        aggregates=tuple(float(v) for v in linear_scores(inst.weights_in_force, beliefs)),
         thresholds=tuple(
             tuple(float(v) for v in row) for row in winkler_mod.marginal_thresholds(inst, beliefs)
         ),

@@ -26,7 +26,7 @@ from . import rounds as rounds_mod
 from . import scenario as scenario_mod
 from . import scoring
 from .errors import MechanismError, ScenarioError
-from .mechanism import deficit
+from .mechanism import deficit, linear_scores
 from .priors import DegenerateAt, sample_profiles
 
 EXIT_OK = 0
@@ -55,17 +55,10 @@ def _fmt(value: float) -> str:
 
 def _curve_rows(variant: str, c: float, grid: int) -> tuple[list[str], list[list[float]]]:
     beliefs = [k / (grid - 1) for k in range(grid)]
-    if variant == "trunc-quadratic":
+    if variant in ("trunc-quadratic", "trunc-winkler-log"):
         header = ["belief", "utility"]
-        rows = [
-            [p, scoring.truthful_mechanism_utility(c, p, "trunc-quadratic-with-transfer")]
-            for p in beliefs
-        ]
-    elif variant == "trunc-winkler-log":
-        header = ["belief", "utility"]
-        rows = [
-            [p, scoring.truthful_mechanism_utility(c, p, "trunc-winkler-log")] for p in beliefs
-        ]
+        mode = "trunc-quadratic-with-transfer" if variant == "trunc-quadratic" else variant
+        rows = [[p, scoring.truthful_mechanism_utility(c, p, mode)] for p in beliefs]
     elif variant == "trunc-quadratic-raw":
         # No compensating transfer. The misreport column pins the report at
         # the funding boundary (limit from above), the profitable deviation
@@ -137,7 +130,7 @@ def cmd_run(args) -> int:
     outcomes = sc.outcomes
     if outcomes is None:
         # sample repayments from the lender's aggregated beliefs
-        probs = np.minimum(1.0, np.asarray(inst.weights_in_force) @ reports)
+        probs = np.minimum(1.0, linear_scores(inst.weights_in_force, reports))
         draws = rng.random(len(funded_real))
         outcomes = {q: int(draws[k] < probs[q]) for k, q in enumerate(funded_real)}
     else:
@@ -201,6 +194,8 @@ def cmd_audit(args) -> int:
     block = scenario_mod.audit_block(sc, desideratum)
     seed = args.seed if args.seed is not None else block.seed
     samples = args.samples if args.samples is not None else block.samples
+    if samples < (minimum := scenario_mod.min_samples(desideratum)):
+        raise _UsageError(f"--samples must be >= {minimum} for {desideratum}, got {samples}")
     inst = scenario_mod.build_instance(sc)
     payload: dict = {"scenario": sc.source, "desideratum": desideratum, "seed": seed}
 
@@ -268,7 +263,7 @@ def cmd_audit(args) -> int:
 
     worst_verdict = "pass"
     order = {"pass": 0, "inconclusive": 1, "violation": 2}
-    for key, row in sorted(true_rows.items(), key=lambda kv: str(kv[0])):
+    for key, row in sorted(true_rows.items()):
         i = key[0] if isinstance(key, tuple) else key
         verdict = audit_mod.best_response_search(
             inst, i, row, prior, block.strategies, samples, seed,
@@ -380,8 +375,6 @@ def cmd_weights(args) -> int:
     n = args.n if args.n is not None else (len(ledger.records[0].weights) if len(ledger) else None)
     if n is None:
         raise _UsageError("cannot infer recommender count from an empty ledger; pass --n")
-    if args.window is not None and args.window < 1:
-        raise _UsageError(f"--window must be >= 1, got {args.window}")
     weights = rounds_mod.evolve_weights(ledger, n, args.window)
     print("weights: " + " ".join(_fmt(w) for w in weights.weights))
     return EXIT_OK
@@ -436,6 +429,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag, lo in (("seed", 0), ("rounds", 1), ("window", 1)):
+            value = getattr(args, flag, None)
+            if value is not None and value < lo:
+                raise _UsageError(f"--{flag} must be >= {lo}, got {value}")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from typing import Any, Optional
 
 from .aggregation import WeightVector, WeightedLinear
 from .audit import EqualShift, FullRowRandom, MisreportStrategy, SingleCoordinateGrid, Targeted
+from .audit import MIN_GRAIN_SAMPLES, MIN_SEARCH_SAMPLES
 from .errors import ScenarioError
 from .mechanism import Instance
 from .priors import BetaIID, DegenerateAt, PriorSpec, ProductGrid, UniformIID, check_shape
@@ -280,6 +281,11 @@ class _Fields:
         return self._read(key, default, check)
 
 
+def min_samples(desideratum: str) -> int:
+    """The fewest Monte Carlo samples an audit of `desideratum` may ask for."""
+    return MIN_GRAIN_SAMPLES if desideratum == "grain-of-no-veto" else MIN_SEARCH_SAMPLES
+
+
 def _parse_audit_block(sc: Scenario, desideratum: str, data: Any) -> AuditBlock:
     block = _Fields(data, sc.source, f"audit.{desideratum}", _names(AuditBlock))
     if desideratum == "grain-of-no-veto":
@@ -300,7 +306,7 @@ def _parse_audit_block(sc: Scenario, desideratum: str, data: Any) -> AuditBlock:
             raise block.fail("w_high", f"must exceed w_low = {w_low}, got {w_high}")
     return AuditBlock(
         expect=expect,
-        samples=block.integer("samples", lo=1, default=20000),
+        samples=block.integer("samples", lo=min_samples(desideratum), default=20000),
         seed=block.integer("seed", lo=0, default=sc.seed),
         trials=trials,
         recommender=recommender,

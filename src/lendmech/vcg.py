@@ -26,10 +26,7 @@ import numpy as np
 from .errors import ReserveRecommenderHasNoPayment
 # `deficit` is re-exported: callers use vcg.deficit.
 from .mechanism import Allocation, Settlement, check_outcomes, check_reports, deficit
-
-# Samples per block while InterimEngine.column builds its per-sample arrays;
-# bounds the block's temporaries whatever the sample count.
-COLUMN_CHUNK = 16_384
+from .mechanism import chunks, linear_scores, report_bounds
 
 
 @dataclass(frozen=True)
@@ -127,8 +124,7 @@ def _welfare(scores: np.ndarray, c: float, alloc: Allocation) -> float:
 
 def aggregate_scores(inst: VcgInstance, reports) -> np.ndarray:
     """Per-borrower total weighted reports (the welfare coefficient)."""
-    arr = check_reports(reports, (inst.n, inst.m))
-    return np.asarray(inst.weights) @ arr
+    return linear_scores(inst.weights, check_reports(reports, (inst.n, inst.m)))
 
 
 def allocate(inst: VcgInstance, reports) -> Allocation:
@@ -145,19 +141,14 @@ def _check_real_recommender(inst: VcgInstance, i: int) -> None:
         raise ValueError(f"recommender index {i} out of range for n={inst.n}")
 
 
-def _others_scores(inst: VcgInstance, arr: np.ndarray, i: int) -> np.ndarray:
-    w_others = np.delete(np.asarray(inst.weights), i)
-    return w_others @ np.delete(arr, i, axis=0)
-
-
 def pivot_payment(inst: VcgInstance, reports, i: int) -> float:
     """Charge to i: others' best welfare without i minus their welfare at
     the chosen allocation. Nonnegative; alpha-scaled like every payment."""
     _check_real_recommender(inst, i)
     arr = check_reports(reports, (inst.n, inst.m))
     c, n_res, K = inst.reserve_threshold, inst.n_reserves, inst.K
-    others = _others_scores(inst, arr, i)
-    chosen = _select(np.asarray(inst.weights) @ arr, c, n_res, K)
+    others = linear_scores(inst.weights[:i] + inst.weights[i + 1 :], np.delete(arr, i, axis=0))
+    chosen = _select(linear_scores(inst.weights, arr), c, n_res, K)
     without_i = _select(others, c, n_res, K)
     return inst.alpha * (_welfare(others, c, without_i) - _welfare(others, c, chosen))
 
@@ -167,11 +158,13 @@ def tcomp(inst: VcgInstance, others_reports, i: int) -> float:
 
     Exact for every m, K. Others' welfare is what i's report can damage, and
     i's report moves only which set S of k = min(K, m + reserves) items gets
-    funded. S is reachable iff boosting S's real borrowers by w_i (a report
-    of 1 on S, 0 elsewhere) makes S the top k: if any report funds S, this
-    one only widens S's lead over every outsider. A reachable S that leaves something unfunded
-    has exactly one best outsider o, an item ranked at some position p < k
-    of the unboosted order. S then holds every item ranked above o, and its
+    funded. S is reachable iff a report of 1 on S's real borrowers and 0
+    elsewhere makes S the top k: scores never fall as a report rises, so if
+    any report funds S, this one only widens S's lead over every outsider.
+    A report of 0 leaves a borrower at the others' score exactly, and 1
+    lifts it to its `boosted` score. A reachable S that leaves something
+    unfunded has exactly one best outsider o, an item ranked at some
+    position p < k of the unboosted order. S then holds every item ranked above o, and its
     other k - p members are real borrowers ranked below o whose boosted key
     beats o's. For each p the cheapest such S takes the lowest-scoring
     qualifying borrowers; S with no outsider is the unboosted top k. The
@@ -179,11 +172,10 @@ def tcomp(inst: VcgInstance, others_reports, i: int) -> float:
     """
     _check_real_recommender(inst, i)
     arr = check_reports(others_reports, (inst.n - 1, inst.m), "others_reports")
-    w_i = float(inst.weights[i])
-    if w_i == 0.0:
+    if inst.weights[i] == 0.0:
         return 0.0
-    w_others = np.delete(np.asarray(inst.weights), i)
-    base = w_others @ arr
+    base = linear_scores(inst.weights[:i] + inst.weights[i + 1 :], arr)
+    boosted = linear_scores(inst.weights, np.insert(arr, i, 1.0, axis=0))
     c = inst.reserve_threshold
     order = _ranked(base, c, inst.n_reserves)
     k = min(inst.K, len(order))
@@ -194,7 +186,7 @@ def tcomp(inst: VcgInstance, others_reports, i: int) -> float:
         lifted = [
             (score, is_reserve, q)
             for score, is_reserve, q in order[p + 1 :]
-            if not is_reserve and (-(float(base[q]) + w_i), 0, q) < outsider
+            if not is_reserve and (-float(boosted[q]), 0, q) < outsider
         ]
         if len(lifted) < k - p:
             continue
@@ -257,14 +249,8 @@ def select_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.nd
     rows, m = scores.shape
     total = m + n_reserves
     k = min(K, total)
-    if n_reserves:
-        full = np.concatenate([scores, np.full((rows, n_reserves), c)], axis=1)
-    else:
-        full = scores
+    full = np.concatenate([scores, np.full((rows, n_reserves), c)], axis=1)
     mask = np.zeros((rows, total), dtype=bool)
-    if k == total:
-        mask[:] = True
-        return mask
     # A stable sort keeps column order among equal scores, and the columns
     # are the real borrowers by index followed by the reserve slots.
     idx = np.argsort(-full, axis=1, kind="stable")[:, :k]
@@ -275,31 +261,40 @@ def select_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.nd
 class InterimEngine:
     """Vectorized interim utility for one recommender over sampled others.
 
+    Every score comes from `linear_scores` with i's report in its place
+    among the co-reports, as the mechanism scores, so funding agrees with
+    the exact mechanism on every sample, ties included. The engine keeps
+    the co-report sample for that, and works in blocks of COLUMN_CHUNK
+    samples, which bounds its temporaries whatever the sample count.
+
     `utilities` scores any report row with one row-wise top-K and is the
     reference. `column` serves reports that differ from the true row in a
     single coordinate q, which is most of what a grid audit tries. With the
     other coordinates held at the true row, the other items (real borrowers
-    and reserve slots) keep one order whatever i reports on q. So q is
-    funded iff its key beats the K-th best of theirs, and the funded set is
-    then q plus their top K-1, and otherwise their top K. `column` computes
-    both top-Ks once, in blocks of COLUMN_CHUNK samples, and keeps per
-    sample that K-th key, whether q wins a tie against it, and the utility
-    with q funded and without; a report on q then costs one comparison per
-    sample and no sort. Both utilities come from the expressions
-    `utilities` uses, so the two paths agree bit for bit.
+    and reserve slots) keep one order whatever i reports on q, so the funded
+    set is q plus their top K-1, or else their top K. q's score never falls
+    as i's report rises, so on each sample one bound splits the reports: q
+    is funded iff the report exceeds it. `column` finds the bound and both
+    utilities once per sample; a report on q then costs one comparison per
+    sample and no sort. The utilities come from the expressions `utilities`
+    uses, so the two paths agree bit for bit.
     """
 
     def __init__(self, inst: VcgInstance, i: int, others: np.ndarray) -> None:
         _check_real_recommender(inst, i)
         self.inst = inst
+        self.i = i
         self.w_i = float(inst.weights[i])
-        w_others = np.delete(np.asarray(inst.weights), i)
-        # others: (samples, n-1, m)
-        self.scores_others = np.einsum("j,sjm->sm", w_others, others)
+        self.others = others  # (samples, n-1, m), held, not copied
+        self.scores_others = linear_scores(inst.weights[:i] + inst.weights[i + 1 :], others)
         self.samples = others.shape[0]
-        c, n_res, K = inst.reserve_threshold, inst.n_reserves, inst.K
-        mask = select_batch(self.scores_others, c, n_res, K)
+        mask = select_batch(self.scores_others, inst.reserve_threshold, inst.n_reserves, inst.K)
         self.best_without_i = self._others_welfare(mask, self.scores_others)
+
+    def _scores(self, rows: slice, report_row: np.ndarray) -> np.ndarray:
+        """The mechanism's scores on samples `rows` when i reports `report_row`."""
+        full = np.insert(self.others[rows], self.i, report_row, axis=1)
+        return linear_scores(self.inst.weights, full)
 
     def _others_welfare(self, mask: np.ndarray, scores_others: np.ndarray) -> np.ndarray:
         m = self.inst.m
@@ -322,10 +317,13 @@ class InterimEngine:
         """Per-sample utility of reporting `report_row` with beliefs
         `belief_row` (rebate excluded; it cancels in comparisons)."""
         inst = self.inst
-        full = self.scores_others + self.w_i * np.asarray(report_row, dtype=float)
-        mask = select_batch(full, inst.reserve_threshold, inst.n_reserves, inst.K)
         values = self.w_i * np.asarray(belief_row, dtype=float)
-        return self._utility(mask, slice(None), values)
+        out = np.empty(self.samples)
+        for rows in chunks(self.samples):
+            scores = self._scores(rows, report_row)
+            mask = select_batch(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
+            out[rows] = self._utility(mask, rows, values)
+        return out
 
     def column(self, true_row: Sequence[float], q: int) -> Callable[[float], np.ndarray]:
         """Scorer for reports equal to `true_row` except in coordinate q.
@@ -337,36 +335,27 @@ class InterimEngine:
         inst = self.inst
         m, c, n_res = inst.m, inst.reserve_threshold, inst.n_reserves
         k = min(inst.K, m + n_res)
-        # w_i times the true row: the held reports' score shift and the
-        # value weights alike, since beliefs are the true row.
-        w_true = self.w_i * np.asarray(true_row, dtype=float)
-        rest = [p for p in range(m) if p != q]
+        w_true = self.w_i * np.asarray(true_row, dtype=float)  # beliefs are the true row
         fits_all = k == m + n_res  # then q is funded whatever it reports
-        kth_key = np.full(self.samples, -np.inf)
-        tie_ok = np.zeros(self.samples, dtype=bool)
+        bound = np.full(self.samples, -np.inf)
         u_in = np.empty(self.samples)
         u_out = np.zeros(self.samples)
-        for start in range(0, self.samples, COLUMN_CHUNK):
-            rows = slice(start, start + COLUMN_CHUNK)
-            others = (self.scores_others[rows] + w_true)[:, rest]
+        for rows in chunks(self.samples):
+            others = np.delete(self._scores(rows, true_row), q, axis=1)
             top_less = select_batch(others, c, n_res, k - 1)
             u_in[rows] = self._utility(np.insert(top_less, q, True, axis=1), rows, w_true)
             if fits_all:
                 continue
             top = select_batch(others, c, n_res, k)
-            # The one item in the others' top K but not in their top K-1.
+            u_out[rows] = self._utility(np.insert(top, q, False, axis=1), rows, w_true)
+            # q is funded iff its score beats the key of the one item in the
+            # others' top K but not in their top K-1.
             pos = (top & ~top_less).argmax(axis=1)
             keys = np.concatenate([others, np.full((len(pos), n_res), c)], axis=1)
-            kth_key[rows] = np.take_along_axis(keys, pos[:, np.newaxis], axis=1)[:, 0]
-            # pos >= q: a real borrower with a higher index than q, or a reserve.
-            tie_ok[rows] = pos >= q
-            u_out[rows] = self._utility(np.insert(top, q, False, axis=1), rows, w_true)
-        scores_q = self.scores_others[:, q]
-        w_i = self.w_i
-
-        def score(report: float) -> np.ndarray:
-            s = scores_q + w_i * report
-            return np.where((s > kth_key) | ((s == kth_key) & tie_ok), u_in, u_out)
-
-        return score
-
+            kth_key = np.take_along_axis(keys, pos[:, np.newaxis], axis=1)[:, 0]
+            # q wins a tie iff that item is a real borrower with a higher
+            # index than q, or a reserve; then its score need only reach
+            # the float just below the key.
+            key = np.where(pos >= q, np.nextafter(kth_key, -np.inf), kth_key)
+            bound[rows] = report_bounds(inst.weights, self.i, self.others[rows, :, q].T, key)
+        return lambda report: np.where(report > bound, u_in, u_out)

@@ -25,6 +25,7 @@ import numpy as np
 from .aggregation import Aggregator, WeightedLinear, aggregate
 from .errors import ZeroWeightRecommender
 from .mechanism import Allocation, Settlement, check_outcomes, check_reports
+from .mechanism import chunks, linear_scores, report_bounds
 
 BISECTION_STEPS = 60
 
@@ -99,9 +100,8 @@ def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> floa
     """Infimum report by i that funds the borrower, approached from above."""
 
     def funds(value: float) -> bool:
-        col = column.copy()
-        col[i] = value
-        return aggregate(inst.aggregator, tuple(col)) > inst.threshold
+        col = tuple(column[:i]) + (value,) + tuple(column[i + 1 :])
+        return aggregate(inst.aggregator, col) > inst.threshold
 
     if not funds(1.0):
         return 1.0
@@ -117,29 +117,36 @@ def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> floa
     return hi
 
 
+def funding_thresholds(c: float, others: np.ndarray, w_i: float) -> np.ndarray:
+    """Recommender i's marginal funding thresholds given the others' scores.
+
+    The report at which i swings a column, (c - others' score) / w_i,
+    clipped to [0, 1]. It depends only on the others' reports. A
+    zero-weight recommender never swings a decision and gets the sentinel
+    +inf (their payment is zero).
+    """
+    if w_i == 0.0:
+        return np.full_like(others, np.inf)
+    return np.clip((c - others) / w_i, 0.0, 1.0)
+
+
 def marginal_thresholds(inst: WinklerInstance, reports) -> np.ndarray:
     """Per-(recommender, borrower) minimum report that funds the borrower.
 
-    Linear aggregators use the closed form clamped to [0, 1]; custom
-    monotone aggregators are bisected. Zero-weight recommenders can never
-    swing a decision and get the sentinel +inf (their payment is zero).
+    Linear aggregators use `funding_thresholds` on the others' linear
+    scores; custom monotone aggregators are bisected.
     """
     arr = check_reports(reports, (inst.n, inst.m))
-    if isinstance(inst.aggregator, WeightedLinear):
-        w = np.asarray(inst.aggregator.weights.weights)
-        totals = w @ arr
-        out = np.empty((inst.n, inst.m))
-        for i in range(inst.n):
-            if w[i] == 0.0:
-                out[i, :] = np.inf
-                continue
-            others = totals - w[i] * arr[i, :]
-            out[i, :] = np.clip((inst.threshold - others) / w[i], 0.0, 1.0)
-        return out
     out = np.empty((inst.n, inst.m))
+    if isinstance(inst.aggregator, WeightedLinear):
+        w = inst.aggregator.weights.weights
+        for i in range(inst.n):
+            others = linear_scores(w[:i] + w[i + 1 :], np.delete(arr, i, axis=0))
+            out[i, :] = funding_thresholds(inst.threshold, others, w[i])
+        return out
     for q in range(inst.m):
         for i in range(inst.n):
-            out[i, q] = _bisect_threshold(inst, arr[:, q].copy(), i)
+            out[i, q] = _bisect_threshold(inst, arr[:, q], i)
     return out
 
 
@@ -152,37 +159,42 @@ def marginal_threshold(inst: WinklerInstance, reports, i: int, q: int) -> float:
     return float(marginal_thresholds(inst, reports)[i, q])
 
 
-def winkler_log_score(report: float, threshold: float, outcome: int) -> float:
-    """Log-based Winkler score with the zero point at `threshold`.
+class WinklerPayment:
+    """The log-based Winkler payment, anchored at marginal thresholds.
 
-    `threshold` may be 0 here (the decision was already forced by others'
-    reports); the limiting rule pays 1 on repayment and 0 on default.
-    Returns -inf instead of raising when the report put zero mass on the
-    realized outcome, since settlement and audits treat that as an
-    unboundedly bad score rather than an invalid query.
+    Built once per array of anchors (thresholds), which also builds their
+    logs. Calling it with beliefs and reports, each a scalar or an array
+    that broadcasts against the anchors, gives the expected payment over
+    o ~ Bernoulli(belief); a realized outcome o is belief o. The payment is
+    zero at the anchor, and -inf for a report that put zero mass on an
+    outcome the belief allows. Two anchors take fixed rules:
+    - 0 (the others fund the borrower alone): the limit rule, which pays 1
+      on repayment and 0 on default for any positive report, and 0 for a
+      report of 0;
+    - 1 or more: 0. A report reaches an anchor of 1 only at an exact tie,
+      which is the zero point, and never the +inf of a zero-weight
+      recommender.
     """
-    if threshold == 0.0:
-        if report == 0.0:
-            return 0.0
-        return 1.0 if outcome == 1 else 0.0
-    if outcome == 1:
-        numerator = (math.log(report) if report > 0.0 else -math.inf) - math.log(threshold)
-    else:
-        numerator = (math.log1p(-report) if report < 1.0 else -math.inf) - math.log1p(
-            -threshold
-        )
-    denom = -math.log(threshold) if report > threshold else -math.log1p(-threshold)
-    return numerator / denom
 
+    def __init__(self, anchor) -> None:
+        self.anchor = np.asarray(anchor, dtype=float)
+        self.limit = self.anchor == 0.0
+        self.idle = self.anchor >= 1.0
+        safe = np.where(self.limit | self.idle, 0.5, self.anchor)
+        # -log(a) and -log(1 - a): the Winkler normalizers, both positive
+        self.neg_log_a = -np.log(safe)
+        self.neg_log_1ma = -np.log1p(-safe)
 
-def expected_winkler_log(belief: float, report: float, threshold: float) -> float:
-    """Expectation of winkler_log_score over o ~ Bernoulli(belief)."""
-    total = 0.0
-    if belief > 0.0:
-        total += belief * winkler_log_score(report, threshold, 1)
-    if belief < 1.0:
-        total += (1.0 - belief) * winkler_log_score(report, threshold, 0)
-    return total
+    def __call__(self, belief, report) -> np.ndarray:
+        belief = np.asarray(belief, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            own = np.where(belief > 0.0, belief * np.log(report), 0.0) + np.where(
+                belief < 1.0, (1.0 - belief) * np.log1p(-report), 0.0
+            )
+            numerator = own + (belief * self.neg_log_a + (1.0 - belief) * self.neg_log_1ma)
+            value = numerator / np.where(report > self.anchor, self.neg_log_a, self.neg_log_1ma)
+        value = np.where(self.limit, belief * (report > 0.0), value)
+        return np.where(self.idle, 0.0, value)
 
 
 def settle(
@@ -199,15 +211,11 @@ def settle(
     alloc = Allocation(allocate(inst, arr))
     check_outcomes(alloc.funded_real, outcomes)
 
-    thresholds = marginal_thresholds(inst, arr)
-    contingent: dict[tuple[int, int], float] = {}
-    for q in alloc.funded_real:
-        for i in range(inst.n):
-            t = thresholds[i, q]
-            if math.isinf(t):
-                contingent[(i, q)] = 0.0
-            else:
-                contingent[(i, q)] = winkler_log_score(float(arr[i, q]), float(t), outcomes[q])
+    funded = list(alloc.funded_real)
+    paid = WinklerPayment(marginal_thresholds(inst, arr)[:, funded])(
+        [outcomes[q] for q in funded], arr[:, funded]
+    )
+    contingent = {(i, q): float(paid[i, k]) for k, q in enumerate(funded) for i in range(inst.n)}
     return Settlement(
         allocation=alloc,
         immediate=tuple(0.0 for _ in range(inst.n)),
@@ -220,15 +228,11 @@ def expost_utility(inst: WinklerInstance, reports, i: int, belief_row: Sequence[
     their own beliefs about funded borrowers (outcomes not yet observed)."""
     arr = check_reports(reports, (inst.n, inst.m))
     funded = allocate(inst, arr)
-    thresholds = marginal_thresholds(inst, arr)
+    paid = WinklerPayment(marginal_thresholds(inst, arr)[i])(belief_row, arr[i])
     total = 0.0
     for q in range(inst.m):
-        if not funded[q]:
-            continue
-        t = thresholds[i, q]
-        if math.isinf(t):
-            continue
-        total += expected_winkler_log(float(belief_row[q]), float(arr[i, q]), float(t))
+        if funded[q]:
+            total += float(paid[q])
     return total
 
 
@@ -236,55 +240,38 @@ class ColumnEngine:
     """Vectorized per-borrower interim machinery for one recommender.
 
     Precomputes, for a fixed batch of sampled co-reports, each column's
-    funding threshold for recommender i's report and the induced Winkler
-    anchor. A candidate report's per-sample payoff contribution on one
-    borrower is then a handful of vector operations, which is what makes
-    grid-misreport searches at 1e5 samples tractable. Linear aggregators
-    and uncapped instances only.
+    funding threshold for recommender i's report (`funding_thresholds`, as
+    `marginal_thresholds` computes it), its `WinklerPayment`, and the
+    largest report that leaves the column unfunded (`report_bounds`, the
+    allocation's own test). A candidate report's per-sample payoff
+    contribution on one borrower is then a handful of vector operations,
+    which is what makes grid-misreport searches at 1e5 samples tractable.
+    Linear aggregators and uncapped instances only.
     """
 
     def __init__(self, inst: WinklerInstance, i: int, others: np.ndarray) -> None:
         if not isinstance(inst.aggregator, WeightedLinear):
             raise ValueError("vectorized interim evaluation requires a linear aggregator")
-        w = np.asarray(inst.aggregator.weights.weights)
-        self.w_i = float(w[i])
-        w_others = np.delete(w, i)
-        # others: (samples, n-1, m) -> per-column aggregate of co-reports
-        others_sum = np.einsum("j,sjm->sm", w_others, others)
-        if self.w_i == 0.0:
-            # i never swings a decision and is never paid (the +inf sentinel
-            # of marginal_thresholds), so every contribution is 0.
-            self.swing = np.full_like(others_sum, np.inf)
-        else:
-            self.swing = (inst.threshold - others_sum) / self.w_i
-        self.anchor = np.clip(self.swing, 0.0, 1.0)
-        self.anchor_zero = self.anchor == 0.0
-        safe = np.where(self.anchor_zero | (self.anchor == 1.0), 0.5, self.anchor)
-        self.log_anchor = np.log(safe)
-        self.log_1m_anchor = np.log1p(-safe)
+        w = inst.aggregator.weights.weights
+        # others: (samples, n-1, m) -> per-column score of the co-reports
+        others_score = np.ascontiguousarray(linear_scores(w[:i] + w[i + 1 :], others).T)
+        thresholds = funding_thresholds(inst.threshold, others_score, w[i])
+        self.payments = [WinklerPayment(t) for t in thresholds]
+        # i's report funds column q of a sample iff it exceeds gate[q]: the
+        # allocation's own test, ties included (see report_bounds).
+        self.gate = np.empty_like(others_score)
+        for rows in chunks(others.shape[0]):
+            for q in range(inst.m):
+                self.gate[q, rows] = report_bounds(w, i, others[rows, :, q].T, inst.threshold)
         self.samples = others.shape[0]
         self.m = inst.m
 
     def column_contribution(self, q: int, belief: float, report: float) -> np.ndarray:
         """Per-sample expected payoff on borrower q for a scalar report."""
-        funded = report > self.swing[:, q]
+        funded = report > self.gate[q]
         if not funded.any():
             return np.zeros(self.samples)
-        log_a = self.log_anchor[:, q]
-        log_1ma = self.log_1m_anchor[:, q]
-        # own-report log terms (scalar; -inf allowed at the boundary reports)
-        own = 0.0
-        if belief > 0.0:
-            own += belief * (math.log(report) if report > 0.0 else -math.inf)
-        if belief < 1.0:
-            own += (1.0 - belief) * (math.log1p(-report) if report < 1.0 else -math.inf)
-        numerator = own - (belief * log_a + (1.0 - belief) * log_1ma)
-        upper = report > self.anchor[:, q]
-        denom = np.where(upper, -log_a, -log_1ma)
-        value = numerator / denom
-        # forced decisions (anchor 0): limiting constant rule pays on repayment
-        value = np.where(self.anchor_zero[:, q], belief if report > 0.0 else 0.0, value)
-        return np.where(funded, value, 0.0)
+        return np.where(funded, self.payments[q](belief, report), 0.0)
 
     def _contributions(self, belief_row, report_row) -> list[np.ndarray]:
         return [
@@ -302,7 +289,6 @@ class ColumnEngine:
         call recomputes that column alone on top of the others' truth.
         """
         truth = self._contributions(true_row, true_row)
-        rest = np.sum(truth, axis=0) - truth[q]
+        rest = np.sum(truth[:q] + truth[q + 1 :], axis=0)
         belief = float(true_row[q])
         return lambda report: rest + self.column_contribution(q, belief, report)
-

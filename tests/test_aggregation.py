@@ -1,5 +1,6 @@
 """Aggregation tests: linear pooling, outcome-based weights, history edge cases."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from lendmech.aggregation import (
     budescu_weights,
 )
 from lendmech.errors import AllNonPositiveContribution, ArityMismatch, EmptyHistory
+from lendmech.mechanism import linear_scores
 
 
 def equal_linear(n):
@@ -70,6 +72,18 @@ class TestAggregate:
         raised = list(col)
         raised[idx] = min(1.0, raised[idx] + bump)
         assert aggregate(agg, raised) >= aggregate(agg, col) - 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_linear_pool_is_linear_scores(self, seed):
+        # Python 3.12's sum() compensates, so the pool must not use it.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        w = rng.random(n) + 1e-3
+        agg = WeightedLinear(WeightVector(tuple(float(v) for v in w / w.sum())))
+        column = tuple(float(v) for v in rng.random(n))
+        expected = linear_scores(agg.weights.weights, np.array(column)[:, np.newaxis])[0]
+        assert aggregate(agg, column) == expected
 
 
 def two_rec_history():

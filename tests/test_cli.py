@@ -190,6 +190,25 @@ class TestAudit:
         code, out, err = run_cli(capsys, "audit", str(bundled_path(name)), desideratum)
         assert code == 0, out + err
 
+    def test_true_rows_print_in_recommender_order(self, tmp_path, capsys):
+        n = 11
+        path = tmp_path / "eleven.scenario"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": 1, "kind": "mechanism", "mechanism": "winkler",
+                    "n": n, "m": 1, "c": 0.5, "weights": "equal",
+                    "beliefs": [[0.3 + 0.04 * k] for k in range(n)],
+                    "audit": {"weak-epic": {"single_coordinate_grid": 5}},
+                }
+            )
+        )
+        code, out, _ = run_cli(capsys, "audit", str(path), "weak-epic")
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("recommender ")]
+        shown = [int(line.split()[1].rstrip(":")) for line in rows]
+        assert shown == list(range(n))
+
     def test_json_record(self, capsys):
         code, out, _ = run_cli(capsys, "audit", table1_path(), "weak-epic", "--json")
         assert code == 0
@@ -261,6 +280,9 @@ BAD_FIELDS = [
     ("vcg-n4", ("audit", "strict-iic", "recommender"), 9, ("audit", "strict-iic")),
     ("table1", ("audit", "weak-epic", "recommender"), 5, ("audit", "weak-epic")),
     ("no-veto-n2-c06", ("audit", "strict-iic", "samples"), "many", ("audit", "strict-iic")),
+    ("vcg-n4", ("audit", "strict-iic", "samples"), 50, ("audit", "strict-iic")),
+    ("no-veto-n3-c05", ("audit", "grain-of-no-veto", "samples"), 500,
+     ("audit", "grain-of-no-veto")),
     ("table1", ("audit", "weak-epic", "expect"), "violaton", ("audit", "weak-epic")),
     ("table1", ("audit", "weak-epic", "targeted"), [[0.5, 0.5, 0.5]], ("audit", "weak-epic")),
     ("table1", ("audit", "weak-epic", "targeted"), [[0.5]], ("audit", "weak-epic")),
@@ -285,6 +307,18 @@ BAD_FIELDS = [
 ]
 
 
+# (scenario, arguments after the path, the flag the usage error names)
+BAD_FLAGS = [
+    ("vcg-n4", ("audit", "strict-iic", "--samples", "50"), "--samples must be >= 100"),
+    ("no-veto-n3-c05", ("audit", "grain-of-no-veto", "--samples", "500"),
+     "--samples must be >= 1000"),
+    ("campaign-budescu", ("campaign", "--rounds", "0"), "--rounds must be >= 1"),
+    ("table1", ("run", "--seed", "-1"), "--seed must be >= 0"),
+    ("table1", ("audit", "weak-epic", "--seed", "-1"), "--seed must be >= 0"),
+    ("campaign-budescu", ("campaign", "--seed", "-1"), "--seed must be >= 0"),
+]
+
+
 def _field_id(case):
     name, field_path, value = case[:3]
     return f"{name}:{'.'.join(field_path)}=" + ("deleted" if value is DELETE else repr(value))
@@ -299,6 +333,17 @@ class TestValidation:
         assert code == 1
         assert out == ""
         assert err.startswith(f"scenario error: {path}: field '{'.'.join(field_path)}': ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, argv, message", BAD_FLAGS, ids=[" ".join((c[0],) + c[1]) for c in BAD_FLAGS]
+    )
+    def test_flag_below_its_bound_is_a_usage_error(self, name, argv, message, capsys):
+        command, *rest = argv
+        code, out, err = run_cli(capsys, command, str(bundled_path(name)), *rest)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"usage error: {message}")
         assert "Traceback" not in err
 
     def test_cap_exceeding_borrowers(self, tmp_path, capsys):

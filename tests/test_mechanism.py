@@ -1,0 +1,92 @@
+"""The shared linear score and the funding bound both interim engines use."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lendmech.mechanism import linear_scores, report_bounds
+
+EIGHTHS = [k / 8 for k in range(9)]
+NON_DYADIC_WEIGHTS = [(1 / 3, 1 / 3, 1 / 3), (1 / 7, 2 / 7, 4 / 7), (0.1, 0.3, 0.6)]
+
+
+def random_weights(rng, n):
+    w = rng.random(n) + 1e-3
+    return tuple(float(v) for v in w / w.sum())
+
+
+class TestLinearScores:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_adds_left_to_right_with_batch_axes(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        weights = random_weights(rng, n)
+        batch = rng.random((5, n, m))
+        got = linear_scores(weights, batch)
+        for s in range(5):
+            for q in range(m):
+                total = 0.0
+                for w, r in zip(weights, batch[s, :, q]):
+                    total += w * float(r)
+                assert got[s, q] == total
+            assert np.array_equal(got[s], linear_scores(weights, batch[s]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_zero_report_leaves_the_others_score(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        weights = random_weights(rng, n)
+        reports = rng.random((n, m))
+        i = int(rng.integers(0, n))
+        reports[i] = 0.0
+        others = linear_scores(weights[:i] + weights[i + 1 :], np.delete(reports, i, axis=0))
+        assert np.array_equal(linear_scores(weights, reports), others)
+
+
+def score_with(weights, i, co_reports, report):
+    return linear_scores(weights, np.insert(co_reports, i, report, axis=0))
+
+
+@st.composite
+def bound_cases(draw):
+    """Grid co-reports and keys, so the score often ties the key exactly."""
+    if draw(st.booleans()):
+        weights = draw(st.sampled_from(NON_DYADIC_WEIGHTS))
+    else:
+        n = draw(st.integers(1, 4))
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        weights = tuple(raw)
+    n = len(weights)
+    i = draw(st.integers(0, n - 1))
+    columns = draw(st.integers(1, 20))
+    co_reports = np.array(
+        draw(st.lists(st.sampled_from(EIGHTHS), min_size=(n - 1) * columns,
+                      max_size=(n - 1) * columns)),
+        dtype=float,
+    ).reshape(n - 1, columns)
+    keys = st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0])
+    if draw(st.booleans()):
+        key = draw(keys)
+    else:
+        key = np.array(draw(st.lists(keys, min_size=columns, max_size=columns)))
+    return weights, i, co_reports, key
+
+
+class TestReportBounds:
+    @settings(max_examples=200, deadline=None)
+    @given(bound_cases())
+    def test_bound_is_the_last_report_at_or_below_the_key(self, case):
+        weights, i, co_reports, key = case
+        bound = report_bounds(weights, i, co_reports, key)
+        key = np.broadcast_to(key, bound.shape)
+        at_zero = score_with(weights, i, co_reports, 0.0)
+        at_one = score_with(weights, i, co_reports, 1.0)
+        assert np.array_equal(bound == -np.inf, at_zero > key)
+        assert np.array_equal(bound == 1.0, at_one <= key)
+        inside = (bound > -np.inf) & (bound < 1.0)
+        at_bound = score_with(weights, i, co_reports, np.where(inside, bound, 0.0))
+        above = score_with(weights, i, co_reports, np.where(inside, np.nextafter(bound, 2.0), 0.0))
+        assert np.all(at_bound[inside] <= key[inside])
+        assert np.all(above[inside] > key[inside])

@@ -15,6 +15,7 @@ from lendmech.errors import (
     ReserveRecommenderHasNoPayment,
     ShapeMismatch,
 )
+from lendmech.mechanism import linear_scores
 from lendmech.priors import ProductGrid, UniformIID, sample_others
 from lendmech.vcg import VcgInstance
 
@@ -38,37 +39,47 @@ def brute_force_best(inst, reports):
 
 
 def _tcomp_by_enumeration(inst, others_reports, i):
-    """Exhaustive oracle for tcomp: boost every set of at most K borrowers
-    by w_i and take the allocation worst for others' welfare."""
-    w_i = float(inst.weights[i])
-    if w_i == 0.0:
+    """Exhaustive oracle for tcomp: i reports 1 on every set of at most K
+    borrowers and 0 elsewhere, and the mechanism's allocation worst for
+    others' welfare counts."""
+    if inst.weights[i] == 0.0:
         return 0.0
-    base = np.delete(np.asarray(inst.weights), i) @ np.asarray(others_reports, dtype=float)
+    others = np.asarray(others_reports, dtype=float)
+    base = linear_scores(inst.weights[:i] + inst.weights[i + 1 :], others)
     c, n_res, K = inst.reserve_threshold, inst.n_reserves, inst.K
     without_i = vcg._welfare(base, c, vcg._select(base, c, n_res, K))
     worst = without_i
     for size in range(min(K, inst.m) + 1):
         for boost in itertools.combinations(range(inst.m), size):
-            boosted = base.copy()
-            boosted[list(boost)] += w_i
-            worst = min(worst, vcg._welfare(base, c, vcg._select(boosted, c, n_res, K)))
+            row = np.zeros(inst.m)
+            row[list(boost)] = 1.0
+            alloc = vcg.allocate(inst, np.insert(others, i, row, axis=0))
+            worst = min(worst, vcg._welfare(base, c, alloc))
     return inst.alpha * (without_i - worst)
 
 
 QUARTERS = [0.0, 0.25, 0.5, 0.75, 1.0]
+# Weights whose products with quarter-grid reports round, so the order of
+# summation decides ties among borrowers and with c.
+NON_DYADIC_WEIGHTS = [(1 / 3, 1 / 3, 1 / 3), (1 / 7, 2 / 7, 4 / 7), (0.1, 0.3, 0.6)]
 
 
 @st.composite
 def tcomp_cases(draw):
     """Instances with m + reserves <= 12. Quantized draws make borrowers tie
-    with each other and exactly with c; weights may be zero."""
+    with each other and exactly with c, also under non-dyadic weights;
+    weights may be zero."""
     quantized = draw(st.booleans())
     unit = st.sampled_from(QUARTERS) if quantized else st.floats(0.0, 1.0)
     c = draw(st.sampled_from(QUARTERS[:-1]) if quantized else st.floats(0.0, 0.95))
-    n = draw(st.integers(1, 4))
+    if quantized and draw(st.booleans()):
+        weights = draw(st.sampled_from(NON_DYADIC_WEIGHTS))
+        n = len(weights)
+    else:
+        n = draw(st.integers(1, 4))
+        weights = tuple(draw(st.lists(unit, min_size=n, max_size=n)))
     m = draw(st.integers(1, 12 if c == 0.0 else 11))
     K = draw(st.integers(1, m if c == 0.0 else min(m, 12 - m)))
-    weights = tuple(draw(st.lists(unit, min_size=n, max_size=n)))
     rows = st.lists(unit, min_size=m, max_size=m)
     reports = np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=float)
     return VcgInstance(n=n, m=m, K=K, reserve_threshold=c, weights=weights), reports
@@ -326,15 +337,21 @@ class TestExpostUtility:
 
 
 @st.composite
-def dyadic_interim_cases(draw):
-    """Instances whose scores are exact binary fractions, so the engine's
-    einsum and the mechanism's `weights @ reports` agree and every tie
-    among borrowers and with c is a real tie that the tie-break decides."""
-    n = draw(st.integers(2, 4))
+def tie_interim_cases(draw):
+    """Quarter-grid instances built to tie among borrowers and with c.
+    Dyadic weights make every score an exact binary fraction, so each tie
+    is a real one that the tie-break decides; the non-dyadic ones tie only
+    if the engine adds up scores as the mechanism does."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        dyadic = st.sampled_from([0.125, 0.25, 0.5])
+        weights = tuple(draw(st.lists(dyadic, min_size=n, max_size=n)))
+    else:
+        weights = draw(st.sampled_from(NON_DYADIC_WEIGHTS))
+        n = len(weights)
     m = draw(st.integers(1, 4))
     K = draw(st.integers(1, m))
     c = draw(st.sampled_from([0.0, 0.25, 0.5]))
-    weights = tuple(draw(st.lists(st.sampled_from([0.125, 0.25, 0.5]), min_size=n, max_size=n)))
     i = draw(st.integers(0, n - 1))
     true_row = tuple(draw(st.lists(st.sampled_from(QUARTERS), min_size=m, max_size=m)))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -344,7 +361,7 @@ def dyadic_interim_cases(draw):
 
 class TestInterimEngine:
     @settings(max_examples=80, deadline=None)
-    @given(dyadic_interim_cases())
+    @given(tie_interim_cases())
     def test_column_path_matches_utilities_and_exact_mechanism_on_ties(self, case):
         inst, i, true_row, seed = case
         n, m = inst.n, inst.m

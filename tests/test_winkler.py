@@ -15,10 +15,12 @@ from lendmech.errors import (
     ShapeMismatch,
     ZeroWeightRecommender,
 )
-from lendmech.priors import DegenerateAt, UniformIID
+from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, sample_others
 from lendmech.winkler import WinklerInstance
 
 BELIEFS = [[0.7, 0.4], [0.4, 0.85], [0.6, 0.4]]
+EIGHTHS = [k / 8 for k in range(9)]
+NON_DYADIC_WEIGHTS = [(1 / 3, 1 / 3, 1 / 3), (1 / 7, 2 / 7, 4 / 7), (0.1, 0.3, 0.6)]
 
 
 def make_instance(n=3, m=2, c=0.5, weights=None, cap=None):
@@ -103,6 +105,22 @@ class TestMarginalThresholds:
         assert got[0, 0] == pytest.approx(0.2, abs=1e-12)  # (0.6 - 0.5) * 2
         assert got[0, 1] == 1.0  # cannot fund alone
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_row_depends_only_on_the_others(self, seed):
+        # recommender i's thresholds come from the others' reports alone
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        w = rng.random(n) + 1e-3
+        inst = make_instance(n=n, m=m, c=float(rng.uniform(0.05, 0.95)), weights=tuple(w / w.sum()))
+        profile = rng.random((n, m))
+        i = int(rng.integers(0, n))
+        moved = profile.copy()
+        moved[i] = rng.random(m)
+        before = winkler.marginal_thresholds(inst, profile)
+        after = winkler.marginal_thresholds(inst, moved)
+        assert np.array_equal(before[i], after[i])
+
     def test_bisection_agrees_with_closed_form(self):
         linear = make_instance()
         w = (1 / 3, 1 / 3, 1 / 3)
@@ -127,7 +145,7 @@ class TestSettle:
     def test_zero_point_primitive(self):
         # the anchored rule pays exactly zero at the anchor, either outcome
         for outcome in (0, 1):
-            assert winkler.winkler_log_score(0.3, 0.3, outcome) == pytest.approx(0.0, abs=1e-15)
+            assert winkler.WinklerPayment(0.3)(outcome, 0.3) == pytest.approx(0.0, abs=1e-15)
 
     def test_forced_loan_pays_limit_rule(self):
         # others fund the borrower alone: the anchor clamps to 0 and the
@@ -163,8 +181,8 @@ class TestExpostUtility:
         inst = make_instance()
         arr = np.asarray(BELIEFS)
         got = winkler.expost_utility(inst, arr, 1, arr[1])
-        col0 = winkler.expected_winkler_log(0.4, 0.4, 0.2)
-        col1 = winkler.expected_winkler_log(0.85, 0.85, 0.7)
+        col0 = winkler.WinklerPayment(0.2)(0.4, 0.4)
+        col1 = winkler.WinklerPayment(0.7)(0.85, 0.85)
         assert got == pytest.approx(col0 + col1, abs=1e-12)
 
     def test_misreport_defunds_and_pays_on_other_column(self):
@@ -245,14 +263,40 @@ class TestInterimUtility:
     def test_engine_matches_slow_path(self):
         inst = make_instance(n=3, m=2)
         rng = np.random.default_rng(7)
-        from lendmech.priors import sample_others
-
         others = sample_others(UniformIID(), 3, 2, 1, 64, rng)
         engine = winkler.ColumnEngine(inst, 1, others)
         belief, report = (0.55, 0.25), (0.7, 0.1)
         fast = engine.utilities(belief, report)
         slow = audit._SlowEngine(inst, 1, others).utilities(belief, report)
         assert np.allclose(fast, slow, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(NON_DYADIC_WEIGHTS),
+        st.sampled_from([0.25, 0.5, 0.7]),
+        st.integers(0, 2),
+        st.lists(st.sampled_from(EIGHTHS), min_size=1, max_size=2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_engine_matches_slow_path_on_eighth_grid_ties(self, weights, c, i, true_row, seed):
+        # Eighth-grid co-reports under non-dyadic weights fund borrowers
+        # exactly at c and put reports exactly at their thresholds.
+        m = len(true_row)
+        inst = make_instance(n=3, m=m, c=c, weights=weights)
+        prior = ProductGrid(tuple(tuple(tuple(EIGHTHS) for _ in range(m)) for _ in range(3)))
+        others = sample_others(prior, 3, m, i, 32, np.random.default_rng(seed))
+        engine = winkler.ColumnEngine(inst, i, others)
+        slow = audit._SlowEngine(inst, i, others)
+        true_row = tuple(true_row)
+        for q in range(m):
+            column = engine.column(true_row, q)
+            for value in EIGHTHS:
+                row = true_row[:q] + (value,) + true_row[q + 1 :]
+                expected = slow.utilities(true_row, row)
+                np.testing.assert_allclose(column(value), expected, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    engine.utilities(true_row, row), expected, rtol=0, atol=1e-12
+                )
 
     def test_full_confidence_report_with_default_mass_is_neg_inf(self):
         inst = make_instance(n=3, m=1)
