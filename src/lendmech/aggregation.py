@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import AllNonPositiveContribution, ArityMismatch, EmptyHistory
-from .mechanism import linear_scores
+from .mechanism import left_sum, linear_scores
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -40,7 +40,7 @@ class WeightVector:
             raise ValueError("weight vector must be non-empty")
         if not all(math.isfinite(w) and w >= 0.0 for w in self.weights):
             raise ValueError(f"weights must be finite and nonnegative, got {self.weights}")
-        total = sum(self.weights)
+        total = left_sum(self.weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total}")
 
@@ -80,18 +80,27 @@ class MonotoneCustom:
 Aggregator = Union[WeightedLinear, MonotoneCustom]
 
 
+def aggregate_columns(agg: Aggregator, reports) -> np.ndarray:
+    """Lender belief for every column of `reports`.
+
+    The recommender axis is the second to last and any leading axes are
+    batches, as in `linear_scores`, which a linear pool calls once; a
+    custom aggregator is called on each column in turn.
+    """
+    arr = np.asarray(reports, dtype=float)
+    if arr.ndim < 2 or arr.shape[-2] != agg.arity:
+        raise ArityMismatch(f"aggregator expects {agg.arity} report rows, got shape {arr.shape}")
+    if isinstance(agg, WeightedLinear):
+        return linear_scores(agg.weights.weights, arr)
+    return np.apply_along_axis(lambda column: float(agg.fn(tuple(column))), -2, arr)
+
+
 def aggregate(agg: Aggregator, report_column: Sequence[float]) -> float:
     """Lender belief for one borrower from the column of reports on them."""
-    if len(report_column) != agg.arity:
-        raise ArityMismatch(
-            f"aggregator expects {agg.arity} reports, got {len(report_column)}"
-        )
     for value in report_column:
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"reports must lie in [0, 1], got {value}")
-    if isinstance(agg, WeightedLinear):
-        return float(linear_scores(agg.weights.weights, np.reshape(report_column, (-1, 1)))[0])
-    return float(agg.fn(report_column))
+    return float(aggregate_columns(agg, np.reshape(report_column, (-1, 1)))[0])
 
 
 @dataclass(frozen=True)
@@ -144,7 +153,7 @@ def _loan_squared_error(loan: ObservedLoan, exclude: Optional[int]) -> Optional[
     ]
     if not included:
         return None
-    mean_repay = sum(included) / len(included)
+    mean_repay = left_sum(included) / len(included)
     # Two-sided Brier term over the repay/default cells; both cells carry
     # the same squared deviation.
     err = (loan.outcome - mean_repay) ** 2 + ((1 - loan.outcome) - (1 - mean_repay)) ** 2
@@ -169,7 +178,7 @@ def budescu_quality(history: RoundHistory, exclude: Optional[int] = None) -> flo
         raise EmptyHistory(
             f"excluding recommender {exclude} leaves no reports on any funded loan"
         )
-    return QUALITY_OFFSET + QUALITY_SCALE * (sum(errors) / len(errors))
+    return QUALITY_OFFSET + QUALITY_SCALE * (left_sum(errors) / len(errors))
 
 
 def accuracy_contributions(history: RoundHistory) -> tuple[float, ...]:
@@ -186,7 +195,7 @@ def budescu_weights(history: RoundHistory) -> WeightVector:
     callers usually fall back to equal weights.
     """
     contributions = accuracy_contributions(history)
-    positive_total = sum(c for c in contributions if c > 0.0)
+    positive_total = left_sum(c for c in contributions if c > 0.0)
     if positive_total <= 0.0:
         raise AllNonPositiveContribution(
             f"no recommender has positive contribution: {contributions}"

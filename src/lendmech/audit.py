@@ -25,9 +25,9 @@ import numpy as np
 
 from . import vcg as vcg_mod
 from . import winkler as winkler_mod
-from .aggregation import WeightedLinear
+from .aggregation import aggregate_columns
 from .errors import ReproductionMismatch, ScenarioError
-from .mechanism import Instance, linear_scores
+from .mechanism import Instance, left_sum, linear_scores
 from .priors import DegenerateAt, PriorSpec, is_degenerate, sample_others, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
@@ -447,22 +447,11 @@ def grain_of_no_veto(
         )
     rng = np.random.default_rng(seed)
     profiles = sample_profiles(prior, inst.n, inst.m, samples, rng)
-    estimates = np.zeros((inst.n, inst.m))
-    if isinstance(inst.aggregator, WeightedLinear):
-        w = inst.aggregator.weights.weights
-        for i in range(inst.n):
-            others = linear_scores(w[:i] + w[i + 1 :], np.delete(profiles, i, axis=1))
-            estimates[i, :] = (others > inst.threshold).mean(axis=0)
-    else:
-        from .aggregation import aggregate
-
-        for s in range(samples):
-            for i in range(inst.n):
-                col = profiles[s].copy()
-                col[i, :] = 0.0
-                for q in range(inst.m):
-                    estimates[i, q] += aggregate(inst.aggregator, tuple(col[:, q])) > inst.threshold
-        estimates /= samples
+    estimates = np.empty((inst.n, inst.m))
+    for i in range(inst.n):
+        vetoed = profiles.copy()
+        vetoed[:, i, :] = 0.0
+        estimates[i] = (aggregate_columns(inst.aggregator, vetoed) > inst.threshold).mean(axis=0)
     zero_pairs = tuple(
         (i, q) for i in range(inst.n) for q in range(inst.m) if estimates[i, q] == 0.0
     )
@@ -493,7 +482,7 @@ def brute_force_welfare(inst: VcgInstance, reports) -> float:
     best = 0.0
     for size in range(min(inst.K, len(items)) + 1):
         for combo in it.combinations(range(len(items)), size):
-            best = max(best, sum(items[j] for j in combo))
+            best = max(best, left_sum(items[j] for j in combo))
     return best
 
 
@@ -572,7 +561,7 @@ def weight_monotonicity_check(
     outcomes: list[MisreportOutcome] = []
     for profile in profiles:
         alloc_low = vcg_mod.allocate(low, profile)
-        value_low = sum(float(profile[i, q]) for q in alloc_low.funded_real)
+        value_low = left_sum(float(profile[i, q]) for q in alloc_low.funded_real)
         if value_low <= 0.0:
             skipped += 1
             continue

@@ -25,7 +25,7 @@ from . import audit as audit_mod
 from . import rounds as rounds_mod
 from . import scenario as scenario_mod
 from . import scoring
-from .errors import MechanismError, ScenarioError
+from .errors import LedgerError, MechanismError, ScenarioError
 from .mechanism import deficit, linear_scores
 from .priors import DegenerateAt, sample_profiles
 
@@ -145,10 +145,9 @@ def cmd_run(args) -> int:
     print(f"funded borrowers: {list(funded_real)}" + (f" (+{reserves} reserve)" if reserves else ""))
     print(f"outcomes: {json.dumps({str(q): o for q, o in sorted(outcomes.items())}, sort_keys=True)}")
     for i in range(inst.n):
-        paid = sum(v for (j, _), v in settlement.contingent.items() if j == i)
         parts = [
             f"immediate={_fmt(settlement.immediate[i])}",
-            f"contingent={_fmt(paid)}",
+            f"contingent={_fmt(settlement.paid(i))}",
         ]
         if settlement.tcomp is not None:
             parts.append(f"rebate={_fmt(settlement.tcomp[i])}")
@@ -375,6 +374,8 @@ def cmd_weights(args) -> int:
     n = args.n if args.n is not None else (len(ledger.records[0].weights) if len(ledger) else None)
     if n is None:
         raise _UsageError("cannot infer recommender count from an empty ledger; pass --n")
+    if any(len(record.weights) != n for record in ledger.records):
+        raise LedgerError(f"{args.ledger}: every round must have {n} recommenders")
     weights = rounds_mod.evolve_weights(ledger, n, args.window)
     print("weights: " + " ".join(_fmt(w) for w in weights.weights))
     return EXIT_OK
@@ -439,6 +440,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except LedgerError as exc:
+        print(f"ledger error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MechanismError as exc:
         print(f"error: {exc}", file=sys.stderr)

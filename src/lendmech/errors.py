@@ -51,3 +51,7 @@ class ReproductionMismatch(MechanismError):
 
 class ScenarioError(MechanismError):
     """A scenario file failed validation; message carries field context."""
+
+
+class LedgerError(MechanismError):
+    """A ledger file failed validation; message carries path, line and field."""

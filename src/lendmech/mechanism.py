@@ -8,7 +8,10 @@ rounds, the CLI and the audits call: `allocate(reports) -> Allocation`,
 belief_row)`, `engine(i, others)` (a vectorized interim engine, or None)
 and `weights_in_force`.
 
-`linear_scores` is the one weighted sum of reports in the package. Both
+`left_sum` is how the package adds a sequence of floats: left to right,
+as Python 3.11's `sum()` does, so results do not change with the Python
+version (3.12's `sum()` compensates). `linear_scores` is the one weighted
+sum of reports in the package, added in the same order. Both
 allocations, Winkler's settlement thresholds, VCG's pivots and rebates,
 both interim engines and the audits score through it, so they round alike.
 `report_bounds` inverts it exactly: the largest report that keeps a score
@@ -67,18 +70,30 @@ class Settlement:
     contingent: dict[tuple[int, int], float]
     tcomp: Optional[tuple[float, ...]] = None
 
+    def paid(self, i: int) -> float:
+        """The sum of recommender i's outcome-contingent payments."""
+        return left_sum(v for (j, _), v in self.contingent.items() if j == i)
+
     def realized_utility(self, i: int) -> float:
-        paid = sum(v for (j, _), v in self.contingent.items() if j == i)
         rebate = self.tcomp[i] if self.tcomp is not None else 0.0
-        return paid + rebate - self.immediate[i]
+        return self.paid(i) + rebate - self.immediate[i]
 
 
 def deficit(settlement: Settlement) -> float:
     """Net payment out of the mechanism this round (negative = surplus)."""
-    out = sum(settlement.contingent.values())
+    out = left_sum(settlement.contingent.values())
     if settlement.tcomp is not None:
-        out += sum(settlement.tcomp)
-    return float(out - sum(settlement.immediate))
+        out += left_sum(settlement.tcomp)
+    return float(out - left_sum(settlement.immediate))
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """0.0 plus each value in turn, left to right: bit for bit what
+    Python 3.11's `sum()` gives on floats, on every Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def linear_scores(weights: Sequence[float], reports) -> np.ndarray:
@@ -139,7 +154,7 @@ def report_bounds(weights: Sequence[float], i: int, co_reports: np.ndarray, key)
     hi = np.full(len(todo), _ONE_BITS + 1)
     with np.errstate(over="ignore"):  # a tiny w_i sends both past 1; clipped below
         seed = (key - base[todo]) / w_i
-        slack = _BRACKET_EPS * np.finfo(float).eps * sum(weights) / w_i
+        slack = _BRACKET_EPS * np.finfo(float).eps * left_sum(weights) / w_i
     for end in (np.clip(seed - slack, 0.0, 1.0), np.clip(seed + slack, 0.0, 1.0)):
         hit = beats(column, key, end)
         bits = end.view(np.int64)

@@ -25,8 +25,8 @@ from .aggregation import (
     WeightedLinear,
     budescu_weights,
 )
-from .errors import AllNonPositiveContribution, EmptyHistory
-from .mechanism import Instance, deficit
+from .errors import AllNonPositiveContribution, EmptyHistory, LedgerError, MechanismError
+from .mechanism import Instance, check_outcomes, check_reports, deficit, left_sum
 from .priors import PriorSpec, UniformIID, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
@@ -75,62 +75,94 @@ def sample_world(
     return truths, beliefs
 
 
-@dataclass(frozen=True)
+def _field(check: Callable[["RoundRecord"], None], **kwargs):
+    """A record field whose value must pass `check(record)` when read back."""
+    return field(metadata={"check": check}, **kwargs)
+
+
+def _check_schema(record: "RoundRecord") -> None:
+    if record.schema != LEDGER_SCHEMA:
+        raise ValueError(f"unsupported version {record.schema!r}; expected {LEDGER_SCHEMA}")
+
+
+def _check_row(values) -> None:
+    """A non-empty flat list of numbers in [0, 1]."""
+    if not isinstance(values, tuple) or not values:
+        raise ValueError(f"expected a list of one or more numbers, got {values!r}")
+    check_reports([values], (1, len(values)), "values")
+
+
+def _check_funded(record: "RoundRecord") -> None:
+    m = len(record.truths)
+    for q in record.funded_real:
+        if not (isinstance(q, int) and 0 <= q < m):
+            raise ValueError(f"borrower {q!r} is not an index below m={m}")
+
+
+@dataclass(frozen=True, kw_only=True)
 class RoundRecord:
+    """One settled round, and one line of the ledger: a JSON object whose
+    keys are these fields, tuples written as lists. The fields with a check
+    are those `lendmech weights` relies on; the check runs when a line is
+    read back. The number of weights is n, the number of truths m."""
+
+    schema: int = _field(_check_schema, default=LEDGER_SCHEMA)
     round_id: int
     scenario_hash: str
-    weights: tuple[float, ...]
-    truths: tuple[float, ...]
-    reports: tuple[tuple[float, ...], ...]
-    funded_real: tuple[int, ...]
+    weights: tuple[float, ...] = _field(lambda r: _check_row(r.weights))
+    truths: tuple[float, ...] = _field(lambda r: _check_row(r.truths))
+    reports: tuple[tuple[float, ...], ...] = _field(
+        lambda r: check_reports(r.reports, (len(r.weights), len(r.truths)))
+    )
+    funded_real: tuple[int, ...] = _field(_check_funded)
     reserves_funded: int
-    outcomes: tuple[tuple[int, int], ...]  # (borrower, outcome), sorted
+    # (borrower, outcome), sorted
+    outcomes: tuple[tuple[int, int], ...] = _field(
+        lambda r: check_outcomes(r.funded_real, dict(r.outcomes))
+    )
     immediate: tuple[float, ...]
     contingent: tuple[tuple[int, int, float], ...]  # (recommender, borrower, paid)
     tcomp: Optional[tuple[float, ...]]
     deficit: float
     realized_utilities: tuple[float, ...]
-    schema: int = LEDGER_SCHEMA
+
+
+_FIELDS = dataclasses.fields(RoundRecord)
+_NAMES = frozenset(f.name for f in _FIELDS)
 
 
 def record_to_json(record: RoundRecord) -> str:
-    payload = {
-        "schema": record.schema,
-        "round_id": record.round_id,
-        "scenario_hash": record.scenario_hash,
-        "weights": list(record.weights),
-        "truths": list(record.truths),
-        "reports": [list(row) for row in record.reports],
-        "funded_real": list(record.funded_real),
-        "reserves_funded": record.reserves_funded,
-        "outcomes": [list(pair) for pair in record.outcomes],
-        "immediate": list(record.immediate),
-        "contingent": [list(entry) for entry in record.contingent],
-        "tcomp": list(record.tcomp) if record.tcomp is not None else None,
-        "deficit": record.deficit,
-        "realized_utilities": list(record.realized_utilities),
-    }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps({f.name: getattr(record, f.name) for f in _FIELDS}, sort_keys=True)
+
+
+def _tuples(value):
+    """A decoded JSON value with every list turned back into a tuple."""
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
 def record_from_json(line: str) -> RoundRecord:
-    data = json.loads(line)
-    return RoundRecord(
-        round_id=int(data["round_id"]),
-        scenario_hash=data["scenario_hash"],
-        weights=tuple(data["weights"]),
-        truths=tuple(data["truths"]),
-        reports=tuple(tuple(row) for row in data["reports"]),
-        funded_real=tuple(int(q) for q in data["funded_real"]),
-        reserves_funded=int(data["reserves_funded"]),
-        outcomes=tuple((int(q), int(o)) for q, o in data["outcomes"]),
-        immediate=tuple(data["immediate"]),
-        contingent=tuple((int(i), int(q), float(v)) for i, q, v in data["contingent"]),
-        tcomp=tuple(data["tcomp"]) if data["tcomp"] is not None else None,
-        deficit=float(data["deficit"]),
-        realized_utilities=tuple(data["realized_utilities"]),
-        schema=int(data["schema"]),
-    )
+    """The record a ledger line holds. Raises LedgerError, naming the field
+    when one is missing, unknown or fails its check."""
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise LedgerError(f"not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise LedgerError(f"expected a JSON object, got {type(data).__name__}")
+    for f in _FIELDS:
+        if f.name not in data:
+            raise LedgerError(f"field '{f.name}': required")
+    record = RoundRecord(**{f.name: _tuples(data[f.name]) for f in _FIELDS})
+    for f in _FIELDS:
+        if "check" in f.metadata:
+            try:
+                f.metadata["check"](record)
+            except (MechanismError, TypeError, ValueError) as exc:
+                raise LedgerError(f"field '{f.name}': {exc}") from None
+    unknown = sorted(data.keys() - _NAMES)
+    if unknown:
+        raise LedgerError(f"field '{unknown[0]}': unknown field")
+    return record
 
 
 class RoundLedger:
@@ -166,12 +198,18 @@ class RoundLedger:
 
     @classmethod
     def read_jsonl(cls, path) -> "RoundLedger":
-        ledger = cls()
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    ledger.append(record_from_json(line))
+        """The ledger a file holds; LedgerError names the path, the line
+        and, where there is one, the field it rejects."""
+        ledger, number = cls(), 0
+        try:
+            with open(path) as fh:
+                for number, line in enumerate(fh, 1):
+                    if line.strip():
+                        ledger.append(record_from_json(line))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise LedgerError(f"{path}: cannot read ledger: {exc}") from None
+        except LedgerError as exc:
+            raise LedgerError(f"{path}: line {number}: {exc}") from None
         return ledger
 
 
@@ -248,6 +286,30 @@ def evolve_weights(
         return WeightVector.equal(n)
 
 
+def build_instance(
+    mechanism: str,
+    n: int,
+    m: int,
+    threshold: float,
+    weights: tuple[float, ...],
+    K: Optional[int] = None,
+    alpha: float = 1.0,
+    tcomp: bool = False,
+) -> Instance:
+    """The mechanism instance of a scenario or a campaign round.
+
+    `K` is VCG's liquidity cap; on Winkler it gives the capped demo
+    variant. `alpha` and `tcomp` apply to VCG only.
+    """
+    if mechanism == "winkler":
+        aggregator = WeightedLinear(WeightVector(weights))
+        return WinklerInstance(n=n, m=m, threshold=threshold, aggregator=aggregator, cap=K)
+    return VcgInstance(
+        n=n, m=m, K=K, reserve_threshold=threshold, weights=weights, alpha=alpha,
+        tcomp_enabled=tcomp,
+    )
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     mechanism: str  # "winkler" | "vcg"
@@ -269,26 +331,6 @@ class CampaignConfig:
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         if self.mechanism == "vcg" and self.K is None:
             raise ValueError("vcg campaigns need a liquidity cap K")
-
-
-def _build_instance(config: CampaignConfig, weights: WeightVector) -> Instance:
-    if config.mechanism == "winkler":
-        return WinklerInstance(
-            n=config.n,
-            m=config.m,
-            threshold=config.threshold,
-            aggregator=WeightedLinear(weights),
-            cap=config.K,
-        )
-    return VcgInstance(
-        n=config.n,
-        m=config.m,
-        K=config.K,
-        reserve_threshold=config.threshold,
-        weights=weights.weights,
-        alpha=config.alpha,
-        tcomp_enabled=config.tcomp_enabled,
-    )
 
 
 @dataclass(frozen=True)
@@ -317,43 +359,36 @@ def campaign(
         else WeightVector.equal(config.n)
     )
     ledger = RoundLedger()
-    trajectory = []
-    truth_total, truth_count = 0.0, 0
-    utilities = np.zeros(config.n)
-
     for r in range(rounds):
         if config.weight_mode == "budescu" and r > 0:
             weights = evolve_weights(ledger, config.n, config.history_window)
-        trajectory.append(weights.weights)
-        inst = _build_instance(config, weights)
-        record = run_round(
-            inst,
-            config.world,
-            seed=int(round_seeds[r]),
-            round_id=r,
-            scenario_hash=config_hash(config, seed, r),
+        inst = build_instance(
+            config.mechanism, config.n, config.m, config.threshold, weights.weights,
+            config.K, config.alpha, config.tcomp_enabled,
         )
-        ledger.append(record)
-        truth_total += sum(record.truths)
-        truth_count += config.m
-        utilities += np.asarray(record.realized_utilities)
+        ledger.append(
+            run_round(inst, config.world, int(round_seeds[r]), r, config_hash(config, seed, r))
+        )
 
     final_weights = (
         evolve_weights(ledger, config.n, config.history_window)
         if config.weight_mode == "budescu"
         else weights
     )
-    funded = sum(len(rec.funded_real) for rec in ledger.records)
-    repaid = sum(o for rec in ledger.records for _, o in rec.outcomes)
+    records = ledger.records
+    funded = sum(len(rec.funded_real) for rec in records)
+    repaid = sum(o for rec in records for _, o in rec.outcomes)
     summary = CampaignSummary(
         rounds=rounds,
         funded=funded,
         repaid=repaid,
         repayment_rate=repaid / funded if funded else float("nan"),
-        base_rate=truth_total / truth_count,
-        cumulative_deficit=float(sum(rec.deficit for rec in ledger.records)),
-        recommender_utilities=tuple(float(u) for u in utilities),
-        weight_trajectory=tuple(trajectory),
+        base_rate=left_sum(left_sum(rec.truths) for rec in records) / (rounds * config.m),
+        cumulative_deficit=left_sum(rec.deficit for rec in records),
+        recommender_utilities=tuple(
+            left_sum(column) for column in zip(*(rec.realized_utilities for rec in records))
+        ),
+        weight_trajectory=tuple(rec.weights for rec in records),
         final_weights=final_weights.weights,
     )
     return summary, ledger

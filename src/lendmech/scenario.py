@@ -20,15 +20,13 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Optional
 
-from .aggregation import WeightVector, WeightedLinear
+from .aggregation import WEIGHT_SUM_TOL
 from .audit import EqualShift, FullRowRandom, MisreportStrategy, SingleCoordinateGrid, Targeted
 from .audit import MIN_GRAIN_SAMPLES, MIN_SEARCH_SAMPLES
 from .errors import ScenarioError
-from .mechanism import Instance
+from .mechanism import Instance, left_sum
 from .priors import BetaIID, DegenerateAt, PriorSpec, ProductGrid, UniformIID, check_shape
-from .rounds import CampaignConfig, WorldModel
-from .vcg import VcgInstance
-from .winkler import WinklerInstance
+from .rounds import CampaignConfig, WorldModel, build_instance as _build
 
 SCHEMA_VERSION = 1
 CURVE_VARIANTS = (
@@ -404,8 +402,9 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         weights = tuple(1.0 / n for _ in range(n))
     elif isinstance(data["weights"], list):
         weights = top.numbers("weights", length=n, lo=0.0)
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise top.fail("weights", f"must sum to 1, got {sum(weights)}")
+        total = left_sum(weights)
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise top.fail("weights", f"must sum to 1, got {total}")
     else:
         raise top.fail("weights", f"expected 'equal' or a list, got {data['weights']!r}")
 
@@ -488,26 +487,10 @@ def audit_block(sc: Scenario, desideratum: str) -> AuditBlock:
 
 
 def build_instance(sc: Scenario) -> Instance:
-    """The scenario's mechanism instance; a winkler `K` caps it."""
+    """The scenario's mechanism instance (see `rounds.build_instance`)."""
     if sc.kind != "mechanism":
         raise ScenarioError(f"{sc.source}: not a mechanism scenario")
-    if sc.mechanism == "winkler":
-        return WinklerInstance(
-            n=sc.n,
-            m=sc.m,
-            threshold=sc.threshold,
-            aggregator=WeightedLinear(WeightVector(sc.weights)),
-            cap=sc.cap,
-        )
-    return VcgInstance(
-        n=sc.n,
-        m=sc.m,
-        K=sc.cap,
-        reserve_threshold=sc.threshold,
-        weights=sc.weights,
-        alpha=sc.alpha,
-        tcomp_enabled=sc.tcomp,
-    )
+    return _build(sc.mechanism, sc.n, sc.m, sc.threshold, sc.weights, sc.cap, sc.alpha, sc.tcomp)
 
 
 def build_campaign_config(sc: Scenario) -> CampaignConfig:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ReserveRecommenderHasNoPayment
 # `deficit` is re-exported: callers use vcg.deficit.
 from .mechanism import Allocation, Settlement, check_outcomes, check_reports, deficit
-from .mechanism import chunks, linear_scores, report_bounds
+from .mechanism import chunks, left_sum, linear_scores, report_bounds
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def _select(scores: Sequence[float], c: float, n_reserves: int, K: int) -> Alloc
 
 
 def _welfare(scores: np.ndarray, c: float, alloc: Allocation) -> float:
-    real = sum(float(scores[q]) for q in alloc.funded_real)
+    real = left_sum(float(scores[q]) for q in alloc.funded_real)
     return real + alloc.reserves_funded * c
 
 
@@ -233,7 +233,7 @@ def expost_utility(inst: VcgInstance, reports, i: int, belief_row: Sequence[floa
     """
     arr = check_reports(reports, (inst.n, inst.m))
     alloc = allocate(inst, arr)
-    value = inst.alpha * sum(
+    value = inst.alpha * left_sum(
         inst.weights[i] * float(belief_row[q]) for q in alloc.funded_real
     )
     return value - pivot_payment(inst, arr, i)

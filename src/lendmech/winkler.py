@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import Aggregator, WeightedLinear, aggregate
+from .aggregation import Aggregator, WeightedLinear, aggregate, aggregate_columns
 from .errors import ZeroWeightRecommender
 from .mechanism import Allocation, Settlement, check_outcomes, check_reports
 from .mechanism import chunks, linear_scores, report_bounds
@@ -87,7 +87,7 @@ def allocate(inst: WinklerInstance, reports) -> tuple[int, ...]:
     ties going to the lower index.
     """
     arr = check_reports(reports, (inst.n, inst.m))
-    scores = [aggregate(inst.aggregator, tuple(arr[:, q])) for q in range(inst.m)]
+    scores = aggregate_columns(inst.aggregator, arr)
     eligible = sorted(
         (q for q in range(inst.m) if scores[q] > inst.threshold),
         key=lambda q: (-scores[q], q),

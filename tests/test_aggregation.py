@@ -13,6 +13,7 @@ from lendmech.aggregation import (
     WeightedLinear,
     accuracy_contributions,
     aggregate,
+    aggregate_columns,
     budescu_quality,
     budescu_weights,
 )
@@ -84,6 +85,22 @@ class TestAggregate:
         column = tuple(float(v) for v in rng.random(n))
         expected = linear_scores(agg.weights.weights, np.array(column)[:, np.newaxis])[0]
         assert aggregate(agg, column) == expected
+
+
+class TestAggregateColumns:
+    def test_linear_pool_scores_every_column_of_a_batch(self):
+        agg = WeightedLinear(WeightVector((0.1, 0.3, 0.6)))
+        batch = np.random.default_rng(3).random((4, 3, 5))
+        assert np.array_equal(aggregate_columns(agg, batch), linear_scores((0.1, 0.3, 0.6), batch))
+
+    def test_custom_aggregator_sees_each_column(self):
+        agg = MonotoneCustom(fn=max, arity=2)
+        batch = np.random.default_rng(4).random((3, 2, 4))
+        assert np.array_equal(aggregate_columns(agg, batch), batch.max(axis=1))
+
+    def test_arity_mismatch(self):
+        with pytest.raises(ArityMismatch):
+            aggregate_columns(equal_linear(3), np.zeros((2, 4)))
 
 
 def two_rec_history():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from lendmech import audit, scenario, vcg, winkler
-from lendmech.aggregation import WeightVector, WeightedLinear
+from lendmech.aggregation import MonotoneCustom, WeightVector, WeightedLinear
 from lendmech.errors import ReproductionMismatch
 from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, enumerate_others
+from lendmech.priors import sample_profiles
 from lendmech.scenario import bundled_path
 from lendmech.vcg import VcgInstance
 from lendmech.winkler import WinklerInstance
@@ -251,6 +252,28 @@ class TestGrainOfNoVeto:
     def test_minimum_sample_size_enforced(self):
         with pytest.raises(ValueError):
             audit.grain_of_no_veto(winkler_instance(), UniformIID(), 10, 0)
+
+    @pytest.mark.parametrize("weights", [(1 / 3, 1 / 3, 1 / 3), (0.1, 0.3, 0.6)])
+    @pytest.mark.parametrize("c", [0.25, 0.5])
+    def test_left_to_right_custom_pool_matches_the_linear_pool(self, weights, c):
+        def pool(column):
+            total = 0.0
+            for w, r in zip(weights, column):
+                total += w * r
+            return total
+
+        linear = WinklerInstance(
+            n=3, m=2, threshold=c, aggregator=WeightedLinear(WeightVector(weights))
+        )
+        custom = dataclasses.replace(linear, aggregator=MonotoneCustom(fn=pool, arity=3))
+        # Eighth grids put many columns exactly at the threshold.
+        eighths = tuple(k / 8 for k in range(9))
+        prior = ProductGrid(((eighths,) * 2,) * 3)
+        for profile in sample_profiles(prior, 3, 2, 300, np.random.default_rng(7)):
+            assert winkler.allocate(custom, profile) == winkler.allocate(linear, profile)
+        assert audit.grain_of_no_veto(custom, prior, 2000, 5) == audit.grain_of_no_veto(
+            linear, prior, 2000, 5
+        )
 
 
 class TestChecks:

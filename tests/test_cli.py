@@ -273,6 +273,61 @@ class TestCampaign:
         assert err == f"usage error: --window must be >= 1, got {window}\n"
 
 
+def _replace(field, change):
+    """The first ledger line with one field changed."""
+    return lambda record: json.dumps({**record, field: change(record[field])})
+
+
+# (ledger contents from the first record of a real ledger, or None for no
+# file; what the error must say). Each crashed `weights` with a traceback
+# before the ledger was checked on reading.
+BAD_LEDGERS = {
+    "missing file": (None, "cannot read ledger"),
+    "non-JSON line": (lambda record: "{not json", "line 1: not valid JSON"),
+    "schema only": (lambda record: '{"schema": 1}', "line 1: field 'round_id': required"),
+    "outcome of 2": (
+        _replace("outcomes", lambda outcomes: [[q, 2] for q, _ in outcomes]),
+        "line 1: field 'outcomes': outcome for borrower",
+    ),
+    "2 report rows, n = 3": (
+        _replace("reports", lambda reports: reports[:2]),
+        "line 1: field 'reports': reports shape (2, 6) != (3, 6)",
+    ),
+}
+
+
+class TestWeightsLedgerErrors:
+    @pytest.fixture
+    def record(self, tmp_path, capsys):
+        out_dir = tmp_path / "camp"
+        run_cli(
+            capsys,
+            "campaign", str(bundled_path("campaign-budescu")),
+            "--rounds", "2", "--seed", "3", "--out", str(out_dir),
+        )
+        first = json.loads((out_dir / "ledger.jsonl").read_text().splitlines()[0])
+        assert first["outcomes"], "the case needs a funded borrower"
+        return first
+
+    @pytest.mark.parametrize("case", BAD_LEDGERS, ids=list(BAD_LEDGERS))
+    def test_bad_ledger_is_a_ledger_error(self, case, record, tmp_path, capsys):
+        make_line, message = BAD_LEDGERS[case]
+        path = tmp_path / "bad.jsonl"
+        if make_line is not None:
+            path.write_text(make_line(record) + "\n")
+        code, out, err = run_cli(capsys, "weights", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"ledger error: {path}: {message}")
+
+    def test_recommender_count_must_match_the_ledger(self, record, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        code, _, err = run_cli(capsys, "weights", str(path), "--n", "2")
+        assert code == 1
+        assert err == f"ledger error: {path}: every round must have 2 recommenders\n"
+
+
 CAMPAIGN = ("campaign",)
 
 # (scenario, field path, bad value, subcommand and its arguments after the path)

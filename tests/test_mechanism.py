@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lendmech.mechanism import linear_scores, report_bounds
+from lendmech.mechanism import Allocation, Settlement, deficit, left_sum, linear_scores
+from lendmech.mechanism import report_bounds
 
 EIGHTHS = [k / 8 for k in range(9)]
 NON_DYADIC_WEIGHTS = [(1 / 3, 1 / 3, 1 / 3), (1 / 7, 2 / 7, 4 / 7), (0.1, 0.3, 0.6)]
@@ -43,6 +44,23 @@ class TestLinearScores:
         reports[i] = 0.0
         others = linear_scores(weights[:i] + weights[i + 1 :], np.delete(reports, i, axis=0))
         assert np.array_equal(linear_scores(weights, reports), others)
+
+
+class TestLeftSum:
+    # Python 3.12's sum() gives 1.0 here: it compensates.
+    def test_adds_left_to_right_as_python_3_11_sum_does(self):
+        assert left_sum([0.1] * 10) == 0.9999999999999999
+        assert left_sum([]) == 0.0
+        assert left_sum([1e100, 1.0, -1e100]) == 0.0
+
+    def test_deficit_of_ten_payments(self):
+        settlement = Settlement(
+            allocation=Allocation(real=(1,) * 10),
+            immediate=(0.0,),
+            contingent={(0, q): 0.1 for q in range(10)},
+        )
+        assert deficit(settlement) == 0.9999999999999999
+        assert settlement.realized_utility(0) == 0.9999999999999999
 
 
 def score_with(weights, i, co_reports, report):

@@ -1,14 +1,21 @@
 """Simulator tests: replay, causality, accounting, weight evolution."""
 
 import dataclasses
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lendmech import rounds
 from lendmech.aggregation import WeightVector, WeightedLinear
+from lendmech.errors import LedgerError
 from lendmech.priors import BetaIID, DegenerateAt, UniformIID
 from lendmech.rounds import CampaignConfig, RoundLedger, RoundRecord, WorldModel
+from lendmech.scenario import build_campaign_config, load_bundled
 from lendmech.vcg import VcgInstance
 from lendmech.winkler import WinklerInstance
 
@@ -105,6 +112,110 @@ class TestLedger:
         assert len(history.loans) == 1
         assert history.loans[0].reports == (0.8, 0.6)
         assert history.loans[0].outcome == 1
+
+
+# A record on the edges the codec must keep: no funded borrower, no rebate,
+# a -0.0 deficit and a -inf utility (a boundary report's log score).
+EDGE_RECORD = RoundRecord(
+    round_id=0,
+    scenario_hash="",
+    weights=(1.0, 0.0),
+    truths=(0.0,),
+    reports=((1.0,), (0.0,)),
+    funded_real=(),
+    reserves_funded=1,
+    outcomes=(),
+    immediate=(-0.0, 0.0),
+    contingent=(),
+    tcomp=None,
+    deficit=-0.0,
+    realized_utilities=(-math.inf, 0.0),
+)
+
+UNIT = st.floats(0.0, 1.0)
+# Every float a record can carry: JSON has no NaN.
+ANY = st.floats(allow_nan=False)
+
+
+@st.composite
+def round_records(draw) -> RoundRecord:
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    funded = tuple(sorted(draw(st.sets(st.integers(0, m - 1)))))
+    return RoundRecord(
+        round_id=draw(st.integers(0, 10**6)),
+        scenario_hash=draw(st.text(max_size=16)),
+        weights=tuple(draw(UNIT) for _ in range(n)),
+        truths=tuple(draw(UNIT) for _ in range(m)),
+        reports=tuple(tuple(draw(UNIT) for _ in range(m)) for _ in range(n)),
+        funded_real=funded,
+        reserves_funded=draw(st.integers(0, m)),
+        outcomes=tuple((q, draw(st.integers(0, 1))) for q in funded),
+        immediate=tuple(draw(ANY) for _ in range(n)),
+        contingent=tuple((i, q, draw(ANY)) for q in funded for i in range(n)),
+        tcomp=draw(st.none() | st.tuples(*[ANY] * n)),
+        deficit=draw(ANY),
+        realized_utilities=tuple(draw(ANY) for _ in range(n)),
+    )
+
+
+# Schema-1 ledgers of bundled campaigns, written by the codec that listed
+# the fields by hand: (scenario, rounds, seed).
+SCHEMA_1_LEDGERS = [("campaign-vcg", 4, 1), ("campaign-budescu", 6, 1)]
+
+
+def ledger_line(**changes) -> str:
+    """A valid ledger line with some fields replaced (None: removed)."""
+    data = json.loads(rounds.record_to_json(rounds.run_round(vcg_instance(), WORLD, seed=1)))
+    data.update(changes)
+    return json.dumps({k: v for k, v in data.items() if v is not None})
+
+
+class TestLedgerFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(round_records())
+    @example(EDGE_RECORD)
+    @example(dataclasses.replace(EDGE_RECORD, tcomp=(0.25, -0.0)))
+    def test_record_round_trips(self, record):
+        line = rounds.record_to_json(record)
+        assert rounds.record_from_json(line) == record
+        # Equality cannot see the sign of a zero; the bytes can.
+        assert rounds.record_to_json(rounds.record_from_json(line)) == line
+
+    def test_json_keys_are_the_record_fields(self):
+        keys = json.loads(rounds.record_to_json(EDGE_RECORD))
+        assert list(keys) == sorted(f.name for f in dataclasses.fields(RoundRecord))
+
+    @pytest.mark.parametrize("name, n_rounds, seed", SCHEMA_1_LEDGERS)
+    def test_schema_1_ledger_reads_back_and_rewrites_its_bytes(
+        self, name, n_rounds, seed, tmp_path
+    ):
+        path = Path(__file__).parent / "data" / f"ledger-{name}-s{seed}-r{n_rounds}.jsonl"
+        loaded = RoundLedger.read_jsonl(path)
+        _, fresh = rounds.campaign(n_rounds, build_campaign_config(load_bundled(name)), seed)
+        assert loaded.records == fresh.records
+        loaded.write_jsonl(tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", "line 2: expected a JSON object, got list"),
+            (ledger_line(schema=2), "line 2: field 'schema': unsupported version 2"),
+            (ledger_line(deficit=None), "line 2: field 'deficit': required"),
+            (ledger_line(seed=7), "line 2: field 'seed': unknown field"),
+            (ledger_line(weights=0.5), "line 2: field 'weights': expected a list"),
+            (ledger_line(truths=[]), "line 2: field 'truths': expected a list"),
+            (ledger_line(reports=[[0.5, 2.0]] * 3), "line 2: field 'reports': reports shape"),
+            (ledger_line(funded_real=[9]), "line 2: field 'funded_real': borrower 9"),
+            (ledger_line(outcomes=[]), "line 2: field 'outcomes': no outcome supplied"),
+        ],
+    )
+    def test_bad_line_names_path_line_and_field(self, line, message, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(ledger_line() + "\n" + line + "\n")
+        with pytest.raises(LedgerError) as err:
+            RoundLedger.read_jsonl(path)
+        assert str(err.value).startswith(f"{path}: {message}")
 
 
 class TestEvolveWeights:
