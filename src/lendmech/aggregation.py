@@ -13,8 +13,9 @@ floored at zero.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -160,6 +161,26 @@ def _loan_squared_error(loan: ObservedLoan, exclude: Optional[int]) -> Optional[
     return err
 
 
+def _loan_errors(loan: ObservedLoan) -> tuple[Optional[float], ...]:
+    """The loan's squared error for the whole crowd, then with each
+    recommender left out in turn; None where leaving them out leaves no
+    report."""
+    return tuple(
+        _loan_squared_error(loan, exclude) for exclude in (None, *range(len(loan.reports)))
+    )
+
+
+def _quality(total: float, count: int, exclude: Optional[int]) -> float:
+    """Calibration score from `count` summed squared errors."""
+    if not count:
+        if exclude is None:
+            raise EmptyHistory("no funded loans with observed outcomes")
+        raise EmptyHistory(
+            f"excluding recommender {exclude} leaves no reports on any funded loan"
+        )
+    return QUALITY_OFFSET + QUALITY_SCALE * (total / count)
+
+
 def budescu_quality(history: RoundHistory, exclude: Optional[int] = None) -> float:
     """Crowd calibration score in [0, 100]; 100 iff the mean report always
     matched the outcome.
@@ -167,34 +188,40 @@ def budescu_quality(history: RoundHistory, exclude: Optional[int] = None) -> flo
     With `exclude`, the per-loan mean report drops that recommender, which
     is the counterfactual used to price their contribution.
     """
-    if not history.loans:
-        raise EmptyHistory("no funded loans with observed outcomes")
-    errors = []
-    for loan in history.loans:
-        err = _loan_squared_error(loan, exclude)
-        if err is not None:
-            errors.append(err)
-    if not errors:
-        raise EmptyHistory(
-            f"excluding recommender {exclude} leaves no reports on any funded loan"
-        )
-    return QUALITY_OFFSET + QUALITY_SCALE * (left_sum(errors) / len(errors))
+    errors = [_loan_squared_error(loan, exclude) for loan in history.loans]
+    errors = [err for err in errors if err is not None]
+    return _quality(left_sum(errors), len(errors), exclude)
 
 
-def accuracy_contributions(history: RoundHistory) -> tuple[float, ...]:
-    """Per-recommender contribution (Q - Q_without_them) / number of loans."""
-    q_all = budescu_quality(history)
-    count = len(history.loans)
-    return tuple((q_all - budescu_quality(history, i)) / count for i in range(history.n))
+def _error_sums(errors, n: int) -> tuple[list[float], list[int]]:
+    """Per position of the `_loan_errors` tuples of n recommenders, the
+    errors present added left to right, and their count."""
+    totals = [left_sum(e[k] for e in errors if e[k] is not None) for k in range(n + 1)]
+    counts = [sum(e[k] is not None for e in errors) for k in range(n + 1)]
+    return totals, counts
 
 
-def budescu_weights(history: RoundHistory) -> WeightVector:
-    """Weights proportional to positive accuracy contributions, zero otherwise.
+def _contributions(totals: Sequence[float], counts: Sequence[int]) -> tuple[float, ...]:
+    """Per-recommender contribution (Q - Q_without_them) / number of loans,
+    from squared errors summed per position of `_loan_errors`: `totals[k]`
+    over `counts[k]` loans. Every loan carries a report, so `counts[0]` is
+    the number of loans."""
+    q_all = _quality(totals[0], counts[0], None)
+    return tuple(
+        (q_all - _quality(totals[1 + i], counts[1 + i], i)) / counts[0]
+        for i in range(len(totals) - 1)
+    )
 
-    Raises AllNonPositiveContribution when nobody contributed positively;
-    callers usually fall back to equal weights.
+
+def weights_from_sums(totals: Sequence[float], counts: Sequence[int]) -> WeightVector:
+    """Weights proportional to positive accuracy contributions, zero
+    otherwise, from summed squared errors as `_contributions` takes them.
+
+    Raises EmptyHistory when there is no loan, or leaving a recommender out
+    leaves no report; AllNonPositiveContribution when nobody contributed
+    positively. Callers usually fall back to equal weights.
     """
-    contributions = accuracy_contributions(history)
+    contributions = _contributions(totals, counts)
     positive_total = left_sum(c for c in contributions if c > 0.0)
     if positive_total <= 0.0:
         raise AllNonPositiveContribution(
@@ -203,3 +230,71 @@ def budescu_weights(history: RoundHistory) -> WeightVector:
     return WeightVector(
         tuple(c / positive_total if c > 0.0 else 0.0 for c in contributions)
     )
+
+
+def _history_sums(history: RoundHistory) -> tuple[list[float], list[int]]:
+    """`_error_sums` of the history, every loan scored afresh."""
+    return _error_sums([_loan_errors(loan) for loan in history.loans], history.n)
+
+
+def accuracy_contributions(history: RoundHistory) -> tuple[float, ...]:
+    """Per-recommender contribution (Q - Q_without_them) / number of loans."""
+    return _contributions(*_history_sums(history))
+
+
+def budescu_weights(history: RoundHistory) -> WeightVector:
+    """Weights proportional to positive accuracy contributions, zero otherwise.
+
+    Every loan is scored afresh: this is the oracle `BudescuAccumulator`
+    is held to. Raises as `weights_from_sums` does.
+    """
+    return weights_from_sums(*_history_sums(history))
+
+
+class BudescuAccumulator:
+    """Budescu weights of a growing history, one funded loan at a time.
+
+    Each loan's `_loan_errors` are computed once, when it is added. Without
+    a window the per-column sums run on in loan order: `left_sum` adds from
+    0.0 left to right, so they are bit for bit the sums `budescu_weights`
+    takes over the whole history, and `weights()` costs O(n). With a window
+    the last `window` loans' errors are kept and summed again on each call,
+    O(window * n) additions and no error recomputed, which is again exactly
+    what `budescu_weights` does on `RoundHistory.window(window)`.
+    """
+
+    def __init__(self, n: int, window: Optional[int] = None) -> None:
+        if window is not None and window < 1:
+            raise ValueError(f"window size must be >= 1, got {window}")
+        self.n = n
+        self._window: Optional[deque] = deque(maxlen=window) if window is not None else None
+        self._totals = [0.0] * (n + 1)
+        self._counts = [0] * (n + 1)
+
+    def add(self, loans: Iterable[ObservedLoan]) -> None:
+        """Score newly observed loans, in the order they were funded."""
+        for loan in loans:
+            if len(loan.reports) != self.n:
+                raise ArityMismatch(
+                    f"loan has {len(loan.reports)} report slots, accumulator has n={self.n}"
+                )
+            errors = _loan_errors(loan)
+            if self._window is not None:
+                self._window.append(errors)
+                continue
+            for k, err in enumerate(errors):
+                if err is not None:
+                    self._totals[k] += err
+                    self._counts[k] += 1
+
+    def weights(self) -> WeightVector:
+        """Weights of the loans so far (the window's, with one); equal
+        weights when there is none or nobody has contributed positively."""
+        if self._window is not None:
+            sums = _error_sums(self._window, self.n)
+        else:
+            sums = (self._totals, self._counts)
+        try:
+            return weights_from_sums(*sums)
+        except (EmptyHistory, AllNonPositiveContribution):
+            return WeightVector.equal(self.n)

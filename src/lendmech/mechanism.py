@@ -4,9 +4,10 @@ outcome map passes.
 
 `WinklerInstance` and `VcgInstance` expose one interface, which is all that
 rounds, the CLI and the audits call: `allocate(reports) -> Allocation`,
-`settle(reports, outcomes) -> Settlement`, `expost_utility(reports, i,
-belief_row)`, `engine(i, others)` (a vectorized interim engine, or None)
-and `weights_in_force`.
+`settle(reports, outcomes, allocation=None) -> Settlement` (handed the
+allocation of those reports, it does not allocate again),
+`expost_utility(reports, i, belief_row)`, `engine(i, others)` (a
+vectorized interim engine, or None) and `weights_in_force`.
 
 `left_sum` is how the package adds a sequence of floats: left to right,
 as Python 3.11's `sum()` does, so results do not change with the Python

@@ -4,8 +4,10 @@ Each round samples fresh borrowers' true repayment probabilities, derives
 recommender beliefs through a per-recommender signal model, runs the
 configured mechanism, samples repayments for funded borrowers, settles,
 and appends one record. Weights used in round r come only from rounds
-before r; with outcome-adaptive weighting they are recomputed from the
-accumulated funded-loan history each round.
+before r. With outcome-adaptive weighting, a `BudescuAccumulator` scores
+each funded loan once, when its round settles, and keeps running sums: a
+round's weight update costs O(n) per newly funded loan, plus O(window * n)
+under a history window, instead of a rescan of every past loan.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .aggregation import (
+    BudescuAccumulator,
     ObservedLoan,
     RoundHistory,
     WeightVector,
@@ -92,39 +96,92 @@ def _check_row(values) -> None:
     check_reports([values], (1, len(values)), "values")
 
 
+def _is_index(value, size: Optional[int] = None) -> bool:
+    """An int (not a bool) >= 0, and below `size` when one is given."""
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 0
+        and (size is None or value < size)
+    )
+
+
+def _is_number(value) -> bool:
+    """An int or float that is not NaN; infinities pass, since a boundary
+    report's log score is -inf."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and not math.isnan(value)
+
+
+def _check_count(value) -> None:
+    if not _is_index(value):
+        raise ValueError(f"expected an integer >= 0, got {value!r}")
+
+
+def _check_str(value) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+
+
+def _check_number(value) -> None:
+    if not _is_number(value):
+        raise ValueError(f"expected a number, got {value!r}")
+
+
+def _check_per_recommender(record: "RoundRecord", values) -> None:
+    """n numbers, one per recommender."""
+    n = len(record.weights)
+    if not (isinstance(values, tuple) and len(values) == n and all(map(_is_number, values))):
+        raise ValueError(f"expected a list of {n} numbers, got {values!r}")
+
+
 def _check_funded(record: "RoundRecord") -> None:
     m = len(record.truths)
     for q in record.funded_real:
-        if not (isinstance(q, int) and 0 <= q < m):
+        if not _is_index(q, m):
             raise ValueError(f"borrower {q!r} is not an index below m={m}")
+
+
+def _check_contingent(record: "RoundRecord") -> None:
+    n = len(record.weights)
+    for entry in record.contingent:
+        if not (
+            isinstance(entry, tuple) and len(entry) == 3 and _is_index(entry[0], n)
+            and _is_index(entry[1]) and entry[1] in record.funded_real and _is_number(entry[2])
+        ):
+            raise ValueError(
+                f"expected (recommender below n={n}, funded borrower, number), got {entry!r}"
+            )
 
 
 @dataclass(frozen=True, kw_only=True)
 class RoundRecord:
     """One settled round, and one line of the ledger: a JSON object whose
-    keys are these fields, tuples written as lists. The fields with a check
-    are those `lendmech weights` relies on; the check runs when a line is
-    read back. The number of weights is n, the number of truths m."""
+    keys are these fields, tuples written as lists. Each field's check runs
+    when a line is read back, in field order. The number of weights is n,
+    the number of truths m."""
 
     schema: int = _field(_check_schema, default=LEDGER_SCHEMA)
-    round_id: int
-    scenario_hash: str
+    round_id: int = _field(lambda r: _check_count(r.round_id))
+    scenario_hash: str = _field(lambda r: _check_str(r.scenario_hash))
     weights: tuple[float, ...] = _field(lambda r: _check_row(r.weights))
     truths: tuple[float, ...] = _field(lambda r: _check_row(r.truths))
     reports: tuple[tuple[float, ...], ...] = _field(
         lambda r: check_reports(r.reports, (len(r.weights), len(r.truths)))
     )
     funded_real: tuple[int, ...] = _field(_check_funded)
-    reserves_funded: int
+    reserves_funded: int = _field(lambda r: _check_count(r.reserves_funded))
     # (borrower, outcome), sorted
     outcomes: tuple[tuple[int, int], ...] = _field(
         lambda r: check_outcomes(r.funded_real, dict(r.outcomes))
     )
-    immediate: tuple[float, ...]
-    contingent: tuple[tuple[int, int, float], ...]  # (recommender, borrower, paid)
-    tcomp: Optional[tuple[float, ...]]
-    deficit: float
-    realized_utilities: tuple[float, ...]
+    immediate: tuple[float, ...] = _field(lambda r: _check_per_recommender(r, r.immediate))
+    # (recommender, borrower, paid)
+    contingent: tuple[tuple[int, int, float], ...] = _field(_check_contingent)
+    tcomp: Optional[tuple[float, ...]] = _field(
+        lambda r: None if r.tcomp is None else _check_per_recommender(r, r.tcomp)
+    )
+    deficit: float = _field(lambda r: _check_number(r.deficit))
+    realized_utilities: tuple[float, ...] = _field(
+        lambda r: _check_per_recommender(r, r.realized_utilities)
+    )
 
 
 _FIELDS = dataclasses.fields(RoundRecord)
@@ -183,13 +240,8 @@ class RoundLedger:
 
     def history(self, n: int, window: Optional[int] = None) -> RoundHistory:
         """Funded loans with observed outcomes, as aggregation input."""
-        loans = []
-        for record in self._records:
-            outcomes = dict(record.outcomes)
-            for q in record.funded_real:
-                column = tuple(record.reports[i][q] for i in range(n))
-                loans.append(ObservedLoan(reports=column, outcome=outcomes[q]))
-        return RoundHistory(n=n, loans=tuple(loans)).window(window)
+        loans = tuple(loan for record in self._records for loan in funded_loans(record, n))
+        return RoundHistory(n=n, loans=loans).window(window)
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -213,6 +265,16 @@ class RoundLedger:
         return ledger
 
 
+def funded_loans(record: RoundRecord, n: int) -> list[ObservedLoan]:
+    """The round's funded borrowers in index order, each as the first n
+    recommenders' reports on it and its outcome."""
+    outcomes = dict(record.outcomes)
+    return [
+        ObservedLoan(reports=tuple(record.reports[i][q] for i in range(n)), outcome=outcomes[q])
+        for q in record.funded_real
+    ]
+
+
 def _describe(value):
     """JSON-able form of a config value; dataclasses carry their class name."""
     if dataclasses.is_dataclass(value):
@@ -223,11 +285,27 @@ def _describe(value):
     return value
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def config_hash(config: "CampaignConfig", seed: int, round_id: int) -> str:
     """Digest of every config field (world model and priors included), the
     campaign seed and the round."""
     payload = {"config": _describe(config), "seed": seed, "round_id": round_id}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+    return _digest(json.dumps(payload, sort_keys=True))
+
+
+def round_hashes(config: "CampaignConfig", seed: int) -> Callable[[int], str]:
+    """`config_hash(config, seed, round_id)` as a function of the round.
+
+    The payload is encoded once with a null round; each call writes only
+    the round into that text. Keys are sorted, so the top-level
+    "round_id" is the last one the text holds, just before "seed".
+    """
+    payload = {"config": _describe(config), "seed": seed, "round_id": None}
+    head, tail = json.dumps(payload, sort_keys=True).rsplit('"round_id": null', 1)
+    return lambda round_id: _digest(f'{head}"round_id": {json.dumps(round_id)}{tail}')
 
 
 def run_round(
@@ -250,10 +328,11 @@ def run_round(
     reports = deviation(beliefs) if deviation is not None else beliefs
     reports = np.clip(np.asarray(reports, dtype=float), 0.0, 1.0)
 
-    funded_real = inst.allocate(reports).funded_real
+    allocation = inst.allocate(reports)
+    funded_real = allocation.funded_real
     draws = rng.random(len(funded_real))
     outcomes = {q: int(draws[k] < truths[q]) for k, q in enumerate(funded_real)}
-    settlement = inst.settle(reports, outcomes)
+    settlement = inst.settle(reports, outcomes, allocation)
 
     return RoundRecord(
         round_id=round_id,
@@ -262,7 +341,7 @@ def run_round(
         truths=tuple(float(t) for t in truths),
         reports=tuple(tuple(float(v) for v in row) for row in reports),
         funded_real=funded_real,
-        reserves_funded=settlement.allocation.reserves_funded,
+        reserves_funded=allocation.reserves_funded,
         outcomes=tuple(sorted(outcomes.items())),
         immediate=settlement.immediate,
         contingent=tuple(
@@ -277,8 +356,10 @@ def run_round(
 def evolve_weights(
     ledger: RoundLedger, n: int, window: Optional[int] = None
 ) -> WeightVector:
-    """Outcome-based weights from the ledger; equal weights when the
-    history is empty or nobody has contributed positively yet."""
+    """Outcome-based weights from the ledger, every past loan scored afresh;
+    equal weights when the history is empty or nobody has contributed
+    positively yet. `campaign` keeps a `BudescuAccumulator` instead; this is
+    its oracle, and `lendmech weights`' path."""
     try:
         history = ledger.history(n, window)
         return budescu_weights(history)
@@ -358,23 +439,26 @@ def campaign(
         if config.initial_weights is not None
         else WeightVector.equal(config.n)
     )
+    scores = (
+        BudescuAccumulator(config.n, config.history_window)
+        if config.weight_mode == "budescu"
+        else None
+    )
+    hashes = round_hashes(config, seed)
     ledger = RoundLedger()
     for r in range(rounds):
-        if config.weight_mode == "budescu" and r > 0:
-            weights = evolve_weights(ledger, config.n, config.history_window)
+        if scores is not None and r > 0:
+            weights = scores.weights()
         inst = build_instance(
             config.mechanism, config.n, config.m, config.threshold, weights.weights,
             config.K, config.alpha, config.tcomp_enabled,
         )
-        ledger.append(
-            run_round(inst, config.world, int(round_seeds[r]), r, config_hash(config, seed, r))
-        )
+        record = run_round(inst, config.world, int(round_seeds[r]), r, hashes(r))
+        ledger.append(record)
+        if scores is not None:
+            scores.add(funded_loans(record, config.n))
 
-    final_weights = (
-        evolve_weights(ledger, config.n, config.history_window)
-        if config.weight_mode == "budescu"
-        else weights
-    )
+    final_weights = scores.weights() if scores is not None else weights
     records = ledger.records
     funded = sum(len(rec.funded_real) for rec in records)
     repaid = sum(o for rec in records for _, o in rec.outcomes)

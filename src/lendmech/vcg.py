@@ -74,8 +74,10 @@ class VcgInstance:
     def allocate(self, reports) -> Allocation:
         return allocate(self, reports)
 
-    def settle(self, reports, outcomes: Mapping[int, int]) -> Settlement:
-        return settle(self, reports, outcomes)
+    def settle(
+        self, reports, outcomes: Mapping[int, int], allocation: Optional[Allocation] = None
+    ) -> Settlement:
+        return settle(self, reports, outcomes, allocation)
 
     def expost_utility(self, reports, i: int, belief_row: Sequence[float]) -> float:
         return expost_utility(self, reports, i, belief_row)
@@ -196,14 +198,20 @@ def tcomp(inst: VcgInstance, others_reports, i: int) -> float:
     return inst.alpha * (without_i - worst)
 
 
-def settle(inst: VcgInstance, reports, outcomes: Mapping[int, int]) -> Settlement:
+def settle(
+    inst: VcgInstance,
+    reports,
+    outcomes: Mapping[int, int],
+    allocation: Optional[Allocation] = None,
+) -> Settlement:
     """Pivot charges plus realized constant-rule payments (and rebates).
 
     `outcomes` must cover exactly the funded real borrowers; reserve slots
-    are bookkeeping rows with no outcomes.
+    are bookkeeping rows with no outcomes. `allocation`, when given, must be
+    `allocate(inst, reports)`; it saves allocating again.
     """
     arr = check_reports(reports, (inst.n, inst.m))
-    alloc = allocate(inst, arr)
+    alloc = allocation if allocation is not None else allocate(inst, arr)
     check_outcomes(alloc.funded_real, outcomes)
 
     immediate = tuple(pivot_payment(inst, arr, i) for i in range(inst.n))

@@ -61,8 +61,10 @@ class WinklerInstance:
     def allocate(self, reports) -> Allocation:
         return Allocation(allocate(self, reports))
 
-    def settle(self, reports, outcomes: Mapping[int, int]) -> Settlement:
-        return settle(self, reports, outcomes)
+    def settle(
+        self, reports, outcomes: Mapping[int, int], allocation: Optional[Allocation] = None
+    ) -> Settlement:
+        return settle(self, reports, outcomes, allocation)
 
     def expost_utility(self, reports, i: int, belief_row: Sequence[float]) -> float:
         return expost_utility(self, reports, i, belief_row)
@@ -198,17 +200,21 @@ class WinklerPayment:
 
 
 def settle(
-    inst: WinklerInstance, reports, outcomes: Mapping[int, int]
+    inst: WinklerInstance,
+    reports,
+    outcomes: Mapping[int, int],
+    allocation: Optional[Allocation] = None,
 ) -> Settlement:
     """Outcome-contingent payments for every funded borrower.
 
     `outcomes` must cover exactly the funded borrowers. Recommenders who
     reported at or below their marginal threshold on a borrower that was
     funded anyway are paid through the Winkler rule's lower branch. Under a
-    cap the thresholds stay the uncapped ones.
+    cap the thresholds stay the uncapped ones. `allocation`, when given,
+    must be `inst.allocate(reports)`; it saves allocating again.
     """
     arr = check_reports(reports, (inst.n, inst.m))
-    alloc = Allocation(allocate(inst, arr))
+    alloc = allocation if allocation is not None else Allocation(allocate(inst, arr))
     check_outcomes(alloc.funded_real, outcomes)
 
     funded = list(alloc.funded_real)

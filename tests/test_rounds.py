@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lendmech import rounds
-from lendmech.aggregation import WeightVector, WeightedLinear
+from lendmech.aggregation import BudescuAccumulator, WeightVector, WeightedLinear
 from lendmech.errors import LedgerError
 from lendmech.priors import BetaIID, DegenerateAt, UniformIID
 from lendmech.rounds import CampaignConfig, RoundLedger, RoundRecord, WorldModel
@@ -77,6 +77,15 @@ class TestRunRound:
             inst, WORLD, seed=5, deviation=lambda beliefs: np.zeros_like(beliefs)
         )
         assert zeroed.funded_real == ()
+
+    def test_settle_with_the_allocation_equals_settle_alone(self):
+        rng = np.random.default_rng(8)
+        for inst in (winkler_instance(), vcg_instance()):
+            for _ in range(20):
+                reports = rng.random((3, 4))
+                allocation = inst.allocate(reports)
+                outcomes = {q: int(rng.integers(0, 2)) for q in allocation.funded_real}
+                assert inst.settle(reports, outcomes, allocation) == inst.settle(reports, outcomes)
 
 
 class TestLedger:
@@ -208,6 +217,17 @@ class TestLedgerFormat:
             (ledger_line(reports=[[0.5, 2.0]] * 3), "line 2: field 'reports': reports shape"),
             (ledger_line(funded_real=[9]), "line 2: field 'funded_real': borrower 9"),
             (ledger_line(outcomes=[]), "line 2: field 'outcomes': no outcome supplied"),
+            (ledger_line(deficit="abc"), "line 2: field 'deficit': expected a number"),
+            (ledger_line(tcomp=5), "line 2: field 'tcomp': expected a list of 3 numbers"),
+            (ledger_line(round_id=-1), "line 2: field 'round_id': expected an integer >= 0"),
+            (ledger_line(reserves_funded=True), "line 2: field 'reserves_funded': expected"),
+            (ledger_line(scenario_hash=3), "line 2: field 'scenario_hash': expected a string"),
+            (ledger_line(immediate=[0.0]), "line 2: field 'immediate': expected a list of 3"),
+            (
+                ledger_line(realized_utilities=[0.0, float("nan"), 0.0]),
+                "line 2: field 'realized_utilities': expected a list of 3 numbers",
+            ),
+            (ledger_line(contingent=[[0, 9, 1.0]]), "line 2: field 'contingent': expected"),
         ],
     )
     def test_bad_line_names_path_line_and_field(self, line, message, tmp_path):
@@ -242,6 +262,76 @@ class TestEvolveWeights:
 
     def test_empty_ledger_falls_back_to_equal(self):
         assert rounds.evolve_weights(RoundLedger(), 3).weights == (1 / 3,) * 3
+
+
+def loan_record(reports, outcomes, round_id=0) -> RoundRecord:
+    """A round funding exactly the borrowers in `outcomes` ({q: outcome});
+    only the fields the weights read carry information."""
+    n, m = len(reports), len(reports[0])
+    return RoundRecord(
+        round_id=round_id,
+        scenario_hash="",
+        weights=(1 / n,) * n,
+        truths=(0.5,) * m,
+        reports=reports,
+        funded_real=tuple(sorted(outcomes)),
+        reserves_funded=0,
+        outcomes=tuple(sorted(outcomes.items())),
+        immediate=(0.0,) * n,
+        contingent=(),
+        tcomp=None,
+        deficit=0.0,
+        realized_utilities=(0.0,) * n,
+    )
+
+
+# A coarse grid makes ties between reports, and between contributions, common.
+GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def weight_histories(draw):
+    """(n, records, window): rounds with grid or arbitrary reports, possibly
+    identical rows (every contribution 0) and rounds that fund nobody; the
+    window runs from 1 to one past the number of funded loans."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = GRID | UNIT
+    identical_rows = draw(st.booleans())
+    records = []
+    for r in range(draw(st.integers(0, 6))):
+        rows = [tuple(draw(values) for _ in range(m)) for _ in range(1 if identical_rows else n)]
+        reports = tuple(rows * n) if identical_rows else tuple(rows)
+        funded = draw(st.sets(st.integers(0, m - 1)))
+        records.append(loan_record(reports, {q: draw(st.integers(0, 1)) for q in funded}, r))
+    loans = sum(len(record.funded_real) for record in records)
+    return n, records, draw(st.none() | st.integers(1, loans + 1))
+
+
+class TestBudescuAccumulator:
+    @settings(max_examples=400, deadline=None)
+    @given(weight_histories())
+    # One recommender: leaving them out leaves no report, so equal weights.
+    @example((1, [loan_record(((0.8, 0.3),), {0: 1, 1: 0})], None))
+    # Identical rows: nobody contributes, so equal weights.
+    @example((2, [loan_record(((0.9,), (0.9,)), {0: 1})] * 3, 2))
+    # A round funding nobody between two that fund.
+    @example((2, [
+        loan_record(((0.8,), (0.6,)), {0: 1}), loan_record(((0.8,), (0.6,)), {}),
+        loan_record(((0.2,), (0.7,)), {0: 0}),
+    ], 1))
+    def test_equals_evolve_weights_on_every_prefix(self, history):
+        n, records, window = history
+        scores, prefix = BudescuAccumulator(n, window), RoundLedger()
+        for record in records:
+            assert scores.weights() == rounds.evolve_weights(prefix, n, window)
+            scores.add(rounds.funded_loans(record, n))
+            prefix.append(record)
+        assert scores.weights() == rounds.evolve_weights(prefix, n, window)
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_rejects_non_positive_window(self, window):
+        with pytest.raises(ValueError, match="window size must be >= 1"):
+            BudescuAccumulator(2, window)
 
 
 class TestConfigHash:
@@ -307,10 +397,12 @@ class TestCampaign:
         assert summary.cumulative_deficit == pytest.approx(record.deficit, abs=1e-12)
         assert summary.recommender_utilities == pytest.approx(record.realized_utilities)
 
-    def test_weights_causality(self):
-        # weights applied in round r must be recomputable from rounds < r
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_weights_causality(self, window):
+        # weights applied in round r must be recomputable, bit for bit, from rounds < r
         config = CampaignConfig(
-            mechanism="winkler", n=3, m=4, threshold=0.5, world=WORLD, weight_mode="budescu"
+            mechanism="winkler", n=3, m=4, threshold=0.5, world=WORLD, weight_mode="budescu",
+            history_window=window,
         )
         summary, ledger = rounds.campaign(6, config, seed=9)
         for r in range(6):
@@ -318,10 +410,11 @@ class TestCampaign:
             for rec in ledger.records[:r]:
                 prefix.append(rec)
             expected = (
-                rounds.evolve_weights(prefix, 3).weights if r > 0 else (1 / 3,) * 3
+                rounds.evolve_weights(prefix, 3, window).weights if r > 0 else (1 / 3,) * 3
             )
-            assert summary.weight_trajectory[r] == pytest.approx(expected, abs=1e-12)
-            assert ledger.records[r].weights == pytest.approx(expected, abs=1e-12)
+            assert summary.weight_trajectory[r] == expected
+            assert ledger.records[r].weights == expected
+        assert summary.final_weights == rounds.evolve_weights(ledger, 3, window).weights
 
     def test_halving_alpha_halves_deficit_and_keeps_allocations(self):
         base = CampaignConfig(
