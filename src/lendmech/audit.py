@@ -13,11 +13,9 @@ a replayable witness, and statistical ties are surfaced as inconclusive.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools as it
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -27,7 +25,7 @@ from . import vcg as vcg_mod
 from . import winkler as winkler_mod
 from .aggregation import aggregate_columns
 from .errors import ReproductionMismatch, ScenarioError
-from .mechanism import Instance, left_sum, linear_scores
+from .mechanism import Instance, elementwise_column_stats, left_sum, linear_scores, mean_se
 from .priors import DegenerateAt, PriorSpec, is_degenerate, sample_others, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
@@ -102,23 +100,27 @@ def generate_misreports(
     strategies: Union[MisreportStrategy, Sequence[MisreportStrategy]],
     rng: np.random.Generator,
 ) -> list[Candidate]:
-    """Expand strategies into concrete misreport rows (truth excluded)."""
+    """Expand strategies into concrete misreport rows (truth excluded).
+
+    A row within 1e-12 of the truth in every coordinate is not a misreport
+    and is dropped; `equal_shift` is `is_equal_shift` of the row. Each
+    strategy's rows are built and judged as one array.
+    """
     if not isinstance(strategies, (list, tuple)):
         strategies = (strategies,)
-    truth = tuple(float(v) for v in true_row)
+    truth = np.array([float(v) for v in true_row])
     m = len(truth)
     out: list[Candidate] = []
 
-    def push(row: tuple[float, ...], kind: str, coordinate: Optional[int], clamped: bool) -> None:
-        if max(abs(r - t) for r, t in zip(row, truth)) <= 1e-12:
-            return
-        out.append(
-            Candidate(
-                row=row,
-                kind=kind,
-                coordinate=coordinate,
-                equal_shift=is_equal_shift(truth, row),
-                clamped=clamped,
+    def push(rows: np.ndarray, kind: str, coordinate: Optional[int], clamped) -> None:
+        offsets = rows - truth
+        keep = np.abs(offsets).max(axis=1) > 1e-12
+        shift = offsets.max(axis=1) - offsets.min(axis=1) <= EQUAL_SHIFT_TOL
+        clamped = np.broadcast_to(clamped, keep.shape)
+        out.extend(
+            Candidate(row=tuple(row), kind=kind, coordinate=coordinate, equal_shift=es, clamped=cl)
+            for row, es, cl in zip(
+                rows[keep].tolist(), shift[keep].tolist(), clamped[keep].tolist()
             )
         )
 
@@ -126,23 +128,19 @@ def generate_misreports(
         if isinstance(strategy, SingleCoordinateGrid):
             grid = np.linspace(0.0, 1.0, strategy.points)
             for q in range(m):
-                for value in grid:
-                    if abs(value - truth[q]) <= 1e-12:
-                        continue
-                    row = truth[:q] + (float(value),) + truth[q + 1 :]
-                    push(row, "single-coordinate", q, False)
+                rows = np.tile(truth, (len(grid), 1))
+                rows[:, q] = grid
+                push(rows, "single-coordinate", q, False)
         elif isinstance(strategy, FullRowRandom):
-            rows = rng.random((strategy.count, m))
-            for r in rows:
-                push(tuple(float(v) for v in r), "random-row", None, False)
+            push(rng.random((strategy.count, m)), "random-row", None, False)
         elif isinstance(strategy, EqualShift):
-            for delta in strategy.deltas:
-                shifted = [min(1.0, max(0.0, t + delta)) for t in truth]
-                clamped = any(abs((s - t) - delta) > 1e-12 for s, t in zip(shifted, truth))
-                push(tuple(shifted), "equal-shift", None, clamped)
+            deltas = np.asarray(strategy.deltas, dtype=float)[:, np.newaxis]
+            shifted = np.minimum(1.0, np.maximum(0.0, truth + deltas))
+            clamped = (np.abs((shifted - truth) - deltas) > 1e-12).any(axis=1)
+            push(shifted, "equal-shift", None, clamped)
         elif isinstance(strategy, Targeted):
-            for r in strategy.rows:
-                push(tuple(float(v) for v in r), "targeted", None, False)
+            rows = np.array([[float(v) for v in r] for r in strategy.rows])
+            push(rows.reshape(len(strategy.rows), m), "targeted", None, False)
         else:
             raise TypeError(f"unknown misreport strategy {strategy!r}")
     return out
@@ -181,6 +179,10 @@ class _SlowEngine:
         """Scorer for reports equal to `true_row` except in coordinate q."""
         truth = tuple(float(v) for v in true_row)
         return lambda report: self.utilities(truth, truth[:q] + (report,) + truth[q + 1 :])
+
+    def column_stats(self, true_row, q: int, truth_values: np.ndarray, reports):
+        """`_mean_se(truth_values - column(true_row, q)(r))` for each report r."""
+        return elementwise_column_stats(self.column(true_row, q), truth_values, reports)
 
 
 def _make_engine(inst: Instance, i: int, others: np.ndarray):
@@ -226,35 +228,21 @@ class AuditVerdict:
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of per-sample values.
-
-    An infinite sample (a log score of -inf, or a difference against one)
-    decides the mean outright, which is reported with SE 0: -inf if any
-    sample is -inf, else +inf.
-    """
-    if np.isinf(values).any():
-        if np.isneginf(values).any():
-            return -math.inf, 0.0
-        return math.inf, 0.0
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return mean, se
+    """Mean and standard error of per-sample values (see `mechanism.mean_se`:
+    an infinite sample decides the mean outright, with SE 0)."""
+    mean, se = mean_se(values)
+    return float(mean), float(se)
 
 
-def _classify(mean_diff: float, se: float, exact: bool) -> str:
-    """Truth-minus-misreport difference -> misreport classification."""
+def _classify(mean_diff: np.ndarray, se: np.ndarray, exact: bool) -> list[str]:
+    """Truth-minus-misreport differences -> misreport classifications."""
     if exact:
-        if mean_diff > EXACT_TOL:
-            return "loses"
-        if mean_diff < -EXACT_TOL:
-            return "wins"
-        return "ties"
-    margin = SE_MULTIPLIER * se
-    if mean_diff > margin and mean_diff > 0.0:
-        return "loses"
-    if mean_diff < -margin and mean_diff < 0.0:
-        return "wins"
-    return "ties"
+        loses, wins = mean_diff > EXACT_TOL, mean_diff < -EXACT_TOL
+    else:
+        margin = SE_MULTIPLIER * se
+        loses = (mean_diff > margin) & (mean_diff > 0.0)
+        wins = (mean_diff < -margin) & (mean_diff < 0.0)
+    return np.where(loses, "loses", np.where(wins, "wins", "ties")).tolist()
 
 
 def _assemble_verdict(
@@ -354,14 +342,15 @@ def best_response_search(
     samples: int,
     seed: int,
     desideratum: str = "strict-iic",
-    workers: int = 1,
 ) -> AuditVerdict:
     """Search misreports for recommender i and judge the desideratum.
 
     Point priors make this an exact ex post check (no sampling noise, the
     1e-9 tolerance decides); otherwise truth and every candidate share the
     same seeded co-report samples and each comparison uses the paired
-    difference and its standard error.
+    difference and its standard error. Candidates that move one coordinate
+    are scored with one `column_stats` call per coordinate; full-row
+    candidates one at a time.
     """
     seq = np.random.SeedSequence(seed)
     rng_samples, rng_candidates = (np.random.default_rng(s) for s in seq.spawn(2))
@@ -382,35 +371,25 @@ def best_response_search(
     truth_values = engine.utilities(true_row, true_row)
     truth_mean, truth_se = _mean_se(truth_values)
 
-    def judge_group(q: Optional[int], group: list[Candidate], pool) -> list[MisreportOutcome]:
-        # Coordinate q's column is built before its candidates are dispatched,
-        # so workers only read it, and it is freed when the group is done.
-        column = None if q is None else engine.column(true_row, q)
-
-        def evaluate(candidate: Candidate) -> MisreportOutcome:
-            if column is None:
-                values = engine.utilities(true_row, candidate.row)
-            else:
-                values = column(candidate.row[q])
-            mean_diff, se = _mean_se(truth_values - values)
-            return MisreportOutcome(
-                candidate=candidate,
-                mean_gain=-mean_diff,
-                std_error=se,
-                classification=_classify(mean_diff, se, exact),
-            )
-
-        return list(pool.map(evaluate, group) if pool else map(evaluate, group))
-
     groups: dict[Optional[int], list[int]] = {}
     for k, candidate in enumerate(candidates):
         groups.setdefault(candidate.coordinate, []).append(k)
-    by_index: dict[int, MisreportOutcome] = {}
-    pool_cm = ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
-    with pool_cm as pool:
-        for q, members in groups.items():
-            by_index.update(zip(members, judge_group(q, [candidates[k] for k in members], pool)))
-    outcomes = [by_index[k] for k in range(len(candidates))]
+    mean_diff, se = np.empty(len(candidates)), np.empty(len(candidates))
+    for q, members in groups.items():
+        if q is None:
+            for k in members:
+                values = engine.utilities(true_row, candidates[k].row)
+                mean_diff[k], se[k] = _mean_se(truth_values - values)
+        else:
+            reports = [candidates[k].row[q] for k in members]
+            stats = engine.column_stats(true_row, q, truth_values, reports)
+            mean_diff[members], se[members] = stats
+    outcomes = [
+        MisreportOutcome(candidate=c, mean_gain=-d, std_error=e, classification=label)
+        for c, d, e, label in zip(
+            candidates, mean_diff.tolist(), se.tolist(), _classify(mean_diff, se, exact)
+        )
+    ]
 
     notes = ()
     if exact:
@@ -517,14 +496,17 @@ def strong_ex_post_ir_check(
 
     Enumerates all 2^(funded) outcome vectors, so keep K small. Requires
     the rebate to be enabled on the instance to have any chance of passing.
+    Allocates and settles once: per outcome vector only the contingent
+    payments change.
     """
     arr = np.asarray(reports, dtype=float)
     alloc = vcg_mod.allocate(inst, arr)
     funded = alloc.funded_real
+    settled = vcg_mod.settle(inst, arr, dict.fromkeys(funded, 0), allocation=alloc)
     worst, witness = math.inf, None
     for bits in it.product((0, 1), repeat=len(funded)):
-        outcomes = dict(zip(funded, bits))
-        settlement = vcg_mod.settle(inst, arr, outcomes)
+        contingent = vcg_mod.contingent_payments(inst, funded, dict(zip(funded, bits)))
+        settlement = dataclasses.replace(settled, contingent=contingent)
         for i in range(inst.n):
             value = settlement.realized_utility(i)
             if value < worst:

@@ -265,8 +265,7 @@ def cmd_audit(args) -> int:
     for key, row in sorted(true_rows.items()):
         i = key[0] if isinstance(key, tuple) else key
         verdict = audit_mod.best_response_search(
-            inst, i, row, prior, block.strategies, samples, seed,
-            desideratum=desideratum, workers=args.workers,
+            inst, i, row, prior, block.strategies, samples, seed, desideratum=desideratum
         )
         gain = verdict.witness.mean_gain if verdict.witness else 0.0
         print(
@@ -406,7 +405,8 @@ def build_parser() -> _Parser:
     p_audit.add_argument("desideratum", choices=DESIDERATA)
     p_audit.add_argument("--samples", type=int)
     p_audit.add_argument("--seed", type=int)
-    p_audit.add_argument("--workers", type=int, default=1)
+    # Accepted and ignored: the search is single-threaded and batched.
+    p_audit.add_argument("--workers", type=int, default=1, help="no effect; kept for old scripts")
     p_audit.add_argument("--json", action="store_true", help="emit a machine-readable record")
     p_audit.set_defaults(func=cmd_audit)
 

@@ -22,8 +22,9 @@ as the allocation does, ties included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -97,21 +98,67 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
-def linear_scores(weights: Sequence[float], reports) -> np.ndarray:
+def linear_scores(weights: Sequence, reports) -> np.ndarray:
     """The linear pool sum_j w_j r_j of every column of `reports`.
 
     The recommender axis is the second to last and any leading axes are
     batches, so an (n, m) report matrix gives m scores and an (S, n, m)
-    sample gives (S, m). Terms are added left to right in recommender
-    order. A recommender's others' score is this sum over the others only,
-    never the total minus their own term; so with their report at 0 the
-    score is bit for bit the others' score.
+    sample gives (S, m). A weight is a float, or an array that broadcasts
+    against the scores, to give each batch its own weights. Terms are added
+    left to right in recommender order. A recommender's others' score is
+    this sum over the others only, never the total minus their own term; so
+    with their report at 0 the score is bit for bit the others' score.
     """
     arr = np.asarray(reports, dtype=float)
     total = np.zeros(arr.shape[:-2] + arr.shape[-1:])
     for j, w in enumerate(weights):
         total += w * arr[..., j, :]
     return total
+
+
+def mean_se(values) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of per-sample values, samples on the last axis.
+
+    An infinite sample (a log score of -inf, or a difference against one)
+    decides its row's mean outright, which is reported with SE 0: -inf if
+    any sample is -inf, else +inf. A row is reduced as a 1-D array of its
+    own would be, so batching rows does not move a bit.
+    """
+    values = np.asarray(values, dtype=float)
+    samples = values.shape[-1]
+    with np.errstate(invalid="ignore"):  # inf - inf in rows replaced below
+        mean = values.mean(axis=-1)
+        if samples > 1:
+            se = values.std(axis=-1, ddof=1) / math.sqrt(samples)
+        else:
+            se = np.zeros(mean.shape)
+    infinite = np.isinf(values).any(axis=-1)
+    if infinite.any():
+        mean = np.where(np.isneginf(values).any(axis=-1), -np.inf, np.where(infinite, np.inf, mean))
+        se = np.where(infinite, 0.0, se)
+    return mean, se
+
+
+def elementwise_column_stats(
+    column: Callable[[float], np.ndarray], truth_values: np.ndarray, reports
+) -> tuple[np.ndarray, np.ndarray]:
+    """`mean_se(truth_values - column(r))` for each report r, bit for bit.
+
+    `column` maps one report to per-sample values. Reports are scored in
+    blocks of as many as fit in COLUMN_CHUNK sample values (at least one
+    report), so a block's temporaries stay bounded while single-sample
+    searches make one reduction per block instead of one per report.
+    """
+    reports = np.asarray(reports, dtype=float)
+    mean, se = np.empty(len(reports)), np.empty(len(reports))
+    step = max(1, COLUMN_CHUNK // len(truth_values))
+    diffs = np.empty((min(step, len(reports)), len(truth_values)))
+    for start in range(0, len(reports), step):
+        block = reports[start : start + step]
+        for k, report in enumerate(block):
+            np.subtract(truth_values, column(float(report)), out=diffs[k])
+        mean[start : start + step], se[start : start + step] = mean_se(diffs[: len(block)])
+    return mean, se
 
 
 def chunks(samples: int):

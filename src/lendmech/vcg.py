@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ReserveRecommenderHasNoPayment
 # `deficit` is re-exported: callers use vcg.deficit.
 from .mechanism import Allocation, Settlement, check_outcomes, check_reports, deficit
-from .mechanism import chunks, left_sum, linear_scores, report_bounds
+from .mechanism import chunks, elementwise_column_stats, left_sum, linear_scores, report_bounds
 
 
 @dataclass(frozen=True)
@@ -215,11 +215,7 @@ def settle(
     check_outcomes(alloc.funded_real, outcomes)
 
     immediate = tuple(pivot_payment(inst, arr, i) for i in range(inst.n))
-    contingent = {
-        (i, q): inst.alpha * inst.weights[i] * outcomes[q]
-        for i in range(inst.n)
-        for q in alloc.funded_real
-    }
+    contingent = contingent_payments(inst, alloc.funded_real, outcomes)
     rebates: Optional[tuple[float, ...]] = None
     if inst.tcomp_enabled:
         rebates = tuple(
@@ -231,6 +227,17 @@ def settle(
         contingent=contingent,
         tcomp=rebates,
     )
+
+
+def contingent_payments(
+    inst: VcgInstance, funded: Sequence[int], outcomes: Mapping[int, int]
+) -> dict[tuple[int, int], float]:
+    """The constant rule's realized payments, (recommender, funded borrower)
+    -> alpha * w_i on repayment and 0 on default. The only part of a
+    settlement that depends on the outcomes."""
+    return {
+        (i, q): inst.alpha * inst.weights[i] * outcomes[q] for i in range(inst.n) for q in funded
+    }
 
 
 def expost_utility(inst: VcgInstance, reports, i: int, belief_row: Sequence[float]) -> float:
@@ -367,3 +374,10 @@ class InterimEngine:
             key = np.where(pos >= q, np.nextafter(kth_key, -np.inf), kth_key)
             bound[rows] = report_bounds(inst.weights, self.i, self.others[rows, :, q].T, key)
         return lambda report: np.where(report > bound, u_in, u_out)
+
+    def column_stats(
+        self, true_row: Sequence[float], q: int, truth_values: np.ndarray, reports
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`mean_se(truth_values - column(true_row, q)(r))` for each report r,
+        bit for bit; see `mechanism.elementwise_column_stats`."""
+        return elementwise_column_stats(self.column(true_row, q), truth_values, reports)

@@ -25,7 +25,8 @@ import numpy as np
 from .aggregation import Aggregator, WeightedLinear, aggregate, aggregate_columns
 from .errors import ZeroWeightRecommender
 from .mechanism import Allocation, Settlement, check_outcomes, check_reports
-from .mechanism import chunks, linear_scores, report_bounds
+from .mechanism import COLUMN_CHUNK, chunks, elementwise_column_stats, linear_scores
+from .mechanism import report_bounds
 
 BISECTION_STEPS = 60
 
@@ -119,33 +120,38 @@ def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> floa
     return hi
 
 
-def funding_thresholds(c: float, others: np.ndarray, w_i: float) -> np.ndarray:
+def funding_thresholds(c: float, others: np.ndarray, w_i) -> np.ndarray:
     """Recommender i's marginal funding thresholds given the others' scores.
 
     The report at which i swings a column, (c - others' score) / w_i,
     clipped to [0, 1]. It depends only on the others' reports. A
     zero-weight recommender never swings a decision and gets the sentinel
-    +inf (their payment is zero).
+    +inf (their payment is zero). `w_i` may be an array that broadcasts
+    against `others`, one weight per row of recommenders.
     """
-    if w_i == 0.0:
-        return np.full_like(others, np.inf)
-    return np.clip((c - others) / w_i, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # w_i = 0 is replaced below
+        swing = np.clip((c - others) / w_i, 0.0, 1.0)
+    return np.where(np.asarray(w_i) == 0.0, np.inf, swing)
 
 
 def marginal_thresholds(inst: WinklerInstance, reports) -> np.ndarray:
     """Per-(recommender, borrower) minimum report that funds the borrower.
 
     Linear aggregators use `funding_thresholds` on the others' linear
-    scores; custom monotone aggregators are bisected.
+    scores, every recommender's in one `linear_scores` call over an
+    (n, n-1, m) stack of the others' reports; custom monotone aggregators
+    are bisected.
     """
     arr = check_reports(reports, (inst.n, inst.m))
-    out = np.empty((inst.n, inst.m))
     if isinstance(inst.aggregator, WeightedLinear):
-        w = inst.aggregator.weights.weights
-        for i in range(inst.n):
-            others = linear_scores(w[:i] + w[i + 1 :], np.delete(arr, i, axis=0))
-            out[i, :] = funding_thresholds(inst.threshold, others, w[i])
-        return out
+        w = np.asarray(inst.aggregator.weights.weights)
+        # Row i lists every recommender but i, in order.
+        others = np.array([[j for j in range(inst.n) if j != i] for i in range(inst.n)], dtype=int)
+        others = others.reshape(inst.n, inst.n - 1)
+        # Slot j's weights, one per recommender: (n, 1) against (n, m) scores.
+        scores = linear_scores(w[others].T[:, :, np.newaxis], arr[others])
+        return funding_thresholds(inst.threshold, scores, w[:, np.newaxis])
+    out = np.empty((inst.n, inst.m))
     for q in range(inst.m):
         for i in range(inst.n):
             out[i, q] = _bisect_threshold(inst, arr[:, q], i)
@@ -187,14 +193,26 @@ class WinklerPayment:
         self.neg_log_a = -np.log(safe)
         self.neg_log_1ma = -np.log1p(-safe)
 
-    def __call__(self, belief, report) -> np.ndarray:
+    @staticmethod
+    def own(belief, report) -> np.ndarray:
+        """The belief-weighted log score b log r + (1 - b) log(1 - r), the
+        part of the payment that depends on the report."""
         belief = np.asarray(belief, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            own = np.where(belief > 0.0, belief * np.log(report), 0.0) + np.where(
+            return np.where(belief > 0.0, belief * np.log(report), 0.0) + np.where(
                 belief < 1.0, (1.0 - belief) * np.log1p(-report), 0.0
             )
-            numerator = own + (belief * self.neg_log_a + (1.0 - belief) * self.neg_log_1ma)
-            value = numerator / np.where(report > self.anchor, self.neg_log_a, self.neg_log_1ma)
+
+    def offset(self, belief) -> np.ndarray:
+        """What the payment's numerator adds to `own`: minus own at the anchor."""
+        belief = np.asarray(belief, dtype=float)
+        return belief * self.neg_log_a + (1.0 - belief) * self.neg_log_1ma
+
+    def __call__(self, belief, report) -> np.ndarray:
+        belief = np.asarray(belief, dtype=float)
+        # Both divisors are positive; an infinite log score stays infinite.
+        numerator = self.own(belief, report) + self.offset(belief)
+        value = numerator / np.where(report > self.anchor, self.neg_log_a, self.neg_log_1ma)
         value = np.where(self.limit, belief * (report > 0.0), value)
         return np.where(self.idle, 0.0, value)
 
@@ -249,10 +267,13 @@ class ColumnEngine:
     funding threshold for recommender i's report (`funding_thresholds`, as
     `marginal_thresholds` computes it), its `WinklerPayment`, and the
     largest report that leaves the column unfunded (`report_bounds`, the
-    allocation's own test). A candidate report's per-sample payoff
-    contribution on one borrower is then a handful of vector operations,
-    which is what makes grid-misreport searches at 1e5 samples tractable.
-    Linear aggregators and uncapped instances only.
+    allocation's own test). Linear aggregators and uncapped instances only.
+
+    `utilities` and `column` score one report per call, a few vector
+    operations over the samples each; they are the reference.
+    `column_stats` scores a whole grid of reports on one coordinate from
+    per-block moments (see there), which is what makes grid-misreport
+    searches at 1e5 samples cheap.
     """
 
     def __init__(self, inst: WinklerInstance, i: int, others: np.ndarray) -> None:
@@ -298,3 +319,119 @@ class ColumnEngine:
         rest = np.sum(truth[:q] + truth[q + 1 :], axis=0)
         belief = float(true_row[q])
         return lambda report: rest + self.column_contribution(q, belief, report)
+
+    def column_stats(
+        self, true_row: Sequence[float], q: int, truth_values: np.ndarray, reports
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and standard error of truth minus each report on coordinate q.
+
+        The reports replace `true_row[q]`; beliefs are `true_row`, and
+        `truth_values` is `utilities(true_row, true_row)`. Each slot equals
+        `mean_se(truth_values - column(true_row, q)(report))` up to
+        rounding. Reports at 0 or 1, and every report when the truth is at
+        0 or 1, are scored that way, elementwise, so the log score's
+        infinities follow `mean_se`'s rule. The rest come from
+        `_grid_stats` in O(samples + reports * blocks), not
+        O(samples * reports).
+        """
+        reports = np.asarray(reports, dtype=float)
+        belief = float(true_row[q])
+        edge = (reports == 0.0) | (reports == 1.0) | (belief in (0.0, 1.0))
+        mean, se = np.empty(len(reports)), np.empty(len(reports))
+        if edge.any():
+            column = self.column(true_row, q)
+            mean[edge], se[edge] = elementwise_column_stats(column, truth_values, reports[edge])
+        if not edge.all():
+            mean[~edge], se[~edge] = self._grid_stats(q, belief, reports[~edge])
+        return mean, se
+
+    def _grid_stats(self, q: int, belief: float, reports: np.ndarray):
+        """`column_stats` for reports strictly inside (0, 1), truth too.
+
+        A funded sample pays u_s + alpha_s * (own(r) - own(truth)): alpha_s
+        is 1 / -log(anchor_s) and u_s the truth's payment above the anchor;
+        limit anchors have alpha 0 and u the belief, idle ones both 0. The
+        reports, truth included, cut the samples by gate into blocks: the
+        samples in a block are funded by the same reports, those above
+        their gates. On a block, truth minus report r is then
+        (ft - fr) * u + fr * (own(truth) - own(r)) * alpha, with ft and fr
+        the block's 0/1 funding at the truth and at r. So one pass over the
+        samples reduces each block to its count, means of u and alpha and
+        centered co-moments, and each (report, block) pair has a closed-form
+        mean and centered sum of squares; the Chan-Golub-LeVeque pairwise
+        update merges the blocks. A sample funded at some report r with
+        gate < r <= anchor is paid through the payment's lower branch, not
+        the model's: such samples (a window of a few ulps) are scored
+        exactly, as one more block.
+        """
+        pay, gate = self.payments[q], self.gate[q]
+        levels = np.unique(np.append(reports, belief))  # the block edges, ascending
+        # A sample's block: how many of the levels do not fund it.
+        block = np.searchsorted(levels, gate, side="right")
+        regular = ~(pay.limit | pay.idle)
+        nearest = levels[np.minimum(block, len(levels) - 1)]  # lowest level above the gate
+        exact = regular & (block < len(levels)) & (nearest <= pay.anchor)
+
+        own_truth = float(WinklerPayment.own(belief, belief))
+        alpha = np.where(regular, 1.0 / pay.neg_log_a, 0.0)
+        u = np.where(regular, (own_truth + pay.offset(belief)) / pay.neg_log_a, belief * pay.limit)
+        alpha, u, block_of = alpha[~exact], u[~exact], block[~exact]
+        count = np.bincount(block_of, minlength=len(levels) + 1).astype(float)
+        kept = count > 0
+        safe = np.where(kept, count, 1.0)
+        mean_alpha = np.bincount(block_of, alpha, len(levels) + 1) / safe
+        mean_u = np.bincount(block_of, u, len(levels) + 1) / safe
+        dev_alpha, dev_u = alpha - mean_alpha[block_of], u - mean_u[block_of]
+        m_aa = np.bincount(block_of, dev_alpha * dev_alpha, len(levels) + 1)[kept]
+        m_au = np.bincount(block_of, dev_alpha * dev_u, len(levels) + 1)[kept]
+        m_uu = np.bincount(block_of, dev_u * dev_u, len(levels) + 1)[kept]
+        mean_alpha, mean_u = mean_alpha[kept], mean_u[kept]
+        index = np.arange(len(levels) + 1)[kept]
+        f_truth = (index <= np.searchsorted(levels, belief)).astype(float)
+
+        exact_pay, exact_gate = WinklerPayment(pay.anchor[exact]), gate[exact]
+
+        def paid(report):
+            return np.where(report > exact_gate, exact_pay(belief, report), 0.0)
+
+        at_truth = paid(belief)
+        counts = np.append(count[kept], float(len(exact_gate))) if exact.any() else count[kept]
+        # Reports in blocks that keep each (report, block) array within
+        # COLUMN_CHUNK entries, however fine the grid.
+        mean, m2 = np.empty(len(reports)), np.empty(len(reports))
+        step = max(1, COLUMN_CHUNK // (len(index) + len(exact_gate)))
+        for start in range(0, len(reports), step):
+            rows = slice(start, start + step)
+            chunk = reports[rows]
+            f_report = (index <= np.searchsorted(levels, chunk)[:, np.newaxis]).astype(float)
+            c_u = f_truth - f_report
+            c_alpha = f_report * (own_truth - WinklerPayment.own(belief, chunk))[:, np.newaxis]
+            means = c_u * mean_u + c_alpha * mean_alpha
+            sq = c_alpha * c_alpha * m_aa + 2.0 * c_alpha * c_u * m_au + c_u * c_u * m_uu
+            sq = np.maximum(sq, 0.0)
+            if exact.any():
+                diffs = at_truth - paid(chunk[:, np.newaxis])
+                exact_mean = diffs.mean(axis=1)
+                means = np.column_stack([means, exact_mean])
+                sq = np.column_stack([sq, ((diffs - exact_mean[:, np.newaxis]) ** 2).sum(axis=1)])
+            mean[rows], m2[rows] = _merge_moments(counts, means, sq)
+        if self.samples == 1:
+            return mean, np.zeros(len(mean))
+        return mean, np.sqrt(m2 / (self.samples - 1)) / math.sqrt(self.samples)
+
+
+def _merge_moments(counts: np.ndarray, means: np.ndarray, m2: np.ndarray):
+    """Merge blocks into one by the Chan-Golub-LeVeque pairwise update,
+    pairing neighbours until one block is left: the mean and centered sum
+    of squares of each row. `counts` holds one positive count per block
+    (column of `means` and `m2`)."""
+    while len(counts) > 1:
+        if len(counts) % 2:  # an empty block evens the pairs
+            counts = np.append(counts, 0.0)
+            means, m2 = np.pad(means, ((0, 0), (0, 1))), np.pad(m2, ((0, 0), (0, 1)))
+        n_a, n_b = counts[0::2], counts[1::2]
+        counts = n_a + n_b
+        delta = means[:, 1::2] - means[:, 0::2]
+        means = means[:, 0::2] + delta * (n_b / counts)
+        m2 = m2[:, 0::2] + m2[:, 1::2] + delta * delta * (n_a * n_b / counts)
+    return means[:, 0], m2[:, 0]

@@ -1,10 +1,14 @@
 """Audit engine tests: strategies, verdict logic, oracle agreement."""
 
 import dataclasses
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lendmech import audit, scenario, vcg, winkler
 from lendmech.aggregation import MonotoneCustom, WeightVector, WeightedLinear
@@ -65,6 +69,83 @@ class TestStrategies:
         strategies = scenario.loads(json.dumps(data)).audit["strict-iic"].strategies
         kinds = {type(s) for s in strategies}
         assert kinds == {audit.SingleCoordinateGrid, audit.EqualShift, audit.Targeted}
+
+
+def reference_misreports(true_row, strategies, rng):
+    """generate_misreports one row at a time, as a plain loop."""
+    if not isinstance(strategies, (list, tuple)):
+        strategies = (strategies,)
+    truth = tuple(float(v) for v in true_row)
+    m = len(truth)
+    out = []
+
+    def push(row, kind, coordinate, clamped):
+        if max(abs(r - t) for r, t in zip(row, truth)) <= 1e-12:
+            return
+        out.append(
+            audit.Candidate(
+                row=row,
+                kind=kind,
+                coordinate=coordinate,
+                equal_shift=audit.is_equal_shift(truth, row),
+                clamped=clamped,
+            )
+        )
+
+    for strategy in strategies:
+        if isinstance(strategy, audit.SingleCoordinateGrid):
+            for q in range(m):
+                for value in np.linspace(0.0, 1.0, strategy.points):
+                    if abs(value - truth[q]) <= 1e-12:
+                        continue
+                    row = truth[:q] + (float(value),) + truth[q + 1 :]
+                    push(row, "single-coordinate", q, False)
+        elif isinstance(strategy, audit.FullRowRandom):
+            for r in rng.random((strategy.count, m)):
+                push(tuple(float(v) for v in r), "random-row", None, False)
+        elif isinstance(strategy, audit.EqualShift):
+            for delta in strategy.deltas:
+                shifted = [min(1.0, max(0.0, t + delta)) for t in truth]
+                clamped = any(abs((s - t) - delta) > 1e-12 for s, t in zip(shifted, truth))
+                push(tuple(shifted), "equal-shift", None, clamped)
+        else:
+            for r in strategy.rows:
+                push(tuple(float(v) for v in r), "targeted", None, False)
+    return out
+
+
+@st.composite
+def misreport_cases(draw):
+    """True rows on grid points, at 0 and 1, or anywhere; every strategy."""
+    m = draw(st.integers(1, 4))
+    points = draw(st.sampled_from([2, 5, 11, 101]))
+    on_grid = st.integers(0, points - 1).map(lambda k: float(np.linspace(0.0, 1.0, points)[k]))
+    cell = on_grid | st.sampled_from([0.0, 1.0, 1e-13, 1.0 - 1e-13]) | st.floats(0.0, 1.0)
+    true_row = tuple(draw(st.lists(cell, min_size=m, max_size=m)))
+    deltas = st.sampled_from([-0.2, -0.05, -1e-13, 1e-10, 0.05, 0.3]) | st.floats(-1.0, 1.0)
+    rows = st.lists(st.lists(cell, min_size=m, max_size=m).map(tuple), max_size=4)
+    strategies = [
+        audit.SingleCoordinateGrid(points),
+        audit.FullRowRandom(draw(st.integers(0, 5))),
+        audit.EqualShift(tuple(draw(st.lists(deltas, max_size=6)))),
+        audit.Targeted(tuple(draw(rows)) + (true_row,)),
+    ]
+    picked = draw(st.lists(st.sampled_from(strategies), min_size=1, max_size=4))
+    return true_row, picked, draw(st.integers(0, 2**32 - 1))
+
+
+class TestVectorizedMisreports:
+    @settings(max_examples=300, deadline=None)
+    @given(misreport_cases())
+    def test_equals_the_row_by_row_reference(self, case):
+        true_row, strategies, seed = case
+        got = audit.generate_misreports(true_row, strategies, np.random.default_rng(seed))
+        want = reference_misreports(true_row, strategies, np.random.default_rng(seed))
+        assert got == want
+        for a, b in zip(got, want):
+            assert [type(v) for v in a.row] == [type(v) for v in b.row]
+            assert type(a.equal_shift) is type(b.equal_shift) is bool
+            assert type(a.clamped) is type(b.clamped) is bool
 
 
 class TestInterimOracleAgreement:
@@ -198,18 +279,6 @@ class TestBestResponseSearch:
         args = (inst, 0, (0.6, 0.3), UniformIID(), audit.SingleCoordinateGrid(21), 5000, 9)
         assert audit.best_response_search(*args) == audit.best_response_search(*args)
 
-    def test_workers_do_not_change_results(self):
-        strategies = (audit.SingleCoordinateGrid(21), audit.EqualShift((-0.1, 0.1)))
-        vcg_inst = VcgInstance(n=4, m=2, K=1, reserve_threshold=0.5, weights=(0.25,) * 4)
-        for inst in (winkler_instance(n=4), vcg_inst):
-            a = audit.best_response_search(
-                inst, 0, (0.6, 0.3), UniformIID(), strategies, 5000, 9, workers=1
-            )
-            b = audit.best_response_search(
-                inst, 0, (0.6, 0.3), UniformIID(), strategies, 5000, 9, workers=4
-            )
-            assert a == b
-
     def test_vcg_column_path_matches_full_row_oracle(self, monkeypatch):
         inst = VcgInstance(n=4, m=3, K=2, reserve_threshold=0.3, weights=(0.25,) * 4)
         args = (inst, 1, (0.6, 0.3, 0.45), UniformIID(), audit.SingleCoordinateGrid(21), 3000, 4)
@@ -297,6 +366,31 @@ class TestChecks:
         assert with_rebate[1] >= 0.0
         # the all-default outcome charges the pivot with no contingent income
         assert without[1] <= with_rebate[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000), st.booleans())
+    def test_strong_ir_equals_settling_every_outcome_vector(self, seed, rebate):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        K = int(rng.integers(1, min(m, 4) + 1))
+        c = float(rng.uniform(0, 0.9)) if rng.random() < 0.7 else 0.0
+        w = rng.random(n)
+        inst = VcgInstance(
+            n=n, m=m, K=K, reserve_threshold=c, weights=tuple(w / w.sum()), tcomp_enabled=rebate
+        )
+        profile = rng.random((n, m))
+        if rng.random() < 0.3:
+            profile = np.round(profile * 4) / 4  # quarter grid: ties
+        funded = vcg.allocate(inst, profile).funded_real
+        worst, witness = math.inf, None
+        for bits in itertools.product((0, 1), repeat=len(funded)):
+            settlement = vcg.settle(inst, profile, dict(zip(funded, bits)))
+            for i in range(n):
+                if settlement.realized_utility(i) < worst:
+                    worst, witness = settlement.realized_utility(i), (i, bits)
+        assert audit.strong_ex_post_ir_check(inst, profile) == (
+            worst >= -audit.EXACT_TOL, worst, witness
+        )
 
     def test_strong_ir_when_only_reserves_are_funded(self):
         # No real borrower funded: the single empty outcome vector is checked.

@@ -209,6 +209,15 @@ class TestAudit:
         shown = [int(line.split()[1].rstrip(":")) for line in rows]
         assert shown == list(range(n))
 
+    @pytest.mark.parametrize("name", ["no-veto-n3-c05", "vcg-n4"])
+    def test_workers_flag_is_a_no_op(self, name, capsys):
+        # --workers still parses, for old scripts, and changes nothing.
+        argv = ("audit", str(bundled_path(name)), "strict-iic", "--samples", "2000")
+        one = run_cli(capsys, *argv, "--workers", "1")
+        four = run_cli(capsys, *argv, "--workers", "4")
+        assert one[:2] == four[:2]
+        assert "verdict: " in one[1]
+
     def test_json_record(self, capsys):
         code, out, _ = run_cli(capsys, "audit", table1_path(), "weak-epic", "--json")
         assert code == 0

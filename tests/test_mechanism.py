@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lendmech.mechanism import Allocation, Settlement, deficit, left_sum, linear_scores
-from lendmech.mechanism import report_bounds
+from lendmech.mechanism import mean_se, report_bounds
 
 EIGHTHS = [k / 8 for k in range(9)]
 NON_DYADIC_WEIGHTS = [(1 / 3, 1 / 3, 1 / 3), (1 / 7, 2 / 7, 4 / 7), (0.1, 0.3, 0.6)]
@@ -44,6 +44,35 @@ class TestLinearScores:
         reports[i] = 0.0
         others = linear_scores(weights[:i] + weights[i + 1 :], np.delete(reports, i, axis=0))
         assert np.array_equal(linear_scores(weights, reports), others)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_batched_weights_equal_one_call_per_batch(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        weights = np.array([random_weights(rng, n) for _ in range(4)])
+        reports = rng.random((4, n, m))
+        got = linear_scores(weights.T[:, :, np.newaxis], reports)
+        for b in range(4):
+            assert np.array_equal(got[b], linear_scores(tuple(weights[b]), reports[b]))
+
+
+class TestMeanSe:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000), st.integers(1, 70))
+    def test_rows_reduce_as_one_dimensional_arrays(self, seed, samples):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((6, samples)) * 10.0 ** rng.integers(-8, 8, (6, 1))
+        values[1, 0], values[2, -1], values[3, 0], values[3, -1] = np.inf, -np.inf, np.inf, -np.inf
+        mean, se = mean_se(values)
+        for row in range(6):
+            mean_row, se_row = mean_se(values[row])
+            assert (mean[row], se[row]) == (mean_row, se_row)
+        assert mean[0] == values[0].mean()
+        assert se[0] == (values[0].std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0)
+        assert (mean[1], se[1]) == (np.inf, 0.0)
+        assert (mean[2], se[2]) == (mean[3], se[3]) == (-np.inf, 0.0)
 
 
 class TestLeftSum:

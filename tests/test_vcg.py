@@ -377,6 +377,23 @@ class TestInterimEngine:
                 assert np.array_equal(fast, engine.utilities(true_row, row))
                 assert np.max(np.abs(fast - slow.utilities(true_row, row))) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(tie_interim_cases(), st.sampled_from([1, 24, 3000]))
+    def test_column_stats_equal_per_report_mean_se(self, case, samples):
+        inst, i, true_row, seed = case
+        n, m = inst.n, inst.m
+        prior = ProductGrid(tuple(tuple(tuple(QUARTERS) for _ in range(m)) for _ in range(n)))
+        others = sample_others(prior, n, m, i, samples, np.random.default_rng(seed))
+        engine = vcg.InterimEngine(inst, i, others)
+        truth_values = engine.utilities(true_row, true_row)
+        reports = np.linspace(0.0, 1.0, 21)
+        for q in range(m):
+            mean, se = engine.column_stats(true_row, q, truth_values, reports)
+            column = engine.column(true_row, q)
+            want = [audit._mean_se(truth_values - column(float(r))) for r in reports]
+            assert mean.tolist() == [w[0] for w in want]
+            assert se.tolist() == [w[1] for w in want]
+
     def test_matches_scalar_path(self):
         inst = table_instance(K=2, reserve_threshold=0.3)
         rng = np.random.default_rng(21)

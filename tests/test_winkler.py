@@ -15,6 +15,7 @@ from lendmech.errors import (
     ShapeMismatch,
     ZeroWeightRecommender,
 )
+from lendmech.mechanism import linear_scores
 from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, sample_others
 from lendmech.winkler import WinklerInstance
 
@@ -314,3 +315,163 @@ class TestInterimUtility:
         # any positive report on a forced loan pays the constant limit rule
         mean, _ = audit.interim_utility(inst, 0, (0.5,), (0.4,), prior, 1, 0)
         assert mean == pytest.approx(0.5, abs=1e-12)
+
+
+def per_recommender_thresholds(inst, reports):
+    """marginal_thresholds as one `linear_scores` call per recommender."""
+    w = inst.aggregator.weights.weights
+    arr = np.asarray(reports, dtype=float)
+    return np.array(
+        [
+            winkler.funding_thresholds(
+                inst.threshold,
+                linear_scores(w[:i] + w[i + 1 :], np.delete(arr, i, axis=0)),
+                w[i],
+            )
+            for i in range(inst.n)
+        ]
+    ).reshape(inst.n, inst.m)
+
+
+class TestBatchedThresholds:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # Four or more recommenders make the others' sum order-dependent.
+        st.sampled_from(
+            NON_DYADIC_WEIGHTS
+            + [(0.1, 0.2, 0.3, 0.4), (1 / 7, 1 / 7, 2 / 7, 3 / 7), (0.1, 0.15, 0.2, 0.25, 0.3)]
+            + [(1.0,), (0.0, 1.0), (0.5, 0.0, 0.5)]
+        ),
+        st.sampled_from([0.25, 0.5, 0.7]),
+        st.integers(1, 4),
+        st.data(),
+    )
+    def test_one_stacked_call_equals_the_per_recommender_loop(self, weights, c, m, data):
+        # Eighth grids put reports exactly at their thresholds, and the
+        # non-dyadic weights make the sums round.
+        n = len(weights)
+        inst = make_instance(n=n, m=m, c=c, weights=weights)
+        cells = st.sampled_from(EIGHTHS)
+        reports = np.array(
+            data.draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))
+        )
+        got = winkler.marginal_thresholds(inst, reports)
+        assert np.array_equal(got, per_recommender_thresholds(inst, reports))
+
+
+def engine_case(draw):
+    """(instance, recommender, co-report sample, true row, reports) built to
+    hit the sorted path's edges."""
+    kind = draw(st.sampled_from(["non-dyadic", "single", "zero-weight", "random"]))
+    if kind == "non-dyadic":
+        weights = draw(st.sampled_from(NON_DYADIC_WEIGHTS))
+    elif kind == "single":
+        weights = (1.0,)
+    elif kind == "zero-weight":
+        weights = draw(st.sampled_from([(0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (1.0, 0.0)]))
+    else:
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4))
+        weights = tuple(w / sum(raw) for w in raw)
+    n = len(weights)
+    m = draw(st.integers(1, 2))
+    # Low thresholds let the others fund alone: limit anchors.
+    c = draw(st.sampled_from([0.125, 0.25, 0.5, 0.7]))
+    i = draw(st.integers(0, n - 1))
+    inst = make_instance(n=n, m=m, c=c, weights=weights)
+    if draw(st.booleans()):
+        prior = ProductGrid(tuple(tuple(tuple(EIGHTHS) for _ in range(m)) for _ in range(n)))
+    else:
+        prior = UniformIID()
+    seed = draw(st.integers(0, 2**32 - 1))
+    others = sample_others(prior, n, m, i, draw(st.integers(1, 40)), np.random.default_rng(seed))
+    unit = st.sampled_from(EIGHTHS) | st.floats(0.0, 1.0)
+    true_row = tuple(draw(st.lists(unit, min_size=m, max_size=m)))
+    return inst, i, others, true_row
+
+
+@st.composite
+def column_stats_cases(draw):
+    inst, i, others, true_row = engine_case(draw)
+    engine = winkler.ColumnEngine(inst, i, others)
+    q = draw(st.integers(0, inst.m - 1))
+    # Reports at a gate or an anchor, one ulp either side of one, 0, 1 and
+    # the eighth grid.
+    edges = np.concatenate([engine.gate[q], engine.payments[q].anchor])
+    edges = sorted(set(edges[(edges > 0.0) & (edges < 1.0)].tolist()))
+    picked = draw(st.lists(st.sampled_from(edges), max_size=6)) if edges else []
+    near = [float(np.nextafter(v, side)) for v in picked for side in (0.0, 1.0)]
+    extra = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    reports = np.array(EIGHTHS + picked + near + extra)
+    return inst, i, others, engine, true_row, q, reports
+
+
+def assert_stats_close(got, want, scale):
+    """`scale`: per report, the largest finite utility, at least 1."""
+    (mean, se), (mean_want, se_want) = got, want
+    finite = np.isfinite(mean_want)
+    assert np.array_equal(mean[~finite], mean_want[~finite])
+    assert np.array_equal(se[~finite], se_want[~finite])
+    gap = np.abs(mean[finite] - mean_want[finite])
+    assert np.all((gap <= 1e-12) | (gap <= 1e-9 * np.abs(mean_want[finite])))
+    # Where every sample's difference is the same, the SE is rounding noise:
+    # a few ulps of the utilities and payments the two paths subtract, which
+    # they round differently.
+    floor = 1e-14 * scale[finite]
+    assert np.all(np.abs(se[finite] - se_want[finite]) <= 1e-9 * se_want[finite] + floor)
+
+
+class TestColumnStats:
+    @settings(max_examples=150, deadline=None)
+    @given(column_stats_cases())
+    def test_sorted_path_matches_elementwise_oracles(self, case):
+        inst, i, others, engine, true_row, q, reports = case
+        truth_values = engine.utilities(true_row, true_row)
+        got = engine.column_stats(true_row, q, truth_values, reports)
+        column = engine.column(true_row, q)
+        values = [column(float(r)) for r in reports]
+
+        def largest(v):
+            both = np.abs(np.concatenate([truth_values, v]))
+            return both[np.isfinite(both)].max(initial=1.0)
+
+        scale = np.array([largest(v) for v in values])
+        per_report = [audit._mean_se(truth_values - v) for v in values]
+        assert_stats_close(got, tuple(np.array(v) for v in zip(*per_report)), scale)
+
+        slow = audit._SlowEngine(inst, i, others)
+        slow_truth = slow.utilities(true_row, true_row)
+        assert_stats_close(got, slow.column_stats(true_row, q, slow_truth, reports), scale)
+
+    def test_report_between_gate_and_anchor_is_scored_exactly(self):
+        # A sample whose gate sits an ulp below its anchor is funded by a
+        # report at the anchor, which the payment scores through its lower
+        # branch. Single-sample, single-column engines make the per-sample
+        # difference exact, so the sorted path must give it bit for bit.
+        inst = make_instance(n=3, m=1, c=0.5, weights=(0.1, 0.3, 0.6))
+        others = sample_others(UniformIID(), 3, 1, 2, 4000, np.random.default_rng(5))
+        engine = winkler.ColumnEngine(inst, 2, others)
+        pay, gate = engine.payments[0], engine.gate[0]
+        window = np.flatnonzero((gate < pay.anchor) & (pay.anchor < 1.0))
+        assert len(window) > 100
+        for s in window[:100]:
+            single = winkler.ColumnEngine(inst, 2, others[s : s + 1])
+            report = float(single.payments[0].anchor[0])
+            for belief in (0.3, 0.6, 0.9):
+                truth_values = single.utilities((belief,), (belief,))
+                mean, se = single.column_stats((belief,), 0, truth_values, [report])
+                assert mean[0] == (truth_values - single.column((belief,), 0)(report))[0]
+                assert se[0] == 0.0
+
+    def test_report_at_its_gate_is_not_funded(self):
+        # The others' score is exactly c, so the anchor is 0 (limit rule:
+        # any positive report that funds is paid the belief) and the gate is
+        # the tiny largest report that still leaves the score at c.
+        inst = make_instance(n=2, m=1, c=0.25, weights=(0.5, 0.5))
+        engine = winkler.ColumnEngine(inst, 0, np.full((3, 1, 1), 0.5))
+        gate = float(engine.gate[0, 0])
+        assert 0.0 < gate < 1e-15 and np.all(engine.payments[0].limit)
+        reports = [gate, float(np.nextafter(gate, 1.0)), 0.5]
+        truth_values = engine.utilities((0.6,), (0.6,))
+        mean, se = engine.column_stats((0.6,), 0, truth_values, reports)
+        assert mean.tolist() == [0.6, 0.0, 0.0]
+        assert se.tolist() == [0.0, 0.0, 0.0]
