@@ -23,6 +23,11 @@ def table1_path():
 # scenarios directory.
 RUN_GOLDEN = json.loads((Path(__file__).parent / "data" / "run_golden.json").read_text())
 
+# `lendmech audit` exit code and stdout per "<scenario> <desideratum> [flags]",
+# run from the bundled scenarios directory: every bundled audit block, and
+# the 100k-sample VCG strict-IIC search.
+AUDIT_GOLDEN = json.loads((Path(__file__).parent / "data" / "audit_golden.json").read_text())
+
 # Every (bundled scenario, declared audit block) pair.
 AUDIT_PAIRS = [
     (path.stem, desideratum)
@@ -189,6 +194,15 @@ class TestAudit:
     def test_bundled_audit_block_meets_its_expectation(self, name, desideratum, capsys):
         code, out, err = run_cli(capsys, "audit", str(bundled_path(name)), desideratum)
         assert code == 0, out + err
+
+    def test_golden_covers_every_bundled_audit_block(self):
+        assert {f"{name}.scenario {d}" for name, d in AUDIT_PAIRS} <= set(AUDIT_GOLDEN)
+
+    @pytest.mark.parametrize("key", sorted(AUDIT_GOLDEN))
+    def test_stdout_matches_golden(self, key, capsys, monkeypatch):
+        monkeypatch.chdir(Path(str(bundled_path("table1"))).parent)
+        code, out, _ = run_cli(capsys, "audit", *key.split())
+        assert (code, out) == (AUDIT_GOLDEN[key]["code"], AUDIT_GOLDEN[key]["stdout"])
 
     def test_true_rows_print_in_recommender_order(self, tmp_path, capsys):
         n = 11
