@@ -17,7 +17,9 @@ allocations, Winkler's settlement thresholds, VCG's pivots and rebates,
 both interim engines and the audits score through it, so they round alike.
 `report_bounds` inverts it exactly: the largest report that keeps a score
 at or below a key, which is how the interim engines fund a borrower just
-as the allocation does, ties included.
+as the allocation does, ties included. Both interim engines score a
+coordinate's grid of reports from per-block moments through one copy of
+that reduction: `block_moments`, `merge_moments` and `grid_mean_se`.
 """
 
 from __future__ import annotations
@@ -159,6 +161,68 @@ def elementwise_column_stats(
             np.subtract(truth_values, column(float(report)), out=diffs[k])
         mean[start : start + step], se[start : start + step] = mean_se(diffs[: len(block)])
     return mean, se
+
+
+def block_moments(block: np.ndarray, values: Sequence[np.ndarray], blocks: int):
+    """Reduce per-sample `values` by `block`, each sample's block in
+    range(blocks), with one `bincount` per quantity and per pair of them.
+
+    Returns, for the nonempty blocks in order: their indices, their sample
+    counts, each quantity's block means, and the centered co-moments (sums
+    of products of deviations from the block means) of each pair a <= b,
+    listed in that order: for quantities (x, y), the xx, xy and yy sums.
+    """
+    count = np.bincount(block, minlength=blocks).astype(float)
+    kept = count > 0
+    safe = np.where(kept, count, 1.0)
+    means = [np.bincount(block, v, blocks) / safe for v in values]
+    devs = [v - mean[block] for v, mean in zip(values, means)]
+    comoments = [
+        np.bincount(block, devs[a] * devs[b], blocks)[kept]
+        for a, b in zip(*np.triu_indices(len(values)))
+    ]
+    return np.flatnonzero(kept), count[kept], [m[kept] for m in means], comoments
+
+
+def merge_moments(counts: np.ndarray, means: np.ndarray, m2: np.ndarray):
+    """Merge blocks into one by the Chan-Golub-LeVeque pairwise update,
+    pairing neighbours until one block is left: the mean and centered sum
+    of squares of each row. `counts` holds one positive count per block
+    (column of `means` and `m2`)."""
+    while len(counts) > 1:
+        if len(counts) % 2:  # an empty block evens the pairs
+            counts = np.append(counts, 0.0)
+            means, m2 = np.pad(means, ((0, 0), (0, 1))), np.pad(m2, ((0, 0), (0, 1)))
+        n_a, n_b = counts[0::2], counts[1::2]
+        counts = n_a + n_b
+        delta = means[:, 1::2] - means[:, 0::2]
+        means = means[:, 0::2] + delta * (n_b / counts)
+        m2 = m2[:, 0::2] + m2[:, 1::2] + delta * delta * (n_a * n_b / counts)
+    return means[:, 0], m2[:, 0]
+
+
+def grid_mean_se(
+    counts: np.ndarray, reports: np.ndarray, block_stats: Callable, width: Optional[int] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each report's per-sample differences,
+    from per-block moments: `block_stats(chunk)` gives, for each report in
+    `chunk` and each block, the mean and centered sum of squares of the
+    block's differences, (len(chunk), blocks) each; `counts` holds the
+    blocks' sample counts. The blocks are merged with `merge_moments`, never
+    through sum(d^2) - S * mean^2, which cancels. Reports go in chunks of
+    at most COLUMN_CHUNK // `width` (at least one), `width` being the
+    entries a report's temporaries take in `block_stats`, by default one
+    per block.
+    """
+    mean, m2 = np.empty(len(reports)), np.empty(len(reports))
+    step = max(1, COLUMN_CHUNK // (width or len(counts)))
+    for start in range(0, len(reports), step):
+        rows = slice(start, start + step)
+        mean[rows], m2[rows] = merge_moments(counts, *block_stats(reports[rows]))
+    samples = int(counts.sum())
+    if samples == 1:
+        return mean, np.zeros(len(mean))
+    return mean, np.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
 
 
 def chunks(samples: int):

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ReserveRecommenderHasNoPayment
 # `deficit` is re-exported: callers use vcg.deficit.
 from .mechanism import Allocation, Settlement, check_outcomes, check_reports, deficit
-from .mechanism import chunks, elementwise_column_stats, left_sum, linear_scores, report_bounds
+from .mechanism import block_moments, chunks, grid_mean_se, left_sum, linear_scores, report_bounds
 
 
 @dataclass(frozen=True)
@@ -261,14 +261,22 @@ def select_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.nd
     `_select`: score descending, then real before reserve, then lower
     index, so each row funds exactly the items `_select` funds on it.
     """
+    return _mask(_ranked_batch(scores, c, n_reserves, K), scores.shape[1] + n_reserves)
+
+
+def _ranked_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.ndarray:
+    """Per row, the first min(K, m + n_reserves) items in `_select`'s order,
+    as column indices: real borrowers by index, then the reserve slots."""
     rows, m = scores.shape
-    total = m + n_reserves
-    k = min(K, total)
     full = np.concatenate([scores, np.full((rows, n_reserves), c)], axis=1)
-    mask = np.zeros((rows, total), dtype=bool)
     # A stable sort keeps column order among equal scores, and the columns
     # are the real borrowers by index followed by the reserve slots.
-    idx = np.argsort(-full, axis=1, kind="stable")[:, :k]
+    return np.argsort(-full, axis=1, kind="stable")[:, : min(K, m + n_reserves)]
+
+
+def _mask(idx: np.ndarray, total: int) -> np.ndarray:
+    """Boolean (rows, total) mask, True at each row's listed indices."""
+    mask = np.zeros((idx.shape[0], total), dtype=bool)
     np.put_along_axis(mask, idx, True, axis=1)
     return mask
 
@@ -287,12 +295,16 @@ class InterimEngine:
     single coordinate q, which is most of what a grid audit tries. With the
     other coordinates held at the true row, the other items (real borrowers
     and reserve slots) keep one order whatever i reports on q, so the funded
-    set is q plus their top K-1, or else their top K. q's score never falls
-    as i's report rises, so on each sample one bound splits the reports: q
-    is funded iff the report exceeds it. `column` finds the bound and both
-    utilities once per sample; a report on q then costs one comparison per
-    sample and no sort. The utilities come from the expressions `utilities`
-    uses, so the two paths agree bit for bit.
+    set is q plus their top K-1, or else their top K; one sort gives both.
+    q's score never falls as i's report rises, so on each sample one bound
+    splits the reports: q is funded iff the report exceeds it. `column`
+    finds the bound and both utilities once per sample; a report on q then
+    costs one comparison per sample and no sort. The utilities come from
+    the expressions `utilities` uses, so the two paths agree bit for bit.
+    `column_stats` scores a coordinate's whole grid of reports from
+    per-block moments of the same per-sample utilities, in
+    O(samples + reports * blocks); it agrees with `column` up to rounding,
+    and exactly on a single sample.
     """
 
     def __init__(self, inst: VcgInstance, i: int, others: np.ndarray) -> None:
@@ -347,6 +359,12 @@ class InterimEngine:
         the per-sample utilities `utilities(true_row, row)` gives for that
         row, bit for bit.
         """
+        bound, u_in, u_out = self._column_parts(true_row, q)
+        return lambda report: np.where(report > bound, u_in, u_out)
+
+    def _column_parts(self, true_row: Sequence[float], q: int):
+        """Per sample, the bound a report on q must exceed to fund q, and
+        the utilities with q funded and with q unfunded."""
         inst = self.inst
         m, c, n_res = inst.m, inst.reserve_threshold, inst.n_reserves
         k = min(inst.K, m + n_res)
@@ -357,15 +375,18 @@ class InterimEngine:
         u_out = np.zeros(self.samples)
         for rows in chunks(self.samples):
             others = np.delete(self._scores(rows, true_row), q, axis=1)
-            top_less = select_batch(others, c, n_res, k - 1)
+            # The others' top K in `_select` order, from one sort: their top
+            # K-1, then the item a funded q displaces.
+            ranked = _ranked_batch(others, c, n_res, k)
+            top_less = _mask(ranked[:, : k - 1], m - 1 + n_res)
             u_in[rows] = self._utility(np.insert(top_less, q, True, axis=1), rows, w_true)
             if fits_all:
                 continue
-            top = select_batch(others, c, n_res, k)
+            top = _mask(ranked, m - 1 + n_res)
             u_out[rows] = self._utility(np.insert(top, q, False, axis=1), rows, w_true)
             # q is funded iff its score beats the key of the one item in the
             # others' top K but not in their top K-1.
-            pos = (top & ~top_less).argmax(axis=1)
+            pos = ranked[:, k - 1]
             keys = np.concatenate([others, np.full((len(pos), n_res), c)], axis=1)
             kth_key = np.take_along_axis(keys, pos[:, np.newaxis], axis=1)[:, 0]
             # q wins a tie iff that item is a real borrower with a higher
@@ -373,11 +394,37 @@ class InterimEngine:
             # the float just below the key.
             key = np.where(pos >= q, np.nextafter(kth_key, -np.inf), kth_key)
             bound[rows] = report_bounds(inst.weights, self.i, self.others[rows, :, q].T, key)
-        return lambda report: np.where(report > bound, u_in, u_out)
+        return bound, u_in, u_out
 
     def column_stats(
         self, true_row: Sequence[float], q: int, truth_values: np.ndarray, reports
     ) -> tuple[np.ndarray, np.ndarray]:
-        """`mean_se(truth_values - column(true_row, q)(r))` for each report r,
-        bit for bit; see `mechanism.elementwise_column_stats`."""
-        return elementwise_column_stats(self.column(true_row, q), truth_values, reports)
+        """Mean and standard error of truth minus each report on coordinate q.
+
+        The reports replace `true_row[q]`; beliefs are `true_row`, and
+        `truth_values` is `utilities(true_row, true_row)`. Each slot equals
+        `mean_se(truth_values - column(true_row, q)(report))` up to
+        rounding, and exactly for a single sample. On a sample, truth minus
+        a report is d_in = truth - u_in if the report exceeds the sample's
+        bound and d_out = truth - u_out if not (see `column`). The sorted
+        reports cut the samples by bound into blocks that the same reports
+        fund; one pass reduces each block to its count and the means and
+        centered sums of squares of d_in and d_out; a report takes each
+        block's d_in moments where it funds the block and its d_out moments
+        where not, and `grid_mean_se` merges them. O(samples + reports *
+        blocks), not O(samples * reports).
+        """
+        reports = np.asarray(reports, dtype=float)
+        bound, u_in, u_out = self._column_parts(true_row, q)
+        levels = np.unique(reports)  # the block edges, ascending
+        # A sample's block: how many of the levels do not fund it.
+        block = np.searchsorted(levels, bound, side="right")
+        index, count, (mean_in, mean_out), (m2_in, _, m2_out) = block_moments(
+            block, (truth_values - u_in, truth_values - u_out), len(levels) + 1
+        )
+
+        def block_stats(chunk):
+            funded = index <= np.searchsorted(levels, chunk)[:, np.newaxis]
+            return np.where(funded, mean_in, mean_out), np.where(funded, m2_in, m2_out)
+
+        return grid_mean_se(count, reports, block_stats)

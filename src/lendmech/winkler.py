@@ -25,8 +25,8 @@ import numpy as np
 from .aggregation import Aggregator, WeightedLinear, aggregate, aggregate_columns
 from .errors import ZeroWeightRecommender
 from .mechanism import Allocation, Settlement, check_outcomes, check_reports
-from .mechanism import COLUMN_CHUNK, chunks, elementwise_column_stats, linear_scores
-from .mechanism import report_bounds
+from .mechanism import block_moments, chunks, elementwise_column_stats, grid_mean_se
+from .mechanism import linear_scores, report_bounds
 
 BISECTION_STEPS = 60
 
@@ -357,9 +357,9 @@ class ColumnEngine:
         (ft - fr) * u + fr * (own(truth) - own(r)) * alpha, with ft and fr
         the block's 0/1 funding at the truth and at r. So one pass over the
         samples reduces each block to its count, means of u and alpha and
-        centered co-moments, and each (report, block) pair has a closed-form
-        mean and centered sum of squares; the Chan-Golub-LeVeque pairwise
-        update merges the blocks. A sample funded at some report r with
+        centered co-moments (`block_moments`), and each (report, block) pair
+        has a closed-form mean and centered sum of squares; `grid_mean_se`
+        merges the blocks. A sample funded at some report r with
         gate < r <= anchor is paid through the payment's lower branch, not
         the model's: such samples (a window of a few ulps) are scored
         exactly, as one more block.
@@ -375,18 +375,9 @@ class ColumnEngine:
         own_truth = float(WinklerPayment.own(belief, belief))
         alpha = np.where(regular, 1.0 / pay.neg_log_a, 0.0)
         u = np.where(regular, (own_truth + pay.offset(belief)) / pay.neg_log_a, belief * pay.limit)
-        alpha, u, block_of = alpha[~exact], u[~exact], block[~exact]
-        count = np.bincount(block_of, minlength=len(levels) + 1).astype(float)
-        kept = count > 0
-        safe = np.where(kept, count, 1.0)
-        mean_alpha = np.bincount(block_of, alpha, len(levels) + 1) / safe
-        mean_u = np.bincount(block_of, u, len(levels) + 1) / safe
-        dev_alpha, dev_u = alpha - mean_alpha[block_of], u - mean_u[block_of]
-        m_aa = np.bincount(block_of, dev_alpha * dev_alpha, len(levels) + 1)[kept]
-        m_au = np.bincount(block_of, dev_alpha * dev_u, len(levels) + 1)[kept]
-        m_uu = np.bincount(block_of, dev_u * dev_u, len(levels) + 1)[kept]
-        mean_alpha, mean_u = mean_alpha[kept], mean_u[kept]
-        index = np.arange(len(levels) + 1)[kept]
+        index, count, (mean_alpha, mean_u), (m_aa, m_au, m_uu) = block_moments(
+            block[~exact], (alpha[~exact], u[~exact]), len(levels) + 1
+        )
         f_truth = (index <= np.searchsorted(levels, belief)).astype(float)
 
         exact_pay, exact_gate = WinklerPayment(pay.anchor[exact]), gate[exact]
@@ -395,14 +386,8 @@ class ColumnEngine:
             return np.where(report > exact_gate, exact_pay(belief, report), 0.0)
 
         at_truth = paid(belief)
-        counts = np.append(count[kept], float(len(exact_gate))) if exact.any() else count[kept]
-        # Reports in blocks that keep each (report, block) array within
-        # COLUMN_CHUNK entries, however fine the grid.
-        mean, m2 = np.empty(len(reports)), np.empty(len(reports))
-        step = max(1, COLUMN_CHUNK // (len(index) + len(exact_gate)))
-        for start in range(0, len(reports), step):
-            rows = slice(start, start + step)
-            chunk = reports[rows]
+
+        def block_stats(chunk):
             f_report = (index <= np.searchsorted(levels, chunk)[:, np.newaxis]).astype(float)
             c_u = f_truth - f_report
             c_alpha = f_report * (own_truth - WinklerPayment.own(belief, chunk))[:, np.newaxis]
@@ -414,24 +399,8 @@ class ColumnEngine:
                 exact_mean = diffs.mean(axis=1)
                 means = np.column_stack([means, exact_mean])
                 sq = np.column_stack([sq, ((diffs - exact_mean[:, np.newaxis]) ** 2).sum(axis=1)])
-            mean[rows], m2[rows] = _merge_moments(counts, means, sq)
-        if self.samples == 1:
-            return mean, np.zeros(len(mean))
-        return mean, np.sqrt(m2 / (self.samples - 1)) / math.sqrt(self.samples)
+            return means, sq
 
-
-def _merge_moments(counts: np.ndarray, means: np.ndarray, m2: np.ndarray):
-    """Merge blocks into one by the Chan-Golub-LeVeque pairwise update,
-    pairing neighbours until one block is left: the mean and centered sum
-    of squares of each row. `counts` holds one positive count per block
-    (column of `means` and `m2`)."""
-    while len(counts) > 1:
-        if len(counts) % 2:  # an empty block evens the pairs
-            counts = np.append(counts, 0.0)
-            means, m2 = np.pad(means, ((0, 0), (0, 1))), np.pad(m2, ((0, 0), (0, 1)))
-        n_a, n_b = counts[0::2], counts[1::2]
-        counts = n_a + n_b
-        delta = means[:, 1::2] - means[:, 0::2]
-        means = means[:, 0::2] + delta * (n_b / counts)
-        m2 = m2[:, 0::2] + m2[:, 1::2] + delta * delta * (n_a * n_b / counts)
-    return means[:, 0], m2[:, 0]
+        counts = np.append(count, float(len(exact_gate))) if exact.any() else count
+        # A report's exact block holds one difference per exact sample.
+        return grid_mean_se(counts, reports, block_stats, len(index) + len(exact_gate))

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from lendmech import audit, scenario, vcg, winkler
 from lendmech.aggregation import MonotoneCustom, WeightVector, WeightedLinear
 from lendmech.errors import ReproductionMismatch
+from lendmech.mechanism import elementwise_column_stats
 from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, enumerate_others
 from lendmech.priors import sample_profiles
 from lendmech.scenario import bundled_path
 from lendmech.vcg import VcgInstance
 from lendmech.winkler import WinklerInstance
+from stats_helpers import assert_stats_close
 
 BELIEFS = ((0.7, 0.4), (0.4, 0.85), (0.6, 0.4))
 
@@ -284,12 +286,25 @@ class TestBestResponseSearch:
         args = (inst, 1, (0.6, 0.3, 0.45), UniformIID(), audit.SingleCoordinateGrid(21), 3000, 4)
         fast = audit.best_response_search(*args)
 
-        def full_row_column(engine, true_row, q):
-            return lambda v: engine.utilities(true_row, true_row[:q] + (v,) + true_row[q + 1 :])
+        def full_row_stats(engine, true_row, q, truth_values, reports):
+            def column(v):
+                return engine.utilities(true_row, true_row[:q] + (v,) + true_row[q + 1 :])
 
-        monkeypatch.setattr(vcg.InterimEngine, "column", full_row_column)
-        assert audit.best_response_search(*args) == fast
+            return elementwise_column_stats(column, truth_values, reports)
 
+        monkeypatch.setattr(vcg.InterimEngine, "column_stats", full_row_stats)
+        slow = audit.best_response_search(*args)
+        # The block-moment statistics round differently from the per-sample
+        # ones; everything the verdict rests on must agree exactly.
+        assert dataclasses.replace(fast, details=(), witness=None) == dataclasses.replace(
+            slow, details=(), witness=None
+        )
+        assert (fast.witness is None) == (slow.witness is None)
+        assert [(o.candidate, o.classification) for o in fast.details] == [
+            (o.candidate, o.classification) for o in slow.details
+        ]
+        stats = [np.array([(-o.mean_gain, o.std_error) for o in v.details]).T for v in (fast, slow)]
+        assert_stats_close(*stats, np.ones(len(fast.details)))
 
 class TestGrainOfNoVeto:
     def test_two_recommenders_high_threshold_impossible(self):

@@ -1,5 +1,6 @@
 """VCG scoring mechanism tests."""
 
+import dataclasses
 import itertools
 import warnings
 
@@ -18,6 +19,7 @@ from lendmech.errors import (
 from lendmech.mechanism import linear_scores
 from lendmech.priors import ProductGrid, UniformIID, sample_others
 from lendmech.vcg import VcgInstance
+from stats_helpers import assert_stats_close, utility_scale
 
 BELIEFS = [[0.7, 0.4], [0.4, 0.85], [0.6, 0.4]]
 
@@ -359,6 +361,34 @@ def tie_interim_cases(draw):
     return inst, i, true_row, seed
 
 
+@st.composite
+def column_stats_cases(draw):
+    """A tie case with 1, 24 or 3000 sampled co-reports, a coordinate and
+    reports on it: the quarter grid (0 and 1 included), the truth, sampled
+    funding bounds and one ulp either side of them, and uniform floats.
+    Some cases give i zero weight, some fund every item whatever i reports
+    (K = m, c = 0)."""
+    inst, i, true_row, seed = draw(tie_interim_cases())
+    variant = draw(st.sampled_from(["as drawn", "zero weight", "funds all"]))
+    if variant == "zero weight":
+        inst = dataclasses.replace(inst, weights=inst.weights[:i] + (0.0,) + inst.weights[i + 1 :])
+    elif variant == "funds all":
+        inst = dataclasses.replace(inst, K=inst.m, reserve_threshold=0.0)
+    n, m = inst.n, inst.m
+    prior = ProductGrid(tuple(tuple(tuple(QUARTERS) for _ in range(m)) for _ in range(n)))
+    samples = draw(st.sampled_from([1, 24, 3000]))
+    others = sample_others(prior, n, m, i, samples, np.random.default_rng(seed))
+    engine = vcg.InterimEngine(inst, i, others)
+    q = draw(st.integers(0, m - 1))
+    bound = engine._column_parts(true_row, q)[0]
+    edges = sorted(set(bound[(bound >= 0.0) & (bound <= 1.0)].tolist()))
+    picked = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    near = [float(np.nextafter(v, side)) for v in picked for side in (0.0, 1.0)]
+    extra = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    reports = np.array(QUARTERS + [true_row[q]] + picked + near + extra)
+    return inst, i, others, engine, true_row, q, reports
+
+
 class TestInterimEngine:
     @settings(max_examples=80, deadline=None)
     @given(tie_interim_cases())
@@ -377,22 +407,50 @@ class TestInterimEngine:
                 assert np.array_equal(fast, engine.utilities(true_row, row))
                 assert np.max(np.abs(fast - slow.utilities(true_row, row))) <= 1e-12
 
-    @settings(max_examples=60, deadline=None)
-    @given(tie_interim_cases(), st.sampled_from([1, 24, 3000]))
-    def test_column_stats_equal_per_report_mean_se(self, case, samples):
-        inst, i, true_row, seed = case
-        n, m = inst.n, inst.m
-        prior = ProductGrid(tuple(tuple(tuple(QUARTERS) for _ in range(m)) for _ in range(n)))
-        others = sample_others(prior, n, m, i, samples, np.random.default_rng(seed))
-        engine = vcg.InterimEngine(inst, i, others)
+    @settings(max_examples=120, deadline=None)
+    @given(column_stats_cases())
+    def test_column_stats_match_per_sample_oracles(self, case):
+        inst, i, others, engine, true_row, q, reports = case
         truth_values = engine.utilities(true_row, true_row)
-        reports = np.linspace(0.0, 1.0, 21)
-        for q in range(m):
-            mean, se = engine.column_stats(true_row, q, truth_values, reports)
-            column = engine.column(true_row, q)
-            want = [audit._mean_se(truth_values - column(float(r))) for r in reports]
-            assert mean.tolist() == [w[0] for w in want]
-            assert se.tolist() == [w[1] for w in want]
+        mean, se = engine.column_stats(true_row, q, truth_values, reports)
+        column = engine.column(true_row, q)
+        values = [column(float(r)) for r in reports]
+        scale = utility_scale(truth_values, values)
+        want = tuple(np.array(v) for v in zip(*(audit._mean_se(truth_values - v) for v in values)))
+        assert_stats_close((mean, se), want, scale)
+        if len(others) <= 24:
+            slow = audit._SlowEngine(inst, i, others)
+            slow_truth = slow.utilities(true_row, true_row)
+            assert_stats_close((mean, se), slow.column_stats(true_row, q, slow_truth, reports), scale)
+        if len(others) == 1:  # one sample is one block: exact
+            assert mean.tolist() == want[0].tolist()
+            assert se.tolist() == [0.0] * len(reports)
+        # A report that funds q on exactly the samples the truth funds it
+        # differs from the truth on no sample.
+        bound = engine._column_parts(true_row, q)[0]
+        same = [np.array_equal(r > bound, true_row[q] > bound) for r in reports]
+        assert mean[same].tolist() == [0.0] * sum(same)
+        assert se[same].tolist() == [0.0] * sum(same)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 5), st.integers(0, 3), st.sampled_from(QUARTERS[:-1]), st.data()
+    )
+    def test_one_ranking_gives_the_top_k_minus_one_and_top_k(self, m, n_res, c, data):
+        # `column` takes both masks, and the item between them, from one sort.
+        total = m + n_res
+        k = data.draw(st.integers(1, total))
+        cells = st.lists(st.sampled_from(QUARTERS), min_size=m, max_size=m)
+        scores = np.array(data.draw(st.lists(cells, min_size=1, max_size=8)))
+        ranked = vcg._ranked_batch(scores, c, n_res, k)
+        top_less, top = vcg._mask(ranked[:, : k - 1], total), vcg._mask(ranked, total)
+        assert np.array_equal(top_less, vcg.select_batch(scores, c, n_res, k - 1))
+        assert np.array_equal(top, vcg.select_batch(scores, c, n_res, k))
+        assert np.array_equal(ranked[:, k - 1], (top & ~top_less).argmax(axis=1))
+        for row, mask in zip(scores, top):
+            alloc = vcg._select(row, c, n_res, k)
+            assert mask[:m].tolist() == [bool(f) for f in alloc.real]
+            assert mask[m:].tolist() == [r < alloc.reserves_funded for r in range(n_res)]
 
     def test_matches_scalar_path(self):
         inst = table_instance(K=2, reserve_threshold=0.3)

@@ -18,6 +18,7 @@ from lendmech.errors import (
 from lendmech.mechanism import linear_scores
 from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, sample_others
 from lendmech.winkler import WinklerInstance
+from stats_helpers import assert_stats_close, utility_scale
 
 BELIEFS = [[0.7, 0.4], [0.4, 0.85], [0.6, 0.4]]
 EIGHTHS = [k / 8 for k in range(9)]
@@ -405,21 +406,6 @@ def column_stats_cases(draw):
     return inst, i, others, engine, true_row, q, reports
 
 
-def assert_stats_close(got, want, scale):
-    """`scale`: per report, the largest finite utility, at least 1."""
-    (mean, se), (mean_want, se_want) = got, want
-    finite = np.isfinite(mean_want)
-    assert np.array_equal(mean[~finite], mean_want[~finite])
-    assert np.array_equal(se[~finite], se_want[~finite])
-    gap = np.abs(mean[finite] - mean_want[finite])
-    assert np.all((gap <= 1e-12) | (gap <= 1e-9 * np.abs(mean_want[finite])))
-    # Where every sample's difference is the same, the SE is rounding noise:
-    # a few ulps of the utilities and payments the two paths subtract, which
-    # they round differently.
-    floor = 1e-14 * scale[finite]
-    assert np.all(np.abs(se[finite] - se_want[finite]) <= 1e-9 * se_want[finite] + floor)
-
-
 class TestColumnStats:
     @settings(max_examples=150, deadline=None)
     @given(column_stats_cases())
@@ -429,12 +415,7 @@ class TestColumnStats:
         got = engine.column_stats(true_row, q, truth_values, reports)
         column = engine.column(true_row, q)
         values = [column(float(r)) for r in reports]
-
-        def largest(v):
-            both = np.abs(np.concatenate([truth_values, v]))
-            return both[np.isfinite(both)].max(initial=1.0)
-
-        scale = np.array([largest(v) for v in values])
+        scale = utility_scale(truth_values, values)
         per_report = [audit._mean_se(truth_values - v) for v in values]
         assert_stats_close(got, tuple(np.array(v) for v in zip(*per_report)), scale)
 
