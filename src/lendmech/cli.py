@@ -137,7 +137,7 @@ def cmd_run(args) -> int:
         outcomes = {q: o for q, o in outcomes.items() if q in funded_real}
         for q in funded_real:
             outcomes.setdefault(q, 0)
-    settlement = inst.settle(reports, outcomes)
+    settlement = inst.settle(reports, outcomes, allocation=alloc)
 
     reserves = alloc.reserves_funded
     print(f"scenario: {sc.source}")

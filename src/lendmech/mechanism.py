@@ -202,7 +202,7 @@ def merge_moments(counts: np.ndarray, means: np.ndarray, m2: np.ndarray):
 
 
 def grid_mean_se(
-    counts: np.ndarray, reports: np.ndarray, block_stats: Callable, width: Optional[int] = None
+    counts: np.ndarray, reports: np.ndarray, block_stats: Callable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of each report's per-sample differences,
     from per-block moments: `block_stats(chunk)` gives, for each report in
@@ -210,12 +210,11 @@ def grid_mean_se(
     block's differences, (len(chunk), blocks) each; `counts` holds the
     blocks' sample counts. The blocks are merged with `merge_moments`, never
     through sum(d^2) - S * mean^2, which cancels. Reports go in chunks of
-    at most COLUMN_CHUNK // `width` (at least one), `width` being the
-    entries a report's temporaries take in `block_stats`, by default one
-    per block.
+    at most COLUMN_CHUNK // blocks (at least one), so a chunk's temporaries
+    stay bounded.
     """
     mean, m2 = np.empty(len(reports)), np.empty(len(reports))
-    step = max(1, COLUMN_CHUNK // (width or len(counts)))
+    step = max(1, COLUMN_CHUNK // len(counts))
     for start in range(0, len(reports), step):
         rows = slice(start, start + step)
         mean[rows], m2[rows] = merge_moments(counts, *block_stats(reports[rows]))

@@ -28,8 +28,6 @@ from .mechanism import Allocation, Settlement, check_outcomes, check_reports
 from .mechanism import block_moments, chunks, elementwise_column_stats, grid_mean_se
 from .mechanism import linear_scores, report_bounds
 
-BISECTION_STEPS = 60
-
 
 @dataclass(frozen=True)
 class WinklerInstance:
@@ -100,24 +98,32 @@ def allocate(inst: WinklerInstance, reports) -> tuple[int, ...]:
 
 
 def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> float:
-    """Infimum report by i that funds the borrower, approached from above."""
+    """The largest report by i that leaves the borrower unfunded under the
+    allocation's own test: 0 if a report of 0 funds it, 1 if no report does.
 
-    def funds(value: float) -> bool:
+    The aggregator never falls as i's report rises, so this is a bisection
+    over the bit patterns of the floats in [0, 1], which are ordered as the
+    floats are; it ends with the borrower unfunded at `lo` and funded one
+    float above it.
+    """
+
+    def funds(bits: int) -> bool:
+        value = float(np.int64(bits).view(np.float64))
         col = tuple(column[:i]) + (value,) + tuple(column[i + 1 :])
         return aggregate(inst.aggregator, col) > inst.threshold
 
-    if not funds(1.0):
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    if not funds(hi):
         return 1.0
-    if funds(0.0):
+    if funds(lo):
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         if funds(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return float(np.int64(lo).view(np.float64))
 
 
 def funding_thresholds(c: float, others: np.ndarray, w_i) -> np.ndarray:
@@ -135,12 +141,16 @@ def funding_thresholds(c: float, others: np.ndarray, w_i) -> np.ndarray:
 
 
 def marginal_thresholds(inst: WinklerInstance, reports) -> np.ndarray:
-    """Per-(recommender, borrower) minimum report that funds the borrower.
+    """Per-(recommender, borrower) marginal threshold: the report at which
+    the recommender swings the borrower's funding, each payment's anchor.
 
-    Linear aggregators use `funding_thresholds` on the others' linear
-    scores, every recommender's in one `linear_scores` call over an
-    (n, n-1, m) stack of the others' reports; custom monotone aggregators
-    are bisected.
+    Linear aggregators use the closed form `funding_thresholds` on the
+    others' linear scores, every recommender's in one `linear_scores` call
+    over an (n, n-1, m) stack of the others' reports. For a custom monotone
+    aggregator the threshold is exactly the largest report that leaves the
+    borrower unfunded under the allocation's own test (0 if a report of 0
+    funds it, 1 if no report does; `_bisect_threshold`), so a funded report
+    always lies above it.
     """
     arr = check_reports(reports, (inst.n, inst.m))
     if isinstance(inst.aggregator, WeightedLinear):
@@ -173,9 +183,15 @@ class WinklerPayment:
     Built once per array of anchors (thresholds), which also builds their
     logs. Calling it with beliefs and reports, each a scalar or an array
     that broadcasts against the anchors, gives the expected payment over
-    o ~ Bernoulli(belief); a realized outcome o is belief o. The payment is
-    zero at the anchor, and -inf for a report that put zero mass on an
-    outcome the belief allows. Two anchors take fixed rules:
+    o ~ Bernoulli(belief); a realized outcome o is belief o. It is only
+    paid on a funded borrower, where the report lies above the anchor, so
+    it is always the Winkler rule's upper branch: the log score's gain over
+    the anchor's, divided by -log(anchor). (A linear pool's closed-form
+    anchor may sit a few ulps above the funding test's exact bound; a
+    funded report in between is paid by the same formula, within rounding
+    of zero.) The payment is zero at the anchor, and -inf for a report
+    that put zero mass on an outcome the belief allows. Two anchors take
+    fixed rules:
     - 0 (the others fund the borrower alone): the limit rule, which pays 1
       on repayment and 0 on default for any positive report, and 0 for a
       report of 0;
@@ -189,7 +205,8 @@ class WinklerPayment:
         self.limit = self.anchor == 0.0
         self.idle = self.anchor >= 1.0
         safe = np.where(self.limit | self.idle, 0.5, self.anchor)
-        # -log(a) and -log(1 - a): the Winkler normalizers, both positive
+        # -log(a), the upper branch's divisor, and -log(1 - a), which only
+        # enters the numerator (`offset`); both positive
         self.neg_log_a = -np.log(safe)
         self.neg_log_1ma = -np.log1p(-safe)
 
@@ -210,9 +227,8 @@ class WinklerPayment:
 
     def __call__(self, belief, report) -> np.ndarray:
         belief = np.asarray(belief, dtype=float)
-        # Both divisors are positive; an infinite log score stays infinite.
-        numerator = self.own(belief, report) + self.offset(belief)
-        value = numerator / np.where(report > self.anchor, self.neg_log_a, self.neg_log_1ma)
+        # The divisor is positive; an infinite log score stays infinite.
+        value = (self.own(belief, report) + self.offset(belief)) / self.neg_log_a
         value = np.where(self.limit, belief * (report > 0.0), value)
         return np.where(self.idle, 0.0, value)
 
@@ -225,11 +241,13 @@ def settle(
 ) -> Settlement:
     """Outcome-contingent payments for every funded borrower.
 
-    `outcomes` must cover exactly the funded borrowers. Recommenders who
-    reported at or below their marginal threshold on a borrower that was
-    funded anyway are paid through the Winkler rule's lower branch. Under a
-    cap the thresholds stay the uncapped ones. `allocation`, when given,
-    must be `inst.allocate(reports)`; it saves allocating again.
+    `outcomes` must cover exactly the funded borrowers. Every recommender is
+    paid on each of them through `WinklerPayment`, anchored at their
+    marginal threshold: a funded report lies above it (in exact
+    arithmetic), so that is the Winkler rule's upper branch, or the limit
+    rule where the others fund the borrower alone. Under a cap the
+    thresholds stay the uncapped ones. `allocation`, when given, must be
+    `inst.allocate(reports)`; it saves allocating again.
     """
     arr = check_reports(reports, (inst.n, inst.m))
     alloc = allocation if allocation is not None else Allocation(allocate(inst, arr))
@@ -349,43 +367,33 @@ class ColumnEngine:
         """`column_stats` for reports strictly inside (0, 1), truth too.
 
         A funded sample pays u_s + alpha_s * (own(r) - own(truth)): alpha_s
-        is 1 / -log(anchor_s) and u_s the truth's payment above the anchor;
-        limit anchors have alpha 0 and u the belief, idle ones both 0. The
-        reports, truth included, cut the samples by gate into blocks: the
-        samples in a block are funded by the same reports, those above
-        their gates. On a block, truth minus report r is then
+        is 1 / -log(anchor_s) and u_s the truth's payment; limit anchors
+        have alpha 0 and u the belief, idle ones both 0. That is the
+        payment itself (`WinklerPayment` always divides by -log(anchor)),
+        so it holds on every funded sample, reports an ulp past the gate
+        included. The reports, truth included, cut the samples by gate into
+        blocks: the samples in a block are funded by the same reports,
+        those above their gates. On a block, truth minus report r is then
         (ft - fr) * u + fr * (own(truth) - own(r)) * alpha, with ft and fr
         the block's 0/1 funding at the truth and at r. So one pass over the
         samples reduces each block to its count, means of u and alpha and
         centered co-moments (`block_moments`), and each (report, block) pair
         has a closed-form mean and centered sum of squares; `grid_mean_se`
-        merges the blocks. A sample funded at some report r with
-        gate < r <= anchor is paid through the payment's lower branch, not
-        the model's: such samples (a window of a few ulps) are scored
-        exactly, as one more block.
+        merges the blocks.
         """
         pay, gate = self.payments[q], self.gate[q]
         levels = np.unique(np.append(reports, belief))  # the block edges, ascending
         # A sample's block: how many of the levels do not fund it.
         block = np.searchsorted(levels, gate, side="right")
         regular = ~(pay.limit | pay.idle)
-        nearest = levels[np.minimum(block, len(levels) - 1)]  # lowest level above the gate
-        exact = regular & (block < len(levels)) & (nearest <= pay.anchor)
 
         own_truth = float(WinklerPayment.own(belief, belief))
         alpha = np.where(regular, 1.0 / pay.neg_log_a, 0.0)
         u = np.where(regular, (own_truth + pay.offset(belief)) / pay.neg_log_a, belief * pay.limit)
         index, count, (mean_alpha, mean_u), (m_aa, m_au, m_uu) = block_moments(
-            block[~exact], (alpha[~exact], u[~exact]), len(levels) + 1
+            block, (alpha, u), len(levels) + 1
         )
         f_truth = (index <= np.searchsorted(levels, belief)).astype(float)
-
-        exact_pay, exact_gate = WinklerPayment(pay.anchor[exact]), gate[exact]
-
-        def paid(report):
-            return np.where(report > exact_gate, exact_pay(belief, report), 0.0)
-
-        at_truth = paid(belief)
 
         def block_stats(chunk):
             f_report = (index <= np.searchsorted(levels, chunk)[:, np.newaxis]).astype(float)
@@ -393,14 +401,6 @@ class ColumnEngine:
             c_alpha = f_report * (own_truth - WinklerPayment.own(belief, chunk))[:, np.newaxis]
             means = c_u * mean_u + c_alpha * mean_alpha
             sq = c_alpha * c_alpha * m_aa + 2.0 * c_alpha * c_u * m_au + c_u * c_u * m_uu
-            sq = np.maximum(sq, 0.0)
-            if exact.any():
-                diffs = at_truth - paid(chunk[:, np.newaxis])
-                exact_mean = diffs.mean(axis=1)
-                means = np.column_stack([means, exact_mean])
-                sq = np.column_stack([sq, ((diffs - exact_mean[:, np.newaxis]) ** 2).sum(axis=1)])
-            return means, sq
+            return means, np.maximum(sq, 0.0)
 
-        counts = np.append(count, float(len(exact_gate))) if exact.any() else count
-        # A report's exact block holds one difference per exact sample.
-        return grid_mean_se(counts, reports, block_stats, len(index) + len(exact_gate))
+        return grid_mean_se(count, reports, block_stats)

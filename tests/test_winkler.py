@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lendmech import audit, winkler
@@ -15,7 +15,7 @@ from lendmech.errors import (
     ShapeMismatch,
     ZeroWeightRecommender,
 )
-from lendmech.mechanism import linear_scores
+from lendmech.mechanism import left_sum, linear_scores, report_bounds
 from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, sample_others
 from lendmech.winkler import WinklerInstance
 from stats_helpers import assert_stats_close, utility_scale
@@ -23,6 +23,31 @@ from stats_helpers import assert_stats_close, utility_scale
 BELIEFS = [[0.7, 0.4], [0.4, 0.85], [0.6, 0.4]]
 EIGHTHS = [k / 8 for k in range(9)]
 NON_DYADIC_WEIGHTS = [(1 / 3, 1 / 3, 1 / 3), (1 / 7, 2 / 7, 4 / 7), (0.1, 0.3, 0.6)]
+# Profit thresholds for the tie tests: at several of them, eighth-grid
+# columns under those weights fund a report that sits at or a few ulps below
+# its closed-form anchor.
+TIE_THRESHOLDS = [0.125, 0.25, 0.3, 0.5, 0.625, 0.7]
+# Under weights (0.1, 0.3, 0.6) and c = 0.3, recommender 0's report 0.75 on
+# this column funds the borrower, yet lies a few ulps below the closed-form
+# anchor (0.3 - 0.225) / 0.1.
+TIE_COLUMN = (0.75, 0.25, 0.25)
+
+
+def upper_branch(anchor, belief, report):
+    """The Winkler payment on a funded borrower, written out: the limit rule
+    at anchor 0, nothing at anchor 1, else the log score's gain over the
+    anchor's divided by -log(anchor), whichever side of the anchor the
+    report is on."""
+    if anchor == 0.0:
+        return belief * (report > 0.0)
+    if anchor >= 1.0:
+        return 0.0
+    with np.errstate(divide="ignore"):  # a report of 0 or 1 scores -inf
+        own = (belief * np.log(report) if belief > 0.0 else 0.0) + (
+            (1.0 - belief) * np.log1p(-report) if belief < 1.0 else 0.0
+        )
+    offset = belief * -np.log(anchor) + (1.0 - belief) * -np.log1p(-anchor)
+    return (own + offset) / -np.log(anchor)
 
 
 def make_instance(n=3, m=2, c=0.5, weights=None, cap=None):
@@ -138,6 +163,37 @@ class TestMarginalThresholds:
         b = winkler.marginal_thresholds(custom, BELIEFS)
         assert np.allclose(a, b, atol=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(NON_DYADIC_WEIGHTS),
+        st.sampled_from(TIE_THRESHOLDS),
+        st.lists(st.tuples(*[st.sampled_from(EIGHTHS)] * 3), min_size=1, max_size=2),
+    )
+    def test_custom_threshold_is_the_last_unfunded_report(self, weights, c, columns):
+        # A custom pool that adds left to right, as linear_scores does: the
+        # bisected threshold leaves the borrower unfunded and the next float
+        # up funds it, so a funded report always lies above its anchor.
+        pool = MonotoneCustom(fn=lambda col: left_sum(w * p for w, p in zip(weights, col)), arity=3)
+        inst = WinklerInstance(n=3, m=len(columns), threshold=c, aggregator=pool)
+        reports = np.array(columns, dtype=float).T
+        thresholds = winkler.marginal_thresholds(inst, reports)
+        for i in range(3):
+            bound = report_bounds(weights, i, np.delete(reports, i, axis=0), c)
+            assert np.array_equal(thresholds[i], np.maximum(bound, 0.0))
+            for q in range(inst.m):
+
+                def funds(value):
+                    moved = reports.copy()
+                    moved[i, q] = value
+                    return winkler.allocate(inst, moved)[q] == 1
+
+                t = float(thresholds[i, q])
+                if 0.0 < t < 1.0:
+                    assert not funds(t)
+                    assert funds(float(np.nextafter(t, 2.0)))
+                elif t == 1.0:
+                    assert not funds(1.0)
+
 
 class TestSettle:
     def test_zero_immediate_payments(self):
@@ -175,6 +231,33 @@ class TestSettle:
         settlement = winkler.settle(make_instance(), BELIEFS, {0: 1, 1: 1})
         expected = settlement.contingent[(0, 0)] + settlement.contingent[(0, 1)]
         assert settlement.realized_utility(0) == pytest.approx(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(NON_DYADIC_WEIGHTS),
+        st.sampled_from(TIE_THRESHOLDS),
+        st.lists(st.tuples(*[st.sampled_from(EIGHTHS)] * 3), min_size=1, max_size=2),
+        st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    )
+    @example((0.1, 0.3, 0.6), 0.3, [TIE_COLUMN, TIE_COLUMN], (0, 1))
+    def test_funded_pairs_pay_the_upper_branch_at_ties(self, weights, c, columns, outcomes):
+        # Eighth-grid columns under non-dyadic weights fund borrowers whose
+        # reports sit at or an ulp off their closed-form anchors.
+        m = len(columns)
+        inst = make_instance(n=3, m=m, c=c, weights=weights)
+        reports = np.array(columns, dtype=float).T
+        realized = {q: outcomes[q] for q in inst.allocate(reports).funded_real}
+        anchors = winkler.marginal_thresholds(inst, reports)
+        settlement = inst.settle(reports, realized)
+        assert len(settlement.contingent) == 3 * len(realized)
+        for (i, q), paid in settlement.contingent.items():
+            assert paid == upper_branch(anchors[i, q], realized[q], reports[i, q])
+        # A one-sample engine on the same column pays what the mechanism does.
+        belief_row = np.array(outcomes[:m], dtype=float)
+        for i in range(3):
+            engine = winkler.ColumnEngine(inst, i, np.delete(reports, i, axis=0)[np.newaxis])
+            got = engine.utilities(belief_row, reports[i])
+            assert got.tolist() == [winkler.expost_utility(inst, reports, i, belief_row)]
 
 
 class TestExpostUtility:
@@ -423,25 +506,33 @@ class TestColumnStats:
         slow_truth = slow.utilities(true_row, true_row)
         assert_stats_close(got, slow.column_stats(true_row, q, slow_truth, reports), scale)
 
-    def test_report_between_gate_and_anchor_is_scored_exactly(self):
-        # A sample whose gate sits an ulp below its anchor is funded by a
-        # report at the anchor, which the payment scores through its lower
-        # branch. Single-sample, single-column engines make the per-sample
-        # difference exact, so the sorted path must give it bit for bit.
-        inst = make_instance(n=3, m=1, c=0.5, weights=(0.1, 0.3, 0.6))
-        others = sample_others(UniformIID(), 3, 1, 2, 4000, np.random.default_rng(5))
-        engine = winkler.ColumnEngine(inst, 2, others)
-        pay, gate = engine.payments[0], engine.gate[0]
-        window = np.flatnonzero((gate < pay.anchor) & (pay.anchor < 1.0))
-        assert len(window) > 100
-        for s in window[:100]:
-            single = winkler.ColumnEngine(inst, 2, others[s : s + 1])
-            report = float(single.payments[0].anchor[0])
-            for belief in (0.3, 0.6, 0.9):
-                truth_values = single.utilities((belief,), (belief,))
-                mean, se = single.column_stats((belief,), 0, truth_values, [report])
-                assert mean[0] == (truth_values - single.column((belief,), 0)(report))[0]
-                assert se[0] == 0.0
+    def test_report_between_gate_and_anchor_pays_the_upper_branch(self):
+        # On these eighth-grid co-reports the closed-form anchor sits one or
+        # more ulps above the gate, so the reports in (gate, anchor] are
+        # funded at or below their anchor. They are paid the upper branch,
+        # which the block model scores like any other funded sample.
+        grid = np.array([(a, b) for a in EIGHTHS for b in EIGHTHS])[:, :, np.newaxis]
+        below_anchor = 0
+        for weights, c, i in [((0.1, 0.3, 0.6), 0.3, 0), ((1 / 3,) * 3, 0.3, 1)]:
+            inst = make_instance(n=3, m=1, c=c, weights=weights)
+            engine = winkler.ColumnEngine(inst, i, grid)
+            pay, gate = engine.payments[0], engine.gate[0]
+            for s in np.flatnonzero((0.0 < gate) & (gate < pay.anchor) & (pay.anchor < 1.0)):
+                single = winkler.ColumnEngine(inst, i, grid[s : s + 1])
+                anchor = float(single.payments[0].anchor[0])
+                report = float(np.nextafter(single.gate[0, 0], 1.0))
+                while report <= anchor:
+                    below_anchor += report < anchor
+                    for belief in (0.3, 0.6, 0.9):
+                        column = single.column((belief,), 0)
+                        assert column(report).tolist() == [upper_branch(anchor, belief, report)]
+                        truth_values = single.utilities((belief,), (belief,))
+                        got = single.column_stats((belief,), 0, truth_values, [report])
+                        want = audit._mean_se(truth_values - column(report))
+                        scale = utility_scale(truth_values, [column(report)])
+                        assert_stats_close(got, tuple(np.array([v]) for v in want), scale)
+                    report = float(np.nextafter(report, 1.0))
+        assert below_anchor > 10
 
     def test_report_at_its_gate_is_not_funded(self):
         # The others' score is exactly c, so the anchor is 0 (limit rule:
