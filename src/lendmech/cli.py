@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -92,6 +93,8 @@ def cmd_curves(args) -> int:
         if args.variant is None or args.threshold is None:
             raise _UsageError("curves needs either --scenario or --variant and --threshold")
         variant, c, grid = args.variant, args.threshold, args.grid
+        if not 0.0 < c < 1.0:  # NaN fails too
+            raise _UsageError(f"--threshold must lie strictly inside (0, 1), got {c}")
     header, rows = _curve_rows(variant, c, grid)
     out = Path(args.out) if args.out else None
     lines = [",".join(header)]
@@ -292,13 +295,12 @@ def cmd_campaign(args) -> int:
     config = scenario_mod.build_campaign_config(sc)
     rounds = args.rounds if args.rounds is not None else sc.campaign.rounds
     seed = args.seed if args.seed is not None else sc.seed
+    alphas = [None]
+    if args.alpha_sweep is not None:
+        alphas = [_positive_alpha(a) for a in args.alpha_sweep.split(",")]
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    alphas = [None]
-    if args.alpha_sweep:
-        alphas = [float(a) for a in args.alpha_sweep.split(",")]
 
     sweep_rows = []
     for alpha in alphas:
@@ -331,6 +333,17 @@ def cmd_campaign(args) -> int:
                 )
         print(f"wrote alpha_sweep.csv to {out_dir}")
     return EXIT_OK
+
+
+def _positive_alpha(text: str) -> float:
+    """One `--alpha-sweep` item as a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise _UsageError(f"--alpha-sweep values must be finite and positive, got {text!r}")
+    return value
 
 
 def _write_summary_csv(path, summary) -> None:
@@ -430,7 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag, lo in (("seed", 0), ("rounds", 1), ("window", 1)):
+        for flag, lo in (("seed", 0), ("rounds", 1), ("window", 1), ("grid", 2)):
             value = getattr(args, flag, None)
             if value is not None and value < lo:
                 raise _UsageError(f"--{flag} must be >= {lo}, got {value}")

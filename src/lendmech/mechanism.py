@@ -18,8 +18,11 @@ both interim engines and the audits score through it, so they round alike.
 `report_bounds` inverts it exactly: the largest report that keeps a score
 at or below a key, which is how the interim engines fund a borrower just
 as the allocation does, ties included. Both interim engines score a
-coordinate's grid of reports from per-block moments through one copy of
-that reduction: `block_moments`, `merge_moments` and `grid_mean_se`.
+coordinate's grid of reports through one block model, `grid_stats`: on
+each sample, truth minus a report is affine in per-sample quantities u and
+alpha, with coefficients set by whether the truth and the report fund the
+coordinate. Winkler's payment gives u and alpha; VCG's two utilities give
+u, with alpha 0.
 """
 
 from __future__ import annotations
@@ -163,27 +166,6 @@ def elementwise_column_stats(
     return mean, se
 
 
-def block_moments(block: np.ndarray, values: Sequence[np.ndarray], blocks: int):
-    """Reduce per-sample `values` by `block`, each sample's block in
-    range(blocks), with one `bincount` per quantity and per pair of them.
-
-    Returns, for the nonempty blocks in order: their indices, their sample
-    counts, each quantity's block means, and the centered co-moments (sums
-    of products of deviations from the block means) of each pair a <= b,
-    listed in that order: for quantities (x, y), the xx, xy and yy sums.
-    """
-    count = np.bincount(block, minlength=blocks).astype(float)
-    kept = count > 0
-    safe = np.where(kept, count, 1.0)
-    means = [np.bincount(block, v, blocks) / safe for v in values]
-    devs = [v - mean[block] for v, mean in zip(values, means)]
-    comoments = [
-        np.bincount(block, devs[a] * devs[b], blocks)[kept]
-        for a, b in zip(*np.triu_indices(len(values)))
-    ]
-    return np.flatnonzero(kept), count[kept], [m[kept] for m in means], comoments
-
-
 def merge_moments(counts: np.ndarray, means: np.ndarray, m2: np.ndarray):
     """Merge blocks into one by the Chan-Golub-LeVeque pairwise update,
     pairing neighbours until one block is left: the mean and centered sum
@@ -201,27 +183,53 @@ def merge_moments(counts: np.ndarray, means: np.ndarray, m2: np.ndarray):
     return means[:, 0], m2[:, 0]
 
 
-def grid_mean_se(
-    counts: np.ndarray, reports: np.ndarray, block_stats: Callable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of each report's per-sample differences,
-    from per-block moments: `block_stats(chunk)` gives, for each report in
-    `chunk` and each block, the mean and centered sum of squares of the
-    block's differences, (len(chunk), blocks) each; `counts` holds the
-    blocks' sample counts. The blocks are merged with `merge_moments`, never
-    through sum(d^2) - S * mean^2, which cancels. Reports go in chunks of
-    at most COLUMN_CHUNK // blocks (at least one), so a chunk's temporaries
-    stay bounded.
+def grid_stats(bound, u, alpha, truth: float, reports, gain) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of truth minus each report on one coordinate,
+    from per-block moments, in O(samples + reports * blocks).
+
+    On a sample, a report funds the coordinate iff it exceeds the sample's
+    `bound`, and truth minus report r is (ft - fr) * u + fr * gain_r * alpha,
+    where ft and fr are 1 if the truth and r fund it and 0 if not: `u` and
+    `alpha` hold a value per sample, `gain` one per report. The levels (the
+    reports and the truth) cut the samples by bound into blocks that the
+    same levels fund. One pass reduces each block to its count, the means
+    of u and alpha and their three centered co-moments; each (report,
+    block) pair then has a closed-form mean and centered sum of squares,
+    and `merge_moments` merges the blocks, never through
+    sum(d^2) - S * mean^2, which cancels. Reports go in chunks of at most
+    COLUMN_CHUNK // blocks (at least one), so a chunk's temporaries stay
+    bounded.
     """
+    levels = np.unique(np.append(reports, truth))  # the block edges, ascending
+    # A sample's block: how many of the levels do not fund it.
+    block = np.searchsorted(levels, bound, side="right")
+    blocks = len(levels) + 1
+    count = np.bincount(block, minlength=blocks).astype(float)
+    kept = count > 0
+    safe = np.where(kept, count, 1.0)
+    mean_alpha, mean_u = (np.bincount(block, v, blocks) / safe for v in (alpha, u))
+    dev_alpha, dev_u = alpha - mean_alpha[block], u - mean_u[block]
+    m_aa, m_au, m_uu = (
+        np.bincount(block, a * b, blocks)[kept]
+        for a, b in ((dev_alpha, dev_alpha), (dev_alpha, dev_u), (dev_u, dev_u))
+    )
+    # The nonempty blocks; the level at position p funds blocks 0 to p.
+    index, count = np.flatnonzero(kept), count[kept]
+    mean_alpha, mean_u = mean_alpha[kept], mean_u[kept]
+    f_truth = (index <= np.searchsorted(levels, truth)).astype(float)
     mean, m2 = np.empty(len(reports)), np.empty(len(reports))
-    step = max(1, COLUMN_CHUNK // len(counts))
+    step = max(1, COLUMN_CHUNK // len(count))
     for start in range(0, len(reports), step):
         rows = slice(start, start + step)
-        mean[rows], m2[rows] = merge_moments(counts, *block_stats(reports[rows]))
-    samples = int(counts.sum())
-    if samples == 1:
+        f_report = (index <= np.searchsorted(levels, reports[rows])[:, np.newaxis]).astype(float)
+        c_u = f_truth - f_report
+        c_alpha = f_report * gain[rows, np.newaxis]
+        means = c_u * mean_u + c_alpha * mean_alpha
+        sq = c_alpha * c_alpha * m_aa + 2.0 * c_alpha * c_u * m_au + c_u * c_u * m_uu
+        mean[rows], m2[rows] = merge_moments(count, means, np.maximum(sq, 0.0))
+    if len(bound) == 1:
         return mean, np.zeros(len(mean))
-    return mean, np.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+    return mean, np.sqrt(m2 / (len(bound) - 1)) / math.sqrt(len(bound))
 
 
 def chunks(samples: int):

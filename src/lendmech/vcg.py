@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ReserveRecommenderHasNoPayment
 # `deficit` is re-exported: callers use vcg.deficit.
 from .mechanism import Allocation, Settlement, check_outcomes, check_reports, deficit
-from .mechanism import block_moments, chunks, grid_mean_se, left_sum, linear_scores, report_bounds
+from .mechanism import chunks, grid_stats, left_sum, linear_scores, report_bounds
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class VcgInstance:
             raise ValueError(f"need {self.n} weights, got {len(self.weights)}")
         if not all(math.isfinite(w) and w >= 0.0 for w in self.weights):
             raise ValueError(f"weights must be finite and nonnegative, got {self.weights}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
 
     @property
     def n_reserves(self) -> int:
@@ -301,8 +301,9 @@ class InterimEngine:
     finds the bound and both utilities once per sample; a report on q then
     costs one comparison per sample and no sort. The utilities come from
     the expressions `utilities` uses, so the two paths agree bit for bit.
-    `column_stats` scores a coordinate's whole grid of reports from
-    per-block moments of the same per-sample utilities, in
+    `column_stats` scores a coordinate's whole grid of reports from the
+    same per-sample utilities through `mechanism.grid_stats`, the block
+    model Winkler's engine uses, with u = u_in - u_out and alpha 0, in
     O(samples + reports * blocks); it agrees with `column` up to rounding,
     and exactly on a single sample.
     """
@@ -401,30 +402,18 @@ class InterimEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Mean and standard error of truth minus each report on coordinate q.
 
-        The reports replace `true_row[q]`; beliefs are `true_row`, and
-        `truth_values` is `utilities(true_row, true_row)`. Each slot equals
-        `mean_se(truth_values - column(true_row, q)(report))` up to
-        rounding, and exactly for a single sample. On a sample, truth minus
-        a report is d_in = truth - u_in if the report exceeds the sample's
-        bound and d_out = truth - u_out if not (see `column`). The sorted
-        reports cut the samples by bound into blocks that the same reports
-        fund; one pass reduces each block to its count and the means and
-        centered sums of squares of d_in and d_out; a report takes each
-        block's d_in moments where it funds the block and its d_out moments
-        where not, and `grid_mean_se` merges them. O(samples + reports *
-        blocks), not O(samples * reports).
+        The reports replace `true_row[q]`; beliefs are `true_row`. Each slot
+        equals `mean_se(truth_values - column(true_row, q)(report))` up to
+        rounding, and exactly for a single sample, where `truth_values` is
+        `utilities(true_row, true_row)`; it is not read, since `column` is
+        that evaluation bit for bit. On a sample, truth minus a report is
+        then exactly 0 where both or neither fund q, and otherwise
+        +-(u_in - u_out), + where only the truth funds q (see `column`):
+        `grid_stats`' model with u = u_in - u_out and alpha 0, in
+        O(samples + reports * blocks), not O(samples * reports).
         """
         reports = np.asarray(reports, dtype=float)
         bound, u_in, u_out = self._column_parts(true_row, q)
-        levels = np.unique(reports)  # the block edges, ascending
-        # A sample's block: how many of the levels do not fund it.
-        block = np.searchsorted(levels, bound, side="right")
-        index, count, (mean_in, mean_out), (m2_in, _, m2_out) = block_moments(
-            block, (truth_values - u_in, truth_values - u_out), len(levels) + 1
-        )
-
-        def block_stats(chunk):
-            funded = index <= np.searchsorted(levels, chunk)[:, np.newaxis]
-            return np.where(funded, mean_in, mean_out), np.where(funded, m2_in, m2_out)
-
-        return grid_mean_se(count, reports, block_stats)
+        zeros = np.zeros(self.samples)
+        gain = np.zeros(len(reports))
+        return grid_stats(bound, u_in - u_out, zeros, float(true_row[q]), reports, gain)

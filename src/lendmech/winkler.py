@@ -25,8 +25,7 @@ import numpy as np
 from .aggregation import Aggregator, WeightedLinear, aggregate, aggregate_columns
 from .errors import ZeroWeightRecommender
 from .mechanism import Allocation, Settlement, check_outcomes, check_reports
-from .mechanism import block_moments, chunks, elementwise_column_stats, grid_mean_se
-from .mechanism import linear_scores, report_bounds
+from .mechanism import chunks, elementwise_column_stats, grid_stats, linear_scores, report_bounds
 
 
 @dataclass(frozen=True)
@@ -289,9 +288,10 @@ class ColumnEngine:
 
     `utilities` and `column` score one report per call, a few vector
     operations over the samples each; they are the reference.
-    `column_stats` scores a whole grid of reports on one coordinate from
-    per-block moments (see there), which is what makes grid-misreport
-    searches at 1e5 samples cheap.
+    `column_stats` scores a whole grid of reports on one coordinate through
+    `mechanism.grid_stats`, the block model VCG's engine shares (see
+    there), which is what makes grid-misreport searches at 1e5 samples
+    cheap.
     """
 
     def __init__(self, inst: WinklerInstance, i: int, others: np.ndarray) -> None:
@@ -348,9 +348,16 @@ class ColumnEngine:
         `mean_se(truth_values - column(true_row, q)(report))` up to
         rounding. Reports at 0 or 1, and every report when the truth is at
         0 or 1, are scored that way, elementwise, so the log score's
-        infinities follow `mean_se`'s rule. The rest come from
-        `_grid_stats` in O(samples + reports * blocks), not
-        O(samples * reports).
+        infinities follow `mean_se`'s rule.
+
+        The rest go through `grid_stats` in O(samples + reports * blocks).
+        A report funds a sample iff it exceeds the gate, and a funded
+        sample pays u + alpha * (own(r) - own(truth)): alpha is
+        1 / -log(anchor) and u the truth's payment; limit anchors have alpha
+        0 and u the belief, idle ones both 0. That is the payment itself
+        (`WinklerPayment` always divides by -log(anchor)), so it holds on
+        every funded sample, reports an ulp past the gate included; the
+        gain is own(truth) - own(r).
         """
         reports = np.asarray(reports, dtype=float)
         belief = float(true_row[q])
@@ -360,47 +367,12 @@ class ColumnEngine:
             column = self.column(true_row, q)
             mean[edge], se[edge] = elementwise_column_stats(column, truth_values, reports[edge])
         if not edge.all():
-            mean[~edge], se[~edge] = self._grid_stats(q, belief, reports[~edge])
+            pay, grid = self.payments[q], reports[~edge]
+            regular = ~(pay.limit | pay.idle)
+            own_truth = float(WinklerPayment.own(belief, belief))
+            alpha = np.where(regular, 1.0 / pay.neg_log_a, 0.0)
+            u = (own_truth + pay.offset(belief)) / pay.neg_log_a
+            u = np.where(regular, u, belief * pay.limit)
+            gain = own_truth - WinklerPayment.own(belief, grid)
+            mean[~edge], se[~edge] = grid_stats(self.gate[q], u, alpha, belief, grid, gain)
         return mean, se
-
-    def _grid_stats(self, q: int, belief: float, reports: np.ndarray):
-        """`column_stats` for reports strictly inside (0, 1), truth too.
-
-        A funded sample pays u_s + alpha_s * (own(r) - own(truth)): alpha_s
-        is 1 / -log(anchor_s) and u_s the truth's payment; limit anchors
-        have alpha 0 and u the belief, idle ones both 0. That is the
-        payment itself (`WinklerPayment` always divides by -log(anchor)),
-        so it holds on every funded sample, reports an ulp past the gate
-        included. The reports, truth included, cut the samples by gate into
-        blocks: the samples in a block are funded by the same reports,
-        those above their gates. On a block, truth minus report r is then
-        (ft - fr) * u + fr * (own(truth) - own(r)) * alpha, with ft and fr
-        the block's 0/1 funding at the truth and at r. So one pass over the
-        samples reduces each block to its count, means of u and alpha and
-        centered co-moments (`block_moments`), and each (report, block) pair
-        has a closed-form mean and centered sum of squares; `grid_mean_se`
-        merges the blocks.
-        """
-        pay, gate = self.payments[q], self.gate[q]
-        levels = np.unique(np.append(reports, belief))  # the block edges, ascending
-        # A sample's block: how many of the levels do not fund it.
-        block = np.searchsorted(levels, gate, side="right")
-        regular = ~(pay.limit | pay.idle)
-
-        own_truth = float(WinklerPayment.own(belief, belief))
-        alpha = np.where(regular, 1.0 / pay.neg_log_a, 0.0)
-        u = np.where(regular, (own_truth + pay.offset(belief)) / pay.neg_log_a, belief * pay.limit)
-        index, count, (mean_alpha, mean_u), (m_aa, m_au, m_uu) = block_moments(
-            block, (alpha, u), len(levels) + 1
-        )
-        f_truth = (index <= np.searchsorted(levels, belief)).astype(float)
-
-        def block_stats(chunk):
-            f_report = (index <= np.searchsorted(levels, chunk)[:, np.newaxis]).astype(float)
-            c_u = f_truth - f_report
-            c_alpha = f_report * (own_truth - WinklerPayment.own(belief, chunk))[:, np.newaxis]
-            means = c_u * mean_u + c_alpha * mean_alpha
-            sq = c_alpha * c_alpha * m_aa + 2.0 * c_alpha * c_u * m_au + c_u * c_u * m_uu
-            return means, np.maximum(sq, 0.0)
-
-        return grid_mean_se(count, reports, block_stats)

@@ -113,6 +113,23 @@ class TestCurves:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--grid", "1"), "--grid must be >= 2, got 1"),
+            (("--grid", "0"), "--grid must be >= 2, got 0"),
+            (("--threshold", "1.5"), "--threshold must lie strictly inside (0, 1), got 1.5"),
+            (("--threshold", "nan"), "--threshold must lie strictly inside (0, 1), got nan"),
+            (("--threshold", "0"), "--threshold must lie strictly inside (0, 1), got 0.0"),
+            (("--threshold", "1"), "--threshold must lie strictly inside (0, 1), got 1.0"),
+        ],
+    )
+    def test_bad_grid_or_threshold_is_a_usage_error(self, flags, message, capsys):
+        argv = ("curves", "--variant", "trunc-quadratic", "--threshold", "0.6") + flags
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {message}\n"
+
 
 class TestRun:
     def test_table1_run_is_deterministic(self, capsys):
@@ -394,6 +411,11 @@ BAD_FLAGS = [
     ("table1", ("run", "--seed", "-1"), "--seed must be >= 0"),
     ("table1", ("audit", "weak-epic", "--seed", "-1"), "--seed must be >= 0"),
     ("campaign-budescu", ("campaign", "--seed", "-1"), "--seed must be >= 0"),
+] + [
+    ("campaign-vcg", ("campaign", "--rounds", "2", f"--alpha-sweep={sweep}"),
+     f"--alpha-sweep values must be finite and positive, got {item!r}")
+    for sweep, item in [("x", "x"), ("0.5,,1", ""), ("-1", "-1"), ("nan", "nan"),
+                        ("1,inf", "inf"), ("0", "0")]
 ]
 
 

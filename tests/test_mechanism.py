@@ -1,11 +1,13 @@
-"""The shared linear score and the funding bound both interim engines use."""
+"""The shared linear score, funding bound and grid scorer both interim
+engines use."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lendmech.mechanism import Allocation, Settlement, deficit, left_sum, linear_scores
-from lendmech.mechanism import mean_se, report_bounds
+from lendmech.mechanism import Allocation, Settlement, deficit, grid_stats, left_sum
+from lendmech.mechanism import linear_scores, mean_se, report_bounds
+from stats_helpers import assert_stats_close
 
 EIGHTHS = [k / 8 for k in range(9)]
 NON_DYADIC_WEIGHTS = [(1 / 3, 1 / 3, 1 / 3), (1 / 7, 2 / 7, 4 / 7), (0.1, 0.3, 0.6)]
@@ -137,3 +139,56 @@ class TestReportBounds:
         above = score_with(weights, i, co_reports, np.where(inside, np.nextafter(bound, 2.0), 0.0))
         assert np.all(at_bound[inside] <= key[inside])
         assert np.all(above[inside] > key[inside])
+
+
+def explicit_grid_stats(bound, u, alpha, truth, reports, gain):
+    """`grid_stats` by brute force: each report's per-sample differences
+    (ft - fr) * u + fr * gain * alpha, written out, through `mean_se`."""
+    f_truth = (truth > bound).astype(float)
+    diffs = []
+    for report, g in zip(reports, gain):
+        f_report = (report > bound).astype(float)
+        diffs.append((f_truth - f_report) * u + (f_report * g) * alpha)
+    return mean_se(np.array(diffs))
+
+
+@st.composite
+def grid_cases(draw):
+    """Per-sample bounds at a level, one ulp either side of one, at +-inf
+    and uniform; 1 to 200 samples, sometimes all in one block; reports
+    that sometimes include the truth."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = draw(st.sampled_from([1, 2, 7, 200]))
+    reports = rng.choice(EIGHTHS, draw(st.integers(1, 12)))
+    reports = np.concatenate([reports, rng.random(draw(st.integers(0, 4)))])
+    truth = float(draw(st.sampled_from(reports.tolist())) if draw(st.booleans()) else rng.random())
+    levels = np.append(reports, truth)
+    near = np.concatenate([levels, np.nextafter(levels, -1.0), np.nextafter(levels, 2.0)])
+    pool = np.concatenate([near, [-np.inf, np.inf], rng.random(4)])
+    if draw(st.booleans()):  # every sample in one block
+        bound = np.full(samples, rng.choice(pool))
+    else:
+        bound = rng.choice(pool, samples)
+    u = rng.standard_normal(samples) * 10.0 ** rng.integers(-3, 3)
+    alpha = rng.standard_normal(samples) * draw(st.sampled_from([0.0, 1.0]))
+    gain = rng.standard_normal(len(reports)) * 10.0 ** rng.integers(-3, 3)
+    return bound, u, alpha, truth, reports, gain
+
+
+class TestGridStats:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_cases())
+    def test_matches_the_explicit_differences(self, case):
+        bound, u, alpha, truth, reports, gain = case
+        got = grid_stats(*case)
+        want = explicit_grid_stats(*case)
+        scale = np.maximum(1.0, np.abs(u).max() + np.abs(gain) * np.abs(alpha).max())
+        assert_stats_close(got, want, scale)
+        if len(bound) == 1:  # one sample is one block: exact
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tolist() == [0.0] * len(reports)
+        if not alpha.any():
+            # VCG's model: a report differs from the truth only on samples
+            # where one of them funds and the other does not.
+            same = [np.array_equal(r > bound, truth > bound) for r in reports]
+            assert got[0][same].tolist() == got[1][same].tolist() == [0.0] * sum(same)

@@ -112,6 +112,11 @@ class TestAllocate:
         with pytest.raises(ValueError, match="weights must be finite"):
             table_instance(weights=(bad, 0.5, 0.5))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_rejects_alpha_that_is_not_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            table_instance(alpha=bad)
+
     def test_rejects_nan_report(self):
         reports = np.array(BELIEFS)
         reports[1, 0] = np.nan
@@ -406,6 +411,26 @@ class TestInterimEngine:
                 fast = column(value)
                 assert np.array_equal(fast, engine.utilities(true_row, row))
                 assert np.max(np.abs(fast - slow.utilities(true_row, row))) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(tie_interim_cases(), st.data())
+    def test_truth_minus_a_report_is_the_funding_gap_times_u_in_minus_u_out(self, case, data):
+        # `column_stats` scores VCG through `grid_stats` with u = u_in - u_out
+        # and alpha 0; that model is exact on every sample.
+        inst, i, true_row, seed = case
+        n, m = inst.n, inst.m
+        prior = ProductGrid(tuple(tuple(tuple(QUARTERS) for _ in range(m)) for _ in range(n)))
+        others = sample_others(prior, n, m, i, 24, np.random.default_rng(seed))
+        engine = vcg.InterimEngine(inst, i, others)
+        truth_values = engine.utilities(true_row, true_row)
+        q = data.draw(st.integers(0, m - 1))
+        bound, u_in, u_out = engine._column_parts(true_row, q)
+        f_truth = (true_row[q] > bound).astype(float)
+        column = engine.column(true_row, q)
+        for report in QUARTERS:
+            f_report = (report > bound).astype(float)
+            gap = truth_values - column(report)
+            assert gap.tolist() == ((f_truth - f_report) * (u_in - u_out)).tolist()
 
     @settings(max_examples=120, deadline=None)
     @given(column_stats_cases())
