@@ -297,6 +297,9 @@ def cmd_campaign(args) -> int:
     seed = args.seed if args.seed is not None else sc.seed
     alphas = [None]
     if args.alpha_sweep is not None:
+        # Only VCG's payments scale with alpha; a Winkler sweep would repeat one run.
+        if sc.mechanism != "vcg":
+            raise _UsageError("--alpha-sweep applies to VCG scenarios only")
         alphas = [_positive_alpha(a) for a in args.alpha_sweep.split(",")]
     out_dir = Path(args.out) if args.out else None
     if out_dir:
@@ -428,7 +431,7 @@ def build_parser() -> _Parser:
     p_campaign.add_argument("--rounds", type=int)
     p_campaign.add_argument("--seed", type=int)
     p_campaign.add_argument("--out", help="directory for ledger and CSV summaries")
-    p_campaign.add_argument("--alpha-sweep", help="comma-separated alphas to sweep")
+    p_campaign.add_argument("--alpha-sweep", help="comma-separated alphas to sweep (VCG scenarios only)")
     p_campaign.set_defaults(func=cmd_campaign)
 
     p_weights = sub.add_parser("weights", help="outcome-based weights from a ledger")

@@ -1,4 +1,4 @@
-"""What the two mechanisms share: the linear score and the funding bound,
+"""What the two mechanisms share: the linear score and the funding test,
 allocation and settlement records, and the checks every report matrix and
 outcome map passes.
 
@@ -15,14 +15,15 @@ version (3.12's `sum()` compensates). `linear_scores` is the one weighted
 sum of reports in the package, added in the same order. Both
 allocations, Winkler's settlement thresholds, VCG's pivots and rebates,
 both interim engines and the audits score through it, so they round alike.
-`report_bounds` inverts it exactly: the largest report that keeps a score
-at or below a key, which is how the interim engines fund a borrower just
-as the allocation does, ties included. Both interim engines score a
-coordinate's grid of reports through one block model, `grid_stats`: on
-each sample, truth minus a report is affine in per-sample quantities u and
-alpha, with coefficients set by whether the truth and the report fund the
-coordinate. Winkler's payment gives u and alpha; VCG's two utilities give
-u, with alpha 0.
+`FundingTest` is how the interim engines fund a borrower just as the
+allocation does, ties included: it places each sample among a grid of
+report levels by the closed form where a proven margin decides, and by
+the allocation's own test where a level lies nearer. Both interim engines
+score a coordinate's grid of reports through one block model,
+`grid_stats`: on each sample, truth minus a report is affine in
+per-sample quantities u and alpha, with coefficients set by whether the
+truth and the report fund the coordinate. Winkler's payment gives u and
+alpha; VCG's two utilities give u, with alpha 0.
 """
 
 from __future__ import annotations
@@ -38,12 +39,6 @@ from .errors import MissingOutcome, OutcomeForUnfundedBorrower, ShapeMismatch
 # Samples per block while an interim engine builds its per-sample arrays;
 # bounds the block's temporaries whatever the sample count.
 COLUMN_CHUNK = 16_384
-# Half-width of report_bounds' first bracket around the closed form, in
-# epsilons of the score scale sum(weights) / w_i. The closed form was off by
-# at most 1.2 of them over 6e5 sampled columns (n from 3 to 5); a bracket
-# that misses costs iterations, never exactness.
-_BRACKET_EPS = 2
-_ONE_BITS = int(np.float64(1.0).view(np.int64))
 
 if TYPE_CHECKING:
     from .vcg import VcgInstance
@@ -183,34 +178,33 @@ def merge_moments(counts: np.ndarray, means: np.ndarray, m2: np.ndarray):
     return means[:, 0], m2[:, 0]
 
 
-def grid_stats(bound, u, alpha, truth: float, reports, gain) -> tuple[np.ndarray, np.ndarray]:
+def grid_stats(blocks, u, alpha, truth: float, reports, gain) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of truth minus each report on one coordinate,
     from per-block moments, in O(samples + reports * blocks).
 
-    On a sample, a report funds the coordinate iff it exceeds the sample's
-    `bound`, and truth minus report r is (ft - fr) * u + fr * gain_r * alpha,
+    The levels (the reports and the truth, ascending) cut the samples into
+    blocks that the same levels fund: `blocks(levels)` gives each sample's
+    block, the number of levels that do not fund it (`FundingTest.blocks`).
+    On a sample, truth minus report r is (ft - fr) * u + fr * gain_r * alpha,
     where ft and fr are 1 if the truth and r fund it and 0 if not: `u` and
-    `alpha` hold a value per sample, `gain` one per report. The levels (the
-    reports and the truth) cut the samples by bound into blocks that the
-    same levels fund. One pass reduces each block to its count, the means
-    of u and alpha and their three centered co-moments; each (report,
-    block) pair then has a closed-form mean and centered sum of squares,
-    and `merge_moments` merges the blocks, never through
-    sum(d^2) - S * mean^2, which cancels. Reports go in chunks of at most
-    COLUMN_CHUNK // blocks (at least one), so a chunk's temporaries stay
-    bounded.
+    `alpha` hold a value per sample, `gain` one per report. One pass reduces
+    each block to its count, the means of u and alpha and their three
+    centered co-moments; each (report, block) pair then has a closed-form
+    mean and centered sum of squares, and `merge_moments` merges the
+    blocks, never through sum(d^2) - S * mean^2, which cancels. Reports go
+    in chunks of at most COLUMN_CHUNK // blocks (at least one), so a chunk's
+    temporaries stay bounded.
     """
     levels = np.unique(np.append(reports, truth))  # the block edges, ascending
-    # A sample's block: how many of the levels do not fund it.
-    block = np.searchsorted(levels, bound, side="right")
-    blocks = len(levels) + 1
-    count = np.bincount(block, minlength=blocks).astype(float)
+    block = blocks(levels)
+    n_blocks = len(levels) + 1
+    count = np.bincount(block, minlength=n_blocks).astype(float)
     kept = count > 0
     safe = np.where(kept, count, 1.0)
-    mean_alpha, mean_u = (np.bincount(block, v, blocks) / safe for v in (alpha, u))
+    mean_alpha, mean_u = (np.bincount(block, v, n_blocks) / safe for v in (alpha, u))
     dev_alpha, dev_u = alpha - mean_alpha[block], u - mean_u[block]
     m_aa, m_au, m_uu = (
-        np.bincount(block, a * b, blocks)[kept]
+        np.bincount(block, a * b, n_blocks)[kept]
         for a, b in ((dev_alpha, dev_alpha), (dev_alpha, dev_u), (dev_u, dev_u))
     )
     # The nonempty blocks; the level at position p funds blocks 0 to p.
@@ -227,9 +221,10 @@ def grid_stats(bound, u, alpha, truth: float, reports, gain) -> tuple[np.ndarray
         means = c_u * mean_u + c_alpha * mean_alpha
         sq = c_alpha * c_alpha * m_aa + 2.0 * c_alpha * c_u * m_au + c_u * c_u * m_uu
         mean[rows], m2[rows] = merge_moments(count, means, np.maximum(sq, 0.0))
-    if len(bound) == 1:
+    samples = len(u)
+    if samples == 1:
         return mean, np.zeros(len(mean))
-    return mean, np.sqrt(m2 / (len(bound) - 1)) / math.sqrt(len(bound))
+    return mean, np.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
 
 
 def chunks(samples: int):
@@ -237,62 +232,93 @@ def chunks(samples: int):
     return (slice(s, s + COLUMN_CHUNK) for s in range(0, samples, COLUMN_CHUNK))
 
 
-def report_bounds(weights: Sequence[float], i: int, co_reports: np.ndarray, key) -> np.ndarray:
-    """Per column, the largest report of recommender i that keeps the linear
-    score at or below `key`: -inf when a report of 0 already beats `key`,
-    1 when no report in [0, 1] does. So the score beats `key` iff i reports
-    above the bound.
+class FundingTest:
+    """Whether recommender i's report funds a column, on each sample: the
+    allocation's own test, linear score > `key`, ties included.
 
-    `co_reports` holds the others' reports, (n-1, columns); `key` is a
-    scalar or one per column. The score never falls as i's report rises,
-    so the bound is found by bisection over the bit patterns of the floats
-    in [0, 1], which are ordered as the floats are. It starts from a bracket
-    around the closed form (key - others' score) / w_i, checks both ends,
-    and keeps iterating only on the columns not yet settled; so it is exact
-    whether or not the bracket holds.
+    `co_reports` holds the others' reports, (n-1, samples), and is kept as
+    given (a view is not copied); `key` is a scalar or one per sample, and
+    -inf funds every sample. The score never falls as i's report rises, so
+    on each sample the reports that fund form an upper range. `blocks`
+    places every sample among ascending report levels in [0, 1], and
+    `funds` answers for one report.
+
+    Each sample holds the closed form t = (key - B) / w_i, B the others'
+    score, which is the score with i's report at 0 bit for bit; a sample
+    with B > key is funded by every report (t = -inf), and t is clipped
+    above at 2. One margin M per test decides every level L with
+    |L - t| >= M by the closed form. Levels nearer than that are scored
+    exactly, one `linear_scores` pass per such level.
+
+    The margin. Write W = sum(w), K = max(key, 0), u = 2**-53 and
+    gamma_k = k u / (1 - k u). A left-to-right dot product of n terms with
+    reports in [0, 1] is within gamma_n W of its exact value (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, 3.1), plus
+    2**-1075 per product that underflows. So the score at L is within
+    (gamma_n + gamma_{n-1}) W + n s of B + w_i L, with s = 2**-1074 the
+    smallest subnormal. Where B <= key, d = key - B lies in [0, K], and t
+    is within gamma_2 d / w_i + s of d / w_i. Together: a level L <= t - M
+    leaves the score at or below the key, and a level L > t + M lifts it
+    above, whenever M >= (3 gamma_{n+2} (W + K) + n s) / w_i + s. The test
+    takes M = (4 gamma_{n+2} (W + K) + n s) / w_i + 16u; the spare terms
+    cover the rounding of M itself and of L +- M, for |t| <= 2, M <= 4.
+    Above 4 (a tiny w_i; an overflow gives inf) M is capped at 4, which
+    leaves every level in [0, 1] to the exact pass, as a larger margin
+    would. With w_i = 0 the score is B whatever i reports, bit for bit, so
+    t is the exact bound, 1 where B <= key, and M = 0.
     """
-    w_i = weights[i]
-    # With i's report at 0 the score is the others' score exactly.
-    base = linear_scores(weights[:i] + weights[i + 1 :], co_reports)
-    key = np.broadcast_to(key, base.shape)
-    bound = np.full(base.shape, -np.inf)
-    todo = np.flatnonzero(base <= key)
-    if w_i == 0.0:  # i's report never moves the score
-        bound[todo] = 1.0
-        return bound
-    column, key = np.insert(co_reports[:, todo], i, 0.0, axis=0), key[todo]  # a slot for i
 
-    def beats(column, key, report) -> np.ndarray:
-        column[i] = report
-        return linear_scores(weights, column) > key
+    def __init__(self, weights: Sequence[float], i: int, co_reports: np.ndarray, key) -> None:
+        self.weights, self.i, self.co_reports = weights, i, co_reports
+        w_i = weights[i]
+        base = linear_scores(weights[:i] + weights[i + 1 :], co_reports)
+        self.key = np.broadcast_to(np.asarray(key, dtype=float), base.shape)
+        funded = base > self.key  # at a report of 0, so at every report
+        if w_i == 0.0:  # the seed is the exact bound
+            self.seed, self.margin = np.where(funded, -np.inf, 1.0), 0.0
+            return
+        with np.errstate(over="ignore"):  # a tiny w_i; clipped
+            self.seed = np.where(funded, -np.inf, np.minimum((self.key - base) / w_i, 2.0))
+        n, u = len(weights), 2.0**-53
+        gamma = (n + 2) * u / (1.0 - (n + 2) * u)
+        scale = left_sum(weights) + float(np.max(self.key, initial=0.0))
+        tiny = n * float(np.finfo(float).smallest_subnormal)
+        self.margin = min((4.0 * gamma * scale + tiny) / w_i + 16 * u, 4.0)
 
-    # Bit patterns, at most the key at lo and above it at hi; hi starts one
-    # past 1.0, which is never evaluated. A settled column (hi = lo + 1) has
-    # mid = lo, so further steps leave it as it is.
-    lo = np.zeros(len(todo), dtype=np.int64)
-    hi = np.full(len(todo), _ONE_BITS + 1)
-    with np.errstate(over="ignore"):  # a tiny w_i sends both past 1; clipped below
-        seed = (key - base[todo]) / w_i
-        slack = _BRACKET_EPS * np.finfo(float).eps * left_sum(weights) / w_i
-    for end in (np.clip(seed - slack, 0.0, 1.0), np.clip(seed + slack, 0.0, 1.0)):
-        hit = beats(column, key, end)
-        bits = end.view(np.int64)
-        hi = np.where(hit, np.minimum(hi, bits), hi)
-        lo = np.where(hit, lo, np.maximum(lo, bits))
-    while True:
-        gap = hi - lo
-        live = gap > 1
-        if 2 * np.count_nonzero(live) <= len(live):
-            # Drop the settled columns once they are half of those left.
-            bound[todo[~live]] = lo[~live].view(float)
-            if not live.any():
-                return bound
-            todo, lo, hi, gap, key = todo[live], lo[live], hi[live], gap[live], key[live]
-            column = column[:, live]
-        mid = lo + (gap >> 1)
-        hit = beats(column, key, mid.view(float))
-        hi = np.where(hit, mid, hi)
-        lo = np.where(hit, lo, mid)
+    def blocks(self, levels) -> np.ndarray:
+        """For each sample, how many of the ascending `levels` do not fund it."""
+        levels = np.asarray(levels, dtype=float)
+        edges = np.concatenate([levels - self.margin, levels + self.margin])
+        order = np.argsort(edges, kind="stable")
+        # Given how many sorted edges lie at or below t: how many levels
+        # cannot fund (L + M <= t) and how many might (L - M <= t). Both
+        # are prefixes of the levels; the levels between are near.
+        below = np.concatenate([[0], np.cumsum(order >= len(levels))])
+        maybe = np.concatenate([[0], np.cumsum(order < len(levels))])
+        rank = np.searchsorted(edges[order], self.seed, side="right")
+        near = np.flatnonzero((maybe > below)[rank])
+        stop = maybe[rank[near]]
+        block = below[rank]
+        while len(near):  # test each near sample's lowest level not yet settled
+            unfunded = self._unfunded(near, levels[block[near]])
+            block[near] += unfunded
+            live = unfunded & (block[near] < stop)
+            near, stop = near[live], stop[live]
+        return block
+
+    def funds(self, report: float) -> np.ndarray:
+        """Per sample, whether `report` funds it: `blocks([report]) == 0`,
+        from two comparisons per sample instead of a search."""
+        unfunded = self.seed >= report + self.margin
+        near = np.flatnonzero(~unfunded & (self.seed >= report - self.margin))
+        unfunded[near] = self._unfunded(near, report)
+        return ~unfunded
+
+    def _unfunded(self, near: np.ndarray, report) -> np.ndarray:
+        """Whether `report` (a scalar, or one per sample) leaves each of the
+        samples `near` unfunded, by the allocation's own test."""
+        column = np.insert(self.co_reports[:, near], self.i, report, axis=0)
+        return linear_scores(self.weights, column) <= self.key[near]
 
 
 def check_reports(reports, shape: tuple[int, int], field: str = "reports") -> np.ndarray:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ReserveRecommenderHasNoPayment
 # `deficit` is re-exported: callers use vcg.deficit.
-from .mechanism import Allocation, Settlement, check_outcomes, check_reports, deficit
-from .mechanism import chunks, grid_stats, left_sum, linear_scores, report_bounds
+from .mechanism import Allocation, FundingTest, Settlement, check_outcomes, check_reports, deficit
+from .mechanism import chunks, grid_stats, left_sum, linear_scores
 
 
 @dataclass(frozen=True)
@@ -296,11 +296,13 @@ class InterimEngine:
     other coordinates held at the true row, the other items (real borrowers
     and reserve slots) keep one order whatever i reports on q, so the funded
     set is q plus their top K-1, or else their top K; one sort gives both.
-    q's score never falls as i's report rises, so on each sample one bound
-    splits the reports: q is funded iff the report exceeds it. `column`
-    finds the bound and both utilities once per sample; a report on q then
-    costs one comparison per sample and no sort. The utilities come from
-    the expressions `utilities` uses, so the two paths agree bit for bit.
+    q's score never falls as i's report rises, so on each sample the
+    reports that fund q form an upper range: q's score must beat the key of
+    the item a funded q displaces, which a `FundingTest` decides as the
+    allocation does. `column` finds the keys and both utilities once per
+    sample; a report on q then costs one funding test and no sort. The
+    utilities come from the expressions `utilities` uses, so the two paths
+    agree bit for bit.
     `column_stats` scores a coordinate's whole grid of reports from the
     same per-sample utilities through `mechanism.grid_stats`, the block
     model Winkler's engine uses, with u = u_in - u_out and alpha 0, in
@@ -360,18 +362,18 @@ class InterimEngine:
         the per-sample utilities `utilities(true_row, row)` gives for that
         row, bit for bit.
         """
-        bound, u_in, u_out = self._column_parts(true_row, q)
-        return lambda report: np.where(report > bound, u_in, u_out)
+        funding, u_in, u_out = self._column_parts(true_row, q)
+        return lambda report: np.where(funding.funds(report), u_in, u_out)
 
     def _column_parts(self, true_row: Sequence[float], q: int):
-        """Per sample, the bound a report on q must exceed to fund q, and
-        the utilities with q funded and with q unfunded."""
+        """The `FundingTest` of a report on q, and per sample the utilities
+        with q funded and with q unfunded."""
         inst = self.inst
         m, c, n_res = inst.m, inst.reserve_threshold, inst.n_reserves
         k = min(inst.K, m + n_res)
         w_true = self.w_i * np.asarray(true_row, dtype=float)  # beliefs are the true row
         fits_all = k == m + n_res  # then q is funded whatever it reports
-        bound = np.full(self.samples, -np.inf)
+        key = np.full(self.samples, -np.inf)  # -inf: every report funds q
         u_in = np.empty(self.samples)
         u_out = np.zeros(self.samples)
         for rows in chunks(self.samples):
@@ -393,9 +395,8 @@ class InterimEngine:
             # q wins a tie iff that item is a real borrower with a higher
             # index than q, or a reserve; then its score need only reach
             # the float just below the key.
-            key = np.where(pos >= q, np.nextafter(kth_key, -np.inf), kth_key)
-            bound[rows] = report_bounds(inst.weights, self.i, self.others[rows, :, q].T, key)
-        return bound, u_in, u_out
+            key[rows] = np.where(pos >= q, np.nextafter(kth_key, -np.inf), kth_key)
+        return FundingTest(inst.weights, self.i, self.others[:, :, q].T, key), u_in, u_out
 
     def column_stats(
         self, true_row: Sequence[float], q: int, truth_values: np.ndarray, reports
@@ -413,7 +414,7 @@ class InterimEngine:
         O(samples + reports * blocks), not O(samples * reports).
         """
         reports = np.asarray(reports, dtype=float)
-        bound, u_in, u_out = self._column_parts(true_row, q)
+        funding, u_in, u_out = self._column_parts(true_row, q)
         zeros = np.zeros(self.samples)
         gain = np.zeros(len(reports))
-        return grid_stats(bound, u_in - u_out, zeros, float(true_row[q]), reports, gain)
+        return grid_stats(funding.blocks, u_in - u_out, zeros, float(true_row[q]), reports, gain)

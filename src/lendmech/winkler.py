@@ -24,8 +24,8 @@ import numpy as np
 
 from .aggregation import Aggregator, WeightedLinear, aggregate, aggregate_columns
 from .errors import ZeroWeightRecommender
-from .mechanism import Allocation, Settlement, check_outcomes, check_reports
-from .mechanism import chunks, elementwise_column_stats, grid_stats, linear_scores, report_bounds
+from .mechanism import Allocation, FundingTest, Settlement, check_outcomes, check_reports
+from .mechanism import elementwise_column_stats, grid_stats, linear_scores
 
 
 @dataclass(frozen=True)
@@ -200,10 +200,12 @@ class WinklerPayment:
     """
 
     def __init__(self, anchor) -> None:
-        self.anchor = np.asarray(anchor, dtype=float)
-        self.limit = self.anchor == 0.0
-        self.idle = self.anchor >= 1.0
-        safe = np.where(self.limit | self.idle, 0.5, self.anchor)
+        # The anchors themselves are not kept: an engine holds one payment
+        # per column for the whole search.
+        anchor = np.asarray(anchor, dtype=float)
+        self.limit = anchor == 0.0
+        self.idle = anchor >= 1.0
+        safe = np.where(self.limit | self.idle, 0.5, anchor)
         # -log(a), the upper branch's divisor, and -log(1 - a), which only
         # enters the numerator (`offset`); both positive
         self.neg_log_a = -np.log(safe)
@@ -282,9 +284,9 @@ class ColumnEngine:
 
     Precomputes, for a fixed batch of sampled co-reports, each column's
     funding threshold for recommender i's report (`funding_thresholds`, as
-    `marginal_thresholds` computes it), its `WinklerPayment`, and the
-    largest report that leaves the column unfunded (`report_bounds`, the
-    allocation's own test). Linear aggregators and uncapped instances only.
+    `marginal_thresholds` computes it), its `WinklerPayment`, and its
+    `FundingTest` against the profit threshold, which funds each sample as
+    the allocation does. Linear aggregators and uncapped instances only.
 
     `utilities` and `column` score one report per call, a few vector
     operations over the samples each; they are the reference.
@@ -302,18 +304,14 @@ class ColumnEngine:
         others_score = np.ascontiguousarray(linear_scores(w[:i] + w[i + 1 :], others).T)
         thresholds = funding_thresholds(inst.threshold, others_score, w[i])
         self.payments = [WinklerPayment(t) for t in thresholds]
-        # i's report funds column q of a sample iff it exceeds gate[q]: the
-        # allocation's own test, ties included (see report_bounds).
-        self.gate = np.empty_like(others_score)
-        for rows in chunks(others.shape[0]):
-            for q in range(inst.m):
-                self.gate[q, rows] = report_bounds(w, i, others[rows, :, q].T, inst.threshold)
+        # Each test keeps a view of its column of `others`, not a copy.
+        self.funding = [FundingTest(w, i, others[:, :, q].T, inst.threshold) for q in range(inst.m)]
         self.samples = others.shape[0]
         self.m = inst.m
 
     def column_contribution(self, q: int, belief: float, report: float) -> np.ndarray:
         """Per-sample expected payoff on borrower q for a scalar report."""
-        funded = report > self.gate[q]
+        funded = self.funding[q].funds(report)
         if not funded.any():
             return np.zeros(self.samples)
         return np.where(funded, self.payments[q](belief, report), 0.0)
@@ -350,14 +348,14 @@ class ColumnEngine:
         0 or 1, are scored that way, elementwise, so the log score's
         infinities follow `mean_se`'s rule.
 
-        The rest go through `grid_stats` in O(samples + reports * blocks).
-        A report funds a sample iff it exceeds the gate, and a funded
-        sample pays u + alpha * (own(r) - own(truth)): alpha is
-        1 / -log(anchor) and u the truth's payment; limit anchors have alpha
-        0 and u the belief, idle ones both 0. That is the payment itself
-        (`WinklerPayment` always divides by -log(anchor)), so it holds on
-        every funded sample, reports an ulp past the gate included; the
-        gain is own(truth) - own(r).
+        The rest go through `grid_stats` in O(samples + reports * blocks),
+        with the blocks of column q's `FundingTest`. A funded sample pays
+        u + alpha * (own(r) - own(truth)): alpha is 1 / -log(anchor) and u
+        the truth's payment; limit anchors have alpha 0 and u the belief,
+        idle ones both 0. That is the payment itself (`WinklerPayment`
+        always divides by -log(anchor)), so it holds on every funded
+        sample, reports an ulp past the funding bound included; the gain is
+        own(truth) - own(r).
         """
         reports = np.asarray(reports, dtype=float)
         belief = float(true_row[q])
@@ -374,5 +372,6 @@ class ColumnEngine:
             u = (own_truth + pay.offset(belief)) / pay.neg_log_a
             u = np.where(regular, u, belief * pay.limit)
             gain = own_truth - WinklerPayment.own(belief, grid)
-            mean[~edge], se[~edge] = grid_stats(self.gate[q], u, alpha, belief, grid, gain)
+            blocks = self.funding[q].blocks
+            mean[~edge], se[~edge] = grid_stats(blocks, u, alpha, belief, grid, gain)
         return mean, se

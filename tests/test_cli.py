@@ -411,6 +411,8 @@ BAD_FLAGS = [
     ("table1", ("run", "--seed", "-1"), "--seed must be >= 0"),
     ("table1", ("audit", "weak-epic", "--seed", "-1"), "--seed must be >= 0"),
     ("campaign-budescu", ("campaign", "--seed", "-1"), "--seed must be >= 0"),
+    ("campaign-budescu", ("campaign", "--rounds", "2", "--alpha-sweep", "0.5,2"),
+     "--alpha-sweep applies to VCG scenarios only"),
 ] + [
     ("campaign-vcg", ("campaign", "--rounds", "2", f"--alpha-sweep={sweep}"),
      f"--alpha-sweep values must be finite and positive, got {item!r}")

@@ -1,12 +1,13 @@
-"""The shared linear score, funding bound and grid scorer both interim
+"""The shared linear score, funding test and grid scorer both interim
 engines use."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lendmech.mechanism import Allocation, Settlement, deficit, grid_stats, left_sum
-from lendmech.mechanism import linear_scores, mean_se, report_bounds
+from funding_oracle import report_bounds
+from lendmech.mechanism import Allocation, FundingTest, Settlement, deficit, grid_stats, left_sum
+from lendmech.mechanism import linear_scores, mean_se
 from stats_helpers import assert_stats_close
 
 EIGHTHS = [k / 8 for k in range(9)]
@@ -141,6 +142,88 @@ class TestReportBounds:
         assert np.all(above[inside] > key[inside])
 
 
+@st.composite
+def funding_cases(draw):
+    """Weights (non-dyadic, equal, dyadic, random, with zeros, n from 1 to
+    5, sometimes a tiny w_i), co-reports on the quarter, eighth or 1/100
+    grid or uniform, a scalar or per-sample key (among them VCG's
+    nextafter(k/8, -inf) keys and -inf, which funds every sample), and
+    ascending levels: exact bounds of some samples and one ulp either side,
+    0, 1, the eighth grid and uniform floats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["non-dyadic", "equal", "dyadic", "random", "zeros"]))
+    if kind == "non-dyadic":
+        weights = rng.choice([1 / 3, 1 / 7, 2 / 7, 0.1, 0.3, 0.6], n)
+    elif kind == "equal":
+        weights = np.full(n, 1 / n)
+    elif kind == "dyadic":
+        weights = rng.choice([0.125, 0.25, 0.5], n)
+    else:
+        weights = rng.random(n) * (rng.random(n) < 0.6 if kind == "zeros" else 1.0)
+    i = draw(st.integers(0, n - 1))
+    # A tiny w_i: a margin past the level gaps, past 4, or an overflow.
+    weights[i] = draw(st.sampled_from([weights[i]] * 4 + [1e-17, 1e-300, 5e-324]))
+    weights = tuple(float(w) for w in weights)
+    samples = draw(st.sampled_from([1, 9, 400]))
+    grid = draw(st.sampled_from([4, 8, 100, None]))
+    if grid is None:
+        co_reports = rng.random((n - 1, samples))
+    else:
+        co_reports = rng.integers(0, grid + 1, (n - 1, samples)) / grid
+    key_kind = draw(st.sampled_from(["scalar", "eighths", "nextafter", "uniform", "-inf"]))
+    if key_kind == "scalar":
+        key = draw(st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.7, 1.0]))
+    elif key_kind == "eighths":
+        key = rng.integers(0, 9, samples) / 8
+    elif key_kind == "nextafter":
+        key = np.nextafter(rng.integers(0, 9, samples) / 8, -np.inf)
+    elif key_kind == "uniform":
+        key = rng.random(samples)
+    else:
+        key = -np.inf
+    bound = report_bounds(weights, i, co_reports, key)
+    inside = bound[(bound >= 0.0) & (bound <= 1.0)]
+    picked = rng.choice(inside, min(len(inside), 6)) if len(inside) else np.empty(0)
+    near = np.concatenate([picked, np.nextafter(picked, -1.0), np.nextafter(picked, 2.0)])
+    pool = np.concatenate([near, [0.0, 1.0], np.arange(9) / 8, rng.random(3)])
+    pool = pool[(pool >= 0.0) & (pool <= 1.0)]
+    levels = np.unique(rng.choice(pool, draw(st.integers(1, 24))))
+    return weights, i, co_reports, key, bound, levels
+
+
+class TestFundingTest:
+    @settings(max_examples=400, deadline=None)
+    @given(funding_cases())
+    def test_blocks_and_funds_match_the_exact_bounds(self, case):
+        weights, i, co_reports, key, bound, levels = case
+        funding = FundingTest(weights, i, co_reports, key)
+        want = np.searchsorted(levels, bound, side="right")
+        assert funding.blocks(levels).tolist() == want.tolist()
+        for report in levels[:: max(1, len(levels) // 4)]:
+            assert funding.funds(float(report)).tolist() == (report > bound).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(funding_cases())
+    def test_margin_covers_the_proven_error_bound(self, case):
+        # The exact comparisons above cannot reach the worst case with n <= 5,
+        # so the margin is held to the bound its docstring derives:
+        # (3 gamma_{n+2} (W + K) + n s) / w_i + s, or capped at 4, or 0 with
+        # w_i = 0 (where the seed is the exact bound).
+        weights, i, co_reports, key, bound, levels = case
+        funding = FundingTest(weights, i, co_reports, key)
+        if weights[i] == 0.0:
+            assert funding.margin == 0.0
+            assert funding.seed.tolist() == bound.tolist()
+            return
+        n, u, s = len(weights), 2.0**-53, 2.0**-1074
+        gamma = (n + 2) * u / (1.0 - (n + 2) * u)
+        scale = sum(weights) + max(float(np.max(key)), 0.0)
+        needed = (3.0 * gamma * scale + n * s) / weights[i] + s  # inf for 5e-324
+        assert funding.margin == 4.0 or funding.margin >= needed
+        assert funding.margin <= 4.0
+
+
 def explicit_grid_stats(bound, u, alpha, truth, reports, gain):
     """`grid_stats` by brute force: each report's per-sample differences
     (ft - fr) * u + fr * gain * alpha, written out, through `mean_se`."""
@@ -180,7 +263,11 @@ class TestGridStats:
     @given(grid_cases())
     def test_matches_the_explicit_differences(self, case):
         bound, u, alpha, truth, reports, gain = case
-        got = grid_stats(*case)
+
+        def blocks(levels):
+            return np.searchsorted(levels, bound, side="right")
+
+        got = grid_stats(blocks, u, alpha, truth, reports, gain)
         want = explicit_grid_stats(*case)
         scale = np.maximum(1.0, np.abs(u).max() + np.abs(gain) * np.abs(alpha).max())
         assert_stats_close(got, want, scale)

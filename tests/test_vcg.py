@@ -16,6 +16,7 @@ from lendmech.errors import (
     ReserveRecommenderHasNoPayment,
     ShapeMismatch,
 )
+from funding_oracle import report_bounds
 from lendmech.mechanism import linear_scores
 from lendmech.priors import ProductGrid, UniformIID, sample_others
 from lendmech.vcg import VcgInstance
@@ -366,6 +367,14 @@ def tie_interim_cases(draw):
     return inst, i, true_row, seed
 
 
+def funding_bound(engine, others, true_row, q):
+    """Per sample, the largest report on q that leaves q unfunded: the exact
+    bound, from the bisection oracle on the keys of the engine's funding
+    test (-inf where q is funded whatever i reports)."""
+    funding = engine._column_parts(true_row, q)[0]
+    return report_bounds(engine.inst.weights, engine.i, others[:, :, q].T, funding.key)
+
+
 @st.composite
 def column_stats_cases(draw):
     """A tie case with 1, 24 or 3000 sampled co-reports, a coordinate and
@@ -385,7 +394,7 @@ def column_stats_cases(draw):
     others = sample_others(prior, n, m, i, samples, np.random.default_rng(seed))
     engine = vcg.InterimEngine(inst, i, others)
     q = draw(st.integers(0, m - 1))
-    bound = engine._column_parts(true_row, q)[0]
+    bound = funding_bound(engine, others, true_row, q)
     edges = sorted(set(bound[(bound >= 0.0) & (bound <= 1.0)].tolist()))
     picked = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
     near = [float(np.nextafter(v, side)) for v in picked for side in (0.0, 1.0)]
@@ -424,7 +433,8 @@ class TestInterimEngine:
         engine = vcg.InterimEngine(inst, i, others)
         truth_values = engine.utilities(true_row, true_row)
         q = data.draw(st.integers(0, m - 1))
-        bound, u_in, u_out = engine._column_parts(true_row, q)
+        u_in, u_out = engine._column_parts(true_row, q)[1:]
+        bound = funding_bound(engine, others, true_row, q)
         f_truth = (true_row[q] > bound).astype(float)
         column = engine.column(true_row, q)
         for report in QUARTERS:
@@ -452,7 +462,7 @@ class TestInterimEngine:
             assert se.tolist() == [0.0] * len(reports)
         # A report that funds q on exactly the samples the truth funds it
         # differs from the truth on no sample.
-        bound = engine._column_parts(true_row, q)[0]
+        bound = funding_bound(engine, others, true_row, q)
         same = [np.array_equal(r > bound, true_row[q] > bound) for r in reports]
         assert mean[same].tolist() == [0.0] * sum(same)
         assert se[same].tolist() == [0.0] * sum(same)

@@ -15,7 +15,8 @@ from lendmech.errors import (
     ShapeMismatch,
     ZeroWeightRecommender,
 )
-from lendmech.mechanism import left_sum, linear_scores, report_bounds
+from funding_oracle import report_bounds
+from lendmech.mechanism import left_sum, linear_scores
 from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, sample_others
 from lendmech.winkler import WinklerInstance
 from stats_helpers import assert_stats_close, utility_scale
@@ -31,6 +32,19 @@ TIE_THRESHOLDS = [0.125, 0.25, 0.3, 0.5, 0.625, 0.7]
 # this column funds the borrower, yet lies a few ulps below the closed-form
 # anchor (0.3 - 0.225) / 0.1.
 TIE_COLUMN = (0.75, 0.25, 0.25)
+
+
+def gate(inst, i, others, q):
+    """Per sample, the largest report by i that leaves column q unfunded:
+    the exact bound, from the bisection oracle."""
+    return report_bounds(inst.aggregator.weights.weights, i, others[:, :, q].T, inst.threshold)
+
+
+def anchors(inst, i, others, q):
+    """Per sample, column q's payment anchor, as the engine computes it."""
+    w = inst.aggregator.weights.weights
+    others_score = linear_scores(w[:i] + w[i + 1 :], others[:, :, q].T)
+    return winkler.funding_thresholds(inst.threshold, others_score, w[i])
 
 
 def upper_branch(anchor, belief, report):
@@ -480,7 +494,7 @@ def column_stats_cases(draw):
     q = draw(st.integers(0, inst.m - 1))
     # Reports at a gate or an anchor, one ulp either side of one, 0, 1 and
     # the eighth grid.
-    edges = np.concatenate([engine.gate[q], engine.payments[q].anchor])
+    edges = np.concatenate([gate(inst, i, others, q), anchors(inst, i, others, q)])
     edges = sorted(set(edges[(edges > 0.0) & (edges < 1.0)].tolist()))
     picked = draw(st.lists(st.sampled_from(edges), max_size=6)) if edges else []
     near = [float(np.nextafter(v, side)) for v in picked for side in (0.0, 1.0)]
@@ -515,12 +529,11 @@ class TestColumnStats:
         below_anchor = 0
         for weights, c, i in [((0.1, 0.3, 0.6), 0.3, 0), ((1 / 3,) * 3, 0.3, 1)]:
             inst = make_instance(n=3, m=1, c=c, weights=weights)
-            engine = winkler.ColumnEngine(inst, i, grid)
-            pay, gate = engine.payments[0], engine.gate[0]
-            for s in np.flatnonzero((0.0 < gate) & (gate < pay.anchor) & (pay.anchor < 1.0)):
+            gates, anchor_of = gate(inst, i, grid, 0), anchors(inst, i, grid, 0)
+            for s in np.flatnonzero((0.0 < gates) & (gates < anchor_of) & (anchor_of < 1.0)):
                 single = winkler.ColumnEngine(inst, i, grid[s : s + 1])
-                anchor = float(single.payments[0].anchor[0])
-                report = float(np.nextafter(single.gate[0, 0], 1.0))
+                anchor = float(anchor_of[s])
+                report = float(np.nextafter(gates[s], 1.0))
                 while report <= anchor:
                     below_anchor += report < anchor
                     for belief in (0.3, 0.6, 0.9):
@@ -539,10 +552,11 @@ class TestColumnStats:
         # any positive report that funds is paid the belief) and the gate is
         # the tiny largest report that still leaves the score at c.
         inst = make_instance(n=2, m=1, c=0.25, weights=(0.5, 0.5))
-        engine = winkler.ColumnEngine(inst, 0, np.full((3, 1, 1), 0.5))
-        gate = float(engine.gate[0, 0])
-        assert 0.0 < gate < 1e-15 and np.all(engine.payments[0].limit)
-        reports = [gate, float(np.nextafter(gate, 1.0)), 0.5]
+        others = np.full((3, 1, 1), 0.5)
+        engine = winkler.ColumnEngine(inst, 0, others)
+        bound = float(gate(inst, 0, others, 0)[0])
+        assert 0.0 < bound < 1e-15 and np.all(engine.payments[0].limit)
+        reports = [bound, float(np.nextafter(bound, 1.0)), 0.5]
         truth_values = engine.utilities((0.6,), (0.6,))
         mean, se = engine.column_stats((0.6,), 0, truth_values, reports)
         assert mean.tolist() == [0.6, 0.0, 0.0]
