@@ -25,7 +25,8 @@ from . import vcg as vcg_mod
 from . import winkler as winkler_mod
 from .aggregation import aggregate_columns
 from .errors import ReproductionMismatch, ScenarioError
-from .mechanism import Instance, elementwise_column_stats, left_sum, linear_scores, mean_se
+from .mechanism import Instance, check_reports, elementwise_column_stats, left_sum
+from .mechanism import linear_scores, mean_se
 from .priors import DegenerateAt, PriorSpec, is_degenerate, sample_others, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
@@ -175,14 +176,15 @@ class _SlowEngine:
             ]
         )
 
-    def column(self, true_row, q: int):
-        """Scorer for reports equal to `true_row` except in coordinate q."""
+    def column_stats(self, true_row, q: int, reports):
+        """Mean and standard error of truth minus each report on coordinate
+        q: each report's full row through `utilities`, then `mean_se`."""
         truth = tuple(float(v) for v in true_row)
-        return lambda report: self.utilities(truth, truth[:q] + (report,) + truth[q + 1 :])
 
-    def column_stats(self, true_row, q: int, truth_values: np.ndarray, reports):
-        """`_mean_se(truth_values - column(true_row, q)(r))` for each report r."""
-        return elementwise_column_stats(self.column(true_row, q), truth_values, reports)
+        def score(report: float) -> np.ndarray:
+            return self.utilities(truth, truth[:q] + (report,) + truth[q + 1 :])
+
+        return elementwise_column_stats(score, self.utilities(truth, truth), reports)
 
 
 def _make_engine(inst: Instance, i: int, others: np.ndarray):
@@ -319,6 +321,8 @@ def interim_utility(
     the expectation over repayment outcomes uses recommender i's own
     beliefs. Deterministic per seed.
     """
+    check_reports([true_row], (1, inst.m), "true_row")
+    check_reports([report_row], (1, inst.m), "report_row")
     if is_degenerate(prior):
         others = _degenerate_others(prior, i)
         return _exact_value(inst, i, true_row, report_row, others), 0.0
@@ -352,6 +356,7 @@ def best_response_search(
     are scored with one `column_stats` call per coordinate; full-row
     candidates one at a time.
     """
+    check_reports([true_row], (1, inst.m), "true_row")
     seq = np.random.SeedSequence(seed)
     rng_samples, rng_candidates = (np.random.default_rng(s) for s in seq.spawn(2))
     candidates = generate_misreports(true_row, strategy, rng_candidates)
@@ -382,7 +387,7 @@ def best_response_search(
                 mean_diff[k], se[k] = _mean_se(truth_values - values)
         else:
             reports = [candidates[k].row[q] for k in members]
-            stats = engine.column_stats(true_row, q, truth_values, reports)
+            stats = engine.column_stats(true_row, q, reports)
             mean_diff[members], se[members] = stats
     outcomes = [
         MisreportOutcome(candidate=c, mean_gain=-d, std_error=e, classification=label)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -295,7 +296,7 @@ def cmd_campaign(args) -> int:
     config = scenario_mod.build_campaign_config(sc)
     rounds = args.rounds if args.rounds is not None else sc.campaign.rounds
     seed = args.seed if args.seed is not None else sc.seed
-    alphas = [None]
+    alphas = [config.alpha]
     if args.alpha_sweep is not None:
         # Only VCG's payments scale with alpha; a Winkler sweep would repeat one run.
         if sc.mechanism != "vcg":
@@ -307,21 +308,17 @@ def cmd_campaign(args) -> int:
 
     sweep_rows = []
     for alpha in alphas:
-        cfg = config
-        if alpha is not None:
-            import dataclasses
-
-            cfg = dataclasses.replace(config, alpha=alpha)
+        cfg = dataclasses.replace(config, alpha=alpha)
         summary, ledger = rounds_mod.campaign(rounds, cfg, seed)
-        label = f"alpha={cfg.alpha!r}"
+        label = f"alpha={alpha!r}"
         print(
             f"{label}: rounds={summary.rounds} funded={summary.funded} "
             f"repaid={summary.repaid} repayment_rate={summary.repayment_rate:.4f} "
             f"base_rate={summary.base_rate:.4f} deficit={_fmt(summary.cumulative_deficit)}"
         )
         print(f"  final weights: {[round(w, 4) for w in summary.final_weights]}")
-        sweep_rows.append((cfg.alpha, summary))
-        if out_dir and (alpha is None or len(alphas) == 1):
+        sweep_rows.append((alpha, summary))
+        if out_dir and len(alphas) == 1:
             ledger.write_jsonl(out_dir / "ledger.jsonl")
             _write_summary_csv(out_dir / "summary.csv", summary)
             _write_weights_csv(out_dir / "weights.csv", summary)

@@ -6,8 +6,16 @@ outcome map passes.
 rounds, the CLI and the audits call: `allocate(reports) -> Allocation`,
 `settle(reports, outcomes, allocation=None) -> Settlement` (handed the
 allocation of those reports, it does not allocate again),
-`expost_utility(reports, i, belief_row)`, `engine(i, others)` (a
-vectorized interim engine, or None) and `weights_in_force`.
+`expost_utility(reports, i, belief_row)`, `engine(i, others)` and
+`weights_in_force`.
+
+`engine(i, others)` returns None where the mechanism has no vectorized
+interim engine (the audits then score through their per-sample one), or an
+engine for recommender i over co-reports `others`, (samples, n-1, m), with
+two methods. `utilities(belief_row, report_row)` gives i's utility on each
+sample. `column_stats(true_row, q, reports)` gives, for each report on
+coordinate q, with the others at `true_row` and beliefs `true_row`, the
+mean and standard error of truth minus that report over the samples.
 
 `left_sum` is how the package adds a sequence of floats: left to right,
 as Python 3.11's `sum()` does, so results do not change with the Python
@@ -140,24 +148,14 @@ def mean_se(values) -> tuple[np.ndarray, np.ndarray]:
 
 
 def elementwise_column_stats(
-    column: Callable[[float], np.ndarray], truth_values: np.ndarray, reports
+    score: Callable[[float], np.ndarray], truth_values: np.ndarray, reports
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`mean_se(truth_values - column(r))` for each report r, bit for bit.
-
-    `column` maps one report to per-sample values. Reports are scored in
-    blocks of as many as fit in COLUMN_CHUNK sample values (at least one
-    report), so a block's temporaries stay bounded while single-sample
-    searches make one reduction per block instead of one per report.
-    """
-    reports = np.asarray(reports, dtype=float)
+    """`mean_se(truth_values - score(r))` for each report r: one reduction
+    per report, bit for bit what a batch of the same rows gives. `score`
+    maps one report to per-sample values."""
     mean, se = np.empty(len(reports)), np.empty(len(reports))
-    step = max(1, COLUMN_CHUNK // len(truth_values))
-    diffs = np.empty((min(step, len(reports)), len(truth_values)))
-    for start in range(0, len(reports), step):
-        block = reports[start : start + step]
-        for k, report in enumerate(block):
-            np.subtract(truth_values, column(float(report)), out=diffs[k])
-        mean[start : start + step], se[start : start + step] = mean_se(diffs[: len(block)])
+    for k, report in enumerate(np.asarray(reports, dtype=float).tolist()):
+        mean[k], se[k] = mean_se(truth_values - score(report))
     return mean, se
 
 

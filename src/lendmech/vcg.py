@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -291,23 +291,22 @@ class InterimEngine:
     samples, which bounds its temporaries whatever the sample count.
 
     `utilities` scores any report row with one row-wise top-K and is the
-    reference. `column` serves reports that differ from the true row in a
-    single coordinate q, which is most of what a grid audit tries. With the
-    other coordinates held at the true row, the other items (real borrowers
-    and reserve slots) keep one order whatever i reports on q, so the funded
-    set is q plus their top K-1, or else their top K; one sort gives both.
-    q's score never falls as i's report rises, so on each sample the
-    reports that fund q form an upper range: q's score must beat the key of
-    the item a funded q displaces, which a `FundingTest` decides as the
-    allocation does. `column` finds the keys and both utilities once per
-    sample; a report on q then costs one funding test and no sort. The
-    utilities come from the expressions `utilities` uses, so the two paths
-    agree bit for bit.
-    `column_stats` scores a coordinate's whole grid of reports from the
-    same per-sample utilities through `mechanism.grid_stats`, the block
-    model Winkler's engine uses, with u = u_in - u_out and alpha 0, in
-    O(samples + reports * blocks); it agrees with `column` up to rounding,
-    and exactly on a single sample.
+    reference. `column_stats` scores reports that differ from the true row
+    in a single coordinate q, which is most of what a grid audit tries.
+    With the other coordinates held at the true row, the other items (real
+    borrowers and reserve slots) keep one order whatever i reports on q, so
+    the funded set is q plus their top K-1, or else their top K; one sort
+    gives both. q's score never falls as i's report rises, so on each
+    sample the reports that fund q form an upper range: q's score must beat
+    the key of the item a funded q displaces, which a `FundingTest` decides
+    as the allocation does. `_column_parts` finds the keys and both
+    utilities once per sample, from the expressions `utilities` uses, so a
+    report's per-sample utility is `utilities`' for its row bit for bit.
+    `column_stats` then scores the coordinate's whole grid through
+    `mechanism.grid_stats`, the block model Winkler's engine uses, with
+    u = u_in - u_out and alpha 0, in O(samples + reports * blocks); it
+    agrees with the per-sample path up to rounding, and exactly on a single
+    sample.
     """
 
     def __init__(self, inst: VcgInstance, i: int, others: np.ndarray) -> None:
@@ -355,16 +354,6 @@ class InterimEngine:
             out[rows] = self._utility(mask, rows, values)
         return out
 
-    def column(self, true_row: Sequence[float], q: int) -> Callable[[float], np.ndarray]:
-        """Scorer for reports equal to `true_row` except in coordinate q.
-
-        Beliefs are `true_row`. The returned function maps a report on q to
-        the per-sample utilities `utilities(true_row, row)` gives for that
-        row, bit for bit.
-        """
-        funding, u_in, u_out = self._column_parts(true_row, q)
-        return lambda report: np.where(funding.funds(report), u_in, u_out)
-
     def _column_parts(self, true_row: Sequence[float], q: int):
         """The `FundingTest` of a report on q, and per sample the utilities
         with q funded and with q unfunded."""
@@ -399,19 +388,15 @@ class InterimEngine:
         return FundingTest(inst.weights, self.i, self.others[:, :, q].T, key), u_in, u_out
 
     def column_stats(
-        self, true_row: Sequence[float], q: int, truth_values: np.ndarray, reports
+        self, true_row: Sequence[float], q: int, reports
     ) -> tuple[np.ndarray, np.ndarray]:
         """Mean and standard error of truth minus each report on coordinate q.
 
-        The reports replace `true_row[q]`; beliefs are `true_row`. Each slot
-        equals `mean_se(truth_values - column(true_row, q)(report))` up to
-        rounding, and exactly for a single sample, where `truth_values` is
-        `utilities(true_row, true_row)`; it is not read, since `column` is
-        that evaluation bit for bit. On a sample, truth minus a report is
-        then exactly 0 where both or neither fund q, and otherwise
-        +-(u_in - u_out), + where only the truth funds q (see `column`):
-        `grid_stats`' model with u = u_in - u_out and alpha 0, in
-        O(samples + reports * blocks), not O(samples * reports).
+        The reports replace `true_row[q]`; beliefs are `true_row`. On a
+        sample, truth minus a report is exactly 0 where both or neither fund
+        q, and otherwise +-(u_in - u_out), + where only the truth funds q
+        (see `_column_parts`): `grid_stats`' model with u = u_in - u_out and
+        alpha 0, in O(samples + reports * blocks), not O(samples * reports).
         """
         reports = np.asarray(reports, dtype=float)
         funding, u_in, u_out = self._column_parts(true_row, q)

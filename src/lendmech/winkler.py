@@ -16,9 +16,10 @@ counterexample).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -283,14 +284,16 @@ class ColumnEngine:
     """Vectorized per-borrower interim machinery for one recommender.
 
     Precomputes, for a fixed batch of sampled co-reports, each column's
-    funding threshold for recommender i's report (`funding_thresholds`, as
-    `marginal_thresholds` computes it), its `WinklerPayment`, and its
     `FundingTest` against the profit threshold, which funds each sample as
-    the allocation does. Linear aggregators and uncapped instances only.
+    the allocation does, and its `WinklerPayment`, anchored at the funding
+    threshold of i's report. The anchors come from the tests' closed forms,
+    with no second pass over the co-reports, and equal `funding_thresholds`
+    (as `marginal_thresholds` computes them) bit for bit. Linear
+    aggregators and uncapped instances only.
 
-    `utilities` and `column` score one report per call, a few vector
-    operations over the samples each; they are the reference.
-    `column_stats` scores a whole grid of reports on one coordinate through
+    `utilities` scores a full report row, column by column, a few vector
+    operations over the samples each; it is the reference. `column_stats`
+    scores a whole grid of reports on one coordinate through
     `mechanism.grid_stats`, the block model VCG's engine shares (see
     there), which is what makes grid-misreport searches at 1e5 samples
     cheap.
@@ -300,12 +303,15 @@ class ColumnEngine:
         if not isinstance(inst.aggregator, WeightedLinear):
             raise ValueError("vectorized interim evaluation requires a linear aggregator")
         w = inst.aggregator.weights.weights
-        # others: (samples, n-1, m) -> per-column score of the co-reports
-        others_score = np.ascontiguousarray(linear_scores(w[:i] + w[i + 1 :], others).T)
-        thresholds = funding_thresholds(inst.threshold, others_score, w[i])
-        self.payments = [WinklerPayment(t) for t in thresholds]
-        # Each test keeps a view of its column of `others`, not a copy.
+        # Each test keeps a view of its column of `others`, (samples, n-1, m),
+        # not a copy.
         self.funding = [FundingTest(w, i, others[:, :, q].T, inst.threshold) for q in range(inst.m)]
+        # A test's seed is (c - B) / w_i capped at 2, or -inf where B > c:
+        # clipped to [0, 1], `funding_thresholds(c, B, w_i)` bit for bit.
+        self.payments = [
+            WinklerPayment(np.where(w[i] == 0.0, np.inf, np.clip(test.seed, 0.0, 1.0)))
+            for test in self.funding
+        ]
         self.samples = others.shape[0]
         self.m = inst.m
 
@@ -316,40 +322,28 @@ class ColumnEngine:
             return np.zeros(self.samples)
         return np.where(funded, self.payments[q](belief, report), 0.0)
 
-    def _contributions(self, belief_row, report_row) -> list[np.ndarray]:
-        return [
+    def utilities(self, belief_row: Sequence[float], report_row: Sequence[float]) -> np.ndarray:
+        contributions = [
             self.column_contribution(q, float(belief_row[q]), float(report_row[q]))
             for q in range(self.m)
         ]
-
-    def utilities(self, belief_row: Sequence[float], report_row: Sequence[float]) -> np.ndarray:
-        return np.sum(self._contributions(belief_row, report_row), axis=0)
-
-    def column(self, true_row: Sequence[float], q: int) -> Callable[[float], np.ndarray]:
-        """Scorer for reports equal to `true_row` except in coordinate q.
-
-        Beliefs are `true_row`. Only column q depends on the report, so each
-        call recomputes that column alone on top of the others' truth.
-        """
-        truth = self._contributions(true_row, true_row)
-        rest = np.sum(truth[:q] + truth[q + 1 :], axis=0)
-        belief = float(true_row[q])
-        return lambda report: rest + self.column_contribution(q, belief, report)
+        return np.sum(contributions, axis=0)
 
     def column_stats(
-        self, true_row: Sequence[float], q: int, truth_values: np.ndarray, reports
+        self, true_row: Sequence[float], q: int, reports
     ) -> tuple[np.ndarray, np.ndarray]:
         """Mean and standard error of truth minus each report on coordinate q.
 
-        The reports replace `true_row[q]`; beliefs are `true_row`, and
-        `truth_values` is `utilities(true_row, true_row)`. Each slot equals
-        `mean_se(truth_values - column(true_row, q)(report))` up to
-        rounding. Reports at 0 or 1, and every report when the truth is at
-        0 or 1, are scored that way, elementwise, so the log score's
-        infinities follow `mean_se`'s rule.
+        The reports replace `true_row[q]`; beliefs are `true_row`. Only
+        column q depends on the report, so on a sample truth minus report r
+        is `column_contribution(q, b, b) - column_contribution(q, b, r)`,
+        b = `true_row[q]`. Reports at 0 or 1, and every report when the
+        truth is at 0 or 1, are scored that way, elementwise, so the log
+        score's infinities follow `mean_se`'s rule.
 
         The rest go through `grid_stats` in O(samples + reports * blocks),
-        with the blocks of column q's `FundingTest`. A funded sample pays
+        with the blocks of column q's `FundingTest`, and equal that
+        difference's `mean_se` up to rounding. A funded sample pays
         u + alpha * (own(r) - own(truth)): alpha is 1 / -log(anchor) and u
         the truth's payment; limit anchors have alpha 0 and u the belief,
         idle ones both 0. That is the payment itself (`WinklerPayment`
@@ -362,8 +356,9 @@ class ColumnEngine:
         edge = (reports == 0.0) | (reports == 1.0) | (belief in (0.0, 1.0))
         mean, se = np.empty(len(reports)), np.empty(len(reports))
         if edge.any():
-            column = self.column(true_row, q)
-            mean[edge], se[edge] = elementwise_column_stats(column, truth_values, reports[edge])
+            truth = self.column_contribution(q, belief, belief)
+            score = functools.partial(self.column_contribution, q, belief)
+            mean[edge], se[edge] = elementwise_column_stats(score, truth, reports[edge])
         if not edge.all():
             pay, grid = self.payments[q], reports[~edge]
             regular = ~(pay.limit | pay.idle)

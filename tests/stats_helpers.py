@@ -1,5 +1,6 @@
 """Tolerances shared by the interim engines' tests: an engine's batched
-column statistics against the per-sample oracles."""
+column statistics against the per-sample oracles, which score each
+report's full row."""
 
 import numpy as np
 
@@ -29,3 +30,8 @@ def utility_scale(truth_values, per_report_values):
         return both[np.isfinite(both)].max(initial=1.0)
 
     return np.array([largest(v) for v in per_report_values])
+
+
+def with_report(row, q, report):
+    """`row` with coordinate q replaced by `report`: a full report row."""
+    return tuple(row[:q]) + (report,) + tuple(row[q + 1 :])

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from lendmech import audit, scenario, vcg, winkler
 from lendmech.aggregation import MonotoneCustom, WeightVector, WeightedLinear
-from lendmech.errors import ReproductionMismatch
+from lendmech.errors import ReproductionMismatch, ShapeMismatch
 from lendmech.mechanism import elementwise_column_stats
 from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, enumerate_others
 from lendmech.priors import sample_profiles
 from lendmech.scenario import bundled_path
 from lendmech.vcg import VcgInstance
 from lendmech.winkler import WinklerInstance
-from stats_helpers import assert_stats_close
+from stats_helpers import assert_stats_close, with_report
 
 BELIEFS = ((0.7, 0.4), (0.4, 0.85), (0.6, 0.4))
 
@@ -184,6 +184,35 @@ class TestInterimOracleAgreement:
         assert mean == pytest.approx(0.1711937892708008, abs=1e-9)
 
 
+# Rows outside the model for m = 2: NaN, above 1, and too short or long.
+BAD_ROWS = [
+    pytest.param((math.nan, 0.5), ValueError, id="nan"),
+    pytest.param((1.5, 0.5), ValueError, id="above-one"),
+    pytest.param((0.5,), ShapeMismatch, id="short"),
+    pytest.param((0.5, 0.5, 0.5), ShapeMismatch, id="long"),
+]
+MECHANISMS = [
+    pytest.param(winkler_instance(), id="winkler"),
+    pytest.param(
+        VcgInstance(n=3, m=2, K=1, reserve_threshold=0.5, weights=(1 / 3,) * 3), id="vcg"
+    ),
+]
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("inst", MECHANISMS)
+    @pytest.mark.parametrize("row, error", BAD_ROWS)
+    def test_out_of_model_rows_are_rejected(self, inst, row, error):
+        grid, fine = audit.SingleCoordinateGrid(11), (0.5, 0.5)
+        with pytest.raises(error, match="true_row"):
+            audit.best_response_search(inst, 0, row, UniformIID(), grid, samples=100, seed=0)
+        for prior in (UniformIID(), DegenerateAt(BELIEFS)):
+            with pytest.raises(error, match="true_row"):
+                audit.interim_utility(inst, 0, row, fine, prior, 100, 0)
+            with pytest.raises(error, match="report_row"):
+                audit.interim_utility(inst, 0, fine, row, prior, 100, 0)
+
+
 class TestBestResponseSearch:
     def test_capped_winkler_weak_epic_violation(self):
         verdict = audit.best_response_search(
@@ -286,11 +315,12 @@ class TestBestResponseSearch:
         args = (inst, 1, (0.6, 0.3, 0.45), UniformIID(), audit.SingleCoordinateGrid(21), 3000, 4)
         fast = audit.best_response_search(*args)
 
-        def full_row_stats(engine, true_row, q, truth_values, reports):
-            def column(v):
-                return engine.utilities(true_row, true_row[:q] + (v,) + true_row[q + 1 :])
+        def full_row_stats(engine, true_row, q, reports):
+            def score(v):
+                return engine.utilities(true_row, with_report(true_row, q, v))
 
-            return elementwise_column_stats(column, truth_values, reports)
+            truth_values = engine.utilities(true_row, true_row)
+            return elementwise_column_stats(score, truth_values, reports)
 
         monkeypatch.setattr(vcg.InterimEngine, "column_stats", full_row_stats)
         slow = audit.best_response_search(*args)

@@ -20,7 +20,7 @@ from funding_oracle import report_bounds
 from lendmech.mechanism import linear_scores
 from lendmech.priors import ProductGrid, UniformIID, sample_others
 from lendmech.vcg import VcgInstance
-from stats_helpers import assert_stats_close, utility_scale
+from stats_helpers import assert_stats_close, utility_scale, with_report
 
 BELIEFS = [[0.7, 0.4], [0.4, 0.85], [0.6, 0.4]]
 
@@ -406,7 +406,7 @@ def column_stats_cases(draw):
 class TestInterimEngine:
     @settings(max_examples=80, deadline=None)
     @given(tie_interim_cases())
-    def test_column_path_matches_utilities_and_exact_mechanism_on_ties(self, case):
+    def test_utilities_match_exact_mechanism_on_ties(self, case):
         inst, i, true_row, seed = case
         n, m = inst.n, inst.m
         prior = ProductGrid(tuple(tuple(tuple(QUARTERS) for _ in range(m)) for _ in range(n)))
@@ -414,11 +414,9 @@ class TestInterimEngine:
         engine = vcg.InterimEngine(inst, i, others)
         slow = audit._SlowEngine(inst, i, others)
         for q in range(m):
-            column = engine.column(true_row, q)
             for value in QUARTERS:
                 row = true_row[:q] + (value,) + true_row[q + 1 :]
-                fast = column(value)
-                assert np.array_equal(fast, engine.utilities(true_row, row))
+                fast = engine.utilities(true_row, row)
                 assert np.max(np.abs(fast - slow.utilities(true_row, row))) <= 1e-12
 
     @settings(max_examples=80, deadline=None)
@@ -436,10 +434,9 @@ class TestInterimEngine:
         u_in, u_out = engine._column_parts(true_row, q)[1:]
         bound = funding_bound(engine, others, true_row, q)
         f_truth = (true_row[q] > bound).astype(float)
-        column = engine.column(true_row, q)
         for report in QUARTERS:
             f_report = (report > bound).astype(float)
-            gap = truth_values - column(report)
+            gap = truth_values - engine.utilities(true_row, with_report(true_row, q, report))
             assert gap.tolist() == ((f_truth - f_report) * (u_in - u_out)).tolist()
 
     @settings(max_examples=120, deadline=None)
@@ -447,16 +444,14 @@ class TestInterimEngine:
     def test_column_stats_match_per_sample_oracles(self, case):
         inst, i, others, engine, true_row, q, reports = case
         truth_values = engine.utilities(true_row, true_row)
-        mean, se = engine.column_stats(true_row, q, truth_values, reports)
-        column = engine.column(true_row, q)
-        values = [column(float(r)) for r in reports]
+        mean, se = engine.column_stats(true_row, q, reports)
+        values = [engine.utilities(true_row, with_report(true_row, q, float(r))) for r in reports]
         scale = utility_scale(truth_values, values)
         want = tuple(np.array(v) for v in zip(*(audit._mean_se(truth_values - v) for v in values)))
         assert_stats_close((mean, se), want, scale)
         if len(others) <= 24:
             slow = audit._SlowEngine(inst, i, others)
-            slow_truth = slow.utilities(true_row, true_row)
-            assert_stats_close((mean, se), slow.column_stats(true_row, q, slow_truth, reports), scale)
+            assert_stats_close((mean, se), slow.column_stats(true_row, q, reports), scale)
         if len(others) == 1:  # one sample is one block: exact
             assert mean.tolist() == want[0].tolist()
             assert se.tolist() == [0.0] * len(reports)
@@ -472,7 +467,7 @@ class TestInterimEngine:
         st.integers(1, 5), st.integers(0, 3), st.sampled_from(QUARTERS[:-1]), st.data()
     )
     def test_one_ranking_gives_the_top_k_minus_one_and_top_k(self, m, n_res, c, data):
-        # `column` takes both masks, and the item between them, from one sort.
+        # `_column_parts` takes both masks, and the item between them, from one sort.
         total = m + n_res
         k = data.draw(st.integers(1, total))
         cells = st.lists(st.sampled_from(QUARTERS), min_size=m, max_size=m)

@@ -1,6 +1,7 @@
 """Truncated Winkler mechanism tests."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from funding_oracle import report_bounds
 from lendmech.mechanism import left_sum, linear_scores
 from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, sample_others
 from lendmech.winkler import WinklerInstance
-from stats_helpers import assert_stats_close, utility_scale
+from stats_helpers import assert_stats_close, utility_scale, with_report
 
 BELIEFS = [[0.7, 0.4], [0.4, 0.85], [0.6, 0.4]]
 EIGHTHS = [k / 8 for k in range(9)]
@@ -388,11 +389,9 @@ class TestInterimUtility:
         slow = audit._SlowEngine(inst, i, others)
         true_row = tuple(true_row)
         for q in range(m):
-            column = engine.column(true_row, q)
             for value in EIGHTHS:
-                row = true_row[:q] + (value,) + true_row[q + 1 :]
+                row = with_report(true_row, q, value)
                 expected = slow.utilities(true_row, row)
-                np.testing.assert_allclose(column(value), expected, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(
                     engine.utilities(true_row, row), expected, rtol=0, atol=1e-12
                 )
@@ -471,7 +470,7 @@ def engine_case(draw):
         raw = draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4))
         weights = tuple(w / sum(raw) for w in raw)
     n = len(weights)
-    m = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3))
     # Low thresholds let the others fund alone: limit anchors.
     c = draw(st.sampled_from([0.125, 0.25, 0.5, 0.7]))
     i = draw(st.integers(0, n - 1))
@@ -503,22 +502,40 @@ def column_stats_cases(draw):
     return inst, i, others, engine, true_row, q, reports
 
 
+class TestEngineAnchors:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_payments_are_anchored_at_the_stacked_closed_form(self, data):
+        # The engine anchors each column's payment at its funding test's
+        # seed, clipped; that must be bit for bit `funding_thresholds` of
+        # one `linear_scores` pass over the whole stack of co-reports, the
+        # zero-weight +inf sentinel included.
+        inst, i, others, _ = engine_case(data.draw)
+        with mock.patch.object(winkler, "WinklerPayment", wraps=winkler.WinklerPayment) as spy:
+            winkler.ColumnEngine(inst, i, others)
+        w = inst.aggregator.weights.weights
+        stacked = linear_scores(w[:i] + w[i + 1 :], others).T
+        assert spy.call_count == inst.m
+        for q, call in enumerate(spy.call_args_list):
+            want = winkler.funding_thresholds(inst.threshold, stacked[q], w[i])
+            got = np.asarray(call.args[0])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestColumnStats:
     @settings(max_examples=150, deadline=None)
     @given(column_stats_cases())
     def test_sorted_path_matches_elementwise_oracles(self, case):
         inst, i, others, engine, true_row, q, reports = case
         truth_values = engine.utilities(true_row, true_row)
-        got = engine.column_stats(true_row, q, truth_values, reports)
-        column = engine.column(true_row, q)
-        values = [column(float(r)) for r in reports]
+        got = engine.column_stats(true_row, q, reports)
+        values = [engine.utilities(true_row, with_report(true_row, q, float(r))) for r in reports]
         scale = utility_scale(truth_values, values)
         per_report = [audit._mean_se(truth_values - v) for v in values]
         assert_stats_close(got, tuple(np.array(v) for v in zip(*per_report)), scale)
 
         slow = audit._SlowEngine(inst, i, others)
-        slow_truth = slow.utilities(true_row, true_row)
-        assert_stats_close(got, slow.column_stats(true_row, q, slow_truth, reports), scale)
+        assert_stats_close(got, slow.column_stats(true_row, q, reports), scale)
 
     def test_report_between_gate_and_anchor_pays_the_upper_branch(self):
         # On these eighth-grid co-reports the closed-form anchor sits one or
@@ -537,12 +554,12 @@ class TestColumnStats:
                 while report <= anchor:
                     below_anchor += report < anchor
                     for belief in (0.3, 0.6, 0.9):
-                        column = single.column((belief,), 0)
-                        assert column(report).tolist() == [upper_branch(anchor, belief, report)]
+                        value = single.utilities((belief,), (report,))
+                        assert value.tolist() == [upper_branch(anchor, belief, report)]
                         truth_values = single.utilities((belief,), (belief,))
-                        got = single.column_stats((belief,), 0, truth_values, [report])
-                        want = audit._mean_se(truth_values - column(report))
-                        scale = utility_scale(truth_values, [column(report)])
+                        got = single.column_stats((belief,), 0, [report])
+                        want = audit._mean_se(truth_values - value)
+                        scale = utility_scale(truth_values, [value])
                         assert_stats_close(got, tuple(np.array([v]) for v in want), scale)
                     report = float(np.nextafter(report, 1.0))
         assert below_anchor > 10
@@ -557,7 +574,6 @@ class TestColumnStats:
         bound = float(gate(inst, 0, others, 0)[0])
         assert 0.0 < bound < 1e-15 and np.all(engine.payments[0].limit)
         reports = [bound, float(np.nextafter(bound, 1.0)), 0.5]
-        truth_values = engine.utilities((0.6,), (0.6,))
-        mean, se = engine.column_stats((0.6,), 0, truth_values, reports)
+        mean, se = engine.column_stats((0.6,), 0, reports)
         assert mean.tolist() == [0.6, 0.0, 0.0]
         assert se.tolist() == [0.0, 0.0, 0.0]
