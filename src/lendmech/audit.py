@@ -24,7 +24,7 @@ import numpy as np
 from . import vcg as vcg_mod
 from . import winkler as winkler_mod
 from .aggregation import aggregate_columns
-from .errors import ReproductionMismatch, ScenarioError
+from .errors import ReproductionMismatch, ScenarioError, ShapeMismatch
 from .mechanism import Instance, check_reports, elementwise_column_stats, left_sum
 from .mechanism import linear_scores, mean_se
 from .priors import DegenerateAt, PriorSpec, is_degenerate, sample_others, sample_profiles
@@ -140,8 +140,12 @@ def generate_misreports(
             clamped = (np.abs((shifted - truth) - deltas) > 1e-12).any(axis=1)
             push(shifted, "equal-shift", None, clamped)
         elif isinstance(strategy, Targeted):
-            rows = np.array([[float(v) for v in r] for r in strategy.rows])
-            push(rows.reshape(len(strategy.rows), m), "targeted", None, False)
+            shape = (len(strategy.rows), m)
+            for k, row in enumerate(strategy.rows):
+                if len(row) != m:
+                    raise ShapeMismatch(f"targeted rows: row {k} has {len(row)} entries, need {m}")
+            rows = check_reports(np.reshape(strategy.rows, shape), shape, "targeted rows")
+            push(rows, "targeted", None, False)
         else:
             raise TypeError(f"unknown misreport strategy {strategy!r}")
     return out

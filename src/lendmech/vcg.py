@@ -257,16 +257,24 @@ def expost_utility(inst: VcgInstance, reports, i: int, belief_row: Sequence[floa
 def select_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.ndarray:
     """Row-wise top-K over real scores plus constant reserve slots.
 
-    Returns a boolean mask of shape (rows, m + n_reserves). Ties follow
-    `_select`: score descending, then real before reserve, then lower
-    index, so each row funds exactly the items `_select` funds on it.
+    Returns a boolean mask of shape (rows, m + n_reserves), True at the
+    items `_ranked_batch` lists: ties follow `_select` (score descending,
+    then real before reserve, then lower index), so each row funds exactly
+    the items `_select` funds on it. The interim engine works from those
+    indices directly; this mask is the batch form of `_select`.
     """
-    return _mask(_ranked_batch(scores, c, n_reserves, K), scores.shape[1] + n_reserves)
+    idx = _ranked_batch(scores, c, n_reserves, K)
+    mask = np.zeros((idx.shape[0], scores.shape[1] + n_reserves), dtype=bool)
+    np.put_along_axis(mask, idx, True, axis=1)
+    return mask
 
 
 def _ranked_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.ndarray:
     """Per row, the first min(K, m + n_reserves) items in `_select`'s order,
-    as column indices: real borrowers by index, then the reserve slots."""
+    as column indices: real borrowers 0 to m-1 by index, then the reserve
+    slots m to m + n_reserves - 1. One stable sort per block of rows gives
+    every prefix of that order, so a row's top K-1 is its top K less the
+    last column."""
     rows, m = scores.shape
     full = np.concatenate([scores, np.full((rows, n_reserves), c)], axis=1)
     # A stable sort keeps column order among equal scores, and the columns
@@ -274,11 +282,20 @@ def _ranked_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.n
     return np.argsort(-full, axis=1, kind="stable")[:, : min(K, m + n_reserves)]
 
 
-def _mask(idx: np.ndarray, total: int) -> np.ndarray:
-    """Boolean (rows, total) mask, True at each row's listed indices."""
-    mask = np.zeros((idx.shape[0], total), dtype=bool)
-    np.put_along_axis(mask, idx, True, axis=1)
-    return mask
+def _left_sums(terms: np.ndarray) -> np.ndarray:
+    """Per row, the first of at least one nonnegative term plus each later
+    one in turn: `left_sum` of every row at once, bit for bit."""
+    total = terms[:, 0].copy()
+    for j in range(1, terms.shape[1]):
+        total += terms[:, j]
+    return total
+
+
+def _take_rows(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """`np.take_along_axis(values, idx, axis=1)` for a C-contiguous 2-D
+    `values`, by one flat index, which numpy gathers faster."""
+    offsets = values.shape[1] * np.arange(len(idx))[:, np.newaxis]
+    return values.ravel()[idx + offsets]
 
 
 class InterimEngine:
@@ -289,6 +306,13 @@ class InterimEngine:
     the exact mechanism on every sample, ties included. The engine keeps
     the co-report sample for that, and works in blocks of COLUMN_CHUNK
     samples, which bounds its temporaries whatever the sample count.
+
+    Each block is ranked by one stable sort (`_ranked_batch`), and the
+    funded items are used as the column indices it returns: sorted per row
+    into column order, the funded real borrowers' terms (i's value w_i b_q,
+    the others' score) are gathered by index and added left to right, and
+    the reserves' count times c is added last, as `_welfare` adds them. No
+    funding mask is built.
 
     `utilities` scores any report row with one row-wise top-K and is the
     reference. `column_stats` scores reports that differ from the true row
@@ -301,7 +325,8 @@ class InterimEngine:
     the key of the item a funded q displaces, which a `FundingTest` decides
     as the allocation does. `_column_parts` finds the keys and both
     utilities once per sample, from the expressions `utilities` uses, so a
-    report's per-sample utility is `utilities`' for its row bit for bit.
+    report's per-sample utility is `utilities`' for its row bit for bit,
+    and keeps only their difference.
     `column_stats` then scores the coordinate's whole grid through
     `mechanism.grid_stats`, the block model Winkler's engine uses, with
     u = u_in - u_out and alpha 0, in O(samples + reports * blocks); it
@@ -315,77 +340,100 @@ class InterimEngine:
         self.i = i
         self.w_i = float(inst.weights[i])
         self.others = others  # (samples, n-1, m), held, not copied
-        self.scores_others = linear_scores(inst.weights[:i] + inst.weights[i + 1 :], others)
         self.samples = others.shape[0]
-        mask = select_batch(self.scores_others, inst.reserve_threshold, inst.n_reserves, inst.K)
-        self.best_without_i = self._others_welfare(mask, self.scores_others)
+        # The others' scores, and a 0 in column m, which stands for every
+        # reserve slot in `_column_order`.
+        self.scores_others = np.zeros((self.samples, inst.m + 1))
+        self.scores_others[:, : inst.m] = linear_scores(
+            inst.weights[:i] + inst.weights[i + 1 :], others
+        )
+        self.best_without_i = np.empty(self.samples)
+        for rows in chunks(self.samples):
+            funded = self._funded(self.scores_others[rows, : inst.m])
+            self.best_without_i[rows] = self._others_welfare(rows, funded)
 
     def _scores(self, rows: slice, report_row: np.ndarray) -> np.ndarray:
         """The mechanism's scores on samples `rows` when i reports `report_row`."""
         full = np.insert(self.others[rows], self.i, report_row, axis=1)
         return linear_scores(self.inst.weights, full)
 
-    def _others_welfare(self, mask: np.ndarray, scores_others: np.ndarray) -> np.ndarray:
-        m = self.inst.m
-        real = (mask[:, :m] * scores_others).sum(axis=1)
-        return real + mask[:, m:].sum(axis=1) * self.inst.reserve_threshold
+    def _funded(self, scores: np.ndarray) -> np.ndarray:
+        """Per row of `scores`, the items `_select` funds, in column order."""
+        inst = self.inst
+        return self._column_order(
+            _ranked_batch(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
+        )
 
-    def _utility(self, mask: np.ndarray, rows: slice, values: np.ndarray) -> np.ndarray:
-        """Utility of funding `mask` on samples `rows`; `values` is w_i * beliefs.
+    def _column_order(self, idx: np.ndarray) -> np.ndarray:
+        """Full-row item indices, (rows, k), as each row's funded real
+        borrowers ascending, then m once per funded reserve slot: the
+        column order `_welfare` adds in, with every reserve slot at m."""
+        idx = np.minimum(idx, self.inst.m)
+        return np.sort(idx, axis=1) if idx.shape[1] > 1 else idx
+
+    def _others_welfare(self, rows: slice, funded: np.ndarray) -> np.ndarray:
+        """The others' welfare on samples `rows` when `funded` (in
+        `_column_order`) is funded."""
+        real = _left_sums(_take_rows(self.scores_others[rows], funded))
+        reserves = (funded == self.inst.m).sum(axis=1)
+        return real + reserves * self.inst.reserve_threshold
+
+    def _utility(self, rows: slice, funded: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Utility of funding `funded` (in `_column_order`) on samples
+        `rows`; `values` is w_i * beliefs, then a 0 for the reserve slots.
 
         Every term is summed within its own row, so a sample's utility does
         not depend on which other samples share the call.
         """
-        m = self.inst.m
-        scores_others = self.scores_others[rows]
-        value = (mask[:, :m] * values).sum(axis=1)
-        welfare_others = self._others_welfare(mask, scores_others)
+        value = _left_sums(values[funded])
+        welfare_others = self._others_welfare(rows, funded)
         return self.inst.alpha * (value + welfare_others - self.best_without_i[rows])
 
     def utilities(self, belief_row: Sequence[float], report_row: Sequence[float]) -> np.ndarray:
         """Per-sample utility of reporting `report_row` with beliefs
         `belief_row` (rebate excluded; it cancels in comparisons)."""
-        inst = self.inst
-        values = self.w_i * np.asarray(belief_row, dtype=float)
+        values = np.append(self.w_i * np.asarray(belief_row, dtype=float), 0.0)
         out = np.empty(self.samples)
         for rows in chunks(self.samples):
-            scores = self._scores(rows, report_row)
-            mask = select_batch(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
-            out[rows] = self._utility(mask, rows, values)
+            out[rows] = self._utility(rows, self._funded(self._scores(rows, report_row)), values)
         return out
 
     def _column_parts(self, true_row: Sequence[float], q: int):
-        """The `FundingTest` of a report on q, and per sample the utilities
-        with q funded and with q unfunded."""
+        """The `FundingTest` of a report on q, and per sample u = u_in - u_out,
+        i's utility with q funded minus that with q unfunded (u_in where
+        every report funds q)."""
         inst = self.inst
         m, c, n_res = inst.m, inst.reserve_threshold, inst.n_reserves
         k = min(inst.K, m + n_res)
-        w_true = self.w_i * np.asarray(true_row, dtype=float)  # beliefs are the true row
+        # Beliefs are the true row; a reserve slot is worth 0 to i.
+        w_true = np.append(self.w_i * np.asarray(true_row, dtype=float), 0.0)
         fits_all = k == m + n_res  # then q is funded whatever it reports
         key = np.full(self.samples, -np.inf)  # -inf: every report funds q
-        u_in = np.empty(self.samples)
-        u_out = np.zeros(self.samples)
+        u = np.empty(self.samples)
         for rows in chunks(self.samples):
             others = np.delete(self._scores(rows, true_row), q, axis=1)
             # The others' top K in `_select` order, from one sort: their top
-            # K-1, then the item a funded q displaces.
+            # K-1, then the item a funded q displaces. Funded, q joins their
+            # top K-1; unfunded, their top K is funded. As full-row indices,
+            # every item past q moves one to the right.
             ranked = _ranked_batch(others, c, n_res, k)
-            top_less = _mask(ranked[:, : k - 1], m - 1 + n_res)
-            u_in[rows] = self._utility(np.insert(top_less, q, True, axis=1), rows, w_true)
+            top = ranked + (ranked >= q)
+            with_q = np.concatenate([top[:, : k - 1], np.full((len(top), 1), q)], axis=1)
+            u_in = self._utility(rows, self._column_order(with_q), w_true)
             if fits_all:
+                u[rows] = u_in
                 continue
-            top = _mask(ranked, m - 1 + n_res)
-            u_out[rows] = self._utility(np.insert(top, q, False, axis=1), rows, w_true)
+            u[rows] = u_in - self._utility(rows, self._column_order(top), w_true)
             # q is funded iff its score beats the key of the one item in the
             # others' top K but not in their top K-1.
             pos = ranked[:, k - 1]
             keys = np.concatenate([others, np.full((len(pos), n_res), c)], axis=1)
-            kth_key = np.take_along_axis(keys, pos[:, np.newaxis], axis=1)[:, 0]
+            kth_key = _take_rows(keys, pos[:, np.newaxis])[:, 0]
             # q wins a tie iff that item is a real borrower with a higher
             # index than q, or a reserve; then its score need only reach
             # the float just below the key.
             key[rows] = np.where(pos >= q, np.nextafter(kth_key, -np.inf), kth_key)
-        return FundingTest(inst.weights, self.i, self.others[:, :, q].T, key), u_in, u_out
+        return FundingTest(inst.weights, self.i, self.others[:, :, q].T, key), u
 
     def column_stats(
         self, true_row: Sequence[float], q: int, reports
@@ -399,7 +447,7 @@ class InterimEngine:
         alpha 0, in O(samples + reports * blocks), not O(samples * reports).
         """
         reports = np.asarray(reports, dtype=float)
-        funding, u_in, u_out = self._column_parts(true_row, q)
+        funding, u = self._column_parts(true_row, q)
         zeros = np.zeros(self.samples)
         gain = np.zeros(len(reports))
-        return grid_stats(funding.blocks, u_in - u_out, zeros, float(true_row[q]), reports, gain)
+        return grid_stats(funding.blocks, u, zeros, float(true_row[q]), reports, gain)

@@ -212,6 +212,16 @@ class TestBoundary:
             with pytest.raises(error, match="report_row"):
                 audit.interim_utility(inst, 0, fine, row, prior, 100, 0)
 
+    @pytest.mark.parametrize("inst", MECHANISMS)
+    @pytest.mark.parametrize("row, error", BAD_ROWS)
+    def test_out_of_model_targeted_rows_are_rejected(self, inst, row, error):
+        # Alone, and after a valid row: a wrong length there makes the rows ragged.
+        for rows in ((row,), ((0.25, 0.75), row)):
+            with pytest.raises(error, match="targeted rows"):
+                audit.best_response_search(
+                    inst, 0, (0.5, 0.4), UniformIID(), audit.Targeted(rows), samples=100, seed=0
+                )
+
 
 class TestBestResponseSearch:
     def test_capped_winkler_weak_epic_violation(self):

@@ -403,6 +403,28 @@ def column_stats_cases(draw):
     return inst, i, others, engine, true_row, q, reports
 
 
+@st.composite
+def welfare_cases(draw):
+    """An instance with m from 1 to 10, any K, c on the quarter grid below 1
+    and quarter-grid or non-dyadic weights; a recommender; and 1 to 6
+    samples of quarter-grid co-reports."""
+    m = draw(st.integers(1, 10))
+    K = draw(st.integers(1, m))
+    c = draw(st.sampled_from(QUARTERS[:-1]))
+    if draw(st.booleans()):
+        weights = draw(st.sampled_from(NON_DYADIC_WEIGHTS))
+    else:
+        n = draw(st.integers(1, 4))
+        weights = tuple(draw(st.lists(st.sampled_from(QUARTERS), min_size=n, max_size=n)))
+    n = len(weights)
+    i = draw(st.integers(0, n - 1))
+    samples = draw(st.integers(1, 6))
+    cells = st.lists(st.sampled_from(QUARTERS), min_size=m, max_size=m)
+    rows = draw(st.lists(cells, min_size=samples * (n - 1), max_size=samples * (n - 1)))
+    others = np.reshape(np.array(rows, dtype=float), (samples, n - 1, m))
+    return VcgInstance(n=n, m=m, K=K, reserve_threshold=c, weights=weights), i, others
+
+
 class TestInterimEngine:
     @settings(max_examples=80, deadline=None)
     @given(tie_interim_cases())
@@ -431,13 +453,13 @@ class TestInterimEngine:
         engine = vcg.InterimEngine(inst, i, others)
         truth_values = engine.utilities(true_row, true_row)
         q = data.draw(st.integers(0, m - 1))
-        u_in, u_out = engine._column_parts(true_row, q)[1:]
+        u = engine._column_parts(true_row, q)[1]  # u_in - u_out
         bound = funding_bound(engine, others, true_row, q)
         f_truth = (true_row[q] > bound).astype(float)
         for report in QUARTERS:
             f_report = (report > bound).astype(float)
             gap = truth_values - engine.utilities(true_row, with_report(true_row, q, report))
-            assert gap.tolist() == ((f_truth - f_report) * (u_in - u_out)).tolist()
+            assert gap.tolist() == ((f_truth - f_report) * u).tolist()
 
     @settings(max_examples=120, deadline=None)
     @given(column_stats_cases())
@@ -463,24 +485,54 @@ class TestInterimEngine:
         assert se[same].tolist() == [0.0] * sum(same)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.integers(1, 5), st.integers(0, 3), st.sampled_from(QUARTERS[:-1]), st.data()
-    )
+    @given(st.integers(1, 10), st.integers(0, 4), st.sampled_from(QUARTERS[:-1]), st.data())
     def test_one_ranking_gives_the_top_k_minus_one_and_top_k(self, m, n_res, c, data):
-        # `_column_parts` takes both masks, and the item between them, from one sort.
+        # `_column_parts` takes the others' top K-1 and top K, and the item
+        # between them, from one sort.
         total = m + n_res
         k = data.draw(st.integers(1, total))
         cells = st.lists(st.sampled_from(QUARTERS), min_size=m, max_size=m)
         scores = np.array(data.draw(st.lists(cells, min_size=1, max_size=8)))
         ranked = vcg._ranked_batch(scores, c, n_res, k)
-        top_less, top = vcg._mask(ranked[:, : k - 1], total), vcg._mask(ranked, total)
-        assert np.array_equal(top_less, vcg.select_batch(scores, c, n_res, k - 1))
-        assert np.array_equal(top, vcg.select_batch(scores, c, n_res, k))
+        top_less = vcg.select_batch(scores, c, n_res, k - 1)
+        top = vcg.select_batch(scores, c, n_res, k)
+        for idx, less, full in zip(ranked, top_less, top):
+            assert sorted(idx[: k - 1].tolist()) == np.flatnonzero(less).tolist()
+            assert sorted(idx.tolist()) == np.flatnonzero(full).tolist()
         assert np.array_equal(ranked[:, k - 1], (top & ~top_less).argmax(axis=1))
-        for row, mask in zip(scores, top):
-            alloc = vcg._select(row, c, n_res, k)
-            assert mask[:m].tolist() == [bool(f) for f in alloc.real]
-            assert mask[m:].tolist() == [r < alloc.reserves_funded for r in range(n_res)]
+        for row, less, full in zip(scores, top_less, top):
+            for mask, size in ((less, k - 1), (full, k)):
+                alloc = vcg._select(row, c, n_res, size)
+                assert mask[:m].tolist() == [bool(f) for f in alloc.real]
+                assert mask[m:].tolist() == [r < alloc.reserves_funded for r in range(n_res)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(welfare_cases())
+    @example(  # numpy's pairwise row sum gives 3.9749999999999996 here, not 3.975
+        (
+            VcgInstance(n=3, m=8, K=8, reserve_threshold=0.0, weights=(0.1, 0.3, 0.6)),
+            0,
+            np.array(
+                [
+                    [
+                        [1.0, 0.0, 0.5, 0.75, 1.0, 0.5, 0.25, 0.25],
+                        [0.5, 0.5, 0.75, 1.0, 0.0, 1.0, 0.5, 0.25],
+                    ]
+                ]
+            ),
+        )
+    )
+    def test_best_without_i_is_the_scalar_welfare(self, case):
+        # The engine adds the funded scores by index, left to right in
+        # column order, so it equals `_welfare` bit for bit at every m,
+        # also from 8 borrowers on, where numpy's row sum goes pairwise.
+        inst, i, others = case
+        engine = vcg.InterimEngine(inst, i, others)
+        c, n_res = inst.reserve_threshold, inst.n_reserves
+        scores_others = linear_scores(inst.weights[:i] + inst.weights[i + 1 :], others)
+        for s, scores in enumerate(scores_others):
+            alloc = vcg._select(scores, c, n_res, inst.K)
+            assert engine.best_without_i[s] == vcg._welfare(scores, c, alloc)
 
     def test_matches_scalar_path(self):
         inst = table_instance(K=2, reserve_threshold=0.3)
