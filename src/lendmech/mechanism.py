@@ -23,6 +23,8 @@ version (3.12's `sum()` compensates). `linear_scores` is the one weighted
 sum of reports in the package, added in the same order. Both
 allocations, Winkler's settlement thresholds, VCG's pivots and rebates,
 both interim engines and the audits score through it, so they round alike.
+`others_scores` is every recommender's others' score from one report
+matrix, in one such call; both settlements use it.
 `FundingTest` is how the interim engines fund a borrower just as the
 allocation does, ties included: it places each sample among a grid of
 report levels by the closed form where a proven margin decides, and by
@@ -122,6 +124,21 @@ def linear_scores(weights: Sequence, reports) -> np.ndarray:
     for j, w in enumerate(weights):
         total += w * arr[..., j, :]
     return total
+
+
+def others_scores(weights: Sequence[float], reports: np.ndarray) -> np.ndarray:
+    """Row i: recommender i's others' score, `linear_scores` of every
+    recommender but i, for an (n, m) report matrix.
+
+    One `linear_scores` call over the (n, n-1, m) stack of the others'
+    reports, with slot j's weights as an (n, 1) column, adds the same terms
+    in the same order as scoring each `np.delete(reports, i, 0)` alone, so
+    every row equals that bit for bit.
+    """
+    w = np.asarray(weights, dtype=float)
+    slots = np.arange(len(w) - 1)
+    others = slots + (slots >= np.arange(len(w))[:, np.newaxis])  # row i: every j != i, in order
+    return linear_scores(w[others].T[:, :, np.newaxis], reports[others])
 
 
 def mean_se(values) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,9 @@ On top sit standard pivot payments, and optionally a report-independent
 rebate equal to each recommender's worst-case pivot, which makes realized
 utility nonnegative for every outcome. The rebate is computed exactly for
 every m and K by a sweep over the best unfunded item, in O(m log m + K*m)
-per recommender. All payments scale linearly in alpha; the allocation does
+per recommender. A settlement scores each recommender's others once,
+selects once, and takes each pivot and rebate from one ranked order
+(`_charges`). All payments scale linearly in alpha; the allocation does
 not depend on it.
 """
 
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import ReserveRecommenderHasNoPayment
 # `deficit` is re-exported: callers use vcg.deficit.
 from .mechanism import Allocation, FundingTest, Settlement, check_outcomes, check_reports, deficit
-from .mechanism import chunks, grid_stats, left_sum, linear_scores
+from .mechanism import chunks, grid_stats, left_sum, linear_scores, others_scores
 
 
 @dataclass(frozen=True)
@@ -99,29 +101,26 @@ def _ranked(scores: Sequence[float], c: float, n_reserves: int) -> list[tuple[fl
     return items
 
 
-def _allocation(m: int, funded: Sequence[tuple[float, int, int]]) -> Allocation:
-    real = [0] * m
-    reserves = 0
-    for _, is_reserve, idx in funded:
-        if is_reserve:
-            reserves += 1
-        else:
-            real[idx] = 1
-    return Allocation(real=tuple(real), reserves_funded=reserves)
-
-
 def _select(scores: Sequence[float], c: float, n_reserves: int, K: int) -> Allocation:
     """Welfare-maximizing feasible allocation with a deterministic tie-break.
 
     Funds the first min(K, available) items in `_ranked` order. All scores
     are nonnegative, so funding up to the cap is always weakly optimal.
     """
-    return _allocation(len(scores), _ranked(scores, c, n_reserves)[:K])
+    funded = _ranked(scores, c, n_reserves)[:K]
+    real = {q for _, is_reserve, q in funded if not is_reserve}
+    return Allocation(tuple(int(q in real) for q in range(len(scores))), len(funded) - len(real))
 
 
-def _welfare(scores: np.ndarray, c: float, alloc: Allocation) -> float:
-    real = left_sum(float(scores[q]) for q in alloc.funded_real)
-    return real + alloc.reserves_funded * c
+def _welfare(scores: Sequence[float], c: float, alloc: Allocation) -> float:
+    return left_sum(float(scores[q]) for q in alloc.funded_real) + alloc.reserves_funded * c
+
+
+def _items_welfare(scores: list[float], c: float, items: list[tuple[float, int, int]]) -> float:
+    """`_welfare` of funding `items` (`_ranked` keys), added as it adds:
+    the real borrowers in ascending index, then the reserves' count times c."""
+    real = sorted(q for _, is_reserve, q in items if not is_reserve)
+    return left_sum(scores[q] for q in real) + (len(items) - len(real)) * c
 
 
 def aggregate_scores(inst: VcgInstance, reports) -> np.ndarray:
@@ -131,7 +130,13 @@ def aggregate_scores(inst: VcgInstance, reports) -> np.ndarray:
 
 def allocate(inst: VcgInstance, reports) -> Allocation:
     """Fund the top-K entries among real borrowers and reserve slots."""
-    return _select(aggregate_scores(inst, reports), inst.reserve_threshold, inst.n_reserves, inst.K)
+    return _allocate(inst, check_reports(reports, (inst.n, inst.m)))
+
+
+def _allocate(inst: VcgInstance, arr: np.ndarray) -> Allocation:
+    """`allocate` of an already checked report matrix."""
+    scores = linear_scores(inst.weights, arr)
+    return _select(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
 
 
 def _check_real_recommender(inst: VcgInstance, i: int) -> None:
@@ -145,57 +150,78 @@ def _check_real_recommender(inst: VcgInstance, i: int) -> None:
 
 def pivot_payment(inst: VcgInstance, reports, i: int) -> float:
     """Charge to i: others' best welfare without i minus their welfare at
-    the chosen allocation. Nonnegative; alpha-scaled like every payment."""
+    the chosen allocation. Nonnegative; alpha-scaled like every payment.
+
+    Priced by `_charges`, as `settle` prices each recommender: i's others'
+    score from `others_scores`, ranked once, against `allocate`'s set.
+    """
     _check_real_recommender(inst, i)
     arr = check_reports(reports, (inst.n, inst.m))
-    c, n_res, K = inst.reserve_threshold, inst.n_reserves, inst.K
-    others = linear_scores(inst.weights[:i] + inst.weights[i + 1 :], np.delete(arr, i, axis=0))
-    chosen = _select(linear_scores(inst.weights, arr), c, n_res, K)
-    without_i = _select(others, c, n_res, K)
-    return inst.alpha * (_welfare(others, c, without_i) - _welfare(others, c, chosen))
+    return _charges(inst, others_scores(inst.weights, arr)[i], _allocate(inst, arr), None)[0]
 
 
 def tcomp(inst: VcgInstance, others_reports, i: int) -> float:
     """Worst-case pivot payment of i over all reports, given others' reports.
 
-    Exact for every m, K. Others' welfare is what i's report can damage, and
-    i's report moves only which set S of k = min(K, m + reserves) items gets
-    funded. S is reachable iff a report of 1 on S's real borrowers and 0
-    elsewhere makes S the top k: scores never fall as a report rises, so if
-    any report funds S, this one only widens S's lead over every outsider.
-    A report of 0 leaves a borrower at the others' score exactly, and 1
-    lifts it to its `boosted` score. A reachable S that leaves something
-    unfunded has exactly one best outsider o, an item ranked at some
-    position p < k of the unboosted order. S then holds every item ranked above o, and its
-    other k - p members are real borrowers ranked below o whose boosted key
-    beats o's. For each p the cheapest such S takes the lowest-scoring
-    qualifying borrowers; S with no outsider is the unboosted top k. The
-    minimum over p costs O(m log m + K*m).
+    Exact for every m, K, by `_charges`' sweep, from which `settle` takes
+    each rebate.
     """
     _check_real_recommender(inst, i)
     arr = check_reports(others_reports, (inst.n - 1, inst.m), "others_reports")
-    if inst.weights[i] == 0.0:
-        return 0.0
     base = linear_scores(inst.weights[:i] + inst.weights[i + 1 :], arr)
     boosted = linear_scores(inst.weights, np.insert(arr, i, 1.0, axis=0))
+    return _charges(inst, base, None, boosted)[1]
+
+
+def _charges(
+    inst: VcgInstance, base: np.ndarray, chosen: Optional[Allocation], boosted
+) -> tuple[float, float]:
+    """Recommender i's pivot at the `chosen` allocation and i's rebate, each
+    0.0 when `chosen` or `boosted` is None, from one ranked order of `base`,
+    i's others' scores. `boosted` holds the scores with i reporting 1 on
+    every borrower. Both subtract from the others' best welfare without i,
+    the welfare of that order's top k.
+
+    The rebate is the worst-case pivot, exact for every m, K. Others'
+    welfare is what i's report can damage, and i's report moves only which
+    set S of k = min(K, m + reserves) items gets funded. S is reachable iff
+    a report of 1 on S's real borrowers and 0 elsewhere makes S the top k:
+    scores never fall as a report rises, so if any report funds S, this one
+    only widens S's lead over every outsider. A report of 0 leaves a
+    borrower at the others' score exactly, and 1 lifts it to its `boosted`
+    score. A reachable S that leaves something unfunded has exactly one
+    best outsider o, an item ranked at some position p < k of the unboosted
+    order. S then holds every item ranked above o, and its other k - p
+    members are real borrowers ranked below o whose boosted key beats o's.
+    For each p the cheapest such S takes the lowest-scoring qualifying
+    borrowers; S with no outsider is the unboosted top k. The minimum over
+    p costs O(m log m + K*m), each S's welfare summed from plain floats.
+    A zero weight adds +0.0 at 1, so its `boosted` is `base` bit for bit,
+    nothing is lifted, and its rebate is exactly 0.0.
+    """
     c = inst.reserve_threshold
+    base = base.tolist()
     order = _ranked(base, c, inst.n_reserves)
     k = min(inst.K, len(order))
-    without_i = _welfare(base, c, _allocation(inst.m, order[:k]))
+    without_i = _items_welfare(base, c, order[:k])
+    pivot = 0.0 if chosen is None else inst.alpha * (without_i - _welfare(base, c, chosen))
+    if boosted is None:
+        return pivot, 0.0
+    boosted = boosted.tolist()
     worst = without_i
     for p, outsider in enumerate(order[:k]):
         # Same float and key comparison `_select` makes on boosted scores.
         lifted = [
             (score, is_reserve, q)
             for score, is_reserve, q in order[p + 1 :]
-            if not is_reserve and (-float(boosted[q]), 0, q) < outsider
+            if not is_reserve and (-boosted[q], 0, q) < outsider
         ]
         if len(lifted) < k - p:
             continue
         # `lifted` keeps ranked order, so its tail has the lowest scores.
         funded = order[:p] + lifted[len(lifted) - (k - p) :]
-        worst = min(worst, _welfare(base, c, _allocation(inst.m, funded)))
-    return inst.alpha * (without_i - worst)
+        worst = min(worst, _items_welfare(base, c, funded))
+    return pivot, inst.alpha * (without_i - worst)
 
 
 def settle(
@@ -209,23 +235,30 @@ def settle(
     `outcomes` must cover exactly the funded real borrowers; reserve slots
     are bookkeeping rows with no outcomes. `allocation`, when given, must be
     `allocate(inst, reports)`; it saves allocating again.
+
+    One scoring pass per settlement: the reports are checked once; every
+    recommender's others' score comes from one `others_scores` call and,
+    with rebates on, every boosted score from one `linear_scores` call over
+    the (n, n, m) stack of the reports with row i at 1. The allocation is
+    the one chosen set, and `_charges` takes each recommender's pivot and
+    rebate from one ranked order, bit for bit `pivot_payment` and `tcomp`.
     """
     arr = check_reports(reports, (inst.n, inst.m))
-    alloc = allocation if allocation is not None else allocate(inst, arr)
+    alloc = allocation if allocation is not None else _allocate(inst, arr)
     check_outcomes(alloc.funded_real, outcomes)
 
-    immediate = tuple(pivot_payment(inst, arr, i) for i in range(inst.n))
-    contingent = contingent_payments(inst, alloc.funded_real, outcomes)
-    rebates: Optional[tuple[float, ...]] = None
+    base = others_scores(inst.weights, arr)
+    boosted = [None] * inst.n
     if inst.tcomp_enabled:
-        rebates = tuple(
-            tcomp(inst, np.delete(arr, i, axis=0), i) for i in range(inst.n)
-        )
+        # Matrix i is the reports with row i at 1.
+        stack = np.where(np.eye(inst.n, dtype=bool)[:, :, np.newaxis], 1.0, arr)
+        boosted = linear_scores(inst.weights, stack)
+    charges = [_charges(inst, base[i], alloc, boosted[i]) for i in range(inst.n)]
     return Settlement(
         allocation=alloc,
-        immediate=immediate,
-        contingent=contingent,
-        tcomp=rebates,
+        immediate=tuple(pivot for pivot, _ in charges),
+        contingent=contingent_payments(inst, alloc.funded_real, outcomes),
+        tcomp=tuple(rebate for _, rebate in charges) if inst.tcomp_enabled else None,
     )
 
 
@@ -244,14 +277,16 @@ def expost_utility(inst: VcgInstance, reports, i: int, belief_row: Sequence[floa
     """i's utility at these reports, expectation over own repayment beliefs.
 
     Excludes the tcomp rebate: the rebate is report-independent, so it
-    shifts utilities without affecting any incentive comparison.
+    shifts utilities without affecting any incentive comparison. The pivot
+    is priced against this utility's own allocation, selected once.
     """
+    _check_real_recommender(inst, i)
     arr = check_reports(reports, (inst.n, inst.m))
-    alloc = allocate(inst, arr)
+    alloc = _allocate(inst, arr)
     value = inst.alpha * left_sum(
         inst.weights[i] * float(belief_row[q]) for q in alloc.funded_real
     )
-    return value - pivot_payment(inst, arr, i)
+    return value - _charges(inst, others_scores(inst.weights, arr)[i], alloc, None)[0]
 
 
 def select_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from .aggregation import Aggregator, WeightedLinear, aggregate, aggregate_columns
 from .errors import ZeroWeightRecommender
 from .mechanism import Allocation, FundingTest, Settlement, check_outcomes, check_reports
-from .mechanism import elementwise_column_stats, grid_stats, linear_scores
+from .mechanism import elementwise_column_stats, grid_stats, left_sum, others_scores
 
 
 @dataclass(frozen=True)
@@ -145,22 +145,20 @@ def marginal_thresholds(inst: WinklerInstance, reports) -> np.ndarray:
     the recommender swings the borrower's funding, each payment's anchor.
 
     Linear aggregators use the closed form `funding_thresholds` on the
-    others' linear scores, every recommender's in one `linear_scores` call
-    over an (n, n-1, m) stack of the others' reports. For a custom monotone
-    aggregator the threshold is exactly the largest report that leaves the
-    borrower unfunded under the allocation's own test (0 if a report of 0
-    funds it, 1 if no report does; `_bisect_threshold`), so a funded report
-    always lies above it.
+    others' linear scores, every recommender's in one `others_scores` call.
+    For a custom monotone aggregator the threshold is exactly the largest
+    report that leaves the borrower unfunded under the allocation's own
+    test (0 if a report of 0 funds it, 1 if no report does;
+    `_bisect_threshold`), so a funded report always lies above it.
     """
-    arr = check_reports(reports, (inst.n, inst.m))
+    return _thresholds(inst, check_reports(reports, (inst.n, inst.m)))
+
+
+def _thresholds(inst: WinklerInstance, arr: np.ndarray) -> np.ndarray:
+    """`marginal_thresholds` of an already checked report matrix."""
     if isinstance(inst.aggregator, WeightedLinear):
         w = np.asarray(inst.aggregator.weights.weights)
-        # Row i lists every recommender but i, in order.
-        others = np.array([[j for j in range(inst.n) if j != i] for i in range(inst.n)], dtype=int)
-        others = others.reshape(inst.n, inst.n - 1)
-        # Slot j's weights, one per recommender: (n, 1) against (n, m) scores.
-        scores = linear_scores(w[others].T[:, :, np.newaxis], arr[others])
-        return funding_thresholds(inst.threshold, scores, w[:, np.newaxis])
+        return funding_thresholds(inst.threshold, others_scores(w, arr), w[:, np.newaxis])
     out = np.empty((inst.n, inst.m))
     for q in range(inst.m):
         for i in range(inst.n):
@@ -256,7 +254,7 @@ def settle(
     check_outcomes(alloc.funded_real, outcomes)
 
     funded = list(alloc.funded_real)
-    paid = WinklerPayment(marginal_thresholds(inst, arr)[:, funded])(
+    paid = WinklerPayment(_thresholds(inst, arr)[:, funded])(
         [outcomes[q] for q in funded], arr[:, funded]
     )
     contingent = {(i, q): float(paid[i, k]) for k, q in enumerate(funded) for i in range(inst.n)}
@@ -272,12 +270,8 @@ def expost_utility(inst: WinklerInstance, reports, i: int, belief_row: Sequence[
     their own beliefs about funded borrowers (outcomes not yet observed)."""
     arr = check_reports(reports, (inst.n, inst.m))
     funded = allocate(inst, arr)
-    paid = WinklerPayment(marginal_thresholds(inst, arr)[i])(belief_row, arr[i])
-    total = 0.0
-    for q in range(inst.m):
-        if funded[q]:
-            total += float(paid[q])
-    return total
+    paid = WinklerPayment(_thresholds(inst, arr)[i])(belief_row, arr[i])
+    return left_sum(float(paid[q]) for q in range(inst.m) if funded[q])
 
 
 class ColumnEngine:

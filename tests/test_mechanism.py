@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from funding_oracle import report_bounds
 from lendmech.mechanism import Allocation, FundingTest, Settlement, deficit, grid_stats, left_sum
-from lendmech.mechanism import linear_scores, mean_se
+from lendmech.mechanism import linear_scores, mean_se, others_scores
 from stats_helpers import assert_stats_close
 
 EIGHTHS = [k / 8 for k in range(9)]
@@ -48,6 +48,18 @@ class TestLinearScores:
         others = linear_scores(weights[:i] + weights[i + 1 :], np.delete(reports, i, axis=0))
         assert np.array_equal(linear_scores(weights, reports), others)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 100_000))
+    def test_others_scores_equal_one_call_per_recommender(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        weights = tuple(float(w) for w in rng.choice([0.0, 1 / 3, 1 / 7, 0.1, 0.6], n))
+        reports = rng.choice(EIGHTHS, (n, m))
+        got = others_scores(weights, reports)
+        assert got.shape == (n, m)
+        for i in range(n):
+            alone = linear_scores(weights[:i] + weights[i + 1 :], np.delete(reports, i, axis=0))
+            assert got[i].tobytes() == alone.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 100_000))

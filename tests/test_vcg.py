@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lendmech import audit, vcg
+from lendmech import audit, mechanism, vcg
 from lendmech.errors import (
     MissingOutcome,
     OutcomeForUnfundedBorrower,
@@ -264,7 +264,69 @@ class TestTcomp:
             vcg.tcomp(table_instance(), [[5, -3], [0.6, 0.4]], 1)
 
 
+@st.composite
+def settle_cases(draw):
+    """Instances with n <= 5, m <= 10 and every K <= m; c is 0 (no
+    reserves), a quarter or random; weights are non-dyadic, zero or random;
+    quarter-grid reports tie borrowers with each other and with c."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    weight = st.sampled_from([0.0, 1 / 3, 1 / 7, 0.1, 0.25]) | st.floats(0.0, 1.0)
+    inst = VcgInstance(
+        n=n,
+        m=m,
+        K=draw(st.integers(1, m)),
+        reserve_threshold=draw(st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 0.95)),
+        weights=tuple(draw(st.lists(weight, min_size=n, max_size=n))),
+        alpha=draw(st.sampled_from([1.0, 0.3, 2.5])),
+        tcomp_enabled=draw(st.booleans()),
+    )
+    rows = st.lists(st.sampled_from(QUARTERS), min_size=m, max_size=m)
+    return inst, np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=float)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
 class TestSettle:
+    @settings(max_examples=300, deadline=None)
+    @given(settle_cases(), st.booleans())
+    def test_equals_the_public_loop_bit_for_bit(self, case, pass_allocation):
+        # The ledger writes -0.0 and 0.0 differently, so bits, not ==. The
+        # pivot is also checked against its definition on np.delete's rows.
+        inst, reports = case
+        alloc = vcg.allocate(inst, reports)
+        outcomes = {q: q % 2 for q in alloc.funded_real}
+        got = vcg.settle(inst, reports, outcomes, alloc if pass_allocation else None)
+        assert got.allocation == alloc
+        assert (got.tcomp is None) == (not inst.tcomp_enabled)
+        c, n_res, K = inst.reserve_threshold, inst.n_reserves, inst.K
+        for i in range(inst.n):
+            others = np.delete(reports, i, axis=0)
+            base = linear_scores(inst.weights[:i] + inst.weights[i + 1 :], others)
+            without_i = vcg._welfare(base, c, vcg._select(base, c, n_res, K))
+            pivot = inst.alpha * (without_i - vcg._welfare(base, c, alloc))
+            assert _bits(got.immediate[i]) == _bits(vcg.pivot_payment(inst, reports, i))
+            assert _bits(got.immediate[i]) == _bits(pivot)
+            if inst.tcomp_enabled:
+                assert _bits(got.tcomp[i]) == _bits(vcg.tcomp(inst, others, i))
+
+    def test_one_scoring_pass(self, monkeypatch):
+        # Handed its allocation, an n = 3 settlement with rebates scores
+        # the others once and the boosted reports once.
+        inst = table_instance(tcomp_enabled=True)
+        alloc = vcg.allocate(inst, BELIEFS)
+        calls = []
+
+        def counting(weights, reports):
+            calls.append(np.shape(reports))
+            return linear_scores(weights, reports)
+
+        monkeypatch.setattr(vcg, "linear_scores", counting)
+        monkeypatch.setattr(mechanism, "linear_scores", counting)
+        vcg.settle(inst, BELIEFS, {0: 1}, alloc)
+        assert sorted(calls) == [(3, 2, 2), (3, 3, 2)]
+
     def test_realized_utility_on_repayment(self):
         settlement = vcg.settle(table_instance(), BELIEFS, {0: 1})
         assert settlement.realized_utility(1) == pytest.approx(1 / 3 - 0.0667, abs=5e-5)
