@@ -20,7 +20,8 @@ mean and standard error of truth minus that report over the samples.
 `left_sum` is how the package adds a sequence of floats: left to right,
 as Python 3.11's `sum()` does, so results do not change with the Python
 version (3.12's `sum()` compensates). `linear_scores` is the one weighted
-sum of reports in the package, added in the same order. Both
+sum of reports in the package, added in the same order; `scores_with`
+runs it with i's report among the others' without copying them. Both
 allocations, Winkler's settlement thresholds, VCG's pivots and rebates,
 both interim engines and the audits score through it, so they round alike.
 `others_scores` is every recommender's others' score from one report
@@ -49,6 +50,8 @@ from .errors import MissingOutcome, OutcomeForUnfundedBorrower, ShapeMismatch
 # Samples per block while an interim engine builds its per-sample arrays;
 # bounds the block's temporaries whatever the sample count.
 COLUMN_CHUNK = 16_384
+# Cells of `place`'s table over [0, 2]; a power of two.
+PLACE_CELLS = 4096
 
 if TYPE_CHECKING:
     from .vcg import VcgInstance
@@ -120,9 +123,24 @@ def linear_scores(weights: Sequence, reports) -> np.ndarray:
     with their report at 0 the score is bit for bit the others' score.
     """
     arr = np.asarray(reports, dtype=float)
-    total = np.zeros(arr.shape[:-2] + arr.shape[-1:])
+    return _weighted_sum(weights, lambda j: arr[..., j, :], arr.shape[:-2] + arr.shape[-1:])
+
+
+def scores_with(weights: Sequence[float], co_reports, i: int, report) -> np.ndarray:
+    """`linear_scores(weights, np.insert(co_reports, i, report, axis=-2))`
+    bit for bit without the copy: the same terms in the same order, i's
+    report (a row or a scalar) as term i."""
+    co, row = np.asarray(co_reports, dtype=float), np.asarray(report, dtype=float)
+    shape = co.shape[:-2] + co.shape[-1:]
+    return _weighted_sum(weights, lambda j: row if j == i else co[..., j - (j > i), :], shape)
+
+
+def _weighted_sum(weights, term: Callable[[int], np.ndarray], shape: tuple) -> np.ndarray:
+    """The loop `linear_scores` and `scores_with` share: 0.0 plus each
+    w_j * term(j) in turn."""
+    total = np.zeros(shape)
     for j, w in enumerate(weights):
-        total += w * arr[..., j, :]
+        total += w * term(j)
     return total
 
 
@@ -247,23 +265,49 @@ def chunks(samples: int):
     return (slice(s, s + COLUMN_CHUNK) for s in range(0, samples, COLUMN_CHUNK))
 
 
+def place(edges: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(edges, seeds, side="right")` for ascending `edges`,
+    from a table of PLACE_CELLS equal cells over [0, 2] and one from 2.
+
+    A seed's cell is its product with PLACE_CELLS / 2, exact, rounded down
+    (an offset added first would round a seed one ulp below a cell into
+    it). A seed in a cell no edge lies strictly inside takes the rank of
+    the cell's start, and -inf that of -inf; the rest are searched.
+    """
+    scale = PLACE_CELLS / 2.0
+    starts = np.arange(PLACE_CELLS + 2) / scale
+    at_start = np.searchsorted(edges, starts, side="right")
+    split = np.searchsorted(edges, starts[1:], side="left") > at_start[:-1]
+    # -1: search. The last slot takes seeds past the cells and, as index
+    # -1, negative seeds and NaN.
+    table = np.append(np.where(split, -1, at_start[:-1]), -1)
+    scaled = np.fmin(np.fmax(seeds * scale, -1.0), PLACE_CELLS + 1.0)
+    rank = table[np.floor(scaled).astype(np.intp)]
+    rank[np.flatnonzero(np.isneginf(seeds))] = np.searchsorted(edges, -np.inf, side="right")
+    todo = np.flatnonzero(rank < 0)
+    rank[todo] = np.searchsorted(edges, seeds[todo], side="right")
+    return rank
+
+
 class FundingTest:
     """Whether recommender i's report funds a column, on each sample: the
     allocation's own test, linear score > `key`, ties included.
 
     `co_reports` holds the others' reports, (n-1, samples), and is kept as
     given (a view is not copied); `key` is a scalar or one per sample, and
-    -inf funds every sample. The score never falls as i's report rises, so
-    on each sample the reports that fund form an upper range. `blocks`
-    places every sample among ascending report levels in [0, 1], and
-    `funds` answers for one report.
+    -inf funds every sample; `base`, if given, is the others' score B,
+    which the test otherwise computes. The score never falls as i's report
+    rises, so on each sample the reports that fund form an upper range.
+    `blocks` places every sample among ascending report levels in [0, 1],
+    and `funds` answers for one report.
 
     Each sample holds the closed form t = (key - B) / w_i, B the others'
     score, which is the score with i's report at 0 bit for bit; a sample
     with B > key is funded by every report (t = -inf), and t is clipped
     above at 2. One margin M per test decides every level L with
-    |L - t| >= M by the closed form. Levels nearer than that are scored
-    exactly, one `linear_scores` pass per such level.
+    |L - t| >= M by the closed form (`place` ranks t among the L +- M).
+    Levels nearer than that are scored exactly, one `linear_scores` pass
+    per such level.
 
     The margin. Write W = sum(w), K = max(key, 0), u = 2**-53 and
     gamma_k = k u / (1 - k u). A left-to-right dot product of n terms with
@@ -283,10 +327,13 @@ class FundingTest:
     t is the exact bound, 1 where B <= key, and M = 0.
     """
 
-    def __init__(self, weights: Sequence[float], i: int, co_reports: np.ndarray, key) -> None:
+    def __init__(
+        self, weights: Sequence[float], i: int, co_reports: np.ndarray, key, base=None
+    ) -> None:
         self.weights, self.i, self.co_reports = weights, i, co_reports
         w_i = weights[i]
-        base = linear_scores(weights[:i] + weights[i + 1 :], co_reports)
+        if base is None:
+            base = linear_scores(weights[:i] + weights[i + 1 :], co_reports)
         self.key = np.broadcast_to(np.asarray(key, dtype=float), base.shape)
         funded = base > self.key  # at a report of 0, so at every report
         if w_i == 0.0:  # the seed is the exact bound
@@ -310,7 +357,7 @@ class FundingTest:
         # are prefixes of the levels; the levels between are near.
         below = np.concatenate([[0], np.cumsum(order >= len(levels))])
         maybe = np.concatenate([[0], np.cumsum(order < len(levels))])
-        rank = np.searchsorted(edges[order], self.seed, side="right")
+        rank = place(edges[order], self.seed)
         near = np.flatnonzero((maybe > below)[rank])
         stop = maybe[rank[near]]
         block = below[rank]

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ReserveRecommenderHasNoPayment
 # `deficit` is re-exported: callers use vcg.deficit.
 from .mechanism import Allocation, FundingTest, Settlement, check_outcomes, check_reports, deficit
-from .mechanism import chunks, grid_stats, left_sum, linear_scores, others_scores
+from .mechanism import chunks, grid_stats, left_sum, linear_scores, others_scores, scores_with
 
 
 @dataclass(frozen=True)
@@ -336,11 +336,12 @@ def _take_rows(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 class InterimEngine:
     """Vectorized interim utility for one recommender over sampled others.
 
-    Every score comes from `linear_scores` with i's report in its place
-    among the co-reports, as the mechanism scores, so funding agrees with
-    the exact mechanism on every sample, ties included. The engine keeps
-    the co-report sample for that, and works in blocks of COLUMN_CHUNK
-    samples, which bounds its temporaries whatever the sample count.
+    Every score adds i's report in its place among the co-reports, as the
+    mechanism's `linear_scores` does (`scores_with`, which copies no
+    co-report), so funding agrees with the exact mechanism on every
+    sample, ties included. The engine keeps the co-report sample for that,
+    and works in blocks of COLUMN_CHUNK samples, which bounds its
+    temporaries whatever the sample count.
 
     Each block is ranked by one stable sort (`_ranked_batch`), and the
     funded items are used as the column indices it returns: sorted per row
@@ -388,9 +389,10 @@ class InterimEngine:
             self.best_without_i[rows] = self._others_welfare(rows, funded)
 
     def _scores(self, rows: slice, report_row: np.ndarray) -> np.ndarray:
-        """The mechanism's scores on samples `rows` when i reports `report_row`."""
-        full = np.insert(self.others[rows], self.i, report_row, axis=1)
-        return linear_scores(self.inst.weights, full)
+        """The mechanism's scores on samples `rows` when i reports `report_row`:
+        `scores_with` adds i's row as term i among the held co-reports, as
+        `linear_scores` adds the inserted matrix, without copying them."""
+        return scores_with(self.inst.weights, self.others[rows], self.i, report_row)
 
     def _funded(self, scores: np.ndarray) -> np.ndarray:
         """Per row of `scores`, the items `_select` funds, in column order."""
@@ -468,7 +470,8 @@ class InterimEngine:
             # index than q, or a reserve; then its score need only reach
             # the float just below the key.
             key[rows] = np.where(pos >= q, np.nextafter(kth_key, -np.inf), kth_key)
-        return FundingTest(inst.weights, self.i, self.others[:, :, q].T, key), u
+        base = self.scores_others[:, q]  # the others' score, held since the build
+        return FundingTest(inst.weights, self.i, self.others[:, :, q].T, key, base), u
 
     def column_stats(
         self, true_row: Sequence[float], q: int, reports

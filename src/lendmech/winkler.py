@@ -87,7 +87,11 @@ def allocate(inst: WinklerInstance, reports) -> tuple[int, ...]:
     Under a cap only the top-`cap` such borrowers by aggregate are funded,
     ties going to the lower index.
     """
-    arr = check_reports(reports, (inst.n, inst.m))
+    return _allocate(inst, check_reports(reports, (inst.n, inst.m)))
+
+
+def _allocate(inst: WinklerInstance, arr: np.ndarray) -> tuple[int, ...]:
+    """`allocate` of an already checked report matrix."""
     scores = aggregate_columns(inst.aggregator, arr)
     eligible = sorted(
         (q for q in range(inst.m) if scores[q] > inst.threshold),
@@ -99,7 +103,9 @@ def allocate(inst: WinklerInstance, reports) -> tuple[int, ...]:
 
 def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> float:
     """The largest report by i that leaves the borrower unfunded under the
-    allocation's own test: 0 if a report of 0 funds it, 1 if no report does.
+    allocation's own test, with the closed form's two end rules: 0 if a
+    report of 0 funds the borrower or leaves the score exactly at the
+    threshold, 1 if no report below 1 funds it.
 
     The aggregator never falls as i's report rises, so this is a bisection
     over the bit patterns of the floats in [0, 1], which are ordered as the
@@ -107,19 +113,18 @@ def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> floa
     float above it.
     """
 
-    def funds(bits: int) -> bool:
+    def score(bits: int) -> float:
         value = float(np.int64(bits).view(np.float64))
-        col = tuple(column[:i]) + (value,) + tuple(column[i + 1 :])
-        return aggregate(inst.aggregator, col) > inst.threshold
+        return aggregate(inst.aggregator, tuple(column[:i]) + (value,) + tuple(column[i + 1 :]))
 
-    lo, hi = 0, int(np.float64(1.0).view(np.int64))
-    if not funds(hi):
-        return 1.0
-    if funds(lo):
+    lo, hi = 0, int(np.float64(1.0).view(np.int64)) - 1  # 0 and the float below 1
+    if score(lo) >= inst.threshold:
         return 0.0
+    if score(hi) <= inst.threshold:
+        return 1.0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if funds(mid):
+        if score(mid) > inst.threshold:
             hi = mid
         else:
             lo = mid
@@ -148,8 +153,10 @@ def marginal_thresholds(inst: WinklerInstance, reports) -> np.ndarray:
     others' linear scores, every recommender's in one `others_scores` call.
     For a custom monotone aggregator the threshold is exactly the largest
     report that leaves the borrower unfunded under the allocation's own
-    test (0 if a report of 0 funds it, 1 if no report does;
-    `_bisect_threshold`), so a funded report always lies above it.
+    test, with the closed form's end rules (0 if a report of 0 funds it or
+    leaves the score exactly at the threshold, 1 if no report below 1
+    does; `_bisect_threshold`), so a funded report lies above it, or at an
+    anchor of 1, which pays nothing.
     """
     return _thresholds(inst, check_reports(reports, (inst.n, inst.m)))
 
@@ -250,7 +257,7 @@ def settle(
     `inst.allocate(reports)`; it saves allocating again.
     """
     arr = check_reports(reports, (inst.n, inst.m))
-    alloc = allocation if allocation is not None else Allocation(allocate(inst, arr))
+    alloc = allocation if allocation is not None else Allocation(_allocate(inst, arr))
     check_outcomes(alloc.funded_real, outcomes)
 
     funded = list(alloc.funded_real)
@@ -269,7 +276,7 @@ def expost_utility(inst: WinklerInstance, reports, i: int, belief_row: Sequence[
     """Recommender i's utility given everyone's reports, in expectation over
     their own beliefs about funded borrowers (outcomes not yet observed)."""
     arr = check_reports(reports, (inst.n, inst.m))
-    funded = allocate(inst, arr)
+    funded = _allocate(inst, arr)
     paid = WinklerPayment(_thresholds(inst, arr)[i])(belief_row, arr[i])
     return left_sum(float(paid[q]) for q in range(inst.m) if funded[q])
 

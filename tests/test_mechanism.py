@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funding_oracle import report_bounds
+from lendmech import mechanism
 from lendmech.mechanism import Allocation, FundingTest, Settlement, deficit, grid_stats, left_sum
-from lendmech.mechanism import linear_scores, mean_se, others_scores
+from lendmech.mechanism import linear_scores, mean_se, others_scores, place, scores_with
 from stats_helpers import assert_stats_close
 
 EIGHTHS = [k / 8 for k in range(9)]
@@ -60,6 +61,24 @@ class TestLinearScores:
         for i in range(n):
             alone = linear_scores(weights[:i] + weights[i + 1 :], np.delete(reports, i, axis=0))
             assert got[i].tobytes() == alone.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 100_000), st.booleans())
+    def test_scores_with_equal_the_inserted_matrix(self, seed, scalar):
+        # Every recommender slot, with zero and non-dyadic weights, a report
+        # row or a scalar, and batch axes: the same bytes as scoring the
+        # matrix with i's report inserted.
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        weights = tuple(float(w) for w in rng.choice([0.0, 1 / 3, 1 / 7, 0.1, 0.6], n))
+        co_reports = rng.choice(EIGHTHS + [0.3, 0.7], (7, n - 1, m))
+        report = float(rng.random()) if scalar else rng.choice(EIGHTHS + [0.3], m)
+        for i in range(n):
+            want = linear_scores(weights, np.insert(co_reports, i, report, axis=1))
+            got = scores_with(weights, co_reports, i, report)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            one = scores_with(weights, co_reports[0], i, report)
+            assert one.tobytes() == want[0].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 100_000))
@@ -212,8 +231,18 @@ class TestFundingTest:
         funding = FundingTest(weights, i, co_reports, key)
         want = np.searchsorted(levels, bound, side="right")
         assert funding.blocks(levels).tolist() == want.tolist()
-        for report in levels[:: max(1, len(levels) // 4)]:
+        reports = levels[:: max(1, len(levels) // 4)]
+        for report in reports:
             assert funding.funds(float(report)).tolist() == (report > bound).tolist()
+        # Handed the others' score B, as VCG's engine hands the one it
+        # holds, the test is the one that scores B itself.
+        base = linear_scores(weights[:i] + weights[i + 1 :], co_reports)
+        handed = FundingTest(weights, i, co_reports, key, base)
+        assert handed.seed.tobytes() == funding.seed.tobytes()
+        assert handed.margin == funding.margin
+        assert handed.blocks(levels).tolist() == want.tolist()
+        for report in reports:
+            assert handed.funds(float(report)).tolist() == (report > bound).tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(funding_cases())
@@ -234,6 +263,42 @@ class TestFundingTest:
         needed = (3.0 * gamma * scale + n * s) / weights[i] + s  # inf for 5e-324
         assert funding.margin == 4.0 or funding.margin >= needed
         assert funding.margin <= 4.0
+
+
+@st.composite
+def place_cases(draw):
+    """Ascending edges, levels in [0, 1] less and plus a margin from 0 to
+    4, and seeds at -inf, at 2, at and one ulp below cell starts, at and one
+    ulp either side of edges, uniform in [0, 2], and outside [0, 2]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = np.unique(np.concatenate([
+        rng.choice(EIGHTHS, draw(st.integers(0, 9))),
+        rng.integers(0, 101, draw(st.integers(0, 30))) / 100,
+        rng.random(draw(st.integers(0, 5))),
+    ]))
+    margin = draw(st.sampled_from([0.0, 5e-324, 2.0**-40, 1.8e-14, 1e-3, 0.3, 1.0, 4.0]))
+    edges = np.sort(np.concatenate([levels - margin, levels + margin]))
+    cell = 2.0 / mechanism.PLACE_CELLS
+    starts = rng.integers(0, mechanism.PLACE_CELLS + 2, 40) * cell
+    starts = np.concatenate([starts, np.floor(edges / cell) * cell, np.ceil(edges / cell) * cell])
+    pool = np.concatenate([
+        [-np.inf, 2.0, 0.0, -0.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0)],
+        starts, np.nextafter(starts, -np.inf),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        rng.random(40) * 2.0,
+        [-1.0, -1e-300, -cell, 2.0 + cell / 2, 3.0, 5.0, np.inf],
+    ])
+    seeds = rng.choice(pool, draw(st.integers(1, 300)))
+    return edges, seeds
+
+
+class TestPlace:
+    @settings(max_examples=300, deadline=None)
+    @given(place_cases())
+    def test_equals_searchsorted(self, case):
+        edges, seeds = case
+        want = np.searchsorted(edges, seeds, side="right")
+        assert place(edges, seeds).tolist() == want.tolist()
 
 
 def explicit_grid_stats(bound, u, alpha, truth, reports, gain):

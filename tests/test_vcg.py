@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -595,6 +596,33 @@ class TestInterimEngine:
         for s, scores in enumerate(scores_others):
             alloc = vcg._select(scores, c, n_res, inst.K)
             assert engine.best_without_i[s] == vcg._welfare(scores, c, alloc)
+
+    def test_column_stats_score_without_copies_or_rescoring(self, monkeypatch):
+        # The engine scores a report row among the co-reports it holds
+        # without inserting it into a copy of them, and hands its funding
+        # test the others' score it holds, so the test does not score them.
+        inst = VcgInstance(n=4, m=2, K=1, reserve_threshold=0.5, weights=(0.25,) * 4)
+        others = sample_others(UniformIID(), 4, 2, 1, 2000, np.random.default_rng(3))
+        engine = vcg.InterimEngine(inst, 1, others)
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                frame = sys._getframe(1)
+                owner = type(frame.f_locals.get("self")).__name__
+                calls.append((name, owner, frame.f_code.co_name))
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np, "insert", counted("insert", np.insert))
+        for module in (vcg, mechanism):
+            monkeypatch.setattr(module, "linear_scores", counted("linear_scores", linear_scores))
+        engine.column_stats((0.3, 0.6), 0, np.linspace(0.0, 1.0, 21))
+        # No `np.insert` (in `_scores` or elsewhere) and no `linear_scores`
+        # pass from the engine's own methods, and none in the test's build.
+        assert not [call for call in calls if call[1] == "InterimEngine"]
+        assert ("linear_scores", "FundingTest", "__init__") not in calls
 
     def test_matches_scalar_path(self):
         inst = table_instance(K=2, reserve_threshold=0.3)

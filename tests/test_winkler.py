@@ -1,5 +1,6 @@
 """Truncated Winkler mechanism tests."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -187,14 +188,20 @@ class TestMarginalThresholds:
     def test_custom_threshold_is_the_last_unfunded_report(self, weights, c, columns):
         # A custom pool that adds left to right, as linear_scores does: the
         # bisected threshold leaves the borrower unfunded and the next float
-        # up funds it, so a funded report always lies above its anchor.
+        # up funds it, so a funded report lies above its anchor. The ends
+        # take the closed form's rules: 0 where a report of 0 funds or
+        # leaves the score exactly at c, 1 where no report below 1 funds
+        # (a report of 1 may, and is paid nothing).
         pool = MonotoneCustom(fn=lambda col: left_sum(w * p for w, p in zip(weights, col)), arity=3)
         inst = WinklerInstance(n=3, m=len(columns), threshold=c, aggregator=pool)
         reports = np.array(columns, dtype=float).T
         thresholds = winkler.marginal_thresholds(inst, reports)
         for i in range(3):
-            bound = report_bounds(weights, i, np.delete(reports, i, axis=0), c)
-            assert np.array_equal(thresholds[i], np.maximum(bound, 0.0))
+            others = np.delete(reports, i, axis=0)
+            bound = report_bounds(weights, i, others, c)
+            at_zero = linear_scores(weights, np.insert(others, i, 0.0, axis=0))
+            want = np.where(bound >= np.nextafter(1.0, 0.0), 1.0, np.maximum(bound, 0.0))
+            assert np.array_equal(thresholds[i], np.where(at_zero >= c, 0.0, want))
             for q in range(inst.m):
 
                 def funds(value):
@@ -207,7 +214,43 @@ class TestMarginalThresholds:
                     assert not funds(t)
                     assert funds(float(np.nextafter(t, 2.0)))
                 elif t == 1.0:
-                    assert not funds(1.0)
+                    assert not funds(float(np.nextafter(1.0, 0.0)))
+
+    def test_custom_anchor_is_1_where_only_a_report_of_1_funds(self):
+        # The score is the report and c the float below 1: a report of 1
+        # funds, and none below it does. The anchor is 1, so the payment
+        # is the idle rule's 0, not the log rule's -inf on default.
+        pool = MonotoneCustom(fn=lambda col: col[0], arity=1)
+        below_one = float(np.nextafter(1.0, 0.0))
+        inst = WinklerInstance(n=1, m=1, threshold=below_one, aggregator=pool)
+        assert winkler.marginal_thresholds(inst, [[1.0]]).tolist() == [[1.0]]
+        assert winkler.settle(inst, [[1.0]], {0: 0}).contingent == {(0, 0): 0.0}
+
+    @pytest.mark.parametrize("weights", NON_DYADIC_WEIGHTS)
+    @pytest.mark.parametrize("c", [0.125, 0.25])
+    def test_custom_pool_takes_the_linear_pools_end_anchors(self, weights, c):
+        # Every funded eighth-grid column: a custom pool that adds the linear
+        # pool's terms in the same order anchors at 0 and at 1 exactly where
+        # the linear pool does, and elsewhere within a few ulps of it (the
+        # exact bound against the closed form). So no default pays 0 under
+        # one pool (the limit rule) and -inf under the other (the log rule
+        # at a tiny anchor, for a report of 1).
+        grid = np.array(list(itertools.product(EIGHTHS, repeat=3))).T
+        linear = make_instance(n=3, m=grid.shape[1], c=c, weights=weights)
+        reports = grid[:, np.array(linear.allocate(grid).real, dtype=bool)]
+        linear = make_instance(n=3, m=reports.shape[1], c=c, weights=weights)
+        pool = MonotoneCustom(fn=lambda col: left_sum(w * p for w, p in zip(weights, col)), arity=3)
+        custom = WinklerInstance(n=3, m=reports.shape[1], threshold=c, aggregator=pool)
+        a_linear = winkler.marginal_thresholds(linear, reports)
+        a_custom = winkler.marginal_thresholds(custom, reports)
+        for end in (0.0, 1.0):
+            assert np.array_equal(a_linear == end, a_custom == end)
+        assert np.all(np.abs(a_linear - a_custom) <= 8 * np.finfo(float).eps)
+        defaults = {q: 0 for q in range(reports.shape[1])}
+        paid_linear = linear.settle(reports, defaults).contingent
+        paid_custom = custom.settle(reports, defaults).contingent
+        split = [k for k in paid_linear if {paid_linear[k], paid_custom[k]} == {0.0, -np.inf}]
+        assert not split
 
 
 class TestSettle:
@@ -276,6 +319,27 @@ class TestSettle:
 
 
 class TestExpostUtility:
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_reports_are_checked_once(self, monkeypatch, custom):
+        # `expost_utility`, and `settle` when it allocates, check the
+        # reports once and allocate from the checked array.
+        inst = make_instance()
+        if custom:
+            pool = MonotoneCustom(fn=lambda col: left_sum(p / 3 for p in col), arity=3)
+            inst = WinklerInstance(n=3, m=2, threshold=0.5, aggregator=pool)
+        checks, check = [], winkler.check_reports
+
+        def counting(*args, **kwargs):
+            checks.append(args[1])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(winkler, "check_reports", counting)
+        winkler.expost_utility(inst, BELIEFS, 1, BELIEFS[1])
+        assert checks == [(3, 2)]
+        checks.clear()
+        winkler.settle(inst, BELIEFS, {0: 1, 1: 0})
+        assert checks == [(3, 2)]
+
     def test_truthful_expected_utilities_on_worked_instance(self):
         # both borrowers funded; recommender 1's utility adds the two columns
         inst = make_instance()
