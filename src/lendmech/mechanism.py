@@ -221,10 +221,13 @@ def grid_stats(blocks, u, alpha, truth: float, reports, gain) -> tuple[np.ndarra
     On a sample, truth minus report r is (ft - fr) * u + fr * gain_r * alpha,
     where ft and fr are 1 if the truth and r fund it and 0 if not: `u` and
     `alpha` hold a value per sample, `gain` one per report. One pass reduces
-    each block to its count, the means of u and alpha and their three
-    centered co-moments; each (report, block) pair then has a closed-form
-    mean and centered sum of squares, and `merge_moments` merges the
-    blocks, never through sum(d^2) - S * mean^2, which cancels. Reports go
+    each block to its count, the means of u and alpha and the triangular
+    factor R of its centered (u, alpha) columns (one Gram-Schmidt step);
+    each (report, block) pair then has a closed-form mean and centered sum
+    of squares, |R (c_u, c_alpha)|^2, a sum of two squares, and
+    `merge_moments` merges the blocks. Neither step goes through
+    sum(d^2) - S * mean^2, or expands the square into co-moments, which
+    cancel where a report's differences barely vary. Reports go
     in chunks of at most COLUMN_CHUNK // blocks (at least one), so a chunk's
     temporaries stay bounded.
     """
@@ -235,11 +238,8 @@ def grid_stats(blocks, u, alpha, truth: float, reports, gain) -> tuple[np.ndarra
     kept = count > 0
     safe = np.where(kept, count, 1.0)
     mean_alpha, mean_u = (np.bincount(block, v, n_blocks) / safe for v in (alpha, u))
-    dev_alpha, dev_u = alpha - mean_alpha[block], u - mean_u[block]
-    m_aa, m_au, m_uu = (
-        np.bincount(block, a * b, n_blocks)[kept]
-        for a, b in ((dev_alpha, dev_alpha), (dev_alpha, dev_u), (dev_u, dev_u))
-    )
+    factor = _block_factor(block, n_blocks, u - mean_u[block], alpha - mean_alpha[block])
+    r_uu, r_ua, r_aa = (r[kept] for r in factor)
     # The nonempty blocks; the level at position p funds blocks 0 to p.
     index, count = np.flatnonzero(kept), count[kept]
     mean_alpha, mean_u = mean_alpha[kept], mean_u[kept]
@@ -252,12 +252,27 @@ def grid_stats(blocks, u, alpha, truth: float, reports, gain) -> tuple[np.ndarra
         c_u = f_truth - f_report
         c_alpha = f_report * gain[rows, np.newaxis]
         means = c_u * mean_u + c_alpha * mean_alpha
-        sq = c_alpha * c_alpha * m_aa + 2.0 * c_alpha * c_u * m_au + c_u * c_u * m_uu
-        mean[rows], m2[rows] = merge_moments(count, means, np.maximum(sq, 0.0))
+        along = c_u * r_uu + c_alpha * r_ua
+        across = c_alpha * r_aa
+        mean[rows], m2[rows] = merge_moments(count, means, along * along + across * across)
     samples = len(u)
     if samples == 1:
         return mean, np.zeros(len(mean))
     return mean, np.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+
+
+def _block_factor(block: np.ndarray, n_blocks: int, dev_u: np.ndarray, dev_alpha: np.ndarray):
+    """Per block, R = [[r_uu, r_ua], [0, r_aa]] with the block's centered
+    columns (dev_u, dev_alpha) = (q r_uu, q r_ua + rest): one Gram-Schmidt
+    step, q a unit vector (0 where dev_u is) and rest orthogonal to it.
+    `dev_alpha` becomes rest; one more per-sample array is used."""
+    work = np.square(dev_u)
+    r_uu = np.sqrt(np.bincount(block, work, n_blocks))
+    r_safe = np.where(r_uu > 0.0, r_uu, 1.0)
+    r_ua = np.bincount(block, np.multiply(dev_u, dev_alpha, out=work), n_blocks) / r_safe
+    np.take(r_ua / r_safe, block, out=work, mode="clip")  # clip: unbuffered
+    dev_alpha -= np.multiply(work, dev_u, out=work)
+    return r_uu, r_ua, np.sqrt(np.bincount(block, np.square(dev_alpha, out=work), n_blocks))
 
 
 def chunks(samples: int):
@@ -287,6 +302,17 @@ def place(edges: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     todo = np.flatnonzero(rank < 0)
     rank[todo] = np.searchsorted(edges, seeds[todo], side="right")
     return rank
+
+
+def funding_margin(weights: Sequence[float], w_i: float, key: float) -> float:
+    """`FundingTest`'s margin M for a positive weight w_i and keys at most
+    `key`: min((4 gamma_{n+2} (W + max(key, 0)) + n s) / w_i + 16u, 4),
+    derived there. It falls as w_i rises."""
+    n, u = len(weights), 2.0**-53
+    gamma = (n + 2) * u / (1.0 - (n + 2) * u)
+    scale = left_sum(weights) + max(key, 0.0)
+    tiny = n * 2.0**-1074  # n times the smallest subnormal
+    return min((4.0 * gamma * scale + tiny) / w_i + 16 * u, 4.0)
 
 
 class FundingTest:
@@ -319,7 +345,8 @@ class FundingTest:
     is within gamma_2 d / w_i + s of d / w_i. Together: a level L <= t - M
     leaves the score at or below the key, and a level L > t + M lifts it
     above, whenever M >= (3 gamma_{n+2} (W + K) + n s) / w_i + s. The test
-    takes M = (4 gamma_{n+2} (W + K) + n s) / w_i + 16u; the spare terms
+    takes M = (4 gamma_{n+2} (W + K) + n s) / w_i + 16u (`funding_margin`,
+    which Winkler's thresholds share); the spare terms
     cover the rounding of M itself and of L +- M, for |t| <= 2, M <= 4.
     Above 4 (a tiny w_i; an overflow gives inf) M is capped at 4, which
     leaves every level in [0, 1] to the exact pass, as a larger margin
@@ -341,11 +368,7 @@ class FundingTest:
             return
         with np.errstate(over="ignore"):  # a tiny w_i; clipped
             self.seed = np.where(funded, -np.inf, np.minimum((self.key - base) / w_i, 2.0))
-        n, u = len(weights), 2.0**-53
-        gamma = (n + 2) * u / (1.0 - (n + 2) * u)
-        scale = left_sum(weights) + float(np.max(self.key, initial=0.0))
-        tiny = n * float(np.finfo(float).smallest_subnormal)
-        self.margin = min((4.0 * gamma * scale + tiny) / w_i + 16 * u, 4.0)
+        self.margin = funding_margin(weights, w_i, float(np.max(self.key, initial=0.0)))
 
     def blocks(self, levels) -> np.ndarray:
         """For each sample, how many of the ascending `levels` do not fund it."""

@@ -19,6 +19,7 @@ not depend on it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -293,44 +294,44 @@ def select_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.nd
     """Row-wise top-K over real scores plus constant reserve slots.
 
     Returns a boolean mask of shape (rows, m + n_reserves), True at the
-    items `_ranked_batch` lists: ties follow `_select` (score descending,
-    then real before reserve, then lower index), so each row funds exactly
-    the items `_select` funds on it. The interim engine works from those
-    indices directly; this mask is the batch form of `_select`.
+    items `_select` funds on each row of `scores`: the real borrowers by
+    index, then the reserve slots. It is the interim engine's selection of
+    the transposed scores (`_order`'s positions below K, and the reserve
+    slots that fit) as one mask, the batch form of `_select`.
     """
-    idx = _ranked_batch(scores, c, n_reserves, K)
-    mask = np.zeros((idx.shape[0], scores.shape[1] + n_reserves), dtype=bool)
-    np.put_along_axis(mask, idx, True, axis=1)
-    return mask
+    pos, ahead = _order(scores.T, c, n_reserves)
+    reserves = np.clip(K - ahead, 0, n_reserves)[:, np.newaxis]
+    return np.concatenate([(pos < K).T, np.arange(n_reserves) < reserves], axis=1)
 
 
-def _ranked_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.ndarray:
-    """Per row, the first min(K, m + n_reserves) items in `_select`'s order,
-    as column indices: real borrowers 0 to m-1 by index, then the reserve
-    slots m to m + n_reserves - 1. One stable sort per block of rows gives
-    every prefix of that order, so a row's top K-1 is its top K less the
-    last column."""
-    rows, m = scores.shape
-    full = np.concatenate([scores, np.full((rows, n_reserves), c)], axis=1)
-    # A stable sort keeps column order among equal scores, and the columns
-    # are the real borrowers by index followed by the reserve slots.
-    return np.argsort(-full, axis=1, kind="stable")[:, : min(K, m + n_reserves)]
+def _order(scores: np.ndarray, c: float, n_reserves: int, skip: Optional[int] = None):
+    """`_select`'s order of item-major scores, (m, rows), without a sort:
+    each real borrower's position (0 is first), and how many real
+    borrowers come before the reserve slots, whose positions follow on.
+
+    A borrower's position counts the borrowers that beat it (a higher
+    score, or an equal one at a lower index), plus `n_reserves` if c is
+    above its score. `skip` leaves one borrower out: the others' positions
+    are then among themselves, and its own means nothing.
+    """
+    below = scores < c
+    pos = n_reserves * below
+    real = [q for q in range(len(scores)) if q != skip]
+    for p, q in itertools.combinations(real, 2):
+        first = scores[p] >= scores[q]  # p < q, so p wins a tie
+        pos[q] += first
+        pos[p] += ~first
+    return pos, len(real) - np.count_nonzero(below[real], axis=0)
 
 
-def _left_sums(terms: np.ndarray) -> np.ndarray:
-    """Per row, the first of at least one nonnegative term plus each later
-    one in turn: `left_sum` of every row at once, bit for bit."""
-    total = terms[:, 0].copy()
-    for j in range(1, terms.shape[1]):
-        total += terms[:, j]
+def _funded_sum(terms, funded: np.ndarray) -> np.ndarray:
+    """Per sample, 0.0 plus each funded real borrower's term (a row of
+    `terms`, or one value per borrower) in column order: `left_sum` of the
+    funded terms bit for bit, as every term is at least +0.0."""
+    total = np.where(funded[0], terms[0], 0.0)
+    for term, mask in zip(terms[1:], funded[1:]):
+        total += np.where(mask, term, 0.0)
     return total
-
-
-def _take_rows(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """`np.take_along_axis(values, idx, axis=1)` for a C-contiguous 2-D
-    `values`, by one flat index, which numpy gathers faster."""
-    offsets = values.shape[1] * np.arange(len(idx))[:, np.newaxis]
-    return values.ravel()[idx + offsets]
 
 
 class InterimEngine:
@@ -340,29 +341,31 @@ class InterimEngine:
     mechanism's `linear_scores` does (`scores_with`, which copies no
     co-report), so funding agrees with the exact mechanism on every
     sample, ties included. The engine keeps the co-report sample for that,
-    and works in blocks of COLUMN_CHUNK samples, which bounds its
-    temporaries whatever the sample count.
+    item-major: transposed once at build to (n-1, m, samples) and held as
+    that one copy, so every item's samples are contiguous. It works in
+    blocks of COLUMN_CHUNK samples, which bounds its temporaries whatever
+    the sample count, and each block is an (m, rows) array of scores.
 
-    Each block is ranked by one stable sort (`_ranked_batch`), and the
-    funded items are used as the column indices it returns: sorted per row
-    into column order, the funded real borrowers' terms (i's value w_i b_q,
-    the others' score) are gathered by index and added left to right, and
-    the reserves' count times c is added last, as `_welfare` adds them. No
-    funding mask is built.
+    The funded set comes from rank counts, with no sort (`_order`): real
+    borrower q is funded iff fewer than K items beat it, and the reserves
+    fill what the real borrowers at or above c leave of K. Welfare and i's
+    value add each real borrower's term where it is funded, left to right
+    in column order, and then the reserves' count times c, as `_welfare`
+    adds them.
 
-    `utilities` scores any report row with one row-wise top-K and is the
-    reference. `column_stats` scores reports that differ from the true row
-    in a single coordinate q, which is most of what a grid audit tries.
-    With the other coordinates held at the true row, the other items (real
-    borrowers and reserve slots) keep one order whatever i reports on q, so
-    the funded set is q plus their top K-1, or else their top K; one sort
-    gives both. q's score never falls as i's report rises, so on each
-    sample the reports that fund q form an upper range: q's score must beat
-    the key of the item a funded q displaces, which a `FundingTest` decides
-    as the allocation does. `_column_parts` finds the keys and both
-    utilities once per sample, from the expressions `utilities` uses, so a
-    report's per-sample utility is `utilities`' for its row bit for bit,
-    and keeps only their difference.
+    `utilities` scores any report row and is the reference. `column_stats`
+    scores reports that differ from the true row in a single coordinate q,
+    which is most of what a grid audit tries. With the other coordinates
+    held at the true row, the other items (real borrowers and reserve
+    slots) keep one order whatever i reports on q, so the funded set is q
+    plus their top K-1, or else their top K; one set of positions gives
+    both. q's score never falls as i's report rises, so on each sample the
+    reports that fund q form an upper range: q's score must beat the key of
+    the item a funded q displaces, which a `FundingTest` decides as the
+    allocation does. `_column_parts` finds the keys and both utilities once
+    per sample, from the expressions `utilities` uses, so a report's
+    per-sample utility is `utilities`' for its row bit for bit, and keeps
+    only their difference.
     `column_stats` then scores the coordinate's whole grid through
     `mechanism.grid_stats`, the block model Winkler's engine uses, with
     u = u_in - u_out and alpha 0, in O(samples + reports * blocks); it
@@ -375,64 +378,57 @@ class InterimEngine:
         self.inst = inst
         self.i = i
         self.w_i = float(inst.weights[i])
-        self.others = others  # (samples, n-1, m), held, not copied
         self.samples = others.shape[0]
-        # The others' scores, and a 0 in column m, which stands for every
-        # reserve slot in `_column_order`.
-        self.scores_others = np.zeros((self.samples, inst.m + 1))
-        self.scores_others[:, : inst.m] = linear_scores(
-            inst.weights[:i] + inst.weights[i + 1 :], others
-        )
+        # (n-1, m, samples); the caller's (samples, n-1, m) is not kept.
+        self.others = np.ascontiguousarray(np.transpose(others, (1, 2, 0)), dtype=float)
+        w_others = inst.weights[:i] + inst.weights[i + 1 :]
+        self.scores_others = linear_scores(w_others, self.others.transpose(1, 0, 2))
         self.best_without_i = np.empty(self.samples)
         for rows in chunks(self.samples):
-            funded = self._funded(self.scores_others[rows, : inst.m])
-            self.best_without_i[rows] = self._others_welfare(rows, funded)
+            funded = self._funded(self.scores_others[:, rows])
+            self.best_without_i[rows] = self._others_welfare(rows, *funded)
 
-    def _scores(self, rows: slice, report_row: np.ndarray) -> np.ndarray:
-        """The mechanism's scores on samples `rows` when i reports `report_row`:
-        `scores_with` adds i's row as term i among the held co-reports, as
-        `linear_scores` adds the inserted matrix, without copying them."""
-        return scores_with(self.inst.weights, self.others[rows], self.i, report_row)
+    def _scores(self, rows: slice, report_column: np.ndarray) -> np.ndarray:
+        """The mechanism's scores, (m, rows), on samples `rows` when i reports
+        `report_column`, (m, 1): `scores_with` adds it as term i among the
+        held co-reports, as `linear_scores` adds the inserted matrix,
+        without copying them."""
+        co_reports = self.others[:, :, rows].transpose(1, 0, 2)
+        return scores_with(self.inst.weights, co_reports, self.i, report_column)
 
-    def _funded(self, scores: np.ndarray) -> np.ndarray:
-        """Per row of `scores`, the items `_select` funds, in column order."""
-        inst = self.inst
-        return self._column_order(
-            _ranked_batch(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
-        )
+    def _funded(self, scores: np.ndarray):
+        """`_select`'s top K of scores, (m, rows): whether each real borrower
+        is funded, (m, rows), and the reserve slots funded per row."""
+        n_res = self.inst.n_reserves
+        pos, ahead = _order(scores, self.inst.reserve_threshold, n_res)
+        return pos < self.inst.K, np.clip(self.inst.K - ahead, 0, n_res)
 
-    def _column_order(self, idx: np.ndarray) -> np.ndarray:
-        """Full-row item indices, (rows, k), as each row's funded real
-        borrowers ascending, then m once per funded reserve slot: the
-        column order `_welfare` adds in, with every reserve slot at m."""
-        idx = np.minimum(idx, self.inst.m)
-        return np.sort(idx, axis=1) if idx.shape[1] > 1 else idx
-
-    def _others_welfare(self, rows: slice, funded: np.ndarray) -> np.ndarray:
-        """The others' welfare on samples `rows` when `funded` (in
-        `_column_order`) is funded."""
-        real = _left_sums(_take_rows(self.scores_others[rows], funded))
-        reserves = (funded == self.inst.m).sum(axis=1)
+    def _others_welfare(self, rows: slice, funded: np.ndarray, reserves: np.ndarray):
+        """The others' welfare on samples `rows` when the real borrowers
+        `funded` and `reserves` reserve slots are funded."""
+        real = _funded_sum(self.scores_others[:, rows], funded)
         return real + reserves * self.inst.reserve_threshold
 
-    def _utility(self, rows: slice, funded: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Utility of funding `funded` (in `_column_order`) on samples
-        `rows`; `values` is w_i * beliefs, then a 0 for the reserve slots.
+    def _utility(self, rows: slice, funded, reserves, values: np.ndarray) -> np.ndarray:
+        """Utility of funding `funded` and `reserves` on samples `rows`;
+        `values` is w_i * beliefs (a reserve slot is worth 0 to i).
 
-        Every term is summed within its own row, so a sample's utility does
-        not depend on which other samples share the call.
+        Every term is summed within its own sample, so a sample's utility
+        does not depend on which other samples share the call.
         """
-        value = _left_sums(values[funded])
-        welfare_others = self._others_welfare(rows, funded)
+        value = _funded_sum(values, funded)
+        welfare_others = self._others_welfare(rows, funded, reserves)
         return self.inst.alpha * (value + welfare_others - self.best_without_i[rows])
 
     def utilities(self, belief_row: Sequence[float], report_row: Sequence[float]) -> np.ndarray:
         """Per-sample utility of reporting `report_row` with beliefs
         `belief_row` (rebate excluded; it cancels in comparisons)."""
-        values = np.append(self.w_i * np.asarray(belief_row, dtype=float), 0.0)
+        values = self.w_i * np.asarray(belief_row, dtype=float)
+        report_column = np.asarray(report_row, dtype=float)[:, np.newaxis]
         out = np.empty(self.samples)
         for rows in chunks(self.samples):
-            out[rows] = self._utility(rows, self._funded(self._scores(rows, report_row)), values)
+            funded = self._funded(self._scores(rows, report_column))
+            out[rows] = self._utility(rows, *funded, values)
         return out
 
     def _column_parts(self, true_row: Sequence[float], q: int):
@@ -442,36 +438,37 @@ class InterimEngine:
         inst = self.inst
         m, c, n_res = inst.m, inst.reserve_threshold, inst.n_reserves
         k = min(inst.K, m + n_res)
-        # Beliefs are the true row; a reserve slot is worth 0 to i.
-        w_true = np.append(self.w_i * np.asarray(true_row, dtype=float), 0.0)
-        fits_all = k == m + n_res  # then q is funded whatever it reports
+        # Beliefs are the true row.
+        w_true = self.w_i * np.asarray(true_row, dtype=float)
+        true_column = np.asarray(true_row, dtype=float)[:, np.newaxis]
         key = np.full(self.samples, -np.inf)  # -inf: every report funds q
         u = np.empty(self.samples)
         for rows in chunks(self.samples):
-            others = np.delete(self._scores(rows, true_row), q, axis=1)
-            # The others' top K in `_select` order, from one sort: their top
-            # K-1, then the item a funded q displaces. Funded, q joins their
-            # top K-1; unfunded, their top K is funded. As full-row indices,
-            # every item past q moves one to the right.
-            ranked = _ranked_batch(others, c, n_res, k)
-            top = ranked + (ranked >= q)
-            with_q = np.concatenate([top[:, : k - 1], np.full((len(top), 1), q)], axis=1)
-            u_in = self._utility(rows, self._column_order(with_q), w_true)
-            if fits_all:
+            scores = self._scores(rows, true_column)
+            # The other items' positions among themselves. Funded, q joins
+            # their top K-1; unfunded, their top K is funded.
+            pos, ahead = _order(scores, c, n_res, skip=q)
+            with_q = pos < k - 1
+            with_q[q] = True
+            u_in = self._utility(rows, with_q, np.clip(k - 1 - ahead, 0, n_res), w_true)
+            if k == m + n_res:  # q is funded whatever it reports
                 u[rows] = u_in
                 continue
-            u[rows] = u_in - self._utility(rows, self._column_order(top), w_true)
+            top = pos < k
+            top[q] = False
+            u[rows] = u_in - self._utility(rows, top, np.clip(k - ahead, 0, n_res), w_true)
             # q is funded iff its score beats the key of the one item in the
-            # others' top K but not in their top K-1.
-            pos = ranked[:, k - 1]
-            keys = np.concatenate([others, np.full((len(pos), n_res), c)], axis=1)
-            kth_key = _take_rows(keys, pos[:, np.newaxis])[:, 0]
+            # others' top K but not in their top K-1: the real borrower at
+            # position K-1, else a reserve.
+            kth = pos == k - 1
+            kth[q] = False
+            kth_key = np.where(kth.any(axis=0), np.where(kth, scores, 0.0).sum(axis=0), c)
             # q wins a tie iff that item is a real borrower with a higher
             # index than q, or a reserve; then its score need only reach
             # the float just below the key.
-            key[rows] = np.where(pos >= q, np.nextafter(kth_key, -np.inf), kth_key)
-        base = self.scores_others[:, q]  # the others' score, held since the build
-        return FundingTest(inst.weights, self.i, self.others[:, :, q].T, key, base), u
+            key[rows] = np.where(kth[:q].any(axis=0), kth_key, np.nextafter(kth_key, -np.inf))
+        # The others' score is held since the build.
+        return FundingTest(inst.weights, self.i, self.others[:, q], key, self.scores_others[q]), u
 
     def column_stats(
         self, true_row: Sequence[float], q: int, reports

@@ -26,7 +26,10 @@ import numpy as np
 from .aggregation import Aggregator, WeightedLinear, aggregate, aggregate_columns
 from .errors import ZeroWeightRecommender
 from .mechanism import Allocation, FundingTest, Settlement, check_outcomes, check_reports
-from .mechanism import elementwise_column_stats, grid_stats, left_sum, others_scores
+from .mechanism import elementwise_column_stats, funding_margin, grid_stats, left_sum
+from .mechanism import linear_scores, others_scores
+
+BELOW_ONE = 1.0 - 2.0**-53  # the float just below 1
 
 
 @dataclass(frozen=True)
@@ -131,32 +134,49 @@ def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> floa
     return float(np.int64(lo).view(np.float64))
 
 
-def funding_thresholds(c: float, others: np.ndarray, w_i) -> np.ndarray:
-    """Recommender i's marginal funding thresholds given the others' scores.
+def funding_thresholds(c: float, weights: Sequence[float], reports: np.ndarray) -> np.ndarray:
+    """Every recommender's marginal funding thresholds under the linear pool
+    `weights`, for an (n, m) report matrix: the report at which each
+    recommender swings each column.
 
-    The report at which i swings a column, (c - others' score) / w_i,
-    clipped to [0, 1]. It depends only on the others' reports. A
-    zero-weight recommender never swings a decision and gets the sentinel
-    +inf (their payment is zero). `w_i` may be an array that broadcasts
-    against `others`, one weight per row of recommenders.
+    The closed form (c - others' score) / w_i, clipped to [0, 1], every
+    others' score from one `others_scores` call; it depends only on the
+    others' reports. Where it lands above 0 and below 1 but within
+    `FundingTest`'s margin of 1, a report of the float below 1 is scored
+    by the allocation's own test, and the threshold is 1 (the idle rule,
+    which pays 0) where that leaves the column unfunded; further from 1
+    the margin proves that report funds. These are `_bisect_threshold`'s
+    end rules, the 0 rule first. A zero-weight recommender never swings a
+    decision and gets the sentinel +inf (their payment is zero).
     """
+    w = np.asarray(weights, dtype=float)[:, np.newaxis]
     with np.errstate(divide="ignore", invalid="ignore"):  # w_i = 0 is replaced below
-        swing = np.clip((c - others) / w_i, 0.0, 1.0)
-    return np.where(np.asarray(w_i) == 0.0, np.inf, swing)
+        swing = np.clip((c - others_scores(weights, reports)) / w, 0.0, 1.0)
+    anchor = np.where(w == 0.0, np.inf, swing)
+    # Only positive weights anchor below 1, the smallest with the widest
+    # margin; an anchor of 0 keeps the 0 rule.
+    w_min = min((v for v in weights if v > 0.0), default=math.inf)
+    lowest = max(BELOW_ONE - funding_margin(weights, w_min, c), 2.0**-1074)
+    near = (anchor < 1.0) & (anchor >= lowest)
+    for i, q in np.argwhere(near) if near.any() else ():
+        column = reports[:, q].copy()
+        column[i] = BELOW_ONE
+        if linear_scores(weights, column[:, np.newaxis])[0] <= c:
+            anchor[i, q] = 1.0
+    return anchor
 
 
 def marginal_thresholds(inst: WinklerInstance, reports) -> np.ndarray:
     """Per-(recommender, borrower) marginal threshold: the report at which
     the recommender swings the borrower's funding, each payment's anchor.
 
-    Linear aggregators use the closed form `funding_thresholds` on the
-    others' linear scores, every recommender's in one `others_scores` call.
-    For a custom monotone aggregator the threshold is exactly the largest
-    report that leaves the borrower unfunded under the allocation's own
-    test, with the closed form's end rules (0 if a report of 0 funds it or
-    leaves the score exactly at the threshold, 1 if no report below 1
-    does; `_bisect_threshold`), so a funded report lies above it, or at an
-    anchor of 1, which pays nothing.
+    Linear aggregators use `funding_thresholds`: the closed form on the
+    others' linear scores, with its end rules. For a custom monotone
+    aggregator the threshold is exactly the largest report that leaves the
+    borrower unfunded under the allocation's own test, with the same end
+    rules (0 if a report of 0 funds it or leaves the score exactly at the
+    threshold, 1 if no report below 1 does; `_bisect_threshold`), so a
+    funded report lies above it, or at an anchor of 1, which pays nothing.
     """
     return _thresholds(inst, check_reports(reports, (inst.n, inst.m)))
 
@@ -164,8 +184,7 @@ def marginal_thresholds(inst: WinklerInstance, reports) -> np.ndarray:
 def _thresholds(inst: WinklerInstance, arr: np.ndarray) -> np.ndarray:
     """`marginal_thresholds` of an already checked report matrix."""
     if isinstance(inst.aggregator, WeightedLinear):
-        w = np.asarray(inst.aggregator.weights.weights)
-        return funding_thresholds(inst.threshold, others_scores(w, arr), w[:, np.newaxis])
+        return funding_thresholds(inst.threshold, inst.aggregator.weights.weights, arr)
     out = np.empty((inst.n, inst.m))
     for q in range(inst.m):
         for i in range(inst.n):
@@ -200,9 +219,9 @@ class WinklerPayment:
     - 0 (the others fund the borrower alone): the limit rule, which pays 1
       on repayment and 0 on default for any positive report, and 0 for a
       report of 0;
-    - 1 or more: 0. A report reaches an anchor of 1 only at an exact tie,
-      which is the zero point, and never the +inf of a zero-weight
-      recommender.
+    - 1 or more: 0. A report reaches an anchor of 1 only as a report of 1
+      where no report below 1 funds, which is the zero point, and never
+      the +inf of a zero-weight recommender.
     """
 
     def __init__(self, anchor) -> None:
@@ -288,9 +307,10 @@ class ColumnEngine:
     `FundingTest` against the profit threshold, which funds each sample as
     the allocation does, and its `WinklerPayment`, anchored at the funding
     threshold of i's report. The anchors come from the tests' closed forms,
-    with no second pass over the co-reports, and equal `funding_thresholds`
-    (as `marginal_thresholds` computes them) bit for bit. Linear
-    aggregators and uncapped instances only.
+    and each test's `funds` of the float below 1 gives the idle rule near 1
+    (exact only within its margin), with no second pass over the
+    co-reports; they equal each sample's `marginal_thresholds` bit for bit.
+    Linear aggregators and uncapped instances only.
 
     `utilities` scores a full report row, column by column, a few vector
     operations over the samples each; it is the reference. `column_stats`
@@ -308,11 +328,15 @@ class ColumnEngine:
         # not a copy.
         self.funding = [FundingTest(w, i, others[:, :, q].T, inst.threshold) for q in range(inst.m)]
         # A test's seed is (c - B) / w_i capped at 2, or -inf where B > c:
-        # clipped to [0, 1], `funding_thresholds(c, B, w_i)` bit for bit.
-        self.payments = [
-            WinklerPayment(np.where(w[i] == 0.0, np.inf, np.clip(test.seed, 0.0, 1.0)))
-            for test in self.funding
-        ]
+        # clipped to [0, 1], and set to 1 where it is above 0 and a report
+        # of the float below 1 does not fund (decided exactly only within
+        # the test's margin), it is each sample's `funding_thresholds` bit
+        # for bit.
+        self.payments = []
+        for test in self.funding:
+            anchor = np.clip(test.seed, 0.0, 1.0)
+            anchor[(anchor > 0.0) & ~test.funds(BELOW_ONE)] = 1.0
+            self.payments.append(WinklerPayment(np.where(w[i] == 0.0, np.inf, anchor)))
         self.samples = others.shape[0]
         self.m = inst.m
 

@@ -18,7 +18,7 @@ from lendmech.errors import (
     ShapeMismatch,
 )
 from funding_oracle import report_bounds
-from lendmech.mechanism import linear_scores
+from lendmech.mechanism import left_sum, linear_scores, scores_with
 from lendmech.priors import ProductGrid, UniformIID, sample_others
 from lendmech.vcg import VcgInstance
 from stats_helpers import assert_stats_close, utility_scale, with_report
@@ -488,6 +488,24 @@ def welfare_cases(draw):
     return VcgInstance(n=n, m=m, K=K, reserve_threshold=c, weights=weights), i, others
 
 
+@st.composite
+def utility_cases(draw):
+    """A `welfare_cases` instance, with alpha 1 or 0.7, whose co-reports
+    stay on the quarter grid or are redrawn uniform; beliefs; and a report
+    row that is the quarter grid or uniform, with entries at 0 and 1."""
+    inst, i, others = draw(welfare_cases())
+    inst = dataclasses.replace(inst, alpha=draw(st.sampled_from([1.0, 0.7])))
+    m = inst.m
+    if draw(st.booleans()):
+        cells = st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)
+        rows = draw(st.lists(cells, min_size=others.size // m, max_size=others.size // m))
+        others = np.reshape(np.array(rows, dtype=float), others.shape)
+    belief = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    unit = st.sampled_from(QUARTERS) | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    report = draw(st.lists(unit, min_size=m, max_size=m))
+    return inst, i, others, belief, report
+
+
 class TestInterimEngine:
     @settings(max_examples=80, deadline=None)
     @given(tie_interim_cases())
@@ -549,25 +567,34 @@ class TestInterimEngine:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 10), st.integers(0, 4), st.sampled_from(QUARTERS[:-1]), st.data())
-    def test_one_ranking_gives_the_top_k_minus_one_and_top_k(self, m, n_res, c, data):
+    def test_one_order_gives_the_top_k_minus_one_top_k_and_kth_item(self, m, n_res, c, data):
         # `_column_parts` takes the others' top K-1 and top K, and the item
-        # between them, from one sort.
+        # between them, from one set of `_order` positions.
         total = m + n_res
         k = data.draw(st.integers(1, total))
         cells = st.lists(st.sampled_from(QUARTERS), min_size=m, max_size=m)
         scores = np.array(data.draw(st.lists(cells, min_size=1, max_size=8)))
-        ranked = vcg._ranked_batch(scores, c, n_res, k)
+        pos, ahead = vcg._order(scores.T, c, n_res)
+        # Every item's position: the real borrowers', then reserve slot r's.
+        items = np.concatenate([pos.T, ahead[:, np.newaxis] + np.arange(n_res)], axis=1)
         top_less = vcg.select_batch(scores, c, n_res, k - 1)
         top = vcg.select_batch(scores, c, n_res, k)
-        for idx, less, full in zip(ranked, top_less, top):
-            assert sorted(idx[: k - 1].tolist()) == np.flatnonzero(less).tolist()
-            assert sorted(idx.tolist()) == np.flatnonzero(full).tolist()
-        assert np.array_equal(ranked[:, k - 1], (top & ~top_less).argmax(axis=1))
+        for at, less, full in zip(items, top_less, top):
+            assert sorted(at.tolist()) == list(range(total))
+            assert np.flatnonzero(at < k - 1).tolist() == np.flatnonzero(less).tolist()
+            assert np.flatnonzero(at < k).tolist() == np.flatnonzero(full).tolist()
+        assert np.array_equal((items == k - 1).argmax(axis=1), (top & ~top_less).argmax(axis=1))
         for row, less, full in zip(scores, top_less, top):
             for mask, size in ((less, k - 1), (full, k)):
                 alloc = vcg._select(row, c, n_res, size)
                 assert mask[:m].tolist() == [bool(f) for f in alloc.real]
                 assert mask[m:].tolist() == [r < alloc.reserves_funded for r in range(n_res)]
+        # Leaving borrower q out gives the others' positions among themselves.
+        for q in range(m):
+            skipped, ahead_skipped = vcg._order(scores.T, c, n_res, skip=q)
+            want, want_ahead = vcg._order(np.delete(scores, q, axis=1).T, c, n_res)
+            assert np.array_equal(np.delete(skipped, q, axis=0), want)
+            assert np.array_equal(ahead_skipped, want_ahead)
 
     @settings(max_examples=150, deadline=None)
     @given(welfare_cases())
@@ -596,6 +623,24 @@ class TestInterimEngine:
         for s, scores in enumerate(scores_others):
             alloc = vcg._select(scores, c, n_res, inst.K)
             assert engine.best_without_i[s] == vcg._welfare(scores, c, alloc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(utility_cases())
+    def test_utilities_equal_the_scalar_mechanism(self, case):
+        # Per sample, i's value on `_select`'s funded real borrowers plus
+        # the others' welfare at that set, less their best without i: the
+        # engine adds the same floats in the same order, so `==`.
+        inst, i, others, belief, report = case
+        engine = vcg.InterimEngine(inst, i, others)
+        c, n_res, K = inst.reserve_threshold, inst.n_reserves, inst.K
+        want = []
+        for co in others:
+            chosen = vcg._select(scores_with(inst.weights, co, i, report), c, n_res, K)
+            base = linear_scores(inst.weights[:i] + inst.weights[i + 1 :], co)
+            best = vcg._welfare(base, c, vcg._select(base, c, n_res, K))
+            value = left_sum(inst.weights[i] * belief[q] for q in chosen.funded_real)
+            want.append(inst.alpha * (value + vcg._welfare(base, c, chosen) - best))
+        assert engine.utilities(belief, report).tolist() == want
 
     def test_column_stats_score_without_copies_or_rescoring(self, monkeypatch):
         # The engine scores a report row among the co-reports it holds

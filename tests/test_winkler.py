@@ -43,10 +43,11 @@ def gate(inst, i, others, q):
 
 
 def anchors(inst, i, others, q):
-    """Per sample, column q's payment anchor, as the engine computes it."""
+    """Per sample, column q's payment anchor: the marginal threshold of the
+    sample's report matrix (i's own report, here 0, does not move it)."""
     w = inst.aggregator.weights.weights
-    others_score = linear_scores(w[:i] + w[i + 1 :], others[:, :, q].T)
-    return winkler.funding_thresholds(inst.threshold, others_score, w[i])
+    matrices = [np.insert(co, i, 0.0, axis=0) for co in others]
+    return np.array([winkler.funding_thresholds(inst.threshold, w, a)[i, q] for a in matrices])
 
 
 def upper_branch(anchor, belief, report):
@@ -225,6 +226,33 @@ class TestMarginalThresholds:
         inst = WinklerInstance(n=1, m=1, threshold=below_one, aggregator=pool)
         assert winkler.marginal_thresholds(inst, [[1.0]]).tolist() == [[1.0]]
         assert winkler.settle(inst, [[1.0]], {0: 0}).contingent == {(0, 0): 0.0}
+
+    def test_linear_anchor_is_1_where_only_a_report_of_1_funds(self):
+        # The linear pool's twin of the case above. The closed form gives
+        # (c - 0) / 1, the float below 1, but a report of it leaves the
+        # score at c. The anchor is 1, in settlement and in the engine, so
+        # a default pays 0, not the log rule's -inf.
+        below_one = float(np.nextafter(1.0, 0.0))
+        inst = make_instance(n=1, m=1, c=below_one, weights=(1.0,))
+        assert winkler.marginal_thresholds(inst, [[1.0]]).tolist() == [[1.0]]
+        assert winkler.settle(inst, [[1.0]], {0: 0}).contingent == {(0, 0): 0.0}
+        engine = winkler.ColumnEngine(inst, 0, np.zeros((2, 0, 1)))
+        assert engine.utilities((0.0,), (1.0,)).tolist() == [0.0, 0.0]
+
+    def test_linear_anchor_keeps_the_0_rule_under_a_tiny_weight(self):
+        # Recommender 1's weight is too small to move the score off c, so
+        # no report funds; but a report of 0 leaves the score exactly at c,
+        # and the 0 rule comes first, as in the custom pool: anchor 0, in
+        # settlement's thresholds and in the engine.
+        weights, reports = (1.0, 1e-300), [[0.5], [0.5]]
+        linear = make_instance(n=2, m=1, c=0.5, weights=weights)
+        pool = MonotoneCustom(fn=lambda col: left_sum(w * p for w, p in zip(weights, col)), arity=2)
+        custom = WinklerInstance(n=2, m=1, threshold=0.5, aggregator=pool)
+        want = winkler.marginal_thresholds(custom, reports)
+        assert want[1, 0] == 0.0
+        assert np.array_equal(winkler.marginal_thresholds(linear, reports), want)
+        engine = winkler.ColumnEngine(linear, 1, np.array([[[0.5]]]))
+        assert engine.payments[0].limit.tolist() == [True]
 
     @pytest.mark.parametrize("weights", NON_DYADIC_WEIGHTS)
     @pytest.mark.parametrize("c", [0.125, 0.25])
@@ -479,19 +507,21 @@ class TestInterimUtility:
 
 
 def per_recommender_thresholds(inst, reports):
-    """marginal_thresholds as one `linear_scores` call per recommender."""
+    """marginal_thresholds as one `linear_scores` call per recommender, with
+    the idle rule checked on every entry: 1 wherever a report of the float
+    below 1 leaves the column unfunded by the allocation's own test."""
     w = inst.aggregator.weights.weights
     arr = np.asarray(reports, dtype=float)
-    return np.array(
-        [
-            winkler.funding_thresholds(
-                inst.threshold,
-                linear_scores(w[:i] + w[i + 1 :], np.delete(arr, i, axis=0)),
-                w[i],
-            )
-            for i in range(inst.n)
-        ]
-    ).reshape(inst.n, inst.m)
+    below_one = float(np.nextafter(1.0, 0.0))
+    out = np.full((inst.n, inst.m), np.inf)
+    for i in np.flatnonzero(w):
+        others_score = linear_scores(w[:i] + w[i + 1 :], np.delete(arr, i, axis=0))
+        closed = np.clip((inst.threshold - others_score) / w[i], 0.0, 1.0)
+        moved = arr.copy()
+        moved[i] = below_one
+        idle = linear_scores(w, moved) <= inst.threshold
+        out[i] = np.where(idle, 1.0, closed)
+    return out
 
 
 class TestBatchedThresholds:
@@ -569,19 +599,18 @@ def column_stats_cases(draw):
 class TestEngineAnchors:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_payments_are_anchored_at_the_stacked_closed_form(self, data):
+    def test_payments_are_anchored_at_each_samples_marginal_thresholds(self, data):
         # The engine anchors each column's payment at its funding test's
-        # seed, clipped; that must be bit for bit `funding_thresholds` of
-        # one `linear_scores` pass over the whole stack of co-reports, the
-        # zero-weight +inf sentinel included.
+        # seed, clipped, with the idle rule near 1 from the test's own
+        # funding; that must be bit for bit each sample's
+        # `marginal_thresholds`, the zero-weight +inf sentinel included.
         inst, i, others, _ = engine_case(data.draw)
         with mock.patch.object(winkler, "WinklerPayment", wraps=winkler.WinklerPayment) as spy:
             winkler.ColumnEngine(inst, i, others)
-        w = inst.aggregator.weights.weights
-        stacked = linear_scores(w[:i] + w[i + 1 :], others).T
+        matrices = [np.insert(co, i, 0.0, axis=0) for co in others]
         assert spy.call_count == inst.m
         for q, call in enumerate(spy.call_args_list):
-            want = winkler.funding_thresholds(inst.threshold, stacked[q], w[i])
+            want = np.array([winkler.marginal_thresholds(inst, a)[i, q] for a in matrices])
             got = np.asarray(call.args[0])
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
