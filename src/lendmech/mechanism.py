@@ -7,7 +7,12 @@ rounds, the CLI and the audits call: `allocate(reports) -> Allocation`,
 `settle(reports, outcomes, allocation=None) -> Settlement` (handed the
 allocation of those reports, it does not allocate again),
 `expost_utility(reports, i, belief_row)`, `engine(i, others)` and
-`weights_in_force`.
+`weights_in_force`. Settlement has one implementation per mechanism, the
+static `settle_rounds(insts, reports, outcomes, allocations=None)`: it
+prices a stack of rounds, (R, n, m) reports, round r under `insts[r]`, in
+one pass and returns one `Settlement` per round. The instances may differ
+only in their weights (`check_rounds`), as a campaign's rounds do; `settle`
+is a stack of one round.
 
 `engine(i, others)` returns None where the mechanism has no vectorized
 interim engine (the audits then score through their per-sample one), or an
@@ -21,11 +26,13 @@ mean and standard error of truth minus that report over the samples.
 as Python 3.11's `sum()` does, so results do not change with the Python
 version (3.12's `sum()` compensates). `linear_scores` is the one weighted
 sum of reports in the package, added in the same order; `scores_with`
-runs it with i's report among the others' without copying them. Both
+runs its loop with i's report among the others' without copying them, and
+`others_scores` runs it for every recommender's row at once. Both
 allocations, Winkler's settlement thresholds, VCG's pivots and rebates,
-both interim engines and the audits score through it, so they round alike.
-`others_scores` is every recommender's others' score from one report
-matrix, in one such call; both settlements use it.
+both interim engines and the audits score through that loop, so they
+round alike. `others_scores` gives every recommender's others' score of
+one report matrix, or of a stack of rounds, in one pass; both settlements
+use it, and VCG's rebates take the scores with each row at 1 from it too.
 `FundingTest` is how the interim engines fund a borrower just as the
 allocation does, ties included: it places each sample among a grid of
 report levels by the closed form where a proven margin decides, and by
@@ -39,6 +46,7 @@ alpha; VCG's two utilities give u, with alpha 0.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -144,19 +152,27 @@ def _weighted_sum(weights, term: Callable[[int], np.ndarray], shape: tuple) -> n
     return total
 
 
-def others_scores(weights: Sequence[float], reports: np.ndarray) -> np.ndarray:
-    """Row i: recommender i's others' score, `linear_scores` of every
-    recommender but i, for an (n, m) report matrix.
+def others_scores(weights, reports, own: float = 0.0) -> np.ndarray:
+    """Row i: the linear score of every column with recommender i's report
+    replaced by `own`, for an (n, m) report matrix under n weights, or for
+    a stack of them, (..., n, m) under (..., n) weights, each matrix under
+    its own weight row.
 
-    One `linear_scores` call over the (n, n-1, m) stack of the others'
-    reports, with slot j's weights as an (n, 1) column, adds the same terms
-    in the same order as scoring each `np.delete(reports, i, 0)` alone, so
-    every row equals that bit for bit.
+    At the default `own` of 0 row i is i's others' score: term i adds
+    w_i * 0 = +0.0 to a sum that is at least +0.0, which leaves it as it
+    is, so the row equals `linear_scores` of `np.delete(reports, i, 0)`
+    bit for bit. At 1 it is the score of the matrix with row i at 1.
+    One `_weighted_sum` pass adds every row's terms at once: term j is
+    report row j on every row but row j, which holds `own`. No (n, n, m)
+    stack is built; each term is the size of the reports.
     """
+    arr = np.asarray(reports, dtype=float)
     w = np.asarray(weights, dtype=float)
-    slots = np.arange(len(w) - 1)
-    others = slots + (slots >= np.arange(len(w))[:, np.newaxis])  # row i: every j != i, in order
-    return linear_scores(w[others].T[:, :, np.newaxis], reports[others])
+    on_row = np.arange(arr.shape[-2])[:, np.newaxis]
+    w_j = np.moveaxis(w, -1, 0)[..., np.newaxis, np.newaxis]  # (n, ..., 1, 1)
+    return _weighted_sum(
+        w_j, lambda j: np.where(on_row == j, own, arr[..., j, np.newaxis, :]), arr.shape
+    )
 
 
 def mean_se(values) -> tuple[np.ndarray, np.ndarray]:
@@ -404,6 +420,24 @@ class FundingTest:
         samples `near` unfunded, by the allocation's own test."""
         column = np.insert(self.co_reports[:, near], self.i, report, axis=0)
         return linear_scores(self.weights, column) <= self.key[near]
+
+
+def check_rounds(insts: Sequence, varying: str, *per_round: Sequence) -> None:
+    """The instances of a stack of rounds, which settle in one call, must be
+    one mechanism: the first one's type and fields, but for field `varying`
+    (a campaign's weights or aggregator). Each of `per_round` must hold one
+    entry per round."""
+    if not insts:
+        raise ValueError("need at least one round to settle")
+    if any(len(values) != len(insts) for values in per_round):
+        raise ValueError(f"need one entry per round for each of the {len(insts)} rounds")
+    first = insts[0]
+    names = [f.name for f in dataclasses.fields(first) if f.name != varying]
+    for r, inst in enumerate(insts):
+        if type(inst) is not type(first) or any(
+            getattr(inst, name) != getattr(first, name) for name in names
+        ):
+            raise ValueError(f"round {r} differs from round 0 in more than its {varying}")
 
 
 def check_reports(reports, shape: tuple[int, int], field: str = "reports") -> np.ndarray:

@@ -1,13 +1,19 @@
 """Multi-round lending simulator with an append-only, replayable ledger.
 
-Each round samples fresh borrowers' true repayment probabilities, derives
-recommender beliefs through a per-recommender signal model, runs the
-configured mechanism, samples repayments for funded borrowers, settles,
-and appends one record. Weights used in round r come only from rounds
-before r. With outcome-adaptive weighting, a `BudescuAccumulator` scores
-each funded loan once, when its round settles, and keeps running sums: a
-round's weight update costs O(n) per newly funded loan, plus O(window * n)
-under a history window, instead of a rescan of every past loan.
+A round is played, then settled. Playing it samples fresh borrowers' true
+repayment probabilities, derives recommender beliefs through a
+per-recommender signal model, allocates under the configured mechanism
+and samples repayments for funded borrowers. Settling prices the round's
+payments and builds its record. Nothing a later round reads depends on
+the settlement: weights used in round r come only from the reports and
+outcomes of funded loans in rounds before r. So a campaign plays its
+rounds in order and then settles them all in one call of the mechanism's
+`settle_rounds`, which prices every round at once; `run_round` is that
+call on a single round. With outcome-adaptive weighting, a
+`BudescuAccumulator` scores each funded loan once, when its round is
+played, and keeps running sums: a round's weight update costs O(n) per
+newly funded loan, plus O(window * n) under a history window, instead of a
+rescan of every past loan.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +36,8 @@ from .aggregation import (
     budescu_weights,
 )
 from .errors import AllNonPositiveContribution, EmptyHistory, LedgerError, MechanismError
-from .mechanism import Instance, check_outcomes, check_reports, deficit, left_sum
+from .mechanism import Allocation, Instance, Settlement, check_outcomes, check_reports, deficit
+from .mechanism import left_sum
 from .priors import PriorSpec, UniformIID, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
@@ -268,10 +275,15 @@ class RoundLedger:
 def funded_loans(record: RoundRecord, n: int) -> list[ObservedLoan]:
     """The round's funded borrowers in index order, each as the first n
     recommenders' reports on it and its outcome."""
-    outcomes = dict(record.outcomes)
+    return _loans(record.reports, dict(record.outcomes), record.funded_real, n)
+
+
+def _loans(reports, outcomes, funded, n: int) -> list[ObservedLoan]:
+    """`funded_loans` of a round's reports (rows of floats), outcome map and
+    funded borrowers."""
     return [
-        ObservedLoan(reports=tuple(record.reports[i][q] for i in range(n)), outcome=outcomes[q])
-        for q in record.funded_real
+        ObservedLoan(reports=tuple(reports[i][q] for i in range(n)), outcome=outcomes[q])
+        for q in funded
     ]
 
 
@@ -308,6 +320,84 @@ def round_hashes(config: "CampaignConfig", seed: int) -> Callable[[int], str]:
     return lambda round_id: _digest(f'{head}"round_id": {json.dumps(round_id)}{tail}')
 
 
+@dataclass(frozen=True)
+class PlayedRound:
+    """A round before settlement: the instance that allocated it, the
+    sampled truths, the reports, the allocation and the outcomes of the
+    funded borrowers. It is all that later rounds can depend on."""
+
+    inst: Instance
+    truths: np.ndarray
+    reports: np.ndarray
+    allocation: Allocation
+    outcomes: dict[int, int]
+
+    def loans(self, n: int) -> list[ObservedLoan]:
+        """`funded_loans` of the record this round settles into."""
+        return _loans(self.reports.tolist(), self.outcomes, self.allocation.funded_real, n)
+
+
+def play_round(
+    inst: Instance,
+    world: WorldModel,
+    seed: int,
+    deviation: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> PlayedRound:
+    """Sample one round, allocate and draw the funded borrowers' outcomes.
+
+    Reports are the sampled beliefs unless a deviation strategy rewrites
+    them (stress testing). Identical (inst, world, seed) reproduce the
+    round bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    truths, beliefs = sample_world(world, inst.n, inst.m, rng)
+    reports = deviation(beliefs) if deviation is not None else beliefs
+    reports = np.clip(np.asarray(reports, dtype=float), 0.0, 1.0)
+
+    allocation = inst.allocate(reports)
+    funded_real = allocation.funded_real
+    draws = rng.random(len(funded_real))
+    outcomes = {q: int(draws[k] < truths[q]) for k, q in enumerate(funded_real)}
+    return PlayedRound(inst, truths, reports, allocation, outcomes)
+
+
+def _settle(
+    played: list[PlayedRound], round_ids: Sequence[int], hashes: Sequence[str]
+) -> list[RoundRecord]:
+    """The records of played rounds of one mechanism, all priced by one call
+    of its `settle_rounds`; `played[k]` is round `round_ids[k]`, whose
+    scenario hash is `hashes[k]`."""
+    insts = [p.inst for p in played]
+    settlements = insts[0].settle_rounds(
+        insts, [p.reports for p in played], [p.outcomes for p in played],
+        [p.allocation for p in played],
+    )
+    return [_record(*args) for args in zip(played, settlements, round_ids, hashes)]
+
+
+def _record(
+    played: PlayedRound, settlement: Settlement, round_id: int, scenario_hash: str
+) -> RoundRecord:
+    allocation = settlement.allocation
+    return RoundRecord(
+        round_id=round_id,
+        scenario_hash=scenario_hash,
+        weights=tuple(float(w) for w in played.inst.weights_in_force),
+        truths=tuple(float(t) for t in played.truths),
+        reports=tuple(tuple(float(v) for v in row) for row in played.reports),
+        funded_real=allocation.funded_real,
+        reserves_funded=allocation.reserves_funded,
+        outcomes=tuple(sorted(played.outcomes.items())),
+        immediate=settlement.immediate,
+        contingent=tuple(
+            (i, q, float(v)) for (i, q), v in sorted(settlement.contingent.items())
+        ),
+        tcomp=settlement.tcomp,
+        deficit=deficit(settlement),
+        realized_utilities=tuple(settlement.realized_utility(i) for i in range(played.inst.n)),
+    )
+
+
 def run_round(
     inst: Instance,
     world: WorldModel,
@@ -316,41 +406,14 @@ def run_round(
     scenario_hash: str = "",
     deviation: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> RoundRecord:
-    """Sample one round, run the mechanism, settle, return the record.
+    """Play one round and settle it, as a campaign settles its rounds.
 
     Reports are the sampled beliefs unless a deviation strategy rewrites
     them (stress testing). Identical (inst, world, seed) reproduce the
     record bit for bit.
     """
-    rng = np.random.default_rng(seed)
-    n, m = inst.n, inst.m
-    truths, beliefs = sample_world(world, n, m, rng)
-    reports = deviation(beliefs) if deviation is not None else beliefs
-    reports = np.clip(np.asarray(reports, dtype=float), 0.0, 1.0)
-
-    allocation = inst.allocate(reports)
-    funded_real = allocation.funded_real
-    draws = rng.random(len(funded_real))
-    outcomes = {q: int(draws[k] < truths[q]) for k, q in enumerate(funded_real)}
-    settlement = inst.settle(reports, outcomes, allocation)
-
-    return RoundRecord(
-        round_id=round_id,
-        scenario_hash=scenario_hash,
-        weights=tuple(float(w) for w in inst.weights_in_force),
-        truths=tuple(float(t) for t in truths),
-        reports=tuple(tuple(float(v) for v in row) for row in reports),
-        funded_real=funded_real,
-        reserves_funded=allocation.reserves_funded,
-        outcomes=tuple(sorted(outcomes.items())),
-        immediate=settlement.immediate,
-        contingent=tuple(
-            (i, q, float(v)) for (i, q), v in sorted(settlement.contingent.items())
-        ),
-        tcomp=settlement.tcomp,
-        deficit=deficit(settlement),
-        realized_utilities=tuple(settlement.realized_utility(i) for i in range(n)),
-    )
+    played = play_round(inst, world, seed, deviation)
+    return _settle([played], [round_id], [scenario_hash])[0]
 
 
 def evolve_weights(
@@ -430,7 +493,9 @@ class CampaignSummary:
 def campaign(
     rounds: int, config: CampaignConfig, seed: int
 ) -> tuple[CampaignSummary, RoundLedger]:
-    """Run sequential rounds with (optionally) evolving weights."""
+    """Run sequential rounds with (optionally) evolving weights: play them
+    in order, each under the weights of the rounds before it, then settle
+    them all in one call."""
     if rounds < 1:
         raise ValueError(f"need rounds >= 1, got {rounds}")
     round_seeds = np.random.SeedSequence(seed).generate_state(rounds)
@@ -444,8 +509,7 @@ def campaign(
         if config.weight_mode == "budescu"
         else None
     )
-    hashes = round_hashes(config, seed)
-    ledger = RoundLedger()
+    played = []
     for r in range(rounds):
         if scores is not None and r > 0:
             weights = scores.weights()
@@ -453,10 +517,13 @@ def campaign(
             config.mechanism, config.n, config.m, config.threshold, weights.weights,
             config.K, config.alpha, config.tcomp_enabled,
         )
-        record = run_round(inst, config.world, int(round_seeds[r]), r, hashes(r))
-        ledger.append(record)
+        played.append(play_round(inst, config.world, int(round_seeds[r])))
         if scores is not None:
-            scores.add(funded_loans(record, config.n))
+            scores.add(played[-1].loans(config.n))
+    hashes = round_hashes(config, seed)
+    ledger = RoundLedger()
+    for record in _settle(played, range(rounds), [hashes(r) for r in range(rounds)]):
+        ledger.append(record)
 
     final_weights = scores.weights() if scores is not None else weights
     records = ledger.records

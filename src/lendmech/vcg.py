@@ -10,11 +10,13 @@ the reserve recommender is counted in welfare but never paid or charged.
 On top sit standard pivot payments, and optionally a report-independent
 rebate equal to each recommender's worst-case pivot, which makes realized
 utility nonnegative for every outcome. The rebate is computed exactly for
-every m and K by a sweep over the best unfunded item, in O(m log m + K*m)
-per recommender. A settlement scores each recommender's others once,
-selects once, and takes each pivot and rebate from one ranked order
-(`_charges`). All payments scale linearly in alpha; the allocation does
-not depend on it.
+every m and K by a sweep over the best unfunded item. Settlement prices a
+stack of rounds at once (`settle_rounds`; `settle` is a stack of one):
+every recommender's others' scores in one pass, ranked once by rank
+counts, give each pivot and the rebate sweep, which runs once per position
+p < K for every recommender of every round together
+(`_pivots_and_rebates`). All payments scale linearly in alpha; the
+allocation does not depend on it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from .errors import ReserveRecommenderHasNoPayment
 # `deficit` is re-exported: callers use vcg.deficit.
 from .mechanism import Allocation, FundingTest, Settlement, check_outcomes, check_reports, deficit
+from .mechanism import check_rounds
 from .mechanism import chunks, grid_stats, left_sum, linear_scores, others_scores, scores_with
 
 
@@ -82,6 +85,10 @@ class VcgInstance:
     ) -> Settlement:
         return settle(self, reports, outcomes, allocation)
 
+    @staticmethod
+    def settle_rounds(insts, reports, outcomes, allocations=None) -> list[Settlement]:
+        return settle_rounds(insts, reports, outcomes, allocations)
+
     def expost_utility(self, reports, i: int, belief_row: Sequence[float]) -> float:
         return expost_utility(self, reports, i, belief_row)
 
@@ -117,13 +124,6 @@ def _welfare(scores: Sequence[float], c: float, alloc: Allocation) -> float:
     return left_sum(float(scores[q]) for q in alloc.funded_real) + alloc.reserves_funded * c
 
 
-def _items_welfare(scores: list[float], c: float, items: list[tuple[float, int, int]]) -> float:
-    """`_welfare` of funding `items` (`_ranked` keys), added as it adds:
-    the real borrowers in ascending index, then the reserves' count times c."""
-    real = sorted(q for _, is_reserve, q in items if not is_reserve)
-    return left_sum(scores[q] for q in real) + (len(items) - len(real)) * c
-
-
 def aggregate_scores(inst: VcgInstance, reports) -> np.ndarray:
     """Per-borrower total weighted reports (the welfare coefficient)."""
     return linear_scores(inst.weights, check_reports(reports, (inst.n, inst.m)))
@@ -153,76 +153,101 @@ def pivot_payment(inst: VcgInstance, reports, i: int) -> float:
     """Charge to i: others' best welfare without i minus their welfare at
     the chosen allocation. Nonnegative; alpha-scaled like every payment.
 
-    Priced by `_charges`, as `settle` prices each recommender: i's others'
-    score from `others_scores`, ranked once, against `allocate`'s set.
+    Priced by `_pivots_and_rebates` on this one round, against
+    `allocate`'s set, as `settle` prices every recommender.
     """
     _check_real_recommender(inst, i)
     arr = check_reports(reports, (inst.n, inst.m))
-    return _charges(inst, others_scores(inst.weights, arr)[i], _allocate(inst, arr), None)[0]
+    chosen = [_allocate(inst, arr)]
+    pivots, _ = _pivots_and_rebates(inst, [inst.weights], arr[np.newaxis], chosen, False)
+    return float(pivots[0, i])
 
 
 def tcomp(inst: VcgInstance, others_reports, i: int) -> float:
     """Worst-case pivot payment of i over all reports, given others' reports.
 
-    Exact for every m, K, by `_charges`' sweep, from which `settle` takes
-    each rebate.
+    Exact for every m, K: `_pivots_and_rebates`' rebate on this one round,
+    with i's report (which the rebate does not read) at 0, as `settle`
+    takes each rebate.
     """
     _check_real_recommender(inst, i)
     arr = check_reports(others_reports, (inst.n - 1, inst.m), "others_reports")
-    base = linear_scores(inst.weights[:i] + inst.weights[i + 1 :], arr)
-    boosted = linear_scores(inst.weights, np.insert(arr, i, 1.0, axis=0))
-    return _charges(inst, base, None, boosted)[1]
+    reports = np.insert(arr, i, 0.0, axis=0)
+    _, rebates = _pivots_and_rebates(inst, [inst.weights], reports[np.newaxis], None, True)
+    return float(rebates[0, i])
 
 
-def _charges(
-    inst: VcgInstance, base: np.ndarray, chosen: Optional[Allocation], boosted
-) -> tuple[float, float]:
-    """Recommender i's pivot at the `chosen` allocation and i's rebate, each
-    0.0 when `chosen` or `boosted` is None, from one ranked order of `base`,
-    i's others' scores. `boosted` holds the scores with i reporting 1 on
-    every borrower. Both subtract from the others' best welfare without i,
-    the welfare of that order's top k.
+def _pivots_and_rebates(inst: VcgInstance, weights, arr: np.ndarray, chosen, rebates: bool):
+    """Every recommender's pivot and rebate in every round of a stack of
+    checked reports, (R, n, m), round r under `weights[r]` and with
+    `inst`'s other settings, as two (R, n) arrays: the pivots at the
+    `chosen` allocations (None: no pivots), and the rebates if `rebates`
+    (else None).
+
+    Rows are (round, recommender) pairs, one column each of item-major
+    scores, (m, R * n): the others' scores, from one `others_scores` pass
+    over the stack, ranked once by `_order`'s rank counts, as the interim
+    engine ranks its samples. Both charges subtract from the others' best
+    welfare without i, their top k = min(K, m + reserves); `_funded_sum`
+    adds every welfare as `_welfare` adds it, the funded real borrowers
+    left to right and then the reserves' count times c.
 
     The rebate is the worst-case pivot, exact for every m, K. Others'
     welfare is what i's report can damage, and i's report moves only which
-    set S of k = min(K, m + reserves) items gets funded. S is reachable iff
-    a report of 1 on S's real borrowers and 0 elsewhere makes S the top k:
-    scores never fall as a report rises, so if any report funds S, this one
-    only widens S's lead over every outsider. A report of 0 leaves a
-    borrower at the others' score exactly, and 1 lifts it to its `boosted`
-    score. A reachable S that leaves something unfunded has exactly one
-    best outsider o, an item ranked at some position p < k of the unboosted
-    order. S then holds every item ranked above o, and its other k - p
-    members are real borrowers ranked below o whose boosted key beats o's.
-    For each p the cheapest such S takes the lowest-scoring qualifying
-    borrowers; S with no outsider is the unboosted top k. The minimum over
-    p costs O(m log m + K*m), each S's welfare summed from plain floats.
-    A zero weight adds +0.0 at 1, so its `boosted` is `base` bit for bit,
-    nothing is lifted, and its rebate is exactly 0.0.
+    set S of k items gets funded. S is reachable iff a report of 1 on S's
+    real borrowers and 0 elsewhere makes S the top k: scores never fall as
+    a report rises, so if any report funds S, this one only widens S's lead
+    over every outsider. A report of 0 leaves a borrower at the others'
+    score exactly, and 1 lifts it to its boosted score, the score with i's
+    row at 1 (`others_scores` with `own` 1, one more pass). A reachable S
+    that leaves something unfunded has exactly one best outsider o, the
+    item at some position p < k of the unboosted order. S then holds every
+    item ranked above o, and its other k - p members are real borrowers
+    ranked below o whose boosted key beats o's, as `_select` compares keys:
+    a higher boosted score, or an equal one at a lower index (every real
+    borrower's against a reserve's). The cheapest such S takes the k - p
+    lowest-ranked of them; S with no outsider is the unboosted top k. The
+    sweep runs once per position p < k for every row at once, O(k m) work
+    per row. A zero weight adds +0.0 at 1, so its boosted score is its
+    others' score bit for bit, nothing is lifted, and its rebate is 0.0.
     """
-    c = inst.reserve_threshold
-    base = base.tolist()
-    order = _ranked(base, c, inst.n_reserves)
-    k = min(inst.K, len(order))
-    without_i = _items_welfare(base, c, order[:k])
-    pivot = 0.0 if chosen is None else inst.alpha * (without_i - _welfare(base, c, chosen))
-    if boosted is None:
-        return pivot, 0.0
-    boosted = boosted.tolist()
-    worst = without_i
-    for p, outsider in enumerate(order[:k]):
-        # Same float and key comparison `_select` makes on boosted scores.
-        lifted = [
-            (score, is_reserve, q)
-            for score, is_reserve, q in order[p + 1 :]
-            if not is_reserve and (-boosted[q], 0, q) < outsider
-        ]
-        if len(lifted) < k - p:
-            continue
-        # `lifted` keeps ranked order, so its tail has the lowest scores.
-        funded = order[:p] + lifted[len(lifted) - (k - p) :]
-        worst = min(worst, _items_welfare(base, c, funded))
-    return pivot, inst.alpha * (without_i - worst)
+    rounds, n, m = arr.shape
+    c, n_res = inst.reserve_threshold, inst.n_reserves
+    k = min(inst.K, m + n_res)
+
+    def item_major(scores: np.ndarray) -> np.ndarray:
+        return scores.transpose(2, 0, 1).reshape(m, rounds * n)
+
+    base = item_major(others_scores(weights, arr))
+    pos, ahead = _order(base, c, n_res)
+    without_i = _funded_sum(base, pos < k) + np.clip(k - ahead, 0, n_res) * c
+    pivots = rebate = None
+    if chosen is not None:
+        real = np.repeat(np.array([alloc.real for alloc in chosen], dtype=bool), n, axis=0).T
+        reserves = np.repeat([alloc.reserves_funded for alloc in chosen], n)
+        chosen_welfare = _funded_sum(base, real) + reserves * c
+        pivots = (inst.alpha * (without_i - chosen_welfare)).reshape(rounds, n)
+    if rebates:
+        boosted = item_major(others_scores(weights, arr, own=1.0))
+        rows, index = np.arange(rounds * n), np.arange(m)[:, np.newaxis]
+        # The real borrower at each position of a row's order; m at a reserve.
+        at = np.full((m + n_res, rounds * n), m)
+        np.put_along_axis(at, pos, index, axis=0)
+        worst = without_i
+        for p in range(k):
+            outsider = at[p]
+            key = np.where(outsider < m, base[np.minimum(outsider, m - 1), rows], c)
+            beats = (boosted > key) | ((boosted == key) & (index < outsider))
+            lifted = (pos > p) & beats
+            # How many lifted borrowers rank at or below each position.
+            ranked = np.take_along_axis(np.vstack([lifted, np.zeros(len(rows), bool)]), at, 0)
+            from_bottom = np.cumsum(ranked[::-1], axis=0)[::-1]
+            kept = lifted & (np.take_along_axis(from_bottom, pos, 0) <= k - p)
+            welfare = _funded_sum(base, (pos < p) | kept) + np.clip(p - ahead, 0, n_res) * c
+            reachable = np.count_nonzero(lifted, axis=0) >= k - p
+            worst = np.where(reachable, np.minimum(worst, welfare), worst)
+        rebate = (inst.alpha * (without_i - worst)).reshape(rounds, n)
+    return pivots, rebate
 
 
 def settle(
@@ -231,36 +256,59 @@ def settle(
     outcomes: Mapping[int, int],
     allocation: Optional[Allocation] = None,
 ) -> Settlement:
-    """Pivot charges plus realized constant-rule payments (and rebates).
-
-    `outcomes` must cover exactly the funded real borrowers; reserve slots
-    are bookkeeping rows with no outcomes. `allocation`, when given, must be
-    `allocate(inst, reports)`; it saves allocating again.
-
-    One scoring pass per settlement: the reports are checked once; every
-    recommender's others' score comes from one `others_scores` call and,
-    with rebates on, every boosted score from one `linear_scores` call over
-    the (n, n, m) stack of the reports with row i at 1. The allocation is
-    the one chosen set, and `_charges` takes each recommender's pivot and
-    rebate from one ranked order, bit for bit `pivot_payment` and `tcomp`.
-    """
+    """Pivot charges plus realized constant-rule payments (and rebates):
+    `settle_rounds` of this one round. `outcomes` must cover exactly the
+    funded real borrowers; `allocation`, when given, must be
+    `allocate(inst, reports)`, and saves allocating again."""
     arr = check_reports(reports, (inst.n, inst.m))
-    alloc = allocation if allocation is not None else _allocate(inst, arr)
-    check_outcomes(alloc.funded_real, outcomes)
+    return _settle([inst], arr[np.newaxis], [outcomes], [allocation])[0]
 
-    base = others_scores(inst.weights, arr)
-    boosted = [None] * inst.n
-    if inst.tcomp_enabled:
-        # Matrix i is the reports with row i at 1.
-        stack = np.where(np.eye(inst.n, dtype=bool)[:, :, np.newaxis], 1.0, arr)
-        boosted = linear_scores(inst.weights, stack)
-    charges = [_charges(inst, base[i], alloc, boosted[i]) for i in range(inst.n)]
-    return Settlement(
-        allocation=alloc,
-        immediate=tuple(pivot for pivot, _ in charges),
-        contingent=contingent_payments(inst, alloc.funded_real, outcomes),
-        tcomp=tuple(rebate for _, rebate in charges) if inst.tcomp_enabled else None,
-    )
+
+def settle_rounds(
+    insts: Sequence[VcgInstance],
+    reports,
+    outcomes: Sequence[Mapping[int, int]],
+    allocations: Optional[Sequence[Optional[Allocation]]] = None,
+) -> list[Settlement]:
+    """Settle a stack of rounds in one pass: round r's reports, (R, n, m),
+    its outcomes and its allocation (None to allocate) under `insts[r]`.
+    The instances may differ only in their weights, as a campaign's rounds
+    do.
+
+    Reserve slots are bookkeeping rows with no outcomes. Every pivot and
+    rebate of the stack comes from one `_pivots_and_rebates` call, against each
+    round's allocation as its one chosen set; each is the value its round
+    gets when settled alone, bit for bit.
+    """
+    allocations = [None] * len(insts) if allocations is None else allocations
+    check_rounds(insts, "weights", outcomes, allocations)
+    arr = check_reports(reports, (len(insts), insts[0].n, insts[0].m))
+    return _settle(insts, arr, outcomes, allocations)
+
+
+def _settle(insts, arr: np.ndarray, outcomes, allocations) -> list[Settlement]:
+    """`settle_rounds` of a checked stack."""
+    inst = insts[0]
+    allocs = [
+        alloc if alloc is not None else _allocate(each, matrix)
+        for each, matrix, alloc in zip(insts, arr, allocations)
+    ]
+    for alloc, realized in zip(allocs, outcomes):
+        check_outcomes(alloc.funded_real, realized)
+    weights = [each.weights for each in insts]
+    pivots, rebates = _pivots_and_rebates(inst, weights, arr, allocs, inst.tcomp_enabled)
+    rebates = [None] * len(insts) if rebates is None else [tuple(row) for row in rebates.tolist()]
+    return [
+        Settlement(
+            allocation=alloc,
+            immediate=tuple(immediate),
+            contingent=contingent_payments(each, alloc.funded_real, realized),
+            tcomp=rebate,
+        )
+        for each, alloc, realized, immediate, rebate in zip(
+            insts, allocs, outcomes, pivots.tolist(), rebates
+        )
+    ]
 
 
 def contingent_payments(
@@ -287,7 +335,8 @@ def expost_utility(inst: VcgInstance, reports, i: int, belief_row: Sequence[floa
     value = inst.alpha * left_sum(
         inst.weights[i] * float(belief_row[q]) for q in alloc.funded_real
     )
-    return value - _charges(inst, others_scores(inst.weights, arr)[i], alloc, None)[0]
+    pivots, _ = _pivots_and_rebates(inst, [inst.weights], arr[np.newaxis], [alloc], False)
+    return value - float(pivots[0, i])
 
 
 def select_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.ndarray:

@@ -26,6 +26,7 @@ import numpy as np
 from .aggregation import Aggregator, WeightedLinear, aggregate, aggregate_columns
 from .errors import ZeroWeightRecommender
 from .mechanism import Allocation, FundingTest, Settlement, check_outcomes, check_reports
+from .mechanism import check_rounds
 from .mechanism import elementwise_column_stats, funding_margin, grid_stats, left_sum
 from .mechanism import linear_scores, others_scores
 
@@ -67,6 +68,10 @@ class WinklerInstance:
         self, reports, outcomes: Mapping[int, int], allocation: Optional[Allocation] = None
     ) -> Settlement:
         return settle(self, reports, outcomes, allocation)
+
+    @staticmethod
+    def settle_rounds(insts, reports, outcomes, allocations=None) -> list[Settlement]:
+        return settle_rounds(insts, reports, outcomes, allocations)
 
     def expost_utility(self, reports, i: int, belief_row: Sequence[float]) -> float:
         return expost_utility(self, reports, i, belief_row)
@@ -134,13 +139,15 @@ def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> floa
     return float(np.int64(lo).view(np.float64))
 
 
-def funding_thresholds(c: float, weights: Sequence[float], reports: np.ndarray) -> np.ndarray:
+def funding_thresholds(c: float, weights, reports: np.ndarray) -> np.ndarray:
     """Every recommender's marginal funding thresholds under the linear pool
     `weights`, for an (n, m) report matrix: the report at which each
-    recommender swings each column.
+    recommender swings each column. A stack of rounds, (R, n, m) reports
+    under (R, n) weights, gives every round's thresholds, each bit for bit
+    its own call's.
 
     The closed form (c - others' score) / w_i, clipped to [0, 1], every
-    others' score from one `others_scores` call; it depends only on the
+    others' score from one `others_scores` pass; it depends only on the
     others' reports. Where it lands above 0 and below 1 but within
     `FundingTest`'s margin of 1, a report of the float below 1 is scored
     by the allocation's own test, and the threshold is 1 (the idle rule,
@@ -149,20 +156,29 @@ def funding_thresholds(c: float, weights: Sequence[float], reports: np.ndarray) 
     end rules, the 0 rule first. A zero-weight recommender never swings a
     decision and gets the sentinel +inf (their payment is zero).
     """
-    w = np.asarray(weights, dtype=float)[:, np.newaxis]
-    with np.errstate(divide="ignore", invalid="ignore"):  # w_i = 0 is replaced below
-        swing = np.clip((c - others_scores(weights, reports)) / w, 0.0, 1.0)
-    anchor = np.where(w == 0.0, np.inf, swing)
+    w = np.asarray(weights, dtype=float)
+    arr = np.asarray(reports, dtype=float)
+    if arr.ndim == 2:
+        return funding_thresholds(c, w[np.newaxis], arr[np.newaxis])[0]
+    w_i = w[:, :, np.newaxis]
+    # w_i = 0 is replaced below; a tiny w_i may overflow, which the clip caps at 1.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        swing = np.clip((c - others_scores(w, arr)) / w_i, 0.0, 1.0)
+    anchor = np.where(w_i == 0.0, np.inf, swing)
     # Only positive weights anchor below 1, the smallest with the widest
-    # margin; an anchor of 0 keeps the 0 rule.
-    w_min = min((v for v in weights if v > 0.0), default=math.inf)
-    lowest = max(BELOW_ONE - funding_margin(weights, w_min, c), 2.0**-1074)
-    near = (anchor < 1.0) & (anchor >= lowest)
-    for i, q in np.argwhere(near) if near.any() else ():
-        column = reports[:, q].copy()
-        column[i] = BELOW_ONE
-        if linear_scores(weights, column[:, np.newaxis])[0] <= c:
-            anchor[i, q] = 1.0
+    # margin; an anchor of 0 keeps the 0 rule. One margin per round, a
+    # Python float from its weights.
+    lowest = []
+    for row in w.tolist():
+        w_min = min((v for v in row if v > 0.0), default=math.inf)
+        lowest.append(max(BELOW_ONE - funding_margin(row, w_min, c), 2.0**-1074))
+    near = (anchor < 1.0) & (anchor >= np.reshape(lowest, (-1, 1, 1)))
+    if near.any():
+        r, i, q = np.nonzero(near)
+        columns = arr[r, :, q]  # (near, n), a copy, with i's report at the float below 1
+        columns[np.arange(len(r)), i] = BELOW_ONE
+        idle = linear_scores(w[r].T[:, :, np.newaxis], columns[:, :, np.newaxis])[:, 0] <= c
+        anchor[r[idle], i[idle], q[idle]] = 1.0
     return anchor
 
 
@@ -178,18 +194,26 @@ def marginal_thresholds(inst: WinklerInstance, reports) -> np.ndarray:
     threshold, 1 if no report below 1 does; `_bisect_threshold`), so a
     funded report lies above it, or at an anchor of 1, which pays nothing.
     """
-    return _thresholds(inst, check_reports(reports, (inst.n, inst.m)))
+    arr = check_reports(reports, (inst.n, inst.m))
+    return _thresholds([inst], arr[np.newaxis])[0]
 
 
-def _thresholds(inst: WinklerInstance, arr: np.ndarray) -> np.ndarray:
-    """`marginal_thresholds` of an already checked report matrix."""
-    if isinstance(inst.aggregator, WeightedLinear):
-        return funding_thresholds(inst.threshold, inst.aggregator.weights.weights, arr)
-    out = np.empty((inst.n, inst.m))
-    for q in range(inst.m):
-        for i in range(inst.n):
-            out[i, q] = _bisect_threshold(inst, arr[:, q], i)
-    return out
+def _thresholds(insts: Sequence[WinklerInstance], arr: np.ndarray) -> np.ndarray:
+    """`marginal_thresholds` of a checked stack of report matrices,
+    (R, n, m), matrix r under `insts[r]`: one `funding_thresholds` call
+    when every aggregator is a linear pool, else round by round."""
+    c = insts[0].threshold
+    if all(isinstance(inst.aggregator, WeightedLinear) for inst in insts):
+        return funding_thresholds(c, [inst.aggregator.weights.weights for inst in insts], arr)
+    n, m = arr.shape[1:]
+    return np.array(
+        [
+            funding_thresholds(c, inst.aggregator.weights.weights, matrix)
+            if isinstance(inst.aggregator, WeightedLinear)
+            else [[_bisect_threshold(inst, matrix[:, q], i) for q in range(m)] for i in range(n)]
+            for inst, matrix in zip(insts, arr)
+        ]
+    )
 
 
 def marginal_threshold(inst: WinklerInstance, reports, i: int, q: int) -> float:
@@ -265,30 +289,61 @@ def settle(
     outcomes: Mapping[int, int],
     allocation: Optional[Allocation] = None,
 ) -> Settlement:
-    """Outcome-contingent payments for every funded borrower.
-
-    `outcomes` must cover exactly the funded borrowers. Every recommender is
-    paid on each of them through `WinklerPayment`, anchored at their
-    marginal threshold: a funded report lies above it (in exact
-    arithmetic), so that is the Winkler rule's upper branch, or the limit
-    rule where the others fund the borrower alone. Under a cap the
-    thresholds stay the uncapped ones. `allocation`, when given, must be
-    `inst.allocate(reports)`; it saves allocating again.
-    """
+    """Outcome-contingent payments for every funded borrower: `settle_rounds`
+    of this one round. `outcomes` must cover exactly the funded borrowers;
+    `allocation`, when given, must be `inst.allocate(reports)`, and saves
+    allocating again."""
     arr = check_reports(reports, (inst.n, inst.m))
-    alloc = allocation if allocation is not None else Allocation(_allocate(inst, arr))
-    check_outcomes(alloc.funded_real, outcomes)
+    return _settle([inst], arr[np.newaxis], [outcomes], [allocation])[0]
 
-    funded = list(alloc.funded_real)
-    paid = WinklerPayment(_thresholds(inst, arr)[:, funded])(
-        [outcomes[q] for q in funded], arr[:, funded]
-    )
-    contingent = {(i, q): float(paid[i, k]) for k, q in enumerate(funded) for i in range(inst.n)}
-    return Settlement(
-        allocation=alloc,
-        immediate=tuple(0.0 for _ in range(inst.n)),
-        contingent=contingent,
-    )
+
+def settle_rounds(
+    insts: Sequence[WinklerInstance],
+    reports,
+    outcomes: Sequence[Mapping[int, int]],
+    allocations: Optional[Sequence[Optional[Allocation]]] = None,
+) -> list[Settlement]:
+    """Settle a stack of rounds in one pass: round r's reports, (R, n, m),
+    its outcomes and its allocation (None to allocate) under `insts[r]`.
+    The instances may differ only in their aggregator, as a campaign's
+    rounds differ in their weights.
+
+    Every recommender is paid on each funded borrower through
+    `WinklerPayment`, anchored at their marginal threshold: a funded report
+    lies above it (in exact arithmetic), so that is the Winkler rule's
+    upper branch, or the limit rule where the others fund the borrower
+    alone. Under a cap the thresholds stay the uncapped ones. Linear pools
+    take every round's thresholds from one `funding_thresholds` call, and
+    every funded borrower of the stack is paid by one `WinklerPayment`:
+    elementwise arithmetic, so each payment is the one its round gets when
+    settled alone, bit for bit.
+    """
+    allocations = [None] * len(insts) if allocations is None else allocations
+    check_rounds(insts, "aggregator", outcomes, allocations)
+    arr = check_reports(reports, (len(insts), insts[0].n, insts[0].m))
+    return _settle(insts, arr, outcomes, allocations)
+
+
+def _settle(insts, arr: np.ndarray, outcomes, allocations) -> list[Settlement]:
+    """`settle_rounds` of a checked stack."""
+    allocs = [
+        alloc if alloc is not None else Allocation(_allocate(inst, matrix))
+        for inst, matrix, alloc in zip(insts, arr, allocations)
+    ]
+    for alloc, realized in zip(allocs, outcomes):
+        check_outcomes(alloc.funded_real, realized)
+    # Every funded borrower of the stack: its round, its index, its outcome.
+    loans = [(r, q, outcomes[r][q]) for r, alloc in enumerate(allocs) for q in alloc.funded_real]
+    r, q, outcome = np.array(loans, dtype=int).reshape(-1, 3).T
+    paid = WinklerPayment(_thresholds(insts, arr)[r, :, q])(outcome[:, np.newaxis], arr[r, :, q])
+    paid, start, n = paid.tolist(), 0, insts[0].n
+    settlements = []
+    for alloc in allocs:
+        funded = alloc.funded_real
+        contingent = {(i, q): paid[start + k][i] for k, q in enumerate(funded) for i in range(n)}
+        start += len(funded)
+        settlements.append(Settlement(allocation=alloc, immediate=(0.0,) * n, contingent=contingent))
+    return settlements
 
 
 def expost_utility(inst: WinklerInstance, reports, i: int, belief_row: Sequence[float]) -> float:
@@ -296,7 +351,7 @@ def expost_utility(inst: WinklerInstance, reports, i: int, belief_row: Sequence[
     their own beliefs about funded borrowers (outcomes not yet observed)."""
     arr = check_reports(reports, (inst.n, inst.m))
     funded = _allocate(inst, arr)
-    paid = WinklerPayment(_thresholds(inst, arr)[i])(belief_row, arr[i])
+    paid = WinklerPayment(_thresholds([inst], arr[np.newaxis])[0, i])(belief_row, arr[i])
     return left_sum(float(paid[q]) for q in range(inst.m) if funded[q])
 
 

@@ -14,7 +14,8 @@ from lendmech import rounds
 from lendmech.aggregation import BudescuAccumulator, WeightVector, WeightedLinear
 from lendmech.errors import LedgerError
 from lendmech.priors import BetaIID, DegenerateAt, UniformIID
-from lendmech.rounds import CampaignConfig, RoundLedger, RoundRecord, WorldModel
+from lendmech.mechanism import left_sum
+from lendmech.rounds import CampaignConfig, CampaignSummary, RoundLedger, RoundRecord, WorldModel
 from lendmech.scenario import build_campaign_config, load_bundled
 from lendmech.vcg import VcgInstance
 from lendmech.winkler import WinklerInstance
@@ -369,7 +370,90 @@ class TestConfigHash:
         ]
 
 
+def per_round_campaign(n_rounds, config, seed):
+    """`rounds.campaign` as a loop of `run_round`, every round settled alone
+    under the weights its accumulator gives from the rounds before it."""
+    round_seeds = np.random.SeedSequence(seed).generate_state(n_rounds)
+    weights = (
+        WeightVector(config.initial_weights)
+        if config.initial_weights is not None
+        else WeightVector.equal(config.n)
+    )
+    scores = (
+        BudescuAccumulator(config.n, config.history_window)
+        if config.weight_mode == "budescu"
+        else None
+    )
+    hashes = rounds.round_hashes(config, seed)
+    records = []
+    for r in range(n_rounds):
+        if scores is not None and r > 0:
+            weights = scores.weights()
+        inst = rounds.build_instance(
+            config.mechanism, config.n, config.m, config.threshold, weights.weights,
+            config.K, config.alpha, config.tcomp_enabled,
+        )
+        records.append(rounds.run_round(inst, config.world, int(round_seeds[r]), r, hashes(r)))
+        if scores is not None:
+            scores.add(rounds.funded_loans(records[-1], config.n))
+    funded = sum(len(rec.funded_real) for rec in records)
+    repaid = sum(o for rec in records for _, o in rec.outcomes)
+    summary = CampaignSummary(
+        rounds=n_rounds,
+        funded=funded,
+        repaid=repaid,
+        repayment_rate=repaid / funded,
+        base_rate=left_sum(left_sum(rec.truths) for rec in records) / (n_rounds * config.m),
+        cumulative_deficit=left_sum(rec.deficit for rec in records),
+        recommender_utilities=tuple(
+            left_sum(column) for column in zip(*(rec.realized_utilities for rec in records))
+        ),
+        weight_trajectory=tuple(rec.weights for rec in records),
+        final_weights=(scores.weights() if scores is not None else weights).weights,
+    )
+    return summary, records
+
+
+VCG_WORLD = WorldModel(mixing=(0.8, 0.6, 0.4))
+SETTLED_TOGETHER = {
+    "winkler fixed": CampaignConfig("winkler", 3, 6, 0.5, WORLD),
+    "winkler budescu": CampaignConfig("winkler", 3, 6, 0.5, WORLD, weight_mode="budescu"),
+    "winkler budescu window 7": CampaignConfig(
+        "winkler", 3, 6, 0.5, WORLD, weight_mode="budescu", history_window=7
+    ),
+    "winkler capped budescu": CampaignConfig(
+        "winkler", 3, 6, 0.5, WORLD, K=2, weight_mode="budescu"
+    ),
+    "vcg fixed rebates": CampaignConfig("vcg", 3, 8, 0.4, VCG_WORLD, K=3, tcomp_enabled=True),
+    "vcg fixed no rebates": CampaignConfig("vcg", 3, 8, 0.4, VCG_WORLD, K=3),
+    "vcg budescu rebates": CampaignConfig(
+        "vcg", 3, 8, 0.4, VCG_WORLD, K=3, tcomp_enabled=True, weight_mode="budescu"
+    ),
+    "vcg budescu window 7 no rebates": CampaignConfig(
+        "vcg", 3, 8, 0.4, VCG_WORLD, K=3, alpha=0.7, weight_mode="budescu", history_window=7
+    ),
+    "vcg c = 0 budescu rebates": CampaignConfig(
+        "vcg", 3, 8, 0.0, VCG_WORLD, K=3, tcomp_enabled=True, weight_mode="budescu"
+    ),
+}
+
+
 class TestCampaign:
+    @pytest.mark.parametrize("name", SETTLED_TOGETHER)
+    def test_rounds_settled_together_equal_the_per_round_loop(self, name):
+        # A campaign plays its rounds in order and settles them in one call;
+        # its records and summary are those of settling each round alone as
+        # it is played, to the bytes of every ledger line.
+        config = SETTLED_TOGETHER[name]
+        summary, ledger = rounds.campaign(30, config, seed=3)
+        want_summary, want_records = per_round_campaign(30, config, seed=3)
+        assert ledger.records == tuple(want_records)
+        lines = [rounds.record_to_json(record) for record in ledger.records]
+        assert lines == [rounds.record_to_json(record) for record in want_records]
+        assert summary == want_summary
+        if config.weight_mode == "budescu":
+            assert len(set(summary.weight_trajectory)) > 1  # the weights moved
+
     def test_deterministic(self):
         config = CampaignConfig(
             mechanism="winkler", n=3, m=4, threshold=0.5, world=WORLD, weight_mode="budescu"

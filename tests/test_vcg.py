@@ -22,6 +22,7 @@ from lendmech.mechanism import left_sum, linear_scores, scores_with
 from lendmech.priors import ProductGrid, UniformIID, sample_others
 from lendmech.vcg import VcgInstance
 from stats_helpers import assert_stats_close, utility_scale, with_report
+from vcg_oracle import _charges
 
 BELIEFS = [[0.7, 0.4], [0.4, 0.85], [0.6, 0.4]]
 
@@ -313,20 +314,25 @@ class TestSettle:
                 assert _bits(got.tcomp[i]) == _bits(vcg.tcomp(inst, others, i))
 
     def test_one_scoring_pass(self, monkeypatch):
-        # Handed its allocation, an n = 3 settlement with rebates scores
-        # the others once and the boosted reports once.
-        inst = table_instance(tcomp_enabled=True)
-        alloc = vcg.allocate(inst, BELIEFS)
-        calls = []
+        # Handed its allocation, an n = 3 settlement with rebates makes two
+        # weighted-sum passes, each the size of its reports: every row's
+        # others' scores, then every row's boosted scores. A stack of rounds
+        # makes the same two passes over the whole stack.
+        insts = [table_instance(tcomp_enabled=True, weights=w) for w in NON_DYADIC_WEIGHTS]
+        allocs = [vcg.allocate(inst, BELIEFS) for inst in insts]
+        outcomes = [dict.fromkeys(alloc.funded_real, 1) for alloc in allocs]
+        calls, weighted_sum = [], mechanism._weighted_sum
 
-        def counting(weights, reports):
-            calls.append(np.shape(reports))
-            return linear_scores(weights, reports)
+        def counting(weights, term, shape):
+            calls.append(shape)
+            return weighted_sum(weights, term, shape)
 
-        monkeypatch.setattr(vcg, "linear_scores", counting)
-        monkeypatch.setattr(mechanism, "linear_scores", counting)
-        vcg.settle(inst, BELIEFS, {0: 1}, alloc)
-        assert sorted(calls) == [(3, 2, 2), (3, 3, 2)]
+        monkeypatch.setattr(mechanism, "_weighted_sum", counting)
+        vcg.settle(insts[0], BELIEFS, outcomes[0], allocs[0])
+        assert calls == [(1, 3, 2), (1, 3, 2)]
+        calls.clear()
+        vcg.settle_rounds(insts, [BELIEFS] * 3, outcomes, allocs)
+        assert calls == [(3, 3, 2), (3, 3, 2)]
 
     def test_realized_utility_on_repayment(self):
         settlement = vcg.settle(table_instance(), BELIEFS, {0: 1})
@@ -361,6 +367,91 @@ class TestSettle:
             settlement = vcg.settle(inst, BELIEFS, {0: outcome})
             for i in range(3):
                 assert settlement.realized_utility(i) >= -1e-12
+
+
+@st.composite
+def pricing_batches(draw):
+    """A stack of 1 to 4 rounds of one VCG setting, each round with its own
+    weights and reports: n from 1 to 5, m from 1 to 10, K from 1 to m, c on
+    the quarter grid (0 included), alpha 1 or 0.7; weights zero, non-dyadic
+    or uniform; each round's reports on the quarter grid (ties among
+    borrowers and with c) or uniform."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    K = draw(st.integers(1, m))
+    c = draw(st.sampled_from(QUARTERS[:-1]))
+    alpha = draw(st.sampled_from([1.0, 0.7]))
+    weight = st.sampled_from([0.0, 1 / 3, 1 / 7, 0.1, 0.25]) | st.floats(0.0, 1.0)
+    insts, reports = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
+        insts.append(
+            VcgInstance(
+                n=n, m=m, K=K, reserve_threshold=c, weights=weights, alpha=alpha,
+                tcomp_enabled=True,
+            )
+        )
+        unit = st.sampled_from(QUARTERS) if draw(st.booleans()) else st.floats(0.0, 1.0)
+        rows = st.lists(unit, min_size=m, max_size=m)
+        reports.append(draw(st.lists(rows, min_size=n, max_size=n)))
+    return insts, np.array(reports, dtype=float)
+
+
+class TestBatchedPricing:
+    @settings(max_examples=250, deadline=None)
+    @given(pricing_batches())
+    @example(  # ties with c = 0.5, and a zero weight in one round of two
+        (
+            [
+                VcgInstance(
+                    n=3, m=4, K=2, reserve_threshold=0.5, weights=w, tcomp_enabled=True
+                )
+                for w in [(0.5, 0.5, 0.0), (1 / 7, 2 / 7, 4 / 7)]
+            ],
+            np.array(
+                [[[1.0, 1.0, 0.5, 0.0], [1.0, 1.0, 0.5, 0.0], [0.25, 1.0, 0.0, 0.5]]] * 2
+            ),
+        )
+    )
+    def test_pivots_and_rebates_equal_the_oracle_row_by_row(self, batch):
+        # One `settle_rounds` call prices every recommender of every round;
+        # each pivot and rebate has the bits of the per-recommender sweep,
+        # whose scores come from `linear_scores` on np.delete's rows and on
+        # the matrix with row i at 1.
+        insts, reports = batch
+        allocs = [vcg.allocate(inst, matrix) for inst, matrix in zip(insts, reports)]
+        outcomes = [dict.fromkeys(alloc.funded_real, 1) for alloc in allocs]
+        settled = vcg.settle_rounds(insts, reports, outcomes, allocs)
+        for inst, matrix, alloc, got in zip(insts, reports, allocs, settled):
+            assert got.allocation == alloc
+            for i in range(inst.n):
+                base = linear_scores(
+                    inst.weights[:i] + inst.weights[i + 1 :], np.delete(matrix, i, axis=0)
+                )
+                at_one = matrix.copy()
+                at_one[i] = 1.0
+                boosted = linear_scores(inst.weights, at_one)
+                pivot, rebate = _charges(inst, base, alloc, boosted)
+                assert _bits(got.immediate[i]) == _bits(pivot)
+                assert _bits(got.tcomp[i]) == _bits(rebate)
+
+    def test_rounds_settled_together_equal_rounds_settled_alone(self):
+        rng = np.random.default_rng(17)
+        insts = [
+            table_instance(m=5, K=3, weights=w, tcomp_enabled=True)
+            for w in NON_DYADIC_WEIGHTS + [(0.0, 0.5, 0.5)]
+        ]
+        reports = rng.random((len(insts), 3, 5))
+        outcomes = []
+        for inst, matrix in zip(insts, reports):
+            funded = vcg.allocate(inst, matrix).funded_real
+            outcomes.append({q: int(rng.integers(0, 2)) for q in funded})
+        together = vcg.settle_rounds(insts, reports, outcomes)
+        assert together == [vcg.settle(*args) for args in zip(insts, reports, outcomes)]
+
+    def test_rounds_must_share_all_but_their_weights(self):
+        insts = [table_instance(), table_instance(K=2)]
+        with pytest.raises(ValueError, match="round 1 differs from round 0"):
+            vcg.settle_rounds(insts, [BELIEFS] * 2, [{0: 1}] * 2)
 
 
 class TestDeficit:

@@ -318,6 +318,50 @@ class TestSettle:
         expected = settlement.contingent[(0, 0)] + settlement.contingent[(0, 1)]
         assert settlement.realized_utility(0) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("kind", ["linear", "capped", "custom", "mixed"])
+    def test_rounds_settled_together_equal_rounds_settled_alone(self, kind):
+        # Each round under its own weights, some zero and non-dyadic, on
+        # eighth-grid reports that sit at thresholds, and some rounds with no
+        # funded borrower. A custom pool's thresholds are bisected per round,
+        # and a linear pool's keep their closed form beside them.
+        rng = np.random.default_rng(23)
+        weight_rows = NON_DYADIC_WEIGHTS + [(0.5, 0.0, 0.5), (1.0, 0.0, 0.0)]
+        insts = [make_instance(n=3, m=4, c=0.3, weights=w) for w in weight_rows]
+        if kind == "capped":
+            insts = [make_instance(n=3, m=4, c=0.3, weights=w, cap=2) for w in weight_rows]
+        if kind == "custom":
+            pools = [
+                MonotoneCustom(fn=lambda col, w=w: left_sum(a * p for a, p in zip(w, col)), arity=3)
+                for w in weight_rows
+            ]
+            insts = [WinklerInstance(n=3, m=4, threshold=0.3, aggregator=pool) for pool in pools]
+        if kind == "mixed":
+            insts = [
+                make_instance(n=3, m=4, c=0.3, weights=w) if k % 2 else WinklerInstance(
+                    n=3, m=4, threshold=0.3,
+                    aggregator=MonotoneCustom(fn=lambda col: left_sum(p / 3 for p in col), arity=3),
+                )
+                for k, w in enumerate(weight_rows)
+            ]
+        reports = rng.choice(EIGHTHS, size=(len(insts), 3, 4))
+        reports[-1] = 0.0
+        outcomes = []
+        for inst, matrix in zip(insts, reports):
+            funded = inst.allocate(matrix).funded_real
+            outcomes.append({q: int(rng.integers(0, 2)) for q in funded})
+        together = winkler.settle_rounds(insts, reports, outcomes)
+        alone = [winkler.settle(*args) for args in zip(insts, reports, outcomes)]
+        assert together == alone
+        for a, b in zip(together, alone):  # -0.0 and 0.0 are equal; bits are not
+            assert [np.float64(v).tobytes() for v in a.contingent.values()] == [
+                np.float64(v).tobytes() for v in b.contingent.values()
+            ]
+
+    def test_rounds_must_share_all_but_their_weights(self):
+        insts = [make_instance(), make_instance(c=0.4)]
+        with pytest.raises(ValueError, match="round 1 differs from round 0"):
+            winkler.settle_rounds(insts, [BELIEFS] * 2, [{0: 1, 1: 0}] * 2)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from(NON_DYADIC_WEIGHTS),
@@ -548,6 +592,62 @@ class TestBatchedThresholds:
         )
         got = winkler.marginal_thresholds(inst, reports)
         assert np.array_equal(got, per_recommender_thresholds(inst, reports))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(TIE_THRESHOLDS), st.data())
+    def test_a_stack_of_rounds_equals_each_rounds_own_call(self, n, m, c, data):
+        # Every round under its own weights, zero and non-dyadic ones
+        # included, on eighth-grid reports that sit at their thresholds or
+        # on uniform ones: the stack's thresholds are each round's own,
+        # bit for bit.
+        weight = st.sampled_from([0.0, 1 / 3, 1 / 7, 0.1, 0.25, 1.0]) | st.floats(0.0, 1.0)
+        unit = st.sampled_from(EIGHTHS) | st.floats(0.0, 1.0)
+        rounds = data.draw(st.integers(1, 5))
+        weights = data.draw(
+            st.lists(st.lists(weight, min_size=n, max_size=n), min_size=rounds, max_size=rounds)
+        )
+        matrix = st.lists(st.lists(unit, min_size=m, max_size=m), min_size=n, max_size=n)
+        reports = np.array(data.draw(st.lists(matrix, min_size=rounds, max_size=rounds)))
+        stacked = winkler.funding_thresholds(c, weights, reports)
+        assert stacked.shape == (rounds, n, m)
+        for w, matrix, got in zip(weights, reports, stacked):
+            assert got.tobytes() == winkler.funding_thresholds(c, w, matrix).tobytes()
+
+    def test_a_stack_keeps_each_rounds_end_rules(self, monkeypatch):
+        margins, margin = [], winkler.funding_margin
+
+        def counting(*args):
+            margins.append(args)
+            return margin(*args)
+
+        monkeypatch.setattr(winkler, "funding_margin", counting)
+        # n = 1 at c the float below 1: the closed form gives the float below
+        # 1, a report of which leaves the score at c, so the anchor is 1 (the
+        # idle rule); a zero weight gives +inf. One margin per round.
+        below_one = float(np.nextafter(1.0, 0.0))
+        weights = [(1.0,), (0.0,), (0.5,)]
+        stacked = winkler.funding_thresholds(below_one, weights, np.array([[[1.0]], [[0.3]], [[0.5]]]))
+        assert stacked.tolist() == [[[1.0]], [[np.inf]], [[1.0]]]
+        assert len(margins) == 3
+        # The 1e-300 weight keeps the 0 rule (a report of 0 leaves the score
+        # at c) beside rounds whose anchors are regular or +inf.
+        weights = [(1.0, 1e-300), (0.5, 0.5), (0.0, 1.0)]
+        reports = np.full((3, 2, 1), 0.5)
+        stacked = winkler.funding_thresholds(0.5, weights, reports)
+        assert stacked[:, :, 0].tolist() == [[0.5, 0.0], [0.5, 0.5], [np.inf, 0.5]]
+        for w, matrix, got in zip(weights, reports, stacked):
+            assert got.tobytes() == winkler.funding_thresholds(0.5, w, matrix).tobytes()
+        # Under weight 1e-4 the closed form lands about 1e3 ulps below 1, yet
+        # a report of the float below 1 leaves the score at or below c: the
+        # anchor is 1, which only that round's own, wider margin sends to the
+        # exact test. Round 0's margin is a few ulps.
+        weights = [(0.5, 0.5), (1.0, 1e-4)]
+        reports = np.array([[[0.4999], [0.5]]] * 2)
+        stacked = winkler.funding_thresholds(0.5, weights, reports)
+        assert stacked[1, 1, 0] == 1.0
+        for w, matrix, got in zip(weights, reports, stacked):
+            assert got.tobytes() == winkler.funding_thresholds(0.5, w, matrix).tobytes()
 
 
 def engine_case(draw):
