@@ -12,7 +12,9 @@ static `settle_rounds(insts, reports, outcomes, allocations=None)`: it
 prices a stack of rounds, (R, n, m) reports, round r under `insts[r]`, in
 one pass and returns one `Settlement` per round. The instances may differ
 only in their weights (`check_rounds`), as a campaign's rounds do; `settle`
-is a stack of one round.
+is a stack of one round. The static `allocate_rounds(insts, reports)`
+allocates such a stack, checked once, one `Allocation` per round, each
+`allocate`'s for its round.
 
 `engine(i, others)` returns None where the mechanism has no vectorized
 interim engine (the audits then score through their per-sample one), or an
@@ -47,6 +49,7 @@ alpha; VCG's two utilities give u, with alpha 0.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -75,8 +78,11 @@ class Allocation:
     real: tuple[int, ...]
     reserves_funded: int = 0
 
-    @property
+    @functools.cached_property
     def funded_real(self) -> tuple[int, ...]:
+        """The funded real borrowers in index order. Computed on the first
+        read and kept in the instance's `__dict__`, not in a field, so
+        equality, hashing and `repr` see only `real` and `reserves_funded`."""
         return tuple(q for q, f in enumerate(self.real) if f)
 
 
@@ -423,19 +429,22 @@ class FundingTest:
 
 
 def check_rounds(insts: Sequence, varying: str, *per_round: Sequence) -> None:
-    """The instances of a stack of rounds, which settle in one call, must be
-    one mechanism: the first one's type and fields, but for field `varying`
-    (a campaign's weights or aggregator). Each of `per_round` must hold one
-    entry per round."""
+    """The instances of a stack of rounds, which allocate or settle in one
+    call, must be one mechanism: the first one's type and fields, but for
+    field `varying` (a campaign's weights or aggregator). An instance is not
+    compared with itself, so a fixed-weight campaign's stack, one instance
+    repeated, costs a pass of identity checks. Each of `per_round` must hold
+    one entry per round."""
     if not insts:
-        raise ValueError("need at least one round to settle")
+        raise ValueError("need at least one round")
     if any(len(values) != len(insts) for values in per_round):
         raise ValueError(f"need one entry per round for each of the {len(insts)} rounds")
     first = insts[0]
     names = [f.name for f in dataclasses.fields(first) if f.name != varying]
     for r, inst in enumerate(insts):
-        if type(inst) is not type(first) or any(
-            getattr(inst, name) != getattr(first, name) for name in names
+        if inst is not first and (
+            type(inst) is not type(first)
+            or any(getattr(inst, name) != getattr(first, name) for name in names)
         ):
             raise ValueError(f"round {r} differs from round 0 in more than its {varying}")
 

@@ -1,19 +1,22 @@
 """Multi-round lending simulator with an append-only, replayable ledger.
 
-A round is played, then settled. Playing it samples fresh borrowers' true
-repayment probabilities, derives recommender beliefs through a
-per-recommender signal model, allocates under the configured mechanism
-and samples repayments for funded borrowers. Settling prices the round's
-payments and builds its record. Nothing a later round reads depends on
-the settlement: weights used in round r come only from the reports and
-outcomes of funded loans in rounds before r. So a campaign plays its
-rounds in order and then settles them all in one call of the mechanism's
-`settle_rounds`, which prices every round at once; `run_round` is that
-call on a single round. With outcome-adaptive weighting, a
-`BudescuAccumulator` scores each funded loan once, when its round is
-played, and keeps running sums: a round's weight update costs O(n) per
-newly funded loan, plus O(window * n) under a history window, instead of a
-rescan of every past loan.
+A campaign runs in three stages, each over the stack of its rounds. It
+draws every round's world first: from the round's own seed, fresh
+borrowers' true repayment probabilities, recommender beliefs through a
+per-recommender signal model, and one uniform per borrower for the
+outcomes. It then allocates under the configured mechanism and draws the
+funded borrowers' outcomes from those uniforms. Under fixed weights every
+round is allocated in one call of the mechanism's `allocate_rounds`; with
+outcome-adaptive weights, round r's weights come only from the reports and
+outcomes of funded loans in rounds before r, so each such round is
+allocated alone once they are known. Nothing a later round reads depends
+on the settlement, so last, one call of the mechanism's `settle_rounds`
+prices every round, and the records are built from the stacked arrays.
+`run_round` is a campaign of one round through the same steps. With
+outcome-adaptive weighting, a `BudescuAccumulator` scores each funded loan
+once, when its round is allocated, and keeps running sums: a round's
+weight update costs O(n) per newly funded loan, plus O(window * n) under a
+history window, instead of a rescan of every past loan.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .aggregation import (
     budescu_weights,
 )
 from .errors import AllNonPositiveContribution, EmptyHistory, LedgerError, MechanismError
-from .mechanism import Allocation, Instance, Settlement, check_outcomes, check_reports, deficit
+from .mechanism import Allocation, Instance, check_outcomes, check_reports, deficit
 from .mechanism import left_sum
 from .priors import PriorSpec, UniformIID, sample_profiles
 from .vcg import VcgInstance
@@ -70,20 +73,45 @@ class WorldModel:
             raise ValueError("need either a signal model (mixing) or a belief prior")
 
 
-def sample_world(
-    world: WorldModel, n: int, m: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (truths, beliefs) for one round."""
-    truths = sample_profiles(world.truth_prior, 1, m, 1, rng)[0, 0, :]
+def _draw(
+    world: WorldModel, n: int, m: int, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every round's world, drawn before any round is allocated: truths
+    (R, m), beliefs (R, n, m) and m outcome uniforms per round (R, m).
+
+    Round r draws from its own `default_rng(seeds[r])`, in this order: the
+    truths, then the signal noise (with `mixing`) or the beliefs (from
+    `belief_prior`), then m uniforms. A round that funds k borrowers reads
+    the first k uniforms, one per funded borrower in index order: a
+    generator's doubles come in sequence, so they are the k a draw of k
+    would give. With `mixing`, recommender i's beliefs are
+    mixing[i] * truth + (1 - mixing[i]) * noise, mixed for the whole stack
+    at once.
+    """
+    if world.mixing is not None and len(world.mixing) != n:
+        raise ValueError(f"need {n} mixing coefficients, got {len(world.mixing)}")
+    truths, uniforms = np.empty((len(seeds), m)), np.empty((len(seeds), m))
+    beliefs = np.empty((len(seeds), n, m))
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        truths[r] = sample_profiles(world.truth_prior, 1, m, 1, rng)[0, 0]
+        if world.mixing is not None:
+            rng.random(out=beliefs[r])
+        else:
+            beliefs[r] = sample_profiles(world.belief_prior, n, m, 1, rng)[0]
+        rng.random(out=uniforms[r])
     if world.mixing is not None:
-        if len(world.mixing) != n:
-            raise ValueError(f"need {n} mixing coefficients, got {len(world.mixing)}")
         lam = np.asarray(world.mixing)[:, np.newaxis]
-        noise = rng.random((n, m))
-        beliefs = lam * truths[np.newaxis, :] + (1.0 - lam) * noise
-    else:
-        beliefs = sample_profiles(world.belief_prior, n, m, 1, rng)[0]
-    return truths, beliefs
+        beliefs = lam * truths[:, np.newaxis, :] + (1.0 - lam) * beliefs
+    return truths, beliefs, uniforms
+
+
+def _outcomes(
+    funded: Sequence[int], truths: Sequence[float], uniforms: Sequence[float]
+) -> dict[int, int]:
+    """One round's outcomes, {borrower: 0 or 1}: the k-th funded borrower q
+    repays iff the round's k-th uniform is below its truth."""
+    return {q: int(u < truths[q]) for u, q in zip(uniforms, funded)}
 
 
 def _field(check: Callable[["RoundRecord"], None], **kwargs):
@@ -320,82 +348,53 @@ def round_hashes(config: "CampaignConfig", seed: int) -> Callable[[int], str]:
     return lambda round_id: _digest(f'{head}"round_id": {json.dumps(round_id)}{tail}')
 
 
-@dataclass(frozen=True)
-class PlayedRound:
-    """A round before settlement: the instance that allocated it, the
-    sampled truths, the reports, the allocation and the outcomes of the
-    funded borrowers. It is all that later rounds can depend on."""
-
-    inst: Instance
-    truths: np.ndarray
-    reports: np.ndarray
-    allocation: Allocation
-    outcomes: dict[int, int]
-
-    def loans(self, n: int) -> list[ObservedLoan]:
-        """`funded_loans` of the record this round settles into."""
-        return _loans(self.reports.tolist(), self.outcomes, self.allocation.funded_real, n)
+def _allocate(insts: Sequence[Instance], truths, reports: np.ndarray, uniforms: np.ndarray):
+    """Allocations and outcomes of a stack of rounds whose instances are
+    known before any round is played (fixed weights): one call of the
+    mechanism's `allocate_rounds`; `truths` holds the rounds' rows."""
+    allocations = insts[0].allocate_rounds(insts, reports)
+    outcomes = [
+        _outcomes(alloc.funded_real, row, draws)
+        for alloc, row, draws in zip(allocations, truths, uniforms.tolist())
+    ]
+    return allocations, outcomes
 
 
-def play_round(
-    inst: Instance,
-    world: WorldModel,
-    seed: int,
-    deviation: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> PlayedRound:
-    """Sample one round, allocate and draw the funded borrowers' outcomes.
-
-    Reports are the sampled beliefs unless a deviation strategy rewrites
-    them (stress testing). Identical (inst, world, seed) reproduce the
-    round bit for bit.
-    """
-    rng = np.random.default_rng(seed)
-    truths, beliefs = sample_world(world, inst.n, inst.m, rng)
-    reports = deviation(beliefs) if deviation is not None else beliefs
-    reports = np.clip(np.asarray(reports, dtype=float), 0.0, 1.0)
-
-    allocation = inst.allocate(reports)
-    funded_real = allocation.funded_real
-    draws = rng.random(len(funded_real))
-    outcomes = {q: int(draws[k] < truths[q]) for k, q in enumerate(funded_real)}
-    return PlayedRound(inst, truths, reports, allocation, outcomes)
-
-
-def _settle(
-    played: list[PlayedRound], round_ids: Sequence[int], hashes: Sequence[str]
+def _records(
+    insts: Sequence[Instance],
+    truths: Sequence[Sequence[float]],
+    reports: np.ndarray,
+    allocations: Sequence[Allocation],
+    outcomes: Sequence[dict[int, int]],
+    round_ids: Sequence[int],
+    hashes: Sequence[str],
 ) -> list[RoundRecord]:
-    """The records of played rounds of one mechanism, all priced by one call
-    of its `settle_rounds`; `played[k]` is round `round_ids[k]`, whose
+    """The records of allocated rounds of one mechanism, all priced by one
+    call of its `settle_rounds`: round k is `round_ids[k]`, played under
+    `insts[k]` with truth row `truths[k]` and reports `reports[k]`, whose
     scenario hash is `hashes[k]`."""
-    insts = [p.inst for p in played]
-    settlements = insts[0].settle_rounds(
-        insts, [p.reports for p in played], [p.outcomes for p in played],
-        [p.allocation for p in played],
-    )
-    return [_record(*args) for args in zip(played, settlements, round_ids, hashes)]
-
-
-def _record(
-    played: PlayedRound, settlement: Settlement, round_id: int, scenario_hash: str
-) -> RoundRecord:
-    allocation = settlement.allocation
-    return RoundRecord(
-        round_id=round_id,
-        scenario_hash=scenario_hash,
-        weights=tuple(float(w) for w in played.inst.weights_in_force),
-        truths=tuple(float(t) for t in played.truths),
-        reports=tuple(tuple(float(v) for v in row) for row in played.reports),
-        funded_real=allocation.funded_real,
-        reserves_funded=allocation.reserves_funded,
-        outcomes=tuple(sorted(played.outcomes.items())),
-        immediate=settlement.immediate,
-        contingent=tuple(
-            (i, q, float(v)) for (i, q), v in sorted(settlement.contingent.items())
-        ),
-        tcomp=settlement.tcomp,
-        deficit=deficit(settlement),
-        realized_utilities=tuple(settlement.realized_utility(i) for i in range(played.inst.n)),
-    )
+    settlements = insts[0].settle_rounds(insts, reports, outcomes, allocations)
+    rows = zip(insts, truths, reports.tolist(), outcomes, settlements, round_ids, hashes)
+    return [
+        RoundRecord(
+            round_id=round_id,
+            scenario_hash=scenario_hash,
+            weights=tuple(map(float, inst.weights_in_force)),
+            truths=tuple(truth_row),
+            reports=tuple(map(tuple, matrix)),
+            funded_real=settlement.allocation.funded_real,
+            reserves_funded=settlement.allocation.reserves_funded,
+            outcomes=tuple(sorted(realized.items())),
+            immediate=settlement.immediate,
+            contingent=tuple(
+                (i, q, float(v)) for (i, q), v in sorted(settlement.contingent.items())
+            ),
+            tcomp=settlement.tcomp,
+            deficit=deficit(settlement),
+            realized_utilities=tuple(settlement.realized_utility(i) for i in range(inst.n)),
+        )
+        for inst, truth_row, matrix, realized, settlement, round_id, scenario_hash in rows
+    ]
 
 
 def run_round(
@@ -406,14 +405,23 @@ def run_round(
     scenario_hash: str = "",
     deviation: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> RoundRecord:
-    """Play one round and settle it, as a campaign settles its rounds.
+    """Play one round and settle it: a campaign of this one round, through
+    the campaign's own draw, allocation and records.
 
-    Reports are the sampled beliefs unless a deviation strategy rewrites
-    them (stress testing). Identical (inst, world, seed) reproduce the
-    record bit for bit.
+    Reports are the drawn beliefs unless a deviation strategy rewrites
+    them (stress testing), before they are clipped to [0, 1]. Identical
+    (inst, world, seed) reproduce the record bit for bit.
     """
-    played = play_round(inst, world, seed, deviation)
-    return _settle([played], [round_id], [scenario_hash])[0]
+    truths, beliefs, uniforms = _draw(world, inst.n, inst.m, [seed])
+    if deviation is not None:
+        beliefs = np.asarray(deviation(beliefs[0]), dtype=float)[np.newaxis]
+    reports = np.clip(beliefs, 0.0, 1.0)
+    truth_rows = truths.tolist()
+    allocations, outcomes = _allocate([inst], truth_rows, reports, uniforms)
+    (record,) = _records(
+        [inst], truth_rows, reports, allocations, outcomes, [round_id], [scenario_hash]
+    )
+    return record
 
 
 def evolve_weights(
@@ -493,40 +501,52 @@ class CampaignSummary:
 def campaign(
     rounds: int, config: CampaignConfig, seed: int
 ) -> tuple[CampaignSummary, RoundLedger]:
-    """Run sequential rounds with (optionally) evolving weights: play them
-    in order, each under the weights of the rounds before it, then settle
-    them all in one call."""
+    """Run sequential rounds with (optionally) evolving weights: draw every
+    round's world, allocate the rounds (all in one call under fixed
+    weights, else in order, each under the weights of the rounds before
+    it), then settle them all in one call."""
     if rounds < 1:
         raise ValueError(f"need rounds >= 1, got {rounds}")
-    round_seeds = np.random.SeedSequence(seed).generate_state(rounds)
+    n, m = config.n, config.m
+    round_seeds = np.random.SeedSequence(seed).generate_state(rounds).tolist()
+    truths, beliefs, uniforms = _draw(config.world, n, m, round_seeds)
+    reports = np.clip(beliefs, 0.0, 1.0)
+    truth_rows = truths.tolist()
     weights = (
         WeightVector(config.initial_weights)
         if config.initial_weights is not None
-        else WeightVector.equal(config.n)
+        else WeightVector.equal(n)
     )
-    scores = (
-        BudescuAccumulator(config.n, config.history_window)
-        if config.weight_mode == "budescu"
-        else None
-    )
-    played = []
-    for r in range(rounds):
-        if scores is not None and r > 0:
-            weights = scores.weights()
-        inst = build_instance(
-            config.mechanism, config.n, config.m, config.threshold, weights.weights,
+
+    def instance(weights: WeightVector) -> Instance:
+        return build_instance(
+            config.mechanism, n, m, config.threshold, weights.weights,
             config.K, config.alpha, config.tcomp_enabled,
         )
-        played.append(play_round(inst, config.world, int(round_seeds[r])))
-        if scores is not None:
-            scores.add(played[-1].loans(config.n))
-    hashes = round_hashes(config, seed)
+
+    if config.weight_mode == "fixed":
+        insts = [instance(weights)] * rounds
+        allocations, outcomes = _allocate(insts, truth_rows, reports, uniforms)
+    else:
+        # Round r's weights come from the outcomes of rounds before r, so
+        # each round is allocated alone, once its weights are known.
+        scores = BudescuAccumulator(n, config.history_window)
+        insts, allocations, outcomes = [], [], []
+        for r, (matrix, draws) in enumerate(zip(reports.tolist(), uniforms.tolist())):
+            if r > 0:
+                weights = scores.weights()
+            insts.append(instance(weights))
+            allocations.append(insts[r].allocate(reports[r]))
+            funded = allocations[r].funded_real
+            outcomes.append(_outcomes(funded, truth_rows[r], draws))
+            scores.add(_loans(matrix, outcomes[r], funded, n))
+        weights = scores.weights()  # after the last round
+    hashes = list(map(round_hashes(config, seed), range(rounds)))
+    records = _records(insts, truth_rows, reports, allocations, outcomes, range(rounds), hashes)
     ledger = RoundLedger()
-    for record in _settle(played, range(rounds), [hashes(r) for r in range(rounds)]):
+    for record in records:
         ledger.append(record)
 
-    final_weights = scores.weights() if scores is not None else weights
-    records = ledger.records
     funded = sum(len(rec.funded_real) for rec in records)
     repaid = sum(o for rec in records for _, o in rec.outcomes)
     summary = CampaignSummary(
@@ -540,6 +560,6 @@ def campaign(
             left_sum(column) for column in zip(*(rec.realized_utilities for rec in records))
         ),
         weight_trajectory=tuple(rec.weights for rec in records),
-        final_weights=final_weights.weights,
+        final_weights=weights.weights,
     )
     return summary, ledger

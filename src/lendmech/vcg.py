@@ -86,6 +86,10 @@ class VcgInstance:
         return settle(self, reports, outcomes, allocation)
 
     @staticmethod
+    def allocate_rounds(insts, reports) -> list[Allocation]:
+        return allocate_rounds(insts, reports)
+
+    @staticmethod
     def settle_rounds(insts, reports, outcomes, allocations=None) -> list[Settlement]:
         return settle_rounds(insts, reports, outcomes, allocations)
 
@@ -138,6 +142,27 @@ def _allocate(inst: VcgInstance, arr: np.ndarray) -> Allocation:
     """`allocate` of an already checked report matrix."""
     scores = linear_scores(inst.weights, arr)
     return _select(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
+
+
+def allocate_rounds(insts: Sequence[VcgInstance], reports) -> list[Allocation]:
+    """Allocate a stack of rounds in one pass: round r's reports, (R, n, m),
+    under `insts[r]`, which may differ only in their weights, as a
+    campaign's rounds do.
+
+    Every round's scores come from one `linear_scores` pass, each round's
+    weights broadcast against its row, and `select_batch` selects every
+    round's top K by rank counts, with no sort. Each allocation is
+    `allocate`'s for its round, ties included.
+    """
+    check_rounds(insts, "weights")
+    inst = insts[0]
+    arr = check_reports(reports, (len(insts), inst.n, inst.m))
+    weights = np.array([each.weights for each in insts], dtype=float)
+    scores = linear_scores(weights.T[:, :, np.newaxis], arr)
+    funded = select_batch(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
+    reserves = np.count_nonzero(funded[:, inst.m :], axis=1).tolist()
+    real = funded[:, : inst.m].astype(int).tolist()
+    return [Allocation(tuple(row), count) for row, count in zip(real, reserves)]
 
 
 def _check_real_recommender(inst: VcgInstance, i: int) -> None:
@@ -346,7 +371,8 @@ def select_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.nd
     items `_select` funds on each row of `scores`: the real borrowers by
     index, then the reserve slots. It is the interim engine's selection of
     the transposed scores (`_order`'s positions below K, and the reserve
-    slots that fit) as one mask, the batch form of `_select`.
+    slots that fit) as one mask, the batch form of `_select`, and how
+    `allocate_rounds` selects a stack of rounds.
     """
     pos, ahead = _order(scores.T, c, n_reserves)
     reserves = np.clip(K - ahead, 0, n_reserves)[:, np.newaxis]

@@ -70,6 +70,10 @@ class WinklerInstance:
         return settle(self, reports, outcomes, allocation)
 
     @staticmethod
+    def allocate_rounds(insts, reports) -> list[Allocation]:
+        return allocate_rounds(insts, reports)
+
+    @staticmethod
     def settle_rounds(insts, reports, outcomes, allocations=None) -> list[Settlement]:
         return settle_rounds(insts, reports, outcomes, allocations)
 
@@ -107,6 +111,16 @@ def _allocate(inst: WinklerInstance, arr: np.ndarray) -> tuple[int, ...]:
     )
     funded = set(eligible[: inst.cap])
     return tuple(1 if q in funded else 0 for q in range(inst.m))
+
+
+def allocate_rounds(insts: Sequence[WinklerInstance], reports) -> list[Allocation]:
+    """Allocate a stack of rounds: round r's reports, (R, n, m), under
+    `insts[r]`, which may differ only in their aggregator, as a campaign's
+    rounds differ in their weights. The stack is checked once and each
+    round is `allocate`'s."""
+    check_rounds(insts, "aggregator")
+    arr = check_reports(reports, (len(insts), insts[0].n, insts[0].m))
+    return [Allocation(_allocate(inst, matrix)) for inst, matrix in zip(insts, arr)]
 
 
 def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> float:

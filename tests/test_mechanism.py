@@ -1,6 +1,9 @@
 """The shared linear score, funding test and grid scorer both interim
 engines use."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +127,24 @@ class TestLeftSum:
         )
         assert deficit(settlement) == 0.9999999999999999
         assert settlement.realized_utility(0) == 0.9999999999999999
+
+
+class TestAllocation:
+    def test_funded_real_is_computed_once_and_is_not_a_field(self):
+        # The first read keeps the tuple; equality, hashing, repr, the
+        # field list and copies see only `real` and `reserves_funded`.
+        alloc, fresh = Allocation((0, 1, 1, 0, 1), 2), Allocation((0, 1, 1, 0, 1), 2)
+        text, key = repr(alloc), hash(alloc)
+        assert alloc.funded_real == (1, 2, 4)
+        assert alloc.funded_real is alloc.funded_real
+        assert [f.name for f in dataclasses.fields(Allocation)] == ["real", "reserves_funded"]
+        assert (alloc == fresh, hash(alloc), repr(alloc)) == (True, key, text)
+        assert hash(fresh) == key
+        assert repr(alloc) == "Allocation(real=(0, 1, 1, 0, 1), reserves_funded=2)"
+        assert dataclasses.astuple(alloc) == ((0, 1, 1, 0, 1), 2)
+        assert dataclasses.replace(alloc, reserves_funded=0).funded_real == (1, 2, 4)
+        assert pickle.loads(pickle.dumps(alloc)) == fresh
+        assert Allocation((0, 0)).funded_real == ()
 
 
 def score_with(weights, i, co_reports, report):

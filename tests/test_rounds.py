@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from lendmech import rounds
 from lendmech.aggregation import BudescuAccumulator, WeightVector, WeightedLinear
 from lendmech.errors import LedgerError
-from lendmech.priors import BetaIID, DegenerateAt, UniformIID
+from lendmech.priors import BetaIID, DegenerateAt, ProductGrid, UniformIID
 from lendmech.mechanism import left_sum
 from lendmech.rounds import CampaignConfig, CampaignSummary, RoundLedger, RoundRecord, WorldModel
 from lendmech.scenario import build_campaign_config, load_bundled
 from lendmech.vcg import VcgInstance
 from lendmech.winkler import WinklerInstance
+from rounds_oracle import oracle_round
 
 
 def winkler_instance(n=3, m=4, c=0.5, weights=None):
@@ -78,6 +79,32 @@ class TestRunRound:
             inst, WORLD, seed=5, deviation=lambda beliefs: np.zeros_like(beliefs)
         )
         assert zeroed.funded_real == ()
+
+    @pytest.mark.parametrize("inst", [winkler_instance(), vcg_instance()])
+    @pytest.mark.parametrize(
+        "deviation", [None, lambda b: 1.5 * b - 0.2, lambda b: (1.0 - b).tolist()]
+    )
+    def test_equals_the_round_played_alone(self, inst, deviation):
+        # `run_round` is a campaign of one round: the record, to its bytes,
+        # of drawing the outcomes after the allocation. The deviations
+        # leave [0, 1], so the clip comes after them.
+        for seed in range(6):
+            got = rounds.run_round(inst, WORLD, seed, 4, "h", deviation)
+            want = oracle_round(inst, WORLD, seed, 4, "h", deviation)
+            assert rounds.record_to_json(got) == rounds.record_to_json(want)
+            assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 8), st.data())
+    def test_a_prefix_of_m_uniforms_is_a_draw_of_k(self, seed, before, m, data):
+        # A round draws m outcome uniforms with its world and its k funded
+        # borrowers read the first k: on one generator, continued after any
+        # earlier draws, those are the k uniforms a draw of k would give.
+        k = data.draw(st.integers(0, m))
+        ahead, alone = np.random.default_rng(seed), np.random.default_rng(seed)
+        ahead.random(before)
+        alone.random(before)
+        assert ahead.random(out=np.empty(m))[:k].tolist() == alone.random(k).tolist()
 
     def test_settle_with_the_allocation_equals_settle_alone(self):
         rng = np.random.default_rng(8)
@@ -371,8 +398,9 @@ class TestConfigHash:
 
 
 def per_round_campaign(n_rounds, config, seed):
-    """`rounds.campaign` as a loop of `run_round`, every round settled alone
-    under the weights its accumulator gives from the rounds before it."""
+    """`rounds.campaign` as a loop of the oracle's rounds, each drawn,
+    allocated and settled alone under the weights its accumulator gives
+    from the rounds before it."""
     round_seeds = np.random.SeedSequence(seed).generate_state(n_rounds)
     weights = (
         WeightVector(config.initial_weights)
@@ -393,7 +421,7 @@ def per_round_campaign(n_rounds, config, seed):
             config.mechanism, config.n, config.m, config.threshold, weights.weights,
             config.K, config.alpha, config.tcomp_enabled,
         )
-        records.append(rounds.run_round(inst, config.world, int(round_seeds[r]), r, hashes(r)))
+        records.append(oracle_round(inst, config.world, int(round_seeds[r]), r, hashes(r)))
         if scores is not None:
             scores.add(rounds.funded_loans(records[-1], config.n))
     funded = sum(len(rec.funded_real) for rec in records)
@@ -402,7 +430,7 @@ def per_round_campaign(n_rounds, config, seed):
         rounds=n_rounds,
         funded=funded,
         repaid=repaid,
-        repayment_rate=repaid / funded,
+        repayment_rate=repaid / funded if funded else float("nan"),
         base_rate=left_sum(left_sum(rec.truths) for rec in records) / (n_rounds * config.m),
         cumulative_deficit=left_sum(rec.deficit for rec in records),
         recommender_utilities=tuple(
@@ -413,6 +441,59 @@ def per_round_campaign(n_rounds, config, seed):
     )
     return summary, records
 
+
+QUARTER = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def world_priors(draw, rows: int, m: int):
+    """A rows x m prior of any kind: uniform, beta, degenerate (on the
+    quarter grid, so rows and borrowers tie) or a product grid."""
+    kind = draw(st.sampled_from(["uniform", "beta", "degenerate", "grid"]))
+    if kind == "uniform":
+        return UniformIID()
+    if kind == "beta":
+        return BetaIID(draw(st.sampled_from([0.5, 2.0])), draw(st.sampled_from([0.5, 3.0])))
+    if kind == "degenerate":
+        return DegenerateAt(tuple(tuple(draw(QUARTER) for _ in range(m)) for _ in range(rows)))
+    cell = st.lists(QUARTER | UNIT, min_size=1, max_size=3).map(tuple)
+    return ProductGrid(tuple(tuple(draw(cell) for _ in range(m)) for _ in range(rows)))
+
+
+@st.composite
+def campaign_cases(draw):
+    """(rounds, config, seed): either mechanism, n from 1 to 4, m from 1 to 8;
+    VCG with K from 1 to m and c on a grid with 0, Winkler with or without
+    a cap from 1 to m; fixed or Budescu weights (a window of 7 or none),
+    equal or drawn, zeros and non-dyadic shares included; a world with
+    `mixing` over any truth prior, or beliefs from any prior."""
+    mechanism = draw(st.sampled_from(["winkler", "vcg"]))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    if mechanism == "vcg":
+        K, c = draw(st.integers(1, m)), draw(st.sampled_from([0.0, 0.25, 0.4, 0.5]))
+    else:
+        K, c = draw(st.none() | st.integers(1, m)), draw(st.sampled_from([0.25, 0.4, 0.5, 0.7]))
+    truth_prior = world_priors(draw, 1, m)
+    if draw(st.booleans()):
+        world = WorldModel(mixing=tuple(draw(QUARTER | UNIT) for _ in range(n)),
+                           truth_prior=truth_prior)
+    else:
+        world = WorldModel(truth_prior=truth_prior, belief_prior=world_priors(draw, n, m))
+    shares = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    shares[draw(st.integers(0, n - 1))] += 1  # not every share 0
+    config = CampaignConfig(
+        mechanism, n, m, c, world, K=K,
+        alpha=draw(st.sampled_from([1.0, 0.7])),
+        tcomp_enabled=draw(st.booleans()),
+        weight_mode=draw(st.sampled_from(["fixed", "budescu"])),
+        initial_weights=draw(st.none() | st.just(tuple(k / sum(shares) for k in shares))),
+        history_window=draw(st.sampled_from([None, 7])),
+    )
+    return draw(st.integers(1, 6)), config, draw(st.integers(0, 2**32 - 1))
+
+
+# Every truth is 0 and every belief the truth, so no real borrower's score
+# clears c: Winkler funds nobody, VCG only reserves.
+NOBODY = WorldModel(mixing=(1.0, 1.0), truth_prior=DegenerateAt(((0.0, 0.0, 0.0),)))
 
 VCG_WORLD = WorldModel(mixing=(0.8, 0.6, 0.4))
 SETTLED_TOGETHER = {
@@ -441,9 +522,9 @@ SETTLED_TOGETHER = {
 class TestCampaign:
     @pytest.mark.parametrize("name", SETTLED_TOGETHER)
     def test_rounds_settled_together_equal_the_per_round_loop(self, name):
-        # A campaign plays its rounds in order and settles them in one call;
-        # its records and summary are those of settling each round alone as
-        # it is played, to the bytes of every ledger line.
+        # A campaign draws its worlds up front and allocates and settles in
+        # stacks; its records and summary are those of playing and settling
+        # each round alone, to the bytes of every ledger line.
         config = SETTLED_TOGETHER[name]
         summary, ledger = rounds.campaign(30, config, seed=3)
         want_summary, want_records = per_round_campaign(30, config, seed=3)
@@ -453,6 +534,28 @@ class TestCampaign:
         assert summary == want_summary
         if config.weight_mode == "budescu":
             assert len(set(summary.weight_trajectory)) > 1  # the weights moved
+
+    @settings(max_examples=150, deadline=None)
+    @given(campaign_cases())
+    @example((3, CampaignConfig("winkler", 2, 3, 0.4, NOBODY, weight_mode="budescu"), 1))
+    @example((3, CampaignConfig("vcg", 2, 3, 0.4, NOBODY, K=2, tcomp_enabled=True), 1))
+    @example(
+        (4, CampaignConfig("vcg", 3, 8, 0.0, VCG_WORLD, K=8, tcomp_enabled=True,
+                           weight_mode="budescu", history_window=7), 2)
+    )
+    def test_equals_the_oracle_loop(self, case):
+        # Drawing every world up front, allocating fixed-weight rounds in
+        # one call and building the records from the stacked arrays gives
+        # the records, ledger lines and summary of playing each round alone.
+        n_rounds, config, seed = case
+        summary, ledger = rounds.campaign(n_rounds, config, seed)
+        want_summary, want_records = per_round_campaign(n_rounds, config, seed)
+        assert ledger.records == tuple(want_records)
+        lines = [rounds.record_to_json(record) for record in ledger.records]
+        assert lines == [rounds.record_to_json(record) for record in want_records]
+        # A campaign that funds nobody has a NaN repayment rate, which `==`
+        # does not equal; the reprs are the floats' exact digits.
+        assert repr(summary) == repr(want_summary)
 
     def test_deterministic(self):
         config = CampaignConfig(

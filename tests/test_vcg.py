@@ -452,6 +452,49 @@ class TestBatchedPricing:
         insts = [table_instance(), table_instance(K=2)]
         with pytest.raises(ValueError, match="round 1 differs from round 0"):
             vcg.settle_rounds(insts, [BELIEFS] * 2, [{0: 1}] * 2)
+        with pytest.raises(ValueError, match="round 1 differs from round 0"):
+            VcgInstance.allocate_rounds(insts, [BELIEFS] * 2)
+
+
+class TestAllocateRounds:
+    @settings(max_examples=250, deadline=None)
+    @given(pricing_batches())
+    @example(  # quarter-grid ties among borrowers and with c, K = m, a zero weight
+        (
+            [
+                VcgInstance(n=3, m=4, K=4, reserve_threshold=0.5, weights=w)
+                for w in [(0.5, 0.5, 0.0), (1 / 7, 2 / 7, 4 / 7)]
+            ],
+            np.array(
+                [[[1.0, 1.0, 0.5, 0.0], [1.0, 1.0, 0.5, 0.0], [0.25, 1.0, 0.0, 0.5]]] * 2
+            ),
+        )
+    )
+    @example(  # c = 0: no reserves, every score ties
+        (
+            [VcgInstance(n=2, m=3, K=2, reserve_threshold=0.0, weights=(0.1, 0.3))],
+            np.zeros((1, 2, 3)),
+        )
+    )
+    def test_equals_allocate_row_by_row(self, batch):
+        # One `allocate_rounds` call selects every round of the stack by
+        # rank counts; each allocation is `_select`'s sort of its round.
+        # The reprs also pin the types: Python ints, not numpy scalars.
+        insts, reports = batch
+        alone = [vcg.allocate(inst, matrix) for inst, matrix in zip(insts, reports)]
+        together = VcgInstance.allocate_rounds(insts, reports)
+        assert together == alone
+        assert repr(together) == repr(alone)
+        fixed = vcg.allocate_rounds([insts[0]] * len(reports), reports)
+        assert fixed == [vcg.allocate(insts[0], matrix) for matrix in reports]
+
+    def test_checks_the_stack(self):
+        with pytest.raises(ShapeMismatch):
+            vcg.allocate_rounds([table_instance()] * 2, [BELIEFS])
+        with pytest.raises(ValueError, match="reports must be finite"):
+            vcg.allocate_rounds([table_instance()], [[[0.5, np.nan]] * 3])
+        with pytest.raises(ValueError, match="need at least one round"):
+            vcg.allocate_rounds([], np.zeros((0, 3, 2)))
 
 
 class TestDeficit:

@@ -125,6 +125,62 @@ class TestCap:
         assert make_instance().engine(0, np.full((4, 2, 2), 0.5)) is not None
 
 
+@st.composite
+def allocation_batches(draw):
+    """A stack of 1 to 4 rounds of one Winkler setting: n from 1 to 4, m
+    from 1 to 8, c among the tie thresholds, no cap or a cap from 1 to m.
+    Each round has its own pool: linear, with weights from drawn shares
+    (zeros and non-dyadic shares included), or a custom one. Reports are
+    on the eighth grid (ties among borrowers and with c) or uniform."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    c = draw(st.sampled_from(TIE_THRESHOLDS))
+    cap = draw(st.none() | st.integers(1, m))
+    insts, reports = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        shares = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+        shares[draw(st.integers(0, n - 1))] += 1  # not every share 0
+        weights = tuple(k / sum(shares) for k in shares)
+        if draw(st.integers(0, 4)) == 0:
+            pool = MonotoneCustom(fn=lambda col, w=weights: left_sum(a * p for a, p in zip(w, col)),
+                                  arity=n)
+        else:
+            pool = WeightedLinear(WeightVector(weights))
+        insts.append(WinklerInstance(n=n, m=m, threshold=c, aggregator=pool, cap=cap))
+        unit = st.sampled_from(EIGHTHS) if draw(st.booleans()) else st.floats(0.0, 1.0)
+        reports.append(draw(st.lists(st.lists(unit, min_size=m, max_size=m), min_size=n,
+                                     max_size=n)))
+    return insts, np.array(reports, dtype=float)
+
+
+class TestAllocateRounds:
+    @settings(max_examples=250, deadline=None)
+    @given(allocation_batches())
+    @example(  # non-dyadic weights; 0.3 ties the first column's score
+        ([make_instance(m=3, c=0.3, weights=(0.1, 0.3, 0.6))] * 2,
+         np.array([[[0.75, 0.5, 0.0], [0.25, 0.5, 1.0], [0.25, 0.5, 0.0]]] * 2)),
+    )
+    @example(  # a cap of 1 with three tied borrowers
+        ([make_instance(m=3, c=0.25, cap=1)], np.array([[[0.5, 0.5, 0.5]] * 3])),
+    )
+    @example(  # a cap of m
+        ([make_instance(m=3, c=0.25, cap=3)], np.array([[[0.5, 0.25, 0.75]] * 3])),
+    )
+    def test_equals_allocate_row_by_row(self, batch):
+        # One `allocate_rounds` call checks the stack once; each allocation
+        # is the instance's own `allocate` of its round, types included.
+        insts, reports = batch
+        alone = [inst.allocate(matrix) for inst, matrix in zip(insts, reports)]
+        together = WinklerInstance.allocate_rounds(insts, reports)
+        assert together == alone
+        assert repr(together) == repr(alone)
+
+    def test_checks_the_stack(self):
+        with pytest.raises(ShapeMismatch):
+            winkler.allocate_rounds([make_instance()] * 2, [BELIEFS])
+        with pytest.raises(ValueError, match="reports must be finite"):
+            winkler.allocate_rounds([make_instance()], [[[0.5, np.inf]] * 3])
+
+
 class TestMarginalThresholds:
     def test_worked_matrix(self):
         got = winkler.marginal_thresholds(make_instance(), BELIEFS)
@@ -361,6 +417,10 @@ class TestSettle:
         insts = [make_instance(), make_instance(c=0.4)]
         with pytest.raises(ValueError, match="round 1 differs from round 0"):
             winkler.settle_rounds(insts, [BELIEFS] * 2, [{0: 1, 1: 0}] * 2)
+        with pytest.raises(ValueError, match="round 1 differs from round 0"):
+            WinklerInstance.allocate_rounds(insts, [BELIEFS] * 2)
+        with pytest.raises(ValueError, match="round 1 differs from round 0"):
+            winkler.allocate_rounds([make_instance(), make_instance(cap=1)], [BELIEFS] * 2)
 
     @settings(max_examples=200, deadline=None)
     @given(
