@@ -25,9 +25,8 @@ from . import vcg as vcg_mod
 from . import winkler as winkler_mod
 from .aggregation import aggregate_columns
 from .errors import ReproductionMismatch, ScenarioError, ShapeMismatch
-from .mechanism import Instance, check_reports, elementwise_column_stats, left_sum
-from .mechanism import linear_scores, mean_se
-from .priors import DegenerateAt, PriorSpec, is_degenerate, sample_others, sample_profiles
+from .mechanism import Instance, check_reports, left_sum, linear_scores, mean_se
+from .priors import PriorSpec, is_degenerate, sample_others, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
 
@@ -36,7 +35,14 @@ if TYPE_CHECKING:
 
 EXACT_TOL = 1e-9
 EQUAL_SHIFT_TOL = 1e-9
+# How far the chosen allocation's welfare may sit from the brute-force
+# best, and a raised weight's utility gain from 0, and still count as equal.
+WELFARE_TOL = 1e-12
+GAIN_TOL = 1e-12
 SE_MULTIPLIER = 2.0
+# The most misreport outcomes a verdict keeps in its details: every win
+# and tie first, then losses.
+DETAILS_LIMIT = 512
 # The fewest Monte Carlo samples a verdict rests on: a best-response search,
 # and a grain-of-no-veto estimate. Scenario blocks and CLI flags are held to
 # these too.
@@ -81,10 +87,10 @@ class Targeted:
 MisreportStrategy = Union[SingleCoordinateGrid, FullRowRandom, EqualShift, Targeted]
 
 
-def is_equal_shift(true_row: Sequence[float], row: Sequence[float], tol: float = EQUAL_SHIFT_TOL) -> bool:
+def is_equal_shift(true_row: Sequence[float], row: Sequence[float]) -> bool:
     """True when the row sits at a constant offset from the truth."""
     offsets = [r - t for r, t in zip(row, true_row)]
-    return max(offsets) - min(offsets) <= tol
+    return max(offsets) - min(offsets) <= EQUAL_SHIFT_TOL
 
 
 @dataclass(frozen=True)
@@ -151,51 +157,6 @@ def generate_misreports(
     return out
 
 
-# ── per-sample evaluation ─────────────────────────────────────────────
-
-
-def _exact_value(
-    inst: Instance, i: int, belief_row: Sequence[float], report_row, others: np.ndarray
-) -> float:
-    """Utility of one report against fixed co-reports, exact over own beliefs."""
-    full = np.insert(others, i, np.asarray(report_row, dtype=float), axis=0)
-    return inst.expost_utility(full, i, belief_row)
-
-
-class _SlowEngine:
-    """Per-sample python fallback for instances without a vectorized engine,
-    and the oracle the vectorized engines are tested against."""
-
-    def __init__(self, inst: Instance, i: int, others: np.ndarray) -> None:
-        self.inst = inst
-        self.i = i
-        self.others = others
-        self.samples = others.shape[0]
-
-    def utilities(self, belief_row, report_row) -> np.ndarray:
-        return np.array(
-            [
-                _exact_value(self.inst, self.i, belief_row, report_row, self.others[s])
-                for s in range(self.samples)
-            ]
-        )
-
-    def column_stats(self, true_row, q: int, reports):
-        """Mean and standard error of truth minus each report on coordinate
-        q: each report's full row through `utilities`, then `mean_se`."""
-        truth = tuple(float(v) for v in true_row)
-
-        def score(report: float) -> np.ndarray:
-            return self.utilities(truth, truth[:q] + (report,) + truth[q + 1 :])
-
-        return elementwise_column_stats(score, self.utilities(truth, truth), reports)
-
-
-def _make_engine(inst: Instance, i: int, others: np.ndarray):
-    engine = inst.engine(i, others)
-    return engine if engine is not None else _SlowEngine(inst, i, others)
-
-
 # ── verdicts ──────────────────────────────────────────────────────────
 
 
@@ -259,7 +220,6 @@ def _assemble_verdict(
     samples: int,
     seed: Optional[int],
     notes: tuple[str, ...] = (),
-    details_limit: int = 512,
 ) -> AuditVerdict:
     wins = [o for o in outcomes if o.classification == "wins"]
     losses = [o for o in outcomes if o.classification == "loses"]
@@ -292,7 +252,7 @@ def _assemble_verdict(
         witness = None
 
     interesting = wins + ties
-    shown = interesting + losses[: max(0, details_limit - len(interesting))]
+    shown = interesting + losses[: max(0, DETAILS_LIMIT - len(interesting))]
     return AuditVerdict(
         desideratum=desideratum,
         verdict=verdict,
@@ -302,7 +262,7 @@ def _assemble_verdict(
         seed=seed,
         counts=counts,
         witness=witness,
-        details=tuple(shown[:details_limit]),
+        details=tuple(shown[:DETAILS_LIMIT]),
         notes=notes,
     )
 
@@ -328,17 +288,14 @@ def interim_utility(
     check_reports([true_row], (1, inst.m), "true_row")
     check_reports([report_row], (1, inst.m), "report_row")
     if is_degenerate(prior):
-        others = _degenerate_others(prior, i)
-        return _exact_value(inst, i, true_row, report_row, others), 0.0
+        profile = np.array(prior.profile, dtype=float)
+        profile[i] = report_row
+        return inst.expost_utility(profile, i, true_row), 0.0
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     others = sample_others(prior, inst.n, inst.m, i, samples, rng)
-    return _mean_se(_make_engine(inst, i, others).utilities(true_row, report_row))
-
-
-def _degenerate_others(prior: DegenerateAt, i: int) -> np.ndarray:
-    return np.delete(np.asarray(prior.profile, dtype=float), i, axis=0)
+    return _mean_se(inst.engine(i, others).utilities(true_row, report_row))
 
 
 def best_response_search(
@@ -367,7 +324,7 @@ def best_response_search(
 
     exact = is_degenerate(prior)
     if exact:
-        others = _degenerate_others(prior, i)[np.newaxis, :, :]
+        others = np.delete(np.asarray(prior.profile, dtype=float), i, axis=0)[np.newaxis]
     else:
         if samples < MIN_SEARCH_SAMPLES:
             raise ValueError(
@@ -375,7 +332,7 @@ def best_response_search(
             )
         others = sample_others(prior, inst.n, inst.m, i, samples, rng_samples)
 
-    engine = _make_engine(inst, i, others)
+    engine = inst.engine(i, others)
     del others  # the engine keeps what it needs from the samples
     truth_values = engine.utilities(true_row, true_row)
     truth_mean, truth_se = _mean_se(truth_values)
@@ -474,16 +431,14 @@ def brute_force_welfare(inst: VcgInstance, reports) -> float:
     return best
 
 
-def allocative_efficiency_check(inst: VcgInstance, reports, tol: float = 1e-12) -> bool:
+def allocative_efficiency_check(inst: VcgInstance, reports) -> bool:
     """Chosen allocation achieves the brute-force maximum welfare."""
     scores = vcg_mod.aggregate_scores(inst, reports)
     achieved = vcg_mod._welfare(scores, inst.reserve_threshold, vcg_mod.allocate(inst, reports))
-    return abs(achieved - brute_force_welfare(inst, reports)) <= tol
+    return abs(achieved - brute_force_welfare(inst, reports)) <= WELFARE_TOL
 
 
-def ex_post_ir_check(
-    inst: Instance, profile, tol: float = EXACT_TOL
-) -> tuple[bool, float, Optional[int]]:
+def ex_post_ir_check(inst: Instance, profile) -> tuple[bool, float, Optional[int]]:
     """Truthful expected utility is nonnegative for every recommender.
 
     Returns (ok, worst utility, worst recommender).
@@ -491,15 +446,14 @@ def ex_post_ir_check(
     arr = np.asarray(profile, dtype=float)
     worst, worst_i = math.inf, None
     for i in range(inst.n):
-        others = np.delete(arr, i, axis=0)
-        value = _exact_value(inst, i, arr[i], arr[i], others)
+        value = inst.expost_utility(arr, i, arr[i])
         if value < worst:
             worst, worst_i = value, i
-    return worst >= -tol, worst, worst_i
+    return worst >= -EXACT_TOL, worst, worst_i
 
 
 def strong_ex_post_ir_check(
-    inst: VcgInstance, reports, tol: float = EXACT_TOL
+    inst: VcgInstance, reports
 ) -> tuple[bool, float, Optional[tuple[int, tuple[int, ...]]]]:
     """Realized utility >= 0 for every recommender and every outcome vector.
 
@@ -520,7 +474,7 @@ def strong_ex_post_ir_check(
             value = settlement.realized_utility(i)
             if value < worst:
                 worst, witness = value, (i, bits)
-    return worst >= -tol, worst, witness
+    return worst >= -EXACT_TOL, worst, witness
 
 
 # ── weight incentive check ────────────────────────────────────────────
@@ -534,7 +488,6 @@ def weight_monotonicity_check(
     reports=None,
     trials: int = 0,
     seed: int = 0,
-    tol: float = 1e-12,
 ) -> AuditVerdict:
     """Raising recommender i's weight (no renormalization) must strictly
     raise their truthful utility whenever they value the funded set.
@@ -556,10 +509,10 @@ def weight_monotonicity_check(
         if value_low <= 0.0:
             skipped += 1
             continue
-        u_low = vcg_mod.expost_utility(low, profile, i, profile[i])
-        u_high = vcg_mod.expost_utility(high, profile, i, profile[i])
+        u_low = low.expost_utility(profile, i, profile[i])
+        u_high = high.expost_utility(profile, i, profile[i])
         gain = u_high - u_low
-        classification = "loses" if gain > tol else ("wins" if gain < -tol else "ties")
+        classification = "loses" if gain > GAIN_TOL else ("wins" if gain < -GAIN_TOL else "ties")
         outcomes.append(
             MisreportOutcome(
                 candidate=Candidate(row=tuple(profile[i]), kind="weight-raise"),
@@ -619,10 +572,7 @@ def reproduce_reference(sc: Scenario) -> Table1Report:
 
     def utilities(reports: np.ndarray) -> tuple[float, ...]:
         """Each recommender's utility for `reports`, under their own beliefs."""
-        return tuple(
-            _exact_value(inst, i, beliefs[i], reports[i], np.delete(reports, i, axis=0))
-            for i in range(inst.n)
-        )
+        return tuple(inst.expost_utility(reports, i, beliefs[i]) for i in range(inst.n))
 
     report = Table1Report(
         aggregates=tuple(float(v) for v in linear_scores(inst.weights_in_force, beliefs)),
@@ -631,8 +581,8 @@ def reproduce_reference(sc: Scenario) -> Table1Report:
         ),
         honest_utilities=utilities(beliefs),
         misreport_utilities=utilities(deviated),
-        honest_funded=winkler_mod.allocate(inst, beliefs).index(1),
-        misreport_funded=winkler_mod.allocate(inst, deviated).index(1),
+        honest_funded=winkler_mod.allocate(inst, beliefs).funded_real[0],
+        misreport_funded=winkler_mod.allocate(inst, deviated).funded_real[0],
         misreporter=misreporter,
         expected=expected,
         max_abs_error=0.0,

@@ -7,22 +7,23 @@ rounds, the CLI and the audits call: `allocate(reports) -> Allocation`,
 `settle(reports, outcomes, allocation=None) -> Settlement` (handed the
 allocation of those reports, it does not allocate again),
 `expost_utility(reports, i, belief_row)`, `engine(i, others)` and
-`weights_in_force`. Settlement has one implementation per mechanism, the
-static `settle_rounds(insts, reports, outcomes, allocations=None)`: it
-prices a stack of rounds, (R, n, m) reports, round r under `insts[r]`, in
-one pass and returns one `Settlement` per round. The instances may differ
-only in their weights (`check_rounds`), as a campaign's rounds do; `settle`
-is a stack of one round. The static `allocate_rounds(insts, reports)`
-allocates such a stack, checked once, one `Allocation` per round, each
-`allocate`'s for its round.
+`weights_in_force`. Two static methods take a stack of rounds, (R, n, m)
+reports, round r under `insts[r]`; the instances may differ only in their
+weights (`check_rounds`), as a campaign's rounds do.
+`allocate_rounds(insts, reports)` gives one `Allocation` per round, each
+`allocate`'s for its round. `settle_rounds(insts, reports, outcomes,
+allocations=None)` prices the stack in one pass and gives one
+`Settlement` per round; it is each mechanism's one settlement, and
+`settle` is a stack of one round.
 
-`engine(i, others)` returns None where the mechanism has no vectorized
-interim engine (the audits then score through their per-sample one), or an
-engine for recommender i over co-reports `others`, (samples, n-1, m), with
-two methods. `utilities(belief_row, report_row)` gives i's utility on each
-sample. `column_stats(true_row, q, reports)` gives, for each report on
-coordinate q, with the others at `true_row` and beliefs `true_row`, the
-mean and standard error of truth minus that report over the samples.
+`engine(i, others)` gives an interim engine for recommender i over
+co-reports `others`, (samples, n-1, m): the mechanism's vectorized one, or
+where it has none (capped Winkler, custom pools) `SampleEngine`, which
+scores each sample through `expost_utility`. Every engine has two methods.
+`utilities(belief_row, report_row)` gives i's utility on each sample.
+`column_stats(true_row, q, reports)` gives, for each report on coordinate
+q, with the others at `true_row` and beliefs `true_row`, the mean and
+standard error of truth minus that report over the samples.
 
 `left_sum` is how the package adds a sequence of floats: left to right,
 as Python 3.11's `sum()` does, so results do not change with the Python
@@ -216,6 +217,35 @@ def elementwise_column_stats(
     return mean, se
 
 
+class SampleEngine:
+    """The interim engine of an instance with no vectorized one (capped
+    Winkler, custom pools), and the oracle the vectorized engines are
+    tested against: on each sample, i's report row goes in among the
+    co-reports and `inst.expost_utility` scores the profile."""
+
+    def __init__(self, inst: Instance, i: int, others: np.ndarray) -> None:
+        self.inst, self.i, self.others = inst, i, others
+
+    def utilities(self, belief_row, report_row) -> np.ndarray:
+        row = np.asarray(report_row, dtype=float)
+        return np.array(
+            [
+                self.inst.expost_utility(np.insert(co, self.i, row, axis=0), self.i, belief_row)
+                for co in self.others
+            ]
+        )
+
+    def column_stats(self, true_row, q: int, reports):
+        """Mean and standard error of truth minus each report on coordinate
+        q: each report's full row through `utilities`, then `mean_se`."""
+        truth = tuple(float(v) for v in true_row)
+
+        def score(report: float) -> np.ndarray:
+            return self.utilities(truth, truth[:q] + (report,) + truth[q + 1 :])
+
+        return elementwise_column_stats(score, self.utilities(truth, truth), reports)
+
+
 def merge_moments(counts: np.ndarray, means: np.ndarray, m2: np.ndarray):
     """Merge blocks into one by the Chan-Golub-LeVeque pairwise update,
     pairing neighbours until one block is left: the mean and centered sum
@@ -367,9 +397,9 @@ class FundingTest:
     is within gamma_2 d / w_i + s of d / w_i. Together: a level L <= t - M
     leaves the score at or below the key, and a level L > t + M lifts it
     above, whenever M >= (3 gamma_{n+2} (W + K) + n s) / w_i + s. The test
-    takes M = (4 gamma_{n+2} (W + K) + n s) / w_i + 16u (`funding_margin`,
-    which Winkler's thresholds share); the spare terms
-    cover the rounding of M itself and of L +- M, for |t| <= 2, M <= 4.
+    takes M = (4 gamma_{n+2} (W + K) + n s) / w_i + 16u (`funding_margin`);
+    the spare terms cover the rounding of M itself and of L +- M, for
+    |t| <= 2, M <= 4.
     Above 4 (a tiny w_i; an overflow gives inf) M is capped at 4, which
     leaves every level in [0, 1] to the exact pass, as a larger margin
     would. With w_i = 0 the score is B whatever i reports, bit for bit, so
@@ -428,13 +458,15 @@ class FundingTest:
         return linear_scores(self.weights, column) <= self.key[near]
 
 
-def check_rounds(insts: Sequence, varying: str, *per_round: Sequence) -> None:
-    """The instances of a stack of rounds, which allocate or settle in one
-    call, must be one mechanism: the first one's type and fields, but for
-    field `varying` (a campaign's weights or aggregator). An instance is not
-    compared with itself, so a fixed-weight campaign's stack, one instance
-    repeated, costs a pass of identity checks. Each of `per_round` must hold
-    one entry per round."""
+def check_rounds(insts: Sequence, varying: str, reports, *per_round: Sequence) -> np.ndarray:
+    """`reports` checked as a stack of rounds, which allocate or settle in
+    one call: (R, n, m), round r under `insts[r]`.
+
+    The instances must be one mechanism: the first one's type and fields,
+    but for field `varying` (a campaign's weights or aggregator). An
+    instance is not compared with itself, so a fixed-weight campaign's
+    stack, one instance repeated, costs a pass of identity checks. Each of
+    `per_round` must hold one entry per round."""
     if not insts:
         raise ValueError("need at least one round")
     if any(len(values) != len(insts) for values in per_round):
@@ -447,6 +479,22 @@ def check_rounds(insts: Sequence, varying: str, *per_round: Sequence) -> None:
             or any(getattr(inst, name) != getattr(first, name) for name in names)
         ):
             raise ValueError(f"round {r} differs from round 0 in more than its {varying}")
+    return check_reports(reports, (len(insts), first.n, first.m))
+
+
+def checked_allocations(
+    allocate, insts, arr: np.ndarray, outcomes, allocations
+) -> list[Allocation]:
+    """Each round's allocation of a checked stack, `allocate(inst, matrix)`
+    where `allocations` holds None, with the round's outcomes checked
+    against it (`check_outcomes`): what both settlements start from."""
+    allocs = [
+        alloc if alloc is not None else allocate(inst, matrix)
+        for inst, matrix, alloc in zip(insts, arr, allocations)
+    ]
+    for alloc, realized in zip(allocs, outcomes):
+        check_outcomes(alloc.funded_real, realized)
+    return allocs
 
 
 def check_reports(reports, shape: tuple[int, int], field: str = "reports") -> np.ndarray:

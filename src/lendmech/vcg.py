@@ -11,10 +11,10 @@ On top sit standard pivot payments, and optionally a report-independent
 rebate equal to each recommender's worst-case pivot, which makes realized
 utility nonnegative for every outcome. The rebate is computed exactly for
 every m and K by a sweep over the best unfunded item. Settlement prices a
-stack of rounds at once (`settle_rounds`; `settle` is a stack of one):
-every recommender's others' scores in one pass, ranked once by rank
-counts, give each pivot and the rebate sweep, which runs once per position
-p < K for every recommender of every round together
+stack of rounds at once (`VcgInstance.settle_rounds`; `settle` is a stack
+of one): every recommender's others' scores in one pass, ranked once by
+rank counts, give each pivot and the rebate sweep, which runs once per
+position p < K for every recommender of every round together
 (`_pivots_and_rebates`). All payments scale linearly in alpha; the
 allocation does not depend on it.
 """
@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import ReserveRecommenderHasNoPayment
 # `deficit` is re-exported: callers use vcg.deficit.
-from .mechanism import Allocation, FundingTest, Settlement, check_outcomes, check_reports, deficit
-from .mechanism import check_rounds
-from .mechanism import chunks, grid_stats, left_sum, linear_scores, others_scores, scores_with
+from .mechanism import Allocation, FundingTest, Settlement, check_reports, check_rounds, deficit
+from .mechanism import checked_allocations, chunks, grid_stats, left_sum, linear_scores
+from .mechanism import others_scores, scores_with
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,10 @@ class VcgInstance:
     def n_reserves(self) -> int:
         return self.K if self.reserve_threshold > 0.0 else 0
 
-    # The mechanism interface (see lendmech.mechanism); each method calls
-    # the module-level function of the same name.
+    # The mechanism interface (see lendmech.mechanism). `allocate` and
+    # `settle` forward to the module-level functions of the same name,
+    # looked up at each call: perfbench/tracer.py times them by patching
+    # the module.
 
     def allocate(self, reports) -> Allocation:
         return allocate(self, reports)
@@ -86,15 +88,63 @@ class VcgInstance:
         return settle(self, reports, outcomes, allocation)
 
     @staticmethod
-    def allocate_rounds(insts, reports) -> list[Allocation]:
-        return allocate_rounds(insts, reports)
+    def allocate_rounds(insts: Sequence["VcgInstance"], reports) -> list[Allocation]:
+        """Allocate a stack of rounds in one pass: round r's reports,
+        (R, n, m), under `insts[r]`, which may differ only in their weights,
+        as a campaign's rounds do.
+
+        Every round's scores come from one `linear_scores` pass, each
+        round's weights broadcast against its row, and `select_batch`
+        selects every round's top K by rank counts, with no sort. Each
+        allocation is `allocate`'s for its round, ties included.
+        """
+        arr = check_rounds(insts, "weights", reports)
+        inst = insts[0]
+        weights = np.array([each.weights for each in insts], dtype=float)
+        scores = linear_scores(weights.T[:, :, np.newaxis], arr)
+        funded = select_batch(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
+        reserves = np.count_nonzero(funded[:, inst.m :], axis=1).tolist()
+        real = funded[:, : inst.m].astype(int).tolist()
+        return [Allocation(tuple(row), count) for row, count in zip(real, reserves)]
 
     @staticmethod
-    def settle_rounds(insts, reports, outcomes, allocations=None) -> list[Settlement]:
-        return settle_rounds(insts, reports, outcomes, allocations)
+    def settle_rounds(
+        insts: Sequence["VcgInstance"],
+        reports,
+        outcomes: Sequence[Mapping[int, int]],
+        allocations: Optional[Sequence[Optional[Allocation]]] = None,
+    ) -> list[Settlement]:
+        """Settle a stack of rounds in one pass: round r's reports,
+        (R, n, m), its outcomes and its allocation (None to allocate) under
+        `insts[r]`. The instances may differ only in their weights, as a
+        campaign's rounds do.
+
+        Reserve slots are bookkeeping rows with no outcomes. Every pivot and
+        rebate of the stack comes from one `_pivots_and_rebates` call,
+        against each round's allocation as its one chosen set; each is the
+        value its round gets when settled alone, bit for bit.
+        """
+        allocations = [None] * len(insts) if allocations is None else allocations
+        arr = check_rounds(insts, "weights", reports, outcomes, allocations)
+        return _settle(insts, arr, outcomes, allocations)
 
     def expost_utility(self, reports, i: int, belief_row: Sequence[float]) -> float:
-        return expost_utility(self, reports, i, belief_row)
+        """i's utility at these reports, expectation over own repayment
+        beliefs.
+
+        Excludes the tcomp rebate: the rebate is report-independent, so it
+        shifts utilities without affecting any incentive comparison. The
+        pivot is priced against this utility's own allocation, selected
+        once.
+        """
+        _check_real_recommender(self, i)
+        arr = check_reports(reports, (self.n, self.m))
+        alloc = _allocate(self, arr)
+        value = self.alpha * left_sum(
+            self.weights[i] * float(belief_row[q]) for q in alloc.funded_real
+        )
+        pivots, _ = _pivots_and_rebates(self, [self.weights], arr[np.newaxis], [alloc], False)
+        return value - float(pivots[0, i])
 
     def engine(self, i: int, others: np.ndarray) -> "InterimEngine":
         return InterimEngine(self, i, others)
@@ -142,27 +192,6 @@ def _allocate(inst: VcgInstance, arr: np.ndarray) -> Allocation:
     """`allocate` of an already checked report matrix."""
     scores = linear_scores(inst.weights, arr)
     return _select(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
-
-
-def allocate_rounds(insts: Sequence[VcgInstance], reports) -> list[Allocation]:
-    """Allocate a stack of rounds in one pass: round r's reports, (R, n, m),
-    under `insts[r]`, which may differ only in their weights, as a
-    campaign's rounds do.
-
-    Every round's scores come from one `linear_scores` pass, each round's
-    weights broadcast against its row, and `select_batch` selects every
-    round's top K by rank counts, with no sort. Each allocation is
-    `allocate`'s for its round, ties included.
-    """
-    check_rounds(insts, "weights")
-    inst = insts[0]
-    arr = check_reports(reports, (len(insts), inst.n, inst.m))
-    weights = np.array([each.weights for each in insts], dtype=float)
-    scores = linear_scores(weights.T[:, :, np.newaxis], arr)
-    funded = select_batch(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
-    reserves = np.count_nonzero(funded[:, inst.m :], axis=1).tolist()
-    real = funded[:, : inst.m].astype(int).tolist()
-    return [Allocation(tuple(row), count) for row, count in zip(real, reserves)]
 
 
 def _check_real_recommender(inst: VcgInstance, i: int) -> None:
@@ -282,44 +311,17 @@ def settle(
     allocation: Optional[Allocation] = None,
 ) -> Settlement:
     """Pivot charges plus realized constant-rule payments (and rebates):
-    `settle_rounds` of this one round. `outcomes` must cover exactly the
-    funded real borrowers; `allocation`, when given, must be
+    `VcgInstance.settle_rounds` of this one round. `outcomes` must cover
+    exactly the funded real borrowers; `allocation`, when given, must be
     `allocate(inst, reports)`, and saves allocating again."""
     arr = check_reports(reports, (inst.n, inst.m))
     return _settle([inst], arr[np.newaxis], [outcomes], [allocation])[0]
 
 
-def settle_rounds(
-    insts: Sequence[VcgInstance],
-    reports,
-    outcomes: Sequence[Mapping[int, int]],
-    allocations: Optional[Sequence[Optional[Allocation]]] = None,
-) -> list[Settlement]:
-    """Settle a stack of rounds in one pass: round r's reports, (R, n, m),
-    its outcomes and its allocation (None to allocate) under `insts[r]`.
-    The instances may differ only in their weights, as a campaign's rounds
-    do.
-
-    Reserve slots are bookkeeping rows with no outcomes. Every pivot and
-    rebate of the stack comes from one `_pivots_and_rebates` call, against each
-    round's allocation as its one chosen set; each is the value its round
-    gets when settled alone, bit for bit.
-    """
-    allocations = [None] * len(insts) if allocations is None else allocations
-    check_rounds(insts, "weights", outcomes, allocations)
-    arr = check_reports(reports, (len(insts), insts[0].n, insts[0].m))
-    return _settle(insts, arr, outcomes, allocations)
-
-
 def _settle(insts, arr: np.ndarray, outcomes, allocations) -> list[Settlement]:
-    """`settle_rounds` of a checked stack."""
+    """`VcgInstance.settle_rounds` of a checked stack."""
     inst = insts[0]
-    allocs = [
-        alloc if alloc is not None else _allocate(each, matrix)
-        for each, matrix, alloc in zip(insts, arr, allocations)
-    ]
-    for alloc, realized in zip(allocs, outcomes):
-        check_outcomes(alloc.funded_real, realized)
+    allocs = checked_allocations(_allocate, insts, arr, outcomes, allocations)
     weights = [each.weights for each in insts]
     pivots, rebates = _pivots_and_rebates(inst, weights, arr, allocs, inst.tcomp_enabled)
     rebates = [None] * len(insts) if rebates is None else [tuple(row) for row in rebates.tolist()]
@@ -347,23 +349,6 @@ def contingent_payments(
     }
 
 
-def expost_utility(inst: VcgInstance, reports, i: int, belief_row: Sequence[float]) -> float:
-    """i's utility at these reports, expectation over own repayment beliefs.
-
-    Excludes the tcomp rebate: the rebate is report-independent, so it
-    shifts utilities without affecting any incentive comparison. The pivot
-    is priced against this utility's own allocation, selected once.
-    """
-    _check_real_recommender(inst, i)
-    arr = check_reports(reports, (inst.n, inst.m))
-    alloc = _allocate(inst, arr)
-    value = inst.alpha * left_sum(
-        inst.weights[i] * float(belief_row[q]) for q in alloc.funded_real
-    )
-    pivots, _ = _pivots_and_rebates(inst, [inst.weights], arr[np.newaxis], [alloc], False)
-    return value - float(pivots[0, i])
-
-
 def select_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.ndarray:
     """Row-wise top-K over real scores plus constant reserve slots.
 
@@ -372,7 +357,7 @@ def select_batch(scores: np.ndarray, c: float, n_reserves: int, K: int) -> np.nd
     index, then the reserve slots. It is the interim engine's selection of
     the transposed scores (`_order`'s positions below K, and the reserve
     slots that fit) as one mask, the batch form of `_select`, and how
-    `allocate_rounds` selects a stack of rounds.
+    `VcgInstance.allocate_rounds` selects a stack of rounds.
     """
     pos, ahead = _order(scores.T, c, n_reserves)
     reserves = np.clip(K - ahead, 0, n_reserves)[:, np.newaxis]

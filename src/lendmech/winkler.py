@@ -19,16 +19,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .aggregation import Aggregator, WeightedLinear, aggregate, aggregate_columns
 from .errors import ZeroWeightRecommender
-from .mechanism import Allocation, FundingTest, Settlement, check_outcomes, check_reports
-from .mechanism import check_rounds
-from .mechanism import elementwise_column_stats, funding_margin, grid_stats, left_sum
-from .mechanism import linear_scores, others_scores
+from .mechanism import Allocation, FundingTest, SampleEngine, Settlement, check_reports
+from .mechanism import check_rounds, checked_allocations, elementwise_column_stats, grid_stats
+from .mechanism import left_sum, linear_scores, others_scores
 
 BELOW_ONE = 1.0 - 2.0**-53  # the float just below 1
 
@@ -58,11 +57,13 @@ class WinklerInstance:
         if self.cap is not None and not 1 <= self.cap <= self.m:
             raise ValueError(f"need 1 <= cap <= m, got cap={self.cap}, m={self.m}")
 
-    # The mechanism interface (see lendmech.mechanism); each method calls
-    # the module-level function of the same name.
+    # The mechanism interface (see lendmech.mechanism). `allocate` and
+    # `settle` forward to the module-level functions of the same name,
+    # looked up at each call: perfbench/tracer.py times them by patching
+    # the module, and so times a campaign's per-round `allocate` calls.
 
     def allocate(self, reports) -> Allocation:
-        return Allocation(allocate(self, reports))
+        return allocate(self, reports)
 
     def settle(
         self, reports, outcomes: Mapping[int, int], allocation: Optional[Allocation] = None
@@ -70,21 +71,55 @@ class WinklerInstance:
         return settle(self, reports, outcomes, allocation)
 
     @staticmethod
-    def allocate_rounds(insts, reports) -> list[Allocation]:
-        return allocate_rounds(insts, reports)
+    def allocate_rounds(insts: Sequence["WinklerInstance"], reports) -> list[Allocation]:
+        """Allocate a stack of rounds: round r's reports, (R, n, m), under
+        `insts[r]`, which may differ only in their aggregator, as a
+        campaign's rounds differ in their weights. The stack is checked
+        once and each round is `allocate`'s."""
+        arr = check_rounds(insts, "aggregator", reports)
+        return [_allocate(inst, matrix) for inst, matrix in zip(insts, arr)]
 
     @staticmethod
-    def settle_rounds(insts, reports, outcomes, allocations=None) -> list[Settlement]:
-        return settle_rounds(insts, reports, outcomes, allocations)
+    def settle_rounds(
+        insts: Sequence["WinklerInstance"],
+        reports,
+        outcomes: Sequence[Mapping[int, int]],
+        allocations: Optional[Sequence[Optional[Allocation]]] = None,
+    ) -> list[Settlement]:
+        """Settle a stack of rounds in one pass: round r's reports, (R, n, m),
+        its outcomes and its allocation (None to allocate) under `insts[r]`.
+        The instances may differ only in their aggregator, as a campaign's
+        rounds differ in their weights.
+
+        Every recommender is paid on each funded borrower through
+        `WinklerPayment`, anchored at their marginal threshold: a funded
+        report lies above it (in exact arithmetic), so that is the Winkler
+        rule's upper branch, or the limit rule where the others fund the
+        borrower alone. Under a cap the thresholds stay the uncapped ones.
+        Linear pools take every round's thresholds from one
+        `funding_thresholds` call, and every funded borrower of the stack
+        is paid by one `WinklerPayment`: elementwise arithmetic, so each
+        payment is the one its round gets when settled alone, bit for bit.
+        """
+        allocations = [None] * len(insts) if allocations is None else allocations
+        arr = check_rounds(insts, "aggregator", reports, outcomes, allocations)
+        return _settle(insts, arr, outcomes, allocations)
 
     def expost_utility(self, reports, i: int, belief_row: Sequence[float]) -> float:
-        return expost_utility(self, reports, i, belief_row)
+        """Recommender i's utility given everyone's reports, in expectation
+        over their own beliefs about funded borrowers (outcomes not yet
+        observed)."""
+        arr = check_reports(reports, (self.n, self.m))
+        funded = _allocate(self, arr).funded_real
+        paid = WinklerPayment(_thresholds([self], arr[np.newaxis])[0, i])(belief_row, arr[i])
+        return left_sum(float(paid[q]) for q in funded)
 
-    def engine(self, i: int, others: np.ndarray) -> Optional["ColumnEngine"]:
-        """The vectorized engine; None under a cap or a nonlinear aggregator."""
+    def engine(self, i: int, others: np.ndarray) -> Union["ColumnEngine", SampleEngine]:
+        """The vectorized `ColumnEngine`; `SampleEngine` under a cap or a
+        custom pool, which `ColumnEngine` does not model."""
         if self.cap is None and isinstance(self.aggregator, WeightedLinear):
             return ColumnEngine(self, i, others)
-        return None
+        return SampleEngine(self, i, others)
 
     @property
     def weights_in_force(self) -> tuple[float, ...]:
@@ -93,7 +128,7 @@ class WinklerInstance:
         return (math.nan,) * self.n
 
 
-def allocate(inst: WinklerInstance, reports) -> tuple[int, ...]:
+def allocate(inst: WinklerInstance, reports) -> Allocation:
     """Funding vector: borrower q gets a loan iff aggregate(column q) > c.
 
     Under a cap only the top-`cap` such borrowers by aggregate are funded,
@@ -102,7 +137,7 @@ def allocate(inst: WinklerInstance, reports) -> tuple[int, ...]:
     return _allocate(inst, check_reports(reports, (inst.n, inst.m)))
 
 
-def _allocate(inst: WinklerInstance, arr: np.ndarray) -> tuple[int, ...]:
+def _allocate(inst: WinklerInstance, arr: np.ndarray) -> Allocation:
     """`allocate` of an already checked report matrix."""
     scores = aggregate_columns(inst.aggregator, arr)
     eligible = sorted(
@@ -110,17 +145,7 @@ def _allocate(inst: WinklerInstance, arr: np.ndarray) -> tuple[int, ...]:
         key=lambda q: (-scores[q], q),
     )
     funded = set(eligible[: inst.cap])
-    return tuple(1 if q in funded else 0 for q in range(inst.m))
-
-
-def allocate_rounds(insts: Sequence[WinklerInstance], reports) -> list[Allocation]:
-    """Allocate a stack of rounds: round r's reports, (R, n, m), under
-    `insts[r]`, which may differ only in their aggregator, as a campaign's
-    rounds differ in their weights. The stack is checked once and each
-    round is `allocate`'s."""
-    check_rounds(insts, "aggregator")
-    arr = check_reports(reports, (len(insts), insts[0].n, insts[0].m))
-    return [Allocation(_allocate(inst, matrix)) for inst, matrix in zip(insts, arr)]
+    return Allocation(tuple(1 if q in funded else 0 for q in range(inst.m)))
 
 
 def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> float:
@@ -162,13 +187,13 @@ def funding_thresholds(c: float, weights, reports: np.ndarray) -> np.ndarray:
 
     The closed form (c - others' score) / w_i, clipped to [0, 1], every
     others' score from one `others_scores` pass; it depends only on the
-    others' reports. Where it lands above 0 and below 1 but within
-    `FundingTest`'s margin of 1, a report of the float below 1 is scored
-    by the allocation's own test, and the threshold is 1 (the idle rule,
-    which pays 0) where that leaves the column unfunded; further from 1
-    the margin proves that report funds. These are `_bisect_threshold`'s
-    end rules, the 0 rule first. A zero-weight recommender never swings a
-    decision and gets the sentinel +inf (their payment is zero).
+    others' reports. Where it lands above 0 and below 1, a report of the
+    float below 1 is scored by the allocation's own test, all such
+    reports of the stack in one `linear_scores` pass, and the threshold is
+    1 (the idle rule, which pays 0) where that leaves the column unfunded.
+    These are `_bisect_threshold`'s end rules, the 0 rule first. A
+    zero-weight recommender never swings a decision and gets the sentinel
+    +inf (their payment is zero).
     """
     w = np.asarray(weights, dtype=float)
     arr = np.asarray(reports, dtype=float)
@@ -179,14 +204,7 @@ def funding_thresholds(c: float, weights, reports: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         swing = np.clip((c - others_scores(w, arr)) / w_i, 0.0, 1.0)
     anchor = np.where(w_i == 0.0, np.inf, swing)
-    # Only positive weights anchor below 1, the smallest with the widest
-    # margin; an anchor of 0 keeps the 0 rule. One margin per round, a
-    # Python float from its weights.
-    lowest = []
-    for row in w.tolist():
-        w_min = min((v for v in row if v > 0.0), default=math.inf)
-        lowest.append(max(BELOW_ONE - funding_margin(row, w_min, c), 2.0**-1074))
-    near = (anchor < 1.0) & (anchor >= np.reshape(lowest, (-1, 1, 1)))
+    near = (anchor > 0.0) & (anchor < 1.0)  # an anchor of 0 keeps the 0 rule
     if near.any():
         r, i, q = np.nonzero(near)
         columns = arr[r, :, q]  # (near, n), a copy, with i's report at the float below 1
@@ -303,49 +321,17 @@ def settle(
     outcomes: Mapping[int, int],
     allocation: Optional[Allocation] = None,
 ) -> Settlement:
-    """Outcome-contingent payments for every funded borrower: `settle_rounds`
-    of this one round. `outcomes` must cover exactly the funded borrowers;
-    `allocation`, when given, must be `inst.allocate(reports)`, and saves
-    allocating again."""
+    """Outcome-contingent payments for every funded borrower:
+    `WinklerInstance.settle_rounds` of this one round. `outcomes` must
+    cover exactly the funded borrowers; `allocation`, when given, must be
+    `inst.allocate(reports)`, and saves allocating again."""
     arr = check_reports(reports, (inst.n, inst.m))
     return _settle([inst], arr[np.newaxis], [outcomes], [allocation])[0]
 
 
-def settle_rounds(
-    insts: Sequence[WinklerInstance],
-    reports,
-    outcomes: Sequence[Mapping[int, int]],
-    allocations: Optional[Sequence[Optional[Allocation]]] = None,
-) -> list[Settlement]:
-    """Settle a stack of rounds in one pass: round r's reports, (R, n, m),
-    its outcomes and its allocation (None to allocate) under `insts[r]`.
-    The instances may differ only in their aggregator, as a campaign's
-    rounds differ in their weights.
-
-    Every recommender is paid on each funded borrower through
-    `WinklerPayment`, anchored at their marginal threshold: a funded report
-    lies above it (in exact arithmetic), so that is the Winkler rule's
-    upper branch, or the limit rule where the others fund the borrower
-    alone. Under a cap the thresholds stay the uncapped ones. Linear pools
-    take every round's thresholds from one `funding_thresholds` call, and
-    every funded borrower of the stack is paid by one `WinklerPayment`:
-    elementwise arithmetic, so each payment is the one its round gets when
-    settled alone, bit for bit.
-    """
-    allocations = [None] * len(insts) if allocations is None else allocations
-    check_rounds(insts, "aggregator", outcomes, allocations)
-    arr = check_reports(reports, (len(insts), insts[0].n, insts[0].m))
-    return _settle(insts, arr, outcomes, allocations)
-
-
 def _settle(insts, arr: np.ndarray, outcomes, allocations) -> list[Settlement]:
-    """`settle_rounds` of a checked stack."""
-    allocs = [
-        alloc if alloc is not None else Allocation(_allocate(inst, matrix))
-        for inst, matrix, alloc in zip(insts, arr, allocations)
-    ]
-    for alloc, realized in zip(allocs, outcomes):
-        check_outcomes(alloc.funded_real, realized)
+    """`WinklerInstance.settle_rounds` of a checked stack."""
+    allocs = checked_allocations(_allocate, insts, arr, outcomes, allocations)
     # Every funded borrower of the stack: its round, its index, its outcome.
     loans = [(r, q, outcomes[r][q]) for r, alloc in enumerate(allocs) for q in alloc.funded_real]
     r, q, outcome = np.array(loans, dtype=int).reshape(-1, 3).T
@@ -358,15 +344,6 @@ def _settle(insts, arr: np.ndarray, outcomes, allocations) -> list[Settlement]:
         start += len(funded)
         settlements.append(Settlement(allocation=alloc, immediate=(0.0,) * n, contingent=contingent))
     return settlements
-
-
-def expost_utility(inst: WinklerInstance, reports, i: int, belief_row: Sequence[float]) -> float:
-    """Recommender i's utility given everyone's reports, in expectation over
-    their own beliefs about funded borrowers (outcomes not yet observed)."""
-    arr = check_reports(reports, (inst.n, inst.m))
-    funded = _allocate(inst, arr)
-    paid = WinklerPayment(_thresholds([inst], arr[np.newaxis])[0, i])(belief_row, arr[i])
-    return left_sum(float(paid[q]) for q in range(inst.m) if funded[q])
 
 
 class ColumnEngine:

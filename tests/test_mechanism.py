@@ -5,13 +5,19 @@ import dataclasses
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funding_oracle import report_bounds
-from lendmech import mechanism
-from lendmech.mechanism import Allocation, FundingTest, Settlement, deficit, grid_stats, left_sum
-from lendmech.mechanism import linear_scores, mean_se, others_scores, place, scores_with
+from lendmech import audit, mechanism
+from lendmech.aggregation import MonotoneCustom, WeightVector, WeightedLinear
+from lendmech.mechanism import Allocation, FundingTest, SampleEngine, Settlement, deficit
+from lendmech.mechanism import grid_stats, left_sum, linear_scores, mean_se, others_scores
+from lendmech.mechanism import place, scores_with
+from lendmech.priors import DegenerateAt
+from lendmech.vcg import InterimEngine, VcgInstance
+from lendmech.winkler import ColumnEngine, WinklerInstance
 from stats_helpers import assert_stats_close
 
 EIGHTHS = [k / 8 for k in range(9)]
@@ -145,6 +151,72 @@ class TestAllocation:
         assert dataclasses.replace(alloc, reserves_funded=0).funded_real == (1, 2, 4)
         assert pickle.loads(pickle.dumps(alloc)) == fresh
         assert Allocation((0, 0)).funded_real == ()
+
+
+CONTRACT_WEIGHTS = (0.1, 0.3, 0.6)
+CONTRACT_POOL = WeightedLinear(WeightVector(CONTRACT_WEIGHTS))
+# The same pool as a custom aggregator, which no vectorized engine models.
+CONTRACT_CUSTOM = MonotoneCustom(
+    fn=lambda col: left_sum(w * r for w, r in zip(CONTRACT_WEIGHTS, col)), arity=3
+)
+CONTRACT_INSTANCES = [
+    pytest.param(WinklerInstance(3, 3, 0.3, CONTRACT_POOL), ColumnEngine, id="winkler"),
+    pytest.param(WinklerInstance(3, 3, 0.3, CONTRACT_POOL, cap=1), SampleEngine, id="capped"),
+    pytest.param(WinklerInstance(3, 3, 0.3, CONTRACT_CUSTOM), SampleEngine, id="custom"),
+    pytest.param(VcgInstance(3, 3, 2, 0.3, CONTRACT_WEIGHTS), InterimEngine, id="vcg"),
+]
+# The recommender whose engine is checked: the middle one, so a report row
+# inserted anywhere but its own place is caught.
+CONTRACT_I = 1
+CONTRACT_TRUTH = (0.75, 0.5, 0.25)
+# Reports at 0 and 1, and the truth, whose first entry puts column 0
+# exactly at c = 0.3 where the others report 0.75 and 0.
+CONTRACT_REPORTS = [CONTRACT_TRUTH, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 0.5, 1.0)]
+
+
+def contract_others():
+    """Recommender 1's co-reports, (24, 2, 3): eighth-grid samples, entries
+    at 0 and 1 included. Sample 0 puts the truth's column 0 on c, and
+    sample 1 ties every borrower under a report row that is constant."""
+    others = np.random.default_rng(5).choice(EIGHTHS, size=(24, 2, 3))
+    others[0, :, 0] = (0.75, 0.0)
+    others[1] = 0.5
+    return others
+
+
+class TestEngineContract:
+    @pytest.mark.parametrize("inst, kind", CONTRACT_INSTANCES)
+    def test_every_instance_has_an_engine(self, inst, kind):
+        engine = inst.engine(CONTRACT_I, contract_others())
+        assert engine is not None and type(engine) is kind
+        assert callable(engine.utilities) and callable(engine.column_stats)
+
+    @pytest.mark.parametrize("inst, kind", CONTRACT_INSTANCES)
+    def test_engines_score_each_profile_as_expost_utility(self, inst, kind):
+        # The per-sample engine is `expost_utility` on each profile with
+        # row i inserted, bit for bit; the instance's own engine agrees.
+        i, others = CONTRACT_I, contract_others()
+        slow, engine = SampleEngine(inst, i, others), inst.engine(i, others)
+        for report in CONTRACT_REPORTS:
+            want = [
+                inst.expost_utility(np.insert(co, i, report, axis=0), i, CONTRACT_TRUTH)
+                for co in others
+            ]
+            assert slow.utilities(CONTRACT_TRUTH, report).tolist() == want
+            got = engine.utilities(CONTRACT_TRUTH, report)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("inst, kind", CONTRACT_INSTANCES)
+    def test_point_prior_interim_utility_is_expost_utility(self, inst, kind):
+        i = CONTRACT_I
+        profile = np.insert(contract_others()[0], i, CONTRACT_TRUTH, axis=0)
+        prior = DegenerateAt(tuple(tuple(row) for row in profile.tolist()))
+        for report in CONTRACT_REPORTS:
+            deviated = profile.copy()
+            deviated[i] = report
+            want = inst.expost_utility(deviated, i, CONTRACT_TRUTH)
+            got = audit.interim_utility(inst, i, CONTRACT_TRUTH, report, prior, 1, 0)
+            assert got == (want, 0.0)
 
 
 def score_with(weights, i, co_reports, report):

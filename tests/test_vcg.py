@@ -18,7 +18,7 @@ from lendmech.errors import (
     ShapeMismatch,
 )
 from funding_oracle import report_bounds
-from lendmech.mechanism import left_sum, linear_scores, scores_with
+from lendmech.mechanism import SampleEngine, left_sum, linear_scores, scores_with
 from lendmech.priors import ProductGrid, UniformIID, sample_others
 from lendmech.vcg import VcgInstance
 from stats_helpers import assert_stats_close, utility_scale, with_report
@@ -331,7 +331,7 @@ class TestSettle:
         vcg.settle(insts[0], BELIEFS, outcomes[0], allocs[0])
         assert calls == [(1, 3, 2), (1, 3, 2)]
         calls.clear()
-        vcg.settle_rounds(insts, [BELIEFS] * 3, outcomes, allocs)
+        VcgInstance.settle_rounds(insts, [BELIEFS] * 3, outcomes, allocs)
         assert calls == [(3, 3, 2), (3, 3, 2)]
 
     def test_realized_utility_on_repayment(self):
@@ -420,7 +420,7 @@ class TestBatchedPricing:
         insts, reports = batch
         allocs = [vcg.allocate(inst, matrix) for inst, matrix in zip(insts, reports)]
         outcomes = [dict.fromkeys(alloc.funded_real, 1) for alloc in allocs]
-        settled = vcg.settle_rounds(insts, reports, outcomes, allocs)
+        settled = VcgInstance.settle_rounds(insts, reports, outcomes, allocs)
         for inst, matrix, alloc, got in zip(insts, reports, allocs, settled):
             assert got.allocation == alloc
             for i in range(inst.n):
@@ -445,13 +445,13 @@ class TestBatchedPricing:
         for inst, matrix in zip(insts, reports):
             funded = vcg.allocate(inst, matrix).funded_real
             outcomes.append({q: int(rng.integers(0, 2)) for q in funded})
-        together = vcg.settle_rounds(insts, reports, outcomes)
+        together = VcgInstance.settle_rounds(insts, reports, outcomes)
         assert together == [vcg.settle(*args) for args in zip(insts, reports, outcomes)]
 
     def test_rounds_must_share_all_but_their_weights(self):
         insts = [table_instance(), table_instance(K=2)]
         with pytest.raises(ValueError, match="round 1 differs from round 0"):
-            vcg.settle_rounds(insts, [BELIEFS] * 2, [{0: 1}] * 2)
+            VcgInstance.settle_rounds(insts, [BELIEFS] * 2, [{0: 1}] * 2)
         with pytest.raises(ValueError, match="round 1 differs from round 0"):
             VcgInstance.allocate_rounds(insts, [BELIEFS] * 2)
 
@@ -485,16 +485,16 @@ class TestAllocateRounds:
         together = VcgInstance.allocate_rounds(insts, reports)
         assert together == alone
         assert repr(together) == repr(alone)
-        fixed = vcg.allocate_rounds([insts[0]] * len(reports), reports)
+        fixed = VcgInstance.allocate_rounds([insts[0]] * len(reports), reports)
         assert fixed == [vcg.allocate(insts[0], matrix) for matrix in reports]
 
     def test_checks_the_stack(self):
         with pytest.raises(ShapeMismatch):
-            vcg.allocate_rounds([table_instance()] * 2, [BELIEFS])
+            VcgInstance.allocate_rounds([table_instance()] * 2, [BELIEFS])
         with pytest.raises(ValueError, match="reports must be finite"):
-            vcg.allocate_rounds([table_instance()], [[[0.5, np.nan]] * 3])
+            VcgInstance.allocate_rounds([table_instance()], [[[0.5, np.nan]] * 3])
         with pytest.raises(ValueError, match="need at least one round"):
-            vcg.allocate_rounds([], np.zeros((0, 3, 2)))
+            VcgInstance.allocate_rounds([], np.zeros((0, 3, 2)))
 
 
 class TestDeficit:
@@ -523,7 +523,7 @@ class TestExpostUtility:
     def test_matches_value_minus_pivot(self):
         inst = table_instance()
         arr = np.asarray(BELIEFS)
-        got = vcg.expost_utility(inst, arr, 1, arr[1])
+        got = inst.expost_utility(arr, 1, arr[1])
         assert got == pytest.approx((1 / 3) * 0.4 - vcg.pivot_payment(inst, arr, 1), abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -538,7 +538,7 @@ class TestExpostUtility:
         inst = VcgInstance(n=n, m=m, K=K, reserve_threshold=c, weights=tuple(w))
         profile = rng.random((n, m))
         for i in range(n):
-            assert vcg.expost_utility(inst, profile, i, profile[i]) >= -1e-12
+            assert inst.expost_utility(profile, i, profile[i]) >= -1e-12
 
 
 @st.composite
@@ -649,7 +649,7 @@ class TestInterimEngine:
         prior = ProductGrid(tuple(tuple(tuple(QUARTERS) for _ in range(m)) for _ in range(n)))
         others = sample_others(prior, n, m, i, 24, np.random.default_rng(seed))
         engine = vcg.InterimEngine(inst, i, others)
-        slow = audit._SlowEngine(inst, i, others)
+        slow = SampleEngine(inst, i, others)
         for q in range(m):
             for value in QUARTERS:
                 row = true_row[:q] + (value,) + true_row[q + 1 :]
@@ -687,7 +687,7 @@ class TestInterimEngine:
         want = tuple(np.array(v) for v in zip(*(audit._mean_se(truth_values - v) for v in values)))
         assert_stats_close((mean, se), want, scale)
         if len(others) <= 24:
-            slow = audit._SlowEngine(inst, i, others)
+            slow = SampleEngine(inst, i, others)
             assert_stats_close((mean, se), slow.column_stats(true_row, q, reports), scale)
         if len(others) == 1:  # one sample is one block: exact
             assert mean.tolist() == want[0].tolist()
@@ -812,7 +812,7 @@ class TestInterimEngine:
         fast = engine.utilities(belief, report)
         slow = np.array(
             [
-                vcg.expost_utility(inst, np.insert(others[s], 2, report, axis=0), 2, belief)
+                inst.expost_utility(np.insert(others[s], 2, report, axis=0), 2, belief)
                 for s in range(32)
             ]
         )

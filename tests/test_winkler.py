@@ -18,7 +18,7 @@ from lendmech.errors import (
     ZeroWeightRecommender,
 )
 from funding_oracle import report_bounds
-from lendmech.mechanism import left_sum, linear_scores
+from lendmech.mechanism import SampleEngine, left_sum, linear_scores
 from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, sample_others
 from lendmech.winkler import WinklerInstance
 from stats_helpers import assert_stats_close, utility_scale, with_report
@@ -75,15 +75,15 @@ def make_instance(n=3, m=2, c=0.5, weights=None, cap=None):
 class TestAllocate:
     def test_both_borrowers_funded_without_cap(self):
         # aggregates 0.5667 and 0.55 both clear c = 0.5
-        assert winkler.allocate(make_instance(), BELIEFS) == (1, 1)
+        assert winkler.allocate(make_instance(), BELIEFS).real == (1, 1)
 
     def test_all_zero_reports(self):
-        assert winkler.allocate(make_instance(), np.zeros((3, 2))) == (0, 0)
+        assert winkler.allocate(make_instance(), np.zeros((3, 2))).real == (0, 0)
 
     def test_boundary_report_not_funded(self):
         inst = make_instance(n=1, m=1, c=0.5)
-        assert winkler.allocate(inst, [[0.5]]) == (0,)
-        assert winkler.allocate(inst, [[0.5 + 1e-9]]) == (1,)
+        assert winkler.allocate(inst, [[0.5]]).real == (0,)
+        assert winkler.allocate(inst, [[0.5 + 1e-9]]).real == (1,)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -100,7 +100,7 @@ class TestCap:
     def test_funds_top_cap_by_aggregate(self):
         # aggregates 0.5667 and 0.55 both clear c = 0.5; the cap keeps one
         inst = make_instance(cap=1)
-        assert winkler.allocate(inst, BELIEFS) == (1, 0)
+        assert winkler.allocate(inst, BELIEFS).real == (1, 0)
         assert inst.allocate(BELIEFS).funded_real == (0,)
 
     def test_settle_rejects_outcome_outside_zero_one(self):
@@ -119,10 +119,11 @@ class TestCap:
                 make_instance(cap=cap)
 
     def test_capped_instance_has_no_vectorized_engine(self):
-        # ColumnEngine knows no cap; audits fall back to the exact slow path
+        # ColumnEngine knows no cap; a capped instance's engine is the
+        # exact per-sample one
         inst = make_instance(cap=1)
-        assert inst.engine(0, np.full((4, 2, 2), 0.5)) is None
-        assert make_instance().engine(0, np.full((4, 2, 2), 0.5)) is not None
+        assert type(inst.engine(0, np.full((4, 2, 2), 0.5))) is SampleEngine
+        assert type(make_instance().engine(0, np.full((4, 2, 2), 0.5))) is winkler.ColumnEngine
 
 
 @st.composite
@@ -176,9 +177,9 @@ class TestAllocateRounds:
 
     def test_checks_the_stack(self):
         with pytest.raises(ShapeMismatch):
-            winkler.allocate_rounds([make_instance()] * 2, [BELIEFS])
+            WinklerInstance.allocate_rounds([make_instance()] * 2, [BELIEFS])
         with pytest.raises(ValueError, match="reports must be finite"):
-            winkler.allocate_rounds([make_instance()], [[[0.5, np.inf]] * 3])
+            WinklerInstance.allocate_rounds([make_instance()], [[[0.5, np.inf]] * 3])
 
 
 class TestMarginalThresholds:
@@ -264,7 +265,7 @@ class TestMarginalThresholds:
                 def funds(value):
                     moved = reports.copy()
                     moved[i, q] = value
-                    return winkler.allocate(inst, moved)[q] == 1
+                    return winkler.allocate(inst, moved).real[q] == 1
 
                 t = float(thresholds[i, q])
                 if 0.0 < t < 1.0:
@@ -405,7 +406,7 @@ class TestSettle:
         for inst, matrix in zip(insts, reports):
             funded = inst.allocate(matrix).funded_real
             outcomes.append({q: int(rng.integers(0, 2)) for q in funded})
-        together = winkler.settle_rounds(insts, reports, outcomes)
+        together = WinklerInstance.settle_rounds(insts, reports, outcomes)
         alone = [winkler.settle(*args) for args in zip(insts, reports, outcomes)]
         assert together == alone
         for a, b in zip(together, alone):  # -0.0 and 0.0 are equal; bits are not
@@ -416,11 +417,11 @@ class TestSettle:
     def test_rounds_must_share_all_but_their_weights(self):
         insts = [make_instance(), make_instance(c=0.4)]
         with pytest.raises(ValueError, match="round 1 differs from round 0"):
-            winkler.settle_rounds(insts, [BELIEFS] * 2, [{0: 1, 1: 0}] * 2)
+            WinklerInstance.settle_rounds(insts, [BELIEFS] * 2, [{0: 1, 1: 0}] * 2)
         with pytest.raises(ValueError, match="round 1 differs from round 0"):
             WinklerInstance.allocate_rounds(insts, [BELIEFS] * 2)
         with pytest.raises(ValueError, match="round 1 differs from round 0"):
-            winkler.allocate_rounds([make_instance(), make_instance(cap=1)], [BELIEFS] * 2)
+            WinklerInstance.allocate_rounds([make_instance(), make_instance(cap=1)], [BELIEFS] * 2)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -447,7 +448,7 @@ class TestSettle:
         for i in range(3):
             engine = winkler.ColumnEngine(inst, i, np.delete(reports, i, axis=0)[np.newaxis])
             got = engine.utilities(belief_row, reports[i])
-            assert got.tolist() == [winkler.expost_utility(inst, reports, i, belief_row)]
+            assert got.tolist() == [inst.expost_utility(reports, i, belief_row)]
 
 
 class TestExpostUtility:
@@ -466,7 +467,7 @@ class TestExpostUtility:
             return check(*args, **kwargs)
 
         monkeypatch.setattr(winkler, "check_reports", counting)
-        winkler.expost_utility(inst, BELIEFS, 1, BELIEFS[1])
+        inst.expost_utility(BELIEFS, 1, BELIEFS[1])
         assert checks == [(3, 2)]
         checks.clear()
         winkler.settle(inst, BELIEFS, {0: 1, 1: 0})
@@ -476,7 +477,7 @@ class TestExpostUtility:
         # both borrowers funded; recommender 1's utility adds the two columns
         inst = make_instance()
         arr = np.asarray(BELIEFS)
-        got = winkler.expost_utility(inst, arr, 1, arr[1])
+        got = inst.expost_utility(arr, 1, arr[1])
         col0 = winkler.WinklerPayment(0.2)(0.4, 0.4)
         col1 = winkler.WinklerPayment(0.7)(0.85, 0.85)
         assert got == pytest.approx(col0 + col1, abs=1e-12)
@@ -485,7 +486,7 @@ class TestExpostUtility:
         inst = make_instance()
         deviated = np.asarray(BELIEFS, dtype=float)
         deviated[1, 0] = 0.0  # borrower 0 drops to 0.4333, unfunded
-        got = winkler.expost_utility(inst, deviated, 1, np.asarray(BELIEFS)[1])
+        got = inst.expost_utility(deviated, 1, np.asarray(BELIEFS)[1])
         assert got == pytest.approx(0.1711937892708008, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -498,7 +499,7 @@ class TestExpostUtility:
         inst = make_instance(n=n, m=m, c=float(rng.uniform(0.05, 0.95)), weights=tuple(w / w.sum()))
         profile = rng.random((n, m))
         for i in range(n):
-            assert winkler.expost_utility(inst, profile, i, profile[i]) >= -1e-12
+            assert inst.expost_utility(profile, i, profile[i]) >= -1e-12
 
 
 class TestThresholdDecisiveness:
@@ -518,10 +519,10 @@ class TestThresholdDecisiveness:
         below = profile.copy()
         if t < 1.0:
             above[i, q] = min(1.0, t + 1e-6)
-            assert winkler.allocate(inst, above)[q] == 1
+            assert winkler.allocate(inst, above).real[q] == 1
         if 0.0 < t:
             below[i, q] = max(0.0, t - 1e-6)
-            assert winkler.allocate(inst, below)[q] == 0
+            assert winkler.allocate(inst, below).real[q] == 0
 
 
 class TestInterimUtility:
@@ -563,7 +564,7 @@ class TestInterimUtility:
         engine = winkler.ColumnEngine(inst, 1, others)
         belief, report = (0.55, 0.25), (0.7, 0.1)
         fast = engine.utilities(belief, report)
-        slow = audit._SlowEngine(inst, 1, others).utilities(belief, report)
+        slow = SampleEngine(inst, 1, others).utilities(belief, report)
         assert np.allclose(fast, slow, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -582,7 +583,7 @@ class TestInterimUtility:
         prior = ProductGrid(tuple(tuple(tuple(EIGHTHS) for _ in range(m)) for _ in range(3)))
         others = sample_others(prior, 3, m, i, 32, np.random.default_rng(seed))
         engine = winkler.ColumnEngine(inst, i, others)
-        slow = audit._SlowEngine(inst, i, others)
+        slow = SampleEngine(inst, i, others)
         true_row = tuple(true_row)
         for q in range(m):
             for value in EIGHTHS:
@@ -674,22 +675,14 @@ class TestBatchedThresholds:
         for w, matrix, got in zip(weights, reports, stacked):
             assert got.tobytes() == winkler.funding_thresholds(c, w, matrix).tobytes()
 
-    def test_a_stack_keeps_each_rounds_end_rules(self, monkeypatch):
-        margins, margin = [], winkler.funding_margin
-
-        def counting(*args):
-            margins.append(args)
-            return margin(*args)
-
-        monkeypatch.setattr(winkler, "funding_margin", counting)
+    def test_a_stack_keeps_each_rounds_end_rules(self):
         # n = 1 at c the float below 1: the closed form gives the float below
         # 1, a report of which leaves the score at c, so the anchor is 1 (the
-        # idle rule); a zero weight gives +inf. One margin per round.
+        # idle rule); a zero weight gives +inf.
         below_one = float(np.nextafter(1.0, 0.0))
         weights = [(1.0,), (0.0,), (0.5,)]
         stacked = winkler.funding_thresholds(below_one, weights, np.array([[[1.0]], [[0.3]], [[0.5]]]))
         assert stacked.tolist() == [[[1.0]], [[np.inf]], [[1.0]]]
-        assert len(margins) == 3
         # The 1e-300 weight keeps the 0 rule (a report of 0 leaves the score
         # at c) beside rounds whose anchors are regular or +inf.
         weights = [(1.0, 1e-300), (0.5, 0.5), (0.0, 1.0)]
@@ -787,7 +780,7 @@ class TestColumnStats:
         per_report = [audit._mean_se(truth_values - v) for v in values]
         assert_stats_close(got, tuple(np.array(v) for v in zip(*per_report)), scale)
 
-        slow = audit._SlowEngine(inst, i, others)
+        slow = SampleEngine(inst, i, others)
         assert_stats_close(got, slow.column_stats(true_row, q, reports), scale)
 
     def test_report_between_gate_and_anchor_pays_the_upper_branch(self):
