@@ -201,58 +201,54 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(mean), float(se)
 
 
-def _classify(mean_diff: np.ndarray, se: np.ndarray, exact: bool) -> list[str]:
-    """Truth-minus-misreport differences -> misreport classifications."""
-    if exact:
-        loses, wins = mean_diff > EXACT_TOL, mean_diff < -EXACT_TOL
-    else:
-        margin = SE_MULTIPLIER * se
-        loses = (mean_diff > margin) & (mean_diff > 0.0)
-        wins = (mean_diff < -margin) & (mean_diff < 0.0)
-    return np.where(loses, "loses", np.where(wins, "wins", "ties")).tolist()
-
-
 def _assemble_verdict(
     desideratum: str,
-    outcomes: list[MisreportOutcome],
+    candidates: Sequence[Candidate],
+    mean_diff,
+    se,
+    tol: Optional[float],
     truth_mean: float,
     truth_se: float,
     samples: int,
     seed: Optional[int],
     notes: tuple[str, ...] = (),
 ) -> AuditVerdict:
-    wins = [o for o in outcomes if o.classification == "wins"]
-    losses = [o for o in outcomes if o.classification == "loses"]
-    ties = [o for o in outcomes if o.classification == "ties"]
-    es = [o for o in outcomes if o.candidate.equal_shift]
-    counts = SearchCounts(
-        candidates=len(outcomes),
-        wins=len(wins),
-        losses=len(losses),
-        ties=len(ties),
-        equal_shift_candidates=len(es),
-        equal_shift_wins=sum(1 for o in es if o.classification == "wins"),
-        equal_shift_losses=sum(1 for o in es if o.classification == "loses"),
-        equal_shift_ties=sum(1 for o in es if o.classification == "ties"),
-    )
-    non_es_ties = counts.ties - counts.equal_shift_ties
+    """Judge `desideratum` from each candidate's truth-minus-misreport mean
+    difference and the standard error of that difference.
 
+    A candidate loses when its difference exceeds the margin and wins when
+    it falls below minus the margin. The margin is the exact tolerance
+    `tol`, or for Monte Carlo (`tol` None) SE_MULTIPLIER standard errors,
+    which are never negative. Anything else ties, NaN included. The witness
+    is the first win with the largest gain. Outcomes are built only for it
+    and for the details: wins, then ties, then losses, each in candidate
+    order, at most DETAILS_LIMIT.
+    """
+    mean_diff, se = np.asarray(mean_diff, dtype=float), np.asarray(se, dtype=float)
+    margin = SE_MULTIPLIER * se if tol is None else tol
+    loses, wins = mean_diff > margin, mean_diff < -margin
+    ties = ~(loses | wins)
+    shift = np.array([c.equal_shift for c in candidates], dtype=bool)
+    masks = (wins, loses, ties, shift, wins & shift, loses & shift, ties & shift)
+    counts = SearchCounts(len(candidates), *np.count_nonzero(masks, axis=1).tolist())
+
+    def outcome(k: int, classification: str) -> MisreportOutcome:
+        return MisreportOutcome(candidates[k], -float(mean_diff[k]), float(se[k]), classification)
+
+    witness = None
     if counts.wins > 0:
         verdict = "violation"
-        witness = max(wins, key=lambda o: o.mean_gain)
-    elif desideratum == "weak-epic":
-        verdict = "pass"
-        witness = None
-    elif non_es_ties == 0 and counts.candidates > counts.equal_shift_candidates:
+        witness = outcome(np.flatnonzero(wins)[np.argmax(-mean_diff[wins])], "wins")
+    elif desideratum == "weak-epic" or (
         # strict truthfulness up to equal shifts: every genuine deviation lost
+        counts.ties == counts.equal_shift_ties
+        and counts.candidates > counts.equal_shift_candidates
+    ):
         verdict = "pass"
-        witness = None
     else:
         verdict = "inconclusive"
-        witness = None
-
-    interesting = wins + ties
-    shown = interesting + losses[: max(0, DETAILS_LIMIT - len(interesting))]
+    groups = (("wins", wins), ("ties", ties), ("loses", loses))
+    details = (outcome(k, label) for label, mask in groups for k in np.flatnonzero(mask))
     return AuditVerdict(
         desideratum=desideratum,
         verdict=verdict,
@@ -262,7 +258,7 @@ def _assemble_verdict(
         seed=seed,
         counts=counts,
         witness=witness,
-        details=tuple(shown[:DETAILS_LIMIT]),
+        details=tuple(it.islice(details, DETAILS_LIMIT)),
         notes=notes,
     )
 
@@ -288,7 +284,7 @@ def interim_utility(
     check_reports([true_row], (1, inst.m), "true_row")
     check_reports([report_row], (1, inst.m), "report_row")
     if is_degenerate(prior):
-        profile = np.array(prior.profile, dtype=float)
+        profile = check_reports(prior.profile, (inst.n, inst.m), "prior profile").copy()
         profile[i] = report_row
         return inst.expost_utility(profile, i, true_row), 0.0
     if samples < 1:
@@ -324,7 +320,8 @@ def best_response_search(
 
     exact = is_degenerate(prior)
     if exact:
-        others = np.delete(np.asarray(prior.profile, dtype=float), i, axis=0)[np.newaxis]
+        profile = check_reports(prior.profile, (inst.n, inst.m), "prior profile")
+        others = np.delete(profile, i, axis=0)[np.newaxis]
     else:
         if samples < MIN_SEARCH_SAMPLES:
             raise ValueError(
@@ -350,18 +347,10 @@ def best_response_search(
             reports = [candidates[k].row[q] for k in members]
             stats = engine.column_stats(true_row, q, reports)
             mean_diff[members], se[members] = stats
-    outcomes = [
-        MisreportOutcome(candidate=c, mean_gain=-d, std_error=e, classification=label)
-        for c, d, e, label in zip(
-            candidates, mean_diff.tolist(), se.tolist(), _classify(mean_diff, se, exact)
-        )
-    ]
-
-    notes = ()
-    if exact:
-        notes = ("point prior: exact ex post evaluation, no sampling noise",)
+    notes = ("point prior: exact ex post evaluation, no sampling noise",) if exact else ()
     return _assemble_verdict(
-        desideratum, outcomes, truth_mean, truth_se, len(truth_values), seed, notes
+        desideratum, candidates, mean_diff, se, EXACT_TOL if exact else None,
+        truth_mean, truth_se, len(truth_values), seed, notes,
     )
 
 
@@ -502,7 +491,7 @@ def weight_monotonicity_check(
     low = dataclasses.replace(inst, weights=inst.weights[:i] + (w_low,) + inst.weights[i + 1 :])
     high = dataclasses.replace(inst, weights=inst.weights[:i] + (w_high,) + inst.weights[i + 1 :])
     skipped = 0
-    outcomes: list[MisreportOutcome] = []
+    candidates, gains = [], []
     for profile in profiles:
         alloc_low = vcg_mod.allocate(low, profile)
         value_low = left_sum(float(profile[i, q]) for q in alloc_low.funded_real)
@@ -511,20 +500,13 @@ def weight_monotonicity_check(
             continue
         u_low = low.expost_utility(profile, i, profile[i])
         u_high = high.expost_utility(profile, i, profile[i])
-        gain = u_high - u_low
-        classification = "loses" if gain > GAIN_TOL else ("wins" if gain < -GAIN_TOL else "ties")
-        outcomes.append(
-            MisreportOutcome(
-                candidate=Candidate(row=tuple(profile[i]), kind="weight-raise"),
-                mean_gain=-gain,
-                std_error=0.0,
-                classification=classification,
-            )
-        )
+        candidates.append(Candidate(row=tuple(profile[i]), kind="weight-raise"))
+        gains.append(u_high - u_low)
 
     notes = (f"skipped {skipped} profiles with zero value on the funded set",)
     return _assemble_verdict(
-        "weight-monotonicity", outcomes, 0.0, 0.0, len(profiles), seed, notes
+        "weight-monotonicity", candidates, gains, np.zeros(len(gains)), GAIN_TOL, 0.0, 0.0,
+        len(profiles), seed, notes,
     )
 
 

@@ -250,24 +250,23 @@ def cmd_audit(args) -> int:
     if ex_post and sc.beliefs is None:
         raise ScenarioError(f"{sc.source}: ex post audits need explicit beliefs")
     prior = sc.prior if sc.prior is not None and not ex_post else DegenerateAt(sc.beliefs)
-    # Keyed by recommender, or by (recommender, draw) for random true rows.
+    # (recommender, true row) pairs, in search order.
     if block.true_row is not None and not ex_post:
-        true_rows = {block.recommender or 0: block.true_row}
+        true_rows = [(block.recommender or 0, block.true_row)]
     elif sc.beliefs is not None:
         who = range(sc.n) if block.recommender is None else (block.recommender,)
-        true_rows = {i: tuple(sc.beliefs[i]) for i in who}
+        true_rows = [(i, tuple(sc.beliefs[i])) for i in who]
     else:
         rng = np.random.default_rng(seed + 1)
         target = block.recommender or 0
-        true_rows = {(target, k): tuple(rng.random(sc.m)) for k in range(block.random_true_rows)}
+        true_rows = [(target, tuple(rng.random(sc.m))) for _ in range(block.random_true_rows)]
 
     if sc.reference is not None:
         _print_reproduction(audit_mod.reproduce_reference(sc))
 
     worst_verdict = "pass"
     order = {"pass": 0, "inconclusive": 1, "violation": 2}
-    for key, row in sorted(true_rows.items()):
-        i = key[0] if isinstance(key, tuple) else key
+    for i, row in true_rows:
         verdict = audit_mod.best_response_search(
             inst, i, row, prior, block.strategies, samples, seed, desideratum=desideratum
         )

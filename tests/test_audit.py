@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from lendmech import audit, scenario, vcg, winkler
@@ -19,6 +19,7 @@ from lendmech.priors import sample_profiles
 from lendmech.scenario import bundled_path
 from lendmech.vcg import VcgInstance
 from lendmech.winkler import WinklerInstance
+from audit_oracle import assemble_verdict
 from stats_helpers import assert_stats_close, with_report
 
 BELIEFS = ((0.7, 0.4), (0.4, 0.85), (0.6, 0.4))
@@ -150,6 +151,66 @@ class TestVectorizedMisreports:
             assert type(a.clamped) is type(b.clamped) is bool
 
 
+@st.composite
+def verdict_cases(draw):
+    """A pattern of (truth-minus-misreport difference, its SE, equal shift)
+    and how often it repeats: differences at, just inside and just beyond
+    +-tol and +-2 SE, infinite and NaN ones. Repeats make several wins share
+    the largest gain, and the longest run past DETAILS_LIMIT. Kept small, so
+    a failing case prints and shrinks fast."""
+    tol = draw(st.sampled_from([None, audit.EXACT_TOL, audit.GAIN_TOL]))
+    se_values = st.sampled_from([0.0, 1e-10, 0.05, math.inf, math.nan]) | st.floats(0.0, 1.0)
+    fixed = st.sampled_from([0.0, -0.0, 0.3, -0.3, math.inf, -math.inf, math.nan]) | st.floats()
+    pattern = []
+    for _ in range(draw(st.integers(0, 8))):
+        e = draw(se_values)
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        at = {"tol": sign * (tol or audit.EXACT_TOL), "2se": sign * audit.SE_MULTIPLIER * e}
+        d = at.get(draw(st.sampled_from(["tol", "2se", "fixed"])), None)
+        d = draw(fixed) if d is None else d
+        nudge = draw(st.integers(-1, 1))
+        d = float(np.nextafter(d, math.inf * nudge)) if nudge else d
+        pattern.append((d, e, draw(st.booleans())))
+    copies = draw(st.sampled_from([1, 2, audit.DETAILS_LIMIT // 2]))
+    desideratum = draw(st.sampled_from(["weak-epic", "strict-epic", "strict-iic"]))
+    return desideratum, pattern, copies, tol
+
+
+class TestVerdictAssembly:
+    # Hypothesis' explain phase reruns a failing case for minutes here; a
+    # shrunk case alone is reported.
+    @settings(
+        max_examples=300, deadline=None, phases=[p for p in Phase if p is not Phase.explain]
+    )
+    @given(verdict_cases())
+    def test_equals_the_outcome_by_outcome_oracle(self, case):
+        desideratum, pattern, copies, tol = case
+        cells = pattern * copies
+        candidates = [
+            audit.Candidate(row=(k / len(cells),), kind="targeted", equal_shift=shift)
+            for k, (_, _, shift) in enumerate(cells)
+        ]
+        mean_diff, se = np.array([c[0] for c in cells]), np.array([c[1] for c in cells])
+        args = (desideratum, candidates, mean_diff, se, tol, 0.25, 0.01, 1000, 7, ("a note",))
+        got, want = audit._assemble_verdict(*args), assemble_verdict(*args)
+        # NaN != NaN, so compare reprs: a float's repr is exact.
+        assert repr(got) == repr(want)
+
+    def test_witness_is_the_first_largest_win_and_details_are_cut(self):
+        size = audit.DETAILS_LIMIT + 8
+        candidates = [audit.Candidate(row=(k / size,), kind="targeted") for k in range(size)]
+        # Cycle: a loss, a tie, then two wins of the same largest gain.
+        mean_diff = np.resize([1.0, 0.0, -0.5, -0.5], size)
+        verdict = audit._assemble_verdict(
+            "strict-iic", candidates, mean_diff, np.zeros(size), audit.EXACT_TOL, 0.0, 0.0, 1, 0
+        )
+        assert verdict.witness.candidate is candidates[2]
+        assert len(verdict.details) == audit.DETAILS_LIMIT
+        labels = [o.classification for o in verdict.details]
+        wins, ties = verdict.counts.wins, verdict.counts.ties
+        assert labels == ["wins"] * wins + ["ties"] * ties + ["loses"] * (len(labels) - wins - ties)
+
+
 class TestInterimOracleAgreement:
     def test_monte_carlo_matches_exact_enumeration(self):
         # finite-support prior: enumerate the exact interim expectation and
@@ -197,6 +258,11 @@ MECHANISMS = [
         VcgInstance(n=3, m=2, K=1, reserve_threshold=0.5, weights=(1 / 3,) * 3), id="vcg"
     ),
 ]
+# Point-prior profiles of the wrong shape for n = 3, m = 2.
+BAD_PROFILES = [
+    pytest.param(BELIEFS + ((0.5, 0.5),), id="extra-row"),
+    pytest.param(tuple(row + (0.5,) for row in BELIEFS), id="extra-column"),
+]
 
 
 class TestBoundary:
@@ -211,6 +277,19 @@ class TestBoundary:
                 audit.interim_utility(inst, 0, row, fine, prior, 100, 0)
             with pytest.raises(error, match="report_row"):
                 audit.interim_utility(inst, 0, fine, row, prior, 100, 0)
+
+    @pytest.mark.parametrize(
+        "inst", MECHANISMS + [pytest.param(capped_instance(), id="capped-winkler")]
+    )
+    @pytest.mark.parametrize("profile", BAD_PROFILES)
+    def test_point_prior_of_the_wrong_shape_is_rejected(self, inst, profile):
+        prior, row = DegenerateAt(profile), (0.5, 0.4)
+        with pytest.raises(ShapeMismatch, match="prior profile"):
+            audit.interim_utility(inst, 0, row, row, prior, samples=1, seed=0)
+        with pytest.raises(ShapeMismatch, match="prior profile"):
+            audit.best_response_search(
+                inst, 0, row, prior, audit.SingleCoordinateGrid(11), samples=1, seed=0
+            )
 
     @pytest.mark.parametrize("inst", MECHANISMS)
     @pytest.mark.parametrize("row, error", BAD_ROWS)
@@ -472,6 +551,10 @@ class TestWeightMonotonicity:
         )
         assert verdict.counts.candidates == 0
         assert "skipped 1" in verdict.notes[0]
+        # No candidate left: the array verdict agrees with the oracle's.
+        assert verdict == assemble_verdict(
+            "weight-monotonicity", [], [], [], audit.GAIN_TOL, 0.0, 0.0, 1, 0, verdict.notes
+        )
 
     def test_random_instances_all_improve(self):
         inst = VcgInstance(n=3, m=3, K=2, reserve_threshold=0.4, weights=(1 / 3,) * 3)
