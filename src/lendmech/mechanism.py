@@ -499,7 +499,10 @@ def checked_allocations(
 
 def check_reports(reports, shape: tuple[int, int], field: str = "reports") -> np.ndarray:
     """`reports` as a float matrix of `shape` with every entry in [0, 1]."""
-    arr = np.asarray(reports, dtype=float)
+    try:
+        arr = np.asarray(reports, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"{field} is not a {shape} array of numbers") from None
     if arr.shape != shape:
         raise ShapeMismatch(f"{field} shape {arr.shape} != {shape}")
     # NaN fails both comparisons, so this also rejects non-finite entries.

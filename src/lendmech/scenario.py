@@ -6,14 +6,16 @@ prior, outcomes, audit parameters, campaign parameters and reference
 values; kind "curve" describes a utility-curve emission.
 
 `loads` is the only reader of the JSON. It checks every field, those of
-the `audit`, `reference` and `campaign` blocks included, and names a field
-it rejects by its path, e.g. 'audit.strict-iic.samples'. A field set to
-null is the same as a field left out.
+the `audit`, `reference` and `campaign` blocks included, rejects a field
+that the top level or a block does not define, and names a field it
+rejects by its path, e.g. 'audit.strict-iic.samples'. A field set to null
+is the same as a field left out.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from typing import Any, Optional
 
 from .aggregation import WEIGHT_SUM_TOL
 from .audit import EqualShift, FullRowRandom, MisreportStrategy, SingleCoordinateGrid, Targeted
-from .audit import MIN_GRAIN_SAMPLES, MIN_SEARCH_SAMPLES
+from .audit import MIN_GRAIN_SAMPLES, MIN_SEARCH_SAMPLES, Reference
 from .errors import ScenarioError
 from .mechanism import Instance, left_sum
 from .priors import BetaIID, DegenerateAt, PriorSpec, ProductGrid, UniformIID, check_shape
@@ -55,6 +57,14 @@ _MECHANISM_ONLY = {
 }
 # desideratum -> default number of uniform random profiles it checks
 _TRIALS = {"alloc-eff": 50, "ex-post-ir": 50, "strong-ex-post-ir": 20, "weight-monotonicity": 100}
+# kind -> the fields a scenario file of that kind may set at its top level
+_TOP_FIELDS = {
+    "mechanism": (
+        "schema", "kind", "mechanism", "n", "m", "K", "c", "alpha", "tcomp", "weights",
+        "beliefs", "prior", "outcomes", "seed", "note", "audit", "reference", "campaign",
+    ),
+    "curve": ("schema", "kind", "variant", "c", "grid", "note"),
+}
 
 
 @dataclass(frozen=True)
@@ -88,20 +98,6 @@ class AuditBlock:
         )
         out = tuple(strategy(value) for strategy, value in named if value is not None)
         return out or (SingleCoordinateGrid(), FullRowRandom())
-
-
-@dataclass(frozen=True)
-class Reference:
-    """Reference values of the capped-Winkler counterexample; the misreport
-    is the first `targeted` row of the `audit.weak-epic` block."""
-
-    tolerance: float
-    aggregates: tuple[float, ...]
-    thresholds: tuple[tuple[float, ...], ...]
-    honest_utilities: tuple[float, ...]
-    misreport_utilities: tuple[float, ...]
-    honest_funded: int
-    misreport_funded: int
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,8 @@ class Scenario:
 
 
 def _fail(source: str, field: str, message: str) -> ScenarioError:
-    return ScenarioError(f"{source}: field '{field}': {message}")
+    where = f"{source}: field '{field}'" if field else source  # no field: the top level
+    return ScenarioError(f"{where}: {message}")
 
 
 _REQUIRED = object()
@@ -223,6 +220,11 @@ class _Fields:
 
         return self._read(key, default, check)
 
+    def block(self, key: str, known: tuple[str, ...]):
+        """A nested object, or None when absent: the `_Fields` that reads it,
+        which rejects a field not in `known`."""
+        return self._read(key, None, lambda v: _Fields(v, self.source, self._path(key), known))
+
     def numbers(self, key: str, length=None, lo=None, hi=None, default=_REQUIRED):
         """A non-empty list of numbers, `length` of them when given."""
 
@@ -253,6 +255,8 @@ class _Fields:
     def prior(self, key: str, n: int, m: int, default=_REQUIRED):
         """A prior over n x m belief profiles."""
 
+        number = functools.partial(self._number, key, lo=None, hi=None)
+
         def check(value):
             params = _Fields(value, self.source, self._path(key))
             kind = params.choice("kind", ("uniform", "beta", "degenerate", "product-grid"))
@@ -262,12 +266,11 @@ class _Fields:
                 elif kind == "beta":
                     prior = BetaIID(a=params.number("a"), b=params.number("b"))
                 elif kind == "degenerate":
-                    profile = value["profile"]
-                    prior = DegenerateAt(tuple(tuple(float(v) for v in row) for row in profile))
+                    prior = DegenerateAt(tuple(tuple(map(number, row)) for row in value["profile"]))
                 else:
                     prior = ProductGrid(
                         tuple(
-                            tuple(tuple(float(v) for v in cell) for cell in row)
+                            tuple(tuple(map(number, cell)) for cell in row)
                             for row in value["support"]
                         )
                     )
@@ -358,76 +361,47 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{source}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{source}: top level must be an object")
     top = _Fields(data, source)
     schema = top.integer("schema")
     if schema != SCHEMA_VERSION:
         raise top.fail("schema", f"unsupported version {schema}")
-    kind = data.get("kind")
+    kind = top.choice("kind", tuple(_TOP_FIELDS))
+    top = _Fields(data, source, known=_TOP_FIELDS[kind])
+    mechanism = top.choice("mechanism", ("winkler", "vcg")) if kind == "mechanism" else None
+    # VCG's reserve threshold may be 0; a Winkler or curve threshold may not.
+    c = top.number("c", lo=0.0, hi=1.0)
+    if c == 1.0 or (c == 0.0 and mechanism != "vcg"):
+        raise top.fail("c", f"must lie in {'[0, 1)' if mechanism == 'vcg' else '(0, 1)'}, got {c}")
     if kind == "curve":
-        variant = data.get("variant")
-        if variant not in CURVE_VARIANTS:
-            raise top.fail("variant", f"expected one of {CURVE_VARIANTS}, got {variant!r}")
-        c = top.number("c")
-        if not 0.0 < c < 1.0:
-            raise top.fail("c", f"must lie strictly inside (0, 1), got {c}")
+        variant = top.choice("variant", CURVE_VARIANTS)
         grid = top.integer("grid", lo=2, default=101)
-        return Scenario(source=source, kind="curve", variant=variant, threshold=c, grid=grid)
-    if kind != "mechanism":
-        raise top.fail("kind", f"expected 'mechanism' or 'curve', got {kind!r}")
+        return Scenario(source=source, kind=kind, variant=variant, threshold=c, grid=grid)
 
-    mechanism = data.get("mechanism")
-    if mechanism not in ("winkler", "vcg"):
-        raise top.fail("mechanism", f"expected 'winkler' or 'vcg', got {mechanism!r}")
     n = top.integer("n", lo=1)
     m = top.integer("m", lo=1)
-    c = top.number("c")
-    if mechanism == "vcg":
-        if not 0.0 <= c < 1.0:
-            raise top.fail("c", f"must lie in [0, 1), got {c}")
-    else:
-        if not 0.0 < c < 1.0:
-            raise top.fail("c", f"must lie strictly inside (0, 1), got {c}")
-
-    cap = top.integer("K", lo=1, default=_REQUIRED if mechanism == "vcg" else None)
-    if cap is not None and cap > m:
-        raise top.fail("K", f"liquidity cap {cap} exceeds borrower count {m}")
-
+    cap = top.integer("K", lo=1, hi=m, default=_REQUIRED if mechanism == "vcg" else None)
     alpha = top.number("alpha", default=1.0)
     if alpha <= 0:
         raise top.fail("alpha", f"must be positive, got {alpha}")
 
     if data.get("weights") in (None, "equal"):
         weights = tuple(1.0 / n for _ in range(n))
-    elif isinstance(data["weights"], list):
+    else:
         weights = top.numbers("weights", length=n, lo=0.0)
         total = left_sum(weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise top.fail("weights", f"must sum to 1, got {total}")
-    else:
-        raise top.fail("weights", f"expected 'equal' or a list, got {data['weights']!r}")
 
     beliefs = top.matrix("beliefs", n, m, lo=0.0, hi=1.0, default=None)
     prior = top.prior("prior", n, m, default=None)
     if beliefs is None and prior is None and data.get("campaign") is None:
         raise top.fail("beliefs", "need explicit beliefs, a prior, or a campaign block")
-
-    outcomes = None
-    if data.get("outcomes") is not None:
-        try:
-            outcomes = {int(k): int(v) for k, v in data["outcomes"].items()}
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise top.fail("outcomes", f"expected {{borrower: 0/1}}, got {data['outcomes']!r}") from exc
-        for q, o in outcomes.items():
-            if not 0 <= q < m:
-                raise top.fail("outcomes", f"borrower {q} out of range")
-            if o not in (0, 1):
-                raise top.fail("outcomes", f"outcome must be 0 or 1, got {o}")
+    # borrower index -> repayment outcome
+    outcomes = top.block("outcomes", tuple(str(q) for q in range(m)))
 
     sc = Scenario(
         source=source,
-        kind="mechanism",
+        kind=kind,
         mechanism=mechanism,
         n=n,
         m=m,
@@ -438,15 +412,17 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         weights=weights,
         beliefs=beliefs,
         prior=prior,
-        outcomes=outcomes,
+        outcomes=None if outcomes is None else {
+            int(q): outcomes.integer(q, lo=0, hi=1) for q in outcomes.data
+        },
         seed=top.integer("seed", lo=0, default=0),
         note=data.get("note"),
     )
     # The blocks' defaults and bounds depend on the fields above.
-    if data.get("audit") is not None:
-        blocks = _Fields(data["audit"], source, "audit", DESIDERATA).data
+    audit = top.block("audit", DESIDERATA)
+    if audit is not None:
         sc = dataclasses.replace(
-            sc, audit={d: _parse_audit_block(sc, d, cfg) for d, cfg in blocks.items()}
+            sc, audit={d: _parse_audit_block(sc, d, cfg) for d, cfg in audit.data.items()}
         )
     if data.get("reference") is not None:
         sc = dataclasses.replace(sc, reference=_parse_reference(sc, data["reference"]))

@@ -267,7 +267,7 @@ def _pivots_and_rebates(inst: VcgInstance, weights, arr: np.ndarray, chosen, reb
     """
     rounds, n, m = arr.shape
     c, n_res = inst.reserve_threshold, inst.n_reserves
-    k = min(inst.K, m + n_res)
+    k = inst.K
 
     def item_major(scores: np.ndarray) -> np.ndarray:
         return scores.transpose(2, 0, 1).reshape(m, rounds * n)
@@ -497,7 +497,7 @@ class InterimEngine:
         every report funds q)."""
         inst = self.inst
         m, c, n_res = inst.m, inst.reserve_threshold, inst.n_reserves
-        k = min(inst.K, m + n_res)
+        k = inst.K
         # Beliefs are the true row.
         w_true = self.w_i * np.asarray(true_row, dtype=float)
         true_column = np.asarray(true_row, dtype=float)[:, np.newaxis]

@@ -262,6 +262,7 @@ MECHANISMS = [
 BAD_PROFILES = [
     pytest.param(BELIEFS + ((0.5, 0.5),), id="extra-row"),
     pytest.param(tuple(row + (0.5,) for row in BELIEFS), id="extra-column"),
+    pytest.param(((0.7, 0.4), (0.4, 0.85, 0.2), (0.6, 0.4)), id="ragged"),
 ]
 
 
@@ -576,4 +577,18 @@ class TestReproduction:
         fixture = json.loads(bundled_path("table1").read_text())
         fixture["reference"]["honest_utilities"] = [0.12, 0.2, 0.09]
         with pytest.raises(ReproductionMismatch, match="honest utility"):
+            audit.reproduce_reference(scenario.loads(json.dumps(fixture)))
+
+    def test_threshold_mismatch_names_its_cell(self):
+        fixture = json.loads(bundled_path("table1").read_text())
+        fixture["reference"]["thresholds"][1][0] = 0.3
+        cell = r"threshold\[1\]\[0\]: computed 0.2, reference 0.3, tolerance 0.005"
+        with pytest.raises(ReproductionMismatch, match=cell):
+            audit.reproduce_reference(scenario.loads(json.dumps(fixture)))
+
+    def test_funded_mismatch_names_its_cell(self):
+        fixture = json.loads(bundled_path("table1").read_text())
+        fixture["reference"]["misreport_funded"] = 0
+        cell = "misreport funded borrower: computed 1, reference 0, tolerance 0"
+        with pytest.raises(ReproductionMismatch, match=cell):
             audit.reproduce_reference(scenario.loads(json.dumps(fixture)))

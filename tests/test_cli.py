@@ -399,6 +399,10 @@ BAD_FIELDS = [
     ("campaign-budescu", ("campaign", "rounds"), "ten", CAMPAIGN),
     ("campaign-vcg", ("alpha",), float("nan"), CAMPAIGN),
     ("campaign-vcg", ("tcomp",), "no", CAMPAIGN),
+    ("table1", ("weigths",), [0.8, 0.1, 0.1], ("run",)),
+    ("table1", ("outcomes", "0"), 0.7, ("run",)),
+    ("table1", ("outcomes", "1"), True, ("run",)),
+    ("vcg-n4", ("prior",), {"kind": "degenerate", "profile": [["0.5", "0.6"]] * 4}, ("run",)),
 ]
 
 

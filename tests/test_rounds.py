@@ -243,6 +243,10 @@ class TestLedgerFormat:
             (ledger_line(weights=0.5), "line 2: field 'weights': expected a list"),
             (ledger_line(truths=[]), "line 2: field 'truths': expected a list"),
             (ledger_line(reports=[[0.5, 2.0]] * 3), "line 2: field 'reports': reports shape"),
+            (
+                ledger_line(reports=[[0.5] * 4, [0.5], [0.5] * 4]),
+                "line 2: field 'reports': reports is not a (3, 4) array of numbers",
+            ),
             (ledger_line(funded_real=[9]), "line 2: field 'funded_real': borrower 9"),
             (ledger_line(outcomes=[]), "line 2: field 'outcomes': no outcome supplied"),
             (ledger_line(deficit="abc"), "line 2: field 'deficit': expected a number"),
