@@ -25,7 +25,8 @@ from . import vcg as vcg_mod
 from . import winkler as winkler_mod
 from .aggregation import aggregate_columns
 from .errors import ReproductionMismatch, ScenarioError
-from .mechanism import Instance, check_reports, left_sum, linear_scores, mean_se
+from .mechanism import Instance, Moments, RowsColumn, check_reports, left_sum, linear_scores
+from .mechanism import sample_blocks
 from .priors import PriorSpec, is_degenerate, sample_others, sample_profiles
 from .rounds import build_instance
 from .vcg import VcgInstance
@@ -192,13 +193,6 @@ class AuditVerdict:
     notes: tuple[str, ...] = ()
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of per-sample values (see `mechanism.mean_se`:
-    an infinite sample decides the mean outright, with SE 0)."""
-    mean, se = mean_se(values)
-    return float(mean), float(se)
-
-
 def _assemble_verdict(
     desideratum: str,
     candidates: Sequence[Candidate],
@@ -264,6 +258,20 @@ def _assemble_verdict(
 # ── interim utility and best-response search ──────────────────────────
 
 
+def _draws(inst: Instance, i: int, prior: PriorSpec, samples: int, rng: np.random.Generator):
+    """The co-reports an interim check scores, one block at a time, each
+    (count, n-1, m): a point prior's profile without row i as one exact
+    block, or else `sample_blocks(samples)` draws from `rng` in turn. For
+    uniform and beta priors the blocks are, row for row, the one draw of
+    all the samples; a product grid draws each block cell by cell."""
+    if is_degenerate(prior):
+        profile = check_reports(prior.profile, (inst.n, inst.m), "prior profile")
+        yield np.delete(profile, i, axis=0)[np.newaxis]
+        return
+    for count in sample_blocks(samples):
+        yield sample_others(prior, inst.n, inst.m, i, count, rng)
+
+
 def interim_utility(
     inst: Instance,
     i: int,
@@ -277,7 +285,8 @@ def interim_utility(
 
     Co-recommenders report truthfully with beliefs drawn from the prior;
     the expectation over repayment outcomes uses recommender i's own
-    beliefs. Deterministic per seed.
+    beliefs. Deterministic per seed; the samples are drawn and reduced a
+    block at a time (`_draws`).
     """
     check_reports([true_row], (1, inst.m), "true_row")
     check_reports([report_row], (1, inst.m), "report_row")
@@ -287,9 +296,10 @@ def interim_utility(
         return inst.expost_utility(profile, i, true_row), 0.0
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    others = sample_others(prior, inst.n, inst.m, i, samples, rng)
-    return _mean_se(inst.engine(i, others).utilities(true_row, report_row))
+    draws = _draws(inst, i, prior, samples, np.random.default_rng(seed))
+    parts = [Moments.of(inst.engine(i, o).utilities(true_row, report_row)) for o in draws]
+    mean, se = Moments.merge(parts).stats()
+    return float(mean), float(se)
 
 
 def best_response_search(
@@ -307,48 +317,51 @@ def best_response_search(
     Point priors make this an exact ex post check (no sampling noise, the
     1e-9 tolerance decides); otherwise truth and every candidate share the
     same seeded co-report samples and each comparison uses the paired
-    difference and its standard error. Candidates that move one coordinate
-    are scored with one `column_stats` call per coordinate; full-row
-    candidates one at a time.
+    difference and its standard error. The samples are drawn, scored and
+    reduced one block at a time (`_draws`), one engine per block, and never
+    held together. Candidates that move one coordinate are scored through
+    one `column` per coordinate; full-row candidates through a
+    `RowsColumn`. Each block adds its moments to them, and they merge once.
     """
     check_reports([true_row], (1, inst.m), "true_row")
     seq = np.random.SeedSequence(seed)
     rng_samples, rng_candidates = (np.random.default_rng(s) for s in seq.spawn(2))
     candidates = generate_misreports(true_row, strategy, rng_candidates)
-
     exact = is_degenerate(prior)
-    if exact:
-        profile = check_reports(prior.profile, (inst.n, inst.m), "prior profile")
-        others = np.delete(profile, i, axis=0)[np.newaxis]
-    else:
-        if samples < MIN_SEARCH_SAMPLES:
-            raise ValueError(
-                f"need samples >= {MIN_SEARCH_SAMPLES} for a Monte Carlo verdict, got {samples}"
-            )
-        others = sample_others(prior, inst.n, inst.m, i, samples, rng_samples)
-
-    engine = inst.engine(i, others)
-    del others  # the engine keeps what it needs from the samples
-    truth_values = engine.utilities(true_row, true_row)
-    truth_mean, truth_se = _mean_se(truth_values)
+    if not exact and samples < MIN_SEARCH_SAMPLES:
+        raise ValueError(
+            f"need samples >= {MIN_SEARCH_SAMPLES} for a Monte Carlo verdict, got {samples}"
+        )
 
     groups: dict[Optional[int], list[int]] = {}
     for k, candidate in enumerate(candidates):
         groups.setdefault(candidate.coordinate, []).append(k)
+    rows = groups.pop(None, [])  # the full-row candidates
+    full = RowsColumn(true_row, [candidates[k].row for k in rows])
+    columns, truth = None, []
+    for others in _draws(inst, i, prior, samples, rng_samples):
+        engine = inst.engine(i, others)
+        del others  # the engine keeps what it needs from the samples
+        if columns is None:  # what each coordinate's grid needs, set once
+            columns = {
+                q: engine.column(true_row, q, [candidates[k].row[q] for k in members])
+                for q, members in groups.items()
+            }
+        truth_values = engine.utilities(true_row, true_row)
+        truth.append(Moments.of(truth_values))
+        for column in columns.values():
+            column.add(engine)
+        full.add(engine, truth_values)
+    truth_moments = Moments.merge(truth)
     mean_diff, se = np.empty(len(candidates)), np.empty(len(candidates))
     for q, members in groups.items():
-        if q is None:
-            for k in members:
-                values = engine.utilities(true_row, candidates[k].row)
-                mean_diff[k], se[k] = _mean_se(truth_values - values)
-        else:
-            reports = [candidates[k].row[q] for k in members]
-            stats = engine.column_stats(true_row, q, reports)
-            mean_diff[members], se[members] = stats
+        mean_diff[members], se[members] = columns[q].stats()
+    mean_diff[rows], se[rows] = full.stats()
+    truth_mean, truth_se = (float(v) for v in truth_moments.stats())
     notes = ("point prior: exact ex post evaluation, no sampling noise",) if exact else ()
     return _assemble_verdict(
         desideratum, candidates, mean_diff, se, EXACT_TOL if exact else None,
-        truth_mean, truth_se, len(truth_values), seed, notes,
+        truth_mean, truth_se, truth_moments.count, seed, notes,
     )
 
 
@@ -372,18 +385,22 @@ class GrainReport:
 def grain_of_no_veto(
     inst: WinklerInstance, prior: PriorSpec, samples: int, seed: int
 ) -> GrainReport:
-    """Per (recommender, borrower): P[aggregate with their report at 0 > c]."""
+    """Per (recommender, borrower): P[aggregate with their report at 0 > c],
+    counted over profiles drawn a block at a time (`sample_blocks`)."""
     if samples < MIN_GRAIN_SAMPLES and not is_degenerate(prior):
         raise ValueError(
             f"need samples >= {MIN_GRAIN_SAMPLES} for a stable estimate, got {samples}"
         )
     rng = np.random.default_rng(seed)
-    profiles = sample_profiles(prior, inst.n, inst.m, samples, rng)
-    estimates = np.empty((inst.n, inst.m))
-    for i in range(inst.n):
-        vetoed = profiles.copy()
-        vetoed[:, i, :] = 0.0
-        estimates[i] = (aggregate_columns(inst.aggregator, vetoed) > inst.threshold).mean(axis=0)
+    funded = np.zeros((inst.n, inst.m), dtype=np.int64)
+    for count in sample_blocks(samples):
+        profiles = sample_profiles(prior, inst.n, inst.m, count, rng)
+        for i in range(inst.n):
+            vetoed = profiles.copy()
+            vetoed[:, i, :] = 0.0
+            scores = aggregate_columns(inst.aggregator, vetoed)
+            funded[i] += np.count_nonzero(scores > inst.threshold, axis=0)
+    estimates = funded / samples
     zero_pairs = tuple(
         (i, q) for i in range(inst.n) for q in range(inst.m) if estimates[i, q] == 0.0
     )

@@ -19,11 +19,12 @@ allocations=None)` prices the stack in one pass and gives one
 `engine(i, others)` gives an interim engine for recommender i over
 co-reports `others`, (samples, n-1, m): the mechanism's vectorized one, or
 where it has none (capped Winkler, custom pools) `SampleEngine`, which
-scores each sample through `expost_utility`. Every engine has two methods.
+scores each sample through `expost_utility`. Every engine is an `Engine`.
 `utilities(belief_row, report_row)` gives i's utility on each sample.
 `column_stats(true_row, q, reports)` gives, for each report on coordinate
 q, with the others at `true_row` and beliefs `true_row`, the mean and
-standard error of truth minus that report over the samples.
+standard error of truth minus that report over the samples; `column`
+gives the same over many blocks (below).
 
 `left_sum` is how the package adds a sequence of floats: left to right,
 as Python 3.11's `sum()` does, so results do not change with the Python
@@ -40,11 +41,22 @@ use it, and VCG's rebates take the scores with each row at 1 from it too.
 allocation does, ties included: it places each sample among a grid of
 report levels by the closed form where a proven margin decides, and by
 the allocation's own test where a level lies nearer. Both interim engines
-score a coordinate's grid of reports through one block model,
-`grid_stats`: on each sample, truth minus a report is affine in
-per-sample quantities u and alpha, with coefficients set by whether the
-truth and the report fund the coordinate. Winkler's payment gives u and
-alpha; VCG's two utilities give u, with alpha 0.
+score a coordinate's grid of reports through one block model, `Grid`: on
+each sample, truth minus a report is affine in per-sample quantities u and
+alpha, with coefficients set by whether the truth and the report fund the
+coordinate. Winkler's payment gives u and alpha; VCG's two utilities give
+u, with alpha 0.
+
+A Monte Carlo audit draws its samples in blocks of at most COLUMN_CHUNK
+and builds one engine per block, so it never holds them all. Each block
+reduces to moments: `Moments`, the count, mean and centered sum of squares
+of per-sample values, and `GridMoments`, a coordinate's per level-block
+moments. The blocks merge by the pairwise update of Chan, Golub and
+LeVeque (Algorithms for Computing the Sample Variance, 1983). A column,
+`engine.column(true_row, q, reports)`, holds what one coordinate's grid
+needs across a search's blocks: `add(engine)` reduces a block, and
+`stats()` merges the blocks and gives each report's mean and standard
+error once. `column_stats` is one block's column.
 """
 
 from __future__ import annotations
@@ -59,8 +71,8 @@ import numpy as np
 
 from .errors import MissingOutcome, OutcomeForUnfundedBorrower, ShapeMismatch
 
-# Samples per block while an interim engine builds its per-sample arrays;
-# bounds the block's temporaries whatever the sample count.
+# Samples per block: a Monte Carlo audit draws, scores and reduces this
+# many at a time, which bounds its arrays whatever the sample count.
 COLUMN_CHUNK = 16_384
 # Cells of `place`'s table over [0, 2]; a power of two.
 PLACE_CELLS = 4096
@@ -183,41 +195,118 @@ def others_scores(weights, reports, own: float = 0.0) -> np.ndarray:
 
 
 def mean_se(values) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of per-sample values, samples on the last axis.
-
-    An infinite sample (a log score of -inf, or a difference against one)
-    decides its row's mean outright, which is reported with SE 0: -inf if
-    any sample is -inf, else +inf. A row is reduced as a 1-D array of its
-    own would be, so batching rows does not move a bit.
-    """
-    values = np.asarray(values, dtype=float)
-    samples = values.shape[-1]
-    with np.errstate(invalid="ignore"):  # inf - inf in rows replaced below
-        mean = values.mean(axis=-1)
-        if samples > 1:
-            se = values.std(axis=-1, ddof=1) / math.sqrt(samples)
-        else:
-            se = np.zeros(mean.shape)
-    infinite = np.isinf(values).any(axis=-1)
-    if infinite.any():
-        mean = np.where(np.isneginf(values).any(axis=-1), -np.inf, np.where(infinite, np.inf, mean))
-        se = np.where(infinite, 0.0, se)
-    return mean, se
+    """Mean and standard error of per-sample values, samples on the last
+    axis: `Moments.of(values).stats()`."""
+    return Moments.of(values).stats()
 
 
-def elementwise_column_stats(
+@dataclass(frozen=True)
+class Moments:
+    """What a block of per-sample values reduces to, per row: the count, the
+    mean, the centered sum of squares m2, and whether any value is -inf or
+    +inf. Blocks merge (`merge`) into the moments of all their samples."""
+
+    count: int
+    mean: np.ndarray
+    m2: np.ndarray
+    neginf: np.ndarray
+    posinf: np.ndarray
+
+    @classmethod
+    def of(cls, values) -> "Moments":
+        """The moments of `values`, samples on the last axis. The mean and m2
+        are the sums `np.mean` and `np.std` take, so one block's `stats` is
+        theirs bit for bit; a row is reduced as a 1-D array of its own would
+        be, so batching rows does not move a bit."""
+        values = np.asarray(values, dtype=float)
+        with np.errstate(invalid="ignore"):  # inf - inf in rows `stats` replaces
+            mean = values.mean(axis=-1)
+            m2 = np.square(values - mean[..., np.newaxis]).sum(axis=-1)
+        return cls(
+            values.shape[-1], mean, m2,
+            np.isneginf(values).any(axis=-1), np.isposinf(values).any(axis=-1),
+        )
+
+    @classmethod
+    def merge(cls, parts: Sequence["Moments"]) -> "Moments":
+        """The moments of every block in `parts` together (`merge_moments`)."""
+        shape, blocks = np.shape(parts[0].mean), len(parts)
+
+        def stacked(name: str) -> np.ndarray:
+            return np.stack([getattr(p, name) for p in parts], axis=-1).reshape(-1, blocks)
+
+        counts = np.array([p.count for p in parts], dtype=float)
+        with np.errstate(invalid="ignore"):
+            mean, m2 = merge_moments(counts, stacked("mean"), stacked("m2"))
+        return cls(
+            sum(p.count for p in parts), mean.reshape(shape), m2.reshape(shape),
+            stacked("neginf").any(axis=-1).reshape(shape),
+            stacked("posinf").any(axis=-1).reshape(shape),
+        )
+
+    def stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and standard error. An infinite sample (a log score of -inf,
+        or a difference against one) decides its row's mean outright, which
+        is reported with SE 0: -inf if any sample is -inf, else +inf."""
+        samples = self.count
+        with np.errstate(invalid="ignore"):
+            if samples > 1:
+                se = np.sqrt(self.m2 / (samples - 1)) / math.sqrt(samples)
+            else:
+                se = np.zeros(np.shape(self.mean))
+        infinite = self.neginf | self.posinf
+        mean = np.where(self.neginf, -np.inf, np.where(self.posinf, np.inf, self.mean))
+        return mean, np.where(infinite, 0.0, se)
+
+
+def elementwise_moments(
     score: Callable[[float], np.ndarray], truth_values: np.ndarray, reports
-) -> tuple[np.ndarray, np.ndarray]:
-    """`mean_se(truth_values - score(r))` for each report r: one reduction
-    per report, bit for bit what a batch of the same rows gives. `score`
-    maps one report to per-sample values."""
-    mean, se = np.empty(len(reports)), np.empty(len(reports))
-    for k, report in enumerate(np.asarray(reports, dtype=float).tolist()):
-        mean[k], se[k] = mean_se(truth_values - score(report))
-    return mean, se
+) -> Moments:
+    """`Moments.of(truth_values - score(r))` for each report r, one row each:
+    one reduction per report, bit for bit what a batch of the same rows
+    gives. `score` maps one report to per-sample values."""
+    parts = [Moments.of(truth_values - score(r)) for r in np.asarray(reports, float).tolist()]
+    return Moments(
+        len(truth_values),
+        *(np.array([getattr(p, f) for p in parts], dtype=float) for f in ("mean", "m2")),
+        *(np.array([getattr(p, f) for p in parts], dtype=bool) for f in ("neginf", "posinf")),
+    )
 
 
-class SampleEngine:
+class Engine:
+    """What every interim engine shares. A subclass gives `utilities` and
+    `column`; `column_stats` is the column of its one block of samples."""
+
+    def column_stats(self, true_row, q: int, reports) -> tuple[np.ndarray, np.ndarray]:
+        column = self.column(true_row, q, reports)
+        column.add(self)
+        return column.stats()
+
+
+class RowsColumn:
+    """Truth minus each of some full report rows, over a search's blocks:
+    each block scores every row through the engine's `utilities` and reduces
+    it to `Moments`, merged once by `stats`. How `SampleEngine` scores a
+    coordinate, and how a search scores its full-row candidates."""
+
+    def __init__(self, true_row, rows) -> None:
+        self.truth = tuple(float(v) for v in true_row)
+        self.rows = [tuple(float(v) for v in row) for row in rows]
+        self.parts: list[Moments] = []
+
+    def add(self, engine, truth_values: Optional[np.ndarray] = None) -> None:
+        """Reduce one block; `truth_values`, when given, are the engine's
+        utilities of the truth, which saves scoring it again."""
+        if truth_values is None:
+            truth_values = engine.utilities(self.truth, self.truth)
+        score = functools.partial(engine.utilities, self.truth)
+        self.parts.append(elementwise_moments(score, truth_values, self.rows))
+
+    def stats(self) -> tuple[np.ndarray, np.ndarray]:
+        return Moments.merge(self.parts).stats()
+
+
+class SampleEngine(Engine):
     """The interim engine of an instance with no vectorized one (capped
     Winkler, custom pools), and the oracle the vectorized engines are
     tested against: on each sample, i's report row goes in among the
@@ -235,15 +324,10 @@ class SampleEngine:
             ]
         )
 
-    def column_stats(self, true_row, q: int, reports):
-        """Mean and standard error of truth minus each report on coordinate
-        q: each report's full row through `utilities`, then `mean_se`."""
+    def column(self, true_row, q: int, reports) -> RowsColumn:
+        """Each report's full row, the truth with coordinate q replaced."""
         truth = tuple(float(v) for v in true_row)
-
-        def score(report: float) -> np.ndarray:
-            return self.utilities(truth, truth[:q] + (report,) + truth[q + 1 :])
-
-        return elementwise_column_stats(score, self.utilities(truth, truth), reports)
+        return RowsColumn(truth, [truth[:q] + (r,) + truth[q + 1 :] for r in reports])
 
 
 def merge_moments(counts: np.ndarray, means: np.ndarray, m2: np.ndarray):
@@ -263,54 +347,132 @@ def merge_moments(counts: np.ndarray, means: np.ndarray, m2: np.ndarray):
     return means[:, 0], m2[:, 0]
 
 
-def grid_stats(blocks, u, alpha, truth: float, reports, gain) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class GridMoments:
+    """What one block of samples reduces to in `Grid`'s model, per block of
+    the levels: the count, the means of u and alpha, and the triangular
+    factor R = [[r_uu, r_ua], [0, r_aa]] of the centered (u, alpha)
+    columns, so R^T R is their scatter matrix."""
+
+    count: np.ndarray
+    mean_u: np.ndarray
+    mean_alpha: np.ndarray
+    r_uu: np.ndarray
+    r_ua: np.ndarray
+    r_aa: np.ndarray
+
+    @classmethod
+    def of(cls, block: np.ndarray, n_blocks: int, u, alpha) -> "GridMoments":
+        """Each sample's level block `block`, and its u and alpha."""
+        count = np.bincount(block, minlength=n_blocks).astype(float)
+        safe = np.where(count > 0, count, 1.0)
+        mean_alpha, mean_u = (np.bincount(block, v, n_blocks) / safe for v in (alpha, u))
+        factor = _block_factor(block, n_blocks, u - mean_u[block], alpha - mean_alpha[block])
+        return cls(count, mean_u, mean_alpha, *factor)
+
+    @classmethod
+    def merge(cls, parts: Sequence["GridMoments"]) -> "GridMoments":
+        """The moments of every block in `parts` together, neighbours paired
+        until one is left."""
+        while len(parts) > 1:
+            pairs = [a._merged(b) for a, b in zip(parts[0::2], parts[1::2])]
+            parts = pairs + list(parts[2 * len(pairs) :])
+        return parts[0]
+
+    def _merged(self, other: "GridMoments") -> "GridMoments":
+        """Chan-Golub-LeVeque's update of the means, and R by one
+        Gram-Schmidt step over the stacked rows [R_a; R_b; s delta],
+        s = sqrt(n_a n_b / n), as `_block_factor` takes it over samples;
+        no Gram matrix is formed."""
+        a, b = self, other
+        count = a.count + b.count
+        safe = np.where(count > 0, count, 1.0)
+        d_u, d_alpha = b.mean_u - a.mean_u, b.mean_alpha - a.mean_alpha
+        s = np.sqrt(a.count * b.count / safe)
+        col_u = np.array([a.r_uu, b.r_uu, s * d_u])
+        col_alpha = np.array([a.r_ua, b.r_ua, s * d_alpha])  # beside col_u
+        r_uu = np.sqrt(np.square(col_u).sum(axis=0))
+        r_safe = np.where(r_uu > 0.0, r_uu, 1.0)
+        r_ua = (col_u * col_alpha).sum(axis=0) / r_safe
+        rest = col_alpha - (r_ua / r_safe) * col_u
+        # a's and b's r_aa rows have no u part; they join the rest as they are.
+        r_aa = np.sqrt(np.square(rest).sum(axis=0) + np.square(a.r_aa) + np.square(b.r_aa))
+        mean_u = a.mean_u + d_u * (b.count / safe)
+        mean_alpha = a.mean_alpha + d_alpha * (b.count / safe)
+        return GridMoments(count, mean_u, mean_alpha, r_uu, r_ua, r_aa)
+
+
+class Grid:
     """Mean and standard error of truth minus each report on one coordinate,
-    from per-block moments, in O(samples + reports * blocks).
+    from per-block moments, in O(samples + reports * blocks), over any
+    number of blocks of samples.
 
     The levels (the reports and the truth, ascending) cut the samples into
-    blocks that the same levels fund: `blocks(levels)` gives each sample's
-    block, the number of levels that do not fund it (`FundingTest.blocks`).
-    On a sample, truth minus report r is (ft - fr) * u + fr * gain_r * alpha,
+    level blocks that the same levels fund: each sample's level block is
+    the number of levels that do not fund it (`FundingTest.blocks`). On a
+    sample, truth minus report r is (ft - fr) * u + fr * gain_r * alpha,
     where ft and fr are 1 if the truth and r fund it and 0 if not: `u` and
-    `alpha` hold a value per sample, `gain` one per report. One pass reduces
-    each block to its count, the means of u and alpha and the triangular
-    factor R of its centered (u, alpha) columns (one Gram-Schmidt step);
-    each (report, block) pair then has a closed-form mean and centered sum
-    of squares, |R (c_u, c_alpha)|^2, a sum of two squares, and
-    `merge_moments` merges the blocks. Neither step goes through
-    sum(d^2) - S * mean^2, or expands the square into co-moments, which
-    cancel where a report's differences barely vary. Reports go
-    in chunks of at most COLUMN_CHUNK // blocks (at least one), so a chunk's
-    temporaries stay bounded.
+    `alpha` hold a value per sample, `gain` one per report. `add` reduces a
+    block of samples to each level block's `GridMoments`, and `stats`
+    merges them and runs the closed form once: each (report, level block)
+    pair has a closed-form mean and centered sum of squares,
+    |R (c_u, c_alpha)|^2, a sum of two squares, and `merge_moments` merges
+    the level blocks. Neither step goes through sum(d^2) - S * mean^2, or
+    expands the square into co-moments, which cancel where a report's
+    differences barely vary. Reports go in chunks of at most
+    COLUMN_CHUNK // level blocks (at least one), so a chunk's temporaries
+    stay bounded.
     """
-    levels = np.unique(np.append(reports, truth))  # the block edges, ascending
-    block = blocks(levels)
-    n_blocks = len(levels) + 1
-    count = np.bincount(block, minlength=n_blocks).astype(float)
-    kept = count > 0
-    safe = np.where(kept, count, 1.0)
-    mean_alpha, mean_u = (np.bincount(block, v, n_blocks) / safe for v in (alpha, u))
-    factor = _block_factor(block, n_blocks, u - mean_u[block], alpha - mean_alpha[block])
-    r_uu, r_ua, r_aa = (r[kept] for r in factor)
-    # The nonempty blocks; the level at position p funds blocks 0 to p.
-    index, count = np.flatnonzero(kept), count[kept]
-    mean_alpha, mean_u = mean_alpha[kept], mean_u[kept]
-    f_truth = (index <= np.searchsorted(levels, truth)).astype(float)
-    mean, m2 = np.empty(len(reports)), np.empty(len(reports))
-    step = max(1, COLUMN_CHUNK // len(count))
-    for start in range(0, len(reports), step):
-        rows = slice(start, start + step)
-        f_report = (index <= np.searchsorted(levels, reports[rows])[:, np.newaxis]).astype(float)
-        c_u = f_truth - f_report
-        c_alpha = f_report * gain[rows, np.newaxis]
-        means = c_u * mean_u + c_alpha * mean_alpha
-        along = c_u * r_uu + c_alpha * r_ua
-        across = c_alpha * r_aa
-        mean[rows], m2[rows] = merge_moments(count, means, along * along + across * across)
-    samples = len(u)
-    if samples == 1:
-        return mean, np.zeros(len(mean))
-    return mean, np.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+
+    def __init__(self, truth: float, reports, gain) -> None:
+        self.truth, self.reports, self.gain = truth, np.asarray(reports, dtype=float), gain
+        self.levels = np.unique(np.append(self.reports, truth))  # the block edges, ascending
+        self.edges = self.levels  # then their `LevelEdges`, once a block places them
+        self.parts: list[GridMoments] = []
+
+    def blocks(self, funding: "FundingTest") -> np.ndarray:
+        """Each sample's level block under `funding`; the levels' edges are
+        sorted once for every block whose test has the same margin."""
+        self.edges = funding.edges(self.edges)
+        return funding.blocks(self.edges)
+
+    def add(self, block: np.ndarray, u, alpha) -> None:
+        """Reduce one block of samples: each sample's level block, u and alpha."""
+        self.parts.append(GridMoments.of(block, len(self.levels) + 1, u, alpha))
+
+    def stats(self) -> tuple[np.ndarray, np.ndarray]:
+        moments = GridMoments.merge(self.parts)
+        kept = moments.count > 0
+        # The nonempty blocks; the level at position p funds blocks 0 to p.
+        index, count = np.flatnonzero(kept), moments.count[kept]
+        mean_u, mean_alpha = moments.mean_u[kept], moments.mean_alpha[kept]
+        r_uu, r_ua, r_aa = moments.r_uu[kept], moments.r_ua[kept], moments.r_aa[kept]
+        levels, reports, gain = self.levels, self.reports, self.gain
+        f_truth = (index <= np.searchsorted(levels, self.truth)).astype(float)
+        mean, m2 = np.empty(len(reports)), np.empty(len(reports))
+        step = max(1, COLUMN_CHUNK // len(count))
+        for start in range(0, len(reports), step):
+            rows = slice(start, start + step)
+            at = np.searchsorted(levels, reports[rows])[:, np.newaxis]
+            f_report = (index <= at).astype(float)
+            c_u = f_truth - f_report
+            c_alpha = f_report * gain[rows, np.newaxis]
+            means = c_u * mean_u + c_alpha * mean_alpha
+            along = c_u * r_uu + c_alpha * r_ua
+            across = c_alpha * r_aa
+            mean[rows], m2[rows] = merge_moments(count, means, along * along + across * across)
+        samples = int(count.sum())
+        if samples == 1:
+            return mean, np.zeros(len(mean))
+        return mean, np.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+
+
+def grid_stats(blocks, u, alpha, truth: float, reports, gain) -> tuple[np.ndarray, np.ndarray]:
+    """`Grid`'s statistics of one block of samples: `blocks(levels)` gives
+    each sample's level block."""
+    grid = Grid(truth, reports, gain)
+    grid.add(blocks(grid.levels), u, alpha)
+    return grid.stats()
 
 
 def _block_factor(block: np.ndarray, n_blocks: int, dev_u: np.ndarray, dev_alpha: np.ndarray):
@@ -327,33 +489,58 @@ def _block_factor(block: np.ndarray, n_blocks: int, dev_u: np.ndarray, dev_alpha
     return r_uu, r_ua, np.sqrt(np.bincount(block, np.square(dev_alpha, out=work), n_blocks))
 
 
-def chunks(samples: int):
-    """Slices of at most COLUMN_CHUNK samples that cover `samples`."""
-    return (slice(s, s + COLUMN_CHUNK) for s in range(0, samples, COLUMN_CHUNK))
+def sample_blocks(samples: int) -> list[int]:
+    """The sizes of the blocks a search of `samples` samples draws: COLUMN_CHUNK
+    each, and the remainder last."""
+    return [min(COLUMN_CHUNK, samples - s) for s in range(0, samples, COLUMN_CHUNK)]
 
 
-def place(edges: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+def place(edges: np.ndarray, seeds: np.ndarray, table: Optional[np.ndarray] = None) -> np.ndarray:
     """`np.searchsorted(edges, seeds, side="right")` for ascending `edges`,
-    from a table of PLACE_CELLS equal cells over [0, 2] and one from 2.
+    from a table of PLACE_CELLS equal cells over [0, 2] and one from 2:
+    `place_table(edges)`, built here unless given.
 
     A seed's cell is its product with PLACE_CELLS / 2, exact, rounded down
     (an offset added first would round a seed one ulp below a cell into
     it). A seed in a cell no edge lies strictly inside takes the rank of
     the cell's start, and -inf that of -inf; the rest are searched.
     """
-    scale = PLACE_CELLS / 2.0
-    starts = np.arange(PLACE_CELLS + 2) / scale
-    at_start = np.searchsorted(edges, starts, side="right")
-    split = np.searchsorted(edges, starts[1:], side="left") > at_start[:-1]
-    # -1: search. The last slot takes seeds past the cells and, as index
-    # -1, negative seeds and NaN.
-    table = np.append(np.where(split, -1, at_start[:-1]), -1)
-    scaled = np.fmin(np.fmax(seeds * scale, -1.0), PLACE_CELLS + 1.0)
+    if table is None:
+        table = place_table(edges)
+    scaled = np.fmin(np.fmax(seeds * (PLACE_CELLS / 2.0), -1.0), PLACE_CELLS + 1.0)
     rank = table[np.floor(scaled).astype(np.intp)]
     rank[np.flatnonzero(np.isneginf(seeds))] = np.searchsorted(edges, -np.inf, side="right")
     todo = np.flatnonzero(rank < 0)
     rank[todo] = np.searchsorted(edges, seeds[todo], side="right")
     return rank
+
+
+def place_table(edges: np.ndarray) -> np.ndarray:
+    """`place`'s table: per cell, the rank of its start, or -1 (search) where
+    an edge lies strictly inside. The last slot takes seeds past the cells
+    and, as index -1, negative seeds and NaN."""
+    starts = np.arange(PLACE_CELLS + 2) / (PLACE_CELLS / 2.0)
+    at_start = np.searchsorted(edges, starts, side="right")
+    split = np.searchsorted(edges, starts[1:], side="left") > at_start[:-1]
+    return np.append(np.where(split, -1, at_start[:-1]), -1)
+
+
+class LevelEdges:
+    """Ascending report levels placed against a `FundingTest` margin M: the
+    edges L - M and L + M sorted, with `place`'s table of them, and for
+    each count of sorted edges at or below a seed how many levels cannot
+    fund (L + M <= seed) and how many might (L - M <= seed). Both are
+    prefixes of the levels; the levels between are near. Built once, it
+    serves every block of samples whose test has margin M."""
+
+    def __init__(self, levels, margin: float) -> None:
+        self.levels, self.margin = np.asarray(levels, dtype=float), margin
+        edges = np.concatenate([self.levels - margin, self.levels + margin])
+        order = np.argsort(edges, kind="stable")
+        self.below = np.concatenate([[0], np.cumsum(order >= len(self.levels))])
+        self.maybe = np.concatenate([[0], np.cumsum(order < len(self.levels))])
+        self.sorted = edges[order]
+        self.table = place_table(self.sorted)
 
 
 def funding_margin(weights: Sequence[float], w_i: float, key: float) -> float:
@@ -377,7 +564,8 @@ class FundingTest:
     which the test otherwise computes. The score never falls as i's report
     rises, so on each sample the reports that fund form an upper range.
     `blocks` places every sample among ascending report levels in [0, 1],
-    and `funds` answers for one report.
+    and `funds` answers for one report. `edges` places the levels against
+    the test's margin (`LevelEdges`) once, for every test with that margin.
 
     Each sample holds the closed form t = (key - B) / w_i, B the others'
     score, which is the score with i's report at 0 bit for bit; a sample
@@ -422,22 +610,25 @@ class FundingTest:
             self.seed = np.where(funded, -np.inf, np.minimum((self.key - base) / w_i, 2.0))
         self.margin = funding_margin(weights, w_i, float(np.max(self.key, initial=0.0)))
 
+    def edges(self, levels) -> LevelEdges:
+        """`levels` (ascending, or the `LevelEdges` of them for some margin)
+        placed against this test's margin, reused if built for it."""
+        if isinstance(levels, LevelEdges):
+            if levels.margin == self.margin:
+                return levels
+            levels = levels.levels
+        return LevelEdges(levels, self.margin)
+
     def blocks(self, levels) -> np.ndarray:
-        """For each sample, how many of the ascending `levels` do not fund it."""
-        levels = np.asarray(levels, dtype=float)
-        edges = np.concatenate([levels - self.margin, levels + self.margin])
-        order = np.argsort(edges, kind="stable")
-        # Given how many sorted edges lie at or below t: how many levels
-        # cannot fund (L + M <= t) and how many might (L - M <= t). Both
-        # are prefixes of the levels; the levels between are near.
-        below = np.concatenate([[0], np.cumsum(order >= len(levels))])
-        maybe = np.concatenate([[0], np.cumsum(order < len(levels))])
-        rank = place(edges[order], self.seed)
-        near = np.flatnonzero((maybe > below)[rank])
-        stop = maybe[rank[near]]
-        block = below[rank]
+        """For each sample, how many of the ascending `levels` do not fund
+        it; `levels` may be their `LevelEdges` (`edges`)."""
+        grid = self.edges(levels)
+        rank = place(grid.sorted, self.seed, grid.table)
+        near = np.flatnonzero((grid.maybe > grid.below)[rank])
+        stop = grid.maybe[rank[near]]
+        block = grid.below[rank]
         while len(near):  # test each near sample's lowest level not yet settled
-            unfunded = self._unfunded(near, levels[block[near]])
+            unfunded = self._unfunded(near, grid.levels[block[near]])
             block[near] += unfunded
             live = unfunded & (block[near] < stop)
             near, stop = near[live], stop[live]

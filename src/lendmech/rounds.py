@@ -120,15 +120,35 @@ def _field(check: Callable[["RoundRecord"], None], **kwargs):
 
 
 def _check_schema(record: "RoundRecord") -> None:
-    if record.schema != LEDGER_SCHEMA:
+    if not _is_index(record.schema) or record.schema != LEDGER_SCHEMA:
         raise ValueError(f"unsupported version {record.schema!r}; expected {LEDGER_SCHEMA}")
 
 
 def _check_row(values) -> None:
     """A non-empty flat list of numbers in [0, 1]."""
-    if not isinstance(values, tuple) or not values:
+    if not isinstance(values, tuple) or not values or not all(map(_is_number, values)):
         raise ValueError(f"expected a list of one or more numbers, got {values!r}")
     check_reports([values], (1, len(values)), "values")
+
+
+def _check_reports(record: "RoundRecord") -> None:
+    """An n x m matrix of numbers in [0, 1]. A string or a boolean is not a
+    number, though `check_reports`' float conversion would take it."""
+    shape, rows = (len(record.weights), len(record.truths)), record.reports
+    if not isinstance(rows, tuple) or not all(
+        isinstance(row, tuple) and all(map(_is_number, row)) for row in rows
+    ):
+        raise ValueError(f"reports is not a {shape} array of numbers")
+    check_reports(rows, shape)
+
+
+def _check_outcomes(record: "RoundRecord") -> None:
+    """(borrower, outcome) pairs of integers, an outcome for exactly each
+    funded borrower, each 0 or 1."""
+    for entry in record.outcomes:
+        if not (isinstance(entry, tuple) and len(entry) == 2 and all(map(_is_index, entry))):
+            raise ValueError(f"expected (borrower, 0 or 1), got {entry!r}")
+    check_outcomes(record.funded_real, dict(record.outcomes))
 
 
 def _is_index(value, size: Optional[int] = None) -> bool:
@@ -198,15 +218,11 @@ class RoundRecord:
     scenario_hash: str = _field(lambda r: _check_str(r.scenario_hash))
     weights: tuple[float, ...] = _field(lambda r: _check_row(r.weights))
     truths: tuple[float, ...] = _field(lambda r: _check_row(r.truths))
-    reports: tuple[tuple[float, ...], ...] = _field(
-        lambda r: check_reports(r.reports, (len(r.weights), len(r.truths)))
-    )
+    reports: tuple[tuple[float, ...], ...] = _field(_check_reports)
     funded_real: tuple[int, ...] = _field(_check_funded)
     reserves_funded: int = _field(lambda r: _check_count(r.reserves_funded))
     # (borrower, outcome), sorted
-    outcomes: tuple[tuple[int, int], ...] = _field(
-        lambda r: check_outcomes(r.funded_real, dict(r.outcomes))
-    )
+    outcomes: tuple[tuple[int, int], ...] = _field(_check_outcomes)
     immediate: tuple[float, ...] = _field(lambda r: _check_per_recommender(r, r.immediate))
     # (recommender, borrower, paid)
     contingent: tuple[tuple[int, int, float], ...] = _field(_check_contingent)

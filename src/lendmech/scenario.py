@@ -145,6 +145,13 @@ def _fail(source: str, field: str, message: str) -> ScenarioError:
 
 
 _REQUIRED = object()
+# Each prior kind's fields; any other field of a prior is an error.
+_PRIOR_FIELDS = {
+    "uniform": ("kind",),
+    "beta": ("kind", "a", "b"),
+    "degenerate": ("kind", "profile"),
+    "product-grid": ("kind", "support"),
+}
 
 
 def _names(block_type) -> tuple[str, ...]:
@@ -253,29 +260,30 @@ class _Fields:
         return self._read(key, default, check)
 
     def prior(self, key: str, n: int, m: int, default=_REQUIRED):
-        """A prior over n x m belief profiles."""
+        """A prior over n x m belief profiles, with the fields of its kind
+        (`_PRIOR_FIELDS`). A profile's or support's entries and shape are
+        checked at the prior's own path."""
 
         number = functools.partial(self._number, key, lo=None, hi=None)
 
+        def points(value):
+            """Nested lists of numbers as nested tuples."""
+            return tuple(map(points, value)) if isinstance(value, list) else number(value)
+
         def check(value):
-            params = _Fields(value, self.source, self._path(key))
-            kind = params.choice("kind", ("uniform", "beta", "degenerate", "product-grid"))
+            kind = _Fields(value, self.source, self._path(key)).choice("kind", tuple(_PRIOR_FIELDS))
+            params = _Fields(value, self.source, self._path(key), _PRIOR_FIELDS[kind])
             try:
                 if kind == "uniform":
                     prior = UniformIID()
                 elif kind == "beta":
                     prior = BetaIID(a=params.number("a"), b=params.number("b"))
                 elif kind == "degenerate":
-                    prior = DegenerateAt(tuple(tuple(map(number, row)) for row in value["profile"]))
+                    prior = DegenerateAt(params._read("profile", _REQUIRED, points))
                 else:
-                    prior = ProductGrid(
-                        tuple(
-                            tuple(tuple(map(number, cell)) for cell in row)
-                            for row in value["support"]
-                        )
-                    )
+                    prior = ProductGrid(params._read("support", _REQUIRED, points))
                 check_shape(prior, n, m)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise self.fail(key, str(exc)) from exc
             return prior
 

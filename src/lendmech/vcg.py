@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ReserveRecommenderHasNoPayment
 # `deficit` is re-exported: callers use vcg.deficit.
-from .mechanism import Allocation, FundingTest, Settlement, check_reports, check_rounds, deficit
-from .mechanism import checked_allocations, chunks, grid_stats, left_sum, linear_scores
+from .mechanism import Allocation, Engine, FundingTest, Grid, Settlement, check_reports
+from .mechanism import check_rounds, checked_allocations, deficit, left_sum, linear_scores
 from .mechanism import others_scores, scores_with
 
 
@@ -394,7 +394,7 @@ def _funded_sum(terms, funded: np.ndarray) -> np.ndarray:
     return total
 
 
-class InterimEngine:
+class InterimEngine(Engine):
     """Vectorized interim utility for one recommender over sampled others.
 
     Every score adds i's report in its place among the co-reports, as the
@@ -402,9 +402,11 @@ class InterimEngine:
     co-report), so funding agrees with the exact mechanism on every
     sample, ties included. The engine keeps the co-report sample for that,
     item-major: transposed once at build to (n-1, m, samples) and held as
-    that one copy, so every item's samples are contiguous. It works in
-    blocks of COLUMN_CHUNK samples, which bounds its temporaries whatever
-    the sample count, and each block is an (m, rows) array of scores.
+    that one copy, so every item's samples are contiguous. A search builds
+    one engine per block of at most COLUMN_CHUNK samples, which bounds its
+    arrays whatever the sample count; each score is an (m, samples) array.
+    The last report row's scores are kept, so the truth, scored first in a
+    block, is scored once for `utilities` and every coordinate's column.
 
     The funded set comes from rank counts, with no sort (`_order`): real
     borrower q is funded iff fewer than K items beat it, and the reserves
@@ -413,7 +415,7 @@ class InterimEngine:
     in column order, and then the reserves' count times c, as `_welfare`
     adds them.
 
-    `utilities` scores any report row and is the reference. `column_stats`
+    `utilities` scores any report row and is the reference. `column`
     scores reports that differ from the true row in a single coordinate q,
     which is most of what a grid audit tries. With the other coordinates
     held at the true row, the other items (real borrowers and reserve
@@ -426,8 +428,10 @@ class InterimEngine:
     per sample, from the expressions `utilities` uses, so a report's
     per-sample utility is `utilities`' for its row bit for bit, and keeps
     only their difference.
-    `column_stats` then scores the coordinate's whole grid through
-    `mechanism.grid_stats`, the block model Winkler's engine uses, with
+    On a sample, truth minus a report is exactly 0 where both or neither
+    fund q, and otherwise +-(u_in - u_out), + where only the truth funds q.
+    So `VcgColumn` scores the coordinate's whole grid through a
+    `mechanism.Grid`, the block model Winkler's engine uses, with
     u = u_in - u_out and alpha 0, in O(samples + reports * blocks); it
     agrees with the per-sample path up to rounding, and exactly on a single
     sample.
@@ -443,53 +447,51 @@ class InterimEngine:
         self.others = np.ascontiguousarray(np.transpose(others, (1, 2, 0)), dtype=float)
         w_others = inst.weights[:i] + inst.weights[i + 1 :]
         self.scores_others = linear_scores(w_others, self.others.transpose(1, 0, 2))
-        self.best_without_i = np.empty(self.samples)
-        for rows in chunks(self.samples):
-            funded = self._funded(self.scores_others[:, rows])
-            self.best_without_i[rows] = self._others_welfare(rows, *funded)
+        self.best_without_i = self._others_welfare(*self._funded(self.scores_others))
+        self._kept: tuple = ((), None)  # (report row, its scores)
 
-    def _scores(self, rows: slice, report_column: np.ndarray) -> np.ndarray:
-        """The mechanism's scores, (m, rows), on samples `rows` when i reports
-        `report_column`, (m, 1): `scores_with` adds it as term i among the
-        held co-reports, as `linear_scores` adds the inserted matrix,
-        without copying them."""
-        co_reports = self.others[:, :, rows].transpose(1, 0, 2)
-        return scores_with(self.inst.weights, co_reports, self.i, report_column)
+    def _scores(self, report_row) -> np.ndarray:
+        """The mechanism's scores, (m, samples), when i reports `report_row`:
+        `scores_with` adds it as term i among the held co-reports, as
+        `linear_scores` adds the inserted matrix, without copying them.
+        The last row's scores are kept; callers only read them."""
+        row = tuple(float(v) for v in report_row)
+        if self._kept[0] != row:
+            co_reports = self.others.transpose(1, 0, 2)
+            column = np.array(row)[:, np.newaxis]
+            self._kept = (row, scores_with(self.inst.weights, co_reports, self.i, column))
+        return self._kept[1]
 
     def _funded(self, scores: np.ndarray):
-        """`_select`'s top K of scores, (m, rows): whether each real borrower
-        is funded, (m, rows), and the reserve slots funded per row."""
+        """`_select`'s top K of scores, (m, samples): whether each real
+        borrower is funded, (m, samples), and the reserve slots funded per
+        sample."""
         n_res = self.inst.n_reserves
         pos, ahead = _order(scores, self.inst.reserve_threshold, n_res)
         return pos < self.inst.K, np.clip(self.inst.K - ahead, 0, n_res)
 
-    def _others_welfare(self, rows: slice, funded: np.ndarray, reserves: np.ndarray):
-        """The others' welfare on samples `rows` when the real borrowers
+    def _others_welfare(self, funded: np.ndarray, reserves: np.ndarray):
+        """The others' welfare on each sample when the real borrowers
         `funded` and `reserves` reserve slots are funded."""
-        real = _funded_sum(self.scores_others[:, rows], funded)
+        real = _funded_sum(self.scores_others, funded)
         return real + reserves * self.inst.reserve_threshold
 
-    def _utility(self, rows: slice, funded, reserves, values: np.ndarray) -> np.ndarray:
-        """Utility of funding `funded` and `reserves` on samples `rows`;
+    def _utility(self, funded, reserves, values: np.ndarray) -> np.ndarray:
+        """Utility of funding `funded` and `reserves` on each sample;
         `values` is w_i * beliefs (a reserve slot is worth 0 to i).
 
         Every term is summed within its own sample, so a sample's utility
-        does not depend on which other samples share the call.
+        does not depend on which other samples share the engine.
         """
         value = _funded_sum(values, funded)
-        welfare_others = self._others_welfare(rows, funded, reserves)
-        return self.inst.alpha * (value + welfare_others - self.best_without_i[rows])
+        welfare_others = self._others_welfare(funded, reserves)
+        return self.inst.alpha * (value + welfare_others - self.best_without_i)
 
     def utilities(self, belief_row: Sequence[float], report_row: Sequence[float]) -> np.ndarray:
         """Per-sample utility of reporting `report_row` with beliefs
         `belief_row` (rebate excluded; it cancels in comparisons)."""
         values = self.w_i * np.asarray(belief_row, dtype=float)
-        report_column = np.asarray(report_row, dtype=float)[:, np.newaxis]
-        out = np.empty(self.samples)
-        for rows in chunks(self.samples):
-            funded = self._funded(self._scores(rows, report_column))
-            out[rows] = self._utility(rows, *funded, values)
-        return out
+        return self._utility(*self._funded(self._scores(report_row)), values)
 
     def _column_parts(self, true_row: Sequence[float], q: int):
         """The `FundingTest` of a report on q, and per sample u = u_in - u_out,
@@ -500,23 +502,18 @@ class InterimEngine:
         k = inst.K
         # Beliefs are the true row.
         w_true = self.w_i * np.asarray(true_row, dtype=float)
-        true_column = np.asarray(true_row, dtype=float)[:, np.newaxis]
+        scores = self._scores(true_row)
+        # The other items' positions among themselves. Funded, q joins
+        # their top K-1; unfunded, their top K is funded.
+        pos, ahead = _order(scores, c, n_res, skip=q)
+        with_q = pos < k - 1
+        with_q[q] = True
+        u = self._utility(with_q, np.clip(k - 1 - ahead, 0, n_res), w_true)
         key = np.full(self.samples, -np.inf)  # -inf: every report funds q
-        u = np.empty(self.samples)
-        for rows in chunks(self.samples):
-            scores = self._scores(rows, true_column)
-            # The other items' positions among themselves. Funded, q joins
-            # their top K-1; unfunded, their top K is funded.
-            pos, ahead = _order(scores, c, n_res, skip=q)
-            with_q = pos < k - 1
-            with_q[q] = True
-            u_in = self._utility(rows, with_q, np.clip(k - 1 - ahead, 0, n_res), w_true)
-            if k == m + n_res:  # q is funded whatever it reports
-                u[rows] = u_in
-                continue
+        if k < m + n_res:  # else q is funded whatever it reports
             top = pos < k
             top[q] = False
-            u[rows] = u_in - self._utility(rows, top, np.clip(k - ahead, 0, n_res), w_true)
+            u -= self._utility(top, np.clip(k - ahead, 0, n_res), w_true)
             # q is funded iff its score beats the key of the one item in the
             # others' top K but not in their top K-1: the real borrower at
             # position K-1, else a reserve.
@@ -526,23 +523,26 @@ class InterimEngine:
             # q wins a tie iff that item is a real borrower with a higher
             # index than q, or a reserve; then its score need only reach
             # the float just below the key.
-            key[rows] = np.where(kth[:q].any(axis=0), kth_key, np.nextafter(kth_key, -np.inf))
+            key = np.where(kth[:q].any(axis=0), kth_key, np.nextafter(kth_key, -np.inf))
         # The others' score is held since the build.
         return FundingTest(inst.weights, self.i, self.others[:, q], key, self.scores_others[q]), u
 
-    def column_stats(
-        self, true_row: Sequence[float], q: int, reports
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and standard error of truth minus each report on coordinate q.
+    def column(self, true_row: Sequence[float], q: int, reports) -> "VcgColumn":
+        return VcgColumn(true_row, q, reports)
 
-        The reports replace `true_row[q]`; beliefs are `true_row`. On a
-        sample, truth minus a report is exactly 0 where both or neither fund
-        q, and otherwise +-(u_in - u_out), + where only the truth funds q
-        (see `_column_parts`): `grid_stats`' model with u = u_in - u_out and
-        alpha 0, in O(samples + reports * blocks), not O(samples * reports).
-        """
-        reports = np.asarray(reports, dtype=float)
-        funding, u = self._column_parts(true_row, q)
-        zeros = np.zeros(self.samples)
-        gain = np.zeros(len(reports))
-        return grid_stats(funding.blocks, u, zeros, float(true_row[q]), reports, gain)
+
+class VcgColumn:
+    """Truth minus each report on coordinate q of an `InterimEngine`, over a
+    search's blocks: `_column_parts`' u, with alpha 0 and no gain, through a
+    `mechanism.Grid` (see `InterimEngine`)."""
+
+    def __init__(self, true_row: Sequence[float], q: int, reports) -> None:
+        self.true_row, self.q = true_row, q
+        self.grid = Grid(float(true_row[q]), reports, np.zeros(len(reports)))
+
+    def add(self, engine: InterimEngine) -> None:
+        funding, u = engine._column_parts(self.true_row, self.q)
+        self.grid.add(self.grid.blocks(funding), u, np.zeros(len(u)))
+
+    def stats(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.grid.stats()

@@ -25,8 +25,8 @@ import numpy as np
 
 from .aggregation import Aggregator, WeightedLinear, aggregate, aggregate_columns
 from .errors import ZeroWeightRecommender
-from .mechanism import Allocation, FundingTest, SampleEngine, Settlement, check_reports
-from .mechanism import check_rounds, checked_allocations, elementwise_column_stats, grid_stats
+from .mechanism import Allocation, Engine, FundingTest, Grid, Moments, SampleEngine, Settlement
+from .mechanism import check_reports, check_rounds, checked_allocations, elementwise_moments
 from .mechanism import left_sum, linear_scores, others_scores
 
 BELOW_ONE = 1.0 - 2.0**-53  # the float just below 1
@@ -346,7 +346,7 @@ def _settle(insts, arr: np.ndarray, outcomes, allocations) -> list[Settlement]:
     return settlements
 
 
-class ColumnEngine:
+class ColumnEngine(Engine):
     """Vectorized per-borrower interim machinery for one recommender.
 
     Precomputes, for a fixed batch of sampled co-reports, each column's
@@ -359,11 +359,10 @@ class ColumnEngine:
     Linear aggregators and uncapped instances only.
 
     `utilities` scores a full report row, column by column, a few vector
-    operations over the samples each; it is the reference. `column_stats`
-    scores a whole grid of reports on one coordinate through
-    `mechanism.grid_stats`, the block model VCG's engine shares (see
-    there), which is what makes grid-misreport searches at 1e5 samples
-    cheap.
+    operations over the samples each; it is the reference. `column` scores
+    a whole grid of reports on one coordinate through `mechanism.Grid`, the
+    block model VCG's engine shares (see there and `WinklerColumn`), which
+    is what makes grid-misreport searches at 1e5 samples cheap.
     """
 
     def __init__(self, inst: WinklerInstance, i: int, others: np.ndarray) -> None:
@@ -385,13 +384,21 @@ class ColumnEngine:
             self.payments.append(WinklerPayment(np.where(w[i] == 0.0, np.inf, anchor)))
         self.samples = others.shape[0]
         self.m = inst.m
+        self._kept = [((), None)] * inst.m  # per column: (belief, report), its payoffs
 
     def column_contribution(self, q: int, belief: float, report: float) -> np.ndarray:
-        """Per-sample expected payoff on borrower q for a scalar report."""
-        funded = self.funding[q].funds(report)
-        if not funded.any():
-            return np.zeros(self.samples)
-        return np.where(funded, self.payments[q](belief, report), 0.0)
+        """Per-sample expected payoff on borrower q for a scalar report.
+        Each column's last payoffs are kept, so the truth's, scored first
+        in a block by `utilities`, are not scored again by its column;
+        callers only read them."""
+        if self._kept[q][0] != (belief, report):
+            funded = self.funding[q].funds(report)
+            if funded.any():
+                payoffs = np.where(funded, self.payments[q](belief, report), 0.0)
+            else:
+                payoffs = np.zeros(self.samples)
+            self._kept[q] = ((belief, report), payoffs)
+        return self._kept[q][1]
 
     def utilities(self, belief_row: Sequence[float], report_row: Sequence[float]) -> np.ndarray:
         contributions = [
@@ -400,44 +407,57 @@ class ColumnEngine:
         ]
         return np.sum(contributions, axis=0)
 
-    def column_stats(
-        self, true_row: Sequence[float], q: int, reports
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and standard error of truth minus each report on coordinate q.
+    def column(self, true_row: Sequence[float], q: int, reports) -> "WinklerColumn":
+        return WinklerColumn(true_row, q, reports)
 
-        The reports replace `true_row[q]`; beliefs are `true_row`. Only
-        column q depends on the report, so on a sample truth minus report r
-        is `column_contribution(q, b, b) - column_contribution(q, b, r)`,
-        b = `true_row[q]`. Reports at 0 or 1, and every report when the
-        truth is at 0 or 1, are scored that way, elementwise, so the log
-        score's infinities follow `mean_se`'s rule.
 
-        The rest go through `grid_stats` in O(samples + reports * blocks),
-        with the blocks of column q's `FundingTest`, and equal that
-        difference's `mean_se` up to rounding. A funded sample pays
-        u + alpha * (own(r) - own(truth)): alpha is 1 / -log(anchor) and u
-        the truth's payment; limit anchors have alpha 0 and u the belief,
-        idle ones both 0. That is the payment itself (`WinklerPayment`
-        always divides by -log(anchor)), so it holds on every funded
-        sample, reports an ulp past the funding bound included; the gain is
-        own(truth) - own(r).
-        """
+class WinklerColumn:
+    """Truth minus each report on coordinate q of a `ColumnEngine`, over a
+    search's blocks (see `mechanism.Engine`).
+
+    The reports replace `true_row[q]`; beliefs are `true_row`. Only column
+    q depends on the report, so on a sample truth minus report r is
+    `column_contribution(q, b, b) - column_contribution(q, b, r)`,
+    b = `true_row[q]`. Reports at 0 or 1, and every report when the truth
+    is at 0 or 1, are scored that way, elementwise, so the log score's
+    infinities follow `Moments`' rule.
+
+    The rest go through a `Grid` in O(samples + reports * blocks), with
+    the level blocks of column q's `FundingTest`, and equal that
+    difference's `mean_se` up to rounding. A funded sample pays
+    u + alpha * (own(r) - own(truth)): u is the truth's payment and alpha
+    1 / -log(anchor), or 0 at a limit or idle anchor, whose payment does
+    not depend on a report in (0, 1). That is the payment itself
+    (`WinklerPayment` always divides by -log(anchor)), so it holds on every
+    funded sample, reports an ulp past the funding bound included; the gain
+    is own(truth) - own(r). The split, the gains and the levels' edges are
+    set once per search, not per block.
+    """
+
+    def __init__(self, true_row: Sequence[float], q: int, reports) -> None:
         reports = np.asarray(reports, dtype=float)
-        belief = float(true_row[q])
-        edge = (reports == 0.0) | (reports == 1.0) | (belief in (0.0, 1.0))
-        mean, se = np.empty(len(reports)), np.empty(len(reports))
-        if edge.any():
-            truth = self.column_contribution(q, belief, belief)
-            score = functools.partial(self.column_contribution, q, belief)
-            mean[edge], se[edge] = elementwise_column_stats(score, truth, reports[edge])
-        if not edge.all():
-            pay, grid = self.payments[q], reports[~edge]
-            regular = ~(pay.limit | pay.idle)
-            own_truth = float(WinklerPayment.own(belief, belief))
-            alpha = np.where(regular, 1.0 / pay.neg_log_a, 0.0)
-            u = (own_truth + pay.offset(belief)) / pay.neg_log_a
-            u = np.where(regular, u, belief * pay.limit)
-            gain = own_truth - WinklerPayment.own(belief, grid)
-            blocks = self.funding[q].blocks
-            mean[~edge], se[~edge] = grid_stats(blocks, u, alpha, belief, grid, gain)
+        self.q, self.belief = q, float(true_row[q])
+        self.edge = (reports == 0.0) | (reports == 1.0) | (self.belief in (0.0, 1.0))
+        self.edge_reports, self.parts = reports[self.edge], []
+        own_truth = float(WinklerPayment.own(self.belief, self.belief))
+        gain = own_truth - WinklerPayment.own(self.belief, reports[~self.edge])
+        self.grid = Grid(self.belief, reports[~self.edge], gain)
+
+    def add(self, engine: ColumnEngine) -> None:
+        q, belief = self.q, self.belief
+        if len(self.edge_reports):
+            truth = engine.column_contribution(q, belief, belief)
+            score = functools.partial(engine.column_contribution, q, belief)
+            self.parts.append(elementwise_moments(score, truth, self.edge_reports))
+        if len(self.grid.reports):
+            pay = engine.payments[q]
+            alpha = np.where(pay.limit | pay.idle, 0.0, 1.0 / pay.neg_log_a)
+            self.grid.add(self.grid.blocks(engine.funding[q]), pay(belief, belief), alpha)
+
+    def stats(self) -> tuple[np.ndarray, np.ndarray]:
+        mean, se = np.empty(len(self.edge)), np.empty(len(self.edge))
+        if len(self.edge_reports):
+            mean[self.edge], se[self.edge] = Moments.merge(self.parts).stats()
+        if len(self.grid.reports):
+            mean[~self.edge], se[~self.edge] = self.grid.stats()
         return mean, se

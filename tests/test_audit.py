@@ -4,18 +4,20 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from lendmech import audit, scenario, vcg, winkler
+from lendmech import audit, mechanism, scenario, vcg, winkler
 from lendmech.aggregation import MonotoneCustom, WeightVector, WeightedLinear
 from lendmech.errors import ReproductionMismatch, ShapeMismatch
-from lendmech.mechanism import elementwise_column_stats
-from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, enumerate_others
-from lendmech.priors import sample_profiles
+from lendmech.mechanism import RowsColumn, SampleEngine
+from lendmech.priors import BetaIID, DegenerateAt, ProductGrid, UniformIID, enumerate_others
+from lendmech.priors import sample_others, sample_profiles
 from lendmech.scenario import bundled_path
 from lendmech.vcg import VcgInstance
 from lendmech.winkler import WinklerInstance
@@ -405,15 +407,20 @@ class TestBestResponseSearch:
         args = (inst, 1, (0.6, 0.3, 0.45), UniformIID(), audit.SingleCoordinateGrid(21), 3000, 4)
         fast = audit.best_response_search(*args)
 
-        def full_row_stats(engine, true_row, q, reports):
-            def score(v):
-                return engine.utilities(true_row, with_report(true_row, q, v))
+        # Score each coordinate's reports as full rows through the engine's
+        # `utilities`, as `SampleEngine` does; count the columns built so a
+        # patch the search no longer reaches cannot pass.
+        built = []
 
-            truth_values = engine.utilities(true_row, true_row)
-            return elementwise_column_stats(score, truth_values, reports)
+        def full_row_column(engine, true_row, q, reports):
+            built.append(q)
+            column = SampleEngine.column(engine, true_row, q, reports)
+            assert type(column) is RowsColumn
+            return column
 
-        monkeypatch.setattr(vcg.InterimEngine, "column_stats", full_row_stats)
+        monkeypatch.setattr(vcg.InterimEngine, "column", full_row_column)
         slow = audit.best_response_search(*args)
+        assert built == [0, 1, 2]
         # The block-moment statistics round differently from the per-sample
         # ones; everything the verdict rests on must agree exactly.
         assert dataclasses.replace(fast, details=(), witness=None) == dataclasses.replace(
@@ -425,6 +432,131 @@ class TestBestResponseSearch:
         ]
         stats = [np.array([(-o.mean_gain, o.std_error) for o in v.details]).T for v in (fast, slow)]
         assert_stats_close(*stats, np.ones(len(fast.details)))
+
+@st.composite
+def block_draw_cases(draw):
+    """A prior, a shape, a recommender, a sample count and a block size;
+    product grids of one to three points per cell."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["uniform", "beta", "grid"]))
+    if kind == "uniform":
+        prior = UniformIID()
+    elif kind == "beta":
+        prior = BetaIID(float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.1, 5.0)))
+    else:
+        support = [[tuple(rng.choice(9, rng.integers(1, 4), replace=False) / 8) for _ in range(m)]
+                   for _ in range(n)]
+        prior = ProductGrid(tuple(tuple(row) for row in support))
+    chunk = draw(st.integers(1, 40))
+    samples = draw(st.integers(1, chunk if kind == "grid" else 150))
+    return prior, n, m, draw(st.integers(0, n - 1)), samples, chunk, draw(st.integers(0, 2**32))
+
+
+class TestSampleBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(block_draw_cases())
+    def test_blocked_draw_is_the_one_shot_draw(self, case):
+        # Uniform and beta blocks of any size, split anywhere, are the one
+        # draw of all the samples, row for row; a product grid draws cell by
+        # cell, so it is the one draw only up to one block.
+        prior, n, m, i, samples, chunk, seed = case
+        inst = VcgInstance(n=n, m=m, K=1, reserve_threshold=0.0, weights=(1.0 / n,) * n)
+        with mock.patch.object(mechanism, "COLUMN_CHUNK", chunk):
+            sizes = mechanism.sample_blocks(samples)
+            blocks = list(audit._draws(inst, i, prior, samples, np.random.default_rng(seed)))
+        assert sum(sizes) == samples and max(sizes) <= chunk
+        assert sizes[:-1] == [chunk] * (len(sizes) - 1)
+        assert [len(b) for b in blocks] == sizes
+        once = sample_others(prior, n, m, i, samples, np.random.default_rng(seed))
+        assert np.concatenate(blocks).tobytes() == once.tobytes()
+
+    def test_point_prior_is_one_exact_block(self):
+        prior = DegenerateAt(BELIEFS)
+        blocks = list(audit._draws(winkler_instance(), 1, prior, 10**6, None))
+        assert len(blocks) == 1
+        assert blocks[0].tolist() == [[list(BELIEFS[0]), list(BELIEFS[2])]]
+
+
+def _without_stats(verdict):
+    """The verdict with every mean and SE left out: what must not move."""
+    outcomes = ([verdict.witness] if verdict.witness else []) + list(verdict.details)
+    kept = [(o.candidate, o.classification) for o in outcomes]
+    return dataclasses.replace(verdict, truth_mean=0.0, truth_std_error=0.0, witness=None,
+                               details=()), kept
+
+
+def _stats(verdict):
+    outcomes = ([verdict.witness] if verdict.witness else []) + list(verdict.details)
+    rows = [(verdict.truth_mean, verdict.truth_std_error)] + [
+        (-o.mean_gain, o.std_error) for o in outcomes
+    ]
+    return tuple(np.array(v) for v in zip(*rows))
+
+
+class TestStreamedSearch:
+    @pytest.mark.parametrize(
+        "inst, samples",
+        [
+            (VcgInstance(n=4, m=3, K=2, reserve_threshold=0.3, weights=(0.25,) * 4), 400),
+            (winkler_instance(n=4), 400),
+            (capped_instance(), 100),
+        ],
+        ids=["vcg", "winkler", "capped"],
+    )
+    @pytest.mark.parametrize("chunk", [1, 37])
+    def test_blocks_give_the_one_block_verdict(self, inst, samples, chunk):
+        # Single-sample and uneven blocks against one block: the same
+        # verdict, counts, witness and details, and statistics within
+        # rounding. The grid holds reports at 0 and 1, so Winkler's
+        # infinities merge too.
+        true_row = (0.625, 0.3, 0.45)[: inst.m]
+        strategy = [
+            audit.SingleCoordinateGrid(9), audit.FullRowRandom(3), audit.EqualShift((-0.1, 0.1)),
+        ]
+        args = (inst, 1, true_row, UniformIID(), strategy, samples, 11)
+        one = audit.best_response_search(*args)
+        with mock.patch.object(mechanism, "COLUMN_CHUNK", chunk):
+            blocked = audit.best_response_search(*args)
+            utility = audit.interim_utility(inst, 1, true_row, (0.5,) * inst.m, UniformIID(),
+                                            samples, 3)
+        assert blocked.samples == samples
+        assert _without_stats(blocked) == _without_stats(one)
+        assert_stats_close(_stats(blocked), _stats(one), np.ones(len(_stats(one)[0])))
+        want = audit.interim_utility(inst, 1, true_row, (0.5,) * inst.m, UniformIID(), samples, 3)
+        assert_stats_close(tuple(np.array([v]) for v in utility),
+                           tuple(np.array([v]) for v in want), np.ones(1))
+
+    def test_grain_counts_are_the_one_block_counts(self):
+        inst = winkler_instance(n=3, c=0.5)
+        with mock.patch.object(mechanism, "COLUMN_CHUNK", 333):
+            blocked = audit.grain_of_no_veto(inst, UniformIID(), 5000, 4)
+        assert blocked == audit.grain_of_no_veto(inst, UniformIID(), 5000, 4)
+
+
+class TestStreamedMemory:
+    @pytest.mark.parametrize(
+        "inst",
+        [VcgInstance(n=4, m=2, K=1, reserve_threshold=0.5, weights=(0.25,) * 4),
+         winkler_instance(n=4)],
+        ids=["vcg", "winkler"],
+    )
+    def test_peak_does_not_grow_with_samples(self, inst):
+        # A search holds one block of samples at a time: ten times the
+        # samples may not take ten times the memory.
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                audit.best_response_search(
+                    inst, 0, (0.305, 0.695), UniformIID(), audit.SingleCoordinateGrid(11),
+                    samples, 1,
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10**6) <= 1.5 * peak(10**5)
+
 
 class TestGrainOfNoVeto:
     def test_two_recommenders_high_threshold_impossible(self):

@@ -403,6 +403,9 @@ BAD_FIELDS = [
     ("table1", ("outcomes", "0"), 0.7, ("run",)),
     ("table1", ("outcomes", "1"), True, ("run",)),
     ("vcg-n4", ("prior",), {"kind": "degenerate", "profile": [["0.5", "0.6"]] * 4}, ("run",)),
+    # A prior reads only its kind's fields.
+    ("vcg-n4", ("prior", "a"), 3, ("run",)),
+    ("vcg-n4", ("prior", "suport"), [[[0.5]] * 2] * 4, ("run",)),
 ]
 
 
@@ -515,6 +518,23 @@ class TestValidation:
         data = json.loads(bundled_path("no-veto-n3-c05").read_text())
         data["prior"] = {"kind": "beta", "a": float("nan"), "b": 1.0}
         with pytest.raises(ScenarioError, match="field 'prior.a'"):
+            loads(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "prior, field",
+        [
+            ({"kind": "uniform", "a": 3}, "a"),
+            ({"kind": "product-grid", "suport": [[[0.5]] * 6]}, "suport"),
+            ({"kind": "beta", "a": 2.0, "b": 2.0, "profile": [[0.5] * 6]}, "profile"),
+        ],
+    )
+    def test_truth_prior_field_outside_its_kind_rejected(self, prior, field):
+        from lendmech.errors import ScenarioError
+        from lendmech.scenario import loads
+
+        data = json.loads(bundled_path("campaign-budescu").read_text())
+        data["campaign"]["truth_prior"] = prior
+        with pytest.raises(ScenarioError, match=f"field 'campaign.truth_prior.{field}': unknown"):
             loads(json.dumps(data))
 
     def test_all_bundled_scenarios_parse(self):

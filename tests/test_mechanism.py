@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from funding_oracle import report_bounds
 from lendmech import audit, mechanism
 from lendmech.aggregation import MonotoneCustom, WeightVector, WeightedLinear
-from lendmech.mechanism import Allocation, FundingTest, SampleEngine, Settlement, deficit
-from lendmech.mechanism import grid_stats, left_sum, linear_scores, mean_se, others_scores
-from lendmech.mechanism import place, scores_with
+from lendmech.mechanism import Allocation, FundingTest, Grid, Moments, RowsColumn, SampleEngine
+from lendmech.mechanism import Settlement, deficit, grid_stats, left_sum, linear_scores, mean_se
+from lendmech.mechanism import LevelEdges, others_scores, place, scores_with
 from lendmech.priors import DegenerateAt
 from lendmech.vcg import InterimEngine, VcgInstance
 from lendmech.winkler import ColumnEngine, WinklerInstance
-from stats_helpers import assert_stats_close
+from stats_helpers import assert_stats_close, utility_scale, with_report
 
 EIGHTHS = [k / 8 for k in range(9)]
 NON_DYADIC_WEIGHTS = [(1 / 3, 1 / 3, 1 / 3), (1 / 7, 2 / 7, 4 / 7), (0.1, 0.3, 0.6)]
@@ -116,6 +116,49 @@ class TestMeanSe:
         assert se[0] == (values[0].std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0)
         assert (mean[1], se[1]) == (np.inf, 0.0)
         assert (mean[2], se[2]) == (mean[3], se[3]) == (-np.inf, 0.0)
+
+
+@st.composite
+def block_slices(draw, samples):
+    """Nonempty consecutive blocks that cover `samples` samples, as a search
+    draws them: one block, uneven cuts, or every sample a block of its own."""
+    kind = draw(st.sampled_from(["one", "cuts", "singles"]))
+    if kind == "one" or samples == 1:
+        cuts = []
+    elif kind == "singles":
+        cuts = list(range(1, samples))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, samples - 1), min_size=1, max_size=8)))
+    edges = [0, *cuts, samples]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+class TestMomentsMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_blocks_merge_to_the_one_block_statistics(self, seed, data):
+        # Rows: wide-ranging normals, eighth-grid ties, one +inf, and -inf
+        # with +inf, which `mean_se` reports as -inf with SE 0.
+        rng = np.random.default_rng(seed)
+        samples = data.draw(st.integers(1, 80))
+        values = np.vstack([
+            rng.standard_normal(samples) * 10.0 ** rng.integers(-8, 8),
+            rng.choice(EIGHTHS, samples),
+            rng.standard_normal(samples),
+            rng.standard_normal(samples),
+        ])
+        values[2, rng.integers(samples)] = np.inf
+        values[3, rng.integers(samples)] = np.inf
+        values[3, rng.integers(samples)] = -np.inf
+        blocks = data.draw(block_slices(samples))
+        merged = Moments.merge([Moments.of(values[:, b]) for b in blocks])
+        assert merged.count == samples
+        got, want = merged.stats(), mean_se(values)
+        finite = np.where(np.isfinite(values), np.abs(values), 0.0)
+        assert_stats_close(got, want, np.maximum(1.0, finite.max(axis=1)))
+        if len(blocks) == 1:  # one block is `mean_se` bit for bit
+            assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+        assert (got[0][3], got[1][3]) == (-np.inf, 0.0)
 
 
 class TestLeftSum:
@@ -324,6 +367,13 @@ class TestFundingTest:
         funding = FundingTest(weights, i, co_reports, key)
         want = np.searchsorted(levels, bound, side="right")
         assert funding.blocks(levels).tolist() == want.tolist()
+        # Edges placed for this test's margin are reused; those of another
+        # margin (here 0, which would leave no sample to the exact pass)
+        # are placed again.
+        edges = funding.edges(levels)
+        assert funding.edges(edges) is edges
+        assert funding.blocks(edges).tolist() == want.tolist()
+        assert funding.blocks(LevelEdges(levels, 0.0)).tolist() == want.tolist()
         reports = levels[:: max(1, len(levels) // 4)]
         for report in reports:
             assert funding.funds(float(report)).tolist() == (report > bound).tolist()
@@ -449,3 +499,67 @@ class TestGridStats:
             # where one of them funds and the other does not.
             same = [np.array_equal(r > bound, truth > bound) for r in reports]
             assert got[0][same].tolist() == got[1][same].tolist() == [0.0] * sum(same)
+
+
+class TestGridMerge:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_cases(), st.data())
+    def test_blocks_merge_to_the_one_block_statistics(self, case, data):
+        bound, u, alpha, truth, reports, gain = case
+        blocks = data.draw(block_slices(len(bound)))
+        grid = Grid(truth, reports, gain)
+        for b in blocks:
+            grid.add(np.searchsorted(grid.levels, bound[b], side="right"), u[b], alpha[b])
+        got = grid.stats()
+
+        def one_block(levels):
+            return np.searchsorted(levels, bound, side="right")
+
+        scale = np.maximum(1.0, np.abs(u).max() + np.abs(gain) * np.abs(alpha).max())
+        assert_stats_close(got, grid_stats(one_block, u, alpha, truth, reports, gain), scale)
+        assert_stats_close(got, explicit_grid_stats(*case), scale)
+
+
+# (instance, samples at most): each kind of engine, the per-sample one on
+# fewer samples.
+BLOCK_INSTANCES = [
+    (WinklerInstance(3, 3, 0.3, CONTRACT_POOL), 40),
+    (VcgInstance(3, 3, 2, 0.3, CONTRACT_WEIGHTS), 40),
+    (WinklerInstance(3, 3, 0.3, CONTRACT_POOL, cap=1), 8),
+]
+
+
+class TestColumnsOverBlocks:
+    @settings(max_examples=90, deadline=None)
+    @given(st.integers(0, len(BLOCK_INSTANCES) - 1), st.integers(0, 2**32 - 1), st.data())
+    def test_blocks_merge_to_the_one_block_statistics(self, which, seed, data):
+        # Eighth-grid co-reports, truths and reports: ties at c and between
+        # borrowers, and Winkler's reports and truths at 0 and 1 (log scores
+        # of -inf, so differences of +-inf).
+        inst, most = BLOCK_INSTANCES[which]
+        rng = np.random.default_rng(seed)
+        samples = data.draw(st.integers(1, most))
+        others = rng.choice(EIGHTHS, (samples, inst.n - 1, inst.m))
+        true_row = tuple(rng.choice(EIGHTHS, inst.m).tolist())
+        q = int(rng.integers(inst.m))
+        reports = np.concatenate([rng.choice(EIGHTHS, 5), rng.random(2), [0.0, 1.0]])
+        blocks = data.draw(block_slices(samples))
+        whole = inst.engine(CONTRACT_I, others)
+        column = whole.column(true_row, q, reports)
+        for b in blocks:
+            column.add(inst.engine(CONTRACT_I, others[b]))
+        truth_values = whole.utilities(true_row, true_row)
+        values = [whole.utilities(true_row, with_report(true_row, q, r)) for r in reports]
+        want = whole.column_stats(true_row, q, reports)
+        assert_stats_close(column.stats(), want, utility_scale(truth_values, values))
+
+        # Full rows: each block hands over its truth's utilities.
+        rows = [tuple(rng.choice(EIGHTHS, inst.m).tolist()) for _ in range(3)]
+        rows += [(0.0,) * inst.m, (1.0,) * inst.m]
+        blocked, one = RowsColumn(true_row, rows), RowsColumn(true_row, rows)
+        for b in blocks:
+            engine = inst.engine(CONTRACT_I, others[b])
+            blocked.add(engine, engine.utilities(true_row, true_row))
+        one.add(whole)
+        scale = utility_scale(truth_values, [whole.utilities(true_row, r) for r in rows])
+        assert_stats_close(blocked.stats(), one.stats(), scale)

@@ -247,6 +247,19 @@ class TestLedgerFormat:
                 ledger_line(reports=[[0.5] * 4, [0.5], [0.5] * 4]),
                 "line 2: field 'reports': reports is not a (3, 4) array of numbers",
             ),
+            # Numeric strings and booleans are not numbers, though a float
+            # conversion would take them.
+            (
+                ledger_line(reports=[["0.5"] * 4] * 3),
+                "line 2: field 'reports': reports is not a (3, 4) array of numbers",
+            ),
+            (
+                ledger_line(weights=[True, False, False]),
+                "line 2: field 'weights': expected a list of one or more numbers",
+            ),
+            (ledger_line(truths=["0.5"] * 4), "line 2: field 'truths': expected a list"),
+            (ledger_line(outcomes=[[1, True], [3, 1]]), "line 2: field 'outcomes': expected"),
+            (ledger_line(schema=True), "line 2: field 'schema': unsupported version True"),
             (ledger_line(funded_real=[9]), "line 2: field 'funded_real': borrower 9"),
             (ledger_line(outcomes=[]), "line 2: field 'outcomes': no outcome supplied"),
             (ledger_line(deficit="abc"), "line 2: field 'deficit': expected a number"),

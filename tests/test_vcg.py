@@ -18,7 +18,7 @@ from lendmech.errors import (
     ShapeMismatch,
 )
 from funding_oracle import report_bounds
-from lendmech.mechanism import SampleEngine, left_sum, linear_scores, scores_with
+from lendmech.mechanism import SampleEngine, left_sum, linear_scores, mean_se, scores_with
 from lendmech.priors import ProductGrid, UniformIID, sample_others
 from lendmech.vcg import VcgInstance
 from stats_helpers import assert_stats_close, utility_scale, with_report
@@ -684,7 +684,7 @@ class TestInterimEngine:
         mean, se = engine.column_stats(true_row, q, reports)
         values = [engine.utilities(true_row, with_report(true_row, q, float(r))) for r in reports]
         scale = utility_scale(truth_values, values)
-        want = tuple(np.array(v) for v in zip(*(audit._mean_se(truth_values - v) for v in values)))
+        want = tuple(np.array(v) for v in zip(*(mean_se(truth_values - v) for v in values)))
         assert_stats_close((mean, se), want, scale)
         if len(others) <= 24:
             slow = SampleEngine(inst, i, others)

@@ -18,7 +18,7 @@ from lendmech.errors import (
     ZeroWeightRecommender,
 )
 from funding_oracle import report_bounds
-from lendmech.mechanism import SampleEngine, left_sum, linear_scores
+from lendmech.mechanism import SampleEngine, left_sum, linear_scores, mean_se
 from lendmech.priors import DegenerateAt, ProductGrid, UniformIID, sample_others
 from lendmech.winkler import WinklerInstance
 from stats_helpers import assert_stats_close, utility_scale, with_report
@@ -777,7 +777,7 @@ class TestColumnStats:
         got = engine.column_stats(true_row, q, reports)
         values = [engine.utilities(true_row, with_report(true_row, q, float(r))) for r in reports]
         scale = utility_scale(truth_values, values)
-        per_report = [audit._mean_se(truth_values - v) for v in values]
+        per_report = [mean_se(truth_values - v) for v in values]
         assert_stats_close(got, tuple(np.array(v) for v in zip(*per_report)), scale)
 
         slow = SampleEngine(inst, i, others)
@@ -804,7 +804,7 @@ class TestColumnStats:
                         assert value.tolist() == [upper_branch(anchor, belief, report)]
                         truth_values = single.utilities((belief,), (belief,))
                         got = single.column_stats((belief,), 0, [report])
-                        want = audit._mean_se(truth_values - value)
+                        want = mean_se(truth_values - value)
                         scale = utility_scale(truth_values, [value])
                         assert_stats_close(got, tuple(np.array([v]) for v in want), scale)
                     report = float(np.nextafter(report, 1.0))
