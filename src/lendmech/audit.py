@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import itertools as it
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -55,11 +56,20 @@ MIN_GRAIN_SAMPLES = 1000
 # ── misreport strategies ──────────────────────────────────────────────
 
 
+def _check_count(field: str, value) -> None:
+    """A strategy's count must be an integer >= 1; a bool is not one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, (bool, np.bool_)) or value < 1:
+        raise ValueError(f"{field} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SingleCoordinateGrid:
     """Deviate one borrower coordinate at a time over an evenly spaced grid."""
 
     points: int = 101
+
+    def __post_init__(self) -> None:
+        _check_count("SingleCoordinateGrid.points", self.points)
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,9 @@ class FullRowRandom:
     """Uniformly random full report rows."""
 
     count: int = 200
+
+    def __post_init__(self) -> None:
+        _check_count("FullRowRandom.count", self.count)
 
 
 @dataclass(frozen=True)
@@ -77,6 +90,10 @@ class EqualShift:
     """
 
     deltas: tuple[float, ...] = (-0.2, -0.1, -0.05, 0.05, 0.1, 0.2)
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(delta) for delta in self.deltas):
+            raise ValueError(f"EqualShift.deltas must be finite, got {self.deltas!r}")
 
 
 @dataclass(frozen=True)
@@ -321,7 +338,8 @@ def best_response_search(
     reduced one block at a time (`_draws`), one engine per block, and never
     held together. Candidates that move one coordinate are scored through
     one `column` per coordinate; full-row candidates through a
-    `RowsColumn`. Each block adds its moments to them, and they merge once.
+    `RowsColumn`. Each block scores the truth once, hands its utilities to
+    every column as it adds the block's moments, and they merge once.
     """
     check_reports([true_row], (1, inst.m), "true_row")
     seq = np.random.SeedSequence(seed)
@@ -349,9 +367,9 @@ def best_response_search(
             }
         truth_values = engine.utilities(true_row, true_row)
         truth.append(Moments.of(truth_values))
-        for column in columns.values():
-            column.add(engine)
-        full.add(engine, truth_values)
+        for column in [*columns.values(), full]:
+            column.add(engine, truth_values)
+        del engine, truth_values  # one block's engine at a time
     truth_moments = Moments.merge(truth)
     mean_diff, se = np.empty(len(candidates)), np.empty(len(candidates))
     for q, members in groups.items():

@@ -8,6 +8,7 @@ is reproducible from its seed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,6 +28,9 @@ class BetaIID:
     b: float
 
     def __post_init__(self) -> None:
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not math.isfinite(value):
+                raise ValueError(f"BetaIID.{name} must be finite, got {value!r}")
         if self.a <= 0 or self.b <= 0:
             raise ValueError(f"Beta parameters must be positive, got ({self.a}, {self.b})")
 

@@ -266,22 +266,32 @@ class _Fields:
 
         number = functools.partial(self._number, key, lo=None, hi=None)
 
-        def points(value):
-            """Nested lists of numbers as nested tuples."""
-            return tuple(map(points, value)) if isinstance(value, list) else number(value)
-
         def check(value):
             kind = _Fields(value, self.source, self._path(key)).choice("kind", tuple(_PRIOR_FIELDS))
             params = _Fields(value, self.source, self._path(key), _PRIOR_FIELDS[kind])
+
+            def points(field: str, depth: int, shape: str):
+                """Field `field` of the prior: lists nested `depth` deep
+                around numbers, as nested tuples. Any other nesting fails,
+                naming `shape`."""
+
+                def read(item, level: int):
+                    if isinstance(item, list) != (level > 0):
+                        raise self.fail(key, f"'{field}' must be {shape}, got {value[field]!r}")
+                    return tuple(read(v, level - 1) for v in item) if level else number(item)
+
+                return params._read(field, _REQUIRED, lambda item: read(item, depth))
+
             try:
                 if kind == "uniform":
                     prior = UniformIID()
                 elif kind == "beta":
                     prior = BetaIID(a=params.number("a"), b=params.number("b"))
                 elif kind == "degenerate":
-                    prior = DegenerateAt(params._read("profile", _REQUIRED, points))
+                    prior = DegenerateAt(points("profile", 2, "a list of rows of numbers"))
                 else:
-                    prior = ProductGrid(params._read("support", _REQUIRED, points))
+                    shape = "a list of rows of cells, each a list of numbers"
+                    prior = ProductGrid(points("support", 3, shape))
                 check_shape(prior, n, m)
             except (TypeError, ValueError) as exc:
                 raise self.fail(key, str(exc)) from exc

@@ -27,7 +27,7 @@ from .aggregation import Aggregator, WeightedLinear, aggregate, aggregate_column
 from .errors import ZeroWeightRecommender
 from .mechanism import Allocation, Engine, FundingTest, Grid, Moments, SampleEngine, Settlement
 from .mechanism import check_reports, check_rounds, checked_allocations, elementwise_moments
-from .mechanism import left_sum, linear_scores, others_scores
+from .mechanism import left_sum, linear_scores, masked, others_scores
 
 BELOW_ONE = 1.0 - 2.0**-53  # the float just below 1
 
@@ -278,6 +278,15 @@ class WinklerPayment:
     - 1 or more: 0. A report reaches an anchor of 1 only as a report of 1
       where no report below 1 funds, which is the zero point, and never
       the +inf of a zero-weight recommender.
+
+    The anchors are fixed, so the anchors under each rule are found once,
+    as indices (the selection rule is `mechanism.masked`'s). A scalar
+    belief and report, as the interim engines score, take the log-score
+    formula on every anchor and then each rule's constant by index
+    assignment, with no per-sample select: bit for bit the array path's
+    `np.where`, which arrays of beliefs or reports (a settlement) keep.
+    The last scalar belief's `offset` is kept, as a search scores every
+    report of a column at its one true belief.
     """
 
     def __init__(self, anchor) -> None:
@@ -286,11 +295,14 @@ class WinklerPayment:
         anchor = np.asarray(anchor, dtype=float)
         self.limit = anchor == 0.0
         self.idle = anchor >= 1.0
-        safe = np.where(self.limit | self.idle, 0.5, anchor)
+        self.limit_at, self.idle_at = np.flatnonzero(self.limit), np.flatnonzero(self.idle)
+        safe = anchor.copy()
+        self.put_rules(safe, 0.5, 0.5)
         # -log(a), the upper branch's divisor, and -log(1 - a), which only
         # enters the numerator (`offset`); both positive
         self.neg_log_a = -np.log(safe)
         self.neg_log_1ma = -np.log1p(-safe)
+        self._kept_offset: tuple = (None, None)  # (scalar belief, its offset)
 
     @staticmethod
     def own(belief, report) -> np.ndarray:
@@ -308,11 +320,29 @@ class WinklerPayment:
         return belief * self.neg_log_a + (1.0 - belief) * self.neg_log_1ma
 
     def __call__(self, belief, report) -> np.ndarray:
+        if np.ndim(belief) == 0 and np.ndim(report) == 0:
+            return self._scalar(float(belief), float(report))
         belief = np.asarray(belief, dtype=float)
         # The divisor is positive; an infinite log score stays infinite.
         value = (self.own(belief, report) + self.offset(belief)) / self.neg_log_a
         value = np.where(self.limit, belief * (report > 0.0), value)
         return np.where(self.idle, 0.0, value)
+
+    def _scalar(self, belief: float, report: float) -> np.ndarray:
+        """`__call__` of one belief and one report, bit for bit: the same
+        formula, and each rule's value put at its precomputed indices."""
+        if self._kept_offset[0] != belief:
+            self._kept_offset = (belief, self.offset(belief))
+        value = np.asarray((self.own(belief, report) + self._kept_offset[1]) / self.neg_log_a)
+        self.put_rules(value, belief * (report > 0.0), 0.0)
+        return value
+
+    def put_rules(self, values: np.ndarray, at_limit: float, at_idle: float) -> None:
+        """Set `values`, an array of the anchors' shape, to `at_limit` at
+        the limit anchors and `at_idle` at the idle ones, by index."""
+        flat = values.reshape(-1)  # a view: `values` is contiguous
+        flat[self.limit_at] = at_limit
+        flat[self.idle_at] = at_idle
 
 
 def settle(
@@ -382,21 +412,18 @@ class ColumnEngine(Engine):
             anchor = np.clip(test.seed, 0.0, 1.0)
             anchor[(anchor > 0.0) & ~test.funds(BELOW_ONE)] = 1.0
             self.payments.append(WinklerPayment(np.where(w[i] == 0.0, np.inf, anchor)))
-        self.samples = others.shape[0]
         self.m = inst.m
         self._kept = [((), None)] * inst.m  # per column: (belief, report), its payoffs
 
     def column_contribution(self, q: int, belief: float, report: float) -> np.ndarray:
-        """Per-sample expected payoff on borrower q for a scalar report.
+        """Per-sample expected payoff on borrower q for a scalar report: the
+        payment where the report funds, else 0.0, picked by `masked`, so a
+        report of 0 or 1, whose payment may be -inf, takes the same select.
         Each column's last payoffs are kept, so the truth's, scored first
         in a block by `utilities`, are not scored again by its column;
         callers only read them."""
         if self._kept[q][0] != (belief, report):
-            funded = self.funding[q].funds(report)
-            if funded.any():
-                payoffs = np.where(funded, self.payments[q](belief, report), 0.0)
-            else:
-                payoffs = np.zeros(self.samples)
+            payoffs = masked(self.payments[q](belief, report), self.funding[q].funds(report))
             self._kept[q] = ((belief, report), payoffs)
         return self._kept[q][1]
 
@@ -443,7 +470,8 @@ class WinklerColumn:
         gain = own_truth - WinklerPayment.own(self.belief, reports[~self.edge])
         self.grid = Grid(self.belief, reports[~self.edge], gain)
 
-    def add(self, engine: ColumnEngine) -> None:
+    def add(self, engine: ColumnEngine, truth_values: np.ndarray) -> None:
+        """Reduce one block; the truth's utilities are not needed here."""
         q, belief = self.q, self.belief
         if len(self.edge_reports):
             truth = engine.column_contribution(q, belief, belief)
@@ -451,7 +479,8 @@ class WinklerColumn:
             self.parts.append(elementwise_moments(score, truth, self.edge_reports))
         if len(self.grid.reports):
             pay = engine.payments[q]
-            alpha = np.where(pay.limit | pay.idle, 0.0, 1.0 / pay.neg_log_a)
+            alpha = 1.0 / pay.neg_log_a
+            pay.put_rules(alpha, 0.0, 0.0)
             self.grid.add(self.grid.blocks(engine.funding[q]), pay(belief, belief), alpha)
 
     def stats(self) -> tuple[np.ndarray, np.ndarray]:

@@ -66,6 +66,24 @@ class TestStrategies:
         b = audit.generate_misreports((0.5,), audit.FullRowRandom(5), np.random.default_rng(3))
         assert [c.row for c in a] == [c.row for c in b]
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: audit.SingleCoordinateGrid(0), "SingleCoordinateGrid.points"),
+            (lambda: audit.SingleCoordinateGrid(True), "SingleCoordinateGrid.points"),
+            (lambda: audit.SingleCoordinateGrid(11.0), "SingleCoordinateGrid.points"),
+            (lambda: audit.FullRowRandom(-1), "FullRowRandom.count"),
+            (lambda: audit.FullRowRandom(False), "FullRowRandom.count"),
+            (lambda: audit.EqualShift((0.1, math.nan)), "EqualShift.deltas"),
+            (lambda: audit.EqualShift((-math.inf,)), "EqualShift.deltas"),
+            (lambda: BetaIID(math.nan, 1.0), "BetaIID.a"),
+            (lambda: BetaIID(2.0, math.inf), "BetaIID.b"),
+        ],
+    )
+    def test_out_of_model_parameters_are_rejected_naming_the_field(self, build, field):
+        with pytest.raises(ValueError, match=field.replace(".", r"\.")):
+            build()
+
     def test_strategy_config_parsing(self):
         data = json.loads(bundled_path("table1").read_text())
         data["audit"]["strict-iic"] = {
@@ -131,7 +149,7 @@ def misreport_cases(draw):
     rows = st.lists(st.lists(cell, min_size=m, max_size=m).map(tuple), max_size=4)
     strategies = [
         audit.SingleCoordinateGrid(points),
-        audit.FullRowRandom(draw(st.integers(0, 5))),
+        audit.FullRowRandom(draw(st.integers(1, 5))),
         audit.EqualShift(tuple(draw(st.lists(deltas, max_size=6)))),
         audit.Targeted(tuple(draw(rows)) + (true_row,)),
     ]
@@ -432,6 +450,27 @@ class TestBestResponseSearch:
         ]
         stats = [np.array([(-o.mean_gain, o.std_error) for o in v.details]).T for v in (fast, slow)]
         assert_stats_close(*stats, np.ones(len(fast.details)))
+
+    def test_sample_engine_search_scores_the_truth_once_per_block(self, monkeypatch):
+        # A capped search scores through `SampleEngine`. Every column of a
+        # block is handed the block's truth utilities: one truth call, and
+        # one per candidate row (10 + 11 grid reports; 0.3 is on the grid).
+        inst = winkler_instance(n=3, m=2, cap=1)
+        calls = []
+        original = SampleEngine.utilities
+
+        def counted(engine, belief_row, report_row):
+            calls.append(tuple(report_row))
+            return original(engine, belief_row, report_row)
+
+        monkeypatch.setattr(SampleEngine, "utilities", counted)
+        verdict = audit.best_response_search(
+            inst, 0, (0.3, 0.55), UniformIID(), audit.SingleCoordinateGrid(11), 100, 5
+        )
+        assert verdict.counts.candidates == 21
+        assert len(calls) == 22
+        assert calls.count((0.3, 0.55)) == 1
+
 
 @st.composite
 def block_draw_cases(draw):

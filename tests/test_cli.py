@@ -403,6 +403,9 @@ BAD_FIELDS = [
     ("table1", ("outcomes", "0"), 0.7, ("run",)),
     ("table1", ("outcomes", "1"), True, ("run",)),
     ("vcg-n4", ("prior",), {"kind": "degenerate", "profile": [["0.5", "0.6"]] * 4}, ("run",)),
+    # A prior's points nested one level too shallow or too deep.
+    ("vcg-n4", ("prior",), {"kind": "degenerate", "profile": [0.5, 0.6]}, ("run",)),
+    ("vcg-n4", ("prior",), {"kind": "product-grid", "support": [[[[0.5]]] * 2] * 4}, ("run",)),
     # A prior reads only its kind's fields.
     ("vcg-n4", ("prior", "a"), 3, ("run",)),
     ("vcg-n4", ("prior", "suport"), [[[0.5]] * 2] * 4, ("run",)),
@@ -443,6 +446,29 @@ class TestValidation:
         assert out == ""
         assert err.startswith(f"scenario error: {path}: field '{'.'.join(field_path)}': ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "prior, message",
+        [
+            ({"kind": "degenerate", "profile": [0.5, 0.6]},
+             "'profile' must be a list of rows of numbers, got [0.5, 0.6]"),
+            ({"kind": "degenerate", "profile": [[[0.5], [0.6]]] * 4},
+             "'profile' must be a list of rows of numbers, got [[[0.5], [0.6]], "),
+            ({"kind": "product-grid", "support": [[[[0.5]]] * 2] * 4},
+             "'support' must be a list of rows of cells, each a list of numbers, got [[[[0.5]]"),
+            ({"kind": "product-grid", "support": [[0.5, 0.6]] * 4},
+             "'support' must be a list of rows of cells, each a list of numbers, got [[0.5, 0.6]"),
+        ],
+    )
+    def test_prior_points_at_the_wrong_depth_name_the_shape(self, prior, message):
+        from lendmech.errors import ScenarioError
+        from lendmech.scenario import loads
+
+        data = json.loads(bundled_path("vcg-n4").read_text())
+        data["prior"] = prior
+        with pytest.raises(ScenarioError) as caught:
+            loads(json.dumps(data), "vcg-n4.scenario")
+        assert str(caught.value).startswith(f"vcg-n4.scenario: field 'prior': {message}")
 
     @pytest.mark.parametrize(
         "name, argv, message", BAD_FLAGS, ids=[" ".join((c[0],) + c[1]) for c in BAD_FLAGS]

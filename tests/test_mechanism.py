@@ -101,6 +101,25 @@ class TestLinearScores:
             assert np.array_equal(got[b], linear_scores(tuple(weights[b]), reports[b]))
 
 
+class TestMasked:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                    | st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]),
+                    min_size=1, max_size=30),
+           st.integers(0, 2**32 - 1))
+    def test_is_the_where_form_for_every_float(self, values, seed):
+        # Signs of zero, infinities, NaN payloads and subnormals all keep
+        # their bits, and an unpicked sample is +0.0.
+        values = np.array(values)
+        mask = np.random.default_rng(seed).random(len(values)) < 0.5
+        for picked in (mask, ~mask, np.zeros_like(mask), np.ones_like(mask)):
+            want = np.where(picked, values, 0.0)
+            assert mechanism.masked(values, picked).tobytes() == want.tobytes()
+            for value in (values[0], float(values[-1])):  # a scalar broadcasts
+                want = np.where(picked, value, 0.0)
+                assert mechanism.masked(value, picked).tobytes() == want.tobytes()
+
+
 class TestMeanSe:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 100_000), st.integers(1, 70))
@@ -387,6 +406,25 @@ class TestFundingTest:
         for report in reports:
             assert handed.funds(float(report)).tolist() == (report > bound).tolist()
 
+    @settings(max_examples=300, deadline=None)
+    @given(funding_cases(), st.booleans())
+    def test_seed_is_the_where_form(self, case, some_keys_neg_inf):
+        # The seed caps (key - B) / w_i at 2, or at -inf where B > key, by
+        # index, not by `np.where`: the same bits, with -inf keys and tiny
+        # weights whose quotient overflows.
+        weights, i, co_reports, key, _, _ = case
+        if some_keys_neg_inf:
+            key = np.where(np.arange(co_reports.shape[1]) % 3 == 0, -np.inf, key)
+        funding = FundingTest(weights, i, co_reports, key)
+        base = linear_scores(weights[:i] + weights[i + 1 :], co_reports)
+        funded = base > key
+        if weights[i] == 0.0:
+            want = np.where(funded, -np.inf, 1.0)
+        else:
+            with np.errstate(over="ignore"):
+                want = np.where(funded, -np.inf, np.minimum((key - base) / weights[i], 2.0))
+        assert funding.seed.dtype == want.dtype and funding.seed.tobytes() == want.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(funding_cases())
     def test_margin_covers_the_proven_error_bound(self, case):
@@ -547,7 +585,8 @@ class TestColumnsOverBlocks:
         whole = inst.engine(CONTRACT_I, others)
         column = whole.column(true_row, q, reports)
         for b in blocks:
-            column.add(inst.engine(CONTRACT_I, others[b]))
+            engine = inst.engine(CONTRACT_I, others[b])
+            column.add(engine, engine.utilities(true_row, true_row))
         truth_values = whole.utilities(true_row, true_row)
         values = [whole.utilities(true_row, with_report(true_row, q, r)) for r in reports]
         want = whole.column_stats(true_row, q, reports)
@@ -560,6 +599,6 @@ class TestColumnsOverBlocks:
         for b in blocks:
             engine = inst.engine(CONTRACT_I, others[b])
             blocked.add(engine, engine.utilities(true_row, true_row))
-        one.add(whole)
+        one.add(whole, truth_values)
         scale = utility_scale(truth_values, [whole.utilities(true_row, r) for r in rows])
         assert_stats_close(blocked.stats(), one.stats(), scale)

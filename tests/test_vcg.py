@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -823,3 +824,145 @@ class TestInterimEngine:
         a = audit.interim_utility(inst, 0, (0.6, 0.4), (0.6, 0.4), UniformIID(), 4000, 5)
         b = audit.interim_utility(inst, 0, (0.6, 0.4), (0.6, 0.4), UniformIID(), 4000, 5)
         assert a == b
+
+
+# ── branch-free kernels against their np.where forms ─────────────────
+
+EIGHTHS = [k / 8 for k in range(9)]
+
+
+def _where_funded_sum(terms, funded):
+    """`_funded_sum` as it was written with `np.where`."""
+    total = np.where(funded[0], terms[0], 0.0)
+    for term, mask in zip(terms[1:], funded[1:]):
+        total += np.where(mask, term, 0.0)
+    return total
+
+
+def _int64_order(scores, c, n_reserves, skip=None):
+    """`_order` as it was written: int64 positions, and the real borrowers
+    below c counted on a copy of their rows."""
+    below = scores < c
+    pos = n_reserves * below
+    real = [q for q in range(len(scores)) if q != skip]
+    for p, q in itertools.combinations(real, 2):
+        first = scores[p] >= scores[q]
+        pos[q] += first
+        pos[p] += ~first
+    return pos, len(real) - np.count_nonzero(below[real], axis=0)
+
+
+def _where_below_unless(keys, exact):
+    return np.where(exact, keys, np.nextafter(keys, -np.inf))
+
+
+# Scores a sum of products of weights and reports can take, +0.0 and
+# subnormals included.
+SCORE_POOL = EIGHTHS + [5e-324, 1e-310, 2.0**-1022, 1 / 3, 0.1 + 0.2, 2.5]
+
+
+@st.composite
+def eighth_grid_cases(draw):
+    """Eighth-grid scores, (m, samples) with m <= 8, so ties among
+    borrowers and at c are common; K <= m, reserves 0..K and c on the
+    eighth grid below 1."""
+    m = draw(st.integers(1, 8))
+    K = draw(st.integers(1, m))
+    n_res = draw(st.integers(0, K))
+    c = draw(st.sampled_from(EIGHTHS[:-1]))
+    samples = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(EIGHTHS, (m, samples)), c, n_res, K
+
+
+class TestBranchFreeKernels:
+    """Each per-sample select rewritten without `np.where` gives its
+    `np.where` form's bits, signs of zero included (`tobytes`)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 40), st.sampled_from(["none", "all", "random"]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_funded_sum(self, m, samples, funded_kind, per_borrower, seed):
+        rng = np.random.default_rng(seed)
+        shape = (m,) if per_borrower else (m, samples)
+        terms = rng.choice(SCORE_POOL, shape)
+        if funded_kind == "random":
+            funded = rng.random((m, samples)) < 0.5
+        else:
+            funded = np.full((m, samples), funded_kind == "all")
+        got = vcg._funded_sum(terms, funded)
+        want = _where_funded_sum(terms, funded)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(eighth_grid_cases())
+    def test_order_with_every_skip(self, case):
+        scores, c, n_res, _ = case
+        for skip in [None, *range(len(scores))]:
+            pos, ahead = vcg._order(scores, c, n_res, skip)
+            want_pos, want_ahead = _int64_order(scores, c, n_res, skip)
+            assert pos.tolist() == want_pos.tolist()
+            assert ahead.dtype == want_ahead.dtype and ahead.tobytes() == want_ahead.tobytes()
+        # The batch selection reads the positions as `_select`'s funded set.
+        want_pos, want_ahead = _int64_order(scores, c, n_res)
+        for K in range(1, len(scores) + 1):
+            assert vcg.select_batch(scores.T, c, n_res, K).tolist() == np.concatenate(
+                [(want_pos < K).T, np.arange(n_res) < np.clip(K - want_ahead, 0, n_res)[:, None]],
+                axis=1,
+            ).tolist()
+
+    def test_order_past_one_byte(self):
+        # 200 borrowers and 100 reserves: positions up to 299 need two bytes.
+        scores = np.random.default_rng(7).choice(EIGHTHS, (200, 3))
+        for skip in (None, 0, 150):
+            pos, ahead = vcg._order(scores, 0.5, 100, skip)
+            want_pos, want_ahead = _int64_order(scores, 0.5, 100, skip)
+            assert pos.max() > 255 and pos.tolist() == want_pos.tolist()
+            assert ahead.tolist() == want_ahead.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_column_parts(self, data):
+        # Eighth-grid co-reports and truth under dyadic weights tie scores
+        # with each other and with c; every coordinate is q in turn.
+        n = data.draw(st.integers(2, 4))
+        weights = tuple(data.draw(st.lists(st.sampled_from([0.125, 0.25, 0.5]), min_size=n,
+                                           max_size=n)))
+        m = data.draw(st.integers(1, 8))
+        K = data.draw(st.integers(1, m))
+        c = data.draw(st.sampled_from(EIGHTHS[:-1]))
+        i = data.draw(st.integers(0, n - 1))
+        inst = VcgInstance(n=n, m=m, K=K, reserve_threshold=c, weights=weights)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        others = rng.choice(EIGHTHS, (data.draw(st.integers(1, 30)), n - 1, m))
+        true_row = tuple(rng.choice(EIGHTHS, m).tolist())
+        engine = vcg.InterimEngine(inst, i, others)
+        scores = engine._scores(true_row)
+        for q in range(m):
+            funding, u = engine._column_parts(true_row, q)
+            with mock.patch.object(vcg, "_funded_sum", _where_funded_sum), \
+                    mock.patch.object(vcg, "_order", _int64_order), \
+                    mock.patch.object(vcg, "_below_unless", _where_below_unless):
+                want_funding, want_u = engine._column_parts(true_row, q)
+            assert u.tobytes() == want_u.tobytes()
+            if K >= m + inst.n_reserves:
+                assert funding.key.tolist() == [-np.inf] * len(others)
+                continue
+            pos, _ = _int64_order(scores, c, inst.n_reserves, skip=q)
+            kth = pos == K - 1
+            kth[q] = False
+            kth_key = np.where(kth.any(axis=0), np.where(kth, scores, 0.0).sum(axis=0), c)
+            key = np.where(kth[:q].any(axis=0), kth_key, np.nextafter(kth_key, -np.inf))
+            assert funding.key.tobytes() == key.tobytes() == want_funding.key.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(SCORE_POOL + [np.inf, np.finfo(float).max, 0.125 + 2**-52]),
+                    min_size=1, max_size=20),
+           st.integers(0, 2**32 - 1))
+    def test_below_unless(self, keys, seed):
+        # 0.0 (a zero score at c = 0) takes np.nextafter; every other key,
+        # subnormals and +inf included, the decrement of its bit pattern.
+        keys = np.array(keys)
+        exact = np.random.default_rng(seed).random(len(keys)) < 0.5
+        got = vcg._below_unless(keys, exact)
+        assert got.tobytes() == _where_below_unless(keys, exact).tobytes()

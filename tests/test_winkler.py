@@ -823,3 +823,43 @@ class TestColumnStats:
         mean, se = engine.column_stats((0.6,), 0, reports)
         assert mean.tolist() == [0.6, 0.0, 0.0]
         assert se.tolist() == [0.0, 0.0, 0.0]
+
+
+class TestScalarPayment:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 1.5, np.inf, 5e-324, 1e-300, 0.25, 0.5])
+                    | st.floats(0.0, 1.0), min_size=1, max_size=12),
+           st.lists(st.sampled_from([0.0, 1.0]) | st.sampled_from(EIGHTHS) | st.floats(0.0, 1.0),
+                    min_size=1, max_size=4),
+           st.lists(st.sampled_from([0.0, 1.0, 5e-324]) | st.sampled_from(EIGHTHS)
+                    | st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_scalar_path_is_the_array_path(self, anchors, beliefs, reports):
+        # Anchors at 0 (the limit rule), at 1 or more (idle), +inf (a
+        # zero-weight recommender) and inside; reports at 0 and 1, whose
+        # log score is -inf. One payment scores every pair in turn, so its
+        # kept offset is reused and replaced; the array path (a belief
+        # array) is the reference, bit for bit.
+        anchors = np.array(anchors)
+        pay = winkler.WinklerPayment(anchors)
+        for belief in beliefs:
+            for report in reports:
+                got = pay(belief, report)
+                want = winkler.WinklerPayment(anchors)(np.array([belief]), report)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestColumnContribution:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_is_the_where_form(self, data):
+        # Each report's payment where it funds, else +0.0, at reports 0 and
+        # 1 (payments of -inf) and on the eighth grid, bit for bit.
+        inst, i, others, true_row = engine_case(data.draw)
+        engine = winkler.ColumnEngine(inst, i, others)
+        for q in range(inst.m):
+            belief = float(true_row[q])
+            for report in [0.0, 1.0, belief, *EIGHTHS]:
+                got = engine.column_contribution(q, belief, report)
+                pay = engine.payments[q](np.array([belief]), report)
+                want = np.where(engine.funding[q].funds(report), pay, 0.0)
+                assert got.tobytes() == want.tobytes()
