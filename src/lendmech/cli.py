@@ -442,7 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag, lo in (("seed", 0), ("rounds", 1), ("window", 1), ("grid", 2)):
+        for flag, lo in (("seed", 0), ("rounds", 1), ("window", 1), ("grid", 2), ("n", 1)):
             value = getattr(args, flag, None)
             if value is not None and value < lo:
                 raise _UsageError(f"--{flag} must be >= {lo}, got {value}")

@@ -599,7 +599,7 @@ class FundingTest:
     min(t, 2))` bit for bit, at about a third of its cost (see `masked`).
     One margin M per test decides every level L with |L - t| >= M by the
     closed form (`place` ranks t among the L +- M). Levels nearer than
-    that are scored exactly, one `linear_scores` pass per such level.
+    that are scored exactly, one `scores_with` pass per such level.
 
     The margin. Write W = sum(w), K = max(key, 0), u = 2**-53 and
     gamma_k = k u / (1 - k u). A left-to-right dot product of n terms with
@@ -671,8 +671,8 @@ class FundingTest:
     def _unfunded(self, near: np.ndarray, report) -> np.ndarray:
         """Whether `report` (a scalar, or one per sample) leaves each of the
         samples `near` unfunded, by the allocation's own test."""
-        column = np.insert(self.co_reports[:, near], self.i, report, axis=0)
-        return linear_scores(self.weights, column) <= self.key[near]
+        scores = scores_with(self.weights, self.co_reports[:, near], self.i, report)
+        return scores <= self.key[near]
 
 
 def check_rounds(insts: Sequence, varying: str, reports, *per_round: Sequence) -> np.ndarray:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -39,7 +38,8 @@ from .aggregation import (
     budescu_weights,
 )
 from .errors import AllNonPositiveContribution, EmptyHistory, LedgerError, MechanismError
-from .mechanism import Allocation, Instance, check_outcomes, check_reports, deficit
+from .fields import Fields
+from .mechanism import Allocation, Instance, check_outcomes, deficit
 from .mechanism import left_sum
 from .priors import PriorSpec, UniformIID, sample_profiles
 from .vcg import VcgInstance
@@ -114,163 +114,103 @@ def _outcomes(
     return {q: int(u < truths[q]) for u, q in zip(uniforms, funded)}
 
 
-def _field(check: Callable[["RoundRecord"], None], **kwargs):
-    """A record field whose value must pass `check(record)` when read back."""
-    return field(metadata={"check": check}, **kwargs)
-
-
-def _check_schema(record: "RoundRecord") -> None:
-    if not _is_index(record.schema) or record.schema != LEDGER_SCHEMA:
-        raise ValueError(f"unsupported version {record.schema!r}; expected {LEDGER_SCHEMA}")
-
-
-def _check_row(values) -> None:
-    """A non-empty flat list of numbers in [0, 1]."""
-    if not isinstance(values, tuple) or not values or not all(map(_is_number, values)):
-        raise ValueError(f"expected a list of one or more numbers, got {values!r}")
-    check_reports([values], (1, len(values)), "values")
-
-
-def _check_reports(record: "RoundRecord") -> None:
-    """An n x m matrix of numbers in [0, 1]. A string or a boolean is not a
-    number, though `check_reports`' float conversion would take it."""
-    shape, rows = (len(record.weights), len(record.truths)), record.reports
-    if not isinstance(rows, tuple) or not all(
-        isinstance(row, tuple) and all(map(_is_number, row)) for row in rows
-    ):
-        raise ValueError(f"reports is not a {shape} array of numbers")
-    check_reports(rows, shape)
-
-
-def _check_outcomes(record: "RoundRecord") -> None:
-    """(borrower, outcome) pairs of integers, an outcome for exactly each
-    funded borrower, each 0 or 1."""
-    for entry in record.outcomes:
-        if not (isinstance(entry, tuple) and len(entry) == 2 and all(map(_is_index, entry))):
-            raise ValueError(f"expected (borrower, 0 or 1), got {entry!r}")
-    check_outcomes(record.funded_real, dict(record.outcomes))
-
-
-def _is_index(value, size: Optional[int] = None) -> bool:
-    """An int (not a bool) >= 0, and below `size` when one is given."""
-    return (
-        isinstance(value, int) and not isinstance(value, bool) and value >= 0
-        and (size is None or value < size)
-    )
-
-
-def _is_number(value) -> bool:
-    """An int or float that is not NaN; infinities pass, since a boundary
-    report's log score is -inf."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and not math.isnan(value)
-
-
-def _check_count(value) -> None:
-    if not _is_index(value):
-        raise ValueError(f"expected an integer >= 0, got {value!r}")
-
-
-def _check_str(value) -> None:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-
-
-def _check_number(value) -> None:
-    if not _is_number(value):
-        raise ValueError(f"expected a number, got {value!r}")
-
-
-def _check_per_recommender(record: "RoundRecord", values) -> None:
-    """n numbers, one per recommender."""
-    n = len(record.weights)
-    if not (isinstance(values, tuple) and len(values) == n and all(map(_is_number, values))):
-        raise ValueError(f"expected a list of {n} numbers, got {values!r}")
-
-
-def _check_funded(record: "RoundRecord") -> None:
-    m = len(record.truths)
-    for q in record.funded_real:
-        if not _is_index(q, m):
-            raise ValueError(f"borrower {q!r} is not an index below m={m}")
-
-
-def _check_contingent(record: "RoundRecord") -> None:
-    n = len(record.weights)
-    for entry in record.contingent:
-        if not (
-            isinstance(entry, tuple) and len(entry) == 3 and _is_index(entry[0], n)
-            and _is_index(entry[1]) and entry[1] in record.funded_real and _is_number(entry[2])
-        ):
-            raise ValueError(
-                f"expected (recommender below n={n}, funded borrower, number), got {entry!r}"
-            )
-
-
 @dataclass(frozen=True, kw_only=True)
 class RoundRecord:
     """One settled round, and one line of the ledger: a JSON object whose
-    keys are these fields, tuples written as lists. Each field's check runs
-    when a line is read back, in field order. The number of weights is n,
-    the number of truths m."""
+    keys are these fields, tuples written as lists (`record_from_json`
+    reads one back). The number of weights is n, the number of truths m."""
 
-    schema: int = _field(_check_schema, default=LEDGER_SCHEMA)
-    round_id: int = _field(lambda r: _check_count(r.round_id))
-    scenario_hash: str = _field(lambda r: _check_str(r.scenario_hash))
-    weights: tuple[float, ...] = _field(lambda r: _check_row(r.weights))
-    truths: tuple[float, ...] = _field(lambda r: _check_row(r.truths))
-    reports: tuple[tuple[float, ...], ...] = _field(_check_reports)
-    funded_real: tuple[int, ...] = _field(_check_funded)
-    reserves_funded: int = _field(lambda r: _check_count(r.reserves_funded))
-    # (borrower, outcome), sorted
-    outcomes: tuple[tuple[int, int], ...] = _field(_check_outcomes)
-    immediate: tuple[float, ...] = _field(lambda r: _check_per_recommender(r, r.immediate))
-    # (recommender, borrower, paid)
-    contingent: tuple[tuple[int, int, float], ...] = _field(_check_contingent)
-    tcomp: Optional[tuple[float, ...]] = _field(
-        lambda r: None if r.tcomp is None else _check_per_recommender(r, r.tcomp)
-    )
-    deficit: float = _field(lambda r: _check_number(r.deficit))
-    realized_utilities: tuple[float, ...] = _field(
-        lambda r: _check_per_recommender(r, r.realized_utilities)
-    )
+    schema: int = LEDGER_SCHEMA
+    round_id: int
+    scenario_hash: str
+    weights: tuple[float, ...]
+    truths: tuple[float, ...]
+    reports: tuple[tuple[float, ...], ...]
+    funded_real: tuple[int, ...]  # ascending
+    reserves_funded: int
+    # (borrower, outcome), in the order of funded_real
+    outcomes: tuple[tuple[int, int], ...]
+    immediate: tuple[float, ...]
+    # (recommender, borrower, paid), sorted
+    contingent: tuple[tuple[int, int, float], ...]
+    tcomp: Optional[tuple[float, ...]]
+    deficit: float
+    realized_utilities: tuple[float, ...]
 
 
 _FIELDS = dataclasses.fields(RoundRecord)
-_NAMES = frozenset(f.name for f in _FIELDS)
+_NAMES = tuple(f.name for f in _FIELDS)
 
 
 def record_to_json(record: RoundRecord) -> str:
     return json.dumps({f.name: getattr(record, f.name) for f in _FIELDS}, sort_keys=True)
 
 
-def _tuples(value):
-    """A decoded JSON value with every list turned back into a tuple."""
-    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+def _ascending(values) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
 
 
 def record_from_json(line: str) -> RoundRecord:
-    """The record a ledger line holds. Raises LedgerError, naming the field
-    when one is missing, unknown or fails its check."""
+    """The record a ledger line holds. Every field is read by the typed
+    reader scenario files share (`lendmech.fields`), after the fields its
+    check depends on: n and m are the numbers of weights and truths. The
+    order the writer keeps is required: borrowers strictly ascending, one
+    outcome per funded borrower in that order, and contingent payments
+    sorted by (recommender, borrower). Raises LedgerError naming the field
+    it rejects."""
     try:
         data = json.loads(line)
     except json.JSONDecodeError as exc:
         raise LedgerError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise LedgerError(f"expected a JSON object, got {type(data).__name__}")
-    for f in _FIELDS:
-        if f.name not in data:
-            raise LedgerError(f"field '{f.name}': required")
-    record = RoundRecord(**{f.name: _tuples(data[f.name]) for f in _FIELDS})
-    for f in _FIELDS:
-        if "check" in f.metadata:
-            try:
-                f.metadata["check"](record)
-            except (MechanismError, TypeError, ValueError) as exc:
-                raise LedgerError(f"field '{f.name}': {exc}") from None
-    unknown = sorted(data.keys() - _NAMES)
-    if unknown:
-        raise LedgerError(f"field '{unknown[0]}': unknown field")
-    return record
+    read = Fields(data, known=_NAMES, error=LedgerError, finite=False)
+    schema = read.integer("schema")
+    if schema != LEDGER_SCHEMA:
+        raise read.fail("schema", f"unsupported version {schema}; expected {LEDGER_SCHEMA}")
+    round_id = read.integer("round_id", lo=0)
+    reserves_funded = read.integer("reserves_funded", lo=0)
+    scenario_hash = read.string("scenario_hash")
+    weights = read.numbers("weights", lo=0.0, hi=1.0)
+    truths = read.numbers("truths", lo=0.0, hi=1.0)
+    n, m = len(weights), len(truths)
+    reports = read.matrix("reports", n, m, lo=0.0, hi=1.0)
+    funded = read.points("funded_real", 1, "expected a list of borrowers", read.leaf(int, 0, m - 1))
+    if not _ascending(funded):
+        raise read.fail("funded_real", f"borrowers must be strictly ascending, got {list(funded)}")
+    index = read.leaf(int, 0)
+    outcomes = read.points("outcomes", 2, "expected [borrower, outcome] pairs", (index, index))
+    try:
+        check_outcomes(funded, dict(outcomes))
+    except (MechanismError, ValueError) as exc:
+        raise read.fail("outcomes", str(exc)) from None
+    if tuple(q for q, _ in outcomes) != funded:
+        raise read.fail("outcomes", "expected one outcome per funded borrower, in their order")
+    columns = (read.leaf(int, 0, n - 1), index, read.leaf(float))
+    shape = "expected [recommender, borrower, paid] triples"
+    contingent = read.points("contingent", 2, shape, columns)
+    keys = [entry[:2] for entry in contingent]
+    if not _ascending(keys) or any(q not in funded for _, q in keys):
+        raise read.fail(
+            "contingent",
+            f"expected (recommender, funded borrower) keys strictly ascending, got {keys}",
+        )
+    return RoundRecord(
+        schema=schema,
+        round_id=round_id,
+        scenario_hash=scenario_hash,
+        weights=weights,
+        truths=truths,
+        reports=reports,
+        funded_real=funded,
+        reserves_funded=reserves_funded,
+        outcomes=outcomes,
+        immediate=read.numbers("immediate", length=n),
+        contingent=contingent,
+        tcomp=read.numbers("tcomp", length=n, default=None),
+        deficit=read.number("deficit"),
+        realized_utilities=read.numbers("realized_utilities", length=n),
+    )
 
 
 class RoundLedger:

@@ -5,7 +5,8 @@ test fixture. kind "mechanism" describes an instance plus optional beliefs,
 prior, outcomes, audit parameters, campaign parameters and reference
 values; kind "curve" describes a utility-curve emission.
 
-`loads` is the only reader of the JSON. It checks every field, those of
+`loads` is the only reader of the JSON, through the typed reader of
+`lendmech.fields`, which ledger lines share. It checks every field, those of
 the `audit`, `reference` and `campaign` blocks included, rejects a field
 that the top level or a block does not define, and names a field it
 rejects by its path, e.g. 'audit.strict-iic.samples'. A field set to null
@@ -17,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Optional
@@ -26,8 +26,9 @@ from .aggregation import WEIGHT_SUM_TOL
 from .audit import EqualShift, FullRowRandom, MisreportStrategy, SingleCoordinateGrid, Targeted
 from .audit import MIN_GRAIN_SAMPLES, MIN_SEARCH_SAMPLES, Reference
 from .errors import ScenarioError
+from .fields import REQUIRED, Fields
 from .mechanism import Instance, left_sum
-from .priors import BetaIID, DegenerateAt, PriorSpec, ProductGrid, UniformIID, check_shape
+from .priors import PriorSpec, UniformIID
 from .rounds import CampaignConfig, WorldModel, build_instance as _build
 
 SCHEMA_VERSION = 1
@@ -139,165 +140,12 @@ class Scenario:
     grid: int = 101
 
 
-def _fail(source: str, field: str, message: str) -> ScenarioError:
-    where = f"{source}: field '{field}'" if field else source  # no field: the top level
-    return ScenarioError(f"{where}: {message}")
-
-
-_REQUIRED = object()
-# Each prior kind's fields; any other field of a prior is an error.
-_PRIOR_FIELDS = {
-    "uniform": ("kind",),
-    "beta": ("kind", "a", "b"),
-    "degenerate": ("kind", "profile"),
-    "product-grid": ("kind", "support"),
-}
+_fields = functools.partial(Fields, error=ScenarioError, finite=True)
 
 
 def _names(block_type) -> tuple[str, ...]:
     """The JSON fields of a block: the fields of the type it parses into."""
     return tuple(f.name for f in dataclasses.fields(block_type))
-
-
-class _Fields:
-    """One JSON object of a scenario file. Each reader returns a field's
-    typed value, or `default` when it is absent or null, and raises a
-    ScenarioError naming the field by its path."""
-
-    def __init__(self, data: Any, source: str, path: str = "", known=()) -> None:
-        if not isinstance(data, dict):
-            raise _fail(source, path, "expected an object")
-        self.data, self.source, self.path = data, source, path
-        for key in data:
-            if known and key not in known:
-                raise self.fail(key, f"unknown field; expected one of {', '.join(known)}")
-
-    def _path(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
-
-    def fail(self, key: str, message: str) -> ScenarioError:
-        return _fail(self.source, self._path(key), message)
-
-    def _read(self, key: str, default, check):
-        value = self.data.get(key)
-        if value is not None:
-            return check(value)
-        if default is _REQUIRED:
-            raise self.fail(key, "required")
-        return default
-
-    def _bounded(self, key: str, value, lo, hi):
-        if lo is not None and value < lo:
-            raise self.fail(key, f"must be >= {lo}, got {value}")
-        if hi is not None and value > hi:
-            raise self.fail(key, f"must be <= {hi}, got {value}")
-        return value
-
-    def _number(self, key: str, value, lo, hi) -> float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise self.fail(key, f"expected a number, got {value!r}")
-        if not math.isfinite(value):
-            raise self.fail(key, f"must be finite, got {value}")
-        return self._bounded(key, float(value), lo, hi)
-
-    def number(self, key: str, lo=None, hi=None, default=_REQUIRED):
-        return self._read(key, default, lambda value: self._number(key, value, lo, hi))
-
-    def integer(self, key: str, lo=None, hi=None, default=_REQUIRED):
-        def check(value):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise self.fail(key, f"expected an integer, got {value!r}")
-            return self._bounded(key, value, lo, hi)
-
-        return self._read(key, default, check)
-
-    def boolean(self, key: str, default=_REQUIRED):
-        def check(value):
-            if not isinstance(value, bool):
-                raise self.fail(key, f"expected true or false, got {value!r}")
-            return value
-
-        return self._read(key, default, check)
-
-    def choice(self, key: str, options: tuple[str, ...], default=_REQUIRED):
-        def check(value):
-            if value not in options:
-                raise self.fail(key, f"expected one of {', '.join(options)}, got {value!r}")
-            return value
-
-        return self._read(key, default, check)
-
-    def block(self, key: str, known: tuple[str, ...]):
-        """A nested object, or None when absent: the `_Fields` that reads it,
-        which rejects a field not in `known`."""
-        return self._read(key, None, lambda v: _Fields(v, self.source, self._path(key), known))
-
-    def numbers(self, key: str, length=None, lo=None, hi=None, default=_REQUIRED):
-        """A non-empty list of numbers, `length` of them when given."""
-
-        def check(value):
-            if not isinstance(value, list) or not value or length not in (None, len(value)):
-                count = length or "one or more"
-                raise self.fail(key, f"expected a list of {count} numbers, got {value!r}")
-            return tuple(self._number(key, v, lo, hi) for v in value)
-
-        return self._read(key, default, check)
-
-    def matrix(self, key: str, rows, cols: int, lo=None, hi=None, default=_REQUIRED):
-        """A non-empty list of rows of `cols` numbers, `rows` of them when given."""
-
-        def check(value):
-            if (
-                not isinstance(value, list)
-                or not value
-                or rows not in (None, len(value))
-                or not all(isinstance(row, list) and len(row) == cols for row in value)
-            ):
-                count = "a list of" if rows is None else rows
-                raise self.fail(key, f"expected {count} rows of {cols} numbers, got {value!r}")
-            return tuple(tuple(self._number(key, v, lo, hi) for v in row) for row in value)
-
-        return self._read(key, default, check)
-
-    def prior(self, key: str, n: int, m: int, default=_REQUIRED):
-        """A prior over n x m belief profiles, with the fields of its kind
-        (`_PRIOR_FIELDS`). A profile's or support's entries and shape are
-        checked at the prior's own path."""
-
-        number = functools.partial(self._number, key, lo=None, hi=None)
-
-        def check(value):
-            kind = _Fields(value, self.source, self._path(key)).choice("kind", tuple(_PRIOR_FIELDS))
-            params = _Fields(value, self.source, self._path(key), _PRIOR_FIELDS[kind])
-
-            def points(field: str, depth: int, shape: str):
-                """Field `field` of the prior: lists nested `depth` deep
-                around numbers, as nested tuples. Any other nesting fails,
-                naming `shape`."""
-
-                def read(item, level: int):
-                    if isinstance(item, list) != (level > 0):
-                        raise self.fail(key, f"'{field}' must be {shape}, got {value[field]!r}")
-                    return tuple(read(v, level - 1) for v in item) if level else number(item)
-
-                return params._read(field, _REQUIRED, lambda item: read(item, depth))
-
-            try:
-                if kind == "uniform":
-                    prior = UniformIID()
-                elif kind == "beta":
-                    prior = BetaIID(a=params.number("a"), b=params.number("b"))
-                elif kind == "degenerate":
-                    prior = DegenerateAt(points("profile", 2, "a list of rows of numbers"))
-                else:
-                    shape = "a list of rows of cells, each a list of numbers"
-                    prior = ProductGrid(points("support", 3, shape))
-                check_shape(prior, n, m)
-            except (TypeError, ValueError) as exc:
-                raise self.fail(key, str(exc)) from exc
-            return prior
-
-        return self._read(key, default, check)
 
 
 def min_samples(desideratum: str) -> int:
@@ -306,7 +154,7 @@ def min_samples(desideratum: str) -> int:
 
 
 def _parse_audit_block(sc: Scenario, desideratum: str, data: Any) -> AuditBlock:
-    block = _Fields(data, sc.source, f"audit.{desideratum}", _names(AuditBlock))
+    block = _fields(data, sc.source, f"audit.{desideratum}", _names(AuditBlock))
     if desideratum == "grain-of-no-veto":
         expect = block.choice("expect", ("present", "absent"), default="present")
     else:
@@ -341,14 +189,12 @@ def _parse_audit_block(sc: Scenario, desideratum: str, data: Any) -> AuditBlock:
 
 
 def _parse_reference(sc: Scenario, data: Any) -> Reference:
-    block = _Fields(data, sc.source, "reference", _names(Reference))
+    block = _fields(data, sc.source, "reference", _names(Reference))
     if sc.mechanism != "winkler" or sc.cap is None or sc.beliefs is None:
-        raise _fail(sc.source, "reference", "needs a winkler scenario with K and beliefs")
+        raise block.fail("", "needs a winkler scenario with K and beliefs")
     weak = sc.audit.get("weak-epic")
     if weak is None or weak.recommender is None or weak.targeted is None:
-        raise _fail(
-            sc.source, "reference", "needs an audit.weak-epic block with recommender and targeted"
-        )
+        raise block.fail("", "needs an audit.weak-epic block with recommender and targeted")
     return Reference(
         tolerance=block.number("tolerance", lo=0.0),
         aggregates=block.numbers("aggregates", length=sc.m),
@@ -361,7 +207,7 @@ def _parse_reference(sc: Scenario, data: Any) -> Reference:
 
 
 def _parse_campaign(sc: Scenario, data: Any) -> CampaignBlock:
-    block = _Fields(data, sc.source, "campaign", _names(CampaignBlock))
+    block = _fields(data, sc.source, "campaign", _names(CampaignBlock))
     mixing = block.numbers("mixing", length=sc.n, lo=0.0, hi=1.0, default=None)
     if mixing is None and sc.prior is None:
         raise block.fail("mixing", "required when the scenario has no prior")
@@ -379,12 +225,13 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{source}: not valid JSON: {exc}") from exc
-    top = _Fields(data, source)
+    top = _fields(data, source)
     schema = top.integer("schema")
     if schema != SCHEMA_VERSION:
         raise top.fail("schema", f"unsupported version {schema}")
     kind = top.choice("kind", tuple(_TOP_FIELDS))
-    top = _Fields(data, source, known=_TOP_FIELDS[kind])
+    top = _fields(data, source, known=_TOP_FIELDS[kind])
+    note = top.string("note", default=None)
     mechanism = top.choice("mechanism", ("winkler", "vcg")) if kind == "mechanism" else None
     # VCG's reserve threshold may be 0; a Winkler or curve threshold may not.
     c = top.number("c", lo=0.0, hi=1.0)
@@ -393,11 +240,13 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
     if kind == "curve":
         variant = top.choice("variant", CURVE_VARIANTS)
         grid = top.integer("grid", lo=2, default=101)
-        return Scenario(source=source, kind=kind, variant=variant, threshold=c, grid=grid)
+        return Scenario(
+            source=source, kind=kind, variant=variant, threshold=c, grid=grid, note=note
+        )
 
     n = top.integer("n", lo=1)
     m = top.integer("m", lo=1)
-    cap = top.integer("K", lo=1, hi=m, default=_REQUIRED if mechanism == "vcg" else None)
+    cap = top.integer("K", lo=1, hi=m, default=REQUIRED if mechanism == "vcg" else None)
     alpha = top.number("alpha", default=1.0)
     if alpha <= 0:
         raise top.fail("alpha", f"must be positive, got {alpha}")
@@ -434,7 +283,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
             int(q): outcomes.integer(q, lo=0, hi=1) for q in outcomes.data
         },
         seed=top.integer("seed", lo=0, default=0),
-        note=data.get("note"),
+        note=note,
     )
     # The blocks' defaults and bounds depend on the fields above.
     audit = top.block("audit", DESIDERATA)

@@ -312,6 +312,26 @@ class TestCampaign:
         assert out == ""
         assert err == f"usage error: --window must be >= 1, got {window}\n"
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("rounds", [0, 2])
+    def test_weights_rejects_recommender_count_below_one(self, n, rounds, tmp_path, capsys):
+        # Once a traceback (empty ledger) or "every round must have 0
+        # recommenders" (a ledger with rounds).
+        path = tmp_path / "ledger.jsonl"
+        path.write_text("")
+        if rounds:
+            out_dir = tmp_path / "camp"
+            run_cli(
+                capsys,
+                "campaign", str(bundled_path("campaign-budescu")),
+                "--rounds", str(rounds), "--out", str(out_dir),
+            )
+            path = out_dir / "ledger.jsonl"
+        code, out, err = run_cli(capsys, "weights", str(path), "--n", n)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: --n must be >= 1, got {n}\n"
+
 
 def _replace(field, change):
     """The first ledger line with one field changed."""
@@ -331,7 +351,7 @@ BAD_LEDGERS = {
     ),
     "2 report rows, n = 3": (
         _replace("reports", lambda reports: reports[:2]),
-        "line 1: field 'reports': reports shape (2, 6) != (3, 6)",
+        "line 1: field 'reports': expected 3 rows of 6 numbers",
     ),
 }
 
@@ -409,6 +429,9 @@ BAD_FIELDS = [
     # A prior reads only its kind's fields.
     ("vcg-n4", ("prior", "a"), 3, ("run",)),
     ("vcg-n4", ("prior", "suport"), [[[0.5]] * 2] * 4, ("run",)),
+    # A note is a string.
+    ("table1", ("note",), 5, ("run",)),
+    ("vcg-n4", ("note",), {"a": 1}, ("run",)),
 ]
 
 

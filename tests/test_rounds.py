@@ -188,7 +188,8 @@ def round_records(draw) -> RoundRecord:
         reserves_funded=draw(st.integers(0, m)),
         outcomes=tuple((q, draw(st.integers(0, 1))) for q in funded),
         immediate=tuple(draw(ANY) for _ in range(n)),
-        contingent=tuple((i, q, draw(ANY)) for q in funded for i in range(n)),
+        # sorted by (recommender, borrower), as the writer keeps them
+        contingent=tuple((i, q, draw(ANY)) for i in range(n) for q in funded),
         tcomp=draw(st.none() | st.tuples(*[ANY] * n)),
         deficit=draw(ANY),
         realized_utilities=tuple(draw(ANY) for _ in range(n)),
@@ -205,6 +206,13 @@ def ledger_line(**changes) -> str:
     data = json.loads(rounds.record_to_json(rounds.run_round(vcg_instance(), WORLD, seed=1)))
     data.update(changes)
     return json.dumps({k: v for k, v in data.items() if v is not None})
+
+
+def repeated(field: str) -> str:
+    """A valid ledger line whose list field `field` holds its first entry
+    twice."""
+    values = json.loads(ledger_line())[field]
+    return ledger_line(**{field: values[:1] + values})
 
 
 class TestLedgerFormat:
@@ -242,37 +250,67 @@ class TestLedgerFormat:
             (ledger_line(seed=7), "line 2: field 'seed': unknown field"),
             (ledger_line(weights=0.5), "line 2: field 'weights': expected a list"),
             (ledger_line(truths=[]), "line 2: field 'truths': expected a list"),
-            (ledger_line(reports=[[0.5, 2.0]] * 3), "line 2: field 'reports': reports shape"),
+            (
+                ledger_line(reports=[[0.5, 2.0]] * 3),
+                "line 2: field 'reports': expected 3 rows of 4 numbers",
+            ),
             (
                 ledger_line(reports=[[0.5] * 4, [0.5], [0.5] * 4]),
-                "line 2: field 'reports': reports is not a (3, 4) array of numbers",
+                "line 2: field 'reports': expected 3 rows of 4 numbers",
             ),
             # Numeric strings and booleans are not numbers, though a float
             # conversion would take them.
             (
                 ledger_line(reports=[["0.5"] * 4] * 3),
-                "line 2: field 'reports': reports is not a (3, 4) array of numbers",
+                "line 2: field 'reports': expected a number, got '0.5'",
             ),
             (
                 ledger_line(weights=[True, False, False]),
-                "line 2: field 'weights': expected a list of one or more numbers",
+                "line 2: field 'weights': expected a number, got True",
             ),
-            (ledger_line(truths=["0.5"] * 4), "line 2: field 'truths': expected a list"),
+            (
+                ledger_line(truths=["0.5"] * 4),
+                "line 2: field 'truths': expected a number, got '0.5'",
+            ),
             (ledger_line(outcomes=[[1, True], [3, 1]]), "line 2: field 'outcomes': expected"),
-            (ledger_line(schema=True), "line 2: field 'schema': unsupported version True"),
-            (ledger_line(funded_real=[9]), "line 2: field 'funded_real': borrower 9"),
+            (ledger_line(schema=True), "line 2: field 'schema': expected an integer, got True"),
+            (ledger_line(funded_real=[9]), "line 2: field 'funded_real': must be <= 3, got 9"),
             (ledger_line(outcomes=[]), "line 2: field 'outcomes': no outcome supplied"),
             (ledger_line(deficit="abc"), "line 2: field 'deficit': expected a number"),
+            (ledger_line(deficit=10**400), "line 2: field 'deficit': expected a number, got 1000"),
             (ledger_line(tcomp=5), "line 2: field 'tcomp': expected a list of 3 numbers"),
-            (ledger_line(round_id=-1), "line 2: field 'round_id': expected an integer >= 0"),
+            (ledger_line(round_id=-1), "line 2: field 'round_id': must be >= 0, got -1"),
             (ledger_line(reserves_funded=True), "line 2: field 'reserves_funded': expected"),
             (ledger_line(scenario_hash=3), "line 2: field 'scenario_hash': expected a string"),
             (ledger_line(immediate=[0.0]), "line 2: field 'immediate': expected a list of 3"),
             (
                 ledger_line(realized_utilities=[0.0, float("nan"), 0.0]),
-                "line 2: field 'realized_utilities': expected a list of 3 numbers",
+                "line 2: field 'realized_utilities': expected a number, got nan",
             ),
             (ledger_line(contingent=[[0, 9, 1.0]]), "line 2: field 'contingent': expected"),
+            # The order the writer keeps: a borrower, an outcome or a
+            # contingent payment listed twice, or out of order, is an error.
+            (repeated("funded_real"), "line 2: field 'funded_real': borrowers must be strictly"),
+            (
+                ledger_line(funded_real=[3, 1], outcomes=[[3, 1], [1, 1]]),
+                "line 2: field 'funded_real': borrowers must be strictly ascending, got [3, 1]",
+            ),
+            (repeated("outcomes"), "line 2: field 'outcomes': expected one outcome per funded"),
+            (
+                ledger_line(outcomes=[[3, 1], [1, 1]]),
+                "line 2: field 'outcomes': expected one outcome per funded borrower",
+            ),
+            (repeated("contingent"), "line 2: field 'contingent': expected (recommender, funded"),
+            (
+                ledger_line(contingent=[[1, 1, 0.5], [0, 1, 0.5]]),
+                "line 2: field 'contingent': expected (recommender, funded borrower) keys strictly",
+            ),
+            # A scalar where a list belongs.
+            (ledger_line(funded_real=1), "line 2: field 'funded_real': expected a list of"),
+            (ledger_line(outcomes=1), "line 2: field 'outcomes': expected [borrower, outcome]"),
+            (ledger_line(contingent=1), "line 2: field 'contingent': expected [recommender,"),
+            # A pair of the wrong length.
+            (ledger_line(outcomes=[[1, 1, 0], [3, 1]]), "line 2: field 'outcomes': expected ["),
         ],
     )
     def test_bad_line_names_path_line_and_field(self, line, message, tmp_path):
