@@ -451,13 +451,13 @@ class Grid:
     def __init__(self, truth: float, reports, gain) -> None:
         self.truth, self.reports, self.gain = truth, np.asarray(reports, dtype=float), gain
         self.levels = np.unique(np.append(self.reports, truth))  # the block edges, ascending
-        self.edges = self.levels  # then their `LevelEdges`, once a block places them
+        self.edges: Optional[LevelEdges] = None  # placed at the first block
         self.parts: list[GridMoments] = []
 
     def blocks(self, funding: "FundingTest") -> np.ndarray:
-        """Each sample's level block under `funding`; the levels' edges are
-        sorted once for every block whose test has the same margin."""
-        self.edges = funding.edges(self.edges)
+        """Each sample's level block under `funding`; the levels are placed
+        against the first block's margin, which every block of a search shares."""
+        self.edges = self.edges or LevelEdges(self.levels, funding.margin)
         return funding.blocks(self.edges)
 
     def add(self, block: np.ndarray, u, alpha) -> None:
@@ -567,13 +567,14 @@ class LevelEdges:
         self.table = place_table(self.sorted)
 
 
-def funding_margin(weights: Sequence[float], w_i: float, key: float) -> float:
-    """`FundingTest`'s margin M for a positive weight w_i and keys at most
-    `key`: min((4 gamma_{n+2} (W + max(key, 0)) + n s) / w_i + 16u, 4),
-    derived there. It falls as w_i rises."""
+def funding_margin(weights: Sequence[float], w_i: float) -> float:
+    """`FundingTest`'s margin M for a positive weight w_i:
+    min((4 gamma_{n+2} (W + K) + n s) / w_i + 16u, 4), W = `left_sum(weights)`
+    and K = max(W, 1), derived there. It falls as w_i rises."""
     n, u = len(weights), 2.0**-53
     gamma = (n + 2) * u / (1.0 - (n + 2) * u)
-    scale = left_sum(weights) + max(key, 0.0)
+    total = left_sum(weights)
+    scale = total + max(total, 1.0)
     tiny = n * 2.0**-1074  # n times the smallest subnormal
     return min((4.0 * gamma * scale + tiny) / w_i + 16 * u, 4.0)
 
@@ -583,13 +584,13 @@ class FundingTest:
     allocation's own test, linear score > `key`, ties included.
 
     `co_reports` holds the others' reports, (n-1, samples), and is kept as
-    given (a view is not copied); `key` is a scalar or one per sample, and
+    given (a view is not copied); `key` is a scalar or one per sample, at
+    most K = max(sum(weights), 1) (a larger one raises `ValueError`), and
     -inf funds every sample; `base`, if given, is the others' score B,
     which the test otherwise computes. The score never falls as i's report
     rises, so on each sample the reports that fund form an upper range.
-    `blocks` places every sample among ascending report levels in [0, 1],
-    and `funds` answers for one report. `edges` places the levels against
-    the test's margin (`LevelEdges`) once, for every test with that margin.
+    `blocks` places every sample among ascending report levels in [0, 1]
+    (`LevelEdges`), and `funds` answers for one report.
 
     Each sample holds the closed form t = (key - B) / w_i, B the others'
     score, which is the score with i's report at 0 bit for bit; a sample
@@ -597,23 +598,26 @@ class FundingTest:
     above at 2. The seed is min(t, cap) with each sample's cap, 2 or -inf,
     taken by index (`np.take`): the select `np.where(B > key, -inf,
     min(t, 2))` bit for bit, at about a third of its cost (see `masked`).
-    One margin M per test decides every level L with |L - t| >= M by the
-    closed form (`place` ranks t among the L +- M). Levels nearer than
-    that are scored exactly, one `scores_with` pass per such level.
+    One margin M, set by the pool and w_i, decides every level L with
+    |L - t| >= M by the closed form (`place` ranks t among the L +- M);
+    nearer levels are scored exactly, one `scores_with` pass each.
 
-    The margin. Write W = sum(w), K = max(key, 0), u = 2**-53 and
-    gamma_k = k u / (1 - k u). A left-to-right dot product of n terms with
-    reports in [0, 1] is within gamma_n W of its exact value (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, 3.1), plus
-    2**-1075 per product that underflows. So the score at L is within
-    (gamma_n + gamma_{n-1}) W + n s of B + w_i L, with s = 2**-1074 the
-    smallest subnormal. Where B <= key, d = key - B lies in [0, K], and t
-    is within gamma_2 d / w_i + s of d / w_i. Together: a level L <= t - M
-    leaves the score at or below the key, and a level L > t + M lifts it
-    above, whenever M >= (3 gamma_{n+2} (W + K) + n s) / w_i + s. The test
-    takes M = (4 gamma_{n+2} (W + K) + n s) / w_i + 16u (`funding_margin`);
-    the spare terms cover the rounding of M itself and of L +- M, for
-    |t| <= 2, M <= 4.
+    The margin. Write W = sum(w), K = max(W, 1), u = 2**-53 and
+    gamma_k = k u / (1 - k u). The engines' keys are at most K: Winkler's
+    is c < 1; VCG's is -inf, c, or a score at most one ulp lower, and a
+    score is at most W, as rounding is monotone and w_j r_j <= w_j. A
+    left-to-right dot product of n terms with reports in [0, 1] is within
+    gamma_n W of its exact value (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, 3.1), plus 2**-1075 per product that
+    underflows. So the score at L is within (gamma_n + gamma_{n-1}) W + n s
+    of B + w_i L, with s = 2**-1074 the smallest subnormal. Where
+    B <= key, d = key - B lies in [0, K], and t is within
+    gamma_2 d / w_i + s of d / w_i. Together: a level L <= t - M leaves the
+    score at or below the key, and a level L > t + M lifts it above,
+    whenever M >= (3 gamma_{n+2} (W + K) + n s) / w_i + s. The test takes
+    M = (4 gamma_{n+2} (W + K) + n s) / w_i + 16u (`funding_margin`); the
+    spare terms cover the rounding of M itself and of L +- M, for |t| <= 2,
+    M <= 4.
     Above 4 (a tiny w_i; an overflow gives inf) M is capped at 4, which
     leaves every level in [0, 1] to the exact pass, as a larger margin
     would. With w_i = 0 the score is B whatever i reports, bit for bit, so
@@ -627,6 +631,8 @@ class FundingTest:
         w_i = weights[i]
         if base is None:
             base = linear_scores(weights[:i] + weights[i + 1 :], co_reports)
+        if np.max(key, initial=-np.inf) > max(left_sum(weights), 1.0):
+            raise ValueError(f"a funding key above max(sum of weights, 1): {np.max(key)}")
         self.key = np.broadcast_to(np.asarray(key, dtype=float), base.shape)
         funded = base > self.key  # at a report of 0, so at every report
         if w_i == 0.0:  # the seed is the exact bound
@@ -634,38 +640,31 @@ class FundingTest:
             return
         with np.errstate(over="ignore"):  # a tiny w_i; clipped
             self.seed = np.minimum((self.key - base) / w_i, np.take([2.0, -np.inf], funded))
-        self.margin = funding_margin(weights, w_i, float(np.max(self.key, initial=0.0)))
+        self.margin = funding_margin(weights, w_i)
 
-    def edges(self, levels) -> LevelEdges:
-        """`levels` (ascending, or the `LevelEdges` of them for some margin)
-        placed against this test's margin, reused if built for it."""
-        if isinstance(levels, LevelEdges):
-            if levels.margin == self.margin:
-                return levels
-            levels = levels.levels
-        return LevelEdges(levels, self.margin)
-
-    def blocks(self, levels) -> np.ndarray:
-        """For each sample, how many of the ascending `levels` do not fund
-        it; `levels` may be their `LevelEdges` (`edges`)."""
-        grid = self.edges(levels)
-        rank = place(grid.sorted, self.seed, grid.table)
-        near = np.flatnonzero((grid.maybe > grid.below)[rank])
-        stop = grid.maybe[rank[near]]
-        block = grid.below[rank]
+    def blocks(self, edges: LevelEdges) -> np.ndarray:
+        """For each sample, how many of the ascending levels of `edges` do
+        not fund it. `edges` must be placed against this test's margin."""
+        if edges.margin != self.margin:
+            raise ValueError(f"levels placed against margin {edges.margin}, not {self.margin}")
+        rank = place(edges.sorted, self.seed, edges.table)
+        near = np.flatnonzero((edges.maybe > edges.below)[rank])
+        stop = edges.maybe[rank[near]]
+        block = edges.below[rank]
         while len(near):  # test each near sample's lowest level not yet settled
-            unfunded = self._unfunded(near, grid.levels[block[near]])
+            unfunded = self._unfunded(near, edges.levels[block[near]])
             block[near] += unfunded
             live = unfunded & (block[near] < stop)
             near, stop = near[live], stop[live]
         return block
 
     def funds(self, report: float) -> np.ndarray:
-        """Per sample, whether `report` funds it: `blocks([report]) == 0`,
-        from two comparisons per sample instead of a search."""
+        """Per sample, whether `report` funds it: `blocks` of the one level
+        `report` is 0, from two comparisons per sample instead of a search."""
         unfunded = self.seed >= report + self.margin
         near = np.flatnonzero(~unfunded & (self.seed >= report - self.margin))
-        unfunded[near] = self._unfunded(near, report)
+        if len(near):
+            unfunded[near] = self._unfunded(near, report)
         return ~unfunded
 
     def _unfunded(self, near: np.ndarray, report) -> np.ndarray:

@@ -106,11 +106,17 @@ def sample_profiles(
 def sample_others(
     prior: PriorSpec, n: int, m: int, i: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw co-recommender profiles with row i removed, shape (count, n-1, m)."""
+    """Draw co-recommender profiles with row i removed, shape (count, n-1, m).
+
+    The values are `np.delete(profiles, i, axis=1)`'s, held item-major: the
+    result is a view of one C-contiguous (n-1, m, count) copy, which the
+    interim engines read without copying it again. (With m = 1 the
+    transposed draw is Fortran-ordered, so `np.delete` keeps that order
+    and `np.ascontiguousarray` copies once more.)"""
     if not 0 <= i < n:
         raise ValueError(f"recommender index {i} out of range for n={n}")
     profiles = sample_profiles(prior, n, m, count, rng)
-    return np.delete(profiles, i, axis=1)
+    return np.ascontiguousarray(np.delete(profiles.transpose(1, 2, 0), i, 0)).transpose(2, 0, 1)
 
 
 def enumerate_others(

@@ -430,8 +430,9 @@ class InterimEngine(Engine):
     mechanism's `linear_scores` does (`scores_with`, which copies no
     co-report), so funding agrees with the exact mechanism on every
     sample, ties included. The engine keeps the co-report sample for that,
-    item-major: transposed once at build to (n-1, m, samples) and held as
-    that one copy, so every item's samples are contiguous. A search builds
+    item-major, (n-1, m, samples), so every item's samples are contiguous:
+    a drawn block already lies so in memory (`priors.sample_others`) and is
+    kept as it is; other co-reports are copied once. A search builds
     one engine per block of at most COLUMN_CHUNK samples, which bounds its
     arrays whatever the sample count; each score is an (m, samples) array.
     The last report row's scores are kept, so the truth, scored first in a
@@ -472,7 +473,7 @@ class InterimEngine(Engine):
         self.i = i
         self.w_i = float(inst.weights[i])
         self.samples = others.shape[0]
-        # (n-1, m, samples); the caller's (samples, n-1, m) is not kept.
+        # (n-1, m, samples): a view of a drawn block, else a copy.
         self.others = np.ascontiguousarray(np.transpose(others, (1, 2, 0)), dtype=float)
         w_others = inst.weights[:i] + inst.weights[i + 1 :]
         self.scores_others = linear_scores(w_others, self.others.transpose(1, 0, 2))

@@ -400,18 +400,18 @@ class ColumnEngine(Engine):
             raise ValueError("vectorized interim evaluation requires a linear aggregator")
         w = inst.aggregator.weights.weights
         # Each test keeps a view of its column of `others`, (samples, n-1, m),
-        # not a copy.
+        # not a copy: contiguous rows of a drawn block, which lies item-major.
         self.funding = [FundingTest(w, i, others[:, :, q].T, inst.threshold) for q in range(inst.m)]
         # A test's seed is (c - B) / w_i capped at 2, or -inf where B > c:
-        # clipped to [0, 1], and set to 1 where it is above 0 and a report
+        # clipped to [0, 1], and raised to 1 where it is above 0 and a report
         # of the float below 1 does not fund (decided exactly only within
         # the test's margin), it is each sample's `funding_thresholds` bit
-        # for bit.
+        # for bit; with w_i = 0 every anchor is +inf.
         self.payments = []
         for test in self.funding:
             anchor = np.clip(test.seed, 0.0, 1.0)
-            anchor[(anchor > 0.0) & ~test.funds(BELOW_ONE)] = 1.0
-            self.payments.append(WinklerPayment(np.where(w[i] == 0.0, np.inf, anchor)))
+            np.maximum(anchor, masked(1.0, (anchor > 0.0) & ~test.funds(BELOW_ONE)), out=anchor)
+            self.payments.append(WinklerPayment(anchor if w[i] != 0.0 else anchor + np.inf))
         self.m = inst.m
         self._kept = [((), None)] * inst.m  # per column: (belief, report), its payoffs
 

@@ -510,6 +510,19 @@ class TestSampleBlocks:
         once = sample_others(prior, n, m, i, samples, np.random.default_rng(seed))
         assert np.concatenate(blocks).tobytes() == once.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(block_draw_cases())
+    def test_draw_lands_item_major(self, case):
+        # `sample_others` holds `np.delete(profiles, i, axis=1)`'s values as
+        # a view of one C-contiguous (n-1, m, count) copy, m = 1 included,
+        # which the interim engines read without copying it again.
+        prior, n, m, i, samples, _, seed = case
+        once = sample_others(prior, n, m, i, samples, np.random.default_rng(seed))
+        profiles = sample_profiles(prior, n, m, samples, np.random.default_rng(seed))
+        assert once.shape == (samples, n - 1, m)
+        assert once.tobytes() == np.delete(profiles, i, axis=1).tobytes()
+        assert once.transpose(1, 2, 0).flags.c_contiguous
+
     def test_point_prior_is_one_exact_block(self):
         prior = DegenerateAt(BELIEFS)
         blocks = list(audit._draws(winkler_instance(), 1, prior, 10**6, None))

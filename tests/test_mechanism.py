@@ -378,6 +378,33 @@ def funding_cases(draw):
     return weights, i, co_reports, key, bound, levels
 
 
+@st.composite
+def pool_key_cases(draw):
+    """Dyadic, non-dyadic or equal weights, n from 1 to 4, sometimes with
+    one weight raised without renormalizing, as `weight_monotonicity_check`
+    raises it; i at every position, m from 1 to 5 and K from 1 to m, c at
+    0 or an eighth, and eighth-grid co-reports and truth, which tie scores
+    with each other, with c and with the sum of weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["dyadic", "non-dyadic", "equal"]))
+    if kind == "dyadic":
+        weights = rng.choice([0.125, 0.25, 0.5], n)
+    elif kind == "non-dyadic":
+        weights = rng.choice([1 / 3, 1 / 7, 2 / 7, 0.1, 0.3, 0.6], n)
+    else:
+        weights = np.full(n, 1 / n)
+    if draw(st.booleans()):
+        weights[draw(st.integers(0, n - 1))] += draw(st.sampled_from([0.1, 0.35, 1.0]))
+    i = draw(st.integers(0, n - 1))
+    m = draw(st.integers(1, 5))
+    K = draw(st.integers(1, m))
+    c = draw(st.sampled_from(EIGHTHS[:-1]))
+    others = rng.choice(EIGHTHS, (draw(st.sampled_from([1, 16, 200])), n - 1, m))
+    true_row = tuple(rng.choice(EIGHTHS, m).tolist())
+    return tuple(float(w) for w in weights), i, m, K, c, others, true_row
+
+
 class TestFundingTest:
     @settings(max_examples=400, deadline=None)
     @given(funding_cases())
@@ -385,14 +412,11 @@ class TestFundingTest:
         weights, i, co_reports, key, bound, levels = case
         funding = FundingTest(weights, i, co_reports, key)
         want = np.searchsorted(levels, bound, side="right")
-        assert funding.blocks(levels).tolist() == want.tolist()
-        # Edges placed for this test's margin are reused; those of another
-        # margin (here 0, which would leave no sample to the exact pass)
-        # are placed again.
-        edges = funding.edges(levels)
-        assert funding.edges(edges) is edges
+        edges = LevelEdges(levels, funding.margin)
         assert funding.blocks(edges).tolist() == want.tolist()
-        assert funding.blocks(LevelEdges(levels, 0.0)).tolist() == want.tolist()
+        # Levels placed against another margin are refused, not placed again.
+        with pytest.raises(ValueError, match="placed against margin"):
+            funding.blocks(LevelEdges(levels, funding.margin + 1.0))
         reports = levels[:: max(1, len(levels) // 4)]
         for report in reports:
             assert funding.funds(float(report)).tolist() == (report > bound).tolist()
@@ -402,7 +426,7 @@ class TestFundingTest:
         handed = FundingTest(weights, i, co_reports, key, base)
         assert handed.seed.tobytes() == funding.seed.tobytes()
         assert handed.margin == funding.margin
-        assert handed.blocks(levels).tolist() == want.tolist()
+        assert handed.blocks(edges).tolist() == want.tolist()
         for report in reports:
             assert handed.funds(float(report)).tolist() == (report > bound).tolist()
 
@@ -444,6 +468,36 @@ class TestFundingTest:
         needed = (3.0 * gamma * scale + n * s) / weights[i] + s  # inf for 5e-324
         assert funding.margin == 4.0 or funding.margin >= needed
         assert funding.margin <= 4.0
+
+    def test_refuses_a_key_above_the_pool_bound(self):
+        # Keys reach max(sum of weights, 1) and no further: the margin is
+        # derived for that bound, one per pool and weight.
+        co_reports = np.array([[0.5, 1.0]])
+        for weights in [(0.5, 0.5), (0.25, 0.5), (0.75, 0.5)]:
+            bound = max(left_sum(weights), 1.0)
+            FundingTest(weights, 0, co_reports, np.array([bound, -np.inf]))
+            with pytest.raises(ValueError, match="funding key above"):
+                FundingTest(weights, 0, co_reports, np.nextafter(bound, 2.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool_key_cases())
+    def test_engine_keys_lie_within_the_pool_bound(self, case):
+        # Every key VCG's `_column_parts` and Winkler's `ColumnEngine` hand a
+        # `FundingTest` is at most max(sum of weights, 1), the bound its
+        # margin is derived for: VCG's keys are scores (each at most the
+        # sum of weights), c, or a score one ulp lower; Winkler's is c.
+        weights, i, m, K, c, others, true_row = case
+        vcg_inst = VcgInstance(len(weights), m, K, c, weights)
+        engine = InterimEngine(vcg_inst, i, others)
+        bound = max(left_sum(weights), 1.0)
+        for q in range(m):
+            assert engine._column_parts(true_row, q)[0].key.max() <= bound
+        total = left_sum(weights)
+        pool = WeightedLinear(WeightVector(tuple(w / total for w in weights)))
+        pool_bound = max(left_sum(pool.weights.weights), 1.0)
+        for threshold in EIGHTHS[1:-1]:
+            winkler = ColumnEngine(WinklerInstance(len(weights), m, threshold, pool), i, others)
+            assert all(test.key.max() <= pool_bound for test in winkler.funding)
 
 
 @st.composite

@@ -804,6 +804,28 @@ class TestInterimEngine:
         assert not [call for call in calls if call[1] == "InterimEngine"]
         assert ("linear_scores", "FundingTest", "__init__") not in calls
 
+    def test_search_places_each_coordinate_once(self, monkeypatch):
+        # The funding margin is set by the pool and i's weight alone, so a
+        # search of 7 blocks places each coordinate's levels once, at its
+        # first block, and every later block reuses them.
+        inst = VcgInstance(n=4, m=2, K=1, reserve_threshold=0.5, weights=(0.25,) * 4)
+        samples = 6 * mechanism.COLUMN_CHUNK + 1696
+        assert len(mechanism.sample_blocks(samples)) == 7
+        built = []
+
+        class Counted(mechanism.LevelEdges):
+            def __init__(self, levels, margin):
+                built.append(margin)
+                super().__init__(levels, margin)
+
+        monkeypatch.setattr(mechanism, "LevelEdges", Counted)
+        strategies = [audit.SingleCoordinateGrid(11), audit.EqualShift((0.05,))]
+        verdict = audit.best_response_search(
+            inst, 0, (0.35, 0.65), UniformIID(), strategies, samples, seed=4
+        )
+        assert verdict.counts.candidates == 23  # 11 grid points on each coordinate, 1 shift
+        assert len(built) == inst.m and len(set(built)) == 1
+
     def test_matches_scalar_path(self):
         inst = table_instance(K=2, reserve_threshold=0.3)
         rng = np.random.default_rng(21)
