@@ -148,17 +148,20 @@ class RoundHistory:
         return RoundHistory(self.n, self.loans[-size:])
 
 
-def _loan_squared_error(loan: ObservedLoan, exclude: Optional[int]) -> Optional[float]:
-    included = [
-        r for i, r in enumerate(loan.reports) if r is not None and i != exclude
-    ]
-    if not included:
+def _squared_error(reports: Sequence[float], outcome: int) -> Optional[float]:
+    """The squared error of the mean of `reports` on a loan with this 0/1
+    outcome; None when there is no report."""
+    if not reports:
         return None
-    mean_repay = left_sum(included) / len(included)
+    mean_repay = left_sum(reports) / len(reports)
     # Two-sided Brier term over the repay/default cells; both cells carry
     # the same squared deviation.
-    err = (loan.outcome - mean_repay) ** 2 + ((1 - loan.outcome) - (1 - mean_repay)) ** 2
-    return err
+    return (outcome - mean_repay) ** 2 + ((1 - outcome) - (1 - mean_repay)) ** 2
+
+
+def _loan_squared_error(loan: ObservedLoan, exclude: Optional[int]) -> Optional[float]:
+    included = [r for i, r in enumerate(loan.reports) if r is not None and i != exclude]
+    return _squared_error(included, loan.outcome)
 
 
 def _loan_errors(loan: ObservedLoan) -> tuple[Optional[float], ...]:
@@ -167,6 +170,15 @@ def _loan_errors(loan: ObservedLoan) -> tuple[Optional[float], ...]:
     report."""
     return tuple(
         _loan_squared_error(loan, exclude) for exclude in (None, *range(len(loan.reports)))
+    )
+
+
+def _column_errors(column: list[float], outcome: int) -> tuple[Optional[float], ...]:
+    """`_loan_errors` of a loan on which every recommender reported: its
+    column of reports, a list, and its outcome."""
+    return (
+        _squared_error(column, outcome),
+        *(_squared_error(column[:i] + column[i + 1 :], outcome) for i in range(len(column))),
     )
 
 
@@ -254,8 +266,10 @@ def budescu_weights(history: RoundHistory) -> WeightVector:
 class BudescuAccumulator:
     """Budescu weights of a growing history, one funded loan at a time.
 
-    Each loan's `_loan_errors` are computed once, when it is added. Without
-    a window the per-column sums run on in loan order: `left_sum` adds from
+    Each loan's `_loan_errors` are computed once, when it is added: from an
+    `ObservedLoan` (`add`), or from a column of reports and an outcome
+    (`add_column`, a campaign's path, which builds no loan). Without a
+    window the per-column sums run on in loan order: `left_sum` adds from
     0.0 left to right, so they are bit for bit the sums `budescu_weights`
     takes over the whole history, and `weights()` costs O(n). With a window
     the last `window` loans' errors are kept and summed again on each call,
@@ -278,14 +292,22 @@ class BudescuAccumulator:
                 raise ArityMismatch(
                     f"loan has {len(loan.reports)} report slots, accumulator has n={self.n}"
                 )
-            errors = _loan_errors(loan)
-            if self._window is not None:
-                self._window.append(errors)
-                continue
-            for k, err in enumerate(errors):
-                if err is not None:
-                    self._totals[k] += err
-                    self._counts[k] += 1
+            self._add(_loan_errors(loan))
+
+    def add_column(self, column: list[float], outcome: int) -> None:
+        """Score one newly observed loan on which all n recommenders
+        reported: its column of reports, a list of n floats in [0, 1], and
+        its 0/1 outcome, neither checked again."""
+        self._add(_column_errors(column, outcome))
+
+    def _add(self, errors: tuple[Optional[float], ...]) -> None:
+        if self._window is not None:
+            self._window.append(errors)
+            return
+        for k, err in enumerate(errors):
+            if err is not None:
+                self._totals[k] += err
+                self._counts[k] += 1
 
     def weights(self) -> WeightVector:
         """Weights of the loans so far (the window's, with one); equal

@@ -6,13 +6,16 @@ caller's error class naming the field by its path, e.g.
 'audit.strict-iic.samples'. The two formats differ only in that error
 class and in their number rule: scenarios require finite numbers, while a
 ledger allows infinities (a boundary report's log score is -inf). NaN is
-never a number.
+never a number. A list or table of leaf values is checked a column at a
+time (`Leaf.column`); a field that check does not clear is read value by
+value, which names the entry that fails, so both give one result.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import Optional
 
 from .priors import BetaIID, DegenerateAt, ProductGrid, UniformIID, check_shape
 
@@ -85,10 +88,10 @@ class Fields:
             raise self.fail(key, f"expected an integer, got {value!r}")
         return self._bounded(key, value, lo, hi)
 
-    def leaf(self, kind: type, lo=None, hi=None):
+    def leaf(self, kind: type, lo=None, hi=None) -> "Leaf":
         """A leaf reader for `points`: an int, or with `float` any number,
         in [lo, hi]."""
-        return functools.partial(self._integer if kind is int else self._number, lo=lo, hi=hi)
+        return Leaf(self, kind, lo, hi)
 
     def _instance(self, key: str, kind: type, what: str, default):
         def check(value):
@@ -152,6 +155,10 @@ class Fields:
         at = key if at is None else at
 
         def check(value):
+            whole = _whole(value, depth, leaf)
+            if whole is not None:
+                return whole
+
             def read(item, level: int):
                 if not isinstance(item, list):
                     raise self.fail(at, f"{shape}, got {value!r}")
@@ -194,3 +201,66 @@ class Fields:
             return prior
 
         return self._read(key, default, check)
+
+
+class Leaf:
+    """A leaf reader of `fields` (`Fields.leaf`): called on one value, it
+    reads an int, or with `float` any number, in [lo, hi], and fails naming
+    the field; `column` checks a list of values at once."""
+
+    __slots__ = ("fields", "kind", "lo", "hi")
+
+    def __init__(self, fields: Fields, kind: type, lo=None, hi=None) -> None:
+        self.fields, self.kind, self.lo, self.hi = fields, kind, lo, hi
+
+    def __call__(self, at: str, value):
+        read = self.fields._integer if self.kind is int else self.fields._number
+        return read(at, value, self.lo, self.hi)
+
+    def column(self, values: list) -> Optional[list]:
+        """What this reader gives each of `values`, when it is sure to take
+        every one: plain ints (with `float`, or floats that are not NaN, and
+        finite where the fields require it) within [lo, hi]. Else None, and
+        the values go through the reader one by one, which names the first
+        that fails."""
+        if not set(map(type, values)) <= ({int} if self.kind is int else {int, float}):
+            return None
+        if self.kind is float:
+            try:
+                values = list(map(float, values))
+            except OverflowError:  # an integer beyond the floats
+                return None
+            if not all(map(math.isfinite, values)) and (
+                self.fields.finite or any(map(math.isnan, values))
+            ):
+                return None
+        if values and (
+            (self.lo is not None and min(values) < self.lo)
+            or (self.hi is not None and max(values) > self.hi)
+        ):
+            return None
+        return values
+
+
+def _whole(value, depth: int, leaf) -> Optional[tuple]:
+    """`Fields.points`' reading of `value` at depth 1 or 2, each list of
+    values one reader takes checked at once by `Leaf.column`; None where
+    that is not sure to succeed (another depth, a shape `points` rejects,
+    or a value a column does not take), and `points` reads value by value
+    instead."""
+    if depth not in (1, 2) or type(value) is not list:
+        return None
+    rows = [value] if depth == 1 else value
+    if not all(type(row) is list for row in rows):
+        return None
+    if isinstance(leaf, tuple):
+        if not leaf or any(len(row) != len(leaf) for row in rows):
+            return None
+        if any(reader is not leaf[0] for reader in leaf):
+            columns = [reader.column(list(values)) for reader, values in zip(leaf, zip(*rows))]
+            return None if None in columns else tuple(zip(*columns))
+        leaf = leaf[0]  # one reader for every cell, as a matrix's
+    read = [leaf.column(row) for row in rows]
+    if None in read:
+        return None
+    return tuple(read[0]) if depth == 1 else tuple(map(tuple, read))

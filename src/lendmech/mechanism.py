@@ -4,8 +4,10 @@ outcome map passes.
 
 `WinklerInstance` and `VcgInstance` expose one interface, which is all that
 rounds, the CLI and the audits call: `allocate(reports) -> Allocation`,
-`settle(reports, outcomes, allocation=None) -> Settlement` (handed the
-allocation of those reports, it does not allocate again),
+`select(scores) -> Allocation` (the same rule applied to the borrowers'
+pooled scores, a list of floats; `allocate` is `select` of its reports'
+pool), `settle(reports, outcomes, allocation=None) -> Settlement` (handed
+the allocation of those reports, it does not allocate again),
 `expost_utility(reports, i, belief_row)`, `engine(i, others)` and
 `weights_in_force`. Two static methods take a stack of rounds, (R, n, m)
 reports, round r under `insts[r]`; the instances may differ only in their
@@ -118,16 +120,28 @@ class Settlement:
         return left_sum(v for (j, _), v in self.contingent.items() if j == i)
 
     def realized_utility(self, i: int) -> float:
-        rebate = self.tcomp[i] if self.tcomp is not None else 0.0
-        return self.paid(i) + rebate - self.immediate[i]
+        return self.accounts()[0][i]
+
+    def accounts(self) -> tuple[tuple[float, ...], float]:
+        """Every recommender's realized utility, paid(i) + rebate - charge,
+        and the round's `deficit`, from one pass over the contingent
+        payments. Both sums run in the dict's own order, as `paid` and
+        `left_sum` take it; for a Winkler round that order is borrower by
+        borrower, not the sorted order a ledger line lists."""
+        paid, out = [0.0] * len(self.immediate), 0.0
+        for (i, _), v in self.contingent.items():
+            paid[i] += v
+            out += v
+        rebates = self.tcomp if self.tcomp is not None else (0.0,) * len(paid)
+        utilities = tuple(p + rebate - c for p, rebate, c in zip(paid, rebates, self.immediate))
+        if self.tcomp is not None:
+            out += left_sum(self.tcomp)
+        return utilities, float(out - left_sum(self.immediate))
 
 
 def deficit(settlement: Settlement) -> float:
     """Net payment out of the mechanism this round (negative = surplus)."""
-    out = left_sum(settlement.contingent.values())
-    if settlement.tcomp is not None:
-        out += left_sum(settlement.tcomp)
-    return float(out - left_sum(settlement.immediate))
+    return settlement.accounts()[1]
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -489,14 +503,6 @@ class Grid:
         if samples == 1:
             return mean, np.zeros(len(mean))
         return mean, np.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
-
-
-def grid_stats(blocks, u, alpha, truth: float, reports, gain) -> tuple[np.ndarray, np.ndarray]:
-    """`Grid`'s statistics of one block of samples: `blocks(levels)` gives
-    each sample's level block."""
-    grid = Grid(truth, reports, gain)
-    grid.add(blocks(grid.levels), u, alpha)
-    return grid.stats()
 
 
 def _block_factor(block: np.ndarray, n_blocks: int, dev_u: np.ndarray, dev_alpha: np.ndarray):

@@ -9,14 +9,20 @@ funded borrowers' outcomes from those uniforms. Under fixed weights every
 round is allocated in one call of the mechanism's `allocate_rounds`; with
 outcome-adaptive weights, round r's weights come only from the reports and
 outcomes of funded loans in rounds before r, so each such round is
-allocated alone once they are known. Nothing a later round reads depends
-on the settlement, so last, one call of the mechanism's `settle_rounds`
-prices every round, and the records are built from the stacked arrays.
+allocated alone once they are known: its scores are one `linear_scores`
+call under its weights, and its funded set is the mechanism's own
+`select` of those scores, the rule `allocate` applies. Nothing a later
+round reads depends on the settlement, so last, one call of the
+mechanism's `settle_rounds` prices every round and checks the stack's
+reports, and the records are built from the stacked arrays, each round's
+realized utilities and deficit from one pass over its payments.
 `run_round` is a campaign of one round through the same steps. With
 outcome-adaptive weighting, a `BudescuAccumulator` scores each funded loan
-once, when its round is allocated, and keeps running sums: a round's
-weight update costs O(n) per newly funded loan, plus O(window * n) under a
-history window, instead of a rescan of every past loan.
+once, when its round is allocated, from the loan's column of reports and
+its outcome, and keeps running sums: a round's weight update costs O(n)
+per newly funded loan, plus O(window * n) under a history window, instead
+of a rescan of every past loan. No `ObservedLoan` is built on that path;
+`evolve_weights`, which rescans a ledger's loans, is its oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -39,8 +46,7 @@ from .aggregation import (
 )
 from .errors import AllNonPositiveContribution, EmptyHistory, LedgerError, MechanismError
 from .fields import Fields
-from .mechanism import Allocation, Instance, check_outcomes, deficit
-from .mechanism import left_sum
+from .mechanism import Allocation, Instance, check_outcomes, left_sum, linear_scores
 from .priors import PriorSpec, UniformIID, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
@@ -142,8 +148,18 @@ _FIELDS = dataclasses.fields(RoundRecord)
 _NAMES = tuple(f.name for f in _FIELDS)
 
 
+# The ledger's encoder, one for every line: a record's fields go in as a
+# dict built in sorted key order, so it writes the bytes of
+# `json.dumps(..., sort_keys=True)` without sorting each line's keys. A
+# record's values are tuples of numbers and strings, which cannot contain
+# themselves, so the encoder does not check for cycles.
+_SORTED_NAMES = tuple(sorted(_NAMES))
+_SORTED_VALUES = operator.attrgetter(*_SORTED_NAMES)
+_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 def record_to_json(record: RoundRecord) -> str:
-    return json.dumps({f.name: getattr(record, f.name) for f in _FIELDS}, sort_keys=True)
+    return _ENCODER.encode(dict(zip(_SORTED_NAMES, _SORTED_VALUES(record))))
 
 
 def _ascending(values) -> bool:
@@ -259,15 +275,10 @@ class RoundLedger:
 def funded_loans(record: RoundRecord, n: int) -> list[ObservedLoan]:
     """The round's funded borrowers in index order, each as the first n
     recommenders' reports on it and its outcome."""
-    return _loans(record.reports, dict(record.outcomes), record.funded_real, n)
-
-
-def _loans(reports, outcomes, funded, n: int) -> list[ObservedLoan]:
-    """`funded_loans` of a round's reports (rows of floats), outcome map and
-    funded borrowers."""
+    outcomes = dict(record.outcomes)
     return [
-        ObservedLoan(reports=tuple(reports[i][q] for i in range(n)), outcome=outcomes[q])
-        for q in funded
+        ObservedLoan(reports=tuple(record.reports[i][q] for i in range(n)), outcome=outcomes[q])
+        for q in record.funded_real
     ]
 
 
@@ -296,12 +307,13 @@ def round_hashes(config: "CampaignConfig", seed: int) -> Callable[[int], str]:
     """`config_hash(config, seed, round_id)` as a function of the round.
 
     The payload is encoded once with a null round; each call writes only
-    the round into that text. Keys are sorted, so the top-level
-    "round_id" is the last one the text holds, just before "seed".
+    the round into that text, as the decimal digits JSON gives an integer.
+    Keys are sorted, so the top-level "round_id" is the last one the text
+    holds, just before "seed".
     """
     payload = {"config": _describe(config), "seed": seed, "round_id": None}
     head, tail = json.dumps(payload, sort_keys=True).rsplit('"round_id": null', 1)
-    return lambda round_id: _digest(f'{head}"round_id": {json.dumps(round_id)}{tail}')
+    return lambda round_id: _digest(f'{head}"round_id": {round_id:d}{tail}')
 
 
 def _allocate(insts: Sequence[Instance], truths, reports: np.ndarray, uniforms: np.ndarray):
@@ -328,11 +340,14 @@ def _records(
     """The records of allocated rounds of one mechanism, all priced by one
     call of its `settle_rounds`: round k is `round_ids[k]`, played under
     `insts[k]` with truth row `truths[k]` and reports `reports[k]`, whose
-    scenario hash is `hashes[k]`."""
+    scenario hash is `hashes[k]`. Each round's realized utilities and
+    deficit come from one pass over its payments (`Settlement.accounts`)."""
     settlements = insts[0].settle_rounds(insts, reports, outcomes, allocations)
     rows = zip(insts, truths, reports.tolist(), outcomes, settlements, round_ids, hashes)
-    return [
-        RoundRecord(
+    records = []
+    for inst, truth_row, matrix, realized, settlement, round_id, scenario_hash in rows:
+        utilities, round_deficit = settlement.accounts()
+        records.append(RoundRecord(
             round_id=round_id,
             scenario_hash=scenario_hash,
             weights=tuple(map(float, inst.weights_in_force)),
@@ -343,14 +358,13 @@ def _records(
             outcomes=tuple(sorted(realized.items())),
             immediate=settlement.immediate,
             contingent=tuple(
-                (i, q, float(v)) for (i, q), v in sorted(settlement.contingent.items())
+                [(i, q, float(v)) for (i, q), v in sorted(settlement.contingent.items())]
             ),
             tcomp=settlement.tcomp,
-            deficit=deficit(settlement),
-            realized_utilities=tuple(settlement.realized_utility(i) for i in range(inst.n)),
-        )
-        for inst, truth_row, matrix, realized, settlement, round_id, scenario_hash in rows
-    ]
+            deficit=round_deficit,
+            realized_utilities=utilities,
+        ))
+    return records
 
 
 def run_round(
@@ -485,18 +499,24 @@ def campaign(
         allocations, outcomes = _allocate(insts, truth_rows, reports, uniforms)
     else:
         # Round r's weights come from the outcomes of rounds before r, so
-        # each round is allocated alone, once its weights are known.
-        scores = BudescuAccumulator(n, config.history_window)
+        # each round is allocated alone, once its weights are known: one
+        # `linear_scores` call and the mechanism's own `select`. Its funded
+        # borrowers' columns of reports feed the weights.
+        budescu = BudescuAccumulator(n, config.history_window)
+        columns = reports.transpose(0, 2, 1).tolist()  # [round][borrower]: n reports
         insts, allocations, outcomes = [], [], []
-        for r, (matrix, draws) in enumerate(zip(reports.tolist(), uniforms.tolist())):
+        for r, draws in enumerate(uniforms.tolist()):
             if r > 0:
-                weights = scores.weights()
-            insts.append(instance(weights))
-            allocations.append(insts[r].allocate(reports[r]))
-            funded = allocations[r].funded_real
-            outcomes.append(_outcomes(funded, truth_rows[r], draws))
-            scores.add(_loans(matrix, outcomes[r], funded, n))
-        weights = scores.weights()  # after the last round
+                weights = budescu.weights()
+            inst = instance(weights)
+            allocation = inst.select(linear_scores(weights.weights, reports[r]).tolist())
+            realized = _outcomes(allocation.funded_real, truth_rows[r], draws)
+            for q, outcome in realized.items():
+                budescu.add_column(columns[r][q], outcome)
+            insts.append(inst)
+            allocations.append(allocation)
+            outcomes.append(realized)
+        weights = budescu.weights()  # after the last round
     hashes = list(map(round_hashes(config, seed), range(rounds)))
     records = _records(insts, truth_rows, reports, allocations, outcomes, range(rounds), hashes)
     ledger = RoundLedger()

@@ -32,6 +32,10 @@ from .priors import PriorSpec, UniformIID
 from .rounds import CampaignConfig, WorldModel, build_instance as _build
 
 SCHEMA_VERSION = 1
+# The most recommenders (n) and borrowers (m) a scenario may declare: both
+# are read before anything is sized by them, so a huge value is a field
+# error, not a weight vector or key list of that length.
+MAX_SIZE = 10_000
 CURVE_VARIANTS = (
     "trunc-quadratic",
     "trunc-quadratic-raw",
@@ -244,8 +248,8 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
             source=source, kind=kind, variant=variant, threshold=c, grid=grid, note=note
         )
 
-    n = top.integer("n", lo=1)
-    m = top.integer("m", lo=1)
+    n = top.integer("n", lo=1, hi=MAX_SIZE)
+    m = top.integer("m", lo=1, hi=MAX_SIZE)
     cap = top.integer("K", lo=1, hi=m, default=REQUIRED if mechanism == "vcg" else None)
     alpha = top.number("alpha", default=1.0)
     if alpha <= 0:
@@ -263,8 +267,10 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
     prior = top.prior("prior", n, m, default=None)
     if beliefs is None and prior is None and data.get("campaign") is None:
         raise top.fail("beliefs", "need explicit beliefs, a prior, or a campaign block")
-    # borrower index -> repayment outcome
-    outcomes = top.block("outcomes", tuple(str(q) for q in range(m)))
+    # borrower index -> repayment outcome; the keys are built only for a block
+    outcomes = None
+    if data.get("outcomes") is not None:
+        outcomes = top.block("outcomes", tuple(str(q) for q in range(m)))
 
     sc = Scenario(
         source=source,

@@ -82,6 +82,11 @@ class VcgInstance:
     def allocate(self, reports) -> Allocation:
         return allocate(self, reports)
 
+    def select(self, scores: Sequence[float]) -> Allocation:
+        """`allocate`'s rule (`_select`) applied to the borrowers' pooled
+        scores, a list of floats."""
+        return _select(scores, self.reserve_threshold, self.n_reserves, self.K)
+
     def settle(
         self, reports, outcomes: Mapping[int, int], allocation: Optional[Allocation] = None
     ) -> Settlement:
@@ -190,8 +195,7 @@ def allocate(inst: VcgInstance, reports) -> Allocation:
 
 def _allocate(inst: VcgInstance, arr: np.ndarray) -> Allocation:
     """`allocate` of an already checked report matrix."""
-    scores = linear_scores(inst.weights, arr)
-    return _select(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
+    return inst.select(linear_scores(inst.weights, arr).tolist())
 
 
 def _check_real_recommender(inst: VcgInstance, i: int) -> None:

@@ -60,10 +60,21 @@ class WinklerInstance:
     # The mechanism interface (see lendmech.mechanism). `allocate` and
     # `settle` forward to the module-level functions of the same name,
     # looked up at each call: perfbench/tracer.py times them by patching
-    # the module, and so times a campaign's per-round `allocate` calls.
+    # the module.
 
     def allocate(self, reports) -> Allocation:
         return allocate(self, reports)
+
+    def select(self, scores: Sequence[float]) -> Allocation:
+        """`allocate`'s rule applied to the borrowers' aggregate scores, a
+        list of floats: fund q iff its score is above c, and under a cap
+        only the top-`cap` such borrowers, ties going to the lower index."""
+        eligible = sorted(
+            (q for q, s in enumerate(scores) if s > self.threshold),
+            key=lambda q: (-scores[q], q),
+        )
+        funded = set(eligible[: self.cap])
+        return Allocation(tuple(1 if q in funded else 0 for q in range(self.m)))
 
     def settle(
         self, reports, outcomes: Mapping[int, int], allocation: Optional[Allocation] = None
@@ -139,13 +150,7 @@ def allocate(inst: WinklerInstance, reports) -> Allocation:
 
 def _allocate(inst: WinklerInstance, arr: np.ndarray) -> Allocation:
     """`allocate` of an already checked report matrix."""
-    scores = aggregate_columns(inst.aggregator, arr)
-    eligible = sorted(
-        (q for q in range(inst.m) if scores[q] > inst.threshold),
-        key=lambda q: (-scores[q], q),
-    )
-    funded = set(eligible[: inst.cap])
-    return Allocation(tuple(1 if q in funded else 0 for q in range(inst.m)))
+    return inst.select(aggregate_columns(inst.aggregator, arr).tolist())
 
 
 def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> float:

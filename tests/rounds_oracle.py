@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from lendmech.mechanism import Instance, deficit
+from lendmech.mechanism import Instance, Settlement, left_sum
 from lendmech.priors import sample_profiles
 from lendmech.rounds import RoundRecord, WorldModel
 
@@ -50,6 +50,21 @@ def play_round(
     return truths, reports, allocation, outcomes
 
 
+def scanned_accounts(settlement: Settlement, n: int) -> tuple[tuple[float, ...], float]:
+    """`Settlement.accounts` written out: each recommender's paid sum
+    scanned from the contingent payments in their order, plus rebate minus
+    charge, and the deficit as the payments' `left_sum` plus the rebates'
+    minus the charges'."""
+    rebates = settlement.tcomp if settlement.tcomp is not None else (0.0,) * n
+    utilities = tuple(
+        settlement.paid(i) + rebates[i] - settlement.immediate[i] for i in range(n)
+    )
+    out = left_sum(settlement.contingent.values())
+    if settlement.tcomp is not None:
+        out += left_sum(settlement.tcomp)
+    return utilities, float(out - left_sum(settlement.immediate))
+
+
 def oracle_round(
     inst: Instance,
     world: WorldModel,
@@ -59,9 +74,11 @@ def oracle_round(
     deviation: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> RoundRecord:
     """`rounds.run_round`, played by `play_round`, settled by `inst.settle`
-    and recorded one cell at a time."""
+    and recorded one cell at a time, its utilities and deficit scanned
+    (`scanned_accounts`)."""
     truths, reports, allocation, outcomes = play_round(inst, world, seed, deviation)
     settlement = inst.settle(reports, outcomes, allocation)
+    utilities, round_deficit = scanned_accounts(settlement, inst.n)
     return RoundRecord(
         round_id=round_id,
         scenario_hash=scenario_hash,
@@ -76,7 +93,7 @@ def oracle_round(
             (i, q, float(v)) for (i, q), v in sorted(settlement.contingent.items())
         ),
         tcomp=settlement.tcomp,
-        deficit=deficit(settlement),
-        realized_utilities=tuple(settlement.realized_utility(i) for i in range(inst.n)),
+        deficit=round_deficit,
+        realized_utilities=utilities,
     )
 

@@ -13,7 +13,7 @@ from funding_oracle import report_bounds
 from lendmech import audit, mechanism
 from lendmech.aggregation import MonotoneCustom, WeightVector, WeightedLinear
 from lendmech.mechanism import Allocation, FundingTest, Grid, Moments, RowsColumn, SampleEngine
-from lendmech.mechanism import Settlement, deficit, grid_stats, left_sum, linear_scores, mean_se
+from lendmech.mechanism import Settlement, deficit, left_sum, linear_scores, mean_se
 from lendmech.mechanism import LevelEdges, others_scores, place, scores_with
 from lendmech.priors import DegenerateAt
 from lendmech.vcg import InterimEngine, VcgInstance
@@ -534,6 +534,14 @@ class TestPlace:
         edges, seeds = case
         want = np.searchsorted(edges, seeds, side="right")
         assert place(edges, seeds).tolist() == want.tolist()
+
+
+def grid_stats(blocks, u, alpha, truth: float, reports, gain):
+    """`Grid`'s statistics of one block of samples: `blocks(levels)` gives
+    each sample's level block."""
+    grid = Grid(truth, reports, gain)
+    grid.add(blocks(grid.levels), u, alpha)
+    return grid.stats()
 
 
 def explicit_grid_stats(bound, u, alpha, truth, reports, gain):

@@ -11,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lendmech import rounds
-from lendmech.aggregation import BudescuAccumulator, WeightVector, WeightedLinear
+from lendmech.aggregation import BudescuAccumulator, ObservedLoan, WeightVector, WeightedLinear
+from lendmech.aggregation import _column_errors, _loan_errors
 from lendmech.errors import LedgerError
 from lendmech.priors import BetaIID, DegenerateAt, ProductGrid, UniformIID
-from lendmech.mechanism import left_sum
+from lendmech.mechanism import Allocation, left_sum
 from lendmech.rounds import CampaignConfig, CampaignSummary, RoundLedger, RoundRecord, WorldModel
 from lendmech.scenario import build_campaign_config, load_bundled
 from lendmech.vcg import VcgInstance
@@ -370,6 +371,7 @@ def loan_record(reports, outcomes, round_id=0) -> RoundRecord:
 
 # A coarse grid makes ties between reports, and between contributions, common.
 GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+EIGHTHS = st.sampled_from([k / 8 for k in range(9)])
 
 
 @st.composite
@@ -410,6 +412,24 @@ class TestBudescuAccumulator:
             scores.add(rounds.funded_loans(record, n))
             prefix.append(record)
         assert scores.weights() == rounds.evolve_weights(prefix, n, window)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(st.lists(EIGHTHS, min_size=n, max_size=n), st.integers(0, 1)),
+        min_size=1, max_size=12,
+    )), st.none() | st.integers(1, 5))
+    def test_a_column_is_scored_as_its_loan(self, loans, window):
+        # The campaign feeds the accumulator a column of reports and an
+        # outcome; each loan's error row is `_loan_errors` of the same loan
+        # as an `ObservedLoan`, and the weights follow, with a window too.
+        n = len(loans[0][0])
+        by_column, by_loan = BudescuAccumulator(n, window), BudescuAccumulator(n, window)
+        for column, outcome in loans:
+            loan = ObservedLoan(reports=tuple(column), outcome=outcome)
+            assert _column_errors(column, outcome) == _loan_errors(loan)
+            by_column.add_column(column, outcome)
+            by_loan.add([loan])
+            assert by_column.weights() == by_loan.weights()
 
     @pytest.mark.parametrize("window", [0, -3])
     def test_rejects_non_positive_window(self, window):
@@ -454,31 +474,29 @@ class TestConfigHash:
 
 def per_round_campaign(n_rounds, config, seed):
     """`rounds.campaign` as a loop of the oracle's rounds, each drawn,
-    allocated and settled alone under the weights its accumulator gives
-    from the rounds before it."""
+    allocated and settled alone under the weights `rounds.evolve_weights`
+    gives from the rounds before it, every past loan scored afresh: no
+    `BudescuAccumulator`, which the campaign keeps."""
     round_seeds = np.random.SeedSequence(seed).generate_state(n_rounds)
     weights = (
         WeightVector(config.initial_weights)
         if config.initial_weights is not None
         else WeightVector.equal(config.n)
     )
-    scores = (
-        BudescuAccumulator(config.n, config.history_window)
-        if config.weight_mode == "budescu"
-        else None
-    )
+    budescu = config.weight_mode == "budescu"
     hashes = rounds.round_hashes(config, seed)
-    records = []
+    records, played = [], RoundLedger()
     for r in range(n_rounds):
-        if scores is not None and r > 0:
-            weights = scores.weights()
+        if budescu and r > 0:
+            weights = rounds.evolve_weights(played, config.n, config.history_window)
         inst = rounds.build_instance(
             config.mechanism, config.n, config.m, config.threshold, weights.weights,
             config.K, config.alpha, config.tcomp_enabled,
         )
         records.append(oracle_round(inst, config.world, int(round_seeds[r]), r, hashes(r)))
-        if scores is not None:
-            scores.add(rounds.funded_loans(records[-1], config.n))
+        played.append(records[-1])
+    if budescu:
+        weights = rounds.evolve_weights(played, config.n, config.history_window)
     funded = sum(len(rec.funded_real) for rec in records)
     repaid = sum(o for rec in records for _, o in rec.outcomes)
     summary = CampaignSummary(
@@ -492,7 +510,7 @@ def per_round_campaign(n_rounds, config, seed):
             left_sum(column) for column in zip(*(rec.realized_utilities for rec in records))
         ),
         weight_trajectory=tuple(rec.weights for rec in records),
-        final_weights=(scores.weights() if scores is not None else weights).weights,
+        final_weights=weights.weights,
     )
     return summary, records
 
@@ -611,6 +629,24 @@ class TestCampaign:
         # A campaign that funds nobody has a NaN repayment rate, which `==`
         # does not equal; the reprs are the floats' exact digits.
         assert repr(summary) == repr(want_summary)
+
+    @pytest.mark.parametrize("mechanism, K", [("winkler", None), ("winkler", 2), ("vcg", 2)])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_budescu_rounds_allocate_as_allocate(self, mechanism, K, tied):
+        # A Budescu round is allocated by `select` of one `linear_scores`
+        # call; each is `inst.allocate` of the round's reports under the
+        # round's weights. Quarter-grid beliefs tie reports and scores.
+        world = WORLD
+        if tied:
+            quarters = tuple(tuple((0.0, 0.25, 0.5, 0.75, 1.0) for _ in range(6)) for _ in range(3))
+            world = WorldModel(belief_prior=ProductGrid(quarters))
+        config = CampaignConfig(mechanism, 3, 6, 0.5, world, K=K, weight_mode="budescu")
+        _, ledger = rounds.campaign(60, config, seed=5)
+        assert len({record.weights for record in ledger.records}) > 1
+        for record in ledger.records:
+            inst = rounds.build_instance(mechanism, 3, 6, 0.5, record.weights, K)
+            real = tuple(int(q in record.funded_real) for q in range(6))
+            assert inst.allocate(np.array(record.reports)) == Allocation(real, record.reserves_funded)
 
     def test_deterministic(self):
         config = CampaignConfig(

@@ -660,7 +660,7 @@ class TestInterimEngine:
     @settings(max_examples=80, deadline=None)
     @given(tie_interim_cases(), st.data())
     def test_truth_minus_a_report_is_the_funding_gap_times_u_in_minus_u_out(self, case, data):
-        # `column_stats` scores VCG through `grid_stats` with u = u_in - u_out
+        # `column_stats` scores VCG through a `Grid` with u = u_in - u_out
         # and alpha 0; that model is exact on every sample.
         inst, i, true_row, seed = case
         n, m = inst.n, inst.m

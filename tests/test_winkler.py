@@ -113,6 +113,20 @@ class TestCap:
         with pytest.raises(ShapeMismatch):
             inst.allocate(np.full((3, 3), 0.6))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+        st.lists(st.sampled_from(EIGHTHS), min_size=m, max_size=m),
+        st.none() | st.integers(1, m),
+    )), st.sampled_from(TIE_THRESHOLDS))
+    def test_select_funds_the_top_cap_above_c(self, case, c):
+        # Ties on the eighth grid: at c itself (unfunded) and between
+        # borrowers, where the lower index goes first under a cap.
+        scores, cap = case
+        inst = WinklerInstance(3, len(scores), c, WeightedLinear(WeightVector.equal(3)), cap=cap)
+        ranked = sorted((-s, q) for q, s in enumerate(scores) if s > c)
+        funded = {q for _, q in ranked[: len(scores) if cap is None else cap]}
+        assert inst.select(scores).real == tuple(int(q in funded) for q in range(len(scores)))
+
     def test_cap_out_of_range(self):
         for cap in (0, 3):
             with pytest.raises(ValueError, match="cap"):
