@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -395,7 +396,11 @@ def cmd_weights(args) -> int:
 # ── wiring ────────────────────────────────────────────────────────────
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: parsing leaves a parser as it was, and building one costs about a
+    millisecond, which `main` would otherwise pay on every call."""
     parser = _Parser(prog="lendmech", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,14 +9,16 @@ pooled scores, a list of floats; `allocate` is `select` of its reports'
 pool), `settle(reports, outcomes, allocation=None) -> Settlement` (handed
 the allocation of those reports, it does not allocate again),
 `expost_utility(reports, i, belief_row)`, `engine(i, others)` and
-`weights_in_force`. Two static methods take a stack of rounds, (R, n, m)
-reports, round r under `insts[r]`; the instances may differ only in their
-weights (`check_rounds`), as a campaign's rounds do.
-`allocate_rounds(insts, reports)` gives one `Allocation` per round, each
-`allocate`'s for its round. `settle_rounds(insts, reports, outcomes,
-allocations=None)` prices the stack in one pass and gives one
-`Settlement` per round; it is each mechanism's one settlement, and
-`settle` is a stack of one round.
+`weights_in_force`. Two methods play a stack of rounds on one instance:
+(R, n, m) reports, round r under weights `weights[r]` of an (R, n) array,
+as a campaign's rounds differ only in their weights (`check_rounds`).
+`allocate_rounds(weights, reports)` gives one `Allocation` per round, each
+`allocate`'s for its round under its weights. `settle_rounds(weights,
+reports, outcomes, allocations=None)` prices the stack in one pass and
+gives its `Payments`: the charges, the rebates and every funded loan's
+payments as arrays, from which each round's realized utilities and
+deficit follow (`accounts`). It is each mechanism's one settlement;
+`settle` is a stack of one round, given back as a `Settlement`.
 
 `engine(i, others)` gives an interim engine for recommender i over
 co-reports `others`, (samples, n-1, m): the mechanism's vectorized one, or
@@ -64,11 +66,11 @@ error once. `column_stats` is one block's column.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
+from itertools import islice, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -123,25 +125,78 @@ class Settlement:
         return self.accounts()[0][i]
 
     def accounts(self) -> tuple[tuple[float, ...], float]:
-        """Every recommender's realized utility, paid(i) + rebate - charge,
-        and the round's `deficit`, from one pass over the contingent
-        payments. Both sums run in the dict's own order, as `paid` and
-        `left_sum` take it; for a Winkler round that order is borrower by
-        borrower, not the sorted order a ledger line lists."""
-        paid, out = [0.0] * len(self.immediate), 0.0
-        for (i, _), v in self.contingent.items():
-            paid[i] += v
-            out += v
-        rebates = self.tcomp if self.tcomp is not None else (0.0,) * len(paid)
-        utilities = tuple(p + rebate - c for p, rebate, c in zip(paid, rebates, self.immediate))
-        if self.tcomp is not None:
-            out += left_sum(self.tcomp)
-        return utilities, float(out - left_sum(self.immediate))
+        """`accounts` of the contingent payments in the dict's own order."""
+        cells = ((i, q, v) for (i, q), v in self.contingent.items())
+        return accounts(cells, self.immediate, self.tcomp)
+
+
+def accounts(
+    cells: Iterable[tuple[int, int, float]], immediate: Sequence[float], tcomp
+) -> tuple[tuple[float, ...], float]:
+    """Every recommender's realized utility, paid(i) + rebate - charge, and
+    the round's deficit, from one pass over its contingent payments `cells`,
+    (recommender, borrower, paid) triples. Both sums run in the cells'
+    order, as `Settlement.paid` and `left_sum` take it: for a Winkler round
+    borrower by borrower, for a VCG round recommender by recommender
+    (`Payments.rounds`), not the sorted order a ledger line lists; the
+    order moves the deficit's rounding. `tcomp` is None without rebates."""
+    paid, out = [0.0] * len(immediate), 0.0
+    for i, _, v in cells:
+        paid[i] += v
+        out += v
+    rebates = tcomp if tcomp is not None else (0.0,) * len(paid)
+    utilities = tuple(p + rebate - c for p, rebate, c in zip(paid, rebates, immediate))
+    if tcomp is not None:
+        out += left_sum(tcomp)
+    return utilities, float(out - left_sum(immediate))
 
 
 def deficit(settlement: Settlement) -> float:
     """Net payment out of the mechanism this round (negative = surplus)."""
     return settlement.accounts()[1]
+
+
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
+class Payments:
+    """A settled stack of R rounds, as arrays: each round's allocation, the
+    charges `immediate` and the rebates `tcomp`, (R, n) (None when the
+    mechanism pays no rebate), and `paid`, one row per funded loan,
+    (loans, n): every recommender's outcome-contingent payment on it. The
+    loans go round by round, each round's borrowers in index order.
+
+    `recommender_major` is the order in which a round's payments are summed
+    (`accounts`) and listed in its `Settlement`: recommender by recommender
+    (VCG), else borrower by borrower (Winkler).
+    """
+
+    allocations: Sequence[Allocation]
+    immediate: np.ndarray
+    tcomp: Optional[np.ndarray]
+    paid: np.ndarray
+    recommender_major: bool
+
+    def rounds(self) -> Iterator[tuple[Allocation, list, tuple, Optional[tuple]]]:
+        """Each round's allocation, its contingent payments as (recommender,
+        borrower, paid) cells in the summation order, its charges and its
+        rebates (None without), every number a Python float."""
+        paid = self.paid.tolist()
+        charges = map(tuple, self.immediate.tolist())
+        rebates = repeat(None) if self.tcomp is None else map(tuple, self.tcomp.tolist())
+        n, start = self.immediate.shape[1], 0
+        for alloc, immediate, tcomp in zip(self.allocations, charges, rebates):
+            funded = alloc.funded_real
+            rows = paid[start : start + len(funded)]
+            start += len(funded)
+            if self.recommender_major:
+                cells = [(i, q, row[i]) for i in range(n) for q, row in zip(funded, rows)]
+            else:
+                cells = [(i, q, v) for q, row in zip(funded, rows) for i, v in enumerate(row)]
+            yield alloc, cells, immediate, tcomp
+
+    def settlement(self, r: int) -> Settlement:
+        """Round r's `Settlement`, its contingent payments in summation order."""
+        alloc, cells, immediate, tcomp = next(islice(self.rounds(), r, None))
+        return Settlement(alloc, immediate, {(i, q): v for i, q, v in cells}, tcomp)
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -680,43 +735,46 @@ class FundingTest:
         return scores <= self.key[near]
 
 
-def check_rounds(insts: Sequence, varying: str, reports, *per_round: Sequence) -> np.ndarray:
-    """`reports` checked as a stack of rounds, which allocate or settle in
-    one call: (R, n, m), round r under `insts[r]`.
-
-    The instances must be one mechanism: the first one's type and fields,
-    but for field `varying` (a campaign's weights or aggregator). An
-    instance is not compared with itself, so a fixed-weight campaign's
-    stack, one instance repeated, costs a pass of identity checks. Each of
-    `per_round` must hold one entry per round."""
-    if not insts:
+def check_rounds(inst, weights, reports, *per_round: Optional[Sequence], weighted: bool = True):
+    """`weights` and `reports` checked as a stack of rounds on `inst`, which
+    allocate or settle in one call: (R, n) weights, round r's under
+    `weights[r]`, finite and nonnegative unless the instance reads none
+    (`weighted` false: a custom pool, whose `weights_in_force` is NaN), and
+    (R, n, m) reports, as two float arrays. Each of `per_round` that is not
+    None must hold one entry per round."""
+    try:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"weights is not an (R, {inst.n}) array of numbers") from None
+    if w.ndim != 2 or w.shape[1] != inst.n:
+        raise ShapeMismatch(f"weights shape {w.shape} != (R, {inst.n})")
+    if not len(w):
         raise ValueError("need at least one round")
-    if any(len(values) != len(insts) for values in per_round):
-        raise ValueError(f"need one entry per round for each of the {len(insts)} rounds")
-    first = insts[0]
-    names = [f.name for f in dataclasses.fields(first) if f.name != varying]
-    for r, inst in enumerate(insts):
-        if inst is not first and (
-            type(inst) is not type(first)
-            or any(getattr(inst, name) != getattr(first, name) for name in names)
-        ):
-            raise ValueError(f"round {r} differs from round 0 in more than its {varying}")
-    return check_reports(reports, (len(insts), first.n, first.m))
+    if weighted and not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise ValueError("weights must be finite and nonnegative")
+    if any(values is not None and len(values) != len(w) for values in per_round):
+        raise ValueError(f"need one entry per round for each of the {len(w)} rounds")
+    return w, check_reports(reports, (len(w), inst.n, inst.m))
 
 
-def checked_allocations(
-    allocate, insts, arr: np.ndarray, outcomes, allocations
-) -> list[Allocation]:
-    """Each round's allocation of a checked stack, `allocate(inst, matrix)`
-    where `allocations` holds None, with the round's outcomes checked
-    against it (`check_outcomes`): what both settlements start from."""
-    allocs = [
-        alloc if alloc is not None else allocate(inst, matrix)
-        for inst, matrix, alloc in zip(insts, arr, allocations)
-    ]
-    for alloc, realized in zip(allocs, outcomes):
+def one_round(inst, reports) -> tuple[np.ndarray, np.ndarray]:
+    """`reports`, checked as an (n, m) matrix, as a stack of one round under
+    the instance's own weights (`weights_in_force`): (1, n) and (1, n, m)."""
+    arr = check_reports(reports, (inst.n, inst.m))
+    return np.array([inst.weights_in_force], dtype=float), arr[np.newaxis]
+
+
+def stack_loans(allocations: Sequence[Allocation], outcomes: Sequence[Mapping[int, int]]):
+    """Every funded loan of a stack, round by round and each round's
+    borrowers in index order: its round, borrower and outcome, as three int
+    arrays. Each round's outcomes are checked against its allocation
+    (`check_outcomes`) first; both settlements start here."""
+    for alloc, realized in zip(allocations, outcomes):
         check_outcomes(alloc.funded_real, realized)
-    return allocs
+    loans = [
+        (r, q, outcomes[r][q]) for r, alloc in enumerate(allocations) for q in alloc.funded_real
+    ]
+    return np.array(loans, dtype=int).reshape(-1, 3).T
 
 
 def check_reports(reports, shape: tuple[int, int], field: str = "reports") -> np.ndarray:

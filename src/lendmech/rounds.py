@@ -1,21 +1,26 @@
 """Multi-round lending simulator with an append-only, replayable ledger.
 
-A campaign runs in three stages, each over the stack of its rounds. It
-draws every round's world first: from the round's own seed, fresh
+A campaign is one stack of rounds, played by one mechanism instance, and
+runs in three stages over the whole stack. It draws every round's world
+first: from `np.random.default_rng` of the round's own seed, fresh
 borrowers' true repayment probabilities, recommender beliefs through a
 per-recommender signal model, and one uniform per borrower for the
-outcomes. It then allocates under the configured mechanism and draws the
-funded borrowers' outcomes from those uniforms. Under fixed weights every
-round is allocated in one call of the mechanism's `allocate_rounds`; with
-outcome-adaptive weights, round r's weights come only from the reports and
-outcomes of funded loans in rounds before r, so each such round is
-allocated alone once they are known: its scores are one `linear_scores`
-call under its weights, and its funded set is the mechanism's own
-`select` of those scores, the rule `allocate` applies. Nothing a later
-round reads depends on the settlement, so last, one call of the
-mechanism's `settle_rounds` prices every round and checks the stack's
-reports, and the records are built from the stacked arrays, each round's
-realized utilities and deficit from one pass over its payments.
+outcomes. Those generators are not built one by one: one vectorized pass
+over the round seeds gives every round's generator state
+(`pcg64_states`), which each round sets on one shared `Generator`. It then
+allocates under the configured mechanism, round r under row r of an
+(R, n) weights array, and draws the funded borrowers' outcomes from those
+uniforms. Under fixed weights every round is allocated in one call of the
+instance's `allocate_rounds`; with outcome-adaptive weights, round r's
+weights come only from the reports and outcomes of funded loans in rounds
+before r, so each such round is allocated alone once they are known: its
+scores are one `linear_scores` call under its weights, and its funded set
+is the instance's own `select` of those scores, the rule `allocate`
+applies, which reads no weights. Nothing a later round reads depends on
+the settlement, so last, one call of the instance's `settle_rounds`
+prices every round and checks the stack's reports, and each record is
+built straight from the stack's payment arrays, its realized utilities
+and deficit from one pass over its payments (`mechanism.accounts`).
 `run_round` is a campaign of one round through the same steps. With
 outcome-adaptive weighting, a `BudescuAccumulator` scores each funded loan
 once, when its round is allocated, from the loan's column of reports and
@@ -46,7 +51,7 @@ from .aggregation import (
 )
 from .errors import AllNonPositiveContribution, EmptyHistory, LedgerError, MechanismError
 from .fields import Fields
-from .mechanism import Allocation, Instance, check_outcomes, left_sum, linear_scores
+from .mechanism import Allocation, Instance, accounts, check_outcomes, left_sum, linear_scores
 from .priors import PriorSpec, UniformIID, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
@@ -79,18 +84,90 @@ class WorldModel:
             raise ValueError("need either a signal model (mixing) or a belief prior")
 
 
+# numpy's `SeedSequence` hash (`mix_entropy`, `generate_state`) and PCG64's
+# seeding multiplier; see `pcg64_states`.
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MIX_INIT, _MIX_MULT, _STATE_INIT, _STATE_MULT = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG64_STATE = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+
+
+def _hash_steps(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
+    """The constants of `count` steps of a `SeedSequence` hash, (c_k,
+    c_{k+1}) for step k: c_0 = `init`, and c_{k+1} = c_k * `mult` mod 2**32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return [(np.uint32(a), np.uint32(b)) for a, b in zip(consts, consts[1:])]
+
+
+def _hash(words: np.ndarray, step: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    """One hash step over uint32 words: x -> `_fold`((x ^ c_k) * c_{k+1})."""
+    xor, times = step
+    return _fold((words ^ xor) * times)
+
+
+def _fold(words: np.ndarray) -> np.ndarray:
+    """x -> x ^ (x >> 16) over uint32 words."""
+    return words ^ (words >> np.uint32(16))
+
+
+def pcg64_states(seeds: Sequence[int]) -> list[dict]:
+    """`np.random.default_rng(seed).bit_generator.state` for every seed in
+    [0, 2**32), from one pass of uint32 arithmetic over all of them.
+
+    `default_rng(s)` is `PCG64(SeedSequence(s))`. The sequence's entropy is
+    the one word s; its pool of four words holds s and then three zeros,
+    each hashed, and is cross-mixed (`mix_entropy`), one hash step after
+    another. `generate_state(4, uint64)` hashes the pool's words in turn,
+    twice round, into eight words, read in pairs as little-endian uint64:
+    the 128-bit initial state and the 128-bit stream, high word first.
+    PCG64 takes inc = 2 * stream + 1, and the state two LCG steps from 0,
+    the initial state added between them (`pcg_setseq_128_srandom_r` in
+    O'Neill, PCG: A Family of Simple Fast Space-Efficient Statistically
+    Good Algorithms for Random Number Generation, 2014). Raises ValueError
+    naming `seed` outside that range.
+    """
+    values = [operator.index(seed) for seed in seeds]
+    for seed in values:
+        if not 0 <= seed <= _MASK32:
+            raise ValueError(f"seed must lie in [0, 2**32), got {seed}")
+    words = np.array(values, dtype=np.uint32)
+    mix = iter(_hash_steps(_MIX_INIT, _MIX_MULT, 16))
+    pool = [_hash(words, next(mix))] + [_hash(np.zeros_like(words), next(mix)) for _ in range(3)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed = _hash(pool[src], next(mix))
+                pool[dst] = _fold(np.uint32(_MIX_LEFT) * pool[dst] - np.uint32(_MIX_RIGHT) * hashed)
+    steps = _hash_steps(_STATE_INIT, _STATE_MULT, 8)
+    state = [_hash(pool[k % 4], step) for k, step in enumerate(steps)]
+    halves = np.stack(state, axis=1).astype(np.uint64)
+    states = []
+    for high, low, stream_high, stream_low in (halves[:, 0::2] | halves[:, 1::2] << 32).tolist():
+        inc = ((stream_high << 64 | stream_low) << 1 | 1) & _MASK128
+        state = ((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _MASK128
+        states.append(dict(_PCG64_STATE, state={"state": state, "inc": inc}))
+    return states
+
+
 def _draw(
     world: WorldModel, n: int, m: int, seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every round's world, drawn before any round is allocated: truths
     (R, m), beliefs (R, n, m) and m outcome uniforms per round (R, m).
 
-    Round r draws from its own `default_rng(seeds[r])`, in this order: the
-    truths, then the signal noise (with `mixing`) or the beliefs (from
-    `belief_prior`), then m uniforms. A round that funds k borrowers reads
-    the first k uniforms, one per funded borrower in index order: a
-    generator's doubles come in sequence, so they are the k a draw of k
-    would give. With `mixing`, recommender i's beliefs are
+    Round r draws from `np.random.default_rng(seeds[r])`, in this order:
+    the truths, then the signal noise (with `mixing`) or the beliefs (from
+    `belief_prior`), then m uniforms. That generator is built once for the
+    whole stack: `pcg64_states` gives every round's PCG64 state, bit for
+    bit `default_rng`'s, in one pass over the seeds, and each round sets
+    its state on one `Generator` before it draws. Seeds must lie in
+    [0, 2**32), as a campaign's round seeds do. A round that funds k
+    borrowers reads the first k uniforms, one per funded borrower in index
+    order: a generator's doubles come in sequence, so they are the k a draw
+    of k would give. With `mixing`, recommender i's beliefs are
     mixing[i] * truth + (1 - mixing[i]) * noise, mixed for the whole stack
     at once.
     """
@@ -98,8 +175,10 @@ def _draw(
         raise ValueError(f"need {n} mixing coefficients, got {len(world.mixing)}")
     truths, uniforms = np.empty((len(seeds), m)), np.empty((len(seeds), m))
     beliefs = np.empty((len(seeds), n, m))
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for r, state in enumerate(pcg64_states(seeds)):
+        bit_generator.state = state
         truths[r] = sample_profiles(world.truth_prior, 1, m, 1, rng)[0, 0]
         if world.mixing is not None:
             rng.random(out=beliefs[r])
@@ -316,11 +395,11 @@ def round_hashes(config: "CampaignConfig", seed: int) -> Callable[[int], str]:
     return lambda round_id: _digest(f'{head}"round_id": {round_id:d}{tail}')
 
 
-def _allocate(insts: Sequence[Instance], truths, reports: np.ndarray, uniforms: np.ndarray):
-    """Allocations and outcomes of a stack of rounds whose instances are
-    known before any round is played (fixed weights): one call of the
-    mechanism's `allocate_rounds`; `truths` holds the rounds' rows."""
-    allocations = insts[0].allocate_rounds(insts, reports)
+def _allocate(inst: Instance, weights: np.ndarray, truths, reports: np.ndarray, uniforms):
+    """Allocations and outcomes of a stack of rounds whose weights are known
+    before any round is played (fixed weights): one call of the instance's
+    `allocate_rounds`; `truths` holds the rounds' rows."""
+    allocations = inst.allocate_rounds(weights, reports)
     outcomes = [
         _outcomes(alloc.funded_real, row, draws)
         for alloc, row, draws in zip(allocations, truths, uniforms.tolist())
@@ -329,7 +408,8 @@ def _allocate(insts: Sequence[Instance], truths, reports: np.ndarray, uniforms: 
 
 
 def _records(
-    insts: Sequence[Instance],
+    inst: Instance,
+    weights: np.ndarray,
     truths: Sequence[Sequence[float]],
     reports: np.ndarray,
     allocations: Sequence[Allocation],
@@ -337,30 +417,32 @@ def _records(
     round_ids: Sequence[int],
     hashes: Sequence[str],
 ) -> list[RoundRecord]:
-    """The records of allocated rounds of one mechanism, all priced by one
-    call of its `settle_rounds`: round k is `round_ids[k]`, played under
-    `insts[k]` with truth row `truths[k]` and reports `reports[k]`, whose
-    scenario hash is `hashes[k]`. Each round's realized utilities and
-    deficit come from one pass over its payments (`Settlement.accounts`)."""
-    settlements = insts[0].settle_rounds(insts, reports, outcomes, allocations)
-    rows = zip(insts, truths, reports.tolist(), outcomes, settlements, round_ids, hashes)
+    """The records of a stack of allocated rounds on `inst`, all priced by
+    one call of its `settle_rounds`: round k is `round_ids[k]`, played
+    under weights `weights[k]`, with truth row `truths[k]` and reports
+    `reports[k]`, whose scenario hash is `hashes[k]`. Each record is built
+    straight from the stack's arrays, its realized utilities and deficit
+    from one pass over its payments (`mechanism.accounts`)."""
+    payments = inst.settle_rounds(weights, reports, outcomes, allocations)
+    rows = zip(
+        round_ids, hashes, weights.tolist(), truths, reports.tolist(), outcomes, payments.rounds()
+    )
     records = []
-    for inst, truth_row, matrix, realized, settlement, round_id, scenario_hash in rows:
-        utilities, round_deficit = settlement.accounts()
+    for round_id, scenario_hash, weight_row, truth_row, matrix, realized, settled in rows:
+        allocation, cells, immediate, tcomp = settled
+        utilities, round_deficit = accounts(cells, immediate, tcomp)
         records.append(RoundRecord(
             round_id=round_id,
             scenario_hash=scenario_hash,
-            weights=tuple(map(float, inst.weights_in_force)),
+            weights=tuple(weight_row),
             truths=tuple(truth_row),
             reports=tuple(map(tuple, matrix)),
-            funded_real=settlement.allocation.funded_real,
-            reserves_funded=settlement.allocation.reserves_funded,
+            funded_real=allocation.funded_real,
+            reserves_funded=allocation.reserves_funded,
             outcomes=tuple(sorted(realized.items())),
-            immediate=settlement.immediate,
-            contingent=tuple(
-                [(i, q, float(v)) for (i, q), v in sorted(settlement.contingent.items())]
-            ),
-            tcomp=settlement.tcomp,
+            immediate=immediate,
+            contingent=tuple(sorted(cells)),
+            tcomp=tcomp,
             deficit=round_deficit,
             realized_utilities=utilities,
         ))
@@ -380,16 +462,17 @@ def run_round(
 
     Reports are the drawn beliefs unless a deviation strategy rewrites
     them (stress testing), before they are clipped to [0, 1]. Identical
-    (inst, world, seed) reproduce the record bit for bit.
+    (inst, world, seed) reproduce the record bit for bit; the seed must lie
+    in [0, 2**32) (`_draw`).
     """
     truths, beliefs, uniforms = _draw(world, inst.n, inst.m, [seed])
     if deviation is not None:
         beliefs = np.asarray(deviation(beliefs[0]), dtype=float)[np.newaxis]
     reports = np.clip(beliefs, 0.0, 1.0)
-    truth_rows = truths.tolist()
-    allocations, outcomes = _allocate([inst], truth_rows, reports, uniforms)
+    weights, truth_rows = np.array([inst.weights_in_force]), truths.tolist()
+    allocations, outcomes = _allocate(inst, weights, truth_rows, reports, uniforms)
     (record,) = _records(
-        [inst], truth_rows, reports, allocations, outcomes, [round_id], [scenario_hash]
+        inst, weights, truth_rows, reports, allocations, outcomes, [round_id], [scenario_hash]
     )
     return record
 
@@ -487,38 +570,37 @@ def campaign(
         if config.initial_weights is not None
         else WeightVector.equal(n)
     )
-
-    def instance(weights: WeightVector) -> Instance:
-        return build_instance(
-            config.mechanism, n, m, config.threshold, weights.weights,
-            config.K, config.alpha, config.tcomp_enabled,
-        )
-
+    # One instance plays every round; round r's weights are row r.
+    inst = build_instance(
+        config.mechanism, n, m, config.threshold, weights.weights,
+        config.K, config.alpha, config.tcomp_enabled,
+    )
+    weight_rows = np.tile(weights.weights, (rounds, 1))
     if config.weight_mode == "fixed":
-        insts = [instance(weights)] * rounds
-        allocations, outcomes = _allocate(insts, truth_rows, reports, uniforms)
+        allocations, outcomes = _allocate(inst, weight_rows, truth_rows, reports, uniforms)
     else:
         # Round r's weights come from the outcomes of rounds before r, so
         # each round is allocated alone, once its weights are known: one
-        # `linear_scores` call and the mechanism's own `select`. Its funded
-        # borrowers' columns of reports feed the weights.
+        # `linear_scores` call and the instance's `select`, which reads no
+        # weights. Its funded borrowers' columns of reports feed the weights.
         budescu = BudescuAccumulator(n, config.history_window)
         columns = reports.transpose(0, 2, 1).tolist()  # [round][borrower]: n reports
-        insts, allocations, outcomes = [], [], []
+        allocations, outcomes = [], []
         for r, draws in enumerate(uniforms.tolist()):
             if r > 0:
                 weights = budescu.weights()
-            inst = instance(weights)
+                weight_rows[r] = weights.weights
             allocation = inst.select(linear_scores(weights.weights, reports[r]).tolist())
             realized = _outcomes(allocation.funded_real, truth_rows[r], draws)
             for q, outcome in realized.items():
                 budescu.add_column(columns[r][q], outcome)
-            insts.append(inst)
             allocations.append(allocation)
             outcomes.append(realized)
         weights = budescu.weights()  # after the last round
     hashes = list(map(round_hashes(config, seed), range(rounds)))
-    records = _records(insts, truth_rows, reports, allocations, outcomes, range(rounds), hashes)
+    records = _records(
+        inst, weight_rows, truth_rows, reports, allocations, outcomes, range(rounds), hashes
+    )
     ledger = RoundLedger()
     for record in records:
         ledger.append(record)

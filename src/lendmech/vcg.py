@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import ReserveRecommenderHasNoPayment
 # `deficit` is re-exported: callers use vcg.deficit.
-from .mechanism import Allocation, Engine, FundingTest, Grid, Settlement, check_reports
-from .mechanism import check_rounds, checked_allocations, deficit, left_sum, linear_scores
-from .mechanism import masked, others_scores, scores_with
+from .mechanism import Allocation, Engine, FundingTest, Grid, Payments, Settlement, check_reports
+from .mechanism import check_rounds, deficit, left_sum, linear_scores, masked, one_round
+from .mechanism import others_scores, scores_with, stack_loans
 
 
 @dataclass(frozen=True)
@@ -92,46 +92,41 @@ class VcgInstance:
     ) -> Settlement:
         return settle(self, reports, outcomes, allocation)
 
-    @staticmethod
-    def allocate_rounds(insts: Sequence["VcgInstance"], reports) -> list[Allocation]:
-        """Allocate a stack of rounds in one pass: round r's reports,
-        (R, n, m), under `insts[r]`, which may differ only in their weights,
-        as a campaign's rounds do.
+    def allocate_rounds(self, weights, reports) -> list[Allocation]:
+        """Allocate a stack of rounds on this instance in one pass: round
+        r's reports, (R, n, m), under weights `weights[r]`, (R, n), as a
+        campaign's rounds differ in their weights.
 
         Every round's scores come from one `linear_scores` pass, each
         round's weights broadcast against its row, and `select_batch`
         selects every round's top K by rank counts, with no sort. Each
         allocation is `allocate`'s for its round, ties included.
         """
-        arr = check_rounds(insts, "weights", reports)
-        inst = insts[0]
-        weights = np.array([each.weights for each in insts], dtype=float)
-        scores = linear_scores(weights.T[:, :, np.newaxis], arr)
-        funded = select_batch(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
-        reserves = np.count_nonzero(funded[:, inst.m :], axis=1).tolist()
-        real = funded[:, : inst.m].astype(int).tolist()
-        return [Allocation(tuple(row), count) for row, count in zip(real, reserves)]
+        w, arr = check_rounds(self, weights, reports)
+        return _allocate_rounds(self, w, arr)
 
-    @staticmethod
     def settle_rounds(
-        insts: Sequence["VcgInstance"],
+        self,
+        weights,
         reports,
         outcomes: Sequence[Mapping[int, int]],
-        allocations: Optional[Sequence[Optional[Allocation]]] = None,
-    ) -> list[Settlement]:
+        allocations: Optional[Sequence[Allocation]] = None,
+    ) -> Payments:
         """Settle a stack of rounds in one pass: round r's reports,
-        (R, n, m), its outcomes and its allocation (None to allocate) under
-        `insts[r]`. The instances may differ only in their weights, as a
-        campaign's rounds do.
+        (R, n, m), under weights `weights[r]` (as `allocate_rounds`), its
+        outcomes, and its allocation (`allocations` None: allocate every
+        round).
 
         Reserve slots are bookkeeping rows with no outcomes. Every pivot and
         rebate of the stack comes from one `_pivots_and_rebates` call,
-        against each round's allocation as its one chosen set; each is the
-        value its round gets when settled alone, bit for bit.
+        against each round's allocation as its one chosen set, and every
+        funded loan's constant-rule payments (`contingent_payments`) from
+        one product, under its round's weights; each is the value its round
+        gets when settled alone, bit for bit. A round's payments are summed
+        recommender by recommender.
         """
-        allocations = [None] * len(insts) if allocations is None else allocations
-        arr = check_rounds(insts, "weights", reports, outcomes, allocations)
-        return _settle(insts, arr, outcomes, allocations)
+        w, arr = check_rounds(self, weights, reports, outcomes, allocations)
+        return _settle(self, w, arr, outcomes, allocations)
 
     def expost_utility(self, reports, i: int, belief_row: Sequence[float]) -> float:
         """i's utility at these reports, expectation over own repayment
@@ -196,6 +191,15 @@ def allocate(inst: VcgInstance, reports) -> Allocation:
 def _allocate(inst: VcgInstance, arr: np.ndarray) -> Allocation:
     """`allocate` of an already checked report matrix."""
     return inst.select(linear_scores(inst.weights, arr).tolist())
+
+
+def _allocate_rounds(inst: VcgInstance, w: np.ndarray, arr: np.ndarray) -> list[Allocation]:
+    """`allocate_rounds` of a checked stack."""
+    scores = linear_scores(w.T[:, :, np.newaxis], arr)
+    funded = select_batch(scores, inst.reserve_threshold, inst.n_reserves, inst.K)
+    reserves = np.count_nonzero(funded[:, inst.m :], axis=1).tolist()
+    real = funded[:, : inst.m].astype(int).tolist()
+    return [Allocation(tuple(row), count) for row, count in zip(real, reserves)]
 
 
 def _check_real_recommender(inst: VcgInstance, i: int) -> None:
@@ -318,28 +322,20 @@ def settle(
     `VcgInstance.settle_rounds` of this one round. `outcomes` must cover
     exactly the funded real borrowers; `allocation`, when given, must be
     `allocate(inst, reports)`, and saves allocating again."""
-    arr = check_reports(reports, (inst.n, inst.m))
-    return _settle([inst], arr[np.newaxis], [outcomes], [allocation])[0]
+    w, arr = one_round(inst, reports)
+    allocations = None if allocation is None else [allocation]
+    return _settle(inst, w, arr, [outcomes], allocations).settlement(0)
 
 
-def _settle(insts, arr: np.ndarray, outcomes, allocations) -> list[Settlement]:
+def _settle(
+    inst: VcgInstance, w: np.ndarray, arr: np.ndarray, outcomes, allocations
+) -> Payments:
     """`VcgInstance.settle_rounds` of a checked stack."""
-    inst = insts[0]
-    allocs = checked_allocations(_allocate, insts, arr, outcomes, allocations)
-    weights = [each.weights for each in insts]
-    pivots, rebates = _pivots_and_rebates(inst, weights, arr, allocs, inst.tcomp_enabled)
-    rebates = [None] * len(insts) if rebates is None else [tuple(row) for row in rebates.tolist()]
-    return [
-        Settlement(
-            allocation=alloc,
-            immediate=tuple(immediate),
-            contingent=contingent_payments(each, alloc.funded_real, realized),
-            tcomp=rebate,
-        )
-        for each, alloc, realized, immediate, rebate in zip(
-            insts, allocs, outcomes, pivots.tolist(), rebates
-        )
-    ]
+    allocs = _allocate_rounds(inst, w, arr) if allocations is None else list(allocations)
+    r, _, outcome = stack_loans(allocs, outcomes)
+    pivots, rebates = _pivots_and_rebates(inst, w, arr, allocs, inst.tcomp_enabled)
+    paid = inst.alpha * w[r] * outcome[:, np.newaxis]
+    return Payments(allocs, pivots, rebates, paid, recommender_major=True)
 
 
 def contingent_payments(

@@ -25,9 +25,9 @@ import numpy as np
 
 from .aggregation import Aggregator, WeightedLinear, aggregate, aggregate_columns
 from .errors import ZeroWeightRecommender
-from .mechanism import Allocation, Engine, FundingTest, Grid, Moments, SampleEngine, Settlement
-from .mechanism import check_reports, check_rounds, checked_allocations, elementwise_moments
-from .mechanism import left_sum, linear_scores, masked, others_scores
+from .mechanism import Allocation, Engine, FundingTest, Grid, Moments, Payments, SampleEngine
+from .mechanism import Settlement, check_reports, check_rounds, elementwise_moments, left_sum
+from .mechanism import linear_scores, masked, one_round, others_scores, stack_loans
 
 BELOW_ONE = 1.0 - 2.0**-53  # the float just below 1
 
@@ -81,26 +81,26 @@ class WinklerInstance:
     ) -> Settlement:
         return settle(self, reports, outcomes, allocation)
 
-    @staticmethod
-    def allocate_rounds(insts: Sequence["WinklerInstance"], reports) -> list[Allocation]:
-        """Allocate a stack of rounds: round r's reports, (R, n, m), under
-        `insts[r]`, which may differ only in their aggregator, as a
-        campaign's rounds differ in their weights. The stack is checked
-        once and each round is `allocate`'s."""
-        arr = check_rounds(insts, "aggregator", reports)
-        return [_allocate(inst, matrix) for inst, matrix in zip(insts, arr)]
+    def allocate_rounds(self, weights, reports) -> list[Allocation]:
+        """Allocate a stack of rounds on this instance: round r's reports,
+        (R, n, m), under a linear pool of weights `weights[r]`, (R, n), as a
+        campaign's rounds differ in their weights; a custom pool reads no
+        weights (pass its `weights_in_force`) and plays every round. The
+        stack is checked once and each round is `allocate`'s."""
+        w, arr = check_rounds(self, weights, reports, weighted=self._linear)
+        return _allocate_rounds(self, w, arr)
 
-    @staticmethod
     def settle_rounds(
-        insts: Sequence["WinklerInstance"],
+        self,
+        weights,
         reports,
         outcomes: Sequence[Mapping[int, int]],
-        allocations: Optional[Sequence[Optional[Allocation]]] = None,
-    ) -> list[Settlement]:
-        """Settle a stack of rounds in one pass: round r's reports, (R, n, m),
-        its outcomes and its allocation (None to allocate) under `insts[r]`.
-        The instances may differ only in their aggregator, as a campaign's
-        rounds differ in their weights.
+        allocations: Optional[Sequence[Allocation]] = None,
+    ) -> Payments:
+        """Settle a stack of rounds in one pass: round r's reports,
+        (R, n, m), under weights `weights[r]` (as `allocate_rounds`), its
+        outcomes, and its allocation (`allocations` None: allocate every
+        round).
 
         Every recommender is paid on each funded borrower through
         `WinklerPayment`, anchored at their marginal threshold: a funded
@@ -111,32 +111,37 @@ class WinklerInstance:
         `funding_thresholds` call, and every funded borrower of the stack
         is paid by one `WinklerPayment`: elementwise arithmetic, so each
         payment is the one its round gets when settled alone, bit for bit.
+        There is no charge or rebate; a round's payments are summed
+        borrower by borrower.
         """
-        allocations = [None] * len(insts) if allocations is None else allocations
-        arr = check_rounds(insts, "aggregator", reports, outcomes, allocations)
-        return _settle(insts, arr, outcomes, allocations)
+        w, arr = check_rounds(self, weights, reports, outcomes, allocations, weighted=self._linear)
+        return _settle(self, w, arr, outcomes, allocations)
 
     def expost_utility(self, reports, i: int, belief_row: Sequence[float]) -> float:
         """Recommender i's utility given everyone's reports, in expectation
         over their own beliefs about funded borrowers (outcomes not yet
         observed)."""
-        arr = check_reports(reports, (self.n, self.m))
-        funded = _allocate(self, arr).funded_real
-        paid = WinklerPayment(_thresholds([self], arr[np.newaxis])[0, i])(belief_row, arr[i])
+        w, arr = one_round(self, reports)
+        funded = _allocate(self, arr[0]).funded_real
+        paid = WinklerPayment(_thresholds(self, w, arr)[0, i])(belief_row, arr[0, i])
         return left_sum(float(paid[q]) for q in funded)
 
     def engine(self, i: int, others: np.ndarray) -> Union["ColumnEngine", SampleEngine]:
         """The vectorized `ColumnEngine`; `SampleEngine` under a cap or a
         custom pool, which `ColumnEngine` does not model."""
-        if self.cap is None and isinstance(self.aggregator, WeightedLinear):
+        if self.cap is None and self._linear:
             return ColumnEngine(self, i, others)
         return SampleEngine(self, i, others)
 
     @property
     def weights_in_force(self) -> tuple[float, ...]:
-        if isinstance(self.aggregator, WeightedLinear):
+        if self._linear:
             return self.aggregator.weights.weights
         return (math.nan,) * self.n
+
+    @property
+    def _linear(self) -> bool:
+        return isinstance(self.aggregator, WeightedLinear)
 
 
 def allocate(inst: WinklerInstance, reports) -> Allocation:
@@ -151,6 +156,15 @@ def allocate(inst: WinklerInstance, reports) -> Allocation:
 def _allocate(inst: WinklerInstance, arr: np.ndarray) -> Allocation:
     """`allocate` of an already checked report matrix."""
     return inst.select(aggregate_columns(inst.aggregator, arr).tolist())
+
+
+def _allocate_rounds(inst: WinklerInstance, w: np.ndarray, arr: np.ndarray) -> list[Allocation]:
+    """`allocate_rounds` of a checked stack: a linear pool scores every
+    round in one `linear_scores` pass, each round's weights broadcast
+    against its row; a custom pool is called round by round."""
+    if not inst._linear:
+        return [_allocate(inst, matrix) for matrix in arr]
+    return [inst.select(row) for row in linear_scores(w.T[:, :, np.newaxis], arr).tolist()]
 
 
 def _bisect_threshold(inst: WinklerInstance, column: np.ndarray, i: int) -> float:
@@ -231,25 +245,19 @@ def marginal_thresholds(inst: WinklerInstance, reports) -> np.ndarray:
     threshold, 1 if no report below 1 does; `_bisect_threshold`), so a
     funded report lies above it, or at an anchor of 1, which pays nothing.
     """
-    arr = check_reports(reports, (inst.n, inst.m))
-    return _thresholds([inst], arr[np.newaxis])[0]
+    return _thresholds(inst, *one_round(inst, reports))[0]
 
 
-def _thresholds(insts: Sequence[WinklerInstance], arr: np.ndarray) -> np.ndarray:
+def _thresholds(inst: WinklerInstance, w: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """`marginal_thresholds` of a checked stack of report matrices,
-    (R, n, m), matrix r under `insts[r]`: one `funding_thresholds` call
-    when every aggregator is a linear pool, else round by round."""
-    c = insts[0].threshold
-    if all(isinstance(inst.aggregator, WeightedLinear) for inst in insts):
-        return funding_thresholds(c, [inst.aggregator.weights.weights for inst in insts], arr)
+    (R, n, m), matrix r under weights `w[r]`: one `funding_thresholds` call
+    for a linear pool, else each threshold bisected under the custom pool."""
+    if inst._linear:
+        return funding_thresholds(inst.threshold, w, arr)
     n, m = arr.shape[1:]
     return np.array(
-        [
-            funding_thresholds(c, inst.aggregator.weights.weights, matrix)
-            if isinstance(inst.aggregator, WeightedLinear)
-            else [[_bisect_threshold(inst, matrix[:, q], i) for q in range(m)] for i in range(n)]
-            for inst, matrix in zip(insts, arr)
-        ]
+        [[[_bisect_threshold(inst, matrix[:, q], i) for q in range(m)] for i in range(n)]
+         for matrix in arr]
     )
 
 
@@ -360,25 +368,19 @@ def settle(
     `WinklerInstance.settle_rounds` of this one round. `outcomes` must
     cover exactly the funded borrowers; `allocation`, when given, must be
     `inst.allocate(reports)`, and saves allocating again."""
-    arr = check_reports(reports, (inst.n, inst.m))
-    return _settle([inst], arr[np.newaxis], [outcomes], [allocation])[0]
+    w, arr = one_round(inst, reports)
+    allocations = None if allocation is None else [allocation]
+    return _settle(inst, w, arr, [outcomes], allocations).settlement(0)
 
 
-def _settle(insts, arr: np.ndarray, outcomes, allocations) -> list[Settlement]:
+def _settle(
+    inst: WinklerInstance, w: np.ndarray, arr: np.ndarray, outcomes, allocations
+) -> Payments:
     """`WinklerInstance.settle_rounds` of a checked stack."""
-    allocs = checked_allocations(_allocate, insts, arr, outcomes, allocations)
-    # Every funded borrower of the stack: its round, its index, its outcome.
-    loans = [(r, q, outcomes[r][q]) for r, alloc in enumerate(allocs) for q in alloc.funded_real]
-    r, q, outcome = np.array(loans, dtype=int).reshape(-1, 3).T
-    paid = WinklerPayment(_thresholds(insts, arr)[r, :, q])(outcome[:, np.newaxis], arr[r, :, q])
-    paid, start, n = paid.tolist(), 0, insts[0].n
-    settlements = []
-    for alloc in allocs:
-        funded = alloc.funded_real
-        contingent = {(i, q): paid[start + k][i] for k, q in enumerate(funded) for i in range(n)}
-        start += len(funded)
-        settlements.append(Settlement(allocation=alloc, immediate=(0.0,) * n, contingent=contingent))
-    return settlements
+    allocs = _allocate_rounds(inst, w, arr) if allocations is None else list(allocations)
+    r, q, outcome = stack_loans(allocs, outcomes)
+    paid = WinklerPayment(_thresholds(inst, w, arr)[r, :, q])(outcome[:, np.newaxis], arr[r, :, q])
+    return Payments(allocs, np.zeros(w.shape), None, paid, recommender_major=False)
 
 
 class ColumnEngine(Engine):

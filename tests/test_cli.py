@@ -333,6 +333,37 @@ class TestCampaign:
         assert err == f"usage error: --n must be >= 1, got {n}\n"
 
 
+class TestParserCache:
+    def test_a_shared_parser_answers_each_call_as_a_fresh_one(self, tmp_path, capsys):
+        # `main` builds its parser once per process. A flag given in one
+        # call and left out of the next, a usage error and a flag below its
+        # bound must each give the stdout, stderr and exit code of the same
+        # call with a parser built for it alone.
+        out_dir = tmp_path / "camp"
+        ledger = str(out_dir / "ledger.jsonl")
+        budescu = str(bundled_path("campaign-budescu"))
+        calls = [
+            ["campaign", budescu, "--rounds", "5", "--seed", "3", "--out", str(out_dir)],
+            ["campaign", budescu, "--seed", "3"],
+            ["audit", table1_path(), "weak-epic", "--json"],
+            ["audit", table1_path(), "weak-epic"],
+            ["audit", table1_path(), "nonsense"],
+            ["weights", ledger, "--n", "0"],
+            ["weights", ledger],
+        ]
+        cli.build_parser.cache_clear()
+        shared = [run_cli(capsys, *argv) for argv in calls]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 1, 1, 0]
+        assert "rounds=5 " in shared[0][1] and "rounds=50 " in shared[1][1]
+        assert shared[2][1] != shared[3][1]
+
+
 def _replace(field, change):
     """The first ledger line with one field changed."""
     return lambda record: json.dumps({**record, field: change(record[field])})

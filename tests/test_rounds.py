@@ -20,7 +20,7 @@ from lendmech.rounds import CampaignConfig, CampaignSummary, RoundLedger, RoundR
 from lendmech.scenario import build_campaign_config, load_bundled
 from lendmech.vcg import VcgInstance
 from lendmech.winkler import WinklerInstance
-from rounds_oracle import oracle_round
+from rounds_oracle import oracle_round, sample_world, scanned_accounts
 
 
 def winkler_instance(n=3, m=4, c=0.5, weights=None):
@@ -115,6 +115,61 @@ class TestRunRound:
                 allocation = inst.allocate(reports)
                 outcomes = {q: int(rng.integers(0, 2)) for q in allocation.funded_real}
                 assert inst.settle(reports, outcomes, allocation) == inst.settle(reports, outcomes)
+
+
+def seed_prior(kind: str, rows: int):
+    """A rows x 4 prior of each kind, with ties and the ends 0 and 1."""
+    if kind == "uniform":
+        return UniformIID()
+    if kind == "beta":
+        return BetaIID(2.0, 0.5)
+    if kind == "degenerate":
+        return DegenerateAt(((0.25, 1.0, 0.0, 0.5), (0.75, 0.5, 0.5, 0.0))[:rows])
+    return ProductGrid((((0.0, 0.25), (0.5,), (0.1, 0.2, 0.9), (1.0, 0.75)),) * rows)
+
+
+class TestRoundGenerators:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(0)
+    @example(2**32 - 1)
+    def test_state_is_default_rngs(self, seed):
+        (state,) = rounds.pcg64_states([seed])
+        assert state == np.random.default_rng(seed).bit_generator.state
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 2**32 - 1), max_size=40))
+    def test_a_stack_of_seeds_is_each_seed_alone(self, seeds):
+        # One pass over the stack; numpy integers are seeds too.
+        states = rounds.pcg64_states(np.array(seeds, dtype=np.uint32))
+        assert states == [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 2**64])
+    def test_seed_outside_uint32_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*32\)"):
+            rounds.run_round(winkler_instance(), WORLD, seed=seed)
+        with pytest.raises(TypeError):
+            rounds.run_round(winkler_instance(), WORLD, seed=1.5)
+
+    @pytest.mark.parametrize("mixing", [True, False])
+    @pytest.mark.parametrize("kind", ["uniform", "beta", "degenerate", "grid"])
+    def test_stack_draws_are_each_rounds_default_rng_draws(self, kind, mixing):
+        # A stack's truths, beliefs and uniforms are, bit for bit, each
+        # round's draws from its own `default_rng`: the world first, then
+        # one uniform per borrower.
+        n, m, seeds = 2, 4, [0, 7, 2**32 - 1, 123, 5, 5]
+        truth_prior = seed_prior(kind, 1)
+        if mixing:
+            world = WorldModel(mixing=(0.75, 0.3), truth_prior=truth_prior)
+        else:
+            world = WorldModel(truth_prior=truth_prior, belief_prior=seed_prior(kind, n))
+        truths, beliefs, uniforms = rounds._draw(world, n, m, seeds)
+        for r, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            want_truths, want_beliefs = sample_world(world, n, m, rng)
+            assert truths[r].tobytes() == want_truths.tobytes()
+            assert beliefs[r].tobytes() == want_beliefs.tobytes()
+            assert uniforms[r].tobytes() == rng.random(m).tobytes()
 
 
 class TestLedger:
@@ -590,6 +645,69 @@ SETTLED_TOGETHER = {
         "vcg", 3, 8, 0.0, VCG_WORLD, K=3, tcomp_enabled=True, weight_mode="budescu"
     ),
 }
+
+
+# (mechanism, n, m, K, rebates): both mechanisms, rebates on and off, a
+# capped Winkler and n = 1.
+STACKS = [
+    ("winkler", 3, 4, None, False),
+    ("winkler", 3, 4, 2, False),
+    ("winkler", 1, 3, None, False),
+    ("vcg", 3, 5, 2, True),
+    ("vcg", 3, 5, 3, False),
+    ("vcg", 1, 3, 2, True),
+]
+
+
+class TestStackedSettlement:
+    @pytest.mark.parametrize("mechanism, n, m, K, rebates", STACKS)
+    def test_accounts_equal_the_scanned_oracle(self, mechanism, n, m, K, rebates):
+        # Each record of a settled stack, built from its arrays, carries the
+        # utilities and deficit that scanning its round's own `settle`
+        # gives, to the bytes of its ledger line (the sign of a zero
+        # counts). Rounds take turns at weight rows with a zero weight and
+        # non-dyadic ones; quarter-grid reports tie borrowers with each
+        # other and with c, and the last round's zero reports fund no real
+        # borrower.
+        rng = np.random.default_rng(31)
+        rows = [(1.0,)] if n == 1 else [(0.0, 0.5, 0.5), (0.1, 0.3, 0.6), (1 / 3,) * 3]
+        weights = np.array([rows[r % len(rows)] for r in range(12)])
+        reports = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(12, n, m))
+        reports[-1] = 0.0
+        insts = [
+            rounds.build_instance(mechanism, n, m, 0.5, tuple(row), K, 0.7, rebates)
+            for row in weights.tolist()
+        ]
+        allocations = [inst.allocate(matrix) for inst, matrix in zip(insts, reports)]
+        outcomes = [
+            {q: int(rng.integers(0, 2)) for q in alloc.funded_real} for alloc in allocations
+        ]
+        assert any(outcomes) and not outcomes[-1]
+        records = rounds._records(
+            insts[0], weights, np.zeros((12, m)).tolist(), reports, allocations, outcomes,
+            range(12), [""] * 12,
+        )
+        for inst, matrix, alloc, realized, record in zip(
+            insts, reports, allocations, outcomes, records
+        ):
+            settlement = inst.settle(matrix, realized, alloc)
+            # Winkler's payments are listed borrower by borrower, VCG's
+            # recommender by recommender, and summed in that order.
+            by_borrower = [(i, q) for q in alloc.funded_real for i in range(n)]
+            assert list(settlement.contingent) == (
+                sorted(by_borrower) if mechanism == "vcg" else by_borrower
+            )
+            utilities, deficit = scanned_accounts(settlement, n)
+            want = dataclasses.replace(
+                record,
+                immediate=settlement.immediate,
+                contingent=tuple(sorted((i, q, v) for (i, q), v in settlement.contingent.items())),
+                tcomp=settlement.tcomp,
+                realized_utilities=utilities,
+                deficit=deficit,
+            )
+            assert rounds.record_to_json(record) == rounds.record_to_json(want)
+            assert (record.tcomp is not None) == rebates
 
 
 class TestCampaign:

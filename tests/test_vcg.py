@@ -332,7 +332,7 @@ class TestSettle:
         vcg.settle(insts[0], BELIEFS, outcomes[0], allocs[0])
         assert calls == [(1, 3, 2), (1, 3, 2)]
         calls.clear()
-        VcgInstance.settle_rounds(insts, [BELIEFS] * 3, outcomes, allocs)
+        insts[0].settle_rounds(weight_rows(insts), [BELIEFS] * 3, outcomes, allocs)
         assert calls == [(3, 3, 2), (3, 3, 2)]
 
     def test_realized_utility_on_repayment(self):
@@ -368,6 +368,17 @@ class TestSettle:
             settlement = vcg.settle(inst, BELIEFS, {0: outcome})
             for i in range(3):
                 assert settlement.realized_utility(i) >= -1e-12
+
+
+def weight_rows(insts):
+    """The (R, n) weights under which a stack of rounds on `insts[0]`
+    plays round r as `insts[r]`, which differs from it only in its weights."""
+    return np.array([inst.weights_in_force for inst in insts])
+
+
+def settled_rounds(payments):
+    """Every round of a settled stack as its `Settlement`."""
+    return [payments.settlement(r) for r in range(len(payments.allocations))]
 
 
 @st.composite
@@ -421,7 +432,8 @@ class TestBatchedPricing:
         insts, reports = batch
         allocs = [vcg.allocate(inst, matrix) for inst, matrix in zip(insts, reports)]
         outcomes = [dict.fromkeys(alloc.funded_real, 1) for alloc in allocs]
-        settled = VcgInstance.settle_rounds(insts, reports, outcomes, allocs)
+        payments = insts[0].settle_rounds(weight_rows(insts), reports, outcomes, allocs)
+        settled = settled_rounds(payments)
         for inst, matrix, alloc, got in zip(insts, reports, allocs, settled):
             assert got.allocation == alloc
             for i in range(inst.n):
@@ -446,15 +458,21 @@ class TestBatchedPricing:
         for inst, matrix in zip(insts, reports):
             funded = vcg.allocate(inst, matrix).funded_real
             outcomes.append({q: int(rng.integers(0, 2)) for q in funded})
-        together = VcgInstance.settle_rounds(insts, reports, outcomes)
+        together = settled_rounds(insts[0].settle_rounds(weight_rows(insts), reports, outcomes))
         assert together == [vcg.settle(*args) for args in zip(insts, reports, outcomes)]
 
     def test_rounds_must_share_all_but_their_weights(self):
-        insts = [table_instance(), table_instance(K=2)]
-        with pytest.raises(ValueError, match="round 1 differs from round 0"):
-            VcgInstance.settle_rounds(insts, [BELIEFS] * 2, [{0: 1}] * 2)
-        with pytest.raises(ValueError, match="round 1 differs from round 0"):
-            VcgInstance.allocate_rounds(insts, [BELIEFS] * 2)
+        # The rounds of a stack share one instance; their weights are one
+        # row per round, (R, n), finite and nonnegative.
+        inst = table_instance()
+        with pytest.raises(ShapeMismatch, match=r"weights shape \(2, 2\) != \(R, 3\)"):
+            inst.settle_rounds([(0.5, 0.5)] * 2, [BELIEFS] * 2, [{0: 1}] * 2)
+        with pytest.raises(ShapeMismatch, match=r"weights shape \(1, 2, 3\) != \(R, 3\)"):
+            inst.allocate_rounds([[(1 / 3,) * 3] * 2], [BELIEFS] * 2)
+        with pytest.raises(ShapeMismatch, match=r"reports shape \(1, 3, 2\) != \(2, 3, 2\)"):
+            inst.allocate_rounds([(1 / 3,) * 3] * 2, [BELIEFS])
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            inst.settle_rounds([(0.5, -0.25, 0.75)], [BELIEFS], [{0: 1}])
 
 
 class TestAllocateRounds:
@@ -483,19 +501,20 @@ class TestAllocateRounds:
         # The reprs also pin the types: Python ints, not numpy scalars.
         insts, reports = batch
         alone = [vcg.allocate(inst, matrix) for inst, matrix in zip(insts, reports)]
-        together = VcgInstance.allocate_rounds(insts, reports)
+        together = insts[0].allocate_rounds(weight_rows(insts), reports)
         assert together == alone
         assert repr(together) == repr(alone)
-        fixed = VcgInstance.allocate_rounds([insts[0]] * len(reports), reports)
+        fixed = insts[0].allocate_rounds(weight_rows([insts[0]] * len(reports)), reports)
         assert fixed == [vcg.allocate(insts[0], matrix) for matrix in reports]
 
     def test_checks_the_stack(self):
+        inst = table_instance()
         with pytest.raises(ShapeMismatch):
-            VcgInstance.allocate_rounds([table_instance()] * 2, [BELIEFS])
+            inst.allocate_rounds([inst.weights] * 2, [BELIEFS])
         with pytest.raises(ValueError, match="reports must be finite"):
-            VcgInstance.allocate_rounds([table_instance()], [[[0.5, np.nan]] * 3])
+            inst.allocate_rounds([inst.weights], [[[0.5, np.nan]] * 3])
         with pytest.raises(ValueError, match="need at least one round"):
-            VcgInstance.allocate_rounds([], np.zeros((0, 3, 2)))
+            inst.allocate_rounds(np.zeros((0, 3)), np.zeros((0, 3, 2)))
 
 
 class TestDeficit:

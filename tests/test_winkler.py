@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lendmech import audit, winkler
+from lendmech import audit, mechanism, winkler
 from lendmech.aggregation import MonotoneCustom, WeightVector, WeightedLinear
 from lendmech.errors import (
     MissingOutcome,
@@ -140,26 +140,40 @@ class TestCap:
         assert type(make_instance().engine(0, np.full((4, 2, 2), 0.5))) is winkler.ColumnEngine
 
 
+def weight_rows(insts):
+    """The (R, n) weights under which a stack of rounds on `insts[0]`
+    plays round r as `insts[r]`, which differs from it only in its pool's
+    weights (NaN for a custom pool, which reads none)."""
+    return np.array([inst.weights_in_force for inst in insts])
+
+
+def settled_rounds(payments):
+    """Every round of a settled stack as its `Settlement`."""
+    return [payments.settlement(r) for r in range(len(payments.allocations))]
+
+
 @st.composite
 def allocation_batches(draw):
     """A stack of 1 to 4 rounds of one Winkler setting: n from 1 to 4, m
     from 1 to 8, c among the tie thresholds, no cap or a cap from 1 to m.
-    Each round has its own pool: linear, with weights from drawn shares
-    (zeros and non-dyadic shares included), or a custom one. Reports are
-    on the eighth grid (ties among borrowers and with c) or uniform."""
+    Each round has its own linear pool, with weights from drawn shares
+    (zeros and non-dyadic shares included), or every round the stack's one
+    custom pool. Reports are on the eighth grid (ties among borrowers and
+    with c) or uniform."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
     c = draw(st.sampled_from(TIE_THRESHOLDS))
     cap = draw(st.none() | st.integers(1, m))
+    custom = None
     insts, reports = [], []
     for _ in range(draw(st.integers(1, 4))):
         shares = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
         shares[draw(st.integers(0, n - 1))] += 1  # not every share 0
         weights = tuple(k / sum(shares) for k in shares)
-        if draw(st.integers(0, 4)) == 0:
-            pool = MonotoneCustom(fn=lambda col, w=weights: left_sum(a * p for a, p in zip(w, col)),
-                                  arity=n)
-        else:
-            pool = WeightedLinear(WeightVector(weights))
+        if not insts and draw(st.integers(0, 4)) == 0:
+            custom = MonotoneCustom(
+                fn=lambda col, w=weights: left_sum(a * p for a, p in zip(w, col)), arity=n
+            )
+        pool = custom or WeightedLinear(WeightVector(weights))
         insts.append(WinklerInstance(n=n, m=m, threshold=c, aggregator=pool, cap=cap))
         unit = st.sampled_from(EIGHTHS) if draw(st.booleans()) else st.floats(0.0, 1.0)
         reports.append(draw(st.lists(st.lists(unit, min_size=m, max_size=m), min_size=n,
@@ -182,18 +196,18 @@ class TestAllocateRounds:
     )
     def test_equals_allocate_row_by_row(self, batch):
         # One `allocate_rounds` call checks the stack once; each allocation
-        # is the instance's own `allocate` of its round, types included.
+        # is the round's own instance's `allocate`, types included.
         insts, reports = batch
         alone = [inst.allocate(matrix) for inst, matrix in zip(insts, reports)]
-        together = WinklerInstance.allocate_rounds(insts, reports)
+        together = insts[0].allocate_rounds(weight_rows(insts), reports)
         assert together == alone
         assert repr(together) == repr(alone)
 
     def test_checks_the_stack(self):
         with pytest.raises(ShapeMismatch):
-            WinklerInstance.allocate_rounds([make_instance()] * 2, [BELIEFS])
+            make_instance().allocate_rounds([(1 / 3,) * 3] * 2, [BELIEFS])
         with pytest.raises(ValueError, match="reports must be finite"):
-            WinklerInstance.allocate_rounds([make_instance()], [[[0.5, np.inf]] * 3])
+            make_instance().allocate_rounds([(1 / 3,) * 3], [[[0.5, np.inf]] * 3])
 
 
 class TestMarginalThresholds:
@@ -389,38 +403,28 @@ class TestSettle:
         expected = settlement.contingent[(0, 0)] + settlement.contingent[(0, 1)]
         assert settlement.realized_utility(0) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("kind", ["linear", "capped", "custom", "mixed"])
+    @pytest.mark.parametrize("kind", ["linear", "capped", "custom"])
     def test_rounds_settled_together_equal_rounds_settled_alone(self, kind):
         # Each round under its own weights, some zero and non-dyadic, on
         # eighth-grid reports that sit at thresholds, and some rounds with no
-        # funded borrower. A custom pool's thresholds are bisected per round,
-        # and a linear pool's keep their closed form beside them.
+        # funded borrower. A custom pool reads no weights, and its
+        # thresholds are bisected round by round.
         rng = np.random.default_rng(23)
-        weight_rows = NON_DYADIC_WEIGHTS + [(0.5, 0.0, 0.5), (1.0, 0.0, 0.0)]
-        insts = [make_instance(n=3, m=4, c=0.3, weights=w) for w in weight_rows]
-        if kind == "capped":
-            insts = [make_instance(n=3, m=4, c=0.3, weights=w, cap=2) for w in weight_rows]
+        weight_list = NON_DYADIC_WEIGHTS + [(0.5, 0.0, 0.5), (1.0, 0.0, 0.0)]
+        cap = 2 if kind == "capped" else None
+        insts = [make_instance(n=3, m=4, c=0.3, weights=w, cap=cap) for w in weight_list]
         if kind == "custom":
-            pools = [
-                MonotoneCustom(fn=lambda col, w=w: left_sum(a * p for a, p in zip(w, col)), arity=3)
-                for w in weight_rows
-            ]
-            insts = [WinklerInstance(n=3, m=4, threshold=0.3, aggregator=pool) for pool in pools]
-        if kind == "mixed":
-            insts = [
-                make_instance(n=3, m=4, c=0.3, weights=w) if k % 2 else WinklerInstance(
-                    n=3, m=4, threshold=0.3,
-                    aggregator=MonotoneCustom(fn=lambda col: left_sum(p / 3 for p in col), arity=3),
-                )
-                for k, w in enumerate(weight_rows)
-            ]
+            pool = MonotoneCustom(fn=lambda col: left_sum(p / 3 for p in col), arity=3)
+            insts = [WinklerInstance(n=3, m=4, threshold=0.3, aggregator=pool)] * len(weight_list)
         reports = rng.choice(EIGHTHS, size=(len(insts), 3, 4))
         reports[-1] = 0.0
         outcomes = []
         for inst, matrix in zip(insts, reports):
             funded = inst.allocate(matrix).funded_real
             outcomes.append({q: int(rng.integers(0, 2)) for q in funded})
-        together = WinklerInstance.settle_rounds(insts, reports, outcomes)
+        payments = insts[0].settle_rounds(weight_rows(insts), reports, outcomes)
+        assert payments.tcomp is None and not payments.immediate.any()
+        together = settled_rounds(payments)
         alone = [winkler.settle(*args) for args in zip(insts, reports, outcomes)]
         assert together == alone
         for a, b in zip(together, alone):  # -0.0 and 0.0 are equal; bits are not
@@ -429,13 +433,19 @@ class TestSettle:
             ]
 
     def test_rounds_must_share_all_but_their_weights(self):
-        insts = [make_instance(), make_instance(c=0.4)]
-        with pytest.raises(ValueError, match="round 1 differs from round 0"):
-            WinklerInstance.settle_rounds(insts, [BELIEFS] * 2, [{0: 1, 1: 0}] * 2)
-        with pytest.raises(ValueError, match="round 1 differs from round 0"):
-            WinklerInstance.allocate_rounds(insts, [BELIEFS] * 2)
-        with pytest.raises(ValueError, match="round 1 differs from round 0"):
-            WinklerInstance.allocate_rounds([make_instance(), make_instance(cap=1)], [BELIEFS] * 2)
+        # The rounds of a stack share one instance; their weights are one
+        # row per round, (R, n), finite and nonnegative for a linear pool.
+        inst = make_instance()
+        with pytest.raises(ShapeMismatch, match=r"weights shape \(2, 2\) != \(R, 3\)"):
+            inst.settle_rounds([(0.5, 0.5)] * 2, [BELIEFS] * 2, [{0: 1, 1: 0}] * 2)
+        with pytest.raises(ShapeMismatch, match=r"weights shape \(3,\) != \(R, 3\)"):
+            inst.allocate_rounds((1 / 3,) * 3, [BELIEFS] * 3)
+        with pytest.raises(ShapeMismatch, match=r"reports shape \(2, 3, 2\) != \(3, 3, 2\)"):
+            inst.allocate_rounds([(1 / 3,) * 3] * 3, [BELIEFS] * 2)
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            inst.allocate_rounds([(0.5, math.nan, 0.5)], [BELIEFS])
+        with pytest.raises(ValueError, match="one entry per round"):
+            inst.settle_rounds([(1 / 3,) * 3] * 2, [BELIEFS] * 2, [{0: 1, 1: 0}])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -469,17 +479,19 @@ class TestExpostUtility:
     @pytest.mark.parametrize("custom", [False, True])
     def test_reports_are_checked_once(self, monkeypatch, custom):
         # `expost_utility`, and `settle` when it allocates, check the
-        # reports once and allocate from the checked array.
+        # reports once (`mechanism.one_round`) and allocate from the checked
+        # array.
         inst = make_instance()
         if custom:
             pool = MonotoneCustom(fn=lambda col: left_sum(p / 3 for p in col), arity=3)
             inst = WinklerInstance(n=3, m=2, threshold=0.5, aggregator=pool)
-        checks, check = [], winkler.check_reports
+        checks, check = [], mechanism.check_reports
 
         def counting(*args, **kwargs):
             checks.append(args[1])
             return check(*args, **kwargs)
 
+        monkeypatch.setattr(mechanism, "check_reports", counting)
         monkeypatch.setattr(winkler, "check_reports", counting)
         inst.expost_utility(BELIEFS, 1, BELIEFS[1])
         assert checks == [(3, 2)]
