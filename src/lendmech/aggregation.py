@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import AllNonPositiveContribution, ArityMismatch, EmptyHistory
-from .mechanism import left_sum, linear_scores
+from .mechanism import left_sum, left_sums, linear_scores
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -153,9 +153,14 @@ def _squared_error(reports: Sequence[float], outcome: int) -> Optional[float]:
     outcome; None when there is no report."""
     if not reports:
         return None
-    mean_repay = left_sum(reports) / len(reports)
-    # Two-sided Brier term over the repay/default cells; both cells carry
-    # the same squared deviation.
+    return _brier(left_sum(reports) / len(reports), outcome)
+
+
+def _brier(mean_repay: float, outcome: int) -> float:
+    """The two-sided Brier term of a mean report on a loan with this 0/1
+    outcome, over the repay and default cells, which carry the same squared
+    deviation. Squared by Python's `**`, which is libm's pow(x, 2): on some
+    platforms that rounds differently from x * x, numpy's square."""
     return (outcome - mean_repay) ** 2 + ((1 - outcome) - (1 - mean_repay)) ** 2
 
 
@@ -175,11 +180,38 @@ def _loan_errors(loan: ObservedLoan) -> tuple[Optional[float], ...]:
 
 def _column_errors(column: list[float], outcome: int) -> tuple[Optional[float], ...]:
     """`_loan_errors` of a loan on which every recommender reported: its
-    column of reports, a list, and its outcome."""
+    column of reports, a list, and its outcome. The oracle a campaign's
+    stack-wide path (`column_means`, `BudescuAccumulator.add_means`) is
+    held to."""
     return (
         _squared_error(column, outcome),
         *(_squared_error(column[:i] + column[i + 1 :], outcome) for i in range(len(column))),
     )
+
+
+def column_means(reports: np.ndarray) -> np.ndarray:
+    """Every column's mean report, (..., m, n + 1), of an (..., n, m) stack
+    of report matrices: the whole crowd's mean, then the mean with each
+    recommender left out in turn; with one recommender, only the crowd's,
+    (..., m, 1). Each is numpy adds from 0.0 over the recommenders, left to
+    right, then one division: bit for bit the `left_sum(column) /
+    len(column)` of `_squared_error`."""
+    n = reports.shape[-2]
+    shape = reports.shape[:-2] + reports.shape[-1:]
+
+    def mean(kept: list[int]) -> np.ndarray:
+        return left_sums((reports[..., j, :] for j in kept), shape) / len(kept)
+
+    groups = [list(range(n))] + [[j for j in range(n) if j != i] for i in range(n) if n > 1]
+    return np.stack([mean(kept) for kept in groups], axis=-1)
+
+
+def _mean_errors(means: list[float], outcome: int, n: int) -> tuple[Optional[float], ...]:
+    """`_column_errors` of a column of n reports from its `column_means`,
+    a list: each mean's Brier term, and None for the mean that leaving out
+    the only recommender does not have."""
+    errors = tuple(_brier(mean, outcome) for mean in means)
+    return errors if n > 1 else errors + (None,)
 
 
 def _quality(total: float, count: int, exclude: Optional[int]) -> float:
@@ -267,14 +299,15 @@ class BudescuAccumulator:
     """Budescu weights of a growing history, one funded loan at a time.
 
     Each loan's `_loan_errors` are computed once, when it is added: from an
-    `ObservedLoan` (`add`), or from a column of reports and an outcome
-    (`add_column`, a campaign's path, which builds no loan). Without a
-    window the per-column sums run on in loan order: `left_sum` adds from
-    0.0 left to right, so they are bit for bit the sums `budescu_weights`
-    takes over the whole history, and `weights()` costs O(n). With a window
-    the last `window` loans' errors are kept and summed again on each call,
-    O(window * n) additions and no error recomputed, which is again exactly
-    what `budescu_weights` does on `RoundHistory.window(window)`.
+    `ObservedLoan` (`add`), or from the means of its column of reports and
+    its outcome (`add_means`, a campaign's path, which builds no loan).
+    Without a window the per-column sums run on in loan order: `left_sum`
+    adds from 0.0 left to right, so they are bit for bit the sums
+    `budescu_weights` takes over the whole history, and `weights()` costs
+    O(n). With a window the last `window` loans' errors are kept and summed
+    again on each call, O(window * n) additions and no error recomputed,
+    which is again exactly what `budescu_weights` does on
+    `RoundHistory.window(window)`.
     """
 
     def __init__(self, n: int, window: Optional[int] = None) -> None:
@@ -294,11 +327,12 @@ class BudescuAccumulator:
                 )
             self._add(_loan_errors(loan))
 
-    def add_column(self, column: list[float], outcome: int) -> None:
+    def add_means(self, means: list[float], outcome: int) -> None:
         """Score one newly observed loan on which all n recommenders
-        reported: its column of reports, a list of n floats in [0, 1], and
-        its 0/1 outcome, neither checked again."""
-        self._add(_column_errors(column, outcome))
+        reported, from its column's means (`column_means`, as a list) and
+        its 0/1 outcome, neither checked again: only the Brier terms are
+        left to compute. The errors are `_column_errors` of the column."""
+        self._add(_mean_errors(means, outcome, self.n))
 
     def _add(self, errors: tuple[Optional[float], ...]) -> None:
         if self._window is not None:

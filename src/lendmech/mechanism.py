@@ -17,7 +17,8 @@ as a campaign's rounds differ only in their weights (`check_rounds`).
 reports, outcomes, allocations=None)` prices the stack in one pass and
 gives its `Payments`: the charges, the rebates and every funded loan's
 payments as arrays, from which each round's realized utilities and
-deficit follow (`accounts`). It is each mechanism's one settlement;
+deficit follow (`accounts`; `Payments.accounts` gives every round's at
+once, to the same bits). It is each mechanism's one settlement;
 `settle` is a stack of one round, given back as a `Settlement`.
 
 `engine(i, others)` gives an interim engine for recommender i over
@@ -91,17 +92,18 @@ Instance = Union["WinklerInstance", "VcgInstance"]
 
 @dataclass(frozen=True)
 class Allocation:
-    """Funding decision over real borrowers plus reserve slots."""
+    """Funding decision over real borrowers plus reserve slots.
+
+    `funded_real`, the funded real borrowers in index order, is computed at
+    construction and kept in the instance's `__dict__`, not in a field, so
+    equality, hashing and `repr` see only `real` and `reserves_funded`.
+    """
 
     real: tuple[int, ...]
     reserves_funded: int = 0
 
-    @functools.cached_property
-    def funded_real(self) -> tuple[int, ...]:
-        """The funded real borrowers in index order. Computed on the first
-        read and kept in the instance's `__dict__`, not in a field, so
-        equality, hashing and `repr` see only `real` and `reserves_funded`."""
-        return tuple(q for q, f in enumerate(self.real) if f)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "funded_real", tuple(q for q, f in enumerate(self.real) if f))
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,37 @@ class Payments:
                 cells = [(i, q, v) for q, row in zip(funded, rows) for i, v in enumerate(row)]
             yield alloc, cells, immediate, tcomp
 
+    def accounts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every round's `accounts` at once, as the realized utilities (R, n)
+        and the deficits (R,), bit for bit, from numpy adds over the whole
+        stack in `accounts`' order.
+
+        The loans are laid out by position, (R, most loans in a round, n),
+        with +0.0 where a round has no loan at that position. Each sum then
+        takes one loan position at a time over every round, in the
+        summation order (`recommender_major`). A padded +0.0 moves no sum:
+        a sum that starts at +0.0 is never -0.0 under round-to-nearest, and
+        x + 0.0 is x for every other x, infinities and NaN included.
+        """
+        rounds, n = self.immediate.shape
+        counts = np.array([len(alloc.funded_real) for alloc in self.allocations], dtype=np.intp)
+        by_round = np.zeros((rounds, counts.max(initial=0), n))
+        round_of = np.repeat(np.arange(rounds), counts)
+        position = np.arange(len(round_of)) - (np.cumsum(counts) - counts)[round_of]
+        by_round[round_of, position] = self.paid
+        positions = range(by_round.shape[1])
+        paid = left_sums((by_round[:, k] for k in positions), (rounds, n))
+        if self.recommender_major:
+            cells = (by_round[:, k, i] for i in range(n) for k in positions)
+        else:
+            cells = (by_round[:, k, i] for k in positions for i in range(n))
+        out = left_sums(cells, rounds)
+        rebates = np.zeros((rounds, n))
+        if self.tcomp is not None:
+            rebates = self.tcomp
+            out += left_sums(self.tcomp.T, rounds)
+        return paid + rebates - self.immediate, out - left_sums(self.immediate.T, rounds)
+
     def settlement(self, r: int) -> Settlement:
         """Round r's `Settlement`, its contingent payments in summation order."""
         alloc, cells, immediate, tcomp = next(islice(self.rounds(), r, None))
@@ -205,6 +238,15 @@ def left_sum(values: Iterable[float]) -> float:
     total = 0.0
     for value in values:
         total += value
+    return total
+
+
+def left_sums(terms: Iterable[np.ndarray], shape) -> np.ndarray:
+    """`left_sum` of every position of the `terms` at once, arrays of
+    `shape`: 0.0 plus each term in turn, elementwise."""
+    total = np.zeros(shape)
+    for term in terms:
+        total += term
     return total
 
 

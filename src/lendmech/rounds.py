@@ -18,16 +18,29 @@ scores are one `linear_scores` call under its weights, and its funded set
 is the instance's own `select` of those scores, the rule `allocate`
 applies, which reads no weights. Nothing a later round reads depends on
 the settlement, so last, one call of the instance's `settle_rounds`
-prices every round and checks the stack's reports, and each record is
-built straight from the stack's payment arrays, its realized utilities
-and deficit from one pass over its payments (`mechanism.accounts`).
-`run_round` is a campaign of one round through the same steps. With
-outcome-adaptive weighting, a `BudescuAccumulator` scores each funded loan
-once, when its round is allocated, from the loan's column of reports and
-its outcome, and keeps running sums: a round's weight update costs O(n)
-per newly funded loan, plus O(window * n) under a history window, instead
-of a rescan of every past loan. No `ObservedLoan` is built on that path;
-`evolve_weights`, which rescans a ledger's loans, is its oracle.
+prices every round and checks the stack's reports.
+
+The campaign's ledger keeps the settled stack as one block
+(`SettledRounds`): its arrays, allocations, outcomes, hashes and
+`Payments`. Every round's realized utilities and deficit are computed once
+for the whole stack, with numpy adds in each mechanism's summation order
+(`Payments.accounts`), bit for bit `mechanism.accounts` of each round;
+the summary comes from the same arrays. `RoundLedger.write_jsonl` renders
+each line straight from one `tolist()` per array, and the records are
+built only when read, by `_records`, which settles the stack again and
+sums each round's payments alone (`mechanism.accounts`): the oracle the
+rendered lines are held to. `run_round` is a campaign of one round
+through `_records`.
+
+With outcome-adaptive weighting, a `BudescuAccumulator` scores each funded
+loan once, when its round is allocated, and keeps running sums: a round's
+weight update costs O(n) per newly funded loan, plus O(window * n) under
+a history window, instead of a rescan of every past loan. Every column's
+means, the whole crowd's and each with one recommender left out, are
+computed once for the stack (`column_means`); a funded loan then adds only
+its Brier terms, squared by Python's `**`, as `_column_errors` squares
+them. No `ObservedLoan` is built on that path; `evolve_weights`, which
+rescans a ledger's loans, is its oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ import hashlib
 import json
 import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,10 +62,13 @@ from .aggregation import (
     WeightVector,
     WeightedLinear,
     budescu_weights,
+    column_means,
 )
 from .errors import AllNonPositiveContribution, EmptyHistory, LedgerError, MechanismError
 from .fields import Fields
-from .mechanism import Allocation, Instance, accounts, check_outcomes, left_sum, linear_scores
+from .mechanism import (
+    Allocation, Instance, accounts, check_outcomes, left_sum, left_sums, linear_scores,
+)
 from .priors import PriorSpec, UniformIID, sample_profiles
 from .vcg import VcgInstance
 from .winkler import WinklerInstance
@@ -309,30 +326,45 @@ def record_from_json(line: str) -> RoundRecord:
 
 
 class RoundLedger:
-    """Append-only sequence of round records."""
+    """Append-only sequence of round records.
 
-    def __init__(self) -> None:
-        self._records: list[RoundRecord] = []
+    A campaign's ledger holds its settled stack as one block
+    (`SettledRounds`): `write_jsonl` renders its lines straight from the
+    stack's arrays, and its records are built only when they are read. An
+    append turns the block into records first."""
+
+    def __init__(self, settled: Optional["SettledRounds"] = None) -> None:
+        self._settled = settled
+        self._records: Optional[list[RoundRecord]] = None if settled is not None else []
+
+    def _built(self) -> list[RoundRecord]:
+        if self._records is None:
+            self._records = self._settled.records()
+        return self._records
 
     def append(self, record: RoundRecord) -> None:
-        self._records.append(record)
+        self._built().append(record)
+        self._settled = None
 
     @property
     def records(self) -> tuple[RoundRecord, ...]:
-        return tuple(self._records)
+        return tuple(self._built())
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._settled) if self._settled is not None else len(self._records)
 
     def history(self, n: int, window: Optional[int] = None) -> RoundHistory:
         """Funded loans with observed outcomes, as aggregation input."""
-        loans = tuple(loan for record in self._records for loan in funded_loans(record, n))
+        loans = tuple(loan for record in self._built() for loan in funded_loans(record, n))
         return RoundHistory(n=n, loans=loans).window(window)
 
     def write_jsonl(self, path) -> None:
+        if self._settled is not None:
+            lines = self._settled.lines()
+        else:
+            lines = [record_to_json(record) + "\n" for record in self._records]
         with open(path, "w") as fh:
-            for record in self._records:
-                fh.write(record_to_json(record) + "\n")
+            fh.writelines(lines)
 
     @classmethod
     def read_jsonl(cls, path) -> "RoundLedger":
@@ -447,6 +479,79 @@ def _records(
             realized_utilities=utilities,
         ))
     return records
+
+
+class SettledRounds:
+    """A campaign's settled stack of R rounds, kept as the arrays it was
+    played from: round r, played on `inst` under weights `weights[r]`
+    (R, n), with truths `truths[r]` (R, m), reports `reports[r]`
+    (R, n, m), outcomes `outcomes[r]` and scenario hash `hashes[r]`,
+    priced as `payments`. Every round's realized utilities (R, n) and
+    deficit (R,) are computed once for the whole stack
+    (`Payments.accounts`)."""
+
+    def __init__(
+        self, inst: Instance, weights, truths, reports, outcomes, hashes, payments
+    ) -> None:
+        self.inst, self.weights, self.truths, self.reports = inst, weights, truths, reports
+        self.outcomes, self.hashes, self.payments = outcomes, hashes, payments
+        self.utilities, self.deficits = payments.accounts()
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def records(self) -> list[RoundRecord]:
+        """Every round's `RoundRecord`, by `_records`, which settles the
+        stack again and sums each round's payments alone: the oracle
+        `lines` is held to."""
+        return _records(
+            self.inst, self.weights, self.truths.tolist(), self.reports,
+            self.payments.allocations, self.outcomes, range(len(self)), self.hashes,
+        )
+
+    def lines(self) -> list[str]:
+        """Every round's ledger line, `record_to_json` of its record and a
+        newline, rendered from one `tolist()` per array with no record
+        built. A list of Python floats or ints prints as JSON writes it
+        (`float.__repr__` joined by ", "), and the round hashes are hex
+        digests, which JSON writes as they are. JSON writes a non-finite
+        float as NaN or Infinity, which `repr` does not: a stack with one
+        (a boundary report's log score) is written from its records."""
+        pay = self.payments
+        # A non-finite charge, rebate or payment makes its recommender's
+        # utility non-finite, so these two arrays tell.
+        if not (np.isfinite(self.utilities).all() and np.isfinite(self.deficits).all()):
+            return [record_to_json(record) + "\n" for record in self.records()]
+        columns = pay.paid.T.tolist()  # recommender i's payment on each loan of the stack
+        rebates = repeat("null") if pay.tcomp is None else pay.tcomp.tolist()
+        rows = zip(
+            pay.allocations, self.outcomes, self.hashes, self.weights.tolist(),
+            self.truths.tolist(), self.reports.tolist(), pay.immediate.tolist(), rebates,
+            self.utilities.tolist(), self.deficits.tolist(),
+        )
+        lines, start = [], 0
+        for round_id, (
+            alloc, realized, scenario_hash, weights, truths, reports, immediate, tcomp,
+            utilities, deficit,
+        ) in enumerate(rows):
+            funded, stop = alloc.funded_real, start + len(alloc.funded_real)
+            # sorted: recommender by recommender, each one's borrowers ascending
+            contingent = ", ".join([
+                f"[{i}, {q}, {v!r}]" for i, column in enumerate(columns)
+                for q, v in zip(funded, column[start:stop])
+            ])
+            outcomes = ", ".join([f"[{q}, {realized[q]}]" for q in funded])
+            start = stop
+            lines.append(
+                f'{{"contingent": [{contingent}], "deficit": {deficit!r}, '
+                f'"funded_real": {list(funded)}, "immediate": {immediate}, '
+                f'"outcomes": [{outcomes}], "realized_utilities": {utilities}, '
+                f'"reports": {reports}, "reserves_funded": {alloc.reserves_funded}, '
+                f'"round_id": {round_id}, "scenario_hash": "{scenario_hash}", '
+                f'"schema": {LEDGER_SCHEMA}, "tcomp": {tcomp}, "truths": {truths}, '
+                f'"weights": {weights}}}\n'
+            )
+        return lines
 
 
 def run_round(
@@ -582,9 +687,10 @@ def campaign(
         # Round r's weights come from the outcomes of rounds before r, so
         # each round is allocated alone, once its weights are known: one
         # `linear_scores` call and the instance's `select`, which reads no
-        # weights. Its funded borrowers' columns of reports feed the weights.
+        # weights. Its funded borrowers' columns feed the weights, through
+        # their means, computed for the whole stack at once.
         budescu = BudescuAccumulator(n, config.history_window)
-        columns = reports.transpose(0, 2, 1).tolist()  # [round][borrower]: n reports
+        means = column_means(reports).tolist()  # [round][borrower]: n + 1 means
         allocations, outcomes = [], []
         for r, draws in enumerate(uniforms.tolist()):
             if r > 0:
@@ -593,31 +699,24 @@ def campaign(
             allocation = inst.select(linear_scores(weights.weights, reports[r]).tolist())
             realized = _outcomes(allocation.funded_real, truth_rows[r], draws)
             for q, outcome in realized.items():
-                budescu.add_column(columns[r][q], outcome)
+                budescu.add_means(means[r][q], outcome)
             allocations.append(allocation)
             outcomes.append(realized)
         weights = budescu.weights()  # after the last round
     hashes = list(map(round_hashes(config, seed), range(rounds)))
-    records = _records(
-        inst, weight_rows, truth_rows, reports, allocations, outcomes, range(rounds), hashes
-    )
-    ledger = RoundLedger()
-    for record in records:
-        ledger.append(record)
-
-    funded = sum(len(rec.funded_real) for rec in records)
-    repaid = sum(o for rec in records for _, o in rec.outcomes)
+    payments = inst.settle_rounds(weight_rows, reports, outcomes, allocations)
+    settled = SettledRounds(inst, weight_rows, truths, reports, outcomes, hashes, payments)
+    funded = len(payments.paid)
+    repaid = sum(o for realized in outcomes for o in realized.values())
     summary = CampaignSummary(
         rounds=rounds,
         funded=funded,
         repaid=repaid,
         repayment_rate=repaid / funded if funded else float("nan"),
-        base_rate=left_sum(left_sum(rec.truths) for rec in records) / (rounds * config.m),
-        cumulative_deficit=left_sum(rec.deficit for rec in records),
-        recommender_utilities=tuple(
-            left_sum(column) for column in zip(*(rec.realized_utilities for rec in records))
-        ),
-        weight_trajectory=tuple(rec.weights for rec in records),
+        base_rate=left_sum(left_sums(truths.T, rounds).tolist()) / (rounds * config.m),
+        cumulative_deficit=left_sum(settled.deficits.tolist()),
+        recommender_utilities=tuple(map(left_sum, settled.utilities.T.tolist())),
+        weight_trajectory=tuple(map(tuple, weight_rows.tolist())),
         final_weights=weights.weights,
     )
-    return summary, ledger
+    return summary, RoundLedger(settled)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 from lendmech import rounds
 from lendmech.aggregation import BudescuAccumulator, ObservedLoan, WeightVector, WeightedLinear
-from lendmech.aggregation import _column_errors, _loan_errors
+from lendmech.aggregation import _column_errors, _loan_errors, _mean_errors, column_means
 from lendmech.errors import LedgerError
 from lendmech.priors import BetaIID, DegenerateAt, ProductGrid, UniformIID
-from lendmech.mechanism import Allocation, left_sum
+from lendmech.mechanism import Allocation, accounts, left_sum
 from lendmech.rounds import CampaignConfig, CampaignSummary, RoundLedger, RoundRecord, WorldModel
 from lendmech.scenario import build_campaign_config, load_bundled
 from lendmech.vcg import VcgInstance
@@ -474,7 +475,7 @@ class TestBudescuAccumulator:
         min_size=1, max_size=12,
     )), st.none() | st.integers(1, 5))
     def test_a_column_is_scored_as_its_loan(self, loans, window):
-        # The campaign feeds the accumulator a column of reports and an
+        # The campaign feeds the accumulator a column's means and an
         # outcome; each loan's error row is `_loan_errors` of the same loan
         # as an `ObservedLoan`, and the weights follow, with a window too.
         n = len(loans[0][0])
@@ -482,9 +483,57 @@ class TestBudescuAccumulator:
         for column, outcome in loans:
             loan = ObservedLoan(reports=tuple(column), outcome=outcome)
             assert _column_errors(column, outcome) == _loan_errors(loan)
-            by_column.add_column(column, outcome)
+            by_column.add_means(column_means(np.array([column]).T)[0].tolist(), outcome)
             by_loan.add([loan])
             assert by_column.weights() == by_loan.weights()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 4)).flatmap(
+            lambda shape: st.lists(
+                EIGHTHS | UNIT, min_size=shape[0] * shape[1] * shape[2],
+                max_size=shape[0] * shape[1] * shape[2],
+            ).map(lambda values: np.reshape(values, shape))
+        ),
+        st.integers(0, 1),
+    )
+    def test_stack_means_give_each_columns_errors(self, reports, outcome):
+        # A campaign computes every column's means for its whole stack at
+        # once; each column's errors from them are `_column_errors` of the
+        # column, bit for bit, one recommender included.
+        n_rounds, n, m = reports.shape
+        means = column_means(reports)
+        assert means.shape == (n_rounds, m, n + 1 if n > 1 else 1)
+        for r in range(n_rounds):
+            for q in range(m):
+                column = reports[r, :, q].tolist()
+                want = _column_errors(column, outcome)
+                assert _mean_errors(means[r, q].tolist(), outcome, n) == want
+
+    def test_squares_as_python_does_where_numpy_would_not(self):
+        # Python's `**` is libm's pow(x, 2), which on some platforms rounds
+        # differently from x * x, numpy's square. Search random columns for
+        # means on which the two differ on this platform: on those, the
+        # stack-wide path must still give `_column_errors`' values, and
+        # squaring the means as one array would not.
+        rng = np.random.default_rng(2015)
+        found = []
+        for n in (2, 3, 4):
+            reports = rng.random((4000, n, 1))
+            outcomes = rng.integers(0, 2, len(reports)).tolist()
+            rows = column_means(reports)[:, 0].tolist()
+            for column, row, o in zip(reports[:, :, 0].tolist(), rows, outcomes):
+                if any((o - mean) ** 2 != (o - mean) * (o - mean) for mean in row):
+                    found.append((column, row, o))
+        if not found:
+            pytest.skip("pow(x, 2) rounds as x * x on every mean searched on this platform")
+        vectorized = []
+        for column, row, o in found:
+            want = _column_errors(column, o)
+            assert _mean_errors(row, o, len(column)) == want
+            squares = (o - np.array(row)) ** 2 + ((1 - o) - (1 - np.array(row))) ** 2
+            vectorized.append(tuple(squares.tolist()) == want)
+        assert not all(vectorized)
 
     @pytest.mark.parametrize("window", [0, -3])
     def test_rejects_non_positive_window(self, window):
@@ -525,6 +574,19 @@ class TestConfigHash:
         assert [r.scenario_hash for r in ledger.records] == [
             rounds.config_hash(self.BASE, 4, r) for r in range(2)
         ]
+
+
+def written(ledger: RoundLedger) -> bytes:
+    """The bytes `ledger.write_jsonl` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.jsonl"
+        ledger.write_jsonl(path)
+        return path.read_bytes()
+
+
+def jsonl(records) -> bytes:
+    """The ledger file of `records`: each one's `record_to_json` line."""
+    return "".join(rounds.record_to_json(record) + "\n" for record in records).encode()
 
 
 def per_round_campaign(n_rounds, config, seed):
@@ -623,6 +685,12 @@ def campaign_cases(draw):
 # clears c: Winkler funds nobody, VCG only reserves.
 NOBODY = WorldModel(mixing=(1.0, 1.0), truth_prior=DegenerateAt(((0.0, 0.0, 0.0),)))
 
+# Recommender 0 reports 1 on a borrower who always defaults: its log score
+# is -inf, which the ledger writes as JSON's -Infinity.
+BOUNDARY = WorldModel(
+    truth_prior=DegenerateAt(((0.0,),)), belief_prior=DegenerateAt(((1.0,), (0.0,)))
+)
+
 VCG_WORLD = WorldModel(mixing=(0.8, 0.6, 0.4))
 SETTLED_TOGETHER = {
     "winkler fixed": CampaignConfig("winkler", 3, 6, 0.5, WORLD),
@@ -659,7 +727,47 @@ STACKS = [
 ]
 
 
+@st.composite
+def settled_stacks(draw):
+    """A settled stack of 1 to 8 rounds on one instance: Winkler uncapped
+    or capped, or VCG with or without rebates; n from 1 to 4, m from 1 to
+    5; each round under its own weight row, zero weights included;
+    quarter-grid or arbitrary reports, so borrowers tie with each other and
+    with c; and, when drawn, a last round of zero reports, which funds no
+    real borrower."""
+    mechanism = draw(st.sampled_from(["winkler", "vcg"]))
+    n, m, n_rounds = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    K = draw(st.integers(1, m)) if mechanism == "vcg" else draw(st.none() | st.integers(1, m))
+    rebates, c = draw(st.booleans()), draw(st.sampled_from([0.25, 0.4, 0.5]))
+    rows = []
+    for _ in range(n_rounds):
+        shares = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        shares[draw(st.integers(0, n - 1))] += 1  # not every share 0
+        rows.append([k / sum(shares) for k in shares])
+    weights = np.array(rows)
+    values = st.lists(QUARTER | UNIT, min_size=n_rounds * n * m, max_size=n_rounds * n * m)
+    reports = np.array(draw(values)).reshape(n_rounds, n, m)
+    if draw(st.booleans()):
+        reports[-1] = 0.0
+    inst = rounds.build_instance(mechanism, n, m, c, tuple(rows[0]), K, 0.7, rebates)
+    allocations = inst.allocate_rounds(weights, reports)
+    outcomes = [{q: draw(st.integers(0, 1)) for q in alloc.funded_real} for alloc in allocations]
+    return inst.settle_rounds(weights, reports, outcomes, allocations)
+
+
 class TestStackedSettlement:
+    @settings(max_examples=200, deadline=None)
+    @given(settled_stacks())
+    def test_stack_accounts_equal_each_rounds_accounts(self, payments):
+        # Every round's utilities and deficit, summed for the whole stack at
+        # once, are `mechanism.accounts` of its own cells, in its
+        # mechanism's order, to the bit (the reprs show a zero's sign).
+        utilities, deficits = payments.accounts()
+        assert utilities.shape == payments.immediate.shape
+        for r, (_, cells, immediate, tcomp) in enumerate(payments.rounds()):
+            want = accounts(cells, immediate, tcomp)
+            assert repr((tuple(utilities[r].tolist()), deficits[r].item())) == repr(want)
+
     @pytest.mark.parametrize("mechanism, n, m, K, rebates", STACKS)
     def test_accounts_equal_the_scanned_oracle(self, mechanism, n, m, K, rebates):
         # Each record of a settled stack, built from its arrays, carries the
@@ -714,11 +822,12 @@ class TestCampaign:
     @pytest.mark.parametrize("name", SETTLED_TOGETHER)
     def test_rounds_settled_together_equal_the_per_round_loop(self, name):
         # A campaign draws its worlds up front and allocates and settles in
-        # stacks; its records and summary are those of playing and settling
-        # each round alone, to the bytes of every ledger line.
+        # stacks; its written ledger, records and summary are those of
+        # playing and settling each round alone, to the bytes of every line.
         config = SETTLED_TOGETHER[name]
         summary, ledger = rounds.campaign(30, config, seed=3)
         want_summary, want_records = per_round_campaign(30, config, seed=3)
+        assert written(ledger) == jsonl(want_records)
         assert ledger.records == tuple(want_records)
         lines = [rounds.record_to_json(record) for record in ledger.records]
         assert lines == [rounds.record_to_json(record) for record in want_records]
@@ -730,17 +839,20 @@ class TestCampaign:
     @given(campaign_cases())
     @example((3, CampaignConfig("winkler", 2, 3, 0.4, NOBODY, weight_mode="budescu"), 1))
     @example((3, CampaignConfig("vcg", 2, 3, 0.4, NOBODY, K=2, tcomp_enabled=True), 1))
+    @example((3, CampaignConfig("winkler", 2, 1, 0.4, BOUNDARY, weight_mode="budescu"), 1))
     @example(
         (4, CampaignConfig("vcg", 3, 8, 0.0, VCG_WORLD, K=8, tcomp_enabled=True,
                            weight_mode="budescu", history_window=7), 2)
     )
     def test_equals_the_oracle_loop(self, case):
         # Drawing every world up front, allocating fixed-weight rounds in
-        # one call and building the records from the stacked arrays gives
-        # the records, ledger lines and summary of playing each round alone.
+        # one call and rendering the ledger from the stacked arrays gives
+        # the file, records, ledger lines and summary of playing each round
+        # alone.
         n_rounds, config, seed = case
         summary, ledger = rounds.campaign(n_rounds, config, seed)
         want_summary, want_records = per_round_campaign(n_rounds, config, seed)
+        assert written(ledger) == jsonl(want_records)
         assert ledger.records == tuple(want_records)
         lines = [rounds.record_to_json(record) for record in ledger.records]
         assert lines == [rounds.record_to_json(record) for record in want_records]
