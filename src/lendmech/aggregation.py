@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -296,18 +296,18 @@ def budescu_weights(history: RoundHistory) -> WeightVector:
 
 
 class BudescuAccumulator:
-    """Budescu weights of a growing history, one funded loan at a time.
+    """Budescu weights of a growing history, one funded loan at a time:
+    the one fold both a campaign and `rounds.evolve_weights` use.
 
-    Each loan's `_loan_errors` are computed once, when it is added: from an
-    `ObservedLoan` (`add`), or from the means of its column of reports and
-    its outcome (`add_means`, a campaign's path, which builds no loan).
-    Without a window the per-column sums run on in loan order: `left_sum`
-    adds from 0.0 left to right, so they are bit for bit the sums
-    `budescu_weights` takes over the whole history, and `weights()` costs
-    O(n). With a window the last `window` loans' errors are kept and summed
-    again on each call, O(window * n) additions and no error recomputed,
-    which is again exactly what `budescu_weights` does on
-    `RoundHistory.window(window)`.
+    Each loan's errors are computed once, when it is added, from the means
+    of its column of reports (`column_means`) and its outcome
+    (`add_means`); no `ObservedLoan` is built. Without a window the
+    per-column sums run on in loan order: `left_sum` adds from 0.0 left to
+    right, so they are bit for bit the sums `budescu_weights` takes over
+    the whole history, and `weights()` costs O(n). With a window the last
+    `window` loans' errors are kept and summed again on each call,
+    O(window * n) additions and no error recomputed, which is again exactly
+    what `budescu_weights` does on `RoundHistory.window(window)`.
     """
 
     def __init__(self, n: int, window: Optional[int] = None) -> None:
@@ -318,23 +318,12 @@ class BudescuAccumulator:
         self._totals = [0.0] * (n + 1)
         self._counts = [0] * (n + 1)
 
-    def add(self, loans: Iterable[ObservedLoan]) -> None:
-        """Score newly observed loans, in the order they were funded."""
-        for loan in loans:
-            if len(loan.reports) != self.n:
-                raise ArityMismatch(
-                    f"loan has {len(loan.reports)} report slots, accumulator has n={self.n}"
-                )
-            self._add(_loan_errors(loan))
-
     def add_means(self, means: list[float], outcome: int) -> None:
         """Score one newly observed loan on which all n recommenders
         reported, from its column's means (`column_means`, as a list) and
         its 0/1 outcome, neither checked again: only the Brier terms are
         left to compute. The errors are `_column_errors` of the column."""
-        self._add(_mean_errors(means, outcome, self.n))
-
-    def _add(self, errors: tuple[Optional[float], ...]) -> None:
+        errors = _mean_errors(means, outcome, self.n)
         if self._window is not None:
             self._window.append(errors)
             return

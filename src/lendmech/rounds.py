@@ -25,22 +25,27 @@ The campaign's ledger keeps the settled stack as one block
 `Payments`. Every round's realized utilities and deficit are computed once
 for the whole stack, with numpy adds in each mechanism's summation order
 (`Payments.accounts`), bit for bit `mechanism.accounts` of each round;
-the summary comes from the same arrays. `RoundLedger.write_jsonl` renders
-each line straight from one `tolist()` per array, and the records are
-built only when read, by `_records`, which settles the stack again and
-sums each round's payments alone (`mechanism.accounts`): the oracle the
-rendered lines are held to. `run_round` is a campaign of one round
-through `_records`.
+the summary comes from the same arrays. Every ledger line has one writer,
+`_json`: a round's values in sorted key order, encoded by one
+`json.JSONEncoder`, which writes a non-finite payment as JSON's
+`-Infinity` and escapes any hash. `RoundLedger.write_jsonl` hands it each
+round's values straight from one `tolist()` per array, and
+`record_to_json` a record's fields. The records are built only when read,
+by `_records`, which settles the stack again and sums each round's
+payments alone (`mechanism.accounts`): the oracle the written lines are
+held to. `run_round` is a campaign of one round through `_records`.
 
-With outcome-adaptive weighting, a `BudescuAccumulator` scores each funded
-loan once, when its round is allocated, and keeps running sums: a round's
-weight update costs O(n) per newly funded loan, plus O(window * n) under
-a history window, instead of a rescan of every past loan. Every column's
-means, the whole crowd's and each with one recommender left out, are
-computed once for the stack (`column_means`); a funded loan then adds only
-its Brier terms, squared by Python's `**`, as `_column_errors` squares
-them. No `ObservedLoan` is built on that path; `evolve_weights`, which
-rescans a ledger's loans, is its oracle.
+Budescu weights have one fold, a `BudescuAccumulator`, which scores each
+funded loan once and keeps running sums: a weight update costs O(n) per
+newly funded loan, plus O(window * n) under a history window, instead of
+a rescan of every past loan. Every funded column's means, the whole
+crowd's and each with one recommender left out, come from numpy adds over
+many columns at once (`column_means`); a funded loan then adds only its
+Brier terms, squared by Python's `**`, as `_column_errors` squares them.
+A campaign folds each round's loans as the round is played, with the
+means of its whole stack; `evolve_weights` folds a ledger's loans in
+ledger order, as `lendmech weights` reads them. No `ObservedLoan` is built
+on either path; the test suite's rescan of the ledger is their oracle.
 """
 
 from __future__ import annotations
@@ -55,16 +60,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import (
-    BudescuAccumulator,
-    ObservedLoan,
-    RoundHistory,
-    WeightVector,
-    WeightedLinear,
-    budescu_weights,
-    column_means,
-)
-from .errors import AllNonPositiveContribution, EmptyHistory, LedgerError, MechanismError
+from .aggregation import BudescuAccumulator, WeightVector, WeightedLinear, column_means
+
+# Not called here. The import stays only for perfbench's tracer, which wraps
+# `rounds.budescu_weights` and checks that it is `aggregation.budescu_weights`,
+# until the program carries its own spans (ROADMAP item 1b).
+from .aggregation import budescu_weights
+from .errors import LedgerError, MechanismError
 from .fields import Fields
 from .mechanism import (
     Allocation, Instance, accounts, check_outcomes, left_sum, left_sums, linear_scores,
@@ -244,18 +246,24 @@ _FIELDS = dataclasses.fields(RoundRecord)
 _NAMES = tuple(f.name for f in _FIELDS)
 
 
-# The ledger's encoder, one for every line: a record's fields go in as a
+# The ledger's encoder, one for every line: a round's values go in as a
 # dict built in sorted key order, so it writes the bytes of
 # `json.dumps(..., sort_keys=True)` without sorting each line's keys. A
-# record's values are tuples of numbers and strings, which cannot contain
-# themselves, so the encoder does not check for cycles.
+# round's values are lists and tuples of numbers and strings, which cannot
+# contain themselves, so the encoder does not check for cycles.
 _SORTED_NAMES = tuple(sorted(_NAMES))
 _SORTED_VALUES = operator.attrgetter(*_SORTED_NAMES)
 _ENCODER = json.JSONEncoder(check_circular=False)
 
 
+def _json(values: Sequence) -> str:
+    """The ledger line, without its newline, of one round's field values
+    in `_SORTED_NAMES` order."""
+    return _ENCODER.encode(dict(zip(_SORTED_NAMES, values)))
+
+
 def record_to_json(record: RoundRecord) -> str:
-    return _ENCODER.encode(dict(zip(_SORTED_NAMES, _SORTED_VALUES(record))))
+    return _json(_SORTED_VALUES(record))
 
 
 def _ascending(values) -> bool:
@@ -329,7 +337,7 @@ class RoundLedger:
     """Append-only sequence of round records.
 
     A campaign's ledger holds its settled stack as one block
-    (`SettledRounds`): `write_jsonl` renders its lines straight from the
+    (`SettledRounds`): `write_jsonl` writes its lines straight from the
     stack's arrays, and its records are built only when they are read. An
     append turns the block into records first."""
 
@@ -352,11 +360,6 @@ class RoundLedger:
 
     def __len__(self) -> int:
         return len(self._settled) if self._settled is not None else len(self._records)
-
-    def history(self, n: int, window: Optional[int] = None) -> RoundHistory:
-        """Funded loans with observed outcomes, as aggregation input."""
-        loans = tuple(loan for record in self._built() for loan in funded_loans(record, n))
-        return RoundHistory(n=n, loans=loans).window(window)
 
     def write_jsonl(self, path) -> None:
         if self._settled is not None:
@@ -381,16 +384,6 @@ class RoundLedger:
         except LedgerError as exc:
             raise LedgerError(f"{path}: line {number}: {exc}") from None
         return ledger
-
-
-def funded_loans(record: RoundRecord, n: int) -> list[ObservedLoan]:
-    """The round's funded borrowers in index order, each as the first n
-    recommenders' reports on it and its outcome."""
-    outcomes = dict(record.outcomes)
-    return [
-        ObservedLoan(reports=tuple(record.reports[i][q] for i in range(n)), outcome=outcomes[q])
-        for q in record.funded_real
-    ]
 
 
 def _describe(value):
@@ -511,19 +504,11 @@ class SettledRounds:
 
     def lines(self) -> list[str]:
         """Every round's ledger line, `record_to_json` of its record and a
-        newline, rendered from one `tolist()` per array with no record
-        built. A list of Python floats or ints prints as JSON writes it
-        (`float.__repr__` joined by ", "), and the round hashes are hex
-        digests, which JSON writes as they are. JSON writes a non-finite
-        float as NaN or Infinity, which `repr` does not: a stack with one
-        (a boundary report's log score) is written from its records."""
+        newline: its values from one `tolist()` per array, in sorted key
+        order, written by `_json` with no record built."""
         pay = self.payments
-        # A non-finite charge, rebate or payment makes its recommender's
-        # utility non-finite, so these two arrays tell.
-        if not (np.isfinite(self.utilities).all() and np.isfinite(self.deficits).all()):
-            return [record_to_json(record) + "\n" for record in self.records()]
         columns = pay.paid.T.tolist()  # recommender i's payment on each loan of the stack
-        rebates = repeat("null") if pay.tcomp is None else pay.tcomp.tolist()
+        rebates = repeat(None) if pay.tcomp is None else pay.tcomp.tolist()
         rows = zip(
             pay.allocations, self.outcomes, self.hashes, self.weights.tolist(),
             self.truths.tolist(), self.reports.tolist(), pay.immediate.tolist(), rebates,
@@ -536,21 +521,17 @@ class SettledRounds:
         ) in enumerate(rows):
             funded, stop = alloc.funded_real, start + len(alloc.funded_real)
             # sorted: recommender by recommender, each one's borrowers ascending
-            contingent = ", ".join([
-                f"[{i}, {q}, {v!r}]" for i, column in enumerate(columns)
+            contingent = [
+                (i, q, v) for i, column in enumerate(columns)
                 for q, v in zip(funded, column[start:stop])
-            ])
-            outcomes = ", ".join([f"[{q}, {realized[q]}]" for q in funded])
+            ]
+            outcomes = [(q, realized[q]) for q in funded]
             start = stop
-            lines.append(
-                f'{{"contingent": [{contingent}], "deficit": {deficit!r}, '
-                f'"funded_real": {list(funded)}, "immediate": {immediate}, '
-                f'"outcomes": [{outcomes}], "realized_utilities": {utilities}, '
-                f'"reports": {reports}, "reserves_funded": {alloc.reserves_funded}, '
-                f'"round_id": {round_id}, "scenario_hash": "{scenario_hash}", '
-                f'"schema": {LEDGER_SCHEMA}, "tcomp": {tcomp}, "truths": {truths}, '
-                f'"weights": {weights}}}\n'
-            )
+            lines.append(_json((
+                contingent, deficit, funded, immediate, outcomes, utilities, reports,
+                alloc.reserves_funded, round_id, scenario_hash, LEDGER_SCHEMA, tcomp, truths,
+                weights,
+            )) + "\n")
         return lines
 
 
@@ -585,15 +566,18 @@ def run_round(
 def evolve_weights(
     ledger: RoundLedger, n: int, window: Optional[int] = None
 ) -> WeightVector:
-    """Outcome-based weights from the ledger, every past loan scored afresh;
-    equal weights when the history is empty or nobody has contributed
-    positively yet. `campaign` keeps a `BudescuAccumulator` instead; this is
-    its oracle, and `lendmech weights`' path."""
-    try:
-        history = ledger.history(n, window)
-        return budescu_weights(history)
-    except (EmptyHistory, AllNonPositiveContribution):
-        return WeightVector.equal(n)
+    """Outcome-based weights from the ledger: every funded loan, in ledger
+    order, folded into a `BudescuAccumulator` as `campaign` folds a round's
+    loans, from its column's means (`column_means` of the first n
+    recommenders' reports) and its outcome. Equal weights when no loan is
+    funded or nobody has contributed positively. `lendmech weights`'
+    path."""
+    loans = [(record.reports, q, o) for record in ledger.records for q, o in record.outcomes]
+    columns = np.array([[reports[i][q] for i in range(n)] for reports, q, _ in loans])
+    budescu = BudescuAccumulator(n, window)
+    for means, (_, _, outcome) in zip(column_means(columns.reshape(-1, n).T).tolist(), loans):
+        budescu.add_means(means, outcome)
+    return budescu.weights()
 
 
 def build_instance(

@@ -3,12 +3,19 @@ own generator as the round is played, the round allocated alone, its
 outcomes drawn after the allocation, and the round settled and recorded
 alone. The oracle `rounds.campaign` and `rounds.run_round` are tested
 against: they draw every round's world up front, allocate a stack of
-rounds in one call and build the records from the stacked arrays."""
+rounds in one call and build the records from the stacked arrays.
 
-from typing import Callable, Optional
+Its weights rescan every funded loan of the rounds before, each as an
+`ObservedLoan` scored afresh (`aggregation.budescu_weights`): the oracle
+of the one `BudescuAccumulator` fold that `rounds.campaign` and
+`rounds.evolve_weights` share."""
+
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from lendmech.aggregation import ObservedLoan, RoundHistory, WeightVector, budescu_weights
+from lendmech.errors import AllNonPositiveContribution, EmptyHistory
 from lendmech.mechanism import Instance, Settlement, left_sum
 from lendmech.priors import sample_profiles
 from lendmech.rounds import RoundRecord, WorldModel
@@ -97,3 +104,28 @@ def oracle_round(
         realized_utilities=utilities,
     )
 
+
+def funded_loans(records: Iterable[RoundRecord], n: int) -> list[ObservedLoan]:
+    """Every funded loan of the records, round by round, each round's
+    borrowers in index order: the first n recommenders' reports on it and
+    its outcome."""
+    loans = []
+    for record in records:
+        outcomes = dict(record.outcomes)
+        loans.extend(
+            ObservedLoan(tuple(record.reports[i][q] for i in range(n)), outcomes[q])
+            for q in record.funded_real
+        )
+    return loans
+
+
+def rescanned_weights(
+    loans: Sequence[ObservedLoan], n: int, window: Optional[int] = None
+) -> WeightVector:
+    """Budescu weights of the loans (the last `window` of them, with one),
+    every loan scored afresh; equal weights when there is none or nobody
+    has contributed positively."""
+    try:
+        return budescu_weights(RoundHistory(n, tuple(loans)).window(window))
+    except (EmptyHistory, AllNonPositiveContribution):
+        return WeightVector.equal(n)

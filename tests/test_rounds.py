@@ -5,6 +5,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from lendmech.rounds import CampaignConfig, CampaignSummary, RoundLedger, RoundR
 from lendmech.scenario import build_campaign_config, load_bundled
 from lendmech.vcg import VcgInstance
 from lendmech.winkler import WinklerInstance
-from rounds_oracle import oracle_round, sample_world, scanned_accounts
+from rounds_oracle import (
+    funded_loans, oracle_round, rescanned_weights, sample_world, scanned_accounts,
+)
 
 
 def winkler_instance(n=3, m=4, c=0.5, weights=None):
@@ -200,12 +203,7 @@ class TestLedger:
             deficit=0.0,
             realized_utilities=(0.0, 0.0),
         )
-        ledger = RoundLedger()
-        ledger.append(record)
-        history = ledger.history(2)
-        assert len(history.loans) == 1
-        assert history.loans[0].reports == (0.8, 0.6)
-        assert history.loans[0].outcome == 1
+        assert funded_loans([record], 2) == [ObservedLoan(reports=(0.8, 0.6), outcome=1)]
 
 
 # A record on the edges the codec must keep: no funded borrower, no rebate,
@@ -227,8 +225,11 @@ EDGE_RECORD = RoundRecord(
 )
 
 UNIT = st.floats(0.0, 1.0)
-# Every float a record can carry: JSON has no NaN.
-ANY = st.floats(allow_nan=False)
+# Every float a record can carry, the infinities often: JSON has no NaN.
+ANY = st.floats(allow_nan=False) | st.sampled_from([math.inf, -math.inf])
+# Hashes JSON must escape: quotes, backslashes, control characters and
+# non-ASCII text.
+ESCAPED = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600a0'), max_size=8)
 
 
 @st.composite
@@ -237,7 +238,7 @@ def round_records(draw) -> RoundRecord:
     funded = tuple(sorted(draw(st.sets(st.integers(0, m - 1)))))
     return RoundRecord(
         round_id=draw(st.integers(0, 10**6)),
-        scenario_hash=draw(st.text(max_size=16)),
+        scenario_hash=draw(st.text(max_size=16) | ESCAPED),
         weights=tuple(draw(UNIT) for _ in range(n)),
         truths=tuple(draw(UNIT) for _ in range(m)),
         reports=tuple(tuple(draw(UNIT) for _ in range(m)) for _ in range(n)),
@@ -282,6 +283,25 @@ class TestLedgerFormat:
         assert rounds.record_from_json(line) == record
         # Equality cannot see the sign of a zero; the bytes can.
         assert rounds.record_to_json(rounds.record_from_json(line)) == line
+
+    @settings(max_examples=300, deadline=None)
+    @given(round_records())
+    @example(EDGE_RECORD)
+    @example(dataclasses.replace(
+        EDGE_RECORD, scenario_hash='q"b\\c\x01\x1f\u00e9\u2028\U0001f600',
+        immediate=(math.inf, -math.inf), deficit=math.inf, realized_utilities=(-math.inf, math.inf),
+    ))
+    @example(dataclasses.replace(
+        EDGE_RECORD, funded_real=(0,), outcomes=((0, 0),), tcomp=(-math.inf, math.inf),
+        contingent=((0, 0, -math.inf), (1, 0, math.inf)),
+    ))
+    def test_line_is_json_dumps_of_the_fields(self, record):
+        # The one line writer gives, for any record the reader accepts, the
+        # bytes of the standard library's sorted-key dump of its fields,
+        # JSON's own -Infinity, Infinity and string escapes included.
+        line = rounds.record_to_json(record)
+        assert line == json.dumps(dataclasses.asdict(record), sort_keys=True)
+        assert rounds.record_from_json(line) == record
 
     def test_json_keys_are_the_record_fields(self):
         keys = json.loads(rounds.record_to_json(EDGE_RECORD))
@@ -433,13 +453,15 @@ EIGHTHS = st.sampled_from([k / 8 for k in range(9)])
 @st.composite
 def weight_histories(draw):
     """(n, records, window): rounds with grid or arbitrary reports, possibly
-    identical rows (every contribution 0) and rounds that fund nobody; the
+    identical rows (every contribution 0), rounds that fund nobody and
+    rounds with different numbers of borrowers (a ledger may mix them); the
     window runs from 1 to one past the number of funded loans."""
-    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
     values = GRID | UNIT
     identical_rows = draw(st.booleans())
     records = []
     for r in range(draw(st.integers(0, 6))):
+        m = draw(st.integers(1, 3))
         rows = [tuple(draw(values) for _ in range(m)) for _ in range(1 if identical_rows else n)]
         reports = tuple(rows * n) if identical_rows else tuple(rows)
         funded = draw(st.sets(st.integers(0, m - 1)))
@@ -460,14 +482,31 @@ class TestBudescuAccumulator:
         loan_record(((0.8,), (0.6,)), {0: 1}), loan_record(((0.8,), (0.6,)), {}),
         loan_record(((0.2,), (0.7,)), {0: 0}),
     ], 1))
+    # Rounds of three borrowers and of one.
+    @example((2, [
+        loan_record(((0.8, 0.1, 0.5), (0.6, 0.3, 0.5)), {0: 1, 2: 0}),
+        loan_record(((0.2,), (0.7,)), {0: 0}),
+    ], None))
+    # A window longer than the loan history.
+    @example((3, [loan_record(((0.9, 0.2), (0.5, 0.5), (0.1, 0.8)), {0: 1, 1: 0})] * 2, 50))
+    # An empty ledger: equal weights.
+    @example((2, [], None))
+    @example((3, [], 4))
     def test_equals_evolve_weights_on_every_prefix(self, history):
+        # On every prefix of the ledger, the accumulator fed round by round
+        # as a campaign feeds it, `evolve_weights` of the prefix and the
+        # rescan of its loans, each scored afresh, give the same weights.
         n, records, window = history
         scores, prefix = BudescuAccumulator(n, window), RoundLedger()
         for record in records:
-            assert scores.weights() == rounds.evolve_weights(prefix, n, window)
-            scores.add(rounds.funded_loans(record, n))
+            want = rescanned_weights(funded_loans(prefix.records, n), n, window)
+            assert scores.weights() == rounds.evolve_weights(prefix, n, window) == want
+            means = column_means(np.array(record.reports)[:n]).tolist()
+            for q, outcome in record.outcomes:
+                scores.add_means(means[q], outcome)
             prefix.append(record)
-        assert scores.weights() == rounds.evolve_weights(prefix, n, window)
+        want = rescanned_weights(funded_loans(records, n), n, window)
+        assert scores.weights() == rounds.evolve_weights(prefix, n, window) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
@@ -479,13 +518,12 @@ class TestBudescuAccumulator:
         # outcome; each loan's error row is `_loan_errors` of the same loan
         # as an `ObservedLoan`, and the weights follow, with a window too.
         n = len(loans[0][0])
-        by_column, by_loan = BudescuAccumulator(n, window), BudescuAccumulator(n, window)
+        by_column, scanned = BudescuAccumulator(n, window), []
         for column, outcome in loans:
-            loan = ObservedLoan(reports=tuple(column), outcome=outcome)
-            assert _column_errors(column, outcome) == _loan_errors(loan)
+            scanned.append(ObservedLoan(reports=tuple(column), outcome=outcome))
+            assert _column_errors(column, outcome) == _loan_errors(scanned[-1])
             by_column.add_means(column_means(np.array([column]).T)[0].tolist(), outcome)
-            by_loan.add([loan])
-            assert by_column.weights() == by_loan.weights()
+            assert by_column.weights() == rescanned_weights(scanned, n, window)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -577,8 +615,12 @@ class TestConfigHash:
 
 
 def written(ledger: RoundLedger) -> bytes:
-    """The bytes `ledger.write_jsonl` writes."""
-    with tempfile.TemporaryDirectory() as tmp:
+    """The bytes `ledger.write_jsonl` writes of a campaign's ledger, which
+    writes them from its settled stack with no record built."""
+    built = AssertionError("the ledger built its records to write them")
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        rounds, "_records", side_effect=built
+    ):
         path = Path(tmp) / "ledger.jsonl"
         ledger.write_jsonl(path)
         return path.read_bytes()
@@ -591,8 +633,8 @@ def jsonl(records) -> bytes:
 
 def per_round_campaign(n_rounds, config, seed):
     """`rounds.campaign` as a loop of the oracle's rounds, each drawn,
-    allocated and settled alone under the weights `rounds.evolve_weights`
-    gives from the rounds before it, every past loan scored afresh: no
+    allocated and settled alone under the weights of the rounds before it,
+    every past loan scored afresh (`rescanned_weights`): no
     `BudescuAccumulator`, which the campaign keeps."""
     round_seeds = np.random.SeedSequence(seed).generate_state(n_rounds)
     weights = (
@@ -602,18 +644,22 @@ def per_round_campaign(n_rounds, config, seed):
     )
     budescu = config.weight_mode == "budescu"
     hashes = rounds.round_hashes(config, seed)
-    records, played = [], RoundLedger()
+    records = []
+
+    def rescanned():
+        loans = funded_loans(records, config.n)
+        return rescanned_weights(loans, config.n, config.history_window)
+
     for r in range(n_rounds):
         if budescu and r > 0:
-            weights = rounds.evolve_weights(played, config.n, config.history_window)
+            weights = rescanned()
         inst = rounds.build_instance(
             config.mechanism, config.n, config.m, config.threshold, weights.weights,
             config.K, config.alpha, config.tcomp_enabled,
         )
         records.append(oracle_round(inst, config.world, int(round_seeds[r]), r, hashes(r)))
-        played.append(records[-1])
     if budescu:
-        weights = rounds.evolve_weights(played, config.n, config.history_window)
+        weights = rescanned()
     funded = sum(len(rec.funded_real) for rec in records)
     repaid = sum(o for rec in records for _, o in rec.outcomes)
     summary = CampaignSummary(
@@ -733,8 +779,9 @@ def settled_stacks(draw):
     or capped, or VCG with or without rebates; n from 1 to 4, m from 1 to
     5; each round under its own weight row, zero weights included;
     quarter-grid or arbitrary reports, so borrowers tie with each other and
-    with c; and, when drawn, a last round of zero reports, which funds no
-    real borrower."""
+    with c, and a report of 1 on a borrower who defaults scores -inf; and,
+    when drawn, a last round of zero reports, which funds no real borrower.
+    Each round's hash is any text, escaped or not."""
     mechanism = draw(st.sampled_from(["winkler", "vcg"]))
     n, m, n_rounds = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 8))
     K = draw(st.integers(1, m)) if mechanism == "vcg" else draw(st.none() | st.integers(1, m))
@@ -752,21 +799,39 @@ def settled_stacks(draw):
     inst = rounds.build_instance(mechanism, n, m, c, tuple(rows[0]), K, 0.7, rebates)
     allocations = inst.allocate_rounds(weights, reports)
     outcomes = [{q: draw(st.integers(0, 1)) for q in alloc.funded_real} for alloc in allocations]
-    return inst.settle_rounds(weights, reports, outcomes, allocations)
+    truths = np.array(draw(st.lists(UNIT, min_size=n_rounds * m, max_size=n_rounds * m)))
+    hashes = [draw(st.text(max_size=8) | ESCAPED) for _ in range(n_rounds)]
+    payments = inst.settle_rounds(weights, reports, outcomes, allocations)
+    return rounds.SettledRounds(
+        inst, weights, truths.reshape(n_rounds, m), reports, outcomes, hashes, payments
+    )
 
 
 class TestStackedSettlement:
     @settings(max_examples=200, deadline=None)
     @given(settled_stacks())
-    def test_stack_accounts_equal_each_rounds_accounts(self, payments):
+    def test_stack_accounts_equal_each_rounds_accounts(self, settled):
         # Every round's utilities and deficit, summed for the whole stack at
         # once, are `mechanism.accounts` of its own cells, in its
         # mechanism's order, to the bit (the reprs show a zero's sign).
+        payments = settled.payments
         utilities, deficits = payments.accounts()
         assert utilities.shape == payments.immediate.shape
         for r, (_, cells, immediate, tcomp) in enumerate(payments.rounds()):
             want = accounts(cells, immediate, tcomp)
             assert repr((tuple(utilities[r].tolist()), deficits[r].item())) == repr(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(settled_stacks())
+    def test_stack_lines_are_json_dumps_of_the_records(self, settled):
+        # Written straight from the stack, each round's line is the
+        # standard library's sorted-key dump of its record's fields, which
+        # `_records` builds alone, and reads back as that record.
+        lines, records = settled.lines(), settled.records()
+        assert lines == [
+            json.dumps(dataclasses.asdict(record), sort_keys=True) + "\n" for record in records
+        ]
+        assert [rounds.record_from_json(line) for line in lines] == records
 
     @pytest.mark.parametrize("mechanism, n, m, K, rebates", STACKS)
     def test_accounts_equal_the_scanned_oracle(self, mechanism, n, m, K, rebates):
